@@ -1,9 +1,10 @@
 //! Concurrent-serving bench: wall-clock of draining the 18-job mixed
 //! fleet (the `chaos` soak's fleet shape) through `AsyncService`, swept
 //! across worker-pool sizes {1, 2, 4}. Every pool size is asserted
-//! bit-identical to a synchronous `BatchService::run_batch` over the
-//! same jobs before its timing is trusted — the pool only changes wall
-//! time and completion order, never a report. Run with:
+//! bit-identical to service-free runs of the same jobs (a fresh
+//! `SimSession` per job, no pool, no caches) before its timing is
+//! trusted — the pool only changes wall time and completion order, never
+//! a report. Run with:
 //!
 //! ```text
 //! cargo bench -p grow-bench --bench serving_throughput -- \
@@ -29,10 +30,10 @@
 use std::path::PathBuf;
 
 use grow_bench::{json, timing};
-use grow_core::registry::ENGINE_NAMES;
-use grow_core::PartitionStrategy;
+use grow_core::registry::{self, ENGINE_NAMES};
+use grow_core::{PartitionStrategy, RunReport};
 use grow_model::DatasetKey;
-use grow_serve::{AsyncConfig, AsyncService, BatchService, JobSpec, Ticket};
+use grow_serve::{AsyncConfig, AsyncService, BatchService, JobSpec, SimSession, Ticket};
 
 /// The chaos fleet shape: three configurations per registry engine
 /// (unpartitioned, multilevel, row-sharded), plus six mixed extras —
@@ -67,6 +68,21 @@ fn fleet(spec: grow_model::DatasetSpec, seed: u64) -> Vec<JobSpec> {
     jobs.push(JobSpec::new(spec, seed, "gamma").with_pes(4));
     assert_eq!(jobs.len(), 18, "the serving fleet is 18 jobs");
     jobs
+}
+
+/// One job with no service at all: a fresh session, the job's HDN list
+/// length, the engine built from its parsed overrides.
+fn run_unserved(job: &JobSpec) -> RunReport {
+    let parsed = registry::parse_overrides(&job.overrides).expect("fleet overrides parse");
+    let overrides: Vec<(&str, &str)> = parsed
+        .iter()
+        .map(|(k, v)| (k.as_str(), v.as_str()))
+        .collect();
+    let mut session = SimSession::from_spec(job.dataset, job.seed);
+    session.set_hdn_id_entries(job.hdn_id_entries);
+    session
+        .run_with(&job.engine, &overrides, job.strategy)
+        .expect("the serving fleet must be all-green")
 }
 
 /// One cold drain: fresh service, submit the whole fleet, wait every
@@ -159,13 +175,13 @@ fn main() {
     let jobs = fleet(spec, 42);
     let worker_sweep = [1usize, 2, 4];
 
-    // The reference: one synchronous batch over the same jobs. Every
-    // async drain must reproduce it bit for bit before it is timed.
-    eprintln!("[setup] reference run_batch over {} jobs ...", jobs.len());
-    let mut reference_service = BatchService::new();
-    let reference = reference_service.run_batch(&jobs);
-    let failed = reference.iter().filter(|r| r.outcome.is_err()).count();
-    assert_eq!(failed, 0, "the serving fleet must be all-green");
+    // The reference: every job run on its own, with no service. Every
+    // drain must reproduce it bit for bit before it is timed.
+    eprintln!(
+        "[setup] service-free reference runs of {} jobs ...",
+        jobs.len()
+    );
+    let reference: Vec<RunReport> = jobs.iter().map(run_unserved).collect();
 
     println!(
         "fleet: {} jobs on pubmed @{nodes} seed 42; {} hardware thread(s); \
@@ -181,16 +197,17 @@ fn main() {
     let mut cells: Vec<Cell> = Vec::new();
     for &workers in &worker_sweep {
         // The timing is only meaningful if this pool size computes the
-        // same thing: every report must match the synchronous batch bit
+        // same thing: every report must match its service-free run bit
         // for bit (plan-cache sharing and worker interleaving included).
         let drained = drain(&jobs, workers);
-        for (r, reference) in drained.iter().zip(&reference) {
+        for ((r, reference), job) in drained.iter().zip(&reference).zip(&jobs) {
             assert_eq!(
                 r.report(),
-                reference.report(),
-                "workers={workers}: report for job {} ({}) diverged from run_batch",
-                reference.index,
-                reference.engine
+                Some(reference),
+                "workers={workers}: report for job {} ({}) diverged from its \
+                 service-free run",
+                r.index,
+                job.engine
             );
         }
         let timed = timing::sample(iters, || {

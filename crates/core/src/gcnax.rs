@@ -513,35 +513,16 @@ impl Accelerator for GcnaxEngine {
         let plan_pool: ScratchArena<GcnaxPlan> = ScratchArena::new();
         let spec = self.config.shard_rows.spec(workload);
         // The aggregation plan is a pure function of the layer-invariant
-        // adjacency: count it once at the first layer, replay it at later
-        // ones (small workloads only; see `PLAN_REUSE_MAX_OPS`). The
-        // combination LHS changes per layer, so no retention there.
-        // Inside a serving session pool the slots come from the cross-job
-        // plan cache instead, keyed by the tile grain (the plan depends
-        // on it), so same-tiling jobs skip the count pass entirely.
-        let plan_gate =
-            workload.adjacency.nnz() + 2 * workload.adjacency.rows() <= plan::PLAN_REUSE_MAX_OPS;
-        // Fault-injected runs stay off the shared cache (see the grow
-        // engine): injection counts must not depend on fleet warm state.
-        let shared_plans = match &workload.plan_cache {
-            Some(scope) if plan_gate && self.config.fault.is_off() => {
-                Some(scope.slots::<GcnaxPlan>(
-                    &format!("gcnax:{}x{}", self.config.tile_rows, self.config.tile_cols),
-                    workload.clusters.len(),
-                ))
-            }
-            _ => None,
-        };
-        let local_plans: Option<Vec<OnceLock<GcnaxPlan>>> =
-            (shared_plans.is_none() && plan_gate && workload.layers.len() > 1).then(|| {
-                (0..workload.clusters.len())
-                    .map(|_| OnceLock::new())
-                    .collect()
-            });
-        let agg_store: Option<&[OnceLock<GcnaxPlan>]> = shared_plans
-            .as_deref()
-            .map(Vec::as_slice)
-            .or(local_plans.as_deref());
+        // adjacency, so runs replay retained plans. The family carries
+        // the tile grain (the plan depends on it). The combination LHS
+        // changes per layer, so no retention there.
+        let agg_slots = plan::plan_slots::<GcnaxPlan>(
+            workload,
+            &format!("gcnax:{}x{}", self.config.tile_rows, self.config.tile_cols),
+            true,
+            self.config.fault,
+        );
+        let agg_store = agg_slots.as_deref().map(Vec::as_slice);
         let model = ExecModel::with_dram(self.config.multi_pe, self.config.dram);
         let mut report = pipeline::run_layers(self.name(), workload, self.config.fault, |layer| {
             LayerReport {

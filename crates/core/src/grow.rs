@@ -877,35 +877,16 @@ impl Accelerator for GrowEngine {
         let scratch: ScratchArena<GrowScratch> = ScratchArena::new();
         let shard_pool: ScratchArena<PlanBuf> = ScratchArena::new();
         // Cross-layer plan retention: the aggregation probe plan depends
-        // only on the adjacency and the pinned HDN prefix, so multi-layer
-        // runs plan each cluster once and replay the retained plan at
-        // later layers (keyed by the prefix length; a mismatch re-plans).
-        // Capped by workload size so retained plans stay cheap; the LRU
-        // study has no plans to retain. Inside a serving session pool the
-        // slots instead come from the cross-job plan cache, so a later
-        // job sharing the (dataset, partition) scope skips the plan pass
-        // even on its first layer.
-        let plan_gate = !matches!(self.config.replacement, ReplacementPolicy::Lru)
-            && workload.adjacency.nnz() + 2 * workload.adjacency.rows() <= plan::PLAN_REUSE_MAX_OPS;
-        // Fault-injected runs stay off the shared cache: replaying a
-        // neighbor job's plan would skip this job's plan-pass trip
-        // points, making injection counts depend on fleet warm state.
-        let shared_plans = match &workload.plan_cache {
-            Some(scope) if plan_gate && self.config.fault.is_off() => {
-                Some(scope.slots::<CachedPlan>("grow", workload.clusters.len()))
-            }
-            _ => None,
-        };
-        let local_plans: Option<Vec<OnceLock<CachedPlan>>> =
-            (shared_plans.is_none() && plan_gate && workload.layers.len() > 1).then(|| {
-                (0..workload.clusters.len())
-                    .map(|_| OnceLock::new())
-                    .collect()
-            });
-        let plan_store: Option<&[OnceLock<CachedPlan>]> = shared_plans
-            .as_deref()
-            .map(Vec::as_slice)
-            .or(local_plans.as_deref());
+        // only on the adjacency and the pinned HDN prefix, so runs replay
+        // retained plans (keyed by the prefix length; a mismatch
+        // re-plans). The LRU study has no plans to retain.
+        let plan_slots = plan::plan_slots::<CachedPlan>(
+            workload,
+            "grow",
+            !matches!(self.config.replacement, ReplacementPolicy::Lru),
+            self.config.fault,
+        );
+        let plan_store = plan_slots.as_deref().map(Vec::as_slice);
         let model = ExecModel::with_dram(self.config.multi_pe, self.config.dram);
         let mut report = pipeline::run_layers(self.name(), workload, self.config.fault, |layer| {
             LayerReport {

@@ -37,6 +37,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use grow_sim::fault::FaultPlan;
 use grow_sim::{exec, ScratchArena};
 use grow_sparse::CsrPattern;
 
@@ -244,7 +245,39 @@ pub(crate) fn plan_replay_seq<B, P, C>(
 /// the retained plans stay cheap; bigger runs still get sharding and
 /// overlap, just not retention. Purely a memory/throughput knob: the
 /// replay consumes identical plan data either way.
-pub(crate) const PLAN_REUSE_MAX_OPS: usize = 1 << 22;
+const PLAN_REUSE_MAX_OPS: usize = 1 << 22;
+
+/// The per-cluster aggregation plan slots one engine run reads and fills,
+/// or `None` when the run plans every layer afresh. Runs on workloads
+/// over [`PLAN_REUSE_MAX_OPS`], or with `eligible` false (the engine's
+/// own condition, e.g. GROW's LRU study has no plans), get none. Inside
+/// a serving session pool the slots are the cross-job [`PlanCache`]'s
+/// entry for `family`, so a later job sharing the (dataset, partition)
+/// scope skips the plan pass even on its first layer. Fault-injected
+/// runs stay off the shared cache: replaying a neighbor job's plan would
+/// skip this run's plan-pass trip points, making injection counts depend
+/// on fleet warm state. Otherwise multi-layer runs get fresh local slots,
+/// so they plan each cluster once and replay at later layers.
+pub(crate) fn plan_slots<T: Send + Sync + 'static>(
+    workload: &PreparedWorkload,
+    family: &str,
+    eligible: bool,
+    fault: FaultPlan,
+) -> Option<Arc<Vec<OnceLock<T>>>> {
+    if !eligible || workload.adjacency.nnz() + 2 * workload.adjacency.rows() > PLAN_REUSE_MAX_OPS {
+        return None;
+    }
+    match &workload.plan_cache {
+        Some(scope) if fault.is_off() => Some(scope.slots(family, workload.clusters.len())),
+        _ => (workload.layers.len() > 1).then(|| {
+            Arc::new(
+                (0..workload.clusters.len())
+                    .map(|_| OnceLock::new())
+                    .collect(),
+            )
+        }),
+    }
+}
 
 /// A capacity-bounded, session-pool-scoped cache of layer-invariant
 /// aggregation plans — the cross-*job* generalization of the per-run

@@ -116,33 +116,12 @@ pub(crate) fn run_spsp(params: &SpSpParams, workload: &PreparedWorkload) -> RunR
     let plan_pool: ScratchArena<RowCounts> = ScratchArena::new();
     let spec = params.shard_rows.spec(workload);
     // The aggregation row plan is a function of the layer-invariant
-    // adjacency (when the cache mode carries over — see `CachedRows`):
-    // count it once at the first layer, replay it at later ones (small
-    // workloads only; see `PLAN_REUSE_MAX_OPS`). The combination LHS
-    // changes per layer, so no retention there.
-    // Inside a serving session pool the slots come from the cross-job
-    // plan cache instead (keyed per engine family; the `CachedRows` mode
-    // tag still guards cache-mode mismatches at replay time).
-    let plan_gate =
-        workload.adjacency.nnz() + 2 * workload.adjacency.rows() <= plan::PLAN_REUSE_MAX_OPS;
-    // Fault-injected runs stay off the shared cache (see the grow
-    // engine): injection counts must not depend on fleet warm state.
-    let shared_plans = match &workload.plan_cache {
-        Some(scope) if plan_gate && params.fault.is_off() => {
-            Some(scope.slots::<CachedRows>(params.name, workload.clusters.len()))
-        }
-        _ => None,
-    };
-    let local_plans: Option<Vec<OnceLock<CachedRows>>> =
-        (shared_plans.is_none() && plan_gate && workload.layers.len() > 1).then(|| {
-            (0..workload.clusters.len())
-                .map(|_| OnceLock::new())
-                .collect()
-        });
-    let agg_store: Option<&[OnceLock<CachedRows>]> = shared_plans
-        .as_deref()
-        .map(Vec::as_slice)
-        .or(local_plans.as_deref());
+    // adjacency (when the cache mode carries over — see `CachedRows`), so
+    // runs replay retained plans; the `CachedRows` mode tag guards
+    // cache-mode mismatches at replay time. The combination LHS changes
+    // per layer, so no retention there.
+    let agg_slots = plan::plan_slots::<CachedRows>(workload, params.name, true, params.fault);
+    let agg_store = agg_slots.as_deref().map(Vec::as_slice);
     let model = ExecModel::with_dram(params.multi_pe, params.dram);
     let mut report =
         pipeline::run_layers(params.name, workload, params.fault, |layer| LayerReport {

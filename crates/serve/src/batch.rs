@@ -2,25 +2,30 @@
 //! [`JobResult`]s out — in submission order, with per-job timing and
 //! error status.
 //!
-//! The service is built for sweep-style serving (many workloads × the
-//! engine fleet × partition strategies):
+//! [`BatchService`] is the serving state, built for sweep-style serving
+//! (many workloads × the engine fleet × partition strategies):
 //!
-//! 1. **Validation first.** Every job's engine name and overrides are
-//!    resolved through [`grow_core::registry`] before any preparation; a
-//!    bad job fails alone, the rest of the batch proceeds.
-//! 2. **Deduplicated preparation.** Jobs sharing a workload recipe
-//!    (dataset spec + seed + HDN list length) share one pooled
-//!    [`SimSession`]; each distinct (workload, partition strategy) pair is
-//!    prepared exactly once. Preparation fans across worker threads.
-//! 3. **Keyed result cache.** Completed [`RunReport`]s are cached by
-//!    [`JobKey`]; duplicate jobs — within a batch or across batches — are
-//!    served from cache, exactly one computation per key.
-//! 4. **Deterministic fan-out.** Simulations run through
-//!    [`grow_sim::exec::parallel_map`], so batch results are bit-identical
-//!    between `GROW_SERIAL=1` and any thread count.
+//! * **Validation per job.** Every job's engine name and overrides are
+//!   resolved through [`grow_core::registry`] before its workload is
+//!   prepared; a bad job fails alone, the rest of the batch proceeds.
+//! * **Deduplicated preparation.** Jobs sharing a workload recipe
+//!   (dataset spec + seed + HDN list length) share one pooled
+//!   [`SimSession`]; each distinct (workload, partition strategy) pair is
+//!   prepared exactly once.
+//! * **Keyed result cache.** Completed [`RunReport`]s are cached by
+//!   [`JobKey`] (and persisted to an attached [`ResultStore`]);
+//!   duplicate jobs — within a batch or across batches — are served from
+//!   cache, exactly one computation per key.
+//!
+//! The service has no executor of its own. [`BatchService::run_batch`]
+//! is submit-all + wait on a fresh [`AsyncService`] worker pool, so the
+//! pool's worker loop is the one code path that stages, prepares,
+//! computes and commits a job, and batch results are bit-identical
+//! between `GROW_SERIAL=1` and any thread count for the same reasons an
+//! async drain is (see the [`service`](crate::service) module docs).
 
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -32,9 +37,10 @@ use grow_core::{
     SchedulerKind, ShardRows,
 };
 use grow_model::DatasetSpec;
-use grow_sim::exec::{parallel_map, with_mode, ExecMode};
+use grow_sim::exec::{self, ExecMode};
 use grow_sim::fault::{self, CancelReason, FaultPlan, FaultSite, SimFault};
 
+use crate::service::{AsyncConfig, AsyncService, Priority, WaitError};
 use crate::session::{SimSession, DEFAULT_HDN_ID_ENTRIES};
 use crate::store::ResultStore;
 
@@ -392,7 +398,7 @@ impl Default for RetryPolicy {
 pub struct ServiceStats {
     /// Jobs submitted across all batches.
     pub jobs_submitted: u64,
-    /// Jobs that failed validation.
+    /// Jobs whose outcome was a [`JobError`].
     pub jobs_failed: u64,
     /// Jobs served from the result cache without a new simulation.
     pub cache_hits: u64,
@@ -420,17 +426,18 @@ pub struct ServiceStats {
     /// Aggregation plans served from the cross-job [`PlanCache`] instead
     /// of a fresh plan pass (see [`BatchService::plan_cache`]).
     pub plan_cache_hits: u64,
-    /// Peak number of jobs computing at once — the batch compute-set size
-    /// for [`BatchService::run_batch`], the concurrent-worker high-water
-    /// mark for [`AsyncService`](crate::AsyncService).
+    /// Peak number of jobs a worker pool was running at once, as counted
+    /// at each pickup: the high-water mark of the [`AsyncService`] pool,
+    /// which [`BatchService::run_batch`] runs on too.
     pub jobs_in_flight_peak: u64,
 }
 
-/// The batch simulation service: session pool + result cache + worker
-/// fan-out. See the [module docs](self) for the execution phases.
+/// The batch simulation service: session pool + result cache + store +
+/// counters, run by the [`AsyncService`] worker pool. See the
+/// [module docs](self).
 ///
 /// Two optional attachments turn it into a long-lived server core (the
-/// configuration [`AsyncService`](crate::AsyncService) runs on):
+/// configuration [`AsyncService`] runs on):
 ///
 /// * a [`ResultStore`] ([`with_store`](Self::with_store)) makes the
 ///   report cache survive process restarts;
@@ -440,7 +447,7 @@ pub struct ServiceStats {
 #[derive(Debug, Default)]
 pub struct BatchService {
     sessions: HashMap<String, SimSession>,
-    /// LRU bookkeeping: tick of each pooled session's last batch use.
+    /// LRU bookkeeping: tick of each pooled session's last job.
     session_last_use: HashMap<String, u64>,
     session_clock: u64,
     session_capacity: Option<usize>,
@@ -509,7 +516,7 @@ impl BatchService {
     }
 
     /// Bounds the session pool to `capacity` workload recipes: after each
-    /// batch, least-recently-used sessions beyond the bound are dropped
+    /// job, least-recently-used sessions beyond the bound are dropped
     /// (and re-instantiated on demand if the workload returns). The
     /// default is unbounded — the historical behavior, fine for sweeps,
     /// wrong for an always-on service.
@@ -596,335 +603,77 @@ impl BatchService {
     }
 
     /// Runs a batch of jobs and returns one [`JobResult`] per job, in
-    /// submission order. Invalid jobs (unknown engine, malformed or
-    /// unknown overrides) fail individually; every other job still runs.
+    /// submission order ([`JobResult::index`] is the job's position in
+    /// `jobs`). Invalid jobs (unknown engine, malformed or unknown
+    /// overrides) fail individually; every other job still runs.
+    ///
+    /// The batch is submit-all + wait on a fresh [`AsyncService`] that
+    /// owns this service for the duration of the call: one worker under
+    /// [`ExecMode::Serial`], otherwise [`exec::worker_count`] of them,
+    /// every submission carrying the calling thread's
+    /// [`fault::with_cancel`] token. A job lost to a worker death (the
+    /// `worker` fault site) fails as [`JobError::Panicked`] with the
+    /// [`WaitError`] message; with several workers the site's `nth`
+    /// picks the worker, so which jobs die depends on pickup.
     pub fn run_batch(&mut self, jobs: &[JobSpec]) -> Vec<JobResult> {
-        self.stats.jobs_submitted += jobs.len() as u64;
-        let keys: Vec<JobKey> = jobs.iter().map(JobSpec::key).collect();
-
-        // Phase 1: validate every job up front — engine resolution is
-        // cheap, preparation is not, so bad jobs never cost a partition.
-        let validations: Vec<Result<(), RegistryError>> = jobs
-            .iter()
-            .map(|job| build_engine(job).map(|_| ()))
-            .collect();
-
-        // Phase 1.5: probe the on-disk store for every validated key the
-        // in-memory cache cannot serve — once per distinct key. A hit
-        // enters the report cache and the job is served like any other
-        // cache hit; a corrupt entry is quarantined by the store and the
-        // job simply computes. The probe runs supervised under the job's
-        // own fault plan: a store *panic* (injected `store_read:panic`, or
-        // a real bug) fails that key cleanly as [`JobError::StoreCorrupt`]
-        // instead of unwinding the batch — permanent, no retry, because a
-        // corrupt store will not heal by re-reading it.
-        let mut store_failed: HashMap<JobKey, JobError> = HashMap::new();
-        if let Some(mut store) = self.store.take() {
-            let mut probed: HashSet<JobKey> = HashSet::new();
-            for i in 0..jobs.len() {
-                if validations[i].is_ok()
-                    && !self.reports.contains_key(&keys[i])
-                    && probed.insert(keys[i].clone())
-                {
-                    let plan = job_fault_plan(&jobs[i]);
-                    let loaded = catch_unwind(AssertUnwindSafe(|| {
-                        fault::with_plan(plan, || store.load(&keys[i]))
-                    }));
-                    match loaded {
-                        Ok(Some(report)) => {
-                            self.reports.insert(keys[i].clone(), report);
-                            self.stats.store_hits += 1;
-                        }
-                        Ok(None) => {}
-                        Err(payload) => {
-                            self.stats.panics_caught += 1;
-                            store_failed.insert(
-                                keys[i].clone(),
-                                JobError::StoreCorrupt {
-                                    message: panic_message(payload.as_ref()),
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-            self.store = Some(store);
-        }
-
-        // Phase 2: the compute set — the first occurrence of every key
-        // the report cache cannot already serve. Keys the store probe
-        // failed are excluded: their verdict is already in.
-        let mut claimed: HashSet<&JobKey> = HashSet::new();
-        let to_compute: Vec<usize> = (0..jobs.len())
-            .filter(|&i| {
-                validations[i].is_ok()
-                    && !self.reports.contains_key(&keys[i])
-                    && !store_failed.contains_key(&keys[i])
-                    && claimed.insert(&keys[i])
-            })
-            .collect();
-
-        // Phase 3: deduplicated preparation. Group the compute set by
-        // session key; each task owns its session (pooled ones are taken
-        // out of the map for the duration), so whole workloads prepare in
-        // parallel, and each session fans its own strategies too.
-        struct PrepTask {
-            key: String,
-            session: Option<SimSession>,
-            spec: DatasetSpec,
-            seed: u64,
-            hdn_id_entries: usize,
-            strategies: Vec<PartitionStrategy>,
-        }
-        let mut order: Vec<String> = Vec::new();
-        let mut grouped: HashMap<String, (usize, Vec<PartitionStrategy>)> = HashMap::new();
-        for &i in &to_compute {
-            let key = jobs[i].session_key();
-            let (_, strategies) = grouped.entry(key.clone()).or_insert_with(|| {
-                order.push(key);
-                (i, Vec::new())
-            });
-            if !strategies.contains(&jobs[i].strategy) {
-                strategies.push(jobs[i].strategy);
-            }
-        }
-        let tasks: Vec<PrepTask> = order
-            .into_iter()
-            .map(|key| {
-                let (exemplar, strategies) = grouped.remove(&key).expect("grouped by key");
-                PrepTask {
-                    session: self.sessions.remove(&key),
-                    key,
-                    spec: jobs[exemplar].dataset,
-                    seed: jobs[exemplar].seed,
-                    hdn_id_entries: jobs[exemplar].hdn_id_entries,
-                    strategies,
-                }
-            })
-            .collect();
-        self.stats.sessions_created += tasks.iter().filter(|t| t.session.is_none()).count() as u64;
-        // Fan at one level only: when several workloads prepare at once,
-        // each worker runs its own strategies serially instead of nesting
-        // a second thread fan-out (hardware_threads^2 CPU-bound threads).
-        // A single task keeps the inner fan-out so it still parallelizes.
-        let fan_tasks = tasks.len() > 1;
-        let plan_cache = &self.plan_cache;
-        let prepared = parallel_map(tasks, |_, task| {
-            let PrepTask {
-                key,
-                session,
-                spec,
-                seed,
-                hdn_id_entries,
-                strategies,
-            } = task;
-            let mut session = session.unwrap_or_else(|| {
-                let mut s = SimSession::from_spec(spec, seed);
-                s.set_hdn_id_entries(hdn_id_entries);
-                s.set_plan_cache(Arc::clone(plan_cache), key.clone());
-                s
-            });
-            let newly_prepared = if fan_tasks {
-                with_mode(ExecMode::Serial, || session.prepare_all(&strategies))
-            } else {
-                session.prepare_all(&strategies)
-            };
-            (key, session, newly_prepared)
-        });
-        for (key, session, newly_prepared) in prepared {
-            self.stats.preparations_run += newly_prepared as u64;
-            self.sessions.insert(key, session);
-        }
-
-        // Phase 4: fan the simulations across worker threads, each job
-        // supervised. Sessions are read-only here; each worker rebuilds
-        // its (validated) engine and runs it against the shared prepared
-        // workload under `catch_unwind`: a panic — injected or genuine —
-        // is classified into a [`JobError`] and, when transient, retried
-        // up to the policy's budget. The attempt number is published
-        // through the fault context so an injected fault with
-        // `attempts=N` stops firing on attempt N+1, making the retried
-        // run bit-identical to a fault-free one.
-        self.note_in_flight(to_compute.len() as u64);
-        let sessions = &self.sessions;
-        // Same one-level rule as phase 3: with several jobs in flight the
-        // job grain saturates the cores, so each engine's internal
-        // cluster fan-out is forced serial; a lone job keeps it.
-        let fan_jobs = to_compute.len() > 1;
-        let max_attempts = self.retry.max_attempts.max(1);
-        struct JobRun {
-            index: usize,
-            outcome: Result<RunReport, JobError>,
-            wall_ms: f64,
-            retries: u64,
-            caught: u64,
-        }
-        let computed: Vec<JobRun> = parallel_map(to_compute, |_, i| {
-            let job = &jobs[i];
-            let started = Instant::now();
-            let engine = build_engine(job).expect("validated in phase 1");
-            let prepared = sessions
-                .get(&job.session_key())
-                .and_then(|s| s.get_prepared(job.strategy))
-                .expect("prepared in phase 3");
-            let mut retries = 0u64;
-            let mut caught = 0u64;
-            let mut attempt = 1u64;
-            let outcome = loop {
-                // A cancelled ticket stops consuming attempts before the
-                // next run, not just at the engine's own check points.
-                if let Some(reason) = fault::cancel_state() {
-                    break Err(JobError::Cancelled { reason });
-                }
-                let run = fault::with_attempt(attempt, || {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        if fan_jobs {
-                            with_mode(ExecMode::Serial, || engine.run(prepared))
-                        } else {
-                            engine.run(prepared)
-                        }
-                    }))
-                });
-                match run {
-                    Ok(report) => break Ok(report),
-                    Err(payload) => {
-                        caught += 1;
-                        let err = classify_unwind(payload, attempt);
-                        if err.is_transient() && attempt < max_attempts {
-                            attempt += 1;
-                            retries += 1;
-                            continue;
-                        }
-                        break Err(err);
-                    }
-                }
-            };
-            JobRun {
-                index: i,
-                outcome,
-                wall_ms: started.elapsed().as_secs_f64() * 1e3,
-                retries,
-                caught,
-            }
-        });
-        self.stats.simulations_run += computed.len() as u64;
-        let mut wall_by_index: HashMap<usize, f64> = HashMap::new();
-        let mut failed: HashMap<JobKey, JobError> = HashMap::new();
-        for run in computed {
-            self.stats.retries += run.retries;
-            self.stats.panics_caught += run.caught;
-            match run.outcome {
-                Ok(report) => {
-                    wall_by_index.insert(run.index, run.wall_ms);
-                    // Only freshly computed reports of validated jobs
-                    // reach this point, so a failed job can never be
-                    // persisted. A store write failure — error return or
-                    // panic, both injectable at the `store_write` site —
-                    // costs persistence, not the batch.
-                    if let Some(store) = self.store.as_mut() {
-                        let plan = job_fault_plan(&jobs[run.index]);
-                        let persisted = catch_unwind(AssertUnwindSafe(|| {
-                            fault::with_plan(plan, || store.persist(&keys[run.index], &report))
-                        }));
-                        match persisted {
-                            Ok(Ok(())) => {}
-                            Ok(Err(e)) => eprintln!(
-                                "warning: result store write failed for {}: {e}",
-                                keys[run.index]
-                            ),
-                            Err(payload) => {
-                                self.stats.panics_caught += 1;
-                                eprintln!(
-                                    "warning: result store write panicked for {}: {}",
-                                    keys[run.index],
-                                    panic_message(payload.as_ref())
-                                );
-                            }
-                        }
-                    }
-                    self.reports.insert(keys[run.index].clone(), report);
-                }
-                Err(e) => {
-                    // Duplicates of a failed key share the error; it never
-                    // enters the report cache or the store, so a later
-                    // batch (or a bigger retry budget) recomputes it.
-                    failed.insert(keys[run.index].clone(), e);
-                }
-            }
-        }
-
-        // Phase 5: results in submission order, duplicates and repeats
-        // served from the cache; failures resolved in precedence order —
-        // validation, then store corruption, then supervised execution.
+        let workers = match ExecMode::current() {
+            ExecMode::Serial => 1,
+            ExecMode::Parallel => exec::worker_count(jobs.len()),
+        };
+        let pool = AsyncService::start(
+            std::mem::take(self),
+            AsyncConfig {
+                queue_capacity: jobs.len(),
+                session_capacity: None,
+                workers,
+            },
+        );
+        let tickets = pool
+            .submit_all(
+                jobs.to_vec(),
+                Priority::Normal,
+                fault::current_cancel().unwrap_or_default(),
+            )
+            .expect("a fresh pool sized to the batch admits all of it");
+        let lost = JobError::Panicked {
+            message: WaitError::ServiceDead.to_string(),
+            attempts: 1,
+        };
+        let mut lost_jobs = 0;
         let results = jobs
             .iter()
-            .zip(validations)
+            .zip(tickets)
             .enumerate()
-            .map(|(index, (job, validation))| {
-                let failure = match validation {
-                    Err(e) => Some(JobError::Invalid(e)),
-                    Ok(()) => store_failed
-                        .get(&keys[index])
-                        .or_else(|| failed.get(&keys[index]))
-                        .cloned(),
-                };
-                let (outcome, cache_hit, wall_ms) = match failure {
-                    Some(e) => {
-                        self.stats.jobs_failed += 1;
-                        if matches!(e, JobError::Cancelled { .. }) {
-                            self.stats.jobs_cancelled += 1;
-                        }
-                        (Err(e), false, None)
+            .map(|(index, (job, ticket))| match ticket.wait() {
+                Ok(result) => JobResult { index, ..result },
+                Err(WaitError::ServiceDead) => {
+                    lost_jobs += 1;
+                    JobResult {
+                        index,
+                        key: job.key(),
+                        dataset: job.dataset.key.name(),
+                        engine: job.engine.clone(),
+                        outcome: Err(lost.clone()),
+                        cache_hit: false,
+                        wall_ms: None,
                     }
-                    None => {
-                        let wall_ms = wall_by_index.get(&index).copied();
-                        if wall_ms.is_none() {
-                            self.stats.cache_hits += 1;
-                        }
-                        let report = self
-                            .reports
-                            .get(&keys[index])
-                            .expect("computed in phase 4 or cached earlier")
-                            .clone();
-                        (Ok(report), wall_ms.is_none(), wall_ms)
-                    }
-                };
-                JobResult {
-                    index,
-                    key: keys[index].clone(),
-                    dataset: job.dataset.key.name(),
-                    engine: job.engine.clone(),
-                    outcome,
-                    cache_hit,
-                    wall_ms,
                 }
             })
             .collect();
-
-        // Touch this batch's pooled sessions in submission order, then
-        // enforce the LRU capacity bound.
-        for job in jobs {
-            let session_key = job.session_key();
-            if self.sessions.contains_key(&session_key) {
-                self.session_clock += 1;
-                self.session_last_use
-                    .insert(session_key, self.session_clock);
-            }
-        }
-        self.evict_sessions();
+        *self = pool.finish();
+        self.count_unstaged_failures(&lost, lost_jobs);
         results
     }
 
-    /// Stages one job for supervised execution — the per-job front half
-    /// of [`run_batch`](Self::run_batch), factored out so concurrent
-    /// callers (the [`AsyncService`](crate::AsyncService) worker pool)
-    /// hold the service lock only around cheap bookkeeping. Runs
-    /// validation, the in-memory cache probe, and the supervised store
-    /// probe (before any session is built, so a restarted service serves
-    /// a warm fleet without instantiating workloads). Returns either the
-    /// job's resolved outcome or the validated engine; the caller then
-    /// prepares the session *outside* this lock ([`take_session`] /
-    /// [`adopt_session`]) and computes.
+    /// Stages one job — the worker pool's front half, run under the
+    /// service lock: validation, the in-memory cache probe, and the
+    /// supervised store probe (before any session is built, so a
+    /// restarted service serves a warm fleet without instantiating
+    /// workloads). A store *panic* fails the job as
+    /// [`JobError::StoreCorrupt`], permanently: a corrupt store will not
+    /// heal by re-reading it. Returns the job's resolved outcome or the
+    /// validated engine; the caller then prepares the session *outside*
+    /// the lock ([`take_session`] / [`adopt_session`]) and computes.
     ///
     /// [`take_session`]: Self::take_session
     /// [`adopt_session`]: Self::adopt_session
@@ -1013,11 +762,12 @@ impl BatchService {
         Arc::clone(&self.plan_cache)
     }
 
-    /// Commits one computed job — the per-job back half of
-    /// [`run_batch`](Self::run_batch): counter merges, the supervised
-    /// store persist (write failures cost persistence, never the job),
-    /// and the report-cache insert. Returns the job's outcome and its
-    /// wall time (`None` for failures, like [`JobResult::wall_ms`]).
+    /// Commits one computed job — the worker pool's back half: counter
+    /// merges, the supervised store persist (a write failure, error or
+    /// panic, costs persistence, never the job), and the report-cache
+    /// insert. Failed jobs are never cached or persisted, so a later
+    /// submission recomputes them. Returns the job's outcome and its wall
+    /// time (`None` for failures, like [`JobResult::wall_ms`]).
     pub(crate) fn commit(
         &mut self,
         job: &JobSpec,
@@ -1062,10 +812,7 @@ impl BatchService {
     }
 
     /// Marks the job's pooled session as just-used and enforces the LRU
-    /// capacity bound — the per-job form of [`run_batch`]'s batch-tail
-    /// bookkeeping.
-    ///
-    /// [`run_batch`]: Self::run_batch
+    /// capacity bound.
     pub(crate) fn touch_session(&mut self, job: &JobSpec) {
         let session_key = job.session_key();
         if self.sessions.contains_key(&session_key) {
@@ -1076,13 +823,24 @@ impl BatchService {
         self.evict_sessions();
     }
 
+    /// Counts `jobs` jobs that failed with `error` without being staged:
+    /// queued twins handed a failed job's error by the worker pool, and
+    /// batch jobs lost to a worker death.
+    pub(crate) fn count_unstaged_failures(&mut self, error: &JobError, jobs: u64) {
+        self.stats.jobs_submitted += jobs;
+        self.stats.jobs_failed += jobs;
+        if matches!(error, JobError::Cancelled { .. }) {
+            self.stats.jobs_cancelled += jobs;
+        }
+    }
+
     /// Raises the jobs-in-flight high-water mark.
     pub(crate) fn note_in_flight(&mut self, in_flight: u64) {
         self.stats.jobs_in_flight_peak = self.stats.jobs_in_flight_peak.max(in_flight);
     }
 
     /// Drops least-recently-used sessions until the pool fits the
-    /// capacity bound. Ties (sessions never touched by a batch) break by
+    /// capacity bound. Ties (sessions never touched by a job) break by
     /// key string so eviction is deterministic.
     fn evict_sessions(&mut self) {
         let Some(capacity) = self.session_capacity else {
@@ -1138,13 +896,15 @@ pub(crate) struct ComputeOutcome {
     caught: u64,
 }
 
-/// Runs one staged simulation under the supervision contract of
-/// [`BatchService::run_batch`]'s phase 4: every attempt runs under
-/// `catch_unwind` with the attempt number published through the fault
-/// context, transient failures retry up to the task's budget, and a
-/// cancelled ticket stops consuming attempts at the loop head. The
-/// caller picks the execution mode (the governor's serial forcing or a
-/// lone job's full inner fan-out) by wrapping this call.
+/// Runs one staged simulation under supervision: every attempt runs
+/// under `catch_unwind` — a panic, injected or genuine, is classified
+/// into a [`JobError`] — with the attempt number published through the
+/// fault context, so an injected fault with `attempts=N` stops firing on
+/// attempt N+1 and the retried run is bit-identical to a fault-free one.
+/// Transient failures retry up to the task's budget, and a cancelled
+/// ticket stops consuming attempts at the loop head. The caller picks
+/// the execution mode (the governor's serial forcing or a lone job's
+/// full inner fan-out) by wrapping this call.
 pub(crate) fn compute_supervised(task: &ComputeTask) -> ComputeOutcome {
     let started = Instant::now();
     let mut retries = 0u64;
@@ -1285,6 +1045,7 @@ pub fn scheduler_grid_jobs(
 mod tests {
     use super::*;
     use grow_model::DatasetKey;
+    use std::collections::HashSet;
 
     fn spec() -> DatasetSpec {
         DatasetKey::Cora.spec().scaled_to(300)

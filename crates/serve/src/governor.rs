@@ -1,15 +1,14 @@
-//! The two-level parallelism governor for the concurrent serving path.
+//! The two-level parallelism governor for the serving worker pool.
 //!
-//! A multi-worker [`AsyncService`](crate::AsyncService) has two places to
-//! spend hardware threads: *outer* parallelism (several jobs computing at
-//! once, one per pool worker) and *inner* parallelism (one job fanning
-//! its own cluster simulation across threads through
-//! `grow_sim::exec::parallel_map`). Spending both at once oversubscribes
-//! the machine quadratically — the same trap
-//! [`BatchService::run_batch`](crate::BatchService::run_batch) avoids
-//! with its one-level fan-out rule — so the governor picks exactly one
-//! level per job, from the in-flight mix at the moment the job is picked
-//! up:
+//! A multi-worker [`AsyncService`](crate::AsyncService) — which also runs
+//! every [`BatchService::run_batch`](crate::BatchService::run_batch) —
+//! has two places to spend hardware threads: *outer* parallelism
+//! (several jobs computing at once, one per pool worker) and *inner*
+//! parallelism (one job fanning its own cluster simulation across
+//! threads through `grow_sim::exec::parallel_map`). Spending both at once
+//! oversubscribes the machine quadratically, so the governor picks
+//! exactly one level per job, from the in-flight mix at the moment the
+//! job is picked up:
 //!
 //! * **Contended queue** (another job running or waiting): the job-grain
 //!   fan-out saturates the cores, so this job's inner fan-out is forced

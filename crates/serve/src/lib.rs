@@ -5,26 +5,26 @@
 //!
 //! * [`session::SimSession`] — one workload, memoized preprocessing, and
 //!   name-based engine dispatch (the single-workload front door);
-//! * [`batch::BatchService`] — a queue-of-[`batch::JobSpec`]s service on
-//!   top of it: jobs are pure data (dataset spec + seed + engine name +
+//! * [`batch::BatchService`] — the serving state on top of it: jobs are
+//!   pure data ([`batch::JobSpec`]: dataset spec + seed + engine name +
 //!   partition strategy + `key=value` overrides), shared preparation is
 //!   deduplicated through a keyed session pool (optionally LRU-bounded),
-//!   simulations fan across worker threads via
-//!   `grow_sim::exec::parallel_map`, and completed reports are cached by
-//!   job key. Results come back in submission order with per-job timing
-//!   and error status; a bad engine name or an invalid override fails
-//!   that job, never the batch.
+//!   and completed reports are cached by job key.
+//!   [`BatchService::run_batch`](batch::BatchService::run_batch) runs a
+//!   whole job list and returns results in submission order with
+//!   per-job timing and error status; a bad engine name or an invalid
+//!   override fails that job, never the batch.
 //! * [`store::ResultStore`] — the on-disk report cache (`results/store/`
 //!   by convention): completed reports persist per canonical job key and
 //!   round-trip bit-identically, so repeated queries are cache hits
 //!   across process restarts; corrupt entries are quarantined, never
 //!   served.
-//! * [`service::AsyncService`] — the always-on front end: submissions at
-//!   any time, a [`service::Ticket`] back immediately, each result
-//!   streamed on completion, with priority classes, admission control,
-//!   and a configurable pool of supervised worker threads
-//!   ([`service::AsyncConfig::workers`]) in front of the `BatchService`
-//!   core.
+//! * [`service::AsyncService`] — the one executor: a configurable pool
+//!   of supervised worker threads ([`service::AsyncConfig::workers`])
+//!   with priority classes and admission control. Submissions arrive at
+//!   any time and get a [`service::Ticket`] back immediately, each
+//!   result streamed on completion; `run_batch` is submit-all + wait on
+//!   a fresh pool.
 //! * [`governor`] — the two-level parallelism governor the worker pool
 //!   consults per picked-up job: outer (cross-job) parallelism when the
 //!   queue is contended, full inner (intra-job) fan-out for a lone job —
@@ -42,9 +42,9 @@
 //! [`store::ResultStore::scrub`] audits the on-disk cache back to health.
 //!
 //! Because every engine's parallel cluster path is bit-identical to its
-//! serial path, so is the whole service: a batch run under `GROW_SERIAL=1`
-//! returns exactly the reports of a multi-threaded run — and draining the
-//! async service returns exactly the reports of `run_batch`.
+//! serial path, so is the whole service: a batch or a drain run under
+//! `GROW_SERIAL=1` returns exactly the reports of a multi-threaded run,
+//! at every worker count, and each equals a service-free run of its job.
 //!
 //! ```
 //! use grow_core::PartitionStrategy;

@@ -1,14 +1,13 @@
-//! [`AsyncService`] — the always-on, asynchronous front end of the
-//! serving layer.
+//! [`AsyncService`] — the serving layer's one executor, and its
+//! always-on front end.
 //!
-//! [`BatchService`] is synchronous and batch-scoped: callers assemble a
-//! job list, block through `run_batch`, and get every result at once. An
-//! always-on deployment needs the opposite shape — submissions arriving
-//! at any time, an immediate [`Ticket`] per submission, and each
-//! [`JobResult`] delivered the moment its job completes. `AsyncService`
-//! provides that shape on plain `std` (threads + `mpsc` + `Condvar`; the
-//! workspace builds without crates.io, so there is no tokio), layered on
-//! the same `BatchService` internals:
+//! Submissions arrive at any time, each gets a [`Ticket`] back
+//! immediately, and each [`JobResult`] is delivered the moment its job
+//! completes. [`BatchService::run_batch`] is the same executor used
+//! synchronously: it moves the service into a fresh pool, submits the
+//! whole batch, and waits for every ticket. Everything is plain `std`
+//! (threads + `mpsc` + `Condvar`; the workspace builds without crates.io,
+//! so there is no tokio), running the [`BatchService`] state:
 //!
 //! * **Priority classes + admission control.** Submissions enter one of
 //!   three FIFO queues ([`Priority::High`]/[`Priority::Normal`]/
@@ -18,18 +17,25 @@
 //!   rejected immediately with [`SubmitError::QueueFull`] — back-pressure
 //!   by refusal, never by blocking the submitter.
 //! * **A supervised worker pool.** [`AsyncConfig::workers`] threads
-//!   drain the queues concurrently. Jobs sharing a cache key never run
-//!   at once (the second becomes a cache hit when the first commits —
-//!   still exactly one computation per key), same-workload preparation
-//!   is claimed by one worker and awaited by the rest, and simulations
-//!   run outside the service lock, so distinct jobs overlap end to end.
-//!   The [`governor`](crate::governor) arbitrates the two parallelism
-//!   levels per picked-up job: a contended queue forces the job's inner
-//!   cluster fan-out serial (the `run_batch` one-level rule, applied
-//!   dynamically), a lone job keeps the machine to itself. One killed
-//!   worker (the injected `worker` fault site, whose `nth` selects which
-//!   pool worker dies) records its casualty and the pool degrades to
-//!   N−1; the service only dies with its last worker.
+//!   drain the queues concurrently. Each job is staged (validation,
+//!   cache and store probes) under the service lock, prepared and
+//!   simulated outside it, then committed, so distinct jobs overlap end
+//!   to end. Jobs sharing a cache key never run at once: a queued twin
+//!   of a running key waits, and becomes a cache hit when the run
+//!   commits, or takes its [`JobError`] when it fails (a cancellation
+//!   only to twins sharing its token). So a pool never duplicates work
+//!   a single worker would have deduplicated.
+//! * **Workload claims.** A worker claims a job's workload at pickup and
+//!   holds the claim until the workload is prepared, so each (workload,
+//!   strategy) pair is prepared once. Peers prefer other workloads'
+//!   jobs meanwhile, so a sweep's workloads prepare in parallel.
+//! * **One parallelism level per job.** The [`governor`] decides at
+//!   each pickup: a contended queue forces the job's inner cluster
+//!   fan-out serial, a lone job keeps the machine to itself.
+//! * **Worker death degrades the pool.** One killed worker (the injected
+//!   `worker` fault site, whose `nth` selects which pool worker dies)
+//!   records its casualty and the pool degrades to N−1; the service only
+//!   dies with its last worker.
 //! * **Bounded session pool.** [`AsyncConfig::session_capacity`] forwards
 //!   to [`BatchService::with_session_capacity`]'s LRU bound, so an
 //!   always-on process does not accumulate one pooled workload per
@@ -43,12 +49,11 @@
 //! serial and parallel paths, and the governor only narrows execution
 //! (it widens nothing past an enclosing override), so each job's report
 //! is independent of which worker ran it, what else was in flight, and
-//! the inner budget it was granted. Draining an `AsyncService` therefore
-//! yields reports byte-for-byte equal to `BatchService::run_batch` over
-//! the same jobs — at any worker count, under both `GROW_SERIAL=1` and
-//! any thread count. Worker threads replay the spawning thread's
+//! the inner budget it was granted — at any worker count, under both
+//! `GROW_SERIAL=1` and any thread count, and equal to a service-free run
+//! of the same job. Worker threads replay the spawning thread's
 //! `with_mode`/`with_workers` overrides via [`ExecContext`], so scoped
-//! test overrides apply to async runs too. Only completion *order* is
+//! test overrides apply to pooled runs too. Only completion *order* is
 //! schedule-dependent; every per-ticket result is deterministic.
 
 use std::cell::{Cell, RefCell};
@@ -65,14 +70,16 @@ use grow_sim::exec::{self, ExecContext};
 use grow_sim::fault::{self, CancelToken, FaultSite};
 
 use crate::batch::{
-    compute_supervised, job_fault_plan, BatchService, ComputeTask, JobKey, JobResult, JobSpec,
-    ServiceStats, Staged,
+    compute_supervised, job_fault_plan, BatchService, ComputeTask, JobError, JobKey, JobResult,
+    JobSpec, ServiceStats, Staged,
 };
 use crate::governor::{self, InnerBudget, QueueSnapshot};
 use crate::session::SimSession;
 
 /// Scheduling class of a submission: workers always serve the highest
-/// non-empty class, FIFO within a class.
+/// non-empty class, FIFO within a class — except that a pool worker
+/// skips a job whose key is computing and prefers one whose workload no
+/// other worker holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum Priority {
     /// Served before everything else (interactive queries).
@@ -210,10 +217,9 @@ impl Ticket {
 
     /// Requests cooperative cancellation of this job. The engine checks
     /// the token at cluster and layer boundaries; a job caught in flight
-    /// completes as [`JobError::Cancelled`](crate::JobError::Cancelled).
-    /// A job that already completed (or is served from cache) still
-    /// delivers its report — cancellation never corrupts a finished
-    /// result, it only stops future work.
+    /// completes as [`JobError::Cancelled`]. A job that already completed
+    /// (or is served from cache) still delivers its report — cancellation
+    /// never corrupts a finished result, it only stops future work.
     pub fn cancel(&self) {
         self.cancel.cancel();
     }
@@ -254,6 +260,8 @@ struct Submission {
     /// worker pool's same-key exclusion set and the delivered
     /// [`JobResult::key`] both use it.
     key: JobKey,
+    /// The job's workload recipe (its session key), also computed once.
+    session: String,
     tx: Sender<JobResult>,
     cancel: Arc<CancelToken>,
 }
@@ -280,9 +288,10 @@ struct QueueState {
     /// when the computation commits, preserving exactly-one-computation
     /// -per-key at any worker count.
     running: HashSet<JobKey>,
-    /// Session keys being prepared right now. One worker claims a
-    /// workload's preparation; same-session workers wait on the claim
-    /// instead of preparing twice.
+    /// Session keys claimed by a worker: taken when it picks a job up (if
+    /// no other worker holds the workload) and held until the job is
+    /// staged and its workload prepared. One worker prepares a workload
+    /// at a time, so each (workload, strategy) pair is prepared once.
     preparing: HashSet<String>,
 }
 
@@ -294,15 +303,35 @@ impl QueueState {
 
     /// Pops the oldest *runnable* submission of the highest non-empty
     /// class: priority order, skipping submissions whose cache key is
-    /// computing on another worker right now.
+    /// computing on another worker right now. Within a class it prefers a
+    /// job whose workload no worker has claimed, since a claimed one may
+    /// leave this worker waiting on another's preparation: workers spread
+    /// over a sweep's workloads instead of queueing behind one.
     fn pop_runnable(&mut self) -> Option<Submission> {
-        let running = &self.running;
+        let (running, preparing) = (&self.running, &self.preparing);
+        let runnable = |s: &Submission| !running.contains(&s.key);
         for queue in self.queues.iter_mut() {
-            if let Some(at) = queue.iter().position(|s| !running.contains(&s.key)) {
+            let at = queue
+                .iter()
+                .position(|s| runnable(s) && !preparing.contains(&s.session))
+                .or_else(|| queue.iter().position(runnable));
+            if let Some(at) = at {
                 return queue.remove(at);
             }
         }
         None
+    }
+
+    /// Removes every queued submission that `twin` selects.
+    fn take_queued(&mut self, twin: impl Fn(&Submission) -> bool) -> Vec<Submission> {
+        let mut taken = Vec::new();
+        for queue in self.queues.iter_mut() {
+            let (twins, rest): (VecDeque<Submission>, _) =
+                std::mem::take(queue).into_iter().partition(&twin);
+            taken.extend(twins);
+            *queue = rest;
+        }
+        taken
     }
 
     /// Submissions still parked in the queues.
@@ -387,7 +416,7 @@ impl AsyncService {
         let completions = Arc::new(Mutex::new(Vec::new()));
         // Every worker replays this thread's execution overrides, so a
         // `with_mode(ExecMode::Serial, ..)` scope around the service
-        // applies to async runs exactly as it would to `run_batch`.
+        // applies to pooled runs exactly as it would on this thread.
         let ctx = ExecContext::capture();
         let workers = (1..=worker_total)
             .map(|index| {
@@ -429,15 +458,17 @@ impl AsyncService {
     ///
     /// See [`submit`](Self::submit).
     pub fn submit_with(&self, job: JobSpec, priority: Priority) -> Result<Ticket, SubmitError> {
-        self.submit_inner(job, priority, CancelToken::new())
+        let cancel = Arc::new(CancelToken::new());
+        self.submit_all(vec![job], priority, cancel)
+            .map(|mut t| t.remove(0))
     }
 
     /// [`submit_with`](Self::submit_with) plus a per-job deadline: a job
     /// still running `timeout` after submission cancels cooperatively at
     /// its next cluster/layer boundary and completes as
-    /// [`JobError::Cancelled`](crate::JobError::Cancelled). The deadline
-    /// only decides *whether* a job completes, never what a completed
-    /// report contains, so determinism of delivered reports is untouched.
+    /// [`JobError::Cancelled`]. The deadline only decides *whether* a job
+    /// completes, never what a completed report contains, so determinism
+    /// of delivered reports is untouched.
     ///
     /// # Errors
     ///
@@ -448,21 +479,22 @@ impl AsyncService {
         priority: Priority,
         timeout: Duration,
     ) -> Result<Ticket, SubmitError> {
-        self.submit_inner(
-            job,
-            priority,
-            CancelToken::with_deadline(Instant::now() + timeout),
-        )
+        let cancel = Arc::new(CancelToken::with_deadline(Instant::now() + timeout));
+        self.submit_all(vec![job], priority, cancel)
+            .map(|mut t| t.remove(0))
     }
 
-    fn submit_inner(
+    /// Admits `jobs` all-or-nothing, one ticket each, all sharing the
+    /// `cancel` token. They are queued under one lock, so no worker picks
+    /// up a job before its later twins are queued: which twins share a
+    /// failure never depends on submission timing.
+    pub(crate) fn submit_all(
         &self,
-        job: JobSpec,
+        jobs: Vec<JobSpec>,
         priority: Priority,
-        cancel: CancelToken,
-    ) -> Result<Ticket, SubmitError> {
-        let cancel = Arc::new(cancel);
-        let key = job.key();
+        cancel: Arc<CancelToken>,
+    ) -> Result<Vec<Ticket>, SubmitError> {
+        let keyed: Vec<(JobKey, JobSpec)> = jobs.into_iter().map(|job| (job.key(), job)).collect();
         let mut st = self.shared.lock();
         if st.workers_alive == 0 {
             return Err(SubmitError::ServiceDead);
@@ -470,25 +502,36 @@ impl AsyncService {
         if st.stopping {
             return Err(SubmitError::ShuttingDown);
         }
-        if st.pending >= self.capacity {
+        if st.pending + keyed.len() > self.capacity {
             return Err(SubmitError::QueueFull {
                 capacity: self.capacity,
                 pending: st.pending,
             });
         }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel();
-        st.queues[priority.index()].push_back(Submission {
-            id,
-            job,
-            key,
-            tx,
-            cancel: Arc::clone(&cancel),
-        });
-        st.pending += 1;
+        st.pending += keyed.len();
+        let tickets = keyed
+            .into_iter()
+            .map(|(key, job)| {
+                let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+                let (tx, rx) = mpsc::channel();
+                st.queues[priority.index()].push_back(Submission {
+                    id,
+                    session: job.session_key(),
+                    job,
+                    key,
+                    tx,
+                    cancel: Arc::clone(&cancel),
+                });
+                Ticket {
+                    id,
+                    rx,
+                    cancel: Arc::clone(&cancel),
+                }
+            })
+            .collect();
         drop(st);
         self.shared.cv.notify_all();
-        Ok(Ticket { id, rx, cancel })
+        Ok(tickets)
     }
 
     /// Admitted-but-uncompleted jobs right now (queued plus in flight).
@@ -619,7 +662,7 @@ struct WorkerGuard<'a> {
     /// the death is recorded below — a waiter woken by the disconnect
     /// must already observe the degraded pool state.
     current: RefCell<Option<Submission>>,
-    /// The session key whose preparation this worker has claimed, if any.
+    /// The session key this worker has claimed, if any.
     preparing: RefCell<Option<String>>,
     armed: Cell<bool>,
 }
@@ -641,9 +684,7 @@ impl Drop for WorkerGuard<'_> {
             st.pending = st.pending.saturating_sub(1);
             dead.push(submission);
         }
-        if let Some(session_key) = self.preparing.borrow_mut().take() {
-            st.preparing.remove(&session_key);
-        }
+        self.release_claim(&mut st);
         if st.workers_alive == 0 {
             while let Some(submission) = st.pop() {
                 st.casualties.push(submission.id);
@@ -657,12 +698,21 @@ impl Drop for WorkerGuard<'_> {
     }
 }
 
+impl WorkerGuard<'_> {
+    /// Releases this worker's workload claim, if it holds one.
+    fn release_claim(&self, st: &mut QueueState) {
+        if let Some(session_key) = self.preparing.take() {
+            st.preparing.remove(&session_key);
+        }
+    }
+}
+
 /// One pool worker (1-based `index` of N): pop the highest-priority
 /// runnable submission, stage it under the service lock, prepare and
-/// simulate outside it under the governor's budget, commit, deliver,
-/// repeat until stopped. Staging and compute are supervised, so a job
-/// panic — injected or genuine — becomes a
-/// [`JobError`](crate::JobError), never a worker death; the only
+/// simulate outside it under the governor's budget, commit, hand a
+/// failure to the key's queued twins, deliver, repeat until stopped.
+/// Staging and compute are supervised, so a job panic — injected or
+/// genuine — becomes a [`JobError`], never a worker death; the only
 /// deliberate hole is the `worker` fault site below, which kills worker
 /// `index` itself (the spec's `nth` selects the victim) to exercise the
 /// death guard and the pool's N−1 degradation.
@@ -688,6 +738,9 @@ fn worker_loop(
                 }
                 if let Some(submission) = st.pop_runnable() {
                     st.running.insert(submission.key.clone());
+                    if st.preparing.insert(submission.session.clone()) {
+                        guard.preparing.replace(Some(submission.session.clone()));
+                    }
                     let snapshot = QueueSnapshot {
                         queued: st.queued(),
                         running: st.running.len(),
@@ -728,11 +781,7 @@ fn worker_loop(
             })
         };
         let (outcome, cache_hit, wall_ms) = match staged {
-            Staged::Done { outcome, cache_hit } => {
-                let mut svc = service.lock().unwrap_or_else(PoisonError::into_inner);
-                svc.touch_session(&submission.job);
-                (outcome, cache_hit, None)
-            }
+            Staged::Done { outcome, cache_hit } => (outcome, cache_hit, None),
             Staged::NeedsCompute {
                 engine,
                 max_attempts,
@@ -744,7 +793,7 @@ fn worker_loop(
                         .unwrap_or(1),
                     exec::configured_workers(),
                 );
-                let prepared = prepare_for(&guard, shared, service, &submission.job, budget);
+                let prepared = prepare_for(&guard, shared, service, submission, budget);
                 let task = ComputeTask {
                     engine,
                     prepared,
@@ -755,10 +804,27 @@ fn worker_loop(
                 });
                 let mut svc = service.lock().unwrap_or_else(PoisonError::into_inner);
                 let (outcome, wall_ms) = svc.commit(&submission.job, &submission.key, run);
-                svc.touch_session(&submission.job);
                 (outcome, false, wall_ms)
             }
         };
+        // A failure is final for its key: every queued twin takes the same
+        // error instead of recomputing it. A cancellation belongs to its
+        // token, so only twins sharing that token take it; a twin whose
+        // own token is still live runs itself.
+        let twins = match &outcome {
+            Ok(_) => Vec::new(),
+            Err(JobError::Cancelled { .. }) => shared.lock().take_queued(|s| {
+                s.key == submission.key && Arc::ptr_eq(&s.cancel, &submission.cancel)
+            }),
+            Err(_) => shared.lock().take_queued(|s| s.key == submission.key),
+        };
+        {
+            let mut svc = service.lock().unwrap_or_else(PoisonError::into_inner);
+            svc.touch_session(&submission.job);
+            if let Err(e) = &outcome {
+                svc.count_unstaged_failures(e, twins.len() as u64);
+            }
+        }
         let result = JobResult {
             // Workers number nothing themselves; the submission id is
             // the meaningful index at this layer.
@@ -773,14 +839,22 @@ fn worker_loop(
         completions
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .push(submission.id);
+            .extend(std::iter::once(submission.id).chain(twins.iter().map(|t| t.id)));
         {
             let mut st = shared.lock();
             st.running.remove(&submission.key);
-            st.pending -= 1;
+            guard.release_claim(&mut st);
+            st.pending -= 1 + twins.len();
         }
         shared.cv.notify_all();
-        // The ticket may be gone (dropped without waiting); fine.
+        // A ticket may be gone (dropped without waiting); fine.
+        for twin in &twins {
+            let _ = twin.tx.send(JobResult {
+                index: twin.id as usize,
+                engine: twin.job.engine.clone(),
+                ..result.clone()
+            });
+        }
         let _ = submission.tx.send(result);
         drop(current);
         guard.current.replace(None);
@@ -789,44 +863,47 @@ fn worker_loop(
 
 /// Gets the job's prepared workload, running the expensive preparation
 /// *outside* the service lock so distinct workloads prepare while other
-/// workers simulate. One worker claims a workload's preparation through
-/// the shared `preparing` set; same-session workers wait on the claim
-/// (the session itself leaves the pool for the duration), so each
-/// (workload, strategy) pair is still prepared exactly once. The claim
-/// is parked in the death guard: a worker dying mid-preparation releases
-/// it instead of wedging its peers.
+/// workers simulate. The worker prepares under its claim on the workload
+/// (the shared `preparing` set): taken at pickup, or — when another
+/// worker held it then — awaited here. The session itself leaves the
+/// pool for the duration, so each (workload, strategy) pair is still
+/// prepared exactly once. The claim is parked in the death guard: a
+/// worker dying mid-preparation releases it instead of wedging its peers.
 fn prepare_for(
     guard: &WorkerGuard<'_>,
     shared: &Shared,
     service: &Mutex<BatchService>,
-    job: &JobSpec,
+    submission: &Submission,
     budget: InnerBudget,
 ) -> Arc<PreparedWorkload> {
-    let session_key = job.session_key();
-    {
+    let (job, session_key) = (&submission.job, &submission.session);
+    if guard.preparing.borrow().is_none() {
         let mut st = shared.lock();
-        while st.preparing.contains(&session_key) {
+        while st.preparing.contains(session_key) {
             st = shared.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
         st.preparing.insert(session_key.clone());
+        guard.preparing.replace(Some(session_key.clone()));
     }
-    guard.preparing.replace(Some(session_key.clone()));
-    let (mut session, created) = {
+    let (pooled, plan_cache) = {
         let mut svc = service.lock().unwrap_or_else(PoisonError::into_inner);
-        match svc.take_session(&session_key) {
-            Some(session) => (session, false),
-            None => {
-                let mut session = SimSession::from_spec(job.dataset, job.seed);
-                session.set_hdn_id_entries(job.hdn_id_entries);
-                session.set_plan_cache(svc.plan_cache_arc(), session_key.clone());
-                (session, true)
-            }
-        }
+        (svc.take_session(session_key), svc.plan_cache_arc())
     };
-    // The expensive part — partitioning, relabeling, HDN lists — runs
-    // with no lock held, under the same inner budget as the compute
-    // (memoized strategies make this a no-op lookup).
-    let newly_prepared = budget.apply(|| session.prepare_all(std::slice::from_ref(&job.strategy)));
+    let created = pooled.is_none();
+    // The expensive part — instantiating a new workload, partitioning,
+    // relabeling, HDN lists — runs with no lock held, under the same
+    // inner budget as the compute (memoized strategies make this a
+    // no-op lookup).
+    let (session, newly_prepared) = budget.apply(|| {
+        let mut session = pooled.unwrap_or_else(|| {
+            let mut session = SimSession::from_spec(job.dataset, job.seed);
+            session.set_hdn_id_entries(job.hdn_id_entries);
+            session.set_plan_cache(plan_cache, session_key.clone());
+            session
+        });
+        let newly_prepared = session.prepare_all(std::slice::from_ref(&job.strategy));
+        (session, newly_prepared)
+    });
     let prepared = session
         .get_prepared_arc(job.strategy)
         .expect("just prepared");
@@ -834,11 +911,7 @@ fn prepare_for(
         let mut svc = service.lock().unwrap_or_else(PoisonError::into_inner);
         svc.adopt_session(session_key.clone(), session, created, newly_prepared);
     }
-    {
-        let mut st = shared.lock();
-        st.preparing.remove(&session_key);
-    }
-    guard.preparing.replace(None);
+    guard.release_claim(&mut shared.lock());
     shared.cv.notify_all();
     prepared
 }
@@ -857,6 +930,7 @@ mod tests {
         Submission {
             id,
             key: job.key(),
+            session: job.session_key(),
             job,
             tx,
             cancel: Arc::new(CancelToken::new()),
@@ -896,15 +970,9 @@ mod tests {
         state.running.insert(first.key.clone());
         // A queued duplicate of the running key parks; a distinct key
         // behind it runs.
-        let twin = {
-            let (tx, _rx) = mpsc::channel();
-            Submission {
-                id: 1,
-                job: first.job.clone(),
-                key: duplicate_key.clone(),
-                tx,
-                cancel: Arc::new(CancelToken::new()),
-            }
+        let twin = Submission {
+            id: 1,
+            ..submission(0)
         };
         state.queues[Priority::Normal.index()].push_back(twin);
         state.queues[Priority::Normal.index()].push_back(submission(2));
@@ -918,6 +986,27 @@ mod tests {
         // Once the computation commits, the parked twin runs.
         state.running.remove(&duplicate_key);
         assert_eq!(state.pop_runnable().expect("now runnable").id, 1);
+    }
+
+    #[test]
+    fn pop_runnable_prefers_unclaimed_workloads_within_a_class() {
+        // Ids double as seeds, so submission(3) is the one other workload.
+        let mut state = empty_state();
+        state.preparing.insert(submission(0).session);
+        let claimed = |id| Submission {
+            id,
+            ..submission(0)
+        };
+        state.queues[Priority::High.index()].push_back(claimed(1));
+        state.queues[Priority::Normal.index()].extend([claimed(2), submission(3), claimed(4)]);
+        let order: Vec<u64> = std::iter::from_fn(|| state.pop_runnable())
+            .map(|s| s.id)
+            .collect();
+        assert_eq!(
+            order,
+            [1, 3, 2, 4],
+            "classes first, then unclaimed, then FIFO"
+        );
     }
 
     #[test]

@@ -148,10 +148,12 @@ pub fn configured_workers() -> Option<usize> {
     }
 }
 
-/// Worker-thread count for `tasks` tasks: an explicit override
-/// ([`with_workers`] or `GROW_THREADS`) wins — including oversubscription
-/// — otherwise the hardware thread count, never more than the task count.
-fn worker_count(tasks: usize) -> usize {
+/// Worker-thread count for `tasks` tasks under [`ExecMode::Parallel`]:
+/// an explicit override ([`with_workers`] or `GROW_THREADS`) wins —
+/// including oversubscription — otherwise the hardware thread count,
+/// never more than the task count. [`parallel_map`] sizes its fan-out
+/// with it, and so does the serving layer's batch worker pool.
+pub fn worker_count(tasks: usize) -> usize {
     let explicit = configured_workers();
     let hw = || {
         std::thread::available_parallelism()

@@ -558,6 +558,12 @@ pub fn with_cancel<R>(token: Option<Arc<CancelToken>>, f: impl FnOnce() -> R) ->
     f()
 }
 
+/// The cancel token installed on this thread by [`with_cancel`], if any —
+/// for handing the caller's token on to work that runs on other threads.
+pub fn current_cancel() -> Option<Arc<CancelToken>> {
+    CANCEL.with(|c| c.borrow().clone())
+}
+
 /// The cancel state of this thread's token, if one is armed and tripped.
 /// Non-unwinding — supervisors probe this between retry attempts.
 pub fn cancel_state() -> Option<CancelReason> {
@@ -595,7 +601,7 @@ impl FaultContext {
             armed: ARMED.get(),
             attempt: ATTEMPT.get(),
             scoped: SCOPED_OPS.get(),
-            cancel: CANCEL.with(|c| c.borrow().clone()),
+            cancel: current_cancel(),
         }
     }
 

@@ -13,23 +13,29 @@
 //! * corrupt, truncated, or wrong-key store entries are quarantined and
 //!   recomputed, never served;
 //! * admission control rejects over-capacity submissions with a reason,
-//!   and priority classes reorder completion.
+//!   and priority classes reorder completion;
+//! * a failed job hands its error to its queued twins instead of
+//!   recomputing it — except a cancellation, which stays with its own
+//!   ticket.
+//!
+//! `run_batch` is itself submit-all + wait on the pool, so the fleet is
+//! also checked against service-free runs of each job.
+
+mod common;
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
+use common::{mixed_jobs, WORKERS};
 use grow::accel::PartitionStrategy;
 use grow::model::DatasetKey;
 use grow::serve::{
-    AsyncConfig, AsyncService, BatchService, JobResult, JobSpec, Priority, ResultStore,
+    AsyncConfig, AsyncService, BatchService, JobError, JobResult, JobSpec, Priority, ResultStore,
     SubmitError, Ticket,
 };
 use grow::sim::exec::{with_mode, with_workers, ExecMode};
-
-/// Oversubscribed worker count (the in-code equivalent of
-/// `GROW_THREADS=8`), so threads genuinely interleave even on small CI
-/// machines.
-const WORKERS: usize = 8;
+use grow::sim::fault::CancelReason;
 
 /// A fresh, collision-free store directory per test.
 fn temp_store_dir() -> PathBuf {
@@ -39,41 +45,6 @@ fn temp_store_dir() -> PathBuf {
         std::process::id(),
         NEXT.fetch_add(1, Ordering::Relaxed)
     ))
-}
-
-/// The mixed 18-job fleet of `tests/batch_serving.rs`: 2 datasets x 4
-/// engines x 2 partition strategies, an override variant, a multi-PE
-/// scheduler variant, and one invalid job.
-fn mixed_jobs() -> Vec<JobSpec> {
-    let cora = DatasetKey::Cora.spec().scaled_to(600);
-    let pubmed = DatasetKey::Pubmed.spec().scaled_to(900);
-    let strategies = [
-        PartitionStrategy::None,
-        PartitionStrategy::Multilevel { cluster_nodes: 150 },
-    ];
-    let mut jobs = Vec::new();
-    for spec in [cora, pubmed] {
-        for engine in ["grow", "gcnax", "matraptor", "gamma"] {
-            for strategy in strategies {
-                jobs.push(JobSpec::new(spec, 21, engine).with_strategy(strategy));
-            }
-        }
-    }
-    jobs.push(
-        JobSpec::new(cora, 21, "grow")
-            .with_strategy(strategies[1])
-            .with_override("hdn_cache_kb", "64")
-            .with_override("runahead", "4"),
-    );
-    jobs.push(
-        JobSpec::new(cora, 21, "grow")
-            .with_strategy(strategies[1])
-            .with_override("scheduler", "ws")
-            .with_override("pes", "8"),
-    );
-    // The intentionally invalid job: fails alone, not the fleet.
-    jobs.push(JobSpec::new(pubmed, 21, "npu"));
-    jobs
 }
 
 /// Submits every job, waits every ticket (submission order), returns the
@@ -123,6 +94,7 @@ fn async_drain_is_bit_identical_to_run_batch() {
     assert_same_outcomes(&sync_serial, &async_serial);
     assert_same_outcomes(&sync_parallel, &async_parallel);
     assert_same_outcomes(&async_serial, &async_parallel);
+    common::assert_unserved_outcomes(&jobs, &async_parallel);
 
     // Async results carry the submission id as their index, in order.
     for (i, r) in async_parallel.iter().enumerate() {
@@ -671,4 +643,74 @@ fn async_config_bounds_the_session_pool() {
     assert_eq!(batch.session_capacity(), Some(1));
     assert_eq!(batch.stats().sessions_created, 3);
     assert_eq!(batch.stats().sessions_evicted, 2);
+}
+
+#[test]
+fn failed_twins_share_one_run_on_a_worker_pool() {
+    // Two submissions of a permanently failing job on a two-worker pool:
+    // the twin parks behind the running key, then takes the first run's
+    // error instead of recomputing it — one run per key, as for a cached
+    // success. The twin must be queued before the first run fails (a few
+    // milliseconds), so a run where the submitting thread stalls that
+    // long is retried; a pool that recomputes failed twins fails every
+    // attempt.
+    let job = JobSpec::new(DatasetKey::Cora.spec().scaled_to(300), 3, "gamma")
+        .with_fault("dram:panic:1:99");
+    let mut last = None;
+    for attempt in 0..3 {
+        let service = AsyncService::start(
+            BatchService::new(),
+            AsyncConfig {
+                workers: 2,
+                ..AsyncConfig::default()
+            },
+        );
+        let tickets: Vec<Ticket> = (0..2)
+            .map(|_| service.submit(job.clone()).expect("admitted"))
+            .collect();
+        let results: Vec<JobResult> = tickets
+            .into_iter()
+            .map(|t| t.wait().expect("pool alive"))
+            .collect();
+        let stats = service.finish().stats();
+        assert!(
+            matches!(results[0].outcome, Err(JobError::Panicked { .. })),
+            "injected panics surface as Panicked: {:?}",
+            results[0].outcome
+        );
+        assert_eq!(results[0].outcome, results[1].outcome);
+        assert!(!results[1].cache_hit, "a shared failure is not a cache hit");
+        assert_eq!((stats.jobs_submitted, stats.jobs_failed), (2, 2));
+        if stats.simulations_run == 1 {
+            assert_eq!(stats.panics_caught, 3, "one run of three attempts");
+            return;
+        }
+        last = Some((stats.simulations_run, stats.panics_caught));
+        eprintln!("attempt {attempt}: the first run failed before its twin was queued; retrying");
+    }
+    panic!("failed twins recomputed on every attempt (simulations, panics): {last:?}");
+}
+
+#[test]
+fn a_cancelled_job_leaves_its_twin_to_run_itself() {
+    // Cancellation belongs to one ticket's token: the expired job fails
+    // as Cancelled, and its twin, whose token is live, computes.
+    let job = JobSpec::new(DatasetKey::Cora.spec().scaled_to(300), 3, "gamma");
+    let service = AsyncService::start(BatchService::new(), AsyncConfig::default());
+    let expired = service
+        .submit_with_deadline(job.clone(), Priority::Normal, Duration::ZERO)
+        .expect("admitted");
+    let twin = service.submit(job).expect("admitted");
+    assert_eq!(
+        expired.wait().expect("worker alive").outcome,
+        Err(JobError::Cancelled {
+            reason: CancelReason::DeadlineExceeded,
+        })
+    );
+    let twin = twin.wait().expect("worker alive");
+    assert!(twin.outcome.is_ok(), "{:?}", twin.outcome);
+    assert!(!twin.cache_hit, "the twin really ran");
+    let stats = service.finish().stats();
+    assert_eq!(stats.jobs_cancelled, 1);
+    assert_eq!(stats.simulations_run, 2);
 }

@@ -8,53 +8,18 @@
 //!   and an oversubscribed 8-worker run;
 //! * duplicate job keys are computed exactly once — the result cache
 //!   serves every repeat, under parallel execution too.
+//!
+//! `run_batch` runs on the `AsyncService` worker pool, so the mixed batch
+//! is also checked against service-free runs of each job.
 
+mod common;
+
+use common::{mixed_jobs, WORKERS};
 use grow::accel::registry::RegistryError;
 use grow::accel::{PartitionStrategy, SchedulerKind};
 use grow::model::DatasetKey;
 use grow::serve::{scheduler_grid_jobs, BatchService, JobError, JobResult, JobSpec};
 use grow::sim::exec::{with_mode, with_workers, ExecMode};
-
-/// Oversubscribed worker count (the in-code equivalent of
-/// `GROW_THREADS=8`), so threads genuinely interleave even on small CI
-/// machines.
-const WORKERS: usize = 8;
-
-/// A mixed batch of 18 jobs: 2 datasets x 4 engines x 2 partition
-/// strategies, one override variant, and one invalid job.
-fn mixed_jobs() -> Vec<JobSpec> {
-    let cora = DatasetKey::Cora.spec().scaled_to(600);
-    let pubmed = DatasetKey::Pubmed.spec().scaled_to(900);
-    let strategies = [
-        PartitionStrategy::None,
-        PartitionStrategy::Multilevel { cluster_nodes: 150 },
-    ];
-    let mut jobs = Vec::new();
-    for spec in [cora, pubmed] {
-        for engine in ["grow", "gcnax", "matraptor", "gamma"] {
-            for strategy in strategies {
-                jobs.push(JobSpec::new(spec, 21, engine).with_strategy(strategy));
-            }
-        }
-    }
-    jobs.push(
-        JobSpec::new(cora, 21, "grow")
-            .with_strategy(strategies[1])
-            .with_override("hdn_cache_kb", "64")
-            .with_override("runahead", "4"),
-    );
-    // The multi-PE scheduler axis rides through the same override path.
-    jobs.push(
-        JobSpec::new(cora, 21, "grow")
-            .with_strategy(strategies[1])
-            .with_scheduler(SchedulerKind::WorkStealing)
-            .with_pes(8),
-    );
-    // The intentionally invalid job: fails alone, not the batch.
-    jobs.push(JobSpec::new(pubmed, 21, "npu"));
-    assert!(jobs.len() >= 16, "acceptance floor: {} jobs", jobs.len());
-    jobs
-}
 
 fn outcomes(results: &[JobResult]) -> Vec<&Result<grow::accel::RunReport, JobError>> {
     results.iter().map(|r| &r.outcome).collect()
@@ -91,6 +56,8 @@ fn mixed_batch_is_bit_identical_serial_vs_parallel() {
             "npu".into()
         )))
     );
+    // And every outcome equals a run of the job with no service at all.
+    common::assert_unserved_outcomes(&jobs, &serial);
 }
 
 #[test]

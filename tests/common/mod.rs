@@ -1,9 +1,10 @@
 //! Helpers shared by the golden-snapshot suites (`golden_reports.rs`,
-//! `hotpath_invariants.rs`) and the exec-model battery (`exec_model.rs`):
-//! the fixed-seed workloads, the snapshot file layout, and the
-//! field-by-field report rendering. The snapshot suites compare against
-//! the same committed `tests/golden/*.snap` bytes, so the rendering lives
-//! here exactly once.
+//! `hotpath_invariants.rs`), the exec-model battery (`exec_model.rs`) and
+//! the serving suites (`batch_serving.rs`, `async_serving.rs`): the
+//! fixed-seed workloads, the snapshot file layout, the field-by-field
+//! report rendering, the mixed serving fleet, and a service-free job
+//! runner. The snapshot suites compare against the same committed
+//! `tests/golden/*.snap` bytes, so the rendering lives here exactly once.
 //!
 //! Not every test binary uses every helper; unused-item lints are
 //! silenced per item rather than forcing each binary to import all of
@@ -13,8 +14,9 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use grow::accel::RunReport;
+use grow::accel::{registry, PartitionStrategy, RunReport, SchedulerKind};
 use grow::model::{DatasetKey, DatasetSpec};
+use grow::serve::{JobError, JobResult, JobSpec, SimSession};
 use grow::sim::TrafficClass;
 
 /// The two fixed-seed golden workloads: a Cora-scale citation graph and a
@@ -72,4 +74,74 @@ pub fn render(report: &RunReport, out: &mut String) {
             let _ = writeln!(out, "  cluster_profiles=[{}]", profiles.join(" "));
         }
     }
+}
+
+/// Runs one job with no service at all — a fresh session, the job's HDN
+/// list length, the engine built from its parsed overrides — as the
+/// reference the serving executor is checked against. A bad engine name
+/// or override fails as [`JobError::Invalid`], like a served job.
+pub fn run_unserved(job: &JobSpec) -> Result<RunReport, JobError> {
+    let parsed = registry::parse_overrides(&job.overrides)?;
+    let overrides: Vec<(&str, &str)> = parsed
+        .iter()
+        .map(|(k, v)| (k.as_str(), v.as_str()))
+        .collect();
+    let mut session = SimSession::from_spec(job.dataset, job.seed);
+    session.set_hdn_id_entries(job.hdn_id_entries);
+    Ok(session.run_with(&job.engine, &overrides, job.strategy)?)
+}
+
+/// Asserts that every served result's outcome equals [`run_unserved`] of
+/// its job (`results` in `jobs` order).
+pub fn assert_unserved_outcomes(jobs: &[JobSpec], results: &[JobResult]) {
+    for (job, r) in jobs.iter().zip(results) {
+        let which = format!("job {} ({} on {})", r.index, r.engine, r.dataset);
+        assert_eq!(
+            r.outcome,
+            run_unserved(job),
+            "{which} differs from its service-free run"
+        );
+    }
+}
+
+/// Oversubscribed worker count (the in-code equivalent of
+/// `GROW_THREADS=8`), so threads genuinely interleave even on small CI
+/// machines.
+pub const WORKERS: usize = 8;
+
+/// The mixed fleet of the serving suites, 19 jobs: 2 datasets x 4
+/// engines x 2 partition strategies, an override variant, a multi-PE
+/// scheduler variant, and one invalid job.
+pub fn mixed_jobs() -> Vec<JobSpec> {
+    let cora = DatasetKey::Cora.spec().scaled_to(600);
+    let pubmed = DatasetKey::Pubmed.spec().scaled_to(900);
+    let strategies = [
+        PartitionStrategy::None,
+        PartitionStrategy::Multilevel { cluster_nodes: 150 },
+    ];
+    let mut jobs = Vec::new();
+    for spec in [cora, pubmed] {
+        for engine in ["grow", "gcnax", "matraptor", "gamma"] {
+            for strategy in strategies {
+                jobs.push(JobSpec::new(spec, 21, engine).with_strategy(strategy));
+            }
+        }
+    }
+    jobs.push(
+        JobSpec::new(cora, 21, "grow")
+            .with_strategy(strategies[1])
+            .with_override("hdn_cache_kb", "64")
+            .with_override("runahead", "4"),
+    );
+    // The multi-PE scheduler axis rides through the same override path.
+    jobs.push(
+        JobSpec::new(cora, 21, "grow")
+            .with_strategy(strategies[1])
+            .with_scheduler(SchedulerKind::WorkStealing)
+            .with_pes(8),
+    );
+    // The intentionally invalid job: fails alone, not the batch.
+    jobs.push(JobSpec::new(pubmed, 21, "npu"));
+    assert!(jobs.len() >= 16, "acceptance floor: {} jobs", jobs.len());
+    jobs
 }

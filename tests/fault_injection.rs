@@ -322,6 +322,28 @@ fn cancellation_is_cooperative_and_never_retried() {
 }
 
 #[test]
+fn cancelled_batch_duplicates_share_one_run() {
+    // Every job of a batch carries the caller's token, so a tripped token
+    // cancels the duplicates of a key together: one run, two cancellations.
+    let token = Arc::new(CancelToken::new());
+    token.cancel();
+    let job = JobSpec::new(spec(), 7, "grow");
+    let mut service = BatchService::new();
+    let results = fault::with_cancel(Some(token), || service.run_batch(&[job.clone(), job]));
+    let cancelled = Err(JobError::Cancelled {
+        reason: CancelReason::Requested,
+    });
+    assert!(
+        results.iter().all(|r| r.outcome == cancelled),
+        "{results:?}"
+    );
+    let stats = service.stats();
+    assert_eq!(stats.simulations_run, 1, "exactly one computation per key");
+    assert_eq!(stats.jobs_cancelled, 2);
+    assert_eq!((stats.jobs_submitted, stats.jobs_failed), (2, 2));
+}
+
+#[test]
 fn ticket_cancel_is_race_free_and_clean() {
     // Ticket::cancel races the worker by design; the property is that
     // the outcome is always one of exactly two clean shapes — a
@@ -414,6 +436,44 @@ fn worker_kill_surfaces_as_service_dead_never_a_panic() {
     let (_, report) = service.finish_report();
     assert!(report.worker_panicked);
     assert!(report.casualties.contains(&victim_id));
+}
+
+#[test]
+fn worker_kill_under_run_batch_fails_the_lost_jobs_structurally() {
+    quiet_injected_panics();
+    // `run_batch` runs on a worker pool, so a `worker` fault kills a pool
+    // worker. Under a serial scope the pool has one worker and picks jobs
+    // in order: the clean job completes, the victim kills the worker, and
+    // the bystander is lost with it. Every job still gets a result.
+    let clean = JobSpec::new(spec(), 7, "grow");
+    let jobs = [
+        clean.clone(),
+        JobSpec::new(spec(), 7, "gcnax").with_fault("worker:panic:1"),
+        JobSpec::new(spec(), 7, "gamma"),
+    ];
+    let mut service = BatchService::new();
+    let results = with_mode(ExecMode::Serial, || service.run_batch(&jobs));
+    assert_eq!(results.len(), jobs.len());
+    assert!(results[0].outcome.is_ok(), "{:?}", results[0].outcome);
+    for lost in &results[1..] {
+        assert_eq!(
+            lost.outcome,
+            Err(JobError::Panicked {
+                message: WaitError::ServiceDead.to_string(),
+                attempts: 1,
+            }),
+            "job {}",
+            lost.index
+        );
+        assert_eq!(lost.key, jobs[lost.index].key());
+    }
+    let stats = service.stats();
+    assert_eq!((stats.jobs_submitted, stats.jobs_failed), (3, 2));
+
+    // The service came back warm: the clean job is now a cache hit.
+    let again = with_mode(ExecMode::Serial, || service.run_one(&clean));
+    assert!(again.cache_hit);
+    assert_eq!(again.outcome, results[0].outcome);
 }
 
 #[test]

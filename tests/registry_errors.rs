@@ -307,7 +307,7 @@ fn fault_is_uniform_across_engines() {
             "{engine}"
         );
     }
-    assert_eq!(service.stats().simulations_run, 0, "validation is phase 1");
+    assert_eq!(service.stats().simulations_run, 0, "validation runs first");
 }
 
 #[test]
