@@ -125,13 +125,16 @@ impl CommunityGraphSpec {
             .map(|c| prefix_sums(&weights[bounds[c]..bounds[c + 1]]))
             .collect();
 
-        // Sample edges with dedup top-up rounds.
-        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(target_undirected + 16);
+        // Sample edges with dedup top-up rounds. The list stays sorted and
+        // deduplicated; each round sorts only its own batch and merges it in.
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        let mut batch: Vec<(u32, u32)> = Vec::new();
         let mut rounds = 0;
         while edges.len() < target_undirected && rounds < 8 {
             let missing = target_undirected - edges.len();
-            let batch = (missing as f64 * 1.1) as usize + 8;
-            for _ in 0..batch {
+            let draws = (missing as f64 * 1.1) as usize + 8;
+            batch.reserve(draws);
+            for _ in 0..draws {
                 let u = sample_prefix(&global_prefix, &mut rng);
                 let v = if rng.random::<f64>() < self.intra_fraction {
                     let c = community[u] as usize;
@@ -140,11 +143,10 @@ impl CommunityGraphSpec {
                     sample_prefix(&global_prefix, &mut rng)
                 };
                 if u != v {
-                    edges.push((u.min(v) as u32, u.max(v) as u32));
+                    batch.push((u.min(v) as u32, u.max(v) as u32));
                 }
             }
-            edges.sort_unstable();
-            edges.dedup();
+            merge_batch(&mut edges, &mut batch, n);
             rounds += 1;
         }
         edges.truncate(target_undirected);
@@ -166,10 +168,10 @@ impl CommunityGraphSpec {
             }
         }
 
-        let relabeled = edges
-            .into_iter()
-            .map(|(u, v)| (perm[u as usize], perm[v as usize]));
-        let graph = Graph::from_edges(n, relabeled);
+        for (u, v) in &mut edges {
+            (*u, *v) = (perm[*u as usize], perm[*v as usize]);
+        }
+        let graph = Graph::from_edge_list(n, edges);
         let mut final_community = vec![0u32; n];
         for (old, &new) in perm.iter().enumerate() {
             final_community[new as usize] = community[old];
@@ -237,7 +239,8 @@ impl RmatGraphSpec {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = 1usize << self.scale;
         let target = ((n as f64 * self.avg_degree) / 2.0).round() as usize;
-        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(target);
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        let mut batch: Vec<(u32, u32)> = Vec::new();
         let mut rounds = 0;
         while edges.len() < target && rounds < 8 {
             let missing = target - edges.len();
@@ -258,15 +261,89 @@ impl RmatGraphSpec {
                     v = (v << 1) | dv;
                 }
                 if u != v {
-                    edges.push((u.min(v), u.max(v)));
+                    batch.push((u.min(v), u.max(v)));
                 }
             }
-            edges.sort_unstable();
-            edges.dedup();
+            merge_batch(&mut edges, &mut batch, n);
             rounds += 1;
         }
         edges.truncate(target);
-        Graph::from_edges(n, edges)
+        Graph::from_edge_list(n, edges)
+    }
+}
+
+/// Sorts and deduplicates `batch` (pairs `u < v < nodes`), then merges it
+/// into the sorted, deduplicated `edges`, skipping pairs already there.
+/// Leaves `batch` empty.
+fn merge_batch(edges: &mut Vec<(u32, u32)>, batch: &mut Vec<(u32, u32)>, nodes: usize) {
+    radix_sort_pairs(batch, nodes);
+    batch.dedup();
+    if edges.is_empty() {
+        std::mem::swap(edges, batch);
+        return;
+    }
+    // Merge from the back into the grown list, so every old pair is read
+    // before its slot is written. Pairs already present leave a gap of
+    // the same size below the merged tail, closed at the end.
+    let old_len = edges.len();
+    let merged_end = old_len + batch.len();
+    edges.resize(merged_end, (0, 0));
+    let (mut unread, mut write) = (old_len, merged_end);
+    for &pair in batch.iter().rev() {
+        while unread > 0 && edges[unread - 1] > pair {
+            unread -= 1;
+            write -= 1;
+            edges[write] = edges[unread];
+        }
+        if unread > 0 && edges[unread - 1] == pair {
+            continue;
+        }
+        write -= 1;
+        edges[write] = pair;
+    }
+    if write > unread {
+        edges.copy_within(write.., unread);
+        edges.truncate(merged_end - (write - unread));
+    }
+    batch.clear();
+}
+
+/// Sorts pairs `(u, v)` with `u, v < nodes` by LSD radix passes over the
+/// packed key `u * nodes + v`. The key is injective and orders exactly as
+/// the pairs do, so the result equals `sort_unstable` on the pairs.
+fn radix_sort_pairs(pairs: &mut Vec<(u32, u32)>, nodes: usize) {
+    const DIGIT_BITS: u32 = 11;
+    const BUCKETS: usize = 1 << DIGIT_BITS;
+    let n = nodes as u64;
+    let key = |&(u, v): &(u32, u32)| u64::from(u) * n + u64::from(v);
+    let key_bits = u64::BITS - n.saturating_mul(n).saturating_sub(1).leading_zeros();
+    let passes = key_bits.div_ceil(DIGIT_BITS) as usize;
+    let mut counts = vec![[0usize; BUCKETS]; passes];
+    for p in pairs.iter() {
+        let k = key(p);
+        for (pass, count) in counts.iter_mut().enumerate() {
+            count[((k >> (pass as u32 * DIGIT_BITS)) as usize) & (BUCKETS - 1)] += 1;
+        }
+    }
+    let mut scratch = vec![(0, 0); pairs.len()];
+    for (pass, count) in counts.iter_mut().enumerate() {
+        // A digit every key shares moves nothing.
+        if count.contains(&pairs.len()) {
+            continue;
+        }
+        let mut next = 0;
+        for c in count.iter_mut() {
+            let bucket = *c;
+            *c = next;
+            next += bucket;
+        }
+        let shift = pass as u32 * DIGIT_BITS;
+        for p in pairs.iter() {
+            let slot = &mut count[((key(p) >> shift) as usize) & (BUCKETS - 1)];
+            scratch[*slot] = *p;
+            *slot += 1;
+        }
+        std::mem::swap(pairs, &mut scratch);
     }
 }
 
@@ -318,6 +395,61 @@ mod tests {
             intra_fraction: 0.8,
             power_law_exponent: 2.3,
             shuffle_fraction: 1.0,
+        }
+    }
+
+    fn random_pairs(count: usize, nodes: usize, rng: &mut StdRng) -> Vec<(u32, u32)> {
+        (0..count)
+            .map(|_| {
+                let u = rng.random_range(0..nodes as u32);
+                let v = rng.random_range(0..nodes as u32);
+                (u.min(v), u.max(v))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn radix_sort_matches_sort_unstable() {
+        let mut rng = StdRng::seed_from_u64(0x4ad1);
+        for (trial, nodes) in [1usize, 2, 3, 45, 2048, 2049, 100_000, 1 << 22]
+            .into_iter()
+            .enumerate()
+        {
+            let mut pairs = random_pairs(rng.random_range(0..3000usize), nodes, &mut rng);
+            // Pairs sharing a source share the key's upper digits, which
+            // the sort skips.
+            let hub = rng.random_range(0..nodes as u32);
+            let mut hub_pairs: Vec<(u32, u32)> = (0..500)
+                .map(|_| (hub, rng.random_range(hub..nodes as u32)))
+                .collect();
+            for pairs in [&mut pairs, &mut hub_pairs] {
+                let mut expected = pairs.clone();
+                expected.sort_unstable();
+                radix_sort_pairs(pairs, nodes);
+                assert_eq!(*pairs, expected, "trial {trial}: {nodes} nodes");
+            }
+        }
+    }
+
+    #[test]
+    fn merge_batch_matches_resorting_the_whole_list() {
+        let mut rng = StdRng::seed_from_u64(0x3e7);
+        for trial in 0..48 {
+            let nodes = [2usize, 3, 17, 300, 5000, 1 << 20][trial % 6];
+            let mut merged = Vec::new();
+            let mut resorted: Vec<(u32, u32)> = Vec::new();
+            for round in 0..5 {
+                let count = rng.random_range(0..1500usize);
+                let mut batch = random_pairs(count, nodes, &mut rng);
+                // The top-up the merge replaced: append, sort and dedup
+                // the whole list.
+                resorted.extend_from_slice(&batch);
+                resorted.sort_unstable();
+                resorted.dedup();
+                merge_batch(&mut merged, &mut batch, nodes);
+                assert!(batch.is_empty());
+                assert_eq!(merged, resorted, "trial {trial} round {round}");
+            }
         }
     }
 

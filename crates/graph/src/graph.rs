@@ -1,6 +1,6 @@
 use std::fmt;
 
-use grow_sparse::{CooMatrix, CsrPattern};
+use grow_sparse::CsrPattern;
 
 /// An undirected graph stored as a symmetric CSR adjacency pattern.
 ///
@@ -34,24 +34,68 @@ impl Graph {
     ///
     /// Panics if any endpoint is `>= nodes`.
     pub fn from_edges(nodes: usize, edges: impl IntoIterator<Item = (u32, u32)>) -> Self {
-        let mut coo = CooMatrix::new(nodes, nodes);
-        for (u, v) in edges {
+        Graph::from_edge_list(nodes, edges.into_iter().collect())
+    }
+
+    /// [`Graph::from_edges`] over an owned list, which it consumes.
+    pub(crate) fn from_edge_list(nodes: usize, pairs: Vec<(u32, u32)>) -> Self {
+        let mut indptr = vec![0usize; nodes + 1];
+        for &(u, v) in &pairs {
             assert!(
                 (u as usize) < nodes && (v as usize) < nodes,
                 "edge ({u}, {v}) out of bounds for {nodes} nodes"
             );
+            if u != v {
+                indptr[u as usize + 1] += 1;
+                indptr[v as usize + 1] += 1;
+            }
+        }
+        for r in 0..nodes {
+            indptr[r + 1] += indptr[r];
+        }
+        // Place both directions of every edge, rows unsorted.
+        let mut placed = vec![0u32; indptr[nodes]];
+        let mut next = indptr[..nodes].to_vec();
+        for (u, v) in pairs {
             if u == v {
                 continue;
             }
-            coo.push(u as usize, v as usize, 1.0)
-                .expect("checked bounds");
-            coo.push(v as usize, u as usize, 1.0)
-                .expect("checked bounds");
+            placed[next[u as usize]] = v;
+            next[u as usize] += 1;
+            placed[next[v as usize]] = u;
+            next[v as usize] += 1;
         }
-        // to_csr sums duplicates; the values are irrelevant, only structure.
-        Graph {
-            adj: coo.to_csr().into_pattern(),
+        // The placed multiset is symmetric, so its transpose has the same
+        // row counts; visiting rows in ascending order leaves every
+        // transposed row sorted, duplicates adjacent.
+        let mut indices = vec![0u32; placed.len()];
+        next.copy_from_slice(&indptr[..nodes]);
+        for r in 0..nodes {
+            for &c in &placed[indptr[r]..indptr[r + 1]] {
+                indices[next[c as usize]] = r as u32;
+                next[c as usize] += 1;
+            }
         }
+        drop(placed);
+        // Merge duplicate edges in place.
+        let mut kept = 0;
+        let mut row_start = 0;
+        for r in 0..nodes {
+            let row_end = indptr[r + 1];
+            let first = kept;
+            for i in row_start..row_end {
+                if kept == first || indices[kept - 1] != indices[i] {
+                    indices[kept] = indices[i];
+                    kept += 1;
+                }
+            }
+            row_start = row_end;
+            indptr[r + 1] = kept;
+        }
+        indices.truncate(kept);
+        let adj = CsrPattern::from_raw(nodes, nodes, indptr, indices)
+            .expect("sorted, deduplicated rows form a valid pattern");
+        Graph { adj }
     }
 
     /// Wraps an existing symmetric adjacency pattern.
@@ -135,10 +179,38 @@ impl Graph {
     ///
     /// Panics if `perm` is not a permutation of `0..nodes`.
     pub fn relabel(&self, perm: &[u32]) -> Graph {
-        let m = self.adj.clone().with_unit_values().permute_symmetric(perm);
-        Graph {
-            adj: m.into_pattern(),
+        let n = self.nodes();
+        assert_eq!(perm.len(), n, "permutation length must equal node count");
+        let mut inverse = vec![u32::MAX; n];
+        for (old, &new) in perm.iter().enumerate() {
+            assert!(
+                (new as usize) < n && inverse[new as usize] == u32::MAX,
+                "perm is not a permutation"
+            );
+            inverse[new as usize] = old as u32;
         }
+        let mut indptr = vec![0usize; n + 1];
+        for (old, &new) in perm.iter().enumerate() {
+            indptr[new as usize + 1] = self.degree(old);
+        }
+        for r in 0..n {
+            indptr[r + 1] += indptr[r];
+        }
+        // Visit the new rows in ascending order and append each one's ID to
+        // the rows of its relabeled neighbors. By symmetry that fills every
+        // row of the relabeled pattern, already sorted.
+        let mut indices = vec![0u32; self.directed_edges()];
+        let mut next = indptr[..n].to_vec();
+        for (new, &old) in inverse.iter().enumerate() {
+            for &c in self.neighbors(old as usize) {
+                let slot = &mut next[perm[c as usize] as usize];
+                indices[*slot] = new as u32;
+                *slot += 1;
+            }
+        }
+        let adj = CsrPattern::from_raw(n, n, indptr, indices)
+            .expect("relabeling a symmetric pattern keeps it valid");
+        Graph { adj }
     }
 }
 
@@ -188,6 +260,12 @@ mod tests {
         assert_eq!(r.degree(1), 2);
         assert_eq!(r.neighbors(2), &[1]);
         assert_eq!(r.undirected_edges(), g.undirected_edges());
+    }
+
+    #[test]
+    #[should_panic(expected = "not a permutation")]
+    fn relabel_rejects_a_repeated_id() {
+        Graph::from_edges(3, [(0, 1)]).relabel(&[0, 0, 2]);
     }
 
     #[test]

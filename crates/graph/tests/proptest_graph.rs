@@ -6,6 +6,7 @@
 //! properties, deterministic case set.)
 
 use grow_graph::{normalized_adjacency, CommunityGraphSpec, Graph, RmatGraphSpec};
+use grow_sparse::{CooMatrix, CsrPattern};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -123,5 +124,102 @@ fn from_edges_is_idempotent_under_duplication() {
         let once = Graph::from_edges(n, edges.iter().copied());
         let doubled = Graph::from_edges(n, edges.iter().chain(edges.iter()).copied());
         assert_eq!(once, doubled, "case {case}");
+    }
+}
+
+/// A seeded edge list over `n` nodes with duplicates in both orientations
+/// and self-loops. Endpoints come from the lower two thirds of the IDs, so
+/// the rest are isolated nodes.
+fn messy_edges(n: usize, rng: &mut StdRng) -> Vec<(u32, u32)> {
+    if n == 0 {
+        return Vec::new();
+    }
+    let hi = (2 * n as u32).div_ceil(3);
+    let count = rng.random_range(0..4 * n);
+    let mut edges: Vec<(u32, u32)> = (0..count)
+        .map(|_| (rng.random_range(0..hi), rng.random_range(0..hi)))
+        .collect();
+    let reversed: Vec<(u32, u32)> = edges[..count / 3].iter().map(|&(u, v)| (v, u)).collect();
+    edges.extend(reversed);
+    edges.extend_from_within(..count / 4);
+    edges.extend((0..rng.random_range(0..4usize)).map(|_| {
+        let v = rng.random_range(0..n as u32);
+        (v, v)
+    }));
+    edges
+}
+
+/// Node counts for the differential cases: the 0- and 1-node graphs, then
+/// random sizes.
+fn case_nodes(case: usize, rng: &mut StdRng) -> usize {
+    match case {
+        0 | 1 => case,
+        _ => rng.random_range(2usize..150),
+    }
+}
+
+/// The construction `Graph::from_edges` replaced: both directions of every
+/// non-loop edge into a COO matrix, converted to CSR (duplicates merged).
+fn coo_pattern(n: usize, edges: &[(u32, u32)]) -> CsrPattern {
+    let mut coo = CooMatrix::new(n, n);
+    for &(u, v) in edges {
+        if u != v {
+            coo.push(u as usize, v as usize, 1.0).unwrap();
+            coo.push(v as usize, u as usize, 1.0).unwrap();
+        }
+    }
+    coo.to_csr().into_pattern()
+}
+
+fn random_permutation(n: usize, rng: &mut StdRng) -> Vec<u32> {
+    let mut perm: Vec<u32> = (0..n as u32).collect();
+    for i in (1..n).rev() {
+        perm.swap(i, rng.random_range(0..=i));
+    }
+    perm
+}
+
+#[test]
+fn from_edges_matches_the_coo_reference() {
+    let mut rng = StdRng::seed_from_u64(0x61a7);
+    for case in 0..4 * CASES {
+        let n = case_nodes(case, &mut rng);
+        let edges = messy_edges(n, &mut rng);
+        let g = Graph::from_edges(n, edges.iter().copied());
+        assert_eq!(g.adjacency(), &coo_pattern(n, &edges), "case {case}");
+    }
+}
+
+#[test]
+fn relabel_matches_permute_symmetric() {
+    let mut rng = StdRng::seed_from_u64(0x61a8);
+    for case in 0..4 * CASES {
+        let n = case_nodes(case, &mut rng);
+        let g = Graph::from_edges(n, messy_edges(n, &mut rng));
+        let perm = random_permutation(n, &mut rng);
+        let reference = g
+            .adjacency()
+            .clone()
+            .with_unit_values()
+            .permute_symmetric(&perm)
+            .into_pattern();
+        assert_eq!(g.relabel(&perm).adjacency(), &reference, "case {case}");
+    }
+    // Generated graphs too: power-law hubs and planted communities.
+    for case in 0..CASES / 4 {
+        let (spec, seed) = random_spec(&mut rng);
+        let g = spec.generate(seed);
+        let perm = random_permutation(g.nodes(), &mut rng);
+        let reference = g
+            .adjacency()
+            .clone()
+            .with_unit_values()
+            .permute_symmetric(&perm)
+            .into_pattern();
+        assert_eq!(
+            g.relabel(&perm).adjacency(),
+            &reference,
+            "generated case {case}"
+        );
     }
 }
