@@ -363,20 +363,27 @@ fn sweep(ctx: &Context, service: &mut BatchService) -> Table {
 
 /// The always-on serving demo: drives an `AsyncService` (worker-pool
 /// size from `--workers`) over a small mixed fleet — priority classes,
-/// a repeated query, a failing job — through **two service lifetimes**
+/// a repeated query, a failing job — through **three service lifetimes**
 /// sharing one on-disk `ResultStore` under `<out>/store`. The first
 /// lifetime computes and persists and must record at least one
 /// cross-job plan-cache hit (two grow configurations share a session,
 /// so the second skips its plan pass); the second lifetime must run
-/// **zero** simulations, serving every report from disk bit-identically
-/// (the process exits non-zero otherwise, which makes this the CI smoke
-/// assertion for the store and the plan cache).
+/// **zero** simulations, serving every report from disk bit-identically;
+/// the third submits *new* keys on the stored workload, among them a
+/// strategy with several parts (`Multilevel { cluster_nodes: 256 }`),
+/// and every partitioned preparation must load its persisted assignment
+/// instead of re-partitioning, with reports equal to service-free runs.
+/// The process exits non-zero otherwise, which makes this the CI smoke
+/// assertion for the store and the plan cache.
 fn serve_demo(ctx: &Context, out_dir: &std::path::Path) -> Table {
-    use grow_core::registry::ENGINE_NAMES;
-    use grow_core::PartitionStrategy;
-    use grow_serve::{AsyncConfig, AsyncService, JobSpec, Priority, ResultStore, Ticket};
+    use grow_core::registry::{self, ENGINE_NAMES};
+    use grow_core::{PartitionStrategy, RunReport};
+    use grow_serve::{
+        AsyncConfig, AsyncService, JobSpec, Priority, ResultStore, SimSession, Ticket,
+    };
 
     let spec = ctx.spec(0);
+    let fine = PartitionStrategy::Multilevel { cluster_nodes: 256 };
     let mut jobs: Vec<(JobSpec, Priority)> = Vec::new();
     for name in ENGINE_NAMES {
         let strategy = if name == "grow" {
@@ -390,7 +397,8 @@ fn serve_demo(ctx: &Context, out_dir: &std::path::Path) -> Table {
         ));
     }
     // A repeated query (a cache hit within the lifetime), an interactive
-    // high-priority configuration, and a bad job that must fail alone.
+    // high-priority configuration, a fine-grained partitioning whose
+    // assignment the store keeps, and a bad job that must fail alone.
     jobs.push((jobs[0].0.clone(), Priority::Low));
     jobs.push((
         JobSpec::new(spec, ctx.seed, "grow")
@@ -398,20 +406,59 @@ fn serve_demo(ctx: &Context, out_dir: &std::path::Path) -> Table {
             .with_override("runahead", "8"),
         Priority::High,
     ));
+    jobs.push((
+        JobSpec::new(spec, ctx.seed, "grow").with_strategy(fine),
+        Priority::Normal,
+    ));
     jobs.push((JobSpec::new(spec, ctx.seed, "npu"), Priority::Normal));
+    // Lifetime 3: keys no earlier lifetime ran, on every strategy above.
+    let new_keys: Vec<(JobSpec, Priority)> = [
+        JobSpec::new(spec, ctx.seed, "grow")
+            .with_strategy(fine)
+            .with_override("runahead", "4"),
+        JobSpec::new(spec, ctx.seed, "grow")
+            .with_strategy(fine)
+            .with_override("exec", "e2e")
+            .with_pes(4),
+        JobSpec::new(spec, ctx.seed, "gcnax").with_strategy(fine),
+        JobSpec::new(spec, ctx.seed, "grow")
+            .with_strategy(PartitionStrategy::multilevel_default())
+            .with_override("hdn_cache_kb", "256"),
+        JobSpec::new(spec, ctx.seed, "gamma").with_override("fiber_cache_kb", "256"),
+    ]
+    .into_iter()
+    .map(|job| (job, Priority::Normal))
+    .collect();
+    let strategies: std::collections::HashSet<PartitionStrategy> =
+        new_keys.iter().map(|(job, _)| job.strategy).collect();
+    let partitioned = strategies
+        .iter()
+        .filter(|s| s.parts(spec.nodes) > 1)
+        .count() as u64;
+    let unserved = |job: &JobSpec| -> Option<RunReport> {
+        let parsed = registry::parse_overrides(&job.overrides).ok()?;
+        let overrides: Vec<(&str, &str)> = parsed
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .collect();
+        let mut session = SimSession::from_spec(job.dataset, job.seed);
+        session.set_hdn_id_entries(job.hdn_id_entries);
+        session.run_with(&job.engine, &overrides, job.strategy).ok()
+    };
 
     // A fresh store every invocation: a stale store from a previous run
     // would serve lifetime 1 entirely from disk and starve the
-    // plan-cache assertion below (the two-lifetime persistence contract
-    // lives within one invocation).
+    // plan-cache assertion below (the persistence contract lives within
+    // one invocation).
     let store_dir = out_dir.join("store");
     let _ = std::fs::remove_dir_all(&store_dir);
     let mut t = Table::new(
         "serve_demo",
         &["lifetime", "engine", "priority", "status", "sim ms"],
     );
-    let mut first_reports: Vec<Option<grow_core::RunReport>> = Vec::new();
-    for lifetime in 1..=2u32 {
+    let mut first_reports: Vec<Option<RunReport>> = Vec::new();
+    for lifetime in 1..=3u32 {
+        let fleet = if lifetime < 3 { &jobs } else { &new_keys };
         let store = ResultStore::open(&store_dir).expect("open result store");
         let service = AsyncService::start(
             grow_serve::BatchService::new().with_store(store),
@@ -422,7 +469,7 @@ fn serve_demo(ctx: &Context, out_dir: &std::path::Path) -> Table {
             },
         );
         let started = std::time::Instant::now();
-        let tickets: Vec<Ticket> = jobs
+        let tickets: Vec<Ticket> = fleet
             .iter()
             .map(|(job, priority)| {
                 service
@@ -439,16 +486,18 @@ fn serve_demo(ctx: &Context, out_dir: &std::path::Path) -> Table {
         let stats = batch.stats();
         eprintln!(
             "[run] serve_demo lifetime {lifetime}: {} simulations, {} store hits, \
-             {} cache hits, {} plan-cache hits, {} failed, peak {} in flight, \
-             fleet {fleet_ms:.1} ms",
+             {} cache hits, {} plan-cache hits, {} preparations ({} from stored \
+             partitions), {} failed, peak {} in flight, fleet {fleet_ms:.1} ms",
             stats.simulations_run,
             stats.store_hits,
             stats.cache_hits,
             stats.plan_cache_hits,
+            stats.preparations_run,
+            stats.partitions_loaded,
             stats.jobs_failed,
             stats.jobs_in_flight_peak
         );
-        for ((job, priority), r) in jobs.iter().zip(&results) {
+        for ((job, priority), r) in fleet.iter().zip(&results) {
             let status = match (&r.outcome, r.cache_hit) {
                 (Err(e), _) => format!("error: {e}"),
                 (Ok(_), true) => "ok (served)".into(),
@@ -463,37 +512,61 @@ fn serve_demo(ctx: &Context, out_dir: &std::path::Path) -> Table {
                     .map_or_else(|| "-".to_string(), |ms| format!("{ms:.1}")),
             ]);
         }
-        if lifetime == 1 {
-            first_reports = results.iter().map(|r| r.report().cloned()).collect();
-            // The cross-job plan cache, asserted end to end: the two
-            // distinct grow configurations share one session and one
-            // engine family, so the second simulation must have skipped
-            // its plan pass.
-            if stats.plan_cache_hits == 0 {
-                eprintln!(
-                    "error: serve_demo lifetime 1 recorded no plan-cache hits; the \
-                     cross-job plan cache is not being shared"
-                );
-                std::process::exit(1);
+        let fail = |message: String| -> ! {
+            eprintln!("error: serve_demo lifetime {lifetime}: {message}");
+            std::process::exit(1)
+        };
+        match lifetime {
+            1 => {
+                first_reports = results.iter().map(|r| r.report().cloned()).collect();
+                // The cross-job plan cache, asserted end to end: the two
+                // distinct grow configurations share one session and one
+                // engine family, so the second simulation must have
+                // skipped its plan pass.
+                if stats.plan_cache_hits == 0 {
+                    fail(
+                        "recorded no plan-cache hits; the cross-job plan cache is not \
+                         being shared"
+                            .into(),
+                    );
+                }
             }
-        } else {
-            // The store contract, asserted end to end: a fresh process
-            // lifetime serves the whole fleet from disk, bit-identically.
-            if stats.simulations_run != 0 {
-                eprintln!(
-                    "error: serve_demo lifetime 2 ran {} simulations; every job \
-                     should have been served from the on-disk store",
-                    stats.simulations_run
-                );
-                std::process::exit(1);
+            2 => {
+                // The store contract, asserted end to end: a fresh process
+                // lifetime serves the whole fleet from disk,
+                // bit-identically.
+                if stats.simulations_run != 0 {
+                    fail(format!(
+                        "ran {} simulations; every job should have been served from \
+                         the on-disk store",
+                        stats.simulations_run
+                    ));
+                }
+                let identical = results
+                    .iter()
+                    .zip(&first_reports)
+                    .all(|(r, first)| r.report() == first.as_ref());
+                if !identical {
+                    fail("store round-trip was not bit-identical".into());
+                }
             }
-            let identical = results
-                .iter()
-                .zip(&first_reports)
-                .all(|(r, first)| r.report() == first.as_ref());
-            if !identical {
-                eprintln!("error: serve_demo store round-trip was not bit-identical");
-                std::process::exit(1);
+            _ => {
+                // The partition-entry contract: new keys prepare from the
+                // persisted assignments, never re-partitioning, and
+                // report exactly what a service-free run does.
+                if partitioned == 0 || stats.partitions_loaded != partitioned {
+                    fail(format!(
+                        "{} of {partitioned} partitioned preparations loaded their \
+                         stored assignment",
+                        stats.partitions_loaded
+                    ));
+                }
+                let identical = fleet.iter().zip(&results).all(|((job, _), r)| {
+                    r.report().is_some() && r.report() == unserved(job).as_ref()
+                });
+                if !identical {
+                    fail("reports differ from service-free runs".into());
+                }
             }
         }
     }

@@ -10,7 +10,8 @@
 //! * [`MatRaptorEngine`] / [`GammaEngine`] — the row-wise-product
 //!   sparse-*sparse* accelerators compared in Section VII-H;
 //! * [`prepare`] / [`PreparedWorkload`] — the software preprocessing stack
-//!   (partitioning, relabeling, HDN list extraction);
+//!   (partitioning, relabeling, HDN list extraction), also callable as its
+//!   two steps [`partition`] and [`prepare_with`];
 //! * [`multi_pe`] / [`schedule`] / [`exec_model`] — the multi-PE scaling
 //!   model of Figure 24, its pluggable cluster-to-PE schedulers
 //!   (round-robin / LPT / work-stealing / contention-aware), and the
@@ -58,12 +59,17 @@ pub use gcnax::{GcnaxConfig, GcnaxEngine};
 pub use grow::{GrowConfig, GrowEngine, ReplacementPolicy};
 pub use matraptor::{MatRaptorConfig, MatRaptorEngine};
 pub use plan::{PlanCache, PlanCacheScope, ShardRows, ShardSpec};
-pub use prepare::{prepare, PartitionStrategy, PreparedWorkload};
+pub use prepare::{partition, prepare, prepare_with, PartitionStrategy, PreparedWorkload};
 pub use report::{
     ClusterProfile, LayerPeBusy, LayerReport, MultiPeBreakdown, MultiPeSummary, PhaseKind,
     PhasePeBusy, PhaseReport, RunReport,
 };
 pub use schedule::{MultiPeConfig, SchedulerKind};
+
+/// The node-to-part assignment [`partition`] computes and [`prepare_with`]
+/// derives a preparation from, re-exported so callers that persist
+/// assignments need no direct dependency on the partitioner crate.
+pub use grow_partition::Partitioning;
 
 /// Common interface of all four accelerator models.
 ///

@@ -1,5 +1,7 @@
 use std::ops::Range;
+use std::sync::Arc;
 
+use grow_graph::Graph;
 use grow_model::{GcnWorkload, LayerWorkload};
 use grow_partition::{
     hdn_lists, label_propagation_partition, multilevel_partition, ClusterLayout,
@@ -41,6 +43,36 @@ impl PartitionStrategy {
             cluster_nodes: 4096,
         }
     }
+
+    /// Number of parts this strategy splits a `nodes`-node graph into (1
+    /// for [`PartitionStrategy::None`]). With one part the partitioners
+    /// return the trivial assignment without running.
+    pub fn parts(self, nodes: usize) -> usize {
+        match self {
+            PartitionStrategy::None => 1,
+            PartitionStrategy::Multilevel { cluster_nodes }
+            | PartitionStrategy::LabelPropagation { cluster_nodes } => {
+                nodes.div_ceil(cluster_nodes.max(1)).max(1)
+            }
+        }
+    }
+
+    /// Canonical identity of the partitioner this strategy runs: the
+    /// strategy plus the full configuration [`partition`] runs it with, or
+    /// `None` for [`PartitionStrategy::None`]. Equal identities compute
+    /// equal assignments on equal graphs, so a persisted assignment can
+    /// be keyed by it.
+    pub fn partitioner_key(self) -> Option<String> {
+        match self {
+            PartitionStrategy::None => None,
+            PartitionStrategy::Multilevel { .. } => {
+                Some(format!("{self:?}|{:?}", MultilevelConfig::default()))
+            }
+            PartitionStrategy::LabelPropagation { .. } => {
+                Some(format!("{self:?}|{:?}", LabelPropagationConfig::default()))
+            }
+        }
+    }
 }
 
 /// A workload after software preprocessing, ready for any engine.
@@ -61,8 +93,9 @@ pub struct PreparedWorkload {
     /// up to `hdn_id_entries` long. Engines take the prefix their cache
     /// capacity allows.
     pub hdn_lists: Vec<Vec<u32>>,
-    /// The two GCN layers (feature patterns + shapes).
-    pub layers: Vec<LayerWorkload>,
+    /// The two GCN layers (feature patterns + shapes), shared with the
+    /// workload and every other preparation of it.
+    pub layers: Arc<[LayerWorkload]>,
     /// Intra-cluster edge fraction achieved by the preprocessing (1.0 when
     /// unpartitioned).
     pub intra_edge_fraction: f64,
@@ -108,7 +141,7 @@ impl PreparedWorkload {
 /// Builds the adjacency pattern `A + I` (neighbors plus a self-loop per
 /// node) without materializing normalization values, which the timing
 /// models do not need.
-fn adjacency_with_self_loops(graph: &grow_graph::Graph) -> CsrPattern {
+fn adjacency_with_self_loops(graph: &Graph) -> CsrPattern {
     let n = graph.nodes();
     let mut indptr = Vec::with_capacity(n + 1);
     let mut indices = Vec::with_capacity(graph.directed_edges() + n);
@@ -128,6 +161,7 @@ fn adjacency_with_self_loops(graph: &grow_graph::Graph) -> CsrPattern {
 
 /// Runs the software preprocessing stack: (optionally) partition the graph,
 /// relabel nodes cluster-by-cluster, and extract per-cluster HDN ID lists.
+/// The two steps are [`partition`] and [`prepare_with`].
 ///
 /// `hdn_id_entries` bounds the per-cluster list length (Table III: a 12 KB
 /// list buffer = 4096 entries of 3 bytes).
@@ -136,33 +170,56 @@ pub fn prepare(
     strategy: PartitionStrategy,
     hdn_id_entries: usize,
 ) -> PreparedWorkload {
+    let partitioning = partition(&workload.graph, strategy);
+    prepare_with(workload, partitioning.as_ref(), hdn_id_entries)
+}
+
+/// The first step of [`prepare`]: runs the strategy's partitioner on
+/// `graph` with its default configuration (`None` for
+/// [`PartitionStrategy::None`]). This is the expensive step; its result is
+/// all a later [`prepare_with`] needs to rebuild the preparation.
+pub fn partition(graph: &Graph, strategy: PartitionStrategy) -> Option<Partitioning> {
+    let parts = strategy.parts(graph.nodes());
+    match strategy {
+        PartitionStrategy::None => None,
+        PartitionStrategy::Multilevel { .. } => Some(multilevel_partition(
+            graph,
+            parts,
+            &MultilevelConfig::default(),
+        )),
+        PartitionStrategy::LabelPropagation { .. } => Some(label_propagation_partition(
+            graph,
+            parts,
+            &LabelPropagationConfig::default(),
+        )),
+    }
+}
+
+/// The second step of [`prepare`]: derives the cluster layout, the
+/// relabeled `A + I` pattern and the HDN lists from a partitioning of the
+/// workload's graph, computed by [`partition`] or loaded from storage.
+/// `None` keeps the original node order as one cluster.
+///
+/// # Panics
+///
+/// Panics if the partitioning's node count differs from the graph's.
+pub fn prepare_with(
+    workload: &GcnWorkload,
+    partitioning: Option<&Partitioning>,
+    hdn_id_entries: usize,
+) -> PreparedWorkload {
     let graph = &workload.graph;
     let n = graph.nodes();
-    let (layout, partitioning) = match strategy {
-        PartitionStrategy::None => (ClusterLayout::single(n), None),
-        PartitionStrategy::Multilevel { cluster_nodes } => {
-            let parts = n.div_ceil(cluster_nodes.max(1)).max(1);
-            let p = multilevel_partition(graph, parts, &MultilevelConfig::default());
-            (ClusterLayout::from_partitioning(&p), Some(p))
-        }
-        PartitionStrategy::LabelPropagation { cluster_nodes } => {
-            let parts = n.div_ceil(cluster_nodes.max(1)).max(1);
-            let p = label_propagation_partition(graph, parts, &LabelPropagationConfig::default());
-            (ClusterLayout::from_partitioning(&p), Some(p))
+    let (layout, intra, relabeled) = match partitioning {
+        None => (ClusterLayout::single(n), 1.0, None),
+        Some(p) => {
+            assert_eq!(p.nodes(), n, "partitioning must cover the graph");
+            let layout = ClusterLayout::from_partitioning(p);
+            let relabeled = layout.relabel(graph);
+            (layout, p.intra_edge_fraction(graph), Some(relabeled))
         }
     };
-    let intra = partitioning
-        .as_ref()
-        .map(|p: &Partitioning| p.intra_edge_fraction(graph))
-        .unwrap_or(1.0);
-    let relabeled;
-    let graph_ref = if matches!(strategy, PartitionStrategy::None) {
-        graph
-    } else {
-        relabeled = layout.relabel(graph);
-        &relabeled
-    };
-    let adjacency = adjacency_with_self_loops(graph_ref);
+    let adjacency = adjacency_with_self_loops(relabeled.as_ref().unwrap_or(graph));
     let clusters: Vec<Range<usize>> = layout.ranges().to_vec();
     let lists = hdn_lists(&adjacency, &clusters, hdn_id_entries);
     PreparedWorkload {
@@ -171,7 +228,7 @@ pub fn prepare(
         adjacency,
         clusters,
         hdn_lists: lists,
-        layers: workload.layers.clone(),
+        layers: Arc::clone(&workload.layers),
         intra_edge_fraction: intra,
         plan_cache: None,
     }
@@ -271,6 +328,45 @@ mod tests {
             4096,
         );
         assert_eq!(huge.auto_shard_rows(), 750, "6000/8 within the clamp");
+    }
+
+    #[test]
+    fn prepare_is_partition_then_prepare_with() {
+        let w = small();
+        for strategy in [
+            PartitionStrategy::None,
+            PartitionStrategy::Multilevel { cluster_nodes: 100 },
+            PartitionStrategy::LabelPropagation { cluster_nodes: 100 },
+        ] {
+            let direct = prepare(&w, strategy, 64);
+            // An assignment rebuilt from its raw parts, as a store loads it.
+            let reloaded = partition(&w.graph, strategy)
+                .map(|p| Partitioning::new(p.assignment().to_vec(), p.parts()));
+            let derived = prepare_with(&w, reloaded.as_ref(), 64);
+            assert_eq!(derived.adjacency, direct.adjacency, "{strategy:?}");
+            assert_eq!(derived.clusters, direct.clusters, "{strategy:?}");
+            assert_eq!(derived.hdn_lists, direct.hdn_lists, "{strategy:?}");
+            assert_eq!(derived.intra_edge_fraction, direct.intra_edge_fraction);
+            assert!(Arc::ptr_eq(&derived.layers, &w.layers), "layers are shared");
+        }
+    }
+
+    #[test]
+    fn strategies_name_their_parts_and_partitioner() {
+        let ml = PartitionStrategy::Multilevel { cluster_nodes: 100 };
+        let lp = PartitionStrategy::LabelPropagation { cluster_nodes: 100 };
+        assert_eq!(ml.parts(400), 4);
+        assert_eq!(lp.parts(401), 5);
+        assert_eq!(PartitionStrategy::None.parts(400), 1);
+        assert_eq!(PartitionStrategy::multilevel_default().parts(0), 1);
+        assert_eq!(PartitionStrategy::None.partitioner_key(), None);
+        let (ml_key, lp_key) = (ml.partitioner_key().unwrap(), lp.partitioner_key().unwrap());
+        assert_ne!(ml_key, lp_key);
+        assert!(ml_key.contains("MultilevelConfig"), "{ml_key}");
+        assert_ne!(
+            Some(ml_key),
+            PartitionStrategy::Multilevel { cluster_nodes: 101 }.partitioner_key()
+        );
     }
 
     #[test]

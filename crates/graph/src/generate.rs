@@ -119,10 +119,10 @@ impl CommunityGraphSpec {
             }
         }
 
-        // Prefix sums: global and per-community.
-        let global_prefix = prefix_sums(&weights);
-        let comm_prefix: Vec<Vec<f64>> = (0..k)
-            .map(|c| prefix_sums(&weights[bounds[c]..bounds[c + 1]]))
+        // Weighted samplers: global and per-community.
+        let global = PrefixSampler::new(&weights);
+        let comm: Vec<PrefixSampler> = (0..k)
+            .map(|c| PrefixSampler::new(&weights[bounds[c]..bounds[c + 1]]))
             .collect();
 
         // Sample edges with dedup top-up rounds. The list stays sorted and
@@ -135,12 +135,12 @@ impl CommunityGraphSpec {
             let draws = (missing as f64 * 1.1) as usize + 8;
             batch.reserve(draws);
             for _ in 0..draws {
-                let u = sample_prefix(&global_prefix, &mut rng);
+                let u = global.sample(&mut rng);
                 let v = if rng.random::<f64>() < self.intra_fraction {
                     let c = community[u] as usize;
-                    bounds[c] + sample_prefix(&comm_prefix[c], &mut rng)
+                    bounds[c] + comm[c].sample(&mut rng)
                 } else {
-                    sample_prefix(&global_prefix, &mut rng)
+                    global.sample(&mut rng)
                 };
                 if u != v {
                     batch.push((u.min(v) as u32, u.max(v) as u32));
@@ -358,16 +358,43 @@ fn prefix_sums(weights: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Samples an index proportionally to the weights behind `prefix`
-/// (binary search over the cumulative sums).
-fn sample_prefix(prefix: &[f64], rng: &mut StdRng) -> usize {
-    let total = *prefix.last().expect("non-empty prefix");
-    let x = rng.random::<f64>() * total;
-    // partition_point: first index with prefix[i] > x, minus one.
-    prefix
-        .partition_point(|&p| p <= x)
-        .clamp(1, prefix.len() - 1)
-        - 1
+/// Samples an index proportionally to non-negative weights: a draw
+/// `r` in `[0, 1)` picks the last index whose cumulative sum is at most
+/// `r * total`.
+///
+/// A guide table over `B` (a power of two) equal slices of `r` narrows
+/// the search. `r * B` is exact, so a draw's slice `⌊r·B⌋` is exact too;
+/// and since `r * total` is monotone in `r`, the answer lies between the
+/// partition points of the slice's two bounds, which the table stores.
+/// Each draw therefore equals a binary search over the whole prefix.
+struct PrefixSampler {
+    prefix: Vec<f64>,
+    /// `guide[b]`: the partition point of `(b / B) * total`, `b` in `0..=B`.
+    guide: Vec<usize>,
+}
+
+impl PrefixSampler {
+    fn new(weights: &[f64]) -> Self {
+        let prefix = prefix_sums(weights);
+        let total = *prefix.last().expect("non-empty prefix");
+        let slices = weights.len().next_power_of_two();
+        let guide = (0..=slices)
+            .map(|b| {
+                let bound = (b as f64 / slices as f64) * total;
+                prefix.partition_point(|&p| p <= bound)
+            })
+            .collect();
+        PrefixSampler { prefix, guide }
+    }
+
+    fn sample(&self, rng: &mut StdRng) -> usize {
+        let r = rng.random::<f64>();
+        let x = r * self.prefix[self.prefix.len() - 1];
+        let slice = (r * (self.guide.len() - 1) as f64) as usize;
+        let (lo, hi) = (self.guide[slice], self.guide[slice + 1]);
+        // partition_point: first index with prefix[i] > x, minus one.
+        (lo + self.prefix[lo..hi].partition_point(|&p| p <= x)).clamp(1, self.prefix.len() - 1) - 1
+    }
 }
 
 /// Samples `k` distinct indices from `0..n` (Floyd's algorithm).
@@ -406,6 +433,48 @@ mod tests {
                 (u.min(v), u.max(v))
             })
             .collect()
+    }
+
+    /// The plain binary search the guide table narrows, kept as its
+    /// oracle.
+    fn sample_prefix(prefix: &[f64], rng: &mut StdRng) -> usize {
+        let total = *prefix.last().expect("non-empty prefix");
+        let x = rng.random::<f64>() * total;
+        prefix
+            .partition_point(|&p| p <= x)
+            .clamp(1, prefix.len() - 1)
+            - 1
+    }
+
+    #[test]
+    fn guide_table_sampling_matches_binary_search() {
+        let mut rng = StdRng::seed_from_u64(0x9d1e);
+        for trial in 0..40 {
+            let len = [1usize, 2, 3, 7, 64, 65, 1000, 4099][trial % 8];
+            let weights: Vec<f64> = match trial % 4 {
+                // Zipf-like, as the generator draws them.
+                0 => (0..len).map(|r| ((r + 1) as f64).powf(-0.77)).collect(),
+                // One dominant weight among tiny ones.
+                1 => (0..len)
+                    .map(|r| if r == len / 2 { 1e6 } else { 1e-3 })
+                    .collect(),
+                // Zero weights, which no draw may pick.
+                2 => (0..len)
+                    .map(|r| if r % 3 == 0 { 0.0 } else { 1.0 })
+                    .collect(),
+                _ => (0..len).map(|_| rng.random::<f64>() + 1e-9).collect(),
+            };
+            let sampler = PrefixSampler::new(&weights);
+            let seed = rng.random::<u64>();
+            let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            for draw in 0..2000 {
+                assert_eq!(
+                    sampler.sample(&mut a),
+                    sample_prefix(&sampler.prefix, &mut b),
+                    "trial {trial} draw {draw}"
+                );
+            }
+        }
     }
 
     #[test]

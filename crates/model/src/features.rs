@@ -45,6 +45,10 @@ impl FeatureMatrix {
             Vec::with_capacity(((rows * cols) as f64 * density) as usize + rows);
         indptr.push(0usize);
         let mut scratch: Vec<u32> = Vec::with_capacity(cols);
+        // Dense-ish rows: victim marks (cleared after each row) and the
+        // row's kept columns.
+        let mut dropped = vec![false; cols];
+        let mut kept: Vec<u32> = vec![0; cols];
         for _ in 0..rows {
             let expect = density * cols as f64;
             let mut nnz = expect.floor() as usize;
@@ -56,14 +60,28 @@ impl FeatureMatrix {
                 // Dense-ish row: sample the complement (columns to drop).
                 scratch.clear();
                 scratch.extend(0..cols as u32);
-                // Partial Fisher-Yates: move `cols - nnz` victims to the end.
-                for i in 0..(cols - nnz) {
+                // Partial Fisher-Yates: move `cols - nnz` victims to the
+                // front; the kept columns are the rest.
+                let victims = cols - nnz;
+                for i in 0..victims {
                     let j = rng.random_range(i..cols);
                     scratch.swap(i, j);
                 }
-                let mut keep: Vec<u32> = scratch[(cols - nnz)..].to_vec();
-                keep.sort_unstable();
-                indices.extend(keep);
+                // Emit the complement of the victims in ascending order,
+                // without a branch per column: every column is written,
+                // and the cursor only moves past the kept ones.
+                for &c in &scratch[..victims] {
+                    dropped[c as usize] = true;
+                }
+                let mut len = 0;
+                for (c, &victim) in dropped.iter().enumerate() {
+                    kept[len] = c as u32;
+                    len += usize::from(!victim);
+                }
+                indices.extend_from_slice(&kept[..len]);
+                for &c in &scratch[..victims] {
+                    dropped[c as usize] = false;
+                }
             } else {
                 // Sparse row: rejection-sample distinct columns.
                 scratch.clear();
@@ -153,6 +171,64 @@ impl FeatureMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The original synthesis, kept as the oracle of the complement
+    /// emission: dense-ish rows copy and sort the kept columns.
+    fn synthesize_by_sorting(rows: usize, cols: usize, density: f64, seed: u64) -> FeatureMatrix {
+        if density >= 0.995 {
+            return FeatureMatrix::Dense { rows, cols };
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut indptr = vec![0usize];
+        let mut indices: Vec<u32> = Vec::new();
+        let mut scratch: Vec<u32> = Vec::with_capacity(cols);
+        for _ in 0..rows {
+            let expect = density * cols as f64;
+            let mut nnz = expect.floor() as usize;
+            if rng.random::<f64>() < expect.fract() {
+                nnz += 1;
+            }
+            let nnz = nnz.min(cols);
+            if nnz * 3 > cols {
+                scratch.clear();
+                scratch.extend(0..cols as u32);
+                for i in 0..(cols - nnz) {
+                    let j = rng.random_range(i..cols);
+                    scratch.swap(i, j);
+                }
+                let mut keep: Vec<u32> = scratch[(cols - nnz)..].to_vec();
+                keep.sort_unstable();
+                indices.extend(keep);
+            } else {
+                scratch.clear();
+                while scratch.len() < nnz {
+                    let c = rng.random_range(0..cols as u32);
+                    if !scratch.contains(&c) {
+                        scratch.push(c);
+                    }
+                }
+                scratch.sort_unstable();
+                indices.extend_from_slice(&scratch);
+            }
+            indptr.push(indices.len());
+        }
+        FeatureMatrix::Sparse(CsrPattern::from_raw(rows, cols, indptr, indices).unwrap())
+    }
+
+    #[test]
+    fn complement_emission_matches_the_sorting_oracle() {
+        for (rows, cols) in [(0, 5), (1, 1), (7, 2), (50, 3), (120, 64), (300, 500)] {
+            for density in [0.0, 0.2, 0.34, 0.5, 0.776, 0.9, 0.99] {
+                for seed in [0, 9, 0x1001] {
+                    assert_eq!(
+                        FeatureMatrix::synthesize(rows, cols, density, seed),
+                        synthesize_by_sorting(rows, cols, density, seed),
+                        "{rows}x{cols} at {density}, seed {seed}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn dense_threshold() {

@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use grow_graph::Graph;
 
 use crate::{DatasetSpec, FeatureMatrix};
@@ -34,8 +36,9 @@ pub struct GcnWorkload {
     /// The (synthetic) graph.
     pub graph: Graph,
     /// Per-layer feature patterns and shapes (2 layers, per Table I's
-    /// `in-hidden-out` feature lengths).
-    pub layers: Vec<LayerWorkload>,
+    /// `in-hidden-out` feature lengths). Shared, not copied, by every
+    /// preparation of the workload.
+    pub layers: Arc<[LayerWorkload]>,
 }
 
 impl GcnWorkload {
@@ -57,7 +60,7 @@ impl GcnWorkload {
         assert_eq!(graph.nodes(), spec.nodes, "graph size must match the spec");
         let n = graph.nodes();
         let [f_in, hidden, f_out] = spec.feature_dims;
-        let layers = vec![
+        let layers: Arc<[LayerWorkload]> = Arc::new([
             LayerWorkload {
                 x: FeatureMatrix::synthesize(n, f_in, spec.x0_density, seed ^ 0x1001),
                 f_in,
@@ -68,7 +71,7 @@ impl GcnWorkload {
                 f_in: hidden,
                 f_out,
             },
-        ];
+        ]);
         GcnWorkload {
             spec: *spec,
             graph,

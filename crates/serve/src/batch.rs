@@ -41,7 +41,7 @@ use grow_sim::exec::{self, ExecMode};
 use grow_sim::fault::{self, CancelReason, FaultPlan, FaultSite, SimFault};
 
 use crate::service::{AsyncConfig, AsyncService, Priority, WaitError};
-use crate::session::{SimSession, DEFAULT_HDN_ID_ENTRIES};
+use crate::session::{Preparation, SimSession, DEFAULT_HDN_ID_ENTRIES};
 use crate::store::ResultStore;
 
 /// One simulation job, as pure data: everything needed to reproduce a
@@ -233,6 +233,22 @@ impl JobSpec {
             self.dataset, self.seed, self.hdn_id_entries
         )
     }
+
+    /// Key of the job's partition assignment in a [`ResultStore`]: the
+    /// dataset recipe and seed (not the HDN list length, which
+    /// partitioning never reads) plus the strategy's partitioner identity.
+    /// `None` when no partitioner runs: no partitioning, or one part.
+    pub(crate) fn partition_key(&self) -> Option<String> {
+        if self.strategy.parts(self.dataset.nodes) < 2 {
+            return None;
+        }
+        Some(format!(
+            "{:?}|seed={}|{}",
+            self.dataset,
+            self.seed,
+            self.strategy.partitioner_key()?
+        ))
+    }
 }
 
 /// Canonical identity of a job (see [`JobSpec::key`]): the report-cache
@@ -406,8 +422,12 @@ pub struct ServiceStats {
     pub simulations_run: u64,
     /// Workloads instantiated into pooled sessions.
     pub sessions_created: u64,
-    /// (workload, strategy) preparations executed.
+    /// (workload, strategy) preparations executed, whether their
+    /// partition assignment was computed or loaded.
     pub preparations_run: u64,
+    /// Preparations that took their partition assignment from the
+    /// attached [`ResultStore`] instead of running the partitioner.
+    pub partitions_loaded: u64,
     /// Distinct job keys served from the on-disk [`ResultStore`] instead
     /// of a fresh simulation (counted once per load; the per-job hits are
     /// in [`cache_hits`](Self::cache_hits)).
@@ -740,20 +760,31 @@ impl BatchService {
     }
 
     /// Returns a prepared session to the pool, counting a fresh
-    /// instantiation and the preparations the caller ran while holding
+    /// instantiation and the preparation the caller ran while holding
     /// it. The complement of [`take_session`](Self::take_session).
     pub(crate) fn adopt_session(
         &mut self,
         session_key: String,
         session: SimSession,
         created: bool,
-        newly_prepared: usize,
+        preparation: Preparation,
     ) {
         if created {
             self.stats.sessions_created += 1;
         }
-        self.stats.preparations_run += newly_prepared as u64;
+        if preparation != Preparation::Memoized {
+            self.stats.preparations_run += 1;
+        }
+        if preparation == Preparation::Loaded {
+            self.stats.partitions_loaded += 1;
+        }
         self.sessions.insert(session_key, session);
+    }
+
+    /// A handle on the attached store's directory for partition entries,
+    /// which workers read and write outside the service lock.
+    pub(crate) fn partition_store(&self) -> Option<ResultStore> {
+        self.store.as_ref().map(ResultStore::reopen)
     }
 
     /// Shared handle to the cross-job plan cache, for stamping sessions
@@ -1073,6 +1104,30 @@ mod tests {
                 .key(),
             "strategy"
         );
+    }
+
+    #[test]
+    fn partition_key_names_only_what_partitioning_reads() {
+        let ml = PartitionStrategy::Multilevel { cluster_nodes: 100 };
+        let job = JobSpec::new(spec(), 3, "grow").with_strategy(ml);
+        let key = job.partition_key().expect("several parts");
+        let same = JobSpec::new(spec(), 3, "gcnax")
+            .with_strategy(ml)
+            .with_override("runahead", "4")
+            .with_hdn_id_entries(16);
+        assert_eq!(
+            same.partition_key(),
+            Some(key.clone()),
+            "engine side and HDN"
+        );
+        let other_seed = JobSpec::new(spec(), 4, "grow").with_strategy(ml);
+        assert_ne!(other_seed.partition_key(), Some(key));
+        assert_eq!(JobSpec::new(spec(), 3, "grow").partition_key(), None);
+        let one_part =
+            JobSpec::new(spec(), 3, "grow").with_strategy(PartitionStrategy::Multilevel {
+                cluster_nodes: 1 << 20,
+            });
+        assert_eq!(one_part.partition_key(), None, "no partitioner runs");
     }
 
     #[test]

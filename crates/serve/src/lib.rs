@@ -17,8 +17,9 @@
 //! * [`store::ResultStore`] — the on-disk report cache (`results/store/`
 //!   by convention): completed reports persist per canonical job key and
 //!   round-trip bit-identically, so repeated queries are cache hits
-//!   across process restarts; corrupt entries are quarantined, never
-//!   served.
+//!   across process restarts; partition assignments persist beside them,
+//!   so a restarted service prepares new keys without re-partitioning;
+//!   corrupt entries are quarantined, never served.
 //! * [`service::AsyncService`] — the one executor: a configurable pool
 //!   of supervised worker threads ([`service::AsyncConfig::workers`])
 //!   with priority classes and admission control. Submissions arrive at

@@ -43,7 +43,8 @@
 //! * **Persistent results.** Attach a
 //!   [`ResultStore`](crate::ResultStore) to the inner `BatchService` and
 //!   repeated queries are served across process restarts without running
-//!   a simulation.
+//!   a simulation, while new keys on a stored workload prepare from its
+//!   persisted partition assignment without running the partitioner.
 //!
 //! **Bit-identity contract.** Every engine is bit-identical between its
 //! serial and parallel paths, and the governor only narrows execution
@@ -867,8 +868,10 @@ fn worker_loop(
 /// (the shared `preparing` set): taken at pickup, or — when another
 /// worker held it then — awaited here. The session itself leaves the
 /// pool for the duration, so each (workload, strategy) pair is still
-/// prepared exactly once. The claim is parked in the death guard: a
-/// worker dying mid-preparation releases it instead of wedging its peers.
+/// prepared exactly once. With a store attached, the partition entry is
+/// read (or a computed assignment written) here too, under the claim and
+/// outside the lock. The claim is parked in the death guard: a worker
+/// dying mid-preparation releases it instead of wedging its peers.
 fn prepare_for(
     guard: &WorkerGuard<'_>,
     shared: &Shared,
@@ -885,31 +888,37 @@ fn prepare_for(
         st.preparing.insert(session_key.clone());
         guard.preparing.replace(Some(session_key.clone()));
     }
-    let (pooled, plan_cache) = {
+    let (pooled, plan_cache, store) = {
         let mut svc = service.lock().unwrap_or_else(PoisonError::into_inner);
-        (svc.take_session(session_key), svc.plan_cache_arc())
+        (
+            svc.take_session(session_key),
+            svc.plan_cache_arc(),
+            svc.partition_store(),
+        )
     };
     let created = pooled.is_none();
-    // The expensive part — instantiating a new workload, partitioning,
-    // relabeling, HDN lists — runs with no lock held, under the same
-    // inner budget as the compute (memoized strategies make this a
-    // no-op lookup).
-    let (session, newly_prepared) = budget.apply(|| {
+    let partition_key = job.partition_key();
+    // The expensive part — instantiating a new workload, partitioning
+    // (or loading the stored assignment), relabeling, HDN lists — runs
+    // with no lock held, under the same inner budget as the compute
+    // (memoized strategies make this a no-op lookup).
+    let (session, preparation) = budget.apply(|| {
         let mut session = pooled.unwrap_or_else(|| {
             let mut session = SimSession::from_spec(job.dataset, job.seed);
             session.set_hdn_id_entries(job.hdn_id_entries);
             session.set_plan_cache(plan_cache, session_key.clone());
             session
         });
-        let newly_prepared = session.prepare_all(std::slice::from_ref(&job.strategy));
-        (session, newly_prepared)
+        let stored = store.as_ref().zip(partition_key.as_deref());
+        let preparation = session.prepare_stored(job.strategy, stored);
+        (session, preparation)
     });
     let prepared = session
         .get_prepared_arc(job.strategy)
         .expect("just prepared");
     {
         let mut svc = service.lock().unwrap_or_else(PoisonError::into_inner);
-        svc.adopt_session(session_key.clone(), session, created, newly_prepared);
+        svc.adopt_session(session_key.clone(), session, created, preparation);
     }
     guard.release_claim(&mut shared.lock());
     shared.cv.notify_all();

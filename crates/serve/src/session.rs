@@ -24,13 +24,27 @@ use std::sync::Arc;
 
 use grow_core::registry::{self, RegistryError};
 use grow_core::{
-    prepare, PartitionStrategy, PlanCache, PlanCacheScope, PreparedWorkload, RunReport,
+    partition, prepare, prepare_with, PartitionStrategy, PlanCache, PlanCacheScope,
+    PreparedWorkload, RunReport,
 };
 use grow_model::{DatasetSpec, GcnWorkload};
 use grow_sim::exec::parallel_map;
 
+use crate::store::{GraphFingerprint, ResultStore};
+
 /// Default HDN ID list length (Table III: 12 KB at 3 B/entry).
 pub const DEFAULT_HDN_ID_ENTRIES: usize = 4096;
+
+/// How [`SimSession::prepare_stored`] came by a prepared form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Preparation {
+    /// Already memoized: nothing ran.
+    Memoized,
+    /// Prepared here, running the strategy's partitioner (if any).
+    Computed,
+    /// Prepared here from an assignment loaded from the result store.
+    Loaded,
+}
 
 /// A simulation session: one workload, memoized preprocessing, and
 /// name-based engine dispatch.
@@ -116,7 +130,7 @@ impl SimSession {
     }
 
     /// The already-memoized prepared form for `strategy`, if any — the
-    /// read-only lookup the batch service uses after [`Self::prepare_all`].
+    /// read-only lookup after a preparation.
     pub fn get_prepared(&self, strategy: PartitionStrategy) -> Option<&PreparedWorkload> {
         self.prepared.get(&strategy).map(Arc::as_ref)
     }
@@ -148,6 +162,51 @@ impl SimSession {
             self.prepared.insert(s, p);
         }
         count
+    }
+
+    /// Prepares `strategy` unless it is memoized. With `stored` — a
+    /// result store and the strategy's partition key — the assignment
+    /// comes from the store's validated entry for that key when there is
+    /// one, and a freshly computed assignment is persisted for the next
+    /// lifetime. Either way the preparation is derived by
+    /// [`prepare_with`], so it equals [`prepare`]'s.
+    pub(crate) fn prepare_stored(
+        &mut self,
+        strategy: PartitionStrategy,
+        stored: Option<(&ResultStore, &str)>,
+    ) -> Preparation {
+        if self.prepared.contains_key(&strategy) {
+            return Preparation::Memoized;
+        }
+        let graph = &self.workload.graph;
+        let mut source = Preparation::Computed;
+        let partitioning = match stored {
+            None => partition(graph, strategy),
+            Some((store, key)) => {
+                let fingerprint = GraphFingerprint::of(&self.workload);
+                let parts = strategy.parts(graph.nodes());
+                match store.load_partition(key, &fingerprint, parts) {
+                    Some(loaded) => {
+                        source = Preparation::Loaded;
+                        Some(loaded)
+                    }
+                    None => {
+                        let computed = partition(graph, strategy);
+                        if let Some(p) = &computed {
+                            if let Err(e) = store.persist_partition(key, &fingerprint, p) {
+                                eprintln!(
+                                    "warning: result store partition write failed for {key}: {e}"
+                                );
+                            }
+                        }
+                        computed
+                    }
+                }
+            }
+        };
+        let p = prepare_with(&self.workload, partitioning.as_ref(), self.hdn_id_entries);
+        self.prepared.insert(strategy, self.stamp(strategy, p));
+        source
     }
 
     /// Runs the named engine (default configuration) on the workload

@@ -21,16 +21,35 @@
 //! bytes, stale formats — are *quarantined* (renamed to `*.corrupt`) and
 //! reported as misses, never served. Only successful reports are ever
 //! persisted; failed jobs have no representation here.
+//!
+//! **Partition entries.** Beside the reports, the store keeps the one
+//! preprocessing result worth persisting: each partitioned preparation's
+//! node-to-part assignment (`<hash>.partition`, 4 B of information per
+//! node), so a restarted service — or a session re-instantiated after
+//! LRU eviction — prepares from it instead of re-running the partitioner.
+//! Everything else a preparation holds (relabeled `A + I`, HDN lists,
+//! seed-derived feature patterns) is cheap to re-derive or too large to
+//! be worth the disk. An entry names its full partition key (dataset
+//! recipe, seed, strategy and partitioner configuration) and a
+//! fingerprint of the graph it was computed on, and a checksum
+//! seals every byte before it. An entry that does not parse, names
+//! another key, fails the fingerprint or the checksum, has the wrong
+//! length, or holds a part id out of range is quarantined like a report
+//! and the assignment recomputed. Partition entries never touch
+//! [`StoreStats`], [`ResultStore::len`] or the fault-injection sites:
+//! those describe reports only.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use grow_core::registry;
 use grow_core::{
-    ClusterProfile, LayerReport, MultiPeSummary, PhaseKind, PhasePeBusy, PhaseReport, RunReport,
-    SchedulerKind,
+    ClusterProfile, LayerReport, MultiPeSummary, Partitioning, PhaseKind, PhasePeBusy, PhaseReport,
+    RunReport, SchedulerKind,
 };
+use grow_model::GcnWorkload;
 use grow_sim::fault::{self, FaultSite};
 use grow_sim::{CacheStats, TrafficClass, TrafficStats};
 
@@ -42,6 +61,37 @@ const FORMAT_HEADER: &str = "grow-store v1";
 
 /// Extension of live entries.
 const ENTRY_EXT: &str = "report";
+
+/// Format tag of partition entries; bump on incompatible changes.
+const PARTITION_HEADER: &str = "grow-partition v1";
+
+/// Extension of live partition entries.
+const PARTITION_EXT: &str = "partition";
+
+/// The graph a persisted partition assignment was computed on: node
+/// count, directed edge count, and a word-wise hash of its adjacency
+/// pattern. A partition entry is served only to a preparation whose
+/// graph has the same fingerprint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct GraphFingerprint {
+    nodes: usize,
+    directed_edges: usize,
+    /// Hash of the adjacency's row pointers and column indices.
+    adjacency_hash: u64,
+}
+
+impl GraphFingerprint {
+    /// Fingerprints the workload's graph.
+    pub(crate) fn of(workload: &GcnWorkload) -> Self {
+        let graph = &workload.graph;
+        let adjacency = graph.adjacency();
+        GraphFingerprint {
+            nodes: graph.nodes(),
+            directed_edges: graph.directed_edges(),
+            adjacency_hash: pattern_hash(adjacency.indptr(), adjacency.indices()),
+        }
+    }
+}
 
 /// Counters of one store's lifetime (per process; the directory itself is
 /// shared across processes).
@@ -112,8 +162,8 @@ impl ResultStore {
         self.stats
     }
 
-    /// Number of live entries currently on disk (quarantined files are not
-    /// counted).
+    /// Number of live report entries currently on disk (quarantined files
+    /// and partition entries are not counted).
     pub fn len(&self) -> usize {
         fs::read_dir(&self.dir)
             .map(|entries| {
@@ -125,7 +175,7 @@ impl ResultStore {
             .unwrap_or(0)
     }
 
-    /// True when the store holds no live entries.
+    /// True when the store holds no live report entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -135,10 +185,15 @@ impl ResultStore {
     /// stable across processes and sessions. The full key is embedded in
     /// the entry and verified on load.
     pub fn entry_path(&self, key: &JobKey) -> PathBuf {
-        let bytes = key.as_str().as_bytes();
+        self.hashed_path(key.as_str(), ENTRY_EXT)
+    }
+
+    /// `<128-bit hash of key>.<ext>` under the store directory.
+    fn hashed_path(&self, key: &str, ext: &str) -> PathBuf {
+        let bytes = key.as_bytes();
         self.dir.join(format!(
-            "{:016x}{:016x}.{ENTRY_EXT}",
-            fnv1a64(bytes, 0xcbf2_9ce4_8422_2325),
+            "{:016x}{:016x}.{ext}",
+            fnv1a64(bytes, FNV_BASIS),
             fnv1a64(bytes, 0x6c62_272e_07bb_0142)
         ))
     }
@@ -209,8 +264,8 @@ impl ResultStore {
         }
     }
 
-    /// Removes every live entry (quarantined files are kept for
-    /// inspection).
+    /// Removes every live report and partition entry (quarantined files
+    /// are kept for inspection).
     ///
     /// # Errors
     ///
@@ -218,19 +273,100 @@ impl ResultStore {
     pub fn clear(&mut self) -> io::Result<()> {
         for entry in fs::read_dir(&self.dir)? {
             let path = entry?.path();
-            if path.extension().is_some_and(|x| x == ENTRY_EXT) {
+            if path
+                .extension()
+                .is_some_and(|x| x == ENTRY_EXT || x == PARTITION_EXT)
+            {
                 fs::remove_file(&path)?;
             }
         }
         Ok(())
     }
 
+    /// Another handle on the same directory, with fresh counters — what a
+    /// worker reads and writes partition entries through outside the
+    /// service lock.
+    pub(crate) fn reopen(&self) -> ResultStore {
+        ResultStore {
+            dir: self.dir.clone(),
+            stats: StoreStats::default(),
+        }
+    }
+
+    /// File path the partition entry for `key` (a partition key: dataset
+    /// recipe, seed, strategy and partitioner configuration) lives at,
+    /// hashed like [`entry_path`](Self::entry_path).
+    pub(crate) fn partition_path(&self, key: &str) -> PathBuf {
+        self.hashed_path(key, PARTITION_EXT)
+    }
+
+    /// Loads the assignment persisted for `key`, if a valid entry exists
+    /// for a graph with this `fingerprint` split into `parts` parts. An
+    /// entry that fails any check (see the [module docs](self)) is
+    /// quarantined and reported as a miss. Never panics on file content,
+    /// and counts nothing in [`StoreStats`].
+    pub(crate) fn load_partition(
+        &self,
+        key: &str,
+        fingerprint: &GraphFingerprint,
+        parts: usize,
+    ) -> Option<Partitioning> {
+        let path = self.partition_path(key);
+        let bytes = fs::read(&path).ok()?;
+        let valid = std::str::from_utf8(&bytes)
+            .ok()
+            .and_then(|text| parse_partition(text).ok())
+            .filter(|entry| {
+                entry.key == key && entry.fingerprint == *fingerprint && entry.parts == parts
+            });
+        match valid {
+            Some(entry) => Some(Partitioning::new(entry.assignment, entry.parts)),
+            None => {
+                quarantine_file(&path);
+                None
+            }
+        }
+    }
+
+    /// Persists `partitioning` as the entry for `key`, computed on a graph
+    /// with this `fingerprint`: written to a temporary file and renamed
+    /// into place, like a report.
+    ///
+    /// # Errors
+    ///
+    /// Returns any filesystem error; the store is left without a partial
+    /// entry.
+    pub(crate) fn persist_partition(
+        &self,
+        key: &str,
+        fingerprint: &GraphFingerprint,
+        partitioning: &Partitioning,
+    ) -> io::Result<()> {
+        // Writers in one process may persist the same key at once (two
+        // sessions of one graph), so each write gets its own tmp name.
+        static WRITES: AtomicU64 = AtomicU64::new(0);
+        let path = self.partition_path(key);
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(format!(
+            ".tmp{}-{}",
+            std::process::id(),
+            WRITES.fetch_add(1, Ordering::Relaxed)
+        ));
+        let tmp = PathBuf::from(tmp);
+        fs::write(&tmp, render_partition(key, fingerprint, partitioning))?;
+        fs::rename(&tmp, &path).inspect_err(|_| {
+            let _ = fs::remove_file(&tmp);
+        })
+    }
+
     /// Audits the whole store directory and repairs what it can:
     ///
-    /// * every live `*.report` entry is parsed and its embedded key is
-    ///   re-hashed — an entry that is unreadable, malformed, or filed
-    ///   under the wrong name (bit rot, a foreign tool, a hash mismatch)
-    ///   is quarantined exactly like a failed load;
+    /// * every live `*.report` and `*.partition` entry is parsed and its
+    ///   embedded key is re-hashed — an entry that is unreadable,
+    ///   malformed, or filed under the wrong name (bit rot, a foreign
+    ///   tool, a hash mismatch) is quarantined exactly like a failed load
+    ///   (a partition entry's graph fingerprint is checked at load, when
+    ///   the graph is at hand);
     /// * orphaned `*.tmpNNN` files — the residue of a writer that died
     ///   between `write` and `rename` — are deleted;
     /// * everything else (earlier `*.corrupt` evidence, subdirectories)
@@ -263,15 +399,21 @@ impl ResultStore {
             if ext.starts_with("tmp") {
                 fs::remove_file(&path)?;
                 report.tmp_removed += 1;
-            } else if ext == ENTRY_EXT {
-                let verified = fs::read_to_string(&path)
-                    .ok()
-                    .and_then(|text| parse_entry_any(&text).ok())
-                    .is_some_and(|(key, _)| self.entry_path(&key) == path);
+            } else if ext == ENTRY_EXT || ext == PARTITION_EXT {
+                let verified = fs::read_to_string(&path).is_ok_and(|text| {
+                    if ext == ENTRY_EXT {
+                        parse_entry_any(&text).is_ok_and(|(key, _)| self.entry_path(&key) == path)
+                    } else {
+                        parse_partition(&text)
+                            .is_ok_and(|entry| self.partition_path(entry.key) == path)
+                    }
+                });
                 if verified {
                     report.live += 1;
                 } else {
-                    self.quarantine(&path);
+                    if quarantine_file(&path) && ext == ENTRY_EXT {
+                        self.stats.quarantined += 1;
+                    }
                     report.quarantined += 1;
                 }
             } else {
@@ -282,26 +424,35 @@ impl ResultStore {
     }
 
     fn quarantine(&mut self, path: &Path) {
-        // Each corruption of the same key gets its own quarantine file
-        // (`.corrupt`, `.corrupt.1`, ...): renaming over an earlier
-        // quarantine would silently destroy the evidence it preserves.
-        let mut target = {
-            let mut t = path.as_os_str().to_owned();
-            t.push(".corrupt");
-            PathBuf::from(t)
-        };
-        let mut suffix = 0u32;
-        while target.exists() {
-            suffix += 1;
-            let mut t = path.as_os_str().to_owned();
-            t.push(format!(".corrupt.{suffix}"));
-            target = PathBuf::from(t);
-        }
-        if fs::rename(path, &target).is_ok() {
+        if quarantine_file(path) {
             self.stats.quarantined += 1;
         }
     }
 }
+
+/// Renames `path` to its first free quarantine name; true on success.
+/// Each corruption of the same key gets its own quarantine file
+/// (`.corrupt`, `.corrupt.1`, ...): renaming over an earlier quarantine
+/// would silently destroy the evidence it preserves.
+fn quarantine_file(path: &Path) -> bool {
+    let mut target = {
+        let mut t = path.as_os_str().to_owned();
+        t.push(".corrupt");
+        PathBuf::from(t)
+    };
+    let mut suffix = 0u32;
+    while target.exists() {
+        suffix += 1;
+        let mut t = path.as_os_str().to_owned();
+        t.push(format!(".corrupt.{suffix}"));
+        target = PathBuf::from(t);
+    }
+    fs::rename(path, &target).is_ok()
+}
+
+/// The standard 64-bit FNV-1a offset basis: file names' first stream and
+/// partition entries' checksum.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// 64-bit FNV-1a over `bytes` from the given basis (two bases give two
 /// independent streams — a cheap, dependency-free 128-bit content hash).
@@ -314,9 +465,64 @@ fn fnv1a64(bytes: &[u8], basis: u64) -> u64 {
     hash
 }
 
+/// Word-wise hash of a CSR pattern: four independent multiply-xor lanes
+/// over pairs of column indices (so the multiplies pipeline), then the
+/// row pointers, folded together with the lengths.
+fn pattern_hash(indptr: &[usize], indices: &[u32]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mix = |lane: u64, word: u64| (lane ^ word).wrapping_mul(K);
+    let mut lanes = [
+        FNV_BASIS,
+        0x6c62_272e_07bb_0142,
+        0x2545_f491_4f6c_dd1d,
+        0x1405_7b7e_f767_814f,
+    ];
+    let mut chunks = indices.chunks_exact(8);
+    for chunk in &mut chunks {
+        for (lane, pair) in lanes.iter_mut().zip(chunk.chunks_exact(2)) {
+            *lane = mix(*lane, u64::from(pair[0]) | (u64::from(pair[1]) << 32));
+        }
+    }
+    for &index in chunks.remainder() {
+        lanes[0] = mix(lanes[0], u64::from(index));
+    }
+    for &row in indptr {
+        lanes[1] = mix(lanes[1], row as u64);
+    }
+    lanes
+        .into_iter()
+        .fold(mix(indptr.len() as u64, indices.len() as u64), |h, lane| {
+            let h = mix(h, lane);
+            h ^ (h >> 29)
+        })
+}
+
 // ---------------------------------------------------------------------------
 // Rendering
 // ---------------------------------------------------------------------------
+
+/// Renders a partition entry: header, key, graph fingerprint, part count,
+/// the assignment on one line, then a checksum of every byte before it.
+fn render_partition(key: &str, fingerprint: &GraphFingerprint, p: &Partitioning) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(key.len() + 128 + 4 * p.nodes());
+    let _ = writeln!(out, "{PARTITION_HEADER}");
+    let _ = writeln!(out, "key {key}");
+    let _ = writeln!(
+        out,
+        "graph {} {} {:016x}",
+        fingerprint.nodes, fingerprint.directed_edges, fingerprint.adjacency_hash
+    );
+    let _ = writeln!(out, "parts {}", p.parts());
+    out.push_str("assignment");
+    for &part in p.assignment() {
+        let _ = write!(out, " {part}");
+    }
+    out.push('\n');
+    let checksum = fnv1a64(out.as_bytes(), FNV_BASIS);
+    let _ = writeln!(out, "checksum {checksum:016x}");
+    out
+}
 
 /// Renders the full entry: header, key, and every report field, one
 /// counter per token (the golden-snapshot discipline — a diff points at
@@ -607,6 +813,91 @@ fn parse_phase<'a>(
     Ok(phase)
 }
 
+/// A partition entry that parsed and passed its checksum; the caller
+/// still matches key, fingerprint and part count against its own.
+#[derive(Debug)]
+struct PartitionEntry<'a> {
+    key: &'a str,
+    fingerprint: GraphFingerprint,
+    parts: usize,
+    assignment: Vec<u32>,
+}
+
+/// Parses a partition entry, checking everything the entry can check on
+/// its own: the checksum over every byte before the `checksum` line, the
+/// header, an assignment of exactly `nodes` part ids, each below `parts`.
+/// Never panics and never allocates more than the text's size implies.
+fn parse_partition(text: &str) -> ParseResult<PartitionEntry<'_>> {
+    let sealed = text.strip_suffix('\n').ok_or(Malformed)?;
+    let body_end = sealed.rfind('\n').ok_or(Malformed)? + 1;
+    let checksum = sealed[body_end..]
+        .strip_prefix("checksum ")
+        .filter(|hex| hex.len() == 16)
+        .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+        .ok_or(Malformed)?;
+    let body = &text[..body_end];
+    if fnv1a64(body.as_bytes(), FNV_BASIS) != checksum {
+        return Err(Malformed);
+    }
+    let mut lines = body.lines();
+    if lines.next() != Some(PARTITION_HEADER) {
+        return Err(Malformed);
+    }
+    let key = lines
+        .next()
+        .and_then(|l| l.strip_prefix("key "))
+        .ok_or(Malformed)?;
+    let mut graph = lines
+        .next()
+        .and_then(|l| l.strip_prefix("graph "))
+        .ok_or(Malformed)?
+        .split(' ');
+    let nodes: usize = parse_token(graph.next())?;
+    let directed_edges = parse_token(graph.next())?;
+    let adjacency_hash = graph
+        .next()
+        .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+        .ok_or(Malformed)?;
+    if graph.next().is_some() {
+        return Err(Malformed);
+    }
+    let parts: usize = parse_token(lines.next().and_then(|l| l.strip_prefix("parts ")))?;
+    let ids = lines
+        .next()
+        .and_then(|l| l.strip_prefix("assignment"))
+        .ok_or(Malformed)?;
+    // Every id takes at least two bytes (" 0"): a node count the line
+    // cannot hold is rejected before it sizes an allocation.
+    if parts == 0 || parts > nodes.max(1) || nodes > ids.len() / 2 || lines.next().is_some() {
+        return Err(Malformed);
+    }
+    let mut tokens = ids.split(' ');
+    if tokens.next() != Some("") {
+        return Err(Malformed);
+    }
+    let mut assignment = Vec::with_capacity(nodes);
+    for token in tokens {
+        let part: u32 = token.parse().map_err(|_| Malformed)?;
+        if part as usize >= parts {
+            return Err(Malformed);
+        }
+        assignment.push(part);
+    }
+    if assignment.len() != nodes {
+        return Err(Malformed);
+    }
+    Ok(PartitionEntry {
+        key,
+        fingerprint: GraphFingerprint {
+            nodes,
+            directed_edges,
+            adjacency_hash,
+        },
+        parts,
+        assignment,
+    })
+}
+
 fn parse_token<T: std::str::FromStr>(token: Option<&str>) -> ParseResult<T> {
     token.ok_or(Malformed)?.parse().map_err(|_| Malformed)
 }
@@ -633,5 +924,78 @@ fn parse_f64_list<'a>(tokens: &mut impl Iterator<Item = &'a str>) -> ParseResult
         }
         out.push(token.parse().map_err(|_| Malformed)?);
         token = tokens.next().ok_or(Malformed)?.to_string();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fingerprint(nodes: usize) -> GraphFingerprint {
+        GraphFingerprint {
+            nodes,
+            directed_edges: 2 * nodes,
+            adjacency_hash: 0x0123_4567_89ab_cdef,
+        }
+    }
+
+    #[test]
+    fn partition_entries_round_trip() {
+        for (assignment, parts) in [(vec![], 1), (vec![0], 1), (vec![2, 0, 1, 1, 2], 3)] {
+            let p = Partitioning::new(assignment, parts);
+            let fp = fingerprint(p.nodes());
+            let text = render_partition("k|seed=1", &fp, &p);
+            let entry = parse_partition(&text).expect("parses");
+            assert_eq!(entry.key, "k|seed=1");
+            assert_eq!(entry.fingerprint, fp);
+            assert_eq!(entry.parts, parts);
+            assert_eq!(entry.assignment, p.assignment());
+        }
+    }
+
+    #[test]
+    fn partition_parser_checks_what_the_entry_holds() {
+        let p = Partitioning::new(vec![1, 0, 1, 0], 2);
+        let text = render_partition("key", &fingerprint(4), &p);
+        let reseal = |body: &str| {
+            format!(
+                "{body}checksum {:016x}\n",
+                fnv1a64(body.as_bytes(), FNV_BASIS)
+            )
+        };
+        let body = &text[..text.rfind("checksum").unwrap()];
+        assert!(
+            parse_partition(&reseal(body)).is_ok(),
+            "resealing is neutral"
+        );
+        let bad = [
+            String::new(),
+            text.replace("assignment 1 0", "assignment 0 0"), // checksum
+            reseal(&body.replace(" 1 0 1 0", " 1 0 1")),      // length
+            reseal(&body.replace(" 1 0 1 0", " 1 0 1 2")),    // part id
+            reseal(&body.replace("parts 2", "parts 0")),
+            reseal(&body.replace("parts 2", "parts 5")), // more parts than nodes
+            reseal(&body.replace("assignment", "assignmentx")),
+            reseal(&body.replace("graph 4 ", "graph 99999999999999 ")), // no allocation
+            reseal(&body.replace("grow-partition v1", "grow-partition v0")),
+            reseal(&format!("{body}extra\n")),
+        ];
+        for (i, text) in bad.iter().enumerate() {
+            assert!(parse_partition(text).is_err(), "case {i} must be rejected");
+        }
+    }
+
+    #[test]
+    fn pattern_hash_sees_every_index_and_row_boundary() {
+        let indptr = [0usize, 3, 5, 9, 10, 13];
+        let indices: Vec<u32> = (0..13).collect();
+        let base = pattern_hash(&indptr, &indices);
+        for i in 0..indices.len() {
+            let mut changed = indices.clone();
+            changed[i] ^= 1 << (i % 32);
+            assert_ne!(pattern_hash(&indptr, &changed), base, "index {i}");
+        }
+        assert_ne!(pattern_hash(&[0, 4, 5, 9, 10, 13], &indices), base);
+        assert_ne!(pattern_hash(&indptr, &indices[..12]), base);
     }
 }

@@ -9,7 +9,9 @@
 //!   runs the whole file under `GROW_SERIAL=1` or parallel);
 //! * a *restarted* service pointed at the same store directory serves the
 //!   entire fleet from disk — zero simulations in its lifetime — with the
-//!   exact reports of the first lifetime;
+//!   exact reports of the first lifetime, and prepares *new* keys on the
+//!   stored workloads from their persisted partition assignments, with
+//!   the reports of a fresh service;
 //! * corrupt, truncated, or wrong-key store entries are quarantined and
 //!   recomputed, never served;
 //! * admission control rejects over-capacity submissions with a reason,
@@ -150,6 +152,68 @@ fn restarted_service_serves_the_fleet_from_disk() {
         }
     }
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn restarted_service_prepares_new_keys_without_repartitioning() {
+    let jobs = mixed_jobs();
+    let dir = temp_store_dir();
+    let store = ResultStore::open(&dir).expect("open store");
+    let (_, batch) = drain(
+        AsyncService::start(
+            BatchService::new().with_store(store),
+            AsyncConfig::default(),
+        ),
+        &jobs,
+    );
+    assert_eq!(batch.stats().partitions_loaded, 0, "nothing stored yet");
+
+    // New keys on both stored workloads, under both strategies: every
+    // (workload, strategy) pair is prepared again in the restarted
+    // lifetime, and each partitioned one must load its assignment.
+    let cora = DatasetKey::Cora.spec().scaled_to(600);
+    let pubmed = DatasetKey::Pubmed.spec().scaled_to(900);
+    let mut new_keys = Vec::new();
+    for spec in [cora, pubmed] {
+        for strategy in [
+            PartitionStrategy::None,
+            PartitionStrategy::Multilevel { cluster_nodes: 150 },
+        ] {
+            let job = JobSpec::new(spec, 21, "grow").with_strategy(strategy);
+            new_keys.push(job.clone().with_override("runahead", "8"));
+            new_keys.push(job.with_override("exec", "e2e").with_pes(4));
+        }
+        new_keys.push(JobSpec::new(spec, 21, "gamma").with_override("fiber_cache_kb", "256"));
+    }
+    let store = ResultStore::open(&dir).expect("reopen store");
+    let (restarted, batch) = with_workers(WORKERS, || {
+        drain(
+            AsyncService::start(
+                BatchService::new().with_store(store),
+                AsyncConfig {
+                    workers: 4,
+                    ..AsyncConfig::default()
+                },
+            ),
+            &new_keys,
+        )
+    });
+    let stats = batch.stats();
+    assert_eq!(stats.store_hits, 0, "every key is new");
+    assert_eq!(stats.simulations_run, new_keys.len() as u64);
+    assert_eq!(stats.preparations_run, 4, "2 workloads x 2 strategies");
+    assert_eq!(
+        stats.partitions_loaded, 2,
+        "both partitioned preparations loaded: no partitioner ran"
+    );
+
+    let (fresh, _) = drain(
+        AsyncService::start(BatchService::new(), AsyncConfig::default()),
+        &new_keys,
+    );
+    assert_same_outcomes(&fresh, &restarted);
+    common::assert_unserved_outcomes(&new_keys, &restarted);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

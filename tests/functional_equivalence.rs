@@ -72,7 +72,7 @@ fn normalized_adjacency_keeps_feature_scale() {
 #[test]
 fn sparse_view_nnz_consistent_with_materialized_values() {
     let w = DatasetKey::Flickr.spec().scaled_to(600).instantiate(3);
-    for layer in &w.layers {
+    for layer in w.layers.iter() {
         let view: RowMajorSparse<'_> = layer.x.view();
         let materialized: CsrMatrix = layer.x.materialize(1);
         assert_eq!(view.nnz(), materialized.nnz());
