@@ -24,11 +24,10 @@ use std::sync::Arc;
 
 use grow_core::registry::{self, RegistryError};
 use grow_core::{
-    partition, prepare, prepare_with, PartitionStrategy, PlanCache, PlanCacheScope,
-    PreparedWorkload, RunReport,
+    partition, prepare_with, PartitionStrategy, PlanCache, PlanCacheScope, PreparedWorkload,
+    RunReport,
 };
 use grow_model::{DatasetSpec, GcnWorkload};
-use grow_sim::exec::parallel_map;
 
 use crate::store::{GraphFingerprint, ResultStore};
 
@@ -122,11 +121,8 @@ impl SimSession {
     /// The prepared form of the workload under `strategy`, running the
     /// software preprocessing stack on first use and memoizing it.
     pub fn prepared(&mut self, strategy: PartitionStrategy) -> &PreparedWorkload {
-        if !self.prepared.contains_key(&strategy) {
-            let p = prepare(&self.workload, strategy, self.hdn_id_entries);
-            self.prepared.insert(strategy, self.stamp(strategy, p));
-        }
-        self.prepared.get(&strategy).expect("just inserted")
+        self.prepare_stored(strategy, None);
+        self.prepared.get(&strategy).expect("just prepared")
     }
 
     /// The already-memoized prepared form for `strategy`, if any — the
@@ -142,34 +138,12 @@ impl SimSession {
         self.prepared.get(&strategy).map(Arc::clone)
     }
 
-    /// Prepares every listed strategy that is not memoized yet, fanning
-    /// the preparations across worker threads (each runs the full
-    /// partition/relabel/HDN stack independently). Returns how many
-    /// strategies were newly prepared.
-    pub fn prepare_all(&mut self, strategies: &[PartitionStrategy]) -> usize {
-        let mut missing: Vec<PartitionStrategy> = Vec::new();
-        for &s in strategies {
-            if !self.prepared.contains_key(&s) && !missing.contains(&s) {
-                missing.push(s);
-            }
-        }
-        let workload = &self.workload;
-        let entries = self.hdn_id_entries;
-        let prepared = parallel_map(missing.clone(), |_, s| prepare(workload, s, entries));
-        let count = missing.len();
-        for (s, p) in missing.into_iter().zip(prepared) {
-            let p = self.stamp(s, p);
-            self.prepared.insert(s, p);
-        }
-        count
-    }
-
     /// Prepares `strategy` unless it is memoized. With `stored` — a
     /// result store and the strategy's partition key — the assignment
     /// comes from the store's validated entry for that key when there is
     /// one, and a freshly computed assignment is persisted for the next
     /// lifetime. Either way the preparation is derived by
-    /// [`prepare_with`], so it equals [`prepare`]'s.
+    /// [`prepare_with`], so it equals [`grow_core::prepare`]'s.
     pub(crate) fn prepare_stored(
         &mut self,
         strategy: PartitionStrategy,
@@ -265,6 +239,7 @@ impl SimSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grow_core::prepare;
     use grow_model::DatasetKey;
 
     fn session() -> SimSession {
@@ -332,36 +307,11 @@ mod tests {
     }
 
     #[test]
-    fn prepare_all_matches_lazy_preparation() {
-        let mut batch = session();
-        let strategies = [
-            PartitionStrategy::None,
-            PartitionStrategy::Multilevel { cluster_nodes: 120 },
-            PartitionStrategy::None, // duplicate in the request list
-        ];
-        assert_eq!(batch.prepare_all(&strategies), 2);
-        assert_eq!(batch.prepare_all(&strategies), 0, "all memoized now");
-
-        let mut lazy = session();
-        for &s in &strategies {
-            lazy.prepared(s);
-        }
-        for &s in &strategies {
-            assert_eq!(
-                batch.get_prepared(s).unwrap().clusters,
-                lazy.get_prepared(s).unwrap().clusters,
-                "{s:?}"
-            );
-        }
-    }
-
-    #[test]
     fn plan_cache_scope_is_stamped_on_prepared_workloads() {
         let mut s = session();
         assert!(s.prepared(PartitionStrategy::None).plan_cache.is_none());
         s.set_plan_cache(Arc::new(PlanCache::new(4)), "key".into());
         assert!(s.prepared.is_empty(), "attachment clears memoized forms");
-        s.prepare_all(&[PartitionStrategy::None]);
         assert!(s.prepared(PartitionStrategy::None).plan_cache.is_some());
         let arc = s.get_prepared_arc(PartitionStrategy::None).unwrap();
         assert!(Arc::ptr_eq(

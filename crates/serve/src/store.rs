@@ -322,7 +322,7 @@ impl ResultStore {
         match valid {
             Some(entry) => Some(Partitioning::new(entry.assignment, entry.parts)),
             None => {
-                quarantine_file(&path);
+                quarantine_seen(&path, &bytes);
                 None
             }
         }
@@ -411,7 +411,7 @@ impl ResultStore {
                 if verified {
                     report.live += 1;
                 } else {
-                    if quarantine_file(&path) && ext == ENTRY_EXT {
+                    if quarantine_file(&path).is_some() && ext == ENTRY_EXT {
                         self.stats.quarantined += 1;
                     }
                     report.quarantined += 1;
@@ -424,17 +424,17 @@ impl ResultStore {
     }
 
     fn quarantine(&mut self, path: &Path) {
-        if quarantine_file(path) {
+        if quarantine_file(path).is_some() {
             self.stats.quarantined += 1;
         }
     }
 }
 
-/// Renames `path` to its first free quarantine name; true on success.
-/// Each corruption of the same key gets its own quarantine file
+/// Renames `path` to its first free quarantine name and returns that
+/// name. Each corruption of the same key gets its own quarantine file
 /// (`.corrupt`, `.corrupt.1`, ...): renaming over an earlier quarantine
 /// would silently destroy the evidence it preserves.
-fn quarantine_file(path: &Path) -> bool {
+fn quarantine_file(path: &Path) -> Option<PathBuf> {
     let mut target = {
         let mut t = path.as_os_str().to_owned();
         t.push(".corrupt");
@@ -447,7 +447,25 @@ fn quarantine_file(path: &Path) -> bool {
         t.push(format!(".corrupt.{suffix}"));
         target = PathBuf::from(t);
     }
-    fs::rename(path, &target).is_ok()
+    fs::rename(path, &target).ok().map(|()| target)
+}
+
+/// Quarantines the partition entry at `path` only if it still holds
+/// `seen`, the bytes a failed load read. Two sessions of one graph that
+/// differ only in `hdn_id_entries` share the entry and may load it at
+/// once: by the time the slower one quarantines, the faster one may have
+/// quarantined the same bytes and persisted a recomputed, valid entry in
+/// their place. The entry is renamed first and compared after, so no
+/// writer can slip in between; a file that turns out to be another
+/// writer's is renamed back. The partitioners are deterministic, so every
+/// valid entry for a key holds the same bytes, and putting one back is
+/// harmless even if yet another writer has landed meanwhile.
+fn quarantine_seen(path: &Path, seen: &[u8]) {
+    if let Some(target) = quarantine_file(path) {
+        if fs::read(&target).is_ok_and(|moved| moved != seen) {
+            let _ = fs::rename(&target, path);
+        }
+    }
 }
 
 /// The standard 64-bit FNV-1a offset basis: file names' first stream and
@@ -983,6 +1001,41 @@ mod tests {
         for (i, text) in bad.iter().enumerate() {
             assert!(parse_partition(text).is_err(), "case {i} must be rejected");
         }
+    }
+
+    #[test]
+    fn a_late_quarantine_leaves_a_recomputed_entry_in_place() {
+        // Sessions A and B of one graph read the same corrupt entry. B
+        // quarantines it and persists the recomputed assignment before
+        // A's quarantine of the bytes it read runs.
+        let dir =
+            std::env::temp_dir().join(format!("grow-store-late-quarantine-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let store = ResultStore::open(&dir).expect("open");
+        let (key, fp) = ("k|seed=1", fingerprint(4));
+        let path = store.partition_path(key);
+        fs::write(&path, "grow-partition v1\ntorn").expect("corrupt entry");
+        let seen_by_a = fs::read(&path).expect("A reads");
+        assert!(store.load_partition(key, &fp, 2).is_none(), "B quarantines");
+        let valid = Partitioning::new(vec![1, 0, 1, 0], 2);
+        store
+            .persist_partition(key, &fp, &valid)
+            .expect("B persists");
+        quarantine_seen(&path, &seen_by_a);
+        assert_eq!(store.load_partition(key, &fp, 2), Some(valid));
+        let evidence: Vec<Vec<u8>> = fs::read_dir(&dir)
+            .expect("dir")
+            .map(|e| e.expect("entry").path())
+            .filter(|p| p.to_string_lossy().contains(".corrupt"))
+            .map(|p| fs::read(p).expect("evidence"))
+            .collect();
+        assert_eq!(evidence, [seen_by_a], "only the bytes read are evidence");
+        // With the entry still unchanged, the quarantine goes ahead.
+        let torn = b"grow-partition v1\n".to_vec();
+        fs::write(&path, &torn).expect("corrupt again");
+        quarantine_seen(&path, &torn);
+        assert!(!path.exists());
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //!   id, an empty file — never gets an entry served and never panics:
 //!   each one ends quarantined, the assignment is recomputed and
 //!   re-persisted, and the report equals a fresh run;
+//! * two sessions of one graph that differ only in `hdn_id_entries`
+//!   share its entry; when both load a corrupt one at once, only the
+//!   corrupt bytes are quarantined, never the entry the other recomputed;
 //! * partition entries stay out of the report-side accounting
 //!   (`len()`, `StoreStats`, the `store_write` fault site), `clear()`
 //!   removes them, and `scrub()` audits them and reclaims their orphaned
@@ -23,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use grow::accel::PartitionStrategy;
 use grow::model::{DatasetKey, DatasetSpec};
-use grow::serve::{BatchService, JobSpec, ResultStore};
+use grow::serve::{AsyncConfig, AsyncService, BatchService, JobSpec, ResultStore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -264,6 +267,61 @@ fn an_entry_filed_under_another_key_is_not_served() {
     );
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&other_dir);
+}
+
+#[test]
+fn sessions_differing_only_in_hdn_entries_quarantine_only_the_corrupt_bytes() {
+    // Both jobs map to one partition entry but to two sessions, which two
+    // workers prepare at once from a corrupt entry: each may read it, and
+    // the slower one's quarantine must not move aside the entry the
+    // faster one recomputed in its place.
+    let (dir, entry, pristine) = persisted_entry(21);
+    let name = entry.file_name().expect("file name").to_owned();
+    let jobs = [new_job(21), new_job(21).with_hdn_id_entries(64)];
+    let fresh: Vec<_> = jobs
+        .iter()
+        .map(|job| BatchService::new().run_one(job).outcome.expect("fresh run"))
+        .collect();
+    let corrupt = &pristine[..pristine.len() / 2];
+    for trial in 0..4 {
+        let store_dir = temp_dir("twin-sessions");
+        std::fs::create_dir_all(&store_dir).expect("trial dir");
+        std::fs::write(store_dir.join(&name), corrupt).expect("corrupt entry");
+        let service = AsyncService::start(
+            BatchService::new().with_store(ResultStore::open(&store_dir).expect("open")),
+            AsyncConfig {
+                workers: 2,
+                ..AsyncConfig::default()
+            },
+        );
+        let tickets: Vec<_> = jobs
+            .iter()
+            .map(|job| service.submit(job.clone()).expect("under the bound"))
+            .collect();
+        for (ticket, fresh) in tickets.into_iter().zip(&fresh) {
+            let result = ticket.wait().expect("worker alive");
+            assert_eq!(result.outcome.as_ref(), Ok(fresh), "trial {trial}");
+        }
+        let stats = service.finish().stats();
+        assert_eq!(stats.preparations_run, 2, "trial {trial}: two sessions");
+        assert!(
+            stats.partitions_loaded <= 1,
+            "trial {trial}: corrupt never served"
+        );
+        let evidence: Vec<Vec<u8>> = files_ending(&store_dir, "")
+            .into_iter()
+            .filter(|p| p.to_string_lossy().contains(".corrupt"))
+            .map(|p| std::fs::read(p).expect("evidence"))
+            .collect();
+        assert_eq!(evidence, [corrupt], "trial {trial}: only the corrupt bytes");
+        assert_eq!(
+            std::fs::read(store_dir.join(&name)).expect("live entry"),
+            pristine,
+            "trial {trial}: the recomputed entry stays live"
+        );
+        let _ = std::fs::remove_dir_all(&store_dir);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
