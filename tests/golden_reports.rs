@@ -181,38 +181,25 @@ fn scheduler_snapshot(spec: DatasetSpec, seed: u64) -> String {
 
 #[test]
 fn scheduler_grid_matches_committed_snapshots() {
-    let bless = std::env::var_os("GROW_BLESS").is_some_and(|v| !v.is_empty() && v != "0");
     for (case, spec, seed) in cases() {
-        let actual = scheduler_snapshot(spec, seed);
-        let path = golden_path(&format!("{case}_sched"));
-        if bless {
-            std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir");
-            std::fs::write(&path, &actual).expect("write snapshot");
-            continue;
-        }
-        let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing golden snapshot {}: {e}\n\
-                 run `GROW_BLESS=1 cargo test --test golden_reports` to create it",
-                path.display()
-            )
-        });
-        assert_eq!(
-            actual,
-            expected,
-            "{case}: scheduler-grid summaries shifted from {} — if intentional, \
-             re-bless with `GROW_BLESS=1 cargo test --test golden_reports`",
-            path.display()
-        );
+        assert_snapshot(&format!("{case}_sched"), &scheduler_snapshot(spec, seed));
     }
 }
 
 /// Builds the end-to-end grid snapshot for one workload: every engine ×
-/// every scheduler (`ca` included) at 1 and 4 PEs under `exec=e2e`, with
-/// the per-layer multi-PE breakdowns rendered field by field. f64 fields
-/// use `{}` — shortest-roundtrip formatting — so any last-ulp drift in
-/// the calibrated fluid model fails the snapshot.
-fn e2e_snapshot(spec: DatasetSpec, seed: u64) -> String {
+/// every scheduler (`ca` included) at each of `pes_counts` under
+/// `exec=e2e`, once per entry of `topologies` (`None` keeps the default
+/// uniform pipe and leaves the topology out of the headers; `Some((c, b))`
+/// sets `channels=c banks=b`), with the per-layer multi-PE breakdowns
+/// rendered field by field. f64 fields use `{}` — shortest-roundtrip
+/// formatting — so any last-ulp drift in the calibrated fluid model fails
+/// the snapshot.
+fn e2e_snapshot(
+    spec: DatasetSpec,
+    seed: u64,
+    pes_counts: &[&str],
+    topologies: &[Option<(&str, &str)>],
+) -> String {
     use grow::accel::schedule::SCHEDULER_NAMES;
     let workload = spec.instantiate(seed);
     let prepared = prepare(
@@ -221,39 +208,45 @@ fn e2e_snapshot(spec: DatasetSpec, seed: u64) -> String {
         4096,
     );
     let mut out = String::new();
-    for name in ENGINE_NAMES {
-        for scheduler in SCHEDULER_NAMES {
-            for pes in ["1", "4"] {
-                let report = registry::engine_from_overrides(
-                    name,
-                    &[("exec", "e2e"), ("scheduler", scheduler), ("pes", pes)],
-                )
-                .expect("registered engine and scheduler")
-                .run(&prepared);
-                let _ = writeln!(
-                    out,
-                    "== engine={} scheduler={scheduler} pes={pes} total={} ==",
-                    report.engine,
-                    report.total_cycles()
-                );
-                let breakdown = report.multi_pe_breakdown().expect("e2e breakdown");
-                for (li, layer) in report.layers.iter().enumerate() {
-                    let pe_layer = &breakdown.layers[li];
-                    for (phase, pe) in [
-                        (&layer.combination, &pe_layer.combination),
-                        (&layer.aggregation, &pe_layer.aggregation),
-                    ] {
-                        let busy: Vec<String> =
-                            pe.per_pe_busy.iter().map(|b| format!("{b}")).collect();
-                        let _ = writeln!(
-                            out,
-                            "layer={li} phase={:?} cycles={} makespan={} cluster_time={} busy=[{}]",
-                            phase.kind,
-                            phase.cycles,
-                            pe.makespan,
-                            pe.cluster_time,
-                            busy.join(" ")
-                        );
+    for topology in topologies {
+        for name in ENGINE_NAMES {
+            for scheduler in SCHEDULER_NAMES {
+                for &pes in pes_counts {
+                    let mut overrides =
+                        vec![("exec", "e2e"), ("scheduler", scheduler), ("pes", pes)];
+                    let mut label = String::new();
+                    if let Some((channels, banks)) = *topology {
+                        overrides.extend([("channels", channels), ("banks", banks)]);
+                        label = format!(" channels={channels} banks={banks}");
+                    }
+                    let report = registry::engine_from_overrides(name, &overrides)
+                        .expect("registered engine, scheduler and topology")
+                        .run(&prepared);
+                    let _ = writeln!(
+                        out,
+                        "== engine={} scheduler={scheduler} pes={pes}{label} total={} ==",
+                        report.engine,
+                        report.total_cycles()
+                    );
+                    let breakdown = report.multi_pe_breakdown().expect("e2e breakdown");
+                    for (li, layer) in report.layers.iter().enumerate() {
+                        let pe_layer = &breakdown.layers[li];
+                        for (phase, pe) in [
+                            (&layer.combination, &pe_layer.combination),
+                            (&layer.aggregation, &pe_layer.aggregation),
+                        ] {
+                            let busy: Vec<String> =
+                                pe.per_pe_busy.iter().map(|b| format!("{b}")).collect();
+                            let _ = writeln!(
+                                out,
+                                "layer={li} phase={:?} cycles={} makespan={} cluster_time={} busy=[{}]",
+                                phase.kind,
+                                phase.cycles,
+                                pe.makespan,
+                                pe.cluster_time,
+                                busy.join(" ")
+                            );
+                        }
                     }
                 }
             }
@@ -262,31 +255,53 @@ fn e2e_snapshot(spec: DatasetSpec, seed: u64) -> String {
     out
 }
 
+/// Compares `actual` against the committed `tests/golden/<name>.snap`, or
+/// writes it there under `GROW_BLESS=1`.
+fn assert_snapshot(name: &str, actual: &str) {
+    let path = golden_path(name);
+    if std::env::var_os("GROW_BLESS").is_some_and(|v| !v.is_empty() && v != "0") {
+        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir");
+        std::fs::write(&path, actual).expect("write snapshot");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden snapshot {}: {e}\n\
+             run `GROW_BLESS=1 cargo test --test golden_reports` to create it",
+            path.display()
+        )
+    });
+    assert_eq!(
+        actual,
+        expected,
+        "{name}: grid breakdowns shifted from {} — if intentional, \
+         re-bless with `GROW_BLESS=1 cargo test --test golden_reports`",
+        path.display()
+    );
+}
+
 #[test]
 fn e2e_grid_matches_committed_snapshots() {
-    let bless = std::env::var_os("GROW_BLESS").is_some_and(|v| !v.is_empty() && v != "0");
     for (case, spec, seed) in cases() {
-        let actual = e2e_snapshot(spec, seed);
-        let path = golden_path(&format!("{case}_e2e"));
-        if bless {
-            std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir");
-            std::fs::write(&path, &actual).expect("write snapshot");
-            continue;
-        }
-        let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing golden snapshot {}: {e}\n\
-                 run `GROW_BLESS=1 cargo test --test golden_reports` to create it",
-                path.display()
-            )
-        });
-        assert_eq!(
-            actual,
-            expected,
-            "{case}: e2e grid breakdowns shifted from {} — if intentional, \
-             re-bless with `GROW_BLESS=1 cargo test --test golden_reports`",
-            path.display()
+        let actual = e2e_snapshot(spec, seed, &["1", "4"], &[None]);
+        assert_snapshot(&format!("{case}_e2e"), &actual);
+    }
+}
+
+#[test]
+fn banked_grid_matches_committed_snapshots() {
+    // The banked contention model and the channel-affinity `ca` pick,
+    // pinned byte for byte: a contended multi-channel topology and a
+    // single channel with banks (where `ca` degenerates to its uniform
+    // class-balancing order).
+    for (case, spec, seed) in cases() {
+        let actual = e2e_snapshot(
+            spec,
+            seed,
+            &["2", "8"],
+            &[Some(("4", "8")), Some(("1", "8"))],
         );
+        assert_snapshot(&format!("{case}_banked"), &actual);
     }
 }
 
