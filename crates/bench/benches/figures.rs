@@ -15,7 +15,9 @@ use std::hint::black_box;
 
 use grow_bench::timing::{self, Timing};
 use grow_core::experiments::{self, DatasetEval};
-use grow_core::{Accelerator, GammaEngine, GcnaxEngine, GrowConfig, GrowEngine, MatRaptorEngine};
+use grow_core::{
+    Accelerator, GammaEngine, GcnaxEngine, GrowConfig, GrowEngine, MatRaptorEngine, SchedulerKind,
+};
 use grow_model::DatasetKey;
 use grow_sparse::analysis::{self, FIG5A_BOUNDS};
 use grow_sparse::RowMajorSparse;
@@ -87,7 +89,12 @@ fn main() {
         .run(&eval.partitioned)
         .cluster_profiles();
     results.push(bench("fig24_multi_pe_fluid", 20, || {
-        black_box(grow_core::multi_pe::simulate(&profiles, 16, 128.0));
+        black_box(grow_core::multi_pe::simulate(
+            &profiles,
+            16,
+            128.0,
+            SchedulerKind::RoundRobin,
+        ));
     }));
 
     let runahead4 = GrowEngine::new(GrowConfig {

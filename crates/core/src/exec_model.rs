@@ -12,22 +12,19 @@
 //!   per-cluster profiles ([`crate::schedule::summarize`]). Scheduling can
 //!   never change a phase counter.
 //! * [`ExecModelKind::EndToEnd`] (`exec=e2e`) — `pes=N` is a real
-//!   execution mode: each phase's clusters are dispatched through the
-//!   configured [`Scheduler`](crate::schedule::Scheduler) onto `N`
-//!   virtual PEs that contend for the shared memory system under
-//!   water-filling bandwidth sharing ([`multi_pe::simulate_e2e`]) — with a
-//!   non-default channel/bank topology
+//!   execution mode: each phase's clusters are dispatched by the
+//!   configured [`SchedulerKind`](crate::SchedulerKind) onto `N` virtual
+//!   PEs that contend for the memory system under water-filling bandwidth
+//!   sharing ([`multi_pe::simulate_e2e`]), and the resulting makespan *is*
+//!   the phase's cycle count. The channel/bank topology
 //!   ([`MemTopology`](grow_sim::MemTopology), registry keys `channels=` /
-//!   `banks=`) the banked contention model
-//!   ([`multi_pe::simulate_e2e_banked`]) adds per-request bank-conflict
-//!   stalls on top — and the resulting makespan *is* the phase's cycle
-//!   count. Combination and
-//!   aggregation timelines compose with inter-phase (and inter-layer)
-//!   sync barriers: a phase's cluster fan-out starts only after the
-//!   previous phase — and any serial prologue — has fully drained. Each
-//!   phase carries its per-PE busy breakdown
-//!   ([`PhasePeBusy`](crate::report::PhasePeBusy)), assembled per layer
-//!   into the report's [`MultiPeBreakdown`](crate::MultiPeBreakdown).
+//!   `banks=`) adds per-request bank-conflict stalls; the default `1x1`
+//!   charges none. Combination and aggregation timelines compose with
+//!   inter-phase (and inter-layer) sync barriers: a phase's cluster
+//!   fan-out starts only after the previous phase — and any serial
+//!   prologue — has fully drained. Each phase carries its per-PE busy
+//!   breakdown ([`PhasePeBusy`]), assembled per layer into the report's
+//!   [`MultiPeBreakdown`](crate::MultiPeBreakdown).
 //!
 //! The end-to-end fluid durations are calibrated against the detailed
 //! per-cluster timelines (see [`multi_pe::simulate_e2e`]), which yields
@@ -163,7 +160,7 @@ impl ExecModel {
             merged.absorb_sequential(partial);
         }
         if self.cfg.exec == ExecModelKind::EndToEnd {
-            let run = multi_pe::simulate_e2e_banked(
+            let run = multi_pe::simulate_e2e(
                 &merged.cluster_profiles,
                 self.cfg.pes,
                 self.per_pe_bytes_per_cycle,

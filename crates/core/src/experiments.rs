@@ -7,8 +7,8 @@ use grow_sim::DramConfig;
 
 use crate::schedule::SchedulerKind;
 use crate::{
-    multi_pe, prepare, Accelerator, ClusterProfile, GammaEngine, GcnaxEngine, GrowConfig,
-    GrowEngine, MatRaptorEngine, PartitionStrategy, PreparedWorkload, ReplacementPolicy, RunReport,
+    multi_pe, prepare, Accelerator, GammaEngine, GcnaxEngine, GrowConfig, GrowEngine,
+    MatRaptorEngine, PartitionStrategy, PreparedWorkload, ReplacementPolicy, RunReport,
 };
 
 /// A dataset instantiated and preprocessed both ways (with and without
@@ -247,58 +247,8 @@ pub fn pe_scaling(eval: &DatasetEval, pe_counts: &[usize]) -> Vec<multi_pe::Scal
         &profiles,
         pe_counts,
         GrowConfig::default().dram.bytes_per_cycle,
+        SchedulerKind::RoundRobin,
     )
-}
-
-/// One point of the extended Figure 24 study: a scheduler × PE-count cell
-/// of the multi-PE fluid model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SchedulerPoint {
-    /// Canonical scheduler name (`rr`, `lpt`, `ws`, `ca`).
-    pub scheduler: &'static str,
-    /// PE count of this cell.
-    pub pes: usize,
-    /// Multi-PE makespan in cycles.
-    pub makespan: f64,
-    /// Load-imbalance ratio (busiest PE / mean busy time).
-    pub imbalance: f64,
-    /// Makespan speedup relative to round-robin at the same PE count
-    /// (1.0 for the `rr` rows themselves).
-    pub speedup_vs_rr: f64,
-}
-
-/// Runs every scheduler across `pe_counts` over one set of cluster
-/// profiles — the scheduler axis of the `figure24` experiment and the
-/// scheduler-comparison bench.
-pub fn scheduler_comparison(
-    profiles: &[ClusterProfile],
-    pe_counts: &[usize],
-    per_pe_bytes_per_cycle: f64,
-) -> Vec<SchedulerPoint> {
-    let mut out = Vec::new();
-    for &pes in pe_counts {
-        // RoundRobin is first in `ALL`, so the baseline falls out of the
-        // same loop — no duplicate simulation.
-        let mut rr_makespan = f64::NAN;
-        for kind in SchedulerKind::ALL {
-            let run = multi_pe::simulate_with(profiles, pes, per_pe_bytes_per_cycle, kind);
-            if kind == SchedulerKind::RoundRobin {
-                rr_makespan = run.makespan;
-            }
-            out.push(SchedulerPoint {
-                scheduler: kind.name(),
-                pes,
-                makespan: run.makespan,
-                imbalance: run.imbalance(),
-                speedup_vs_rr: if run.makespan > 0.0 {
-                    rr_makespan / run.makespan
-                } else {
-                    1.0
-                },
-            });
-        }
-    }
-    out
 }
 
 /// The pinned-vs-LRU replacement study of the Section VIII discussion.
@@ -485,22 +435,6 @@ mod tests {
             curve[2].normalized_throughput > curve[1].normalized_throughput,
             "{curve:?}"
         );
-    }
-
-    #[test]
-    fn scheduler_comparison_covers_the_grid() {
-        let profiles = crate::schedule::power_law_profiles(96, 5);
-        let points = scheduler_comparison(&profiles, &[2, 8], 4.0);
-        assert_eq!(points.len(), 8, "4 schedulers x 2 PE counts");
-        for p in &points {
-            assert!(p.makespan > 0.0 && p.imbalance >= 1.0, "{p:?}");
-            if p.scheduler == "rr" {
-                assert!((p.speedup_vs_rr - 1.0).abs() < 1e-12, "{p:?}");
-            }
-            if p.scheduler == "ws" {
-                assert!(p.speedup_vs_rr >= 1.0 - 1e-9, "ws never slower: {p:?}");
-            }
-        }
     }
 
     #[test]

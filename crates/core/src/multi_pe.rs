@@ -14,17 +14,18 @@
 //! the memory-demanding PEs split the shared channel by water-filling,
 //! while compute-bound PEs leave their share to others.
 //!
-//! Which PE runs which cluster is decided by a pluggable
-//! [`Scheduler`](crate::schedule::Scheduler) — see [`crate::schedule`] for
-//! the policies (`rr`, `lpt`, `ws`, `ca`). [`simulate`] keeps the original
-//! round-robin behavior bit-identically; [`simulate_with`] exposes the full
-//! per-PE accounting under any scheduler; [`simulate_e2e`] is the
-//! calibrated variant the end-to-end execution model
-//! ([`crate::exec_model`]) composes phase cycle counts with.
+//! Which PE runs which cluster is decided by a [`SchedulerKind`] — see
+//! [`crate::schedule`] for the policies (`rr`, `lpt`, `ws`, `ca`). One
+//! event loop serves two entry points: [`simulate`] is the uncalibrated
+//! post-hoc projection on the uniform pipe, and [`simulate_e2e`] is the
+//! calibrated, banked variant the end-to-end execution model
+//! ([`crate::exec_model`]) composes phase cycle counts with. The uniform
+//! `1x1` topology charges no bank conflict, so it is the idealized shared
+//! pipe, bit for bit.
 
 use grow_sim::{fault, DramConfig, MemTopology};
 
-use crate::schedule::{Scheduler, SchedulerKind};
+use crate::schedule::SchedulerKind;
 use crate::ClusterProfile;
 
 /// One point of the Figure 24 scaling curve.
@@ -80,66 +81,37 @@ impl MultiPeRun {
     }
 }
 
-/// Simulates `pes` PEs working through `profiles` under the original
-/// round-robin cluster assignment against a shared memory channel of
-/// `pes * per_pe_bytes_per_cycle`. Returns the makespan in cycles.
-///
-/// This is the legacy entry point; [`simulate_with`] selects the scheduler
-/// and returns the full per-PE accounting. Round-robin results are
-/// bit-identical between the two.
-///
-/// # Panics
-///
-/// Panics if `pes == 0` or the bandwidth is not positive.
-pub fn simulate(profiles: &[ClusterProfile], pes: usize, per_pe_bytes_per_cycle: f64) -> f64 {
-    simulate_with(
-        profiles,
-        pes,
-        per_pe_bytes_per_cycle,
-        SchedulerKind::RoundRobin,
-    )
-    .makespan
-}
-
 /// Simulates `pes` PEs working through `profiles` with cluster-to-PE
 /// assignment decided by `scheduler`, against a shared memory channel of
-/// `pes * per_pe_bytes_per_cycle`.
+/// `pes * per_pe_bytes_per_cycle`: the uncalibrated post-hoc projection,
+/// where each cluster-task runs for `max(C, M/a)` cycles at allocated
+/// bandwidth `a` on the uniform pipe.
 ///
 /// # Panics
 ///
 /// Panics if `pes == 0` or the bandwidth is not positive.
-pub fn simulate_with(
+pub fn simulate(
     profiles: &[ClusterProfile],
     pes: usize,
     per_pe_bytes_per_cycle: f64,
     scheduler: SchedulerKind,
 ) -> MultiPeRun {
-    simulate_scheduled(
+    fluid(
         profiles,
         pes,
         per_pe_bytes_per_cycle,
-        scheduler.scheduler().as_ref(),
+        scheduler,
+        false,
+        &DramConfig::default(),
+        MemTopology::default(),
     )
 }
 
-/// [`simulate_with`] over an arbitrary (possibly user-supplied)
-/// [`Scheduler`] implementation.
+/// The end-to-end fluid co-simulation (`exec=e2e`): like [`simulate`],
+/// but each cluster-task's duration is *calibrated against its detailed
+/// standalone timeline* ([`ClusterProfile::cycles`]), and the memory
+/// system is banked.
 ///
-/// # Panics
-///
-/// Panics if `pes == 0` or the bandwidth is not positive.
-pub fn simulate_scheduled(
-    profiles: &[ClusterProfile],
-    pes: usize,
-    per_pe_bytes_per_cycle: f64,
-    scheduler: &dyn Scheduler,
-) -> MultiPeRun {
-    simulate_fluid(profiles, pes, per_pe_bytes_per_cycle, scheduler, false)
-}
-
-/// The end-to-end fluid co-simulation (`exec=e2e`): like
-/// [`simulate_scheduled`], but each cluster-task's duration is *calibrated
-/// against its detailed standalone timeline* ([`ClusterProfile::cycles`]).
 /// A task with detailed makespan `T`, MAC-busy `C`, and transfer `M` runs
 /// for `max(C, M/a) + S` cycles at allocated bandwidth `a`, where
 /// `S = T - max(C, M/B)` (with `B` the per-PE fair share) is the
@@ -150,6 +122,16 @@ pub fn simulate_scheduled(
 /// `a > B` they shrink (borrowing idle bandwidth, the Section VII-F
 /// super-linearity mechanism).
 ///
+/// Clusters interleave across `topology.channels` by index, and each
+/// memory-active task pays a per-request bank-conflict stall proportional
+/// to how many other memory-active tasks share its home channel (amortized
+/// over `topology.banks`; see [`MemTopology::conflict_penalty_per_byte`],
+/// which reuses [`DramConfig::request_overhead_cycles`]). With one PE no
+/// two tasks are ever co-resident and no stall accrues; on the uniform
+/// `1x1` topology the stall is zero by definition, which is the idealized
+/// shared pipe the committed e2e golden snapshots model. The dispatcher
+/// sees the topology, so `ca` steers memory-bound clusters by channel.
+///
 /// # Panics
 ///
 /// Panics if `pes == 0` or the bandwidth is not positive.
@@ -158,80 +140,39 @@ pub fn simulate_e2e(
     pes: usize,
     per_pe_bytes_per_cycle: f64,
     scheduler: SchedulerKind,
-) -> MultiPeRun {
-    simulate_fluid(
-        profiles,
-        pes,
-        per_pe_bytes_per_cycle,
-        scheduler.scheduler().as_ref(),
-        true,
-    )
-}
-
-/// [`simulate_e2e`] against a banked multi-channel memory system: clusters
-/// interleave across `topology.channels` by index, and each memory-active
-/// task pays a per-request bank-conflict stall proportional to how many
-/// other memory-active tasks share its home channel (amortized over
-/// `topology.banks`; the per-request cost reuses
-/// [`DramConfig::request_overhead_cycles`], see
-/// [`MemTopology::conflict_penalty_per_byte`]). The calibration residue is
-/// unchanged, so with one PE no two tasks are ever co-resident, no stall
-/// accrues, and the run still reproduces the detailed sequential
-/// composition bit-identically.
-///
-/// The uniform `1x1` topology short-circuits to [`simulate_e2e`]'s exact
-/// legacy path — `channels=1 banks=1` is *defined* as the idealized shared
-/// pipe the committed e2e golden snapshots model, so those bytes are
-/// reproduced by construction.
-///
-/// Schedulers are built through
-/// [`Scheduler::dispatcher_banked`](crate::schedule::Scheduler::dispatcher_banked),
-/// so channel-affinity-aware policies (`ca`) see the topology while the
-/// oblivious ones dispatch exactly as they do on the uniform pipe.
-///
-/// # Panics
-///
-/// Panics if `pes == 0` or the bandwidth is not positive.
-pub fn simulate_e2e_banked(
-    profiles: &[ClusterProfile],
-    pes: usize,
-    per_pe_bytes_per_cycle: f64,
-    scheduler: SchedulerKind,
     dram: &DramConfig,
     topology: MemTopology,
 ) -> MultiPeRun {
-    if topology.is_uniform() {
-        return simulate_e2e(profiles, pes, per_pe_bytes_per_cycle, scheduler);
-    }
-    simulate_fluid_banked(
+    fluid(
         profiles,
         pes,
         per_pe_bytes_per_cycle,
-        scheduler.scheduler().as_ref(),
+        scheduler,
+        true,
         dram,
         topology,
     )
 }
 
-/// The banked variant of [`simulate_fluid`], always calibrated (`e2e`).
-/// Same event loop and water-filling; the only additions are the home
-/// channels and the co-residency-dependent conflict stall folded into each
-/// task's memory time. Conflict terms are piecewise-constant between
-/// completion events (the live set only changes there), so the
-/// minimum-completion event stepping stays exact.
-fn simulate_fluid_banked(
+/// The event loop behind both entry points. Between completion events the
+/// live set is fixed, so the water-filled allocations and the conflict
+/// stalls are constant and stepping to the earliest completion is exact.
+fn fluid(
     profiles: &[ClusterProfile],
     pes: usize,
     per_pe_bytes_per_cycle: f64,
-    scheduler: &dyn Scheduler,
+    scheduler: SchedulerKind,
+    calibrated: bool,
     dram: &DramConfig,
     topology: MemTopology,
 ) -> MultiPeRun {
     assert!(pes > 0, "at least one PE");
     assert!(per_pe_bytes_per_cycle > 0.0, "bandwidth must be positive");
     let total_bw = pes as f64 * per_pe_bytes_per_cycle;
-    let mut dispatch = scheduler.dispatcher_banked(profiles, pes, per_pe_bytes_per_cycle, topology);
+    let mut dispatch = scheduler.dispatcher(profiles, pes, per_pe_bytes_per_cycle, topology);
 
+    // Active task per PE: cluster index, compute total, mem total, serial
+    // residue, fraction remaining, home channel.
     struct Task {
         idx: usize,
         c: f64,
@@ -240,69 +181,69 @@ fn simulate_fluid_banked(
         w: f64,
         channel: usize,
     }
-    let spawn = |i: usize| {
+    // The `sched` fault site counts cluster hand-offs to PEs; the whole
+    // dispatch loop runs on one thread, so the ordinal is leg-identical.
+    let mut dispatched: u64 = 0;
+    let mut next_task = |p: usize| {
+        let i = dispatch.next(p)?;
+        dispatched += 1;
+        fault::trip_at(fault::FaultSite::Sched, dispatched);
         let c = profiles[i].compute_cycles as f64;
         let m = profiles[i].mem_bytes as f64;
-        // Calibration residue, identical to the uniform e2e path: the
-        // detailed timeline beyond the overlap model's fair-share estimate.
-        let s = (profiles[i].cycles as f64 - c.max(m / per_pe_bytes_per_cycle)).max(0.0);
-        Task {
+        // Serial residue of the detailed timeline beyond the overlap
+        // model's fair-share estimate (0 in the uncalibrated projection).
+        let s = if calibrated {
+            (profiles[i].cycles as f64 - c.max(m / per_pe_bytes_per_cycle)).max(0.0)
+        } else {
+            0.0
+        };
+        Some(Task {
             idx: i,
             c,
             m,
             s,
             w: 1.0,
             channel: topology.home_channel(i),
-        }
-    };
-    // The `sched` fault site counts cluster hand-offs to PEs; the whole
-    // dispatch loop runs on one thread, so the ordinal is leg-identical.
-    let mut dispatched: u64 = 0;
-    let mut active: Vec<Option<Task>> = (0..pes)
-        .map(|p| {
-            dispatch.next(p).map(|i| {
-                dispatched += 1;
-                fault::trip_at(fault::FaultSite::Sched, dispatched);
-                spawn(i)
-            })
         })
-        .collect();
+    };
+    let mut active: Vec<Option<Task>> = (0..pes).map(&mut next_task).collect();
     let mut busy = vec![0.0f64; pes];
     let mut cluster_cycles = vec![0.0f64; profiles.len()];
 
+    // Per-event buffers, refilled at every completion event.
+    let mut live: Vec<usize> = Vec::with_capacity(pes);
+    let mut channel_load = vec![0usize; topology.channels];
+    let mut order: Vec<(f64, usize)> = Vec::with_capacity(pes);
+    let mut alloc = vec![0.0f64; pes];
+    let mut rates = vec![0.0f64; pes];
     let mut t = 0.0f64;
     loop {
-        let live: Vec<usize> = (0..pes).filter(|&p| active[p].is_some()).collect();
+        live.clear();
+        live.extend((0..pes).filter(|&p| active[p].is_some()));
         if live.is_empty() {
             break;
         }
-        // Memory-active co-residency per channel: how many live tasks with
-        // traffic are homed on each channel right now.
-        let mut channel_load = vec![0usize; topology.channels];
+        // Memory-active co-residency per channel, and each task's demand:
+        // the bandwidth at which it becomes compute-bound.
+        channel_load.fill(0);
+        order.clear();
         for &p in &live {
             let task = active[p].as_ref().expect("live");
             if task.m > 0.0 {
                 channel_load[task.channel] += 1;
             }
+            let demand = if task.c <= 0.0 {
+                f64::INFINITY
+            } else {
+                task.m / task.c
+            };
+            order.push((demand, p));
         }
-
-        // Water-fill the aggregate bandwidth, exactly as on the uniform
-        // pipe (address interleaving lets any stream draw on the whole
-        // channel array; conflicts, not peak bandwidth, are per-channel).
-        let mut order: Vec<(f64, usize)> = live
-            .iter()
-            .map(|&p| {
-                let task = active[p].as_ref().expect("live");
-                let demand = if task.c <= 0.0 {
-                    f64::INFINITY
-                } else {
-                    task.m / task.c
-                };
-                (demand, p)
-            })
-            .collect();
         order.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite-ish demands"));
-        let mut alloc = vec![0.0f64; pes];
+
+        // Water-fill the aggregate bandwidth (address interleaving lets any
+        // stream draw on the whole channel array; conflicts, not peak
+        // bandwidth, are per-channel).
         let mut remaining = total_bw;
         let mut left = order.len();
         for &(demand, p) in &order {
@@ -313,8 +254,8 @@ fn simulate_fluid_banked(
             left -= 1;
         }
 
+        // Per-task completion rate and the next completion event.
         let mut dt = f64::INFINITY;
-        let mut rates = vec![0.0f64; pes];
         for &p in &live {
             let task = active[p].as_ref().expect("live");
             let mem_time = if task.m <= 0.0 {
@@ -340,11 +281,7 @@ fn simulate_fluid_banked(
             cluster_cycles[task.idx] += dt;
             task.w -= rates[p] * dt;
             if task.w <= 1e-9 {
-                active[p] = dispatch.next(p).map(|i| {
-                    dispatched += 1;
-                    fault::trip_at(fault::FaultSite::Sched, dispatched);
-                    spawn(i)
-                });
+                active[p] = next_task(p);
             }
         }
     }
@@ -357,161 +294,19 @@ fn simulate_fluid_banked(
     }
 }
 
-fn simulate_fluid(
-    profiles: &[ClusterProfile],
-    pes: usize,
-    per_pe_bytes_per_cycle: f64,
-    scheduler: &dyn Scheduler,
-    calibrated: bool,
-) -> MultiPeRun {
-    assert!(pes > 0, "at least one PE");
-    assert!(per_pe_bytes_per_cycle > 0.0, "bandwidth must be positive");
-    let total_bw = pes as f64 * per_pe_bytes_per_cycle;
-    let mut dispatch = scheduler.dispatcher(profiles, pes, per_pe_bytes_per_cycle);
-
-    // Active task per PE: cluster index, compute total, mem total, serial
-    // residue, fraction remaining.
-    struct Task {
-        idx: usize,
-        c: f64,
-        m: f64,
-        s: f64,
-        w: f64,
-    }
-    let spawn = |i: usize| {
-        let c = profiles[i].compute_cycles as f64;
-        let m = profiles[i].mem_bytes as f64;
-        // Serial residue of the detailed timeline beyond the overlap
-        // model's fair-share estimate (0 in the uncalibrated projection).
-        let s = if calibrated {
-            (profiles[i].cycles as f64 - c.max(m / per_pe_bytes_per_cycle)).max(0.0)
-        } else {
-            0.0
-        };
-        Task {
-            idx: i,
-            c,
-            m,
-            s,
-            w: 1.0,
-        }
-    };
-    // Same `sched` fault-site accounting as the banked path.
-    let mut dispatched: u64 = 0;
-    let mut active: Vec<Option<Task>> = (0..pes)
-        .map(|p| {
-            dispatch.next(p).map(|i| {
-                dispatched += 1;
-                fault::trip_at(fault::FaultSite::Sched, dispatched);
-                spawn(i)
-            })
-        })
-        .collect();
-    let mut busy = vec![0.0f64; pes];
-    let mut cluster_cycles = vec![0.0f64; profiles.len()];
-
-    let mut t = 0.0f64;
-    loop {
-        // Collect live tasks and their bandwidth demands.
-        let live: Vec<usize> = (0..pes).filter(|&p| active[p].is_some()).collect();
-        if live.is_empty() {
-            break;
-        }
-        // Demand: bandwidth at which the task becomes compute-bound.
-        let mut order: Vec<(f64, usize)> = live
-            .iter()
-            .map(|&p| {
-                let task = active[p].as_ref().expect("live");
-                let demand = if task.c <= 0.0 {
-                    f64::INFINITY
-                } else {
-                    task.m / task.c
-                };
-                (demand, p)
-            })
-            .collect();
-        order.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite-ish demands"));
-
-        // Water-fill the shared channel.
-        let mut alloc = vec![0.0f64; pes];
-        let mut remaining = total_bw;
-        let mut left = order.len();
-        for &(demand, p) in &order {
-            let share = remaining / left as f64;
-            let a = demand.min(share);
-            alloc[p] = a;
-            remaining -= a;
-            left -= 1;
-        }
-
-        // Per-task completion rate and the next completion event.
-        let mut dt = f64::INFINITY;
-        let mut rates = vec![0.0f64; pes];
-        for &p in &live {
-            let task = active[p].as_ref().expect("live");
-            let mem_time = if task.m <= 0.0 {
-                0.0
-            } else if alloc[p] <= 0.0 {
-                f64::INFINITY
-            } else {
-                task.m / alloc[p]
-            };
-            let duration = (task.c.max(mem_time) + task.s).max(1e-9);
-            rates[p] = 1.0 / duration;
-            dt = dt.min(task.w / rates[p]);
-        }
-
-        t += dt;
-        for &p in &live {
-            busy[p] += dt;
-            let task = active[p].as_mut().expect("live");
-            cluster_cycles[task.idx] += dt;
-            task.w -= rates[p] * dt;
-            if task.w <= 1e-9 {
-                active[p] = dispatch.next(p).map(|i| {
-                    dispatched += 1;
-                    fault::trip_at(fault::FaultSite::Sched, dispatched);
-                    spawn(i)
-                });
-            }
-        }
-    }
-    MultiPeRun {
-        scheduler: scheduler.name(),
-        pes,
-        makespan: t,
-        per_pe_busy: busy,
-        cluster_cycles,
-    }
-}
-
-/// Produces the Figure 24 scaling curve for the given PE counts under the
-/// original round-robin assignment.
+/// Produces the Figure 24 scaling curve for the given PE counts under
+/// `scheduler`, normalized to its own 1-PE makespan.
 pub fn scaling_curve(
-    profiles: &[ClusterProfile],
-    pe_counts: &[usize],
-    per_pe_bytes_per_cycle: f64,
-) -> Vec<ScalingPoint> {
-    scaling_curve_with(
-        profiles,
-        pe_counts,
-        per_pe_bytes_per_cycle,
-        SchedulerKind::RoundRobin,
-    )
-}
-
-/// Produces the Figure 24 scaling curve under an explicit scheduler.
-pub fn scaling_curve_with(
     profiles: &[ClusterProfile],
     pe_counts: &[usize],
     per_pe_bytes_per_cycle: f64,
     scheduler: SchedulerKind,
 ) -> Vec<ScalingPoint> {
-    let base = simulate_with(profiles, 1, per_pe_bytes_per_cycle, scheduler).makespan;
+    let base = simulate(profiles, 1, per_pe_bytes_per_cycle, scheduler).makespan;
     pe_counts
         .iter()
         .map(|&pes| {
-            let cycles = simulate_with(profiles, pes, per_pe_bytes_per_cycle, scheduler).makespan;
+            let cycles = simulate(profiles, pes, per_pe_bytes_per_cycle, scheduler).makespan;
             ScalingPoint {
                 pes,
                 cycles,
@@ -541,14 +336,14 @@ mod tests {
     fn single_pe_is_sum_of_maxima() {
         let profiles = [task(100, 50), task(10, 400)];
         // bw = 2 B/cycle: durations max(100, 25) = 100 and max(10, 200).
-        let t = simulate(&profiles, 1, 2.0);
+        let t = simulate(&profiles, 1, 2.0, SchedulerKind::RoundRobin).makespan;
         assert!((t - 300.0).abs() < 1e-6, "t = {t}");
     }
 
     #[test]
     fn scaling_is_at_least_near_linear_for_homogeneous_tasks() {
         let profiles: Vec<ClusterProfile> = (0..64).map(|_| task(100, 100)).collect();
-        let curve = scaling_curve(&profiles, &[1, 2, 4, 8], 2.0);
+        let curve = scaling_curve(&profiles, &[1, 2, 4, 8], 2.0, SchedulerKind::RoundRobin);
         for point in &curve[1..] {
             let eff = point.normalized_throughput / point.pes as f64;
             assert!(eff > 0.9, "pes {} efficiency {eff}", point.pes);
@@ -584,7 +379,7 @@ mod tests {
             })
             .collect();
         let profiles: Vec<ClusterProfile> = first.into_iter().chain(second).collect();
-        let curve = scaling_curve(&profiles, &[16], 1.0);
+        let curve = scaling_curve(&profiles, &[16], 1.0, SchedulerKind::RoundRobin);
         let speedup = curve[0].normalized_throughput;
         assert!(
             speedup > 16.5,
@@ -595,7 +390,7 @@ mod tests {
     #[test]
     fn zero_work_tasks_complete() {
         let profiles = [task(0, 0), task(5, 5)];
-        let t = simulate(&profiles, 2, 1.0);
+        let t = simulate(&profiles, 2, 1.0, SchedulerKind::RoundRobin).makespan;
         assert!(t.is_finite());
     }
 
@@ -603,34 +398,17 @@ mod tests {
     fn more_pes_never_slower() {
         let profiles: Vec<ClusterProfile> =
             (0..40).map(|i| task(50 + i * 3, 40 * (i % 5))).collect();
-        let t1 = simulate(&profiles, 1, 4.0);
-        let t4 = simulate(&profiles, 4, 4.0);
-        let t16 = simulate(&profiles, 16, 4.0);
+        let t1 = simulate(&profiles, 1, 4.0, SchedulerKind::RoundRobin).makespan;
+        let t4 = simulate(&profiles, 4, 4.0, SchedulerKind::RoundRobin).makespan;
+        let t16 = simulate(&profiles, 16, 4.0, SchedulerKind::RoundRobin).makespan;
         assert!(t4 <= t1 && t16 <= t4, "t1 {t1}, t4 {t4}, t16 {t16}");
     }
 
     #[test]
     fn curve_normalizes_to_one_pe() {
         let profiles = [task(10, 10), task(20, 5)];
-        let curve = scaling_curve(&profiles, &[1], 1.0);
+        let curve = scaling_curve(&profiles, &[1], 1.0, SchedulerKind::RoundRobin);
         assert!((curve[0].normalized_throughput - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn legacy_simulate_is_round_robin() {
-        let profiles: Vec<ClusterProfile> =
-            (0..23).map(|i| task(30 + 7 * i, 11 * (i % 6))).collect();
-        for pes in [1, 3, 8] {
-            let run = simulate_with(&profiles, pes, 4.0, SchedulerKind::RoundRobin);
-            assert_eq!(
-                simulate(&profiles, pes, 4.0),
-                run.makespan,
-                "bit-identical round-robin makespan at {pes} PEs"
-            );
-            assert_eq!(run.per_pe_busy.len(), pes);
-            assert_eq!(run.cluster_cycles.len(), profiles.len());
-            assert_eq!(run.scheduler, "rr");
-        }
     }
 
     #[test]
@@ -642,9 +420,9 @@ mod tests {
         let profiles: Vec<ClusterProfile> = (0..64)
             .map(|i| if i < 3 { task(10_000, 0) } else { task(100, 0) })
             .collect();
-        let rr = simulate_with(&profiles, 4, 4.0, SchedulerKind::RoundRobin);
-        let ws = simulate_with(&profiles, 4, 4.0, SchedulerKind::WorkStealing);
-        let lpt = simulate_with(&profiles, 4, 4.0, SchedulerKind::StaticLpt);
+        let rr = simulate(&profiles, 4, 4.0, SchedulerKind::RoundRobin);
+        let ws = simulate(&profiles, 4, 4.0, SchedulerKind::WorkStealing);
+        let lpt = simulate(&profiles, 4, 4.0, SchedulerKind::StaticLpt);
         assert!(
             ws.makespan < rr.makespan,
             "ws {} vs rr {}",
@@ -691,19 +469,30 @@ mod tests {
     }
 
     #[test]
-    fn banked_uniform_topology_is_bit_identical_to_the_fluid_pipe() {
-        let profiles: Vec<ClusterProfile> = (0..32)
-            .map(|i| calibrated(50 + 13 * i, 40 * (i % 7), 4.0))
-            .collect();
+    fn uniform_topology_charges_no_conflict() {
+        // Zero-cycle profiles carry no calibration residue, so the
+        // calibrated loop can differ from the projection only by conflict
+        // stalls, and the uniform pipe must charge none.
+        let profiles: Vec<ClusterProfile> =
+            (0..32).map(|i| task(50 + 13 * i, 40 * (i % 7))).collect();
         let dram = DramConfig::default();
         for pes in [1usize, 3, 8] {
             for kind in SchedulerKind::ALL {
-                let fluid = simulate_e2e(&profiles, pes, 4.0, kind);
-                let banked =
-                    simulate_e2e_banked(&profiles, pes, 4.0, kind, &dram, MemTopology::default());
-                assert_eq!(fluid, banked, "pes={pes} scheduler={}", kind.name());
+                let e2e = simulate_e2e(&profiles, pes, 4.0, kind, &dram, MemTopology::default());
+                assert_eq!(
+                    e2e,
+                    simulate(&profiles, pes, 4.0, kind),
+                    "pes={pes} scheduler={}",
+                    kind.name()
+                );
             }
         }
+        // Two co-resident memory-only tasks split the pipe evenly and each
+        // finishes at M / B, with no stall on top.
+        let pair = [task(0, 400), task(0, 400)];
+        let kind = SchedulerKind::RoundRobin;
+        let run = simulate_e2e(&pair, 2, 4.0, kind, &dram, MemTopology::default());
+        assert!((run.makespan - 100.0).abs() < 1e-9, "{}", run.makespan);
     }
 
     #[test]
@@ -712,8 +501,9 @@ mod tests {
         // must charge conflict stalls the idealized pipe does not.
         let profiles: Vec<ClusterProfile> = (0..16).map(|_| calibrated(10, 4000, 4.0)).collect();
         let dram = DramConfig::default();
-        let ideal = simulate_e2e(&profiles, 4, 4.0, SchedulerKind::RoundRobin);
-        let banked = simulate_e2e_banked(
+        let uniform = MemTopology::default();
+        let ideal = simulate_e2e(&profiles, 4, 4.0, SchedulerKind::RoundRobin, &dram, uniform);
+        let banked = simulate_e2e(
             &profiles,
             4,
             4.0,
@@ -728,8 +518,8 @@ mod tests {
             ideal.makespan
         );
         // With one PE nothing is ever co-resident: no stall, identical run.
-        let solo_ideal = simulate_e2e(&profiles, 1, 4.0, SchedulerKind::RoundRobin);
-        let solo_banked = simulate_e2e_banked(
+        let solo_ideal = simulate_e2e(&profiles, 1, 4.0, SchedulerKind::RoundRobin, &dram, uniform);
+        let solo_banked = simulate_e2e(
             &profiles,
             1,
             4.0,
@@ -747,7 +537,7 @@ mod tests {
         for kind in [SchedulerKind::RoundRobin, SchedulerKind::ContentionAware] {
             let mut prev = f64::INFINITY;
             for channels in [1usize, 2, 4, 8, 16] {
-                let run = simulate_e2e_banked(
+                let run = simulate_e2e(
                     &profiles,
                     8,
                     4.0,
@@ -765,8 +555,7 @@ mod tests {
             }
             let mut prev = f64::INFINITY;
             for banks in [1usize, 2, 4, 8] {
-                let run =
-                    simulate_e2e_banked(&profiles, 8, 4.0, kind, &dram, MemTopology::new(4, banks));
+                let run = simulate_e2e(&profiles, 8, 4.0, kind, &dram, MemTopology::new(4, banks));
                 assert!(
                     run.makespan <= prev * (1.0 + 1e-9),
                     "{}: banks={banks} slower ({} > {prev})",
@@ -781,7 +570,7 @@ mod tests {
     #[test]
     fn busy_cycle_conservation_holds_under_banking() {
         let profiles = crate::schedule::power_law_profiles(64, 5);
-        let run = simulate_e2e_banked(
+        let run = simulate_e2e(
             &profiles,
             4,
             4.0,
@@ -800,7 +589,7 @@ mod tests {
     #[test]
     fn imbalance_is_one_when_balanced() {
         let profiles: Vec<ClusterProfile> = (0..8).map(|_| task(100, 0)).collect();
-        let run = simulate_with(&profiles, 4, 4.0, SchedulerKind::RoundRobin);
+        let run = simulate(&profiles, 4, 4.0, SchedulerKind::RoundRobin);
         assert!((run.imbalance() - 1.0).abs() < 1e-9, "{}", run.imbalance());
         assert_eq!(
             MultiPeRun {

@@ -5,20 +5,25 @@
 //! memory channel. *Which* PE runs *which* cluster used to be hard-coded
 //! round-robin; this module turns the assignment into a pluggable policy:
 //!
-//! * [`RoundRobin`] — the original static interleaving (`cluster i` on
-//!   `PE i % pes`), bit-identical to the previous behavior;
-//! * [`StaticLpt`] — longest-processing-time bin packing over per-cluster
-//!   standalone cycle estimates (the classic 4/3-approximation), in the
-//!   spirit of Accel-GCN's degree-sorted workload balancing;
-//! * [`WorkStealing`] — event-driven greedy dispatch: whenever a PE
-//!   finishes its cluster it pulls the next pending one, with deterministic
-//!   tie-breaking by cluster index (lowest pending index first).
+//! * [`SchedulerKind::RoundRobin`] (`rr`) — static interleaving
+//!   (`cluster i` on `PE i % pes`), the paper's implicit baseline;
+//! * [`SchedulerKind::StaticLpt`] (`lpt`) — longest-processing-time bin
+//!   packing over per-cluster standalone cycle estimates (the classic
+//!   4/3-approximation), in the spirit of Accel-GCN's degree-sorted
+//!   workload balancing;
+//! * [`SchedulerKind::WorkStealing`] (`ws`) — event-driven greedy
+//!   dispatch: whenever a PE finishes its cluster it pulls the heaviest
+//!   pending one, with deterministic tie-breaking by cluster index;
+//! * [`SchedulerKind::ContentionAware`] (`ca`) — like work-stealing, but
+//!   the pending pool is split into memory-bound and compute-bound
+//!   clusters and each dispatch tops up whichever class is
+//!   under-represented among the clusters in execution — mixing the
+//!   classes keeps part of the fleet off the shared channel at any
+//!   instant. On a banked topology it also steers memory-bound clusters
+//!   toward the least-contended channel.
 //!
-//! * [`ContentionAware`] — like work-stealing, but the pending pool is
-//!   split into memory-bound and compute-bound clusters and each dispatch
-//!   tops up whichever class is under-represented among the clusters in
-//!   execution — mixing the classes keeps part of the fleet off the
-//!   shared channel at any instant.
+//! [`SchedulerKind::dispatcher`] builds each policy's per-simulation
+//! [`Dispatcher`].
 //!
 //! Schedulers are dispatched by name through [`SchedulerKind`] — the value
 //! set of the registry-wide `scheduler=rr|lpt|ws|ca` override — and every
@@ -88,378 +93,193 @@ impl SchedulerKind {
         }
     }
 
-    /// Builds the scheduler this kind names.
-    pub fn scheduler(&self) -> Box<dyn Scheduler> {
-        match self {
-            SchedulerKind::RoundRobin => Box::new(RoundRobin),
-            SchedulerKind::StaticLpt => Box::new(StaticLpt),
-            SchedulerKind::WorkStealing => Box::new(WorkStealing),
-            SchedulerKind::ContentionAware => Box::new(ContentionAware),
-        }
-    }
-}
-
-/// A cluster-to-PE scheduling policy.
-///
-/// A scheduler is a stateless factory; per-simulation state lives in the
-/// [`Dispatcher`] it creates, which the fluid model queries every time a
-/// PE needs its next cluster. Static policies precompute per-PE queues;
-/// dynamic policies decide at dispatch time.
-pub trait Scheduler: Send + Sync {
-    /// Canonical name (one of [`SCHEDULER_NAMES`] for built-ins, e.g.
-    /// `rr`, `lpt`, `ws`, `ca`).
-    fn name(&self) -> &'static str;
-
-    /// Creates the dispatch state for one simulation of `profiles` on
-    /// `pes` PEs, each entitled to `per_pe_bytes_per_cycle` of the shared
-    /// channel on average (static policies may use it for cost estimates).
-    fn dispatcher(
-        &self,
-        profiles: &[ClusterProfile],
-        pes: usize,
-        per_pe_bytes_per_cycle: f64,
-    ) -> Box<dyn Dispatcher>;
-
-    /// Creates the dispatch state for one *banked-memory* simulation (see
-    /// [`MemTopology`]): like [`Scheduler::dispatcher`], but the policy is
-    /// told how clusters map onto memory channels, so it can order each
-    /// PE's work by channel affinity (prefetch-friendly sequences that
-    /// avoid dispatching two memory-bound clusters onto the same channel
-    /// at once).
-    ///
-    /// The default implementation ignores the topology and defers to
-    /// [`Scheduler::dispatcher`] — topology-oblivious policies (`rr`,
-    /// `lpt`, `ws`) dispatch identically with or without banking, which
-    /// is exactly what makes the contention delta attributable to the
-    /// channel-affinity-aware policies (`ca`).
-    fn dispatcher_banked(
+    /// Builds the dispatch state for one simulation of `profiles` on `pes`
+    /// PEs, each entitled to `per_pe_bytes_per_cycle` of the memory system
+    /// on average (the static policies and the classes use it for their
+    /// standalone cycle estimates), with clusters homed on the channels of
+    /// `topology`. Only `ca` reads the topology; on one channel it
+    /// dispatches exactly as on the uniform pipe.
+    pub fn dispatcher(
         &self,
         profiles: &[ClusterProfile],
         pes: usize,
         per_pe_bytes_per_cycle: f64,
         topology: MemTopology,
-    ) -> Box<dyn Dispatcher> {
-        let _ = topology;
-        self.dispatcher(profiles, pes, per_pe_bytes_per_cycle)
+    ) -> Dispatcher {
+        let weight: Vec<f64> = profiles
+            .iter()
+            .map(|p| standalone_cycles(p, per_pe_bytes_per_cycle))
+            .collect();
+        Dispatcher(match self {
+            SchedulerKind::RoundRobin => {
+                let mut queues = vec![VecDeque::new(); pes];
+                for i in 0..profiles.len() {
+                    queues[i % pes].push_back(i);
+                }
+                Policy::PerPe(queues)
+            }
+            SchedulerKind::StaticLpt => {
+                let mut queues = vec![VecDeque::new(); pes];
+                let mut loads = vec![0.0f64; pes];
+                for i in heaviest_first((0..profiles.len()).collect(), &weight) {
+                    let target = (0..pes)
+                        .min_by(|&a, &b| loads[a].partial_cmp(&loads[b]).expect("finite loads"))
+                        .expect("at least one PE");
+                    queues[target].push_back(i);
+                    loads[target] += weight[i];
+                }
+                Policy::PerPe(queues)
+            }
+            SchedulerKind::WorkStealing => {
+                Policy::Shared(heaviest_first((0..profiles.len()).collect(), &weight).into())
+            }
+            SchedulerKind::ContentionAware => Policy::ChannelAffinity(ChannelAffinity::new(
+                profiles,
+                weight,
+                pes,
+                per_pe_bytes_per_cycle,
+                topology,
+            )),
+        })
     }
 }
 
-/// Per-simulation dispatch state created by a [`Scheduler`].
-pub trait Dispatcher {
+/// Per-simulation dispatch state, built by [`SchedulerKind::dispatcher`]
+/// and queried by the fluid model every time a PE needs its next cluster.
+/// Static policies precompute per-PE queues; dynamic policies decide at
+/// dispatch time.
+pub struct Dispatcher(Policy);
+
+enum Policy {
+    /// `rr` and `lpt`: one precomputed queue of cluster indices per PE.
+    PerPe(Vec<VecDeque<usize>>),
+    /// `ws`: one shared heaviest-first queue that any PE pulls from.
+    Shared(VecDeque<usize>),
+    /// `ca`: class balancing with channel-affinity placement.
+    ChannelAffinity(ChannelAffinity),
+}
+
+impl Dispatcher {
     /// The next cluster index PE `pe` should execute, or `None` when the
     /// policy has no further work for it. Called once per PE at simulation
     /// start and again whenever that PE completes a cluster; completion
     /// ties are resolved in PE-index order by the fluid model, so dispatch
     /// is deterministic.
-    fn next(&mut self, pe: usize) -> Option<usize>;
-}
-
-/// Dispatch state shared by the static policies: one precomputed queue of
-/// cluster indices per PE.
-struct StaticQueues {
-    queues: Vec<VecDeque<usize>>,
-}
-
-impl Dispatcher for StaticQueues {
-    fn next(&mut self, pe: usize) -> Option<usize> {
-        self.queues[pe].pop_front()
-    }
-}
-
-/// Static round-robin: cluster `i` runs on PE `i % pes`, clusters keep
-/// their program order within a PE. This is exactly the assignment the
-/// multi-PE model shipped with, so reports under it are bit-identical to
-/// the pre-scheduler code.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RoundRobin;
-
-impl Scheduler for RoundRobin {
-    fn name(&self) -> &'static str {
-        "rr"
-    }
-
-    fn dispatcher(
-        &self,
-        profiles: &[ClusterProfile],
-        pes: usize,
-        _per_pe_bytes_per_cycle: f64,
-    ) -> Box<dyn Dispatcher> {
-        let mut queues = vec![VecDeque::new(); pes];
-        for i in 0..profiles.len() {
-            queues[i % pes].push_back(i);
+    pub fn next(&mut self, pe: usize) -> Option<usize> {
+        match &mut self.0 {
+            Policy::PerPe(queues) => queues[pe].pop_front(),
+            Policy::Shared(pending) => pending.pop_front(),
+            Policy::ChannelAffinity(ca) => ca.next(pe),
         }
-        Box::new(StaticQueues { queues })
     }
 }
 
-/// The standalone cycle estimate LPT packs on: the cluster alone on one
-/// PE with its fair bandwidth share (compute and transfer overlapped).
+/// The standalone cycle estimate the policies order by: the cluster alone
+/// on one PE with its fair bandwidth share (compute and transfer
+/// overlapped).
 fn standalone_cycles(p: &ClusterProfile, per_pe_bytes_per_cycle: f64) -> f64 {
     let mem = p.mem_bytes as f64 / per_pe_bytes_per_cycle;
     (p.compute_cycles as f64).max(mem)
 }
 
-/// Static longest-processing-time bin packing: clusters are sorted by
-/// decreasing standalone cycle estimate (ties by cluster index) and each
-/// is assigned to the currently least-loaded PE (ties by PE index). PEs
-/// then process their queues in that assignment order.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StaticLpt;
-
-impl Scheduler for StaticLpt {
-    fn name(&self) -> &'static str {
-        "lpt"
-    }
-
-    fn dispatcher(
-        &self,
-        profiles: &[ClusterProfile],
-        pes: usize,
-        per_pe_bytes_per_cycle: f64,
-    ) -> Box<dyn Dispatcher> {
-        let mut order: Vec<usize> = (0..profiles.len()).collect();
-        // Sort by decreasing estimate; sort_by is stable, so equal
-        // estimates keep ascending cluster index.
-        order.sort_by(|&a, &b| {
-            standalone_cycles(&profiles[b], per_pe_bytes_per_cycle)
-                .partial_cmp(&standalone_cycles(&profiles[a], per_pe_bytes_per_cycle))
-                .expect("finite estimates")
-        });
-        let mut queues = vec![VecDeque::new(); pes];
-        let mut loads = vec![0.0f64; pes];
-        for i in order {
-            let target = (0..pes)
-                .min_by(|&a, &b| loads[a].partial_cmp(&loads[b]).expect("finite loads"))
-                .expect("at least one PE");
-            queues[target].push_back(i);
-            loads[target] += standalone_cycles(&profiles[i], per_pe_bytes_per_cycle);
-        }
-        Box::new(StaticQueues { queues })
-    }
+/// `clusters` (in ascending index order) sorted by decreasing `weight`;
+/// the sort is stable, so equal estimates keep ascending cluster index.
+fn heaviest_first(mut clusters: Vec<usize>, weight: &[f64]) -> Vec<usize> {
+    clusters.sort_by(|&a, &b| weight[b].partial_cmp(&weight[a]).expect("finite estimates"));
+    clusters
 }
 
-/// Dynamic work-stealing, modeled as greedy event-driven dispatch over one
-/// shared pending queue: whichever PE finishes first pulls the next
-/// pending cluster. The queue hands out the heaviest pending cluster
-/// first (largest standalone cycle estimate — greedy dispatch degenerates
-/// to plain FIFO order otherwise and inherits its list-scheduling
-/// anomalies), with deterministic tie-breaking by cluster index; ties
-/// between PEs finishing at the same instant are resolved in PE-index
-/// order by the fluid model.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WorkStealing;
-
-struct SharedQueue {
-    pending: VecDeque<usize>,
-}
-
-impl Dispatcher for SharedQueue {
-    fn next(&mut self, _pe: usize) -> Option<usize> {
-        self.pending.pop_front()
-    }
-}
-
-impl Scheduler for WorkStealing {
-    fn name(&self) -> &'static str {
-        "ws"
-    }
-
-    fn dispatcher(
-        &self,
-        profiles: &[ClusterProfile],
-        _pes: usize,
-        per_pe_bytes_per_cycle: f64,
-    ) -> Box<dyn Dispatcher> {
-        let mut pending: Vec<usize> = (0..profiles.len()).collect();
-        // Heaviest first; sort_by is stable, so equal estimates keep
-        // ascending cluster index.
-        pending.sort_by(|&a, &b| {
-            standalone_cycles(&profiles[b], per_pe_bytes_per_cycle)
-                .partial_cmp(&standalone_cycles(&profiles[a], per_pe_bytes_per_cycle))
-                .expect("finite estimates")
-        });
-        Box::new(SharedQueue {
-            pending: pending.into(),
-        })
-    }
-}
-
-/// Contention-aware dynamic dispatch: like [`WorkStealing`], whichever PE
-/// finishes first pulls the next pending cluster — but the pending pool is
-/// split into *memory-bound* clusters (bandwidth demand `mem_bytes /
+/// Contention-aware dispatch (`ca`): like `ws`, whichever PE finishes
+/// first pulls the next pending cluster — but the pending pool is split
+/// into *memory-bound* clusters (bandwidth demand `mem_bytes /
 /// compute_cycles` above the per-PE fair share) and *compute-bound* ones,
 /// each ordered heaviest-first, and each dispatch hands out the class that
-/// is currently under-represented among the clusters in execution. Mixing
-/// the classes keeps part of the fleet off the shared channel at any
-/// instant, which is what greedy heaviest-first dispatch misses when it
-/// happens to line up several memory-bound clusters (the documented
-/// `ws`-loses-to-`rr` contention-alignment cases).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ContentionAware;
-
-struct ClassedQueues {
-    /// Pending memory-bound clusters, heaviest-first (ties by index).
-    mem: VecDeque<usize>,
+/// is under-represented among the clusters in execution. Mixing the
+/// classes keeps part of the fleet off the shared channel at any instant,
+/// which greedy heaviest-first dispatch misses when it lines several
+/// memory-bound clusters up (the documented `ws`-loses-to-`rr`
+/// contention-alignment cases).
+///
+/// A memory-bound dispatch also places the cluster: the candidate whose
+/// home channel has the fewest in-flight memory-bound clusters wins (which
+/// spreads the fleet across the channels); among equals, one homed on the
+/// PE's previous channel (prefetch-friendly row reuse); then the
+/// heaviest-first order. Every candidate on one channel ties on both
+/// criteria, so the pool is kept as one heaviest-first queue per home
+/// channel and a pick compares channel heads. On one channel that is the
+/// queue head — plain class balancing.
+struct ChannelAffinity {
+    /// Pending memory-bound clusters per home channel, each queue in
+    /// heaviest-first order, as `(rank in the global heaviest-first
+    /// order, cluster)`.
+    mem: Vec<VecDeque<(usize, usize)>>,
     /// Pending compute-bound clusters, heaviest-first (ties by index).
     compute: VecDeque<usize>,
     /// Standalone cycle estimate per cluster (head-to-head tie-breaks).
     weight: Vec<f64>,
-    /// Class of each PE's in-execution cluster (`Some(true)` =
-    /// memory-bound), updated at every dispatch.
-    running: Vec<Option<bool>>,
-}
-
-impl Dispatcher for ClassedQueues {
-    fn next(&mut self, pe: usize) -> Option<usize> {
-        // The PE asking has just finished (or not started) its cluster.
-        self.running[pe] = None;
-        let mem_running = self.running.iter().flatten().filter(|&&m| m).count();
-        let compute_running = self.running.iter().flatten().count() - mem_running;
-        let pick_mem = match (self.mem.front(), self.compute.front()) {
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return None,
-            (Some(&m), Some(&c)) => {
-                if mem_running != compute_running {
-                    // Top up the under-represented class.
-                    mem_running < compute_running
-                } else {
-                    // Balanced mix: drain the heavier head first
-                    // (LPT-style), ties toward the memory-bound side so
-                    // transfers start as early as possible.
-                    self.weight[m] >= self.weight[c]
-                }
-            }
-        };
-        let next = if pick_mem {
-            self.mem.pop_front()
-        } else {
-            self.compute.pop_front()
-        };
-        if next.is_some() {
-            self.running[pe] = Some(pick_mem);
-        }
-        next
-    }
-}
-
-impl Scheduler for ContentionAware {
-    fn name(&self) -> &'static str {
-        "ca"
-    }
-
-    fn dispatcher(
-        &self,
-        profiles: &[ClusterProfile],
-        pes: usize,
-        per_pe_bytes_per_cycle: f64,
-    ) -> Box<dyn Dispatcher> {
-        let (mem, compute, weight) = classed_pools(profiles, per_pe_bytes_per_cycle);
-        Box::new(ClassedQueues {
-            mem: mem.into(),
-            compute: compute.into(),
-            weight,
-            running: vec![None; pes],
-        })
-    }
-
-    /// The banked extension: class balancing as in the uniform dispatcher,
-    /// plus PE-local channel-affinity ordering within the memory-bound
-    /// pool — each dispatch prefers a cluster whose home channel no other
-    /// in-flight memory-bound cluster is using (spreading the fleet across
-    /// the channels), and among equally-conflicted candidates one homed on
-    /// the PE's previous channel (prefetch-friendly row reuse).
-    fn dispatcher_banked(
-        &self,
-        profiles: &[ClusterProfile],
-        pes: usize,
-        per_pe_bytes_per_cycle: f64,
-        topology: MemTopology,
-    ) -> Box<dyn Dispatcher> {
-        let (mem, compute, weight) = classed_pools(profiles, per_pe_bytes_per_cycle);
-        let home: Vec<usize> = (0..profiles.len())
-            .map(|i| topology.home_channel(i))
-            .collect();
-        Box::new(AffinityClassedQueues {
-            mem: mem.into(),
-            compute: compute.into(),
-            weight,
-            home,
-            running: vec![None; pes],
-            last_channel: vec![None; pes],
-        })
-    }
-}
-
-/// Splits the clusters into the heaviest-first memory-bound and
-/// compute-bound pools `ca` balances between (shared by the uniform and
-/// banked dispatchers; the classification and ordering are identical).
-fn classed_pools(
-    profiles: &[ClusterProfile],
-    per_pe_bytes_per_cycle: f64,
-) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
-    let weight: Vec<f64> = profiles
-        .iter()
-        .map(|p| standalone_cycles(p, per_pe_bytes_per_cycle))
-        .collect();
-    // Memory-bound: the cluster wants more than its fair bandwidth
-    // share while computing (demand mem_bytes/compute_cycles > B).
-    let is_mem =
-        |p: &ClusterProfile| p.mem_bytes as f64 > p.compute_cycles as f64 * per_pe_bytes_per_cycle;
-    let mut mem: Vec<usize> = (0..profiles.len())
-        .filter(|&i| is_mem(&profiles[i]))
-        .collect();
-    let mut compute: Vec<usize> = (0..profiles.len())
-        .filter(|&i| !is_mem(&profiles[i]))
-        .collect();
-    // Heaviest first within each class; stable sort keeps ascending
-    // cluster index on equal estimates.
-    mem.sort_by(|&a, &b| weight[b].partial_cmp(&weight[a]).expect("finite estimates"));
-    compute.sort_by(|&a, &b| weight[b].partial_cmp(&weight[a]).expect("finite estimates"));
-    (mem, compute, weight)
-}
-
-/// [`ClassedQueues`] with channel affinity: tracks which memory channel
-/// every in-flight cluster is homed on and steers each memory-bound
-/// dispatch toward an un-contended channel (see
-/// [`ContentionAware::dispatcher_banked`]). Deterministic: selection is a
-/// pure function of queue state, with ties broken by queue position.
-struct AffinityClassedQueues {
-    /// Pending memory-bound clusters, heaviest-first (ties by index).
-    mem: VecDeque<usize>,
-    /// Pending compute-bound clusters, heaviest-first (ties by index).
-    compute: VecDeque<usize>,
-    /// Standalone cycle estimate per cluster (head-to-head tie-breaks).
-    weight: Vec<f64>,
-    /// Home channel per cluster (address interleaving).
-    home: Vec<usize>,
+    topology: MemTopology,
     /// Class and home channel of each PE's in-execution cluster
     /// (`Some((true, ch))` = memory-bound on channel `ch`).
     running: Vec<Option<(bool, usize)>>,
-    /// Home channel of each PE's previous cluster, for prefetch-friendly
-    /// same-channel sequencing when conflicts tie.
+    /// In-execution memory-bound clusters per channel, and in total.
+    mem_on: Vec<usize>,
+    mem_running: usize,
+    compute_running: usize,
+    /// Home channel of each PE's previous cluster.
     last_channel: Vec<Option<usize>>,
 }
 
-impl Dispatcher for AffinityClassedQueues {
+impl ChannelAffinity {
+    fn new(
+        profiles: &[ClusterProfile],
+        weight: Vec<f64>,
+        pes: usize,
+        per_pe_bytes_per_cycle: f64,
+        topology: MemTopology,
+    ) -> Self {
+        // Memory-bound: the cluster wants more than its fair bandwidth
+        // share while computing (demand mem_bytes/compute_cycles > B).
+        let (mem_pool, compute): (Vec<usize>, Vec<usize>) = (0..profiles.len()).partition(|&i| {
+            profiles[i].mem_bytes as f64
+                > profiles[i].compute_cycles as f64 * per_pe_bytes_per_cycle
+        });
+        let mut mem = vec![VecDeque::new(); topology.channels];
+        for (rank, cluster) in heaviest_first(mem_pool, &weight).into_iter().enumerate() {
+            mem[topology.home_channel(cluster)].push_back((rank, cluster));
+        }
+        ChannelAffinity {
+            mem,
+            compute: heaviest_first(compute, &weight).into(),
+            weight,
+            topology,
+            running: vec![None; pes],
+            mem_on: vec![0; topology.channels],
+            mem_running: 0,
+            compute_running: 0,
+            last_channel: vec![None; pes],
+        }
+    }
+
     fn next(&mut self, pe: usize) -> Option<usize> {
         // The PE asking has just finished (or not started) its cluster.
-        self.running[pe] = None;
-        let mem_running = self
-            .running
-            .iter()
-            .flatten()
-            .filter(|&&(is_mem, _)| is_mem)
-            .count();
-        let compute_running = self.running.iter().flatten().count() - mem_running;
-        let pick_mem = match (self.mem.front(), self.compute.front()) {
+        match self.running[pe].take() {
+            Some((true, ch)) => {
+                self.mem_on[ch] -= 1;
+                self.mem_running -= 1;
+            }
+            Some((false, _)) => self.compute_running -= 1,
+            None => {}
+        }
+        // The heaviest pending memory-bound cluster heads one channel.
+        let mem_head = self.mem.iter().filter_map(|q| q.front()).min();
+        let pick_mem = match (mem_head, self.compute.front()) {
             (Some(_), None) => true,
             (None, Some(_)) => false,
             (None, None) => return None,
-            (Some(&m), Some(&c)) => {
-                if mem_running != compute_running {
+            (Some(&(_, m)), Some(&c)) => {
+                if self.mem_running != self.compute_running {
                     // Top up the under-represented class.
-                    mem_running < compute_running
+                    self.mem_running < self.compute_running
                 } else {
                     // Balanced mix: drain the heavier head first
                     // (LPT-style), ties toward the memory-bound side so
@@ -468,38 +288,28 @@ impl Dispatcher for AffinityClassedQueues {
                 }
             }
         };
-        let next = if pick_mem {
-            // Channel-affinity selection: fewest in-flight memory-bound
-            // co-residents on the candidate's home channel wins; among
-            // equals, the PE's previous channel (row-buffer reuse), then
-            // the heaviest-first queue position.
-            let conflicts = |cluster: usize| {
-                self.running
-                    .iter()
-                    .flatten()
-                    .filter(|&&(is_mem, ch)| is_mem && ch == self.home[cluster])
-                    .count()
-            };
-            let best = self
-                .mem
-                .iter()
-                .enumerate()
-                .min_by_key(|&(pos, &cluster)| {
-                    let affinity_miss =
-                        usize::from(self.last_channel[pe] != Some(self.home[cluster]));
-                    (conflicts(cluster), affinity_miss, pos)
+        let cluster = if pick_mem {
+            let last = self.last_channel[pe];
+            let (_, _, _, ch) = (0..self.mem.len())
+                .filter_map(|ch| {
+                    let &(rank, _) = self.mem[ch].front()?;
+                    Some((self.mem_on[ch], usize::from(last != Some(ch)), rank, ch))
                 })
-                .map(|(pos, _)| pos)
-                .expect("front checked non-empty");
-            self.mem.remove(best)
+                .min()
+                .expect("a memory-bound cluster is pending");
+            self.mem_on[ch] += 1;
+            self.mem_running += 1;
+            self.mem[ch].pop_front().expect("non-empty channel").1
         } else {
-            self.compute.pop_front()
+            self.compute_running += 1;
+            self.compute
+                .pop_front()
+                .expect("a compute-bound cluster is pending")
         };
-        if let Some(cluster) = next {
-            self.running[pe] = Some((pick_mem, self.home[cluster]));
-            self.last_channel[pe] = Some(self.home[cluster]);
-        }
-        next
+        let home = self.topology.home_channel(cluster);
+        self.running[pe] = Some((pick_mem, home));
+        self.last_channel[pe] = Some(home);
+        Some(cluster)
     }
 }
 
@@ -520,9 +330,10 @@ pub struct MultiPeConfig {
     /// multi-PE composition (see [`crate::exec_model`]).
     pub exec: crate::exec_model::ExecModelKind,
     /// Channel/bank organization the end-to-end model contends on. The
-    /// default `1x1` is the legacy idealized shared pipe (conflict
-    /// modeling off); any other topology enables banked contention.
-    /// Ignored by the post-hoc projection.
+    /// default `1x1` is the idealized shared pipe: it charges zero bank
+    /// conflict. Any other topology charges conflict stalls between
+    /// memory-active clusters homed on one channel. Ignored by the
+    /// post-hoc projection, which always runs on the uniform pipe.
     pub topology: MemTopology,
 }
 
@@ -548,7 +359,7 @@ pub fn summarize(
     per_pe_bytes_per_cycle: f64,
 ) -> MultiPeSummary {
     let profiles = report.cluster_profiles();
-    let run = multi_pe::simulate_with(&profiles, cfg.pes, per_pe_bytes_per_cycle, cfg.scheduler);
+    let run = multi_pe::simulate(&profiles, cfg.pes, per_pe_bytes_per_cycle, cfg.scheduler);
     MultiPeSummary {
         scheduler: run.scheduler,
         pes: run.pes,
@@ -613,7 +424,6 @@ mod tests {
     fn kind_round_trips_names() {
         for kind in SchedulerKind::ALL {
             assert_eq!(SchedulerKind::parse(kind.name()), Some(kind));
-            assert_eq!(kind.scheduler().name(), kind.name());
         }
         assert_eq!(
             SchedulerKind::parse("WorkStealing"),
@@ -630,7 +440,7 @@ mod tests {
     #[test]
     fn round_robin_interleaves() {
         let profiles: Vec<ClusterProfile> = (0..5).map(|i| task(i + 1, 0)).collect();
-        let mut d = RoundRobin.dispatcher(&profiles, 2, 1.0);
+        let mut d = SchedulerKind::RoundRobin.dispatcher(&profiles, 2, 1.0, MemTopology::default());
         assert_eq!(d.next(0), Some(0));
         assert_eq!(d.next(1), Some(1));
         assert_eq!(d.next(0), Some(2));
@@ -645,7 +455,7 @@ mod tests {
         // Durations 10, 1, 1, 1, 9 on 2 PEs: LPT puts 10 alone on PE 0 and
         // the rest (9 + 1 + 1 + 1) on PE 1 until loads cross.
         let profiles = [task(10, 0), task(1, 0), task(1, 0), task(1, 0), task(9, 0)];
-        let mut d = StaticLpt.dispatcher(&profiles, 2, 1.0);
+        let mut d = SchedulerKind::StaticLpt.dispatcher(&profiles, 2, 1.0, MemTopology::default());
         assert_eq!(d.next(0), Some(0), "longest cluster first on PE 0");
         assert_eq!(d.next(1), Some(4), "second longest on PE 1");
         // Unit tasks fill up the lighter bin first (9+1), then the load
@@ -659,7 +469,8 @@ mod tests {
     #[test]
     fn work_stealing_hands_out_in_cluster_order() {
         let profiles: Vec<ClusterProfile> = (0..4).map(|_| task(1, 1)).collect();
-        let mut d = WorkStealing.dispatcher(&profiles, 2, 1.0);
+        let mut d =
+            SchedulerKind::WorkStealing.dispatcher(&profiles, 2, 1.0, MemTopology::default());
         // Any PE asking gets the lowest pending index.
         assert_eq!(d.next(1), Some(0));
         assert_eq!(d.next(0), Some(1));
@@ -673,7 +484,8 @@ mod tests {
         // 2 memory-bound (0, 1) and 2 compute-bound (2, 3) clusters at
         // B = 4: dispatch must alternate the classes across the PEs.
         let profiles = [task(10, 4000), task(10, 2000), task(900, 40), task(800, 40)];
-        let mut d = ContentionAware.dispatcher(&profiles, 2, 4.0);
+        let mut d =
+            SchedulerKind::ContentionAware.dispatcher(&profiles, 2, 4.0, MemTopology::default());
         // Balanced (nothing running): heavier head wins, ties toward the
         // memory-bound side — cluster 0 (standalone 1000) over 2 (900).
         assert_eq!(d.next(0), Some(0), "heaviest memory-bound first");
@@ -696,9 +508,9 @@ mod tests {
         profiles.extend((0..8).map(|_| task(10, 4000)));
         profiles.extend((0..8).map(|_| task(1000, 40)));
         for pes in [2usize, 4] {
-            let rr = multi_pe::simulate_with(&profiles, pes, 4.0, SchedulerKind::RoundRobin);
-            let ws = multi_pe::simulate_with(&profiles, pes, 4.0, SchedulerKind::WorkStealing);
-            let ca = multi_pe::simulate_with(&profiles, pes, 4.0, SchedulerKind::ContentionAware);
+            let rr = multi_pe::simulate(&profiles, pes, 4.0, SchedulerKind::RoundRobin);
+            let ws = multi_pe::simulate(&profiles, pes, 4.0, SchedulerKind::WorkStealing);
+            let ca = multi_pe::simulate(&profiles, pes, 4.0, SchedulerKind::ContentionAware);
             assert!(
                 ca.makespan < 0.8 * rr.makespan && ca.makespan < 0.8 * ws.makespan,
                 "pes={pes}: ca {} vs rr {} / ws {}",
@@ -742,10 +554,209 @@ mod tests {
             ..MultiPeConfig::default()
         };
         let summary = summarize(&report, &cfg, 32.0);
-        let direct = multi_pe::simulate_with(&report.cluster_profiles(), 4, 32.0, cfg.scheduler);
+        let direct = multi_pe::simulate(&report.cluster_profiles(), 4, 32.0, cfg.scheduler);
         assert_eq!(summary.makespan, direct.makespan);
         assert_eq!(summary.per_pe_busy, direct.per_pe_busy);
         assert_eq!(summary.scheduler, "ws");
         assert_eq!(summary.pes, 4);
+    }
+
+    /// Reference `ca` dispatch for one channel: class balancing that always
+    /// takes the head of one heaviest-first memory-bound queue.
+    struct ClassedQueues {
+        mem: VecDeque<usize>,
+        compute: VecDeque<usize>,
+        weight: Vec<f64>,
+        running: Vec<Option<bool>>,
+    }
+
+    impl ClassedQueues {
+        fn new(profiles: &[ClusterProfile], pes: usize, per_pe_bytes_per_cycle: f64) -> Self {
+            let (mem, compute, weight) = scan_pools(profiles, per_pe_bytes_per_cycle);
+            ClassedQueues {
+                mem: mem.into(),
+                compute: compute.into(),
+                weight,
+                running: vec![None; pes],
+            }
+        }
+
+        fn next(&mut self, pe: usize) -> Option<usize> {
+            self.running[pe] = None;
+            let mem_running = self.running.iter().flatten().filter(|&&m| m).count();
+            let compute_running = self.running.iter().flatten().count() - mem_running;
+            let pick_mem = match (self.mem.front(), self.compute.front()) {
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => return None,
+                (Some(&m), Some(&c)) => {
+                    if mem_running != compute_running {
+                        mem_running < compute_running
+                    } else {
+                        self.weight[m] >= self.weight[c]
+                    }
+                }
+            };
+            let next = if pick_mem {
+                self.mem.pop_front()
+            } else {
+                self.compute.pop_front()
+            };
+            if next.is_some() {
+                self.running[pe] = Some(pick_mem);
+            }
+            next
+        }
+    }
+
+    /// Reference `ca` dispatch on any topology: every memory-bound pick
+    /// scans the whole pending pool for the least-conflicted candidate.
+    struct AffinityClassedQueues {
+        mem: VecDeque<usize>,
+        compute: VecDeque<usize>,
+        weight: Vec<f64>,
+        home: Vec<usize>,
+        running: Vec<Option<(bool, usize)>>,
+        last_channel: Vec<Option<usize>>,
+    }
+
+    impl AffinityClassedQueues {
+        fn new(
+            profiles: &[ClusterProfile],
+            pes: usize,
+            per_pe_bytes_per_cycle: f64,
+            topology: MemTopology,
+        ) -> Self {
+            let (mem, compute, weight) = scan_pools(profiles, per_pe_bytes_per_cycle);
+            AffinityClassedQueues {
+                mem: mem.into(),
+                compute: compute.into(),
+                weight,
+                home: (0..profiles.len())
+                    .map(|i| topology.home_channel(i))
+                    .collect(),
+                running: vec![None; pes],
+                last_channel: vec![None; pes],
+            }
+        }
+
+        fn next(&mut self, pe: usize) -> Option<usize> {
+            self.running[pe] = None;
+            let mem_running = self
+                .running
+                .iter()
+                .flatten()
+                .filter(|&&(is_mem, _)| is_mem)
+                .count();
+            let compute_running = self.running.iter().flatten().count() - mem_running;
+            let pick_mem = match (self.mem.front(), self.compute.front()) {
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => return None,
+                (Some(&m), Some(&c)) => {
+                    if mem_running != compute_running {
+                        mem_running < compute_running
+                    } else {
+                        self.weight[m] >= self.weight[c]
+                    }
+                }
+            };
+            let next = if pick_mem {
+                let conflicts = |cluster: usize| {
+                    self.running
+                        .iter()
+                        .flatten()
+                        .filter(|&&(is_mem, ch)| is_mem && ch == self.home[cluster])
+                        .count()
+                };
+                let best = self
+                    .mem
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(pos, &cluster)| {
+                        let affinity_miss =
+                            usize::from(self.last_channel[pe] != Some(self.home[cluster]));
+                        (conflicts(cluster), affinity_miss, pos)
+                    })
+                    .map(|(pos, _)| pos)
+                    .expect("front checked non-empty");
+                self.mem.remove(best)
+            } else {
+                self.compute.pop_front()
+            };
+            if let Some(cluster) = next {
+                self.running[pe] = Some((pick_mem, self.home[cluster]));
+                self.last_channel[pe] = Some(self.home[cluster]);
+            }
+            next
+        }
+    }
+
+    /// The oracles' own pool split: filter by class in index order, then a
+    /// stable heaviest-first sort of each class.
+    fn scan_pools(
+        profiles: &[ClusterProfile],
+        per_pe_bytes_per_cycle: f64,
+    ) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+        let weight: Vec<f64> = profiles
+            .iter()
+            .map(|p| standalone_cycles(p, per_pe_bytes_per_cycle))
+            .collect();
+        let is_mem = |p: &ClusterProfile| {
+            p.mem_bytes as f64 > p.compute_cycles as f64 * per_pe_bytes_per_cycle
+        };
+        let mut mem: Vec<usize> = (0..profiles.len())
+            .filter(|&i| is_mem(&profiles[i]))
+            .collect();
+        let mut compute: Vec<usize> = (0..profiles.len())
+            .filter(|&i| !is_mem(&profiles[i]))
+            .collect();
+        mem.sort_by(|&a, &b| weight[b].partial_cmp(&weight[a]).expect("finite estimates"));
+        compute.sort_by(|&a, &b| weight[b].partial_cmp(&weight[a]).expect("finite estimates"));
+        (mem, compute, weight)
+    }
+
+    #[test]
+    fn channel_indexed_ca_pick_matches_the_scanning_oracles() {
+        // Random completion orders: each step a seeded random PE asks for
+        // work, as if its cluster had just finished, until the pools run
+        // dry.
+        let topologies = [(1, 1), (1, 8), (2, 1), (3, 4), (4, 8), (16, 2)];
+        let mut state = 0x5eed_u64;
+        let mut next_u64 = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for (n, seed) in [(1usize, 1u64), (17, 2), (96, 3), (257, 4)] {
+            let profiles = power_law_profiles(n, seed);
+            for (channels, banks) in topologies {
+                let topology = MemTopology::new(channels, banks);
+                for pes in [1usize, 2, 3, 4, 8, 16] {
+                    let kind = SchedulerKind::ContentionAware;
+                    let mut indexed = kind.dispatcher(&profiles, pes, 4.0, topology);
+                    let mut scan = AffinityClassedQueues::new(&profiles, pes, 4.0, topology);
+                    let mut uniform =
+                        (channels == 1).then(|| ClassedQueues::new(&profiles, pes, 4.0));
+                    let mut handed = 0usize;
+                    loop {
+                        let pe = (next_u64() % pes as u64) as usize;
+                        let got = indexed.next(pe);
+                        let at = format!("n={n} {channels}x{banks} pes={pes} step {handed}");
+                        assert_eq!(got, scan.next(pe), "scan oracle, {at}");
+                        if let Some(uniform) = uniform.as_mut() {
+                            assert_eq!(got, uniform.next(pe), "uniform oracle, {at}");
+                        }
+                        if got.is_none() {
+                            break;
+                        }
+                        handed += 1;
+                    }
+                    assert_eq!(handed, n, "every cluster dispatched exactly once");
+                }
+            }
+        }
     }
 }

@@ -73,9 +73,9 @@ impl Default for DramConfig {
 /// over the bank count — the same `request_overhead_cycles` machinery the
 /// detailed single-channel FIFO charges for scattered accesses).
 ///
-/// The default `1x1` topology is the legacy idealized shared pipe:
-/// conflict modeling is off and the fluid model is bit-identical to the
-/// pre-banked code (the golden e2e snapshots are committed against it).
+/// The default `1x1` topology is the idealized shared pipe: it charges no
+/// conflict stall at all (see [`MemTopology::conflict_penalty_per_byte`]),
+/// which is what the golden e2e snapshots are committed against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemTopology {
     /// Independent memory channels the aggregate bandwidth is spread over.
@@ -105,8 +105,8 @@ impl MemTopology {
         MemTopology { channels, banks }
     }
 
-    /// `true` for the legacy `1x1` idealized shared pipe, where conflict
-    /// modeling is disabled and the fluid model runs its original path.
+    /// `true` for the `1x1` idealized shared pipe, which charges zero
+    /// conflict stall.
     pub fn is_uniform(&self) -> bool {
         self.channels == 1 && self.banks == 1
     }
@@ -121,9 +121,10 @@ impl MemTopology {
     /// streams: one request per `access_granularity` bytes, each paying
     /// `request_overhead_cycles * co_residents / banks` of expected
     /// bank-conflict serialization. Zero when the stream has the channel
-    /// to itself.
+    /// to itself, and always zero on the uniform `1x1` topology, so adding
+    /// the stall leaves the idealized pipe's transfer times bit-identical.
     pub fn conflict_penalty_per_byte(&self, dram: &DramConfig, co_residents: usize) -> f64 {
-        if co_residents == 0 {
+        if co_residents == 0 || self.is_uniform() {
             return 0.0;
         }
         let per_request =
@@ -507,6 +508,11 @@ mod tests {
         assert!((p8 / p16 - 2.0).abs() < 1e-12, "doubling banks halves it");
         // More co-residents, more stall.
         assert!(t8.conflict_penalty_per_byte(&dram, 5) > p8);
+        // The uniform pipe charges nothing, however crowded.
+        let uniform = MemTopology::default();
+        for co_residents in [0, 1, 3, 15] {
+            assert_eq!(uniform.conflict_penalty_per_byte(&dram, co_residents), 0.0);
+        }
     }
 
     #[test]

@@ -16,15 +16,12 @@
 //! * under contention (4 PEs on a banked topology), the channel-affinity
 //!   `ca` scheduler beats round-robin on at least one golden workload.
 
-use std::fmt::Write as _;
-
 use grow::accel::registry::{self, ENGINE_NAMES};
-use grow::accel::schedule::SCHEDULER_NAMES;
 use grow::accel::{prepare, PartitionStrategy, PreparedWorkload, RunReport};
 use grow::model::DatasetSpec;
 
 mod common;
-use common::{cases, golden_path};
+use common::{cases, golden_path, render_e2e_grid};
 
 fn prepared(spec: DatasetSpec, seed: u64) -> PreparedWorkload {
     let workload = spec.instantiate(seed);
@@ -64,53 +61,9 @@ fn uniform_topology_reproduces_committed_e2e_snapshots() {
     // bless path: `channels=1 banks=1` must be the fluid model, bit for
     // bit, against the bytes already committed.
     for (case, spec, seed) in cases() {
-        let prepared = prepared(spec, seed);
+        let uniform = [("channels", "1"), ("banks", "1")];
         let mut out = String::new();
-        for name in ENGINE_NAMES {
-            for scheduler in SCHEDULER_NAMES {
-                for pes in ["1", "4"] {
-                    let report = registry::engine_from_overrides(
-                        name,
-                        &[
-                            ("exec", "e2e"),
-                            ("scheduler", scheduler),
-                            ("pes", pes),
-                            ("channels", "1"),
-                            ("banks", "1"),
-                        ],
-                    )
-                    .expect("registered engine and scheduler")
-                    .run(&prepared);
-                    let _ = writeln!(
-                        out,
-                        "== engine={} scheduler={scheduler} pes={pes} total={} ==",
-                        report.engine,
-                        report.total_cycles()
-                    );
-                    let breakdown = report.multi_pe_breakdown().expect("e2e breakdown");
-                    for (li, layer) in report.layers.iter().enumerate() {
-                        let pe_layer = &breakdown.layers[li];
-                        for (phase, pe) in [
-                            (&layer.combination, &pe_layer.combination),
-                            (&layer.aggregation, &pe_layer.aggregation),
-                        ] {
-                            let busy: Vec<String> =
-                                pe.per_pe_busy.iter().map(|b| format!("{b}")).collect();
-                            let _ = writeln!(
-                                out,
-                                "layer={li} phase={:?} cycles={} makespan={} cluster_time={} \
-                                 busy=[{}]",
-                                phase.kind,
-                                phase.cycles,
-                                pe.makespan,
-                                pe.cluster_time,
-                                busy.join(" ")
-                            );
-                        }
-                    }
-                }
-            }
-        }
+        render_e2e_grid(&prepared(spec, seed), &["1", "4"], &uniform, "", &mut out);
         let expected = std::fs::read_to_string(golden_path(&format!("{case}_e2e")))
             .expect("committed golden snapshot exists");
         assert_eq!(

@@ -1,9 +1,9 @@
 //! Helpers shared by the golden-snapshot suites (`golden_reports.rs`,
-//! `hotpath_invariants.rs`), the exec-model battery (`exec_model.rs`) and
-//! the serving suites (`batch_serving.rs`, `async_serving.rs`): the
-//! fixed-seed workloads, the snapshot file layout, the field-by-field
-//! report rendering, the mixed serving fleet, and a service-free job
-//! runner. The snapshot suites compare against the same committed
+//! `hotpath_invariants.rs`, `banked_memory.rs`), the exec-model battery
+//! (`exec_model.rs`) and the serving suites (`batch_serving.rs`,
+//! `async_serving.rs`): the fixed-seed workloads, the snapshot file
+//! layout, the field-by-field report and e2e-grid rendering, the mixed
+//! serving fleet, and a service-free job runner. The snapshot suites compare against the same committed
 //! `tests/golden/*.snap` bytes, so the rendering lives here exactly once.
 //!
 //! Not every test binary uses every helper; unused-item lints are
@@ -14,7 +14,9 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use grow::accel::{registry, PartitionStrategy, RunReport, SchedulerKind};
+use grow::accel::registry::{self, ENGINE_NAMES};
+use grow::accel::schedule::SCHEDULER_NAMES;
+use grow::accel::{PartitionStrategy, PreparedWorkload, RunReport, SchedulerKind};
 use grow::model::{DatasetKey, DatasetSpec};
 use grow::serve::{JobError, JobResult, JobSpec, SimSession};
 use grow::sim::TrafficClass;
@@ -72,6 +74,58 @@ pub fn render(report: &RunReport, out: &mut String) {
                 .map(|p| format!("({},{})", p.compute_cycles, p.mem_bytes))
                 .collect();
             let _ = writeln!(out, "  cluster_profiles=[{}]", profiles.join(" "));
+        }
+    }
+}
+
+/// Renders the end-to-end grid of one prepared workload: every engine ×
+/// every scheduler at each of `pes_counts` under `exec=e2e` plus the
+/// `extra` overrides, with the per-layer multi-PE breakdowns rendered
+/// field by field and `label` appended to each header. f64 fields use
+/// `{}` — shortest-roundtrip formatting — so any last-ulp drift in the
+/// calibrated fluid model fails the snapshot.
+pub fn render_e2e_grid(
+    prepared: &PreparedWorkload,
+    pes_counts: &[&str],
+    extra: &[(&str, &str)],
+    label: &str,
+    out: &mut String,
+) {
+    for name in ENGINE_NAMES {
+        for scheduler in SCHEDULER_NAMES {
+            for &pes in pes_counts {
+                let mut overrides = vec![("exec", "e2e"), ("scheduler", scheduler), ("pes", pes)];
+                overrides.extend_from_slice(extra);
+                let report = registry::engine_from_overrides(name, &overrides)
+                    .expect("registered engine, scheduler and topology")
+                    .run(prepared);
+                let _ = writeln!(
+                    out,
+                    "== engine={} scheduler={scheduler} pes={pes}{label} total={} ==",
+                    report.engine,
+                    report.total_cycles()
+                );
+                let breakdown = report.multi_pe_breakdown().expect("e2e breakdown");
+                for (li, layer) in report.layers.iter().enumerate() {
+                    let pe_layer = &breakdown.layers[li];
+                    for (phase, pe) in [
+                        (&layer.combination, &pe_layer.combination),
+                        (&layer.aggregation, &pe_layer.aggregation),
+                    ] {
+                        let busy: Vec<String> =
+                            pe.per_pe_busy.iter().map(|b| format!("{b}")).collect();
+                        let _ = writeln!(
+                            out,
+                            "layer={li} phase={:?} cycles={} makespan={} cluster_time={} busy=[{}]",
+                            phase.kind,
+                            phase.cycles,
+                            pe.makespan,
+                            pe.cluster_time,
+                            busy.join(" ")
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -20,11 +20,21 @@
 use std::fmt::Write as _;
 
 use grow::accel::registry::{self, ENGINE_NAMES};
-use grow::accel::{prepare, PartitionStrategy};
+use grow::accel::{prepare, PartitionStrategy, PreparedWorkload};
 use grow::model::DatasetSpec;
 
 mod common;
-use common::{cases, golden_path, render};
+use common::{cases, golden_path, render, render_e2e_grid};
+
+/// One workload's partitioned preparation, so there are real clusters to
+/// assign to PEs.
+fn partitioned(spec: DatasetSpec, seed: u64) -> PreparedWorkload {
+    prepare(
+        &spec.instantiate(seed),
+        PartitionStrategy::Multilevel { cluster_nodes: 100 },
+        4096,
+    )
+}
 
 /// Builds the snapshot text for one workload: all four engines on both
 /// prepared forms (original order and partitioned).
@@ -145,12 +155,7 @@ fn scheduler_snapshot(spec: DatasetSpec, seed: u64) -> String {
     // added later (`ca`) are locked by the e2e grid snapshots instead, so
     // the historical files stay byte-for-byte valid.
     const LEGACY_SCHEDULERS: [&str; 3] = ["rr", "lpt", "ws"];
-    let workload = spec.instantiate(seed);
-    let prepared = prepare(
-        &workload,
-        PartitionStrategy::Multilevel { cluster_nodes: 100 },
-        4096,
-    );
+    let prepared = partitioned(spec, seed);
     let mut out = String::new();
     for name in ENGINE_NAMES {
         for scheduler in LEGACY_SCHEDULERS {
@@ -186,75 +191,6 @@ fn scheduler_grid_matches_committed_snapshots() {
     }
 }
 
-/// Builds the end-to-end grid snapshot for one workload: every engine ×
-/// every scheduler (`ca` included) at each of `pes_counts` under
-/// `exec=e2e`, once per entry of `topologies` (`None` keeps the default
-/// uniform pipe and leaves the topology out of the headers; `Some((c, b))`
-/// sets `channels=c banks=b`), with the per-layer multi-PE breakdowns
-/// rendered field by field. f64 fields use `{}` — shortest-roundtrip
-/// formatting — so any last-ulp drift in the calibrated fluid model fails
-/// the snapshot.
-fn e2e_snapshot(
-    spec: DatasetSpec,
-    seed: u64,
-    pes_counts: &[&str],
-    topologies: &[Option<(&str, &str)>],
-) -> String {
-    use grow::accel::schedule::SCHEDULER_NAMES;
-    let workload = spec.instantiate(seed);
-    let prepared = prepare(
-        &workload,
-        PartitionStrategy::Multilevel { cluster_nodes: 100 },
-        4096,
-    );
-    let mut out = String::new();
-    for topology in topologies {
-        for name in ENGINE_NAMES {
-            for scheduler in SCHEDULER_NAMES {
-                for &pes in pes_counts {
-                    let mut overrides =
-                        vec![("exec", "e2e"), ("scheduler", scheduler), ("pes", pes)];
-                    let mut label = String::new();
-                    if let Some((channels, banks)) = *topology {
-                        overrides.extend([("channels", channels), ("banks", banks)]);
-                        label = format!(" channels={channels} banks={banks}");
-                    }
-                    let report = registry::engine_from_overrides(name, &overrides)
-                        .expect("registered engine, scheduler and topology")
-                        .run(&prepared);
-                    let _ = writeln!(
-                        out,
-                        "== engine={} scheduler={scheduler} pes={pes}{label} total={} ==",
-                        report.engine,
-                        report.total_cycles()
-                    );
-                    let breakdown = report.multi_pe_breakdown().expect("e2e breakdown");
-                    for (li, layer) in report.layers.iter().enumerate() {
-                        let pe_layer = &breakdown.layers[li];
-                        for (phase, pe) in [
-                            (&layer.combination, &pe_layer.combination),
-                            (&layer.aggregation, &pe_layer.aggregation),
-                        ] {
-                            let busy: Vec<String> =
-                                pe.per_pe_busy.iter().map(|b| format!("{b}")).collect();
-                            let _ = writeln!(
-                                out,
-                                "layer={li} phase={:?} cycles={} makespan={} cluster_time={} busy=[{}]",
-                                phase.kind,
-                                phase.cycles,
-                                pe.makespan,
-                                pe.cluster_time,
-                                busy.join(" ")
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Compares `actual` against the committed `tests/golden/<name>.snap`, or
 /// writes it there under `GROW_BLESS=1`.
 fn assert_snapshot(name: &str, actual: &str) {
@@ -282,8 +218,11 @@ fn assert_snapshot(name: &str, actual: &str) {
 
 #[test]
 fn e2e_grid_matches_committed_snapshots() {
+    // Every engine × every scheduler (`ca` included) at 1 and 4 PEs on the
+    // default uniform pipe.
     for (case, spec, seed) in cases() {
-        let actual = e2e_snapshot(spec, seed, &["1", "4"], &[None]);
+        let mut actual = String::new();
+        render_e2e_grid(&partitioned(spec, seed), &["1", "4"], &[], "", &mut actual);
         assert_snapshot(&format!("{case}_e2e"), &actual);
     }
 }
@@ -295,12 +234,13 @@ fn banked_grid_matches_committed_snapshots() {
     // single channel with banks (where `ca` degenerates to its uniform
     // class-balancing order).
     for (case, spec, seed) in cases() {
-        let actual = e2e_snapshot(
-            spec,
-            seed,
-            &["2", "8"],
-            &[Some(("4", "8")), Some(("1", "8"))],
-        );
+        let prepared = partitioned(spec, seed);
+        let mut actual = String::new();
+        for (channels, banks) in [("4", "8"), ("1", "8")] {
+            let extra = [("channels", channels), ("banks", banks)];
+            let label = format!(" channels={channels} banks={banks}");
+            render_e2e_grid(&prepared, &["2", "8"], &extra, &label, &mut actual);
+        }
         assert_snapshot(&format!("{case}_banked"), &actual);
     }
 }
@@ -313,12 +253,7 @@ fn work_stealing_path_is_execution_mode_invariant() {
     // oversubscribed parallel run.
     use grow::sim::exec::{with_mode, with_workers, ExecMode};
     let (_, spec, seed) = cases()[1];
-    let workload = spec.instantiate(seed);
-    let prepared = prepare(
-        &workload,
-        PartitionStrategy::Multilevel { cluster_nodes: 100 },
-        4096,
-    );
+    let prepared = partitioned(spec, seed);
     for engine in ENGINE_NAMES {
         let run = || {
             registry::engine_from_overrides(engine, &[("scheduler", "ws"), ("pes", "8")])

@@ -37,15 +37,15 @@ fn sweep() -> Vec<(String, Vec<ClusterProfile>)> {
 }
 
 fn runs(profiles: &[ClusterProfile], pes: usize) -> [MultiPeRun; 4] {
-    SchedulerKind::ALL.map(|kind| multi_pe::simulate_with(profiles, pes, BW, kind))
+    SchedulerKind::ALL.map(|kind| multi_pe::simulate(profiles, pes, BW, kind))
 }
 
 #[test]
 fn work_stealing_never_loses_to_round_robin() {
     for (name, profiles) in sweep() {
         for pes in [1, 2, 3, 4, 8, 16] {
-            let rr = multi_pe::simulate_with(&profiles, pes, BW, SchedulerKind::RoundRobin);
-            let ws = multi_pe::simulate_with(&profiles, pes, BW, SchedulerKind::WorkStealing);
+            let rr = multi_pe::simulate(&profiles, pes, BW, SchedulerKind::RoundRobin);
+            let ws = multi_pe::simulate(&profiles, pes, BW, SchedulerKind::WorkStealing);
             assert!(
                 ws.makespan <= rr.makespan * (1.0 + 1e-9),
                 "{name}/pes={pes}: ws {} vs rr {}",
@@ -149,9 +149,9 @@ fn contention_aware_handles_the_ws_contention_alignment_cases() {
     let cases = [(8usize, 36u64, 2usize), (8, 36, 3), (8, 26, 3), (12, 2, 2)];
     for (n, seed, pes) in cases {
         let profiles = power_law_profiles(n, seed);
-        let rr = multi_pe::simulate_with(&profiles, pes, BW, SchedulerKind::RoundRobin);
-        let ws = multi_pe::simulate_with(&profiles, pes, BW, SchedulerKind::WorkStealing);
-        let ca = multi_pe::simulate_with(&profiles, pes, BW, SchedulerKind::ContentionAware);
+        let rr = multi_pe::simulate(&profiles, pes, BW, SchedulerKind::RoundRobin);
+        let ws = multi_pe::simulate(&profiles, pes, BW, SchedulerKind::WorkStealing);
+        let ca = multi_pe::simulate(&profiles, pes, BW, SchedulerKind::ContentionAware);
         assert!(
             ws.makespan > rr.makespan * (1.0 + 1e-9),
             "n{n}_s{seed}/pes={pes}: expected a ws-loses-to-rr case \
@@ -182,26 +182,13 @@ fn contention_aware_stays_near_round_robin_everywhere() {
     // regressing into a pathological policy.
     for (name, profiles) in sweep() {
         for pes in [2, 3, 4, 8, 16] {
-            let rr = multi_pe::simulate_with(&profiles, pes, BW, SchedulerKind::RoundRobin);
-            let ca = multi_pe::simulate_with(&profiles, pes, BW, SchedulerKind::ContentionAware);
+            let rr = multi_pe::simulate(&profiles, pes, BW, SchedulerKind::RoundRobin);
+            let ca = multi_pe::simulate(&profiles, pes, BW, SchedulerKind::ContentionAware);
             assert!(
                 ca.makespan <= rr.makespan * 1.01,
                 "{name}/pes={pes}: ca {} vs rr {}",
                 ca.makespan,
                 rr.makespan
-            );
-        }
-    }
-}
-
-#[test]
-fn legacy_round_robin_entry_point_is_bit_identical() {
-    for (name, profiles) in sweep().into_iter().take(6) {
-        for pes in [1, 4, 16] {
-            assert_eq!(
-                multi_pe::simulate(&profiles, pes, BW),
-                multi_pe::simulate_with(&profiles, pes, BW, SchedulerKind::RoundRobin).makespan,
-                "{name}/pes={pes}"
             );
         }
     }
