@@ -3,8 +3,9 @@
 //! (`exec_model.rs`) and the serving suites (`batch_serving.rs`,
 //! `async_serving.rs`): the fixed-seed workloads, the snapshot file
 //! layout, the field-by-field report and e2e-grid rendering, the mixed
-//! serving fleet, and a service-free job runner. The snapshot suites compare against the same committed
-//! `tests/golden/*.snap` bytes, so the rendering lives here exactly once.
+//! serving fleet, and a service-free job runner. The snapshot suites
+//! compare against the same committed `tests/golden/*.snap` bytes, so the
+//! rendering lives here exactly once.
 //!
 //! Not every test binary uses every helper; unused-item lints are
 //! silenced per item rather than forcing each binary to import all of

@@ -58,46 +58,8 @@ fn snapshot(spec: DatasetSpec, seed: u64) -> String {
 
 #[test]
 fn reports_match_committed_snapshots() {
-    let bless = std::env::var_os("GROW_BLESS").is_some_and(|v| !v.is_empty() && v != "0");
     for (case, spec, seed) in cases() {
-        let actual = snapshot(spec, seed);
-        let path = golden_path(case);
-        if bless {
-            std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir");
-            std::fs::write(&path, &actual).expect("write snapshot");
-            continue;
-        }
-        let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing golden snapshot {}: {e}\n\
-                 run `GROW_BLESS=1 cargo test --test golden_reports` to create it",
-                path.display()
-            )
-        });
-        if actual != expected {
-            let mismatch = expected
-                .lines()
-                .zip(actual.lines())
-                .enumerate()
-                .find(|(_, (e, a))| e != a);
-            let detail = match mismatch {
-                Some((n, (e, a))) => {
-                    format!(
-                        "first differing line {}:\n  expected: {e}\n  actual:   {a}",
-                        n + 1
-                    )
-                }
-                None => "line counts differ".to_string(),
-            };
-            panic!(
-                "{case}: modeled numbers shifted from the committed snapshot \
-                 ({}).\n{detail}\n\
-                 If the change is intentional, re-bless with \
-                 `GROW_BLESS=1 cargo test --test golden_reports` and commit \
-                 the updated snapshot.",
-                path.display()
-            );
-        }
+        assert_snapshot(case, &snapshot(spec, seed));
     }
 }
 
@@ -191,8 +153,9 @@ fn scheduler_grid_matches_committed_snapshots() {
     }
 }
 
-/// Compares `actual` against the committed `tests/golden/<name>.snap`, or
-/// writes it there under `GROW_BLESS=1`.
+/// Compares `actual` against the committed `tests/golden/<name>.snap`,
+/// pointing at the first differing line, or writes it there under
+/// `GROW_BLESS=1`.
 fn assert_snapshot(name: &str, actual: &str) {
     let path = golden_path(name);
     if std::env::var_os("GROW_BLESS").is_some_and(|v| !v.is_empty() && v != "0") {
@@ -207,13 +170,30 @@ fn assert_snapshot(name: &str, actual: &str) {
             path.display()
         )
     });
-    assert_eq!(
-        actual,
-        expected,
-        "{name}: grid breakdowns shifted from {} — if intentional, \
-         re-bless with `GROW_BLESS=1 cargo test --test golden_reports`",
-        path.display()
-    );
+    if actual != expected {
+        let mismatch = expected
+            .lines()
+            .zip(actual.lines())
+            .enumerate()
+            .find(|(_, (e, a))| e != a);
+        let detail = match mismatch {
+            Some((n, (e, a))) => {
+                format!(
+                    "first differing line {}:\n  expected: {e}\n  actual:   {a}",
+                    n + 1
+                )
+            }
+            None => "line counts differ".to_string(),
+        };
+        panic!(
+            "{name}: modeled numbers shifted from the committed snapshot \
+             ({}).\n{detail}\n\
+             If the change is intentional, re-bless with \
+             `GROW_BLESS=1 cargo test --test golden_reports` and commit \
+             the updated snapshot.",
+            path.display()
+        );
+    }
 }
 
 #[test]
