@@ -10,8 +10,8 @@
 //! ```
 //!
 //! Results land in `<out>/BENCH_parallel.json` with a fixed key order
-//! (rows sorted by engine then thread count), the same deterministic-diff
-//! protocol as `BENCH_hotpath.json`; `--quick` (the CI smoke mode) writes
+//! (rows sorted by engine then thread count), so two runs diff line by
+//! line; `--quick` (the CI smoke mode) writes
 //! `BENCH_parallel_smoke.json` on a smaller graph instead, so a smoke run
 //! never clobbers the committed full-scale baseline. Passing `--baseline`
 //! reports the serial-total speedup against a previous run's JSON.

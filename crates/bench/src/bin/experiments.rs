@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! experiments [--seed N] [--datasets a,b,c] [--max-nodes N] [--full]
-//!             [--channels N] [--banks N] [--workers N] [--out DIR] <ids...>
+//!             [--channels N] [--banks N] [--out DIR] <ids...>
 //! experiments all
 //! ```
 //!
@@ -15,8 +15,7 @@
 //!
 //! Experiment ids: `table1 fig2 fig3 fig5 fig6 fig7 fig11 fig14 fig17
 //! fig18 fig19 fig20 fig21 fig22 table4 fig24 figure24 fig25a fig25b
-//! fig26 replacement nonpowerlaw preprocessing extensions engines sweep
-//! serve_demo chaos`
+//! fig26 replacement nonpowerlaw preprocessing extensions engines sweep`
 //! (`figure24` is the scheduler-axis extension of `fig24`, executed in
 //! the end-to-end multi-PE mode: all four engines × rr/lpt/ws/ca cluster
 //! scheduling × 1–16 PEs with `exec=e2e`, dispatched through the batch
@@ -53,7 +52,6 @@ fn main() {
     let mut full = false;
     let mut channels = 1usize;
     let mut banks = 1usize;
-    let mut workers = 1usize;
     let mut out_dir = PathBuf::from("results");
     let mut ids: Vec<String> = Vec::new();
 
@@ -88,7 +86,6 @@ fn main() {
                     .expect("--channels N")
             }
             "--banks" => banks = it.next().and_then(|v| v.parse().ok()).expect("--banks N"),
-            "--workers" => workers = it.next().and_then(|v| v.parse().ok()).expect("--workers N"),
             "--out" => out_dir = PathBuf::from(it.next().expect("--out DIR")),
             "--help" | "-h" => {
                 eprintln!("see crate docs: experiments [flags] <ids...> | all");
@@ -128,8 +125,6 @@ fn main() {
         "extensions",
         "engines",
         "sweep",
-        "serve_demo",
-        "chaos",
     ];
     if ids.len() == 1 && ids[0] == "all" {
         ids = all_ids.iter().map(|s| s.to_string()).collect();
@@ -140,7 +135,6 @@ fn main() {
     ctx.full_scale = full;
     ctx.channels = channels.max(1);
     ctx.banks = banks.max(1);
-    ctx.workers = workers.max(1);
     // One batch service for the whole invocation: the registry-driven
     // experiments share pooled sessions and cached reports (running
     // `engines sweep` prepares each workload once, not twice).
@@ -176,8 +170,6 @@ fn main() {
             "extensions" => extensions(&mut ctx),
             "engines" => engines(&ctx, &mut service),
             "sweep" => sweep(&ctx, &mut service),
-            "serve_demo" => serve_demo(&ctx, &out_dir),
-            "chaos" => chaos(&ctx, &out_dir),
             other => {
                 eprintln!(
                     "unknown experiment '{other}' (known: {})",
@@ -358,578 +350,6 @@ fn sweep(ctx: &Context, service: &mut BatchService) -> Table {
         stats.preparations_run,
         service.pooled_sessions()
     );
-    t
-}
-
-/// The always-on serving demo: drives an `AsyncService` (worker-pool
-/// size from `--workers`) over a small mixed fleet — priority classes,
-/// a repeated query, a failing job — through **three service lifetimes**
-/// sharing one on-disk `ResultStore` under `<out>/store`. The first
-/// lifetime computes and persists and must record at least one
-/// cross-job plan-cache hit (two grow configurations share a session,
-/// so the second skips its plan pass); the second lifetime must run
-/// **zero** simulations, serving every report from disk bit-identically;
-/// the third submits *new* keys on the stored workload, among them a
-/// strategy with several parts (`Multilevel { cluster_nodes: 256 }`),
-/// and every partitioned preparation must load its persisted assignment
-/// instead of re-partitioning, with reports equal to service-free runs.
-/// The process exits non-zero otherwise, which makes this the CI smoke
-/// assertion for the store and the plan cache.
-fn serve_demo(ctx: &Context, out_dir: &std::path::Path) -> Table {
-    use grow_core::registry::{self, ENGINE_NAMES};
-    use grow_core::{PartitionStrategy, RunReport};
-    use grow_serve::{
-        AsyncConfig, AsyncService, JobSpec, Priority, ResultStore, SimSession, Ticket,
-    };
-
-    let spec = ctx.spec(0);
-    let fine = PartitionStrategy::Multilevel { cluster_nodes: 256 };
-    let mut jobs: Vec<(JobSpec, Priority)> = Vec::new();
-    for name in ENGINE_NAMES {
-        let strategy = if name == "grow" {
-            PartitionStrategy::multilevel_default()
-        } else {
-            PartitionStrategy::None
-        };
-        jobs.push((
-            JobSpec::new(spec, ctx.seed, name).with_strategy(strategy),
-            Priority::Normal,
-        ));
-    }
-    // A repeated query (a cache hit within the lifetime), an interactive
-    // high-priority configuration, a fine-grained partitioning whose
-    // assignment the store keeps, and a bad job that must fail alone.
-    jobs.push((jobs[0].0.clone(), Priority::Low));
-    jobs.push((
-        JobSpec::new(spec, ctx.seed, "grow")
-            .with_strategy(PartitionStrategy::multilevel_default())
-            .with_override("runahead", "8"),
-        Priority::High,
-    ));
-    jobs.push((
-        JobSpec::new(spec, ctx.seed, "grow").with_strategy(fine),
-        Priority::Normal,
-    ));
-    jobs.push((JobSpec::new(spec, ctx.seed, "npu"), Priority::Normal));
-    // Lifetime 3: keys no earlier lifetime ran, on every strategy above.
-    let new_keys: Vec<(JobSpec, Priority)> = [
-        JobSpec::new(spec, ctx.seed, "grow")
-            .with_strategy(fine)
-            .with_override("runahead", "4"),
-        JobSpec::new(spec, ctx.seed, "grow")
-            .with_strategy(fine)
-            .with_override("exec", "e2e")
-            .with_pes(4),
-        JobSpec::new(spec, ctx.seed, "gcnax").with_strategy(fine),
-        JobSpec::new(spec, ctx.seed, "grow")
-            .with_strategy(PartitionStrategy::multilevel_default())
-            .with_override("hdn_cache_kb", "256"),
-        JobSpec::new(spec, ctx.seed, "gamma").with_override("fiber_cache_kb", "256"),
-    ]
-    .into_iter()
-    .map(|job| (job, Priority::Normal))
-    .collect();
-    let strategies: std::collections::HashSet<PartitionStrategy> =
-        new_keys.iter().map(|(job, _)| job.strategy).collect();
-    let partitioned = strategies
-        .iter()
-        .filter(|s| s.parts(spec.nodes) > 1)
-        .count() as u64;
-    let unserved = |job: &JobSpec| -> Option<RunReport> {
-        let parsed = registry::parse_overrides(&job.overrides).ok()?;
-        let overrides: Vec<(&str, &str)> = parsed
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str()))
-            .collect();
-        let mut session = SimSession::from_spec(job.dataset, job.seed);
-        session.set_hdn_id_entries(job.hdn_id_entries);
-        session.run_with(&job.engine, &overrides, job.strategy).ok()
-    };
-
-    // A fresh store every invocation: a stale store from a previous run
-    // would serve lifetime 1 entirely from disk and starve the
-    // plan-cache assertion below (the persistence contract lives within
-    // one invocation).
-    let store_dir = out_dir.join("store");
-    let _ = std::fs::remove_dir_all(&store_dir);
-    let mut t = Table::new(
-        "serve_demo",
-        &["lifetime", "engine", "priority", "status", "sim ms"],
-    );
-    let mut first_reports: Vec<Option<RunReport>> = Vec::new();
-    for lifetime in 1..=3u32 {
-        let fleet = if lifetime < 3 { &jobs } else { &new_keys };
-        let store = ResultStore::open(&store_dir).expect("open result store");
-        let service = AsyncService::start(
-            grow_serve::BatchService::new().with_store(store),
-            AsyncConfig {
-                queue_capacity: 64,
-                session_capacity: Some(4),
-                workers: ctx.workers,
-            },
-        );
-        let started = std::time::Instant::now();
-        let tickets: Vec<Ticket> = fleet
-            .iter()
-            .map(|(job, priority)| {
-                service
-                    .submit_with(job.clone(), *priority)
-                    .expect("fleet fits the admission bound")
-            })
-            .collect();
-        let results: Vec<_> = tickets
-            .into_iter()
-            .map(|t| t.wait().expect("serving worker alive"))
-            .collect();
-        let fleet_ms = started.elapsed().as_secs_f64() * 1e3;
-        let batch = service.finish();
-        let stats = batch.stats();
-        eprintln!(
-            "[run] serve_demo lifetime {lifetime}: {} simulations, {} store hits, \
-             {} cache hits, {} plan-cache hits, {} preparations ({} from stored \
-             partitions), {} failed, peak {} in flight, fleet {fleet_ms:.1} ms",
-            stats.simulations_run,
-            stats.store_hits,
-            stats.cache_hits,
-            stats.plan_cache_hits,
-            stats.preparations_run,
-            stats.partitions_loaded,
-            stats.jobs_failed,
-            stats.jobs_in_flight_peak
-        );
-        for ((job, priority), r) in fleet.iter().zip(&results) {
-            let status = match (&r.outcome, r.cache_hit) {
-                (Err(e), _) => format!("error: {e}"),
-                (Ok(_), true) => "ok (served)".into(),
-                (Ok(_), false) => "ok (computed)".into(),
-            };
-            t.row(&[
-                lifetime.to_string(),
-                job.engine.clone(),
-                format!("{priority:?}"),
-                status,
-                r.wall_ms
-                    .map_or_else(|| "-".to_string(), |ms| format!("{ms:.1}")),
-            ]);
-        }
-        let fail = |message: String| -> ! {
-            eprintln!("error: serve_demo lifetime {lifetime}: {message}");
-            std::process::exit(1)
-        };
-        match lifetime {
-            1 => {
-                first_reports = results.iter().map(|r| r.report().cloned()).collect();
-                // The cross-job plan cache, asserted end to end: the two
-                // distinct grow configurations share one session and one
-                // engine family, so the second simulation must have
-                // skipped its plan pass.
-                if stats.plan_cache_hits == 0 {
-                    fail(
-                        "recorded no plan-cache hits; the cross-job plan cache is not \
-                         being shared"
-                            .into(),
-                    );
-                }
-            }
-            2 => {
-                // The store contract, asserted end to end: a fresh process
-                // lifetime serves the whole fleet from disk,
-                // bit-identically.
-                if stats.simulations_run != 0 {
-                    fail(format!(
-                        "ran {} simulations; every job should have been served from \
-                         the on-disk store",
-                        stats.simulations_run
-                    ));
-                }
-                let identical = results
-                    .iter()
-                    .zip(&first_reports)
-                    .all(|(r, first)| r.report() == first.as_ref());
-                if !identical {
-                    fail("store round-trip was not bit-identical".into());
-                }
-            }
-            _ => {
-                // The partition-entry contract: new keys prepare from the
-                // persisted assignments, never re-partitioning, and
-                // report exactly what a service-free run does.
-                if partitioned == 0 || stats.partitions_loaded != partitioned {
-                    fail(format!(
-                        "{} of {partitioned} partitioned preparations loaded their \
-                         stored assignment",
-                        stats.partitions_loaded
-                    ));
-                }
-                let identical = fleet.iter().zip(&results).all(|((job, _), r)| {
-                    r.report().is_some() && r.report() == unserved(job).as_ref()
-                });
-                if !identical {
-                    fail("reports differ from service-free runs".into());
-                }
-            }
-        }
-    }
-    t
-}
-
-/// The supervised-serving chaos soak (the robustness CI smoke): an
-/// 18-job mixed fleet runs once fault-free as the baseline, then three
-/// more rounds under a cycling grid of transient `fault=` injections
-/// (DRAM issue, plan/replay hand-off, scheduler dispatch, store
-/// read/write — both `error` and `panic` actions). Every ticket must
-/// resolve, no pool worker may die, every post-retry report must be
-/// bit-identical to the fault-free baseline, at least 50 faults must
-/// actually have fired, and the store scrubber must reclaim the torn
-/// writes the `store_write` faults left behind. With `--workers` >= 2
-/// the soak adds a pool-degradation phase: a `worker:panic:k` kill
-/// takes out exactly one worker mid-fleet, the service must keep
-/// serving on the survivors, record the casualty, and the re-served
-/// fleet must still match the baseline bit for bit. Any violation
-/// exits non-zero.
-fn chaos(ctx: &Context, out_dir: &std::path::Path) -> Table {
-    use grow_core::registry::ENGINE_NAMES;
-    use grow_core::PartitionStrategy;
-    use grow_serve::{AsyncConfig, AsyncService, JobSpec, Priority, ResultStore, Ticket};
-    use grow_sim::fault;
-
-    // Transient specs only: every `attempts` bound sits below the
-    // default retry budget (3), `store_write` faults are warning-only,
-    // and a `store_read` fault degrades to a cache miss — so each
-    // faulted job still retries to a fault-free final attempt. The
-    // `sched` site only has trip points in the e2e dispatch loop, so it
-    // fires on the two `exec=e2e` jobs and arms harmlessly elsewhere.
-    // The permanent shapes (`store_read:panic`) are covered by
-    // `tests/fault_injection.rs`, not the identity soak; the `worker`
-    // kill site gets its own degradation phase below.
-    const FAULT_GRID: [&str; 11] = [
-        "dram:error:1:2",
-        "dram:panic:1:2",
-        "exec:error:1:2",
-        "exec:panic:1:2",
-        "sched:error:1:2",
-        "sched:panic:1:2",
-        "dram:error:2:2",
-        "exec:error:2:2",
-        "dram:panic:2:2+store_write:error:1",
-        "store_write:panic:1",
-        "store_read:error:1+store_write:error:1",
-    ];
-    const ROUNDS: u32 = 3;
-
-    let spec = ctx.spec(0);
-    let multilevel = PartitionStrategy::multilevel_default();
-    let mut jobs: Vec<(JobSpec, Priority)> = Vec::new();
-    for name in ENGINE_NAMES {
-        for strategy in [PartitionStrategy::None, multilevel] {
-            jobs.push((
-                JobSpec::new(spec, ctx.seed, name).with_strategy(strategy),
-                Priority::Normal,
-            ));
-        }
-        jobs.push((
-            JobSpec::new(spec, ctx.seed, name).with_override("shard_rows", "64"),
-            Priority::Low,
-        ));
-    }
-    jobs.push((
-        JobSpec::new(spec, ctx.seed, "grow")
-            .with_strategy(multilevel)
-            .with_scheduler(grow_core::SchedulerKind::WorkStealing)
-            .with_pes(8),
-        Priority::High,
-    ));
-    jobs.push((
-        JobSpec::new(spec, ctx.seed, "grow")
-            .with_strategy(multilevel)
-            .with_override("runahead", "8"),
-        Priority::High,
-    ));
-    jobs.push((
-        JobSpec::new(spec, ctx.seed, "grow")
-            .with_strategy(multilevel)
-            .with_override("hdn_cache_kb", "64"),
-        Priority::Normal,
-    ));
-    jobs.push((
-        JobSpec::new(spec, ctx.seed, "grow").with_override("exec", "e2e"),
-        Priority::Normal,
-    ));
-    jobs.push((
-        JobSpec::new(spec, ctx.seed, "gcnax").with_override("exec", "e2e"),
-        Priority::Low,
-    ));
-    jobs.push((
-        JobSpec::new(spec, ctx.seed, "gamma").with_pes(4),
-        Priority::Normal,
-    ));
-    assert_eq!(jobs.len(), 18, "the chaos fleet is 18 jobs");
-
-    // A fresh store every invocation: stale entries from a previous run
-    // would turn injection rounds into store hits and starve the soak.
-    let store_dir = out_dir.join("chaos_store");
-    let _ = std::fs::remove_dir_all(&store_dir);
-
-    let mut t = Table::new(
-        "chaos",
-        &[
-            "round",
-            "faults",
-            "ok",
-            "retries",
-            "panics",
-            "injected",
-            "identical",
-        ],
-    );
-    // Dozens of injected panics are caught and retried below; the
-    // default hook would flood stderr with a backtrace for each one, so
-    // filter them out — genuine panics still print through the saved
-    // hook.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let payload = info.payload();
-        let injected = payload.downcast_ref::<fault::SimFault>().is_some()
-            || payload
-                .downcast_ref::<&str>()
-                .is_some_and(|m| m.starts_with("injected "))
-            || payload
-                .downcast_ref::<String>()
-                .is_some_and(|m| m.starts_with("injected "));
-        if !injected {
-            default_hook(info);
-        }
-    }));
-    let injected_before = fault::injected_total();
-    let mut baseline: Vec<Option<grow_core::RunReport>> = Vec::new();
-    for round in 0..=ROUNDS {
-        // Round 0 is the fault-free baseline; later rounds cycle each
-        // job through the grid (offset by round, so every job sees
-        // three different fault shapes across the soak).
-        let round_jobs: Vec<(JobSpec, Priority)> = jobs
-            .iter()
-            .enumerate()
-            .map(|(i, (job, priority))| {
-                let job = if round == 0 {
-                    job.clone()
-                } else {
-                    let spec_text = FAULT_GRID[(i + round as usize - 1) % FAULT_GRID.len()];
-                    job.clone().with_fault(spec_text)
-                };
-                (job, *priority)
-            })
-            .collect();
-
-        let store = ResultStore::open(&store_dir).expect("open chaos store");
-        let service = AsyncService::start(
-            grow_serve::BatchService::new().with_store(store),
-            AsyncConfig {
-                queue_capacity: 64,
-                session_capacity: Some(4),
-                workers: ctx.workers,
-            },
-        );
-        let tickets: Vec<Ticket> = round_jobs
-            .iter()
-            .map(|(job, priority)| {
-                service
-                    .submit_with(job.clone(), *priority)
-                    .expect("fleet fits the admission bound")
-            })
-            .collect();
-        let mut results = Vec::new();
-        for ticket in tickets {
-            match ticket.wait() {
-                Ok(result) => results.push(result),
-                Err(e) => {
-                    eprintln!("error: chaos round {round}: wedged ticket ({e})");
-                    std::process::exit(1);
-                }
-            }
-        }
-        let (batch, report) = service.finish_report();
-        if report.worker_panicked || !report.casualties.is_empty() {
-            eprintln!(
-                "error: chaos round {round}: worker died ({} casualties)",
-                report.casualties.len()
-            );
-            std::process::exit(1);
-        }
-        let stats = batch.stats();
-        let ok = results.iter().filter(|r| r.outcome.is_ok()).count();
-        if ok != results.len() {
-            for r in &results {
-                if let Err(e) = &r.outcome {
-                    eprintln!(
-                        "error: chaos round {round}: job {} ({}) failed: {e}",
-                        r.index, r.engine,
-                    );
-                }
-            }
-            std::process::exit(1);
-        }
-        let identical = if round == 0 {
-            baseline = results.iter().map(|r| r.report().cloned()).collect();
-            true
-        } else {
-            results
-                .iter()
-                .zip(&baseline)
-                .all(|(r, first)| r.report() == first.as_ref())
-        };
-        if !identical {
-            eprintln!("error: chaos round {round}: post-retry reports diverged from baseline");
-            std::process::exit(1);
-        }
-        t.row(&[
-            round.to_string(),
-            if round == 0 {
-                "off".into()
-            } else {
-                "grid".into()
-            },
-            format!("{ok}/{}", results.len()),
-            stats.retries.to_string(),
-            stats.panics_caught.to_string(),
-            (fault::injected_total() - injected_before).to_string(),
-            "yes".into(),
-        ]);
-    }
-
-    // Pool-degradation phase (multi-worker runs only): every fleet job
-    // is poisoned with `worker:panic:k`, which kills exactly pool worker
-    // `k` the moment *it* picks any of them up — every other worker
-    // serves the same jobs unharmed. The service must degrade to the
-    // survivors, record the orphaned submissions as casualties, re-serve
-    // them on resubmission, and still match the fault-free baseline bit
-    // for bit.
-    if ctx.workers >= 2 {
-        let victim = 2usize;
-        let kill_spec = format!("worker:panic:{victim}");
-        let store = ResultStore::open(&store_dir).expect("open chaos store");
-        let service = AsyncService::start(
-            grow_serve::BatchService::new().with_store(store),
-            AsyncConfig {
-                queue_capacity: 64,
-                session_capacity: Some(4),
-                workers: ctx.workers,
-            },
-        );
-        let poisoned: Vec<(JobSpec, Priority)> = jobs
-            .iter()
-            .map(|(job, priority)| (job.clone().with_fault(&kill_spec), *priority))
-            .collect();
-        let tickets: Vec<Ticket> = poisoned
-            .iter()
-            .map(|(job, priority)| {
-                service
-                    .submit_with(job.clone(), *priority)
-                    .expect("fleet fits the admission bound")
-            })
-            .collect();
-        let mut results: Vec<Option<grow_serve::JobResult>> =
-            tickets.into_iter().map(|t| t.wait().ok()).collect();
-        let orphaned = results.iter().filter(|r| r.is_none()).count();
-        // The victim may have sat out the whole drain; feed it poisoned
-        // work until it bites (bounded — this resolves in one or two
-        // pickups in practice).
-        let mut baits = 0usize;
-        let mut bait_casualties = 0usize;
-        while service.workers_alive() == ctx.workers && baits < 100 {
-            baits += 1;
-            let bait = jobs[baits % jobs.len()].0.clone().with_fault(&kill_spec);
-            if service.submit(bait).expect("admitted").wait().is_err() {
-                bait_casualties += 1;
-            }
-        }
-        if service.workers_alive() != ctx.workers - 1 {
-            eprintln!(
-                "error: chaos degradation: expected {} of {} workers alive, saw {}",
-                ctx.workers - 1,
-                ctx.workers,
-                service.workers_alive()
-            );
-            std::process::exit(1);
-        }
-        // Re-serve the orphans on the degraded pool; the victim is dead,
-        // so the kill spec is now inert.
-        for (slot, (job, priority)) in results.iter_mut().zip(&poisoned) {
-            if slot.is_none() {
-                let result = service
-                    .submit_with(job.clone(), *priority)
-                    .expect("degraded pool still admits")
-                    .wait()
-                    .expect("survivors keep serving");
-                *slot = Some(result);
-            }
-        }
-        let (_, report) = service.finish_report();
-        let casualties = orphaned + bait_casualties;
-        if !report.worker_panicked || report.casualties.len() != casualties {
-            eprintln!(
-                "error: chaos degradation: expected a panicked worker with {} casualties, \
-                 saw panicked={} casualties={}",
-                casualties,
-                report.worker_panicked,
-                report.casualties.len()
-            );
-            std::process::exit(1);
-        }
-        let identical = results
-            .iter()
-            .zip(&baseline)
-            .all(|(r, first)| r.as_ref().and_then(|r| r.report()) == first.as_ref());
-        if !identical {
-            eprintln!("error: chaos degradation: degraded-pool reports diverged from baseline");
-            std::process::exit(1);
-        }
-        t.row(&[
-            "degrade".into(),
-            kill_spec,
-            format!("{}/{}", results.len(), results.len()),
-            "-".into(),
-            "-".into(),
-            format!("{casualties} casualties"),
-            "yes".into(),
-        ]);
-        eprintln!(
-            "[run] chaos degradation: worker {victim} of {} killed, {casualties} casualties \
-             re-served on the survivors, reports identical",
-            ctx.workers
-        );
-    }
-
-    let _ = std::panic::take_hook();
-
-    let injected = fault::injected_total() - injected_before;
-    if injected < 50 {
-        eprintln!("error: chaos soak injected only {injected} faults (floor: 50)");
-        std::process::exit(1);
-    }
-
-    // The scrubber reclaims what the torn writes left behind: every
-    // `store_write` fault orphaned a `*.tmp<pid>` file next to the
-    // entries. After the scrub the store is all live entries again.
-    let mut store = ResultStore::open(&store_dir).expect("reopen chaos store");
-    let scrub = store.scrub().expect("scrub chaos store");
-    eprintln!(
-        "[run] chaos scrub: {} live, {} quarantined, {} tmp removed, {} skipped \
-         ({injected} faults injected over {ROUNDS} rounds)",
-        scrub.live, scrub.quarantined, scrub.tmp_removed, scrub.skipped
-    );
-    if scrub.tmp_removed == 0 {
-        eprintln!("error: chaos scrub found no orphaned tmp files; store_write faults misfired");
-        std::process::exit(1);
-    }
-    t.row(&[
-        "scrub".into(),
-        "-".into(),
-        format!("{} live", scrub.live),
-        "-".into(),
-        "-".into(),
-        format!("{} tmp", scrub.tmp_removed),
-        "yes".into(),
-    ]);
     t
 }
 

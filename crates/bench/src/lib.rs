@@ -1,6 +1,6 @@
 //! Benchmark-harness support: plain-text table rendering, CSV emission,
-//! and the shared experiment context used by the `experiments` binary and
-//! the Criterion benches.
+//! the shared experiment context used by the `experiments` binary, and
+//! the timing helper of the `parallel_speedup` bench.
 //!
 //! Results are written both to stdout (aligned tables mirroring the
 //! paper's figures) and to `results/<experiment>.csv` for archival; no
@@ -275,7 +275,7 @@ pub mod cell {
     }
 }
 
-/// Wall-clock measurement shared by the offline (no-Criterion) benches.
+/// Wall-clock measurement for the offline (no-Criterion) bench.
 pub mod timing {
     use std::time::Instant;
 
@@ -288,13 +288,6 @@ pub mod timing {
         pub mean_ns: f64,
         /// Fastest single iteration.
         pub min_ns: f64,
-    }
-
-    impl Timing {
-        /// Fastest iteration in seconds.
-        pub fn min_secs(&self) -> f64 {
-            self.min_ns / 1e9
-        }
     }
 
     /// Runs `f` once to warm up, then `iters` timed times.
@@ -335,9 +328,6 @@ pub struct Context {
     /// Per-channel bank count for the e2e experiments (`banks=`
     /// override).
     pub banks: usize,
-    /// Worker-pool size for the async-serving experiments
-    /// (`AsyncConfig::workers`; 1 = the historical single-worker drain).
-    pub workers: usize,
     evals: Vec<Option<DatasetEval>>,
 }
 
@@ -352,7 +342,6 @@ impl Context {
             full_scale: false,
             channels: 1,
             banks: 1,
-            workers: 1,
             evals: vec![None; n],
         }
     }

@@ -11,7 +11,7 @@
 //!   entire fleet from disk — zero simulations in its lifetime — with the
 //!   exact reports of the first lifetime, and prepares *new* keys on the
 //!   stored workloads from their persisted partition assignments, with
-//!   the reports of a fresh service;
+//!   the reports of a fresh service, on one worker and on four;
 //! * corrupt, truncated, or wrong-key store entries are quarantined and
 //!   recomputed, never served;
 //! * admission control rejects over-capacity submissions with a reason,
@@ -25,7 +25,7 @@
 
 mod common;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -104,20 +104,31 @@ fn async_drain_is_bit_identical_to_run_batch() {
     }
 }
 
+/// A service on the result store at `dir`, drained by `workers` workers.
+fn start_on_store(dir: &Path, workers: usize) -> AsyncService {
+    let store = ResultStore::open(dir).expect("open store");
+    AsyncService::start(
+        BatchService::new().with_store(store),
+        AsyncConfig {
+            workers,
+            ..AsyncConfig::default()
+        },
+    )
+}
+
 #[test]
 fn restarted_service_serves_the_fleet_from_disk() {
+    for workers in [1, 4] {
+        serves_the_fleet_from_disk(workers);
+    }
+}
+
+fn serves_the_fleet_from_disk(workers: usize) {
     let jobs = mixed_jobs();
     let dir = temp_store_dir();
 
     // Lifetime 1: compute everything, persisting each report.
-    let store = ResultStore::open(&dir).expect("open store");
-    let (first, batch) = drain(
-        AsyncService::start(
-            BatchService::new().with_store(store),
-            AsyncConfig::default(),
-        ),
-        &jobs,
-    );
+    let (first, batch) = drain(start_on_store(&dir, workers), &jobs);
     let stats = batch.stats();
     assert_eq!(stats.simulations_run, jobs.len() as u64 - 1);
     assert_eq!(stats.store_hits, 0);
@@ -132,20 +143,19 @@ fn restarted_service_serves_the_fleet_from_disk() {
     // Lifetime 2: a *fresh* service on the same directory — the entire
     // fleet must be served from disk, bit-identically, without running a
     // single simulation.
-    let store = ResultStore::open(&dir).expect("reopen store");
-    let (second, batch) = drain(
-        AsyncService::start(
-            BatchService::new().with_store(store),
-            AsyncConfig::default(),
-        ),
-        &jobs,
-    );
+    let (second, batch) = drain(start_on_store(&dir, workers), &jobs);
     let stats = batch.stats();
-    assert_eq!(stats.simulations_run, 0, "second lifetime computes nothing");
+    assert_eq!(
+        stats.simulations_run, 0,
+        "{workers} workers: second lifetime computes nothing"
+    );
     assert_eq!(stats.store_hits, jobs.len() as u64 - 1);
     assert_eq!(stats.sessions_created, 0, "no workload even instantiated");
     for (f, s) in first.iter().zip(&second) {
-        assert_eq!(f.outcome, s.outcome, "store round-trip must be exact");
+        assert_eq!(
+            f.outcome, s.outcome,
+            "{workers} workers: store round-trip must be exact"
+        );
         if s.outcome.is_ok() {
             assert!(s.cache_hit, "store hits are cache hits");
             assert_eq!(s.wall_ms, None, "no simulation ran");
@@ -157,16 +167,16 @@ fn restarted_service_serves_the_fleet_from_disk() {
 
 #[test]
 fn restarted_service_prepares_new_keys_without_repartitioning() {
+    for workers in [1, 4] {
+        prepares_new_keys_without_repartitioning(workers);
+    }
+}
+
+/// The first lifetime runs on one worker, the restarted one on `workers`.
+fn prepares_new_keys_without_repartitioning(workers: usize) {
     let jobs = mixed_jobs();
     let dir = temp_store_dir();
-    let store = ResultStore::open(&dir).expect("open store");
-    let (_, batch) = drain(
-        AsyncService::start(
-            BatchService::new().with_store(store),
-            AsyncConfig::default(),
-        ),
-        &jobs,
-    );
+    let (_, batch) = drain(start_on_store(&dir, 1), &jobs);
     assert_eq!(batch.stats().partitions_loaded, 0, "nothing stored yet");
 
     // New keys on both stored workloads, under both strategies: every
@@ -186,26 +196,18 @@ fn restarted_service_prepares_new_keys_without_repartitioning() {
         }
         new_keys.push(JobSpec::new(spec, 21, "gamma").with_override("fiber_cache_kb", "256"));
     }
-    let store = ResultStore::open(&dir).expect("reopen store");
-    let (restarted, batch) = with_workers(WORKERS, || {
-        drain(
-            AsyncService::start(
-                BatchService::new().with_store(store),
-                AsyncConfig {
-                    workers: 4,
-                    ..AsyncConfig::default()
-                },
-            ),
-            &new_keys,
-        )
-    });
+    let (restarted, batch) =
+        with_workers(WORKERS, || drain(start_on_store(&dir, workers), &new_keys));
     let stats = batch.stats();
     assert_eq!(stats.store_hits, 0, "every key is new");
     assert_eq!(stats.simulations_run, new_keys.len() as u64);
-    assert_eq!(stats.preparations_run, 4, "2 workloads x 2 strategies");
+    assert_eq!(
+        stats.preparations_run, 4,
+        "{workers} workers: 2 workloads x 2 strategies"
+    );
     assert_eq!(
         stats.partitions_loaded, 2,
-        "both partitioned preparations loaded: no partitioner ran"
+        "{workers} workers: both partitioned preparations loaded, so no partitioner ran"
     );
 
     let (fresh, _) = drain(

@@ -1,11 +1,12 @@
 //! Helpers shared by the golden-snapshot suites (`golden_reports.rs`,
 //! `hotpath_invariants.rs`, `banked_memory.rs`), the exec-model battery
-//! (`exec_model.rs`) and the serving suites (`batch_serving.rs`,
-//! `async_serving.rs`): the fixed-seed workloads, the snapshot file
-//! layout, the field-by-field report and e2e-grid rendering, the mixed
-//! serving fleet, and a service-free job runner. The snapshot suites
-//! compare against the same committed `tests/golden/*.snap` bytes, so the
-//! rendering lives here exactly once.
+//! (`exec_model.rs`), the serving suites (`batch_serving.rs`,
+//! `async_serving.rs`) and the fault suites (`fault_injection.rs`,
+//! `chaos_soak.rs`): the fixed-seed workloads, the snapshot file layout,
+//! the field-by-field report and e2e-grid rendering, the mixed serving
+//! fleet, a service-free job runner, and the injected-panic filter. The
+//! snapshot suites compare against the same committed
+//! `tests/golden/*.snap` bytes, so the rendering lives here exactly once.
 //!
 //! Not every test binary uses every helper; unused-item lints are
 //! silenced per item rather than forcing each binary to import all of
@@ -20,7 +21,7 @@ use grow::accel::schedule::SCHEDULER_NAMES;
 use grow::accel::{PartitionStrategy, PreparedWorkload, RunReport, SchedulerKind};
 use grow::model::{DatasetKey, DatasetSpec};
 use grow::serve::{JobError, JobResult, JobSpec, SimSession};
-use grow::sim::TrafficClass;
+use grow::sim::{fault, TrafficClass};
 
 /// The two fixed-seed golden workloads: a Cora-scale citation graph and a
 /// Pubmed-scale one (distinct feature shapes and densities).
@@ -157,6 +158,30 @@ pub fn assert_unserved_outcomes(jobs: &[JobSpec], results: &[JobResult]) {
             "{which} differs from its service-free run"
         );
     }
+}
+
+/// Installs (once, process-wide) a panic hook that silences *injected*
+/// panics only — they are caught and retried by the supervisor, and
+/// their backtraces would otherwise flood the test output. Genuine
+/// panics (including test assertion failures) still print normally.
+pub fn quiet_injected_panics() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let default_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let payload = info.payload();
+            let injected = payload.downcast_ref::<fault::SimFault>().is_some()
+                || payload
+                    .downcast_ref::<&str>()
+                    .is_some_and(|m| m.starts_with("injected "))
+                || payload
+                    .downcast_ref::<String>()
+                    .is_some_and(|m| m.starts_with("injected "));
+            if !injected {
+                default_hook(info);
+            }
+        }));
+    });
 }
 
 /// Oversubscribed worker count (the in-code equivalent of

@@ -25,9 +25,12 @@
 //!   get [`SubmitError::ServiceDead`], and the shutdown report lists
 //!   the casualties.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::quiet_injected_panics;
 use grow::accel::registry;
 use grow::model::DatasetKey;
 use grow::serve::{
@@ -48,30 +51,6 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// Installs (once, process-wide) a panic hook that silences *injected*
-/// panics only — they are caught and retried by the supervisor, and
-/// their backtraces would otherwise flood the test output. Genuine
-/// panics (including test assertion failures) still print normally.
-fn quiet_injected_panics() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            let injected = payload.downcast_ref::<fault::SimFault>().is_some()
-                || payload
-                    .downcast_ref::<&str>()
-                    .is_some_and(|m| m.starts_with("injected "))
-                || payload
-                    .downcast_ref::<String>()
-                    .is_some_and(|m| m.starts_with("injected "));
-            if !injected {
-                default_hook(info);
-            }
-        }));
-    });
 }
 
 #[test]
