@@ -226,6 +226,50 @@ fn banked_grid_matches_committed_snapshots() {
 }
 
 #[test]
+fn lru_study_matches_committed_snapshots() {
+    // The Section VIII demand-filled LRU study, which shares its HDN cache
+    // across clusters: at the Table III capacity and at 4 KB (where rows
+    // really get evicted), under the post-hoc model and end to end on 4
+    // PEs. The last line of each run pins the energy model's fleet
+    // counters.
+    let modes: [&[(&str, &str)]; 2] = [&[], &[("exec", "e2e"), ("pes", "4")]];
+    for (case, spec, seed) in cases() {
+        let workload = spec.instantiate(seed);
+        let mut out = String::new();
+        for strategy in [
+            PartitionStrategy::None,
+            PartitionStrategy::Multilevel { cluster_nodes: 100 },
+        ] {
+            let prepared = prepare(&workload, strategy, 4096);
+            for kb in ["512", "4"] {
+                for mode in modes {
+                    let mut overrides = vec![("replacement", "lru"), ("hdn_cache_kb", kb)];
+                    overrides.extend_from_slice(mode);
+                    let engine = registry::engine_from_overrides("grow", &overrides)
+                        .expect("registered engine and keys");
+                    let report = engine.run(&prepared);
+                    let pes = report.multi_pe.as_ref().expect("summary attached").pes;
+                    let _ = writeln!(
+                        out,
+                        "== engine={} strategy={strategy:?} replacement=lru hdn_cache_kb={kb} \
+                         exec={} pes={pes} ==",
+                        report.engine, report.exec
+                    );
+                    render(&report, &mut out);
+                    let a = report.activity(engine.sram_kb());
+                    let _ = writeln!(
+                        out,
+                        "activity cycles={} pe_busy_cycles={} pe_idle_cycles={}",
+                        a.cycles, a.pe_busy_cycles, a.pe_idle_cycles
+                    );
+                }
+            }
+        }
+        assert_snapshot(&format!("{case}_lru"), &out);
+    }
+}
+
+#[test]
 fn work_stealing_path_is_execution_mode_invariant() {
     // The ws summary is computed from cluster profiles that the parallel
     // cluster fan-out produced; the whole report — summary included —
