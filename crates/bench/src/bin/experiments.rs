@@ -857,8 +857,8 @@ fn table4() -> Table {
 /// cycles, the speedup over round-robin at the same PE count, and the
 /// load-imbalance ratio; the machine-readable summary in
 /// `<out>/BENCH_figure24.json` additionally carries every cell's
-/// per-layer multi-PE breakdown (per-phase makespan and per-PE busy
-/// cycles).
+/// per-layer, per-phase multi-PE record (makespan, cluster time and per-PE
+/// busy cycles).
 fn figure24(ctx: &Context, service: &mut BatchService, out_dir: &std::path::Path) -> Table {
     use grow_core::registry::ENGINE_NAMES;
     use grow_core::{ExecModelKind, PartitionStrategy};
@@ -931,9 +931,6 @@ fn figure24(ctx: &Context, service: &mut BatchService, out_dir: &std::path::Path
     for result in &results {
         let report = result.report().expect("validated jobs");
         let summary = report.multi_pe.as_ref().expect("summary attached");
-        let breakdown = report
-            .multi_pe_breakdown()
-            .expect("e2e runs carry per-layer breakdowns");
         let rr = rr_cycles[&(result.dataset, report.engine, summary.pes)];
         let speedup = if summary.makespan > 0.0 {
             rr / summary.makespan
@@ -949,12 +946,13 @@ fn figure24(ctx: &Context, service: &mut BatchService, out_dir: &std::path::Path
             cell::ratio(speedup),
             cell::ratio(summary.imbalance),
         ]);
-        let layers: Vec<String> = breakdown
+        let layers: Vec<String> = report
             .layers
             .iter()
             .enumerate()
             .map(|(li, layer)| {
-                let phase = |name: &str, pe: &grow_core::PhasePeBusy| {
+                let phase = |name: &str, phase: &grow_core::PhaseReport| {
+                    let pe = phase.pe.as_ref().expect("e2e runs carry per-PE busy times");
                     grow_bench::json::object(&[
                         ("phase", grow_bench::json::string(name)),
                         ("makespan", grow_bench::json::number(pe.makespan)),

@@ -23,8 +23,7 @@
 //!   inter-phase (and inter-layer) sync barriers: a phase's cluster
 //!   fan-out starts only after the previous phase — and any serial
 //!   prologue — has fully drained. Each phase carries its per-PE busy
-//!   breakdown ([`PhasePeBusy`]), assembled per layer into the report's
-//!   [`MultiPeBreakdown`](crate::MultiPeBreakdown).
+//!   breakdown ([`PhasePeBusy`], in [`PhaseReport::pe`]).
 //!
 //! The end-to-end fluid durations are calibrated against the detailed
 //! per-cluster timelines (see [`multi_pe::simulate_e2e`]), which yields
@@ -190,10 +189,10 @@ impl ExecModel {
     /// * Post-hoc: the summary is the legacy Figure 24 projection over the
     ///   run's cluster profiles ([`schedule::summarize`]), bit-identical
     ///   to the pre-exec-model behavior.
-    /// * End-to-end: the summary is *derived from the breakdown* — its
-    ///   makespan is the report's actual end-to-end cycle count and its
-    ///   per-PE busy times are the phase breakdowns summed across the
-    ///   inter-phase barriers.
+    /// * End-to-end: the summary is *derived from* the phases'
+    ///   [`PhasePeBusy`] records — its makespan is the report's actual
+    ///   end-to-end cycle count and its per-PE busy times are the phase
+    ///   records summed across the inter-phase barriers.
     pub fn finalize(&self, report: &mut RunReport) {
         report.exec = self.cfg.exec.name();
         match self.cfg.exec {
@@ -205,27 +204,25 @@ impl ExecModel {
                 ));
             }
             ExecModelKind::EndToEnd => {
-                // Sum the phase breakdowns into one whole-run PhasePeBusy
-                // (phases are barrier-separated, so sequential absorption
-                // is exactly the composition the run performed).
-                let mut run_busy = PhasePeBusy {
-                    makespan: 0.0,
-                    per_pe_busy: vec![0.0f64; self.cfg.pes],
-                    cluster_time: 0.0,
-                };
-                for layer in &report.layers {
-                    for phase in [&layer.combination, &layer.aggregation] {
-                        if let Some(pe) = &phase.pe {
-                            run_busy.absorb_sequential(pe);
-                        }
+                // Sum the phases' per-PE busy times in phase order (phases
+                // are barrier-separated, so this is exactly the
+                // composition the run performed).
+                let mut per_pe_busy = vec![0.0f64; self.cfg.pes];
+                let phases = report
+                    .layers
+                    .iter()
+                    .flat_map(|l| [&l.combination, &l.aggregation]);
+                for pe in phases.filter_map(|p| p.pe.as_ref()) {
+                    for (slot, b) in per_pe_busy.iter_mut().zip(&pe.per_pe_busy) {
+                        *slot += b;
                     }
                 }
                 report.multi_pe = Some(MultiPeSummary {
                     scheduler: self.cfg.scheduler.name(),
                     pes: self.cfg.pes,
                     makespan: report.total_cycles() as f64,
-                    imbalance: run_busy.imbalance(),
-                    per_pe_busy: run_busy.per_pe_busy,
+                    imbalance: multi_pe::imbalance(&per_pe_busy),
+                    per_pe_busy,
                 });
             }
         }

@@ -297,22 +297,21 @@ impl GcnaxEngine {
             phase.absorb_sequential(pre.finish());
         }
 
-        let clustered =
-            pipeline::run_clusters_scratched(model, kind, clusters, scratch, |s, ci, cluster| {
-                let cell = store.map(|st| &st[ci]);
-                self.run_strips(
-                    kind,
-                    lhs,
-                    f,
-                    cluster,
-                    rhs_resident,
-                    s,
-                    spec,
-                    plan_pool,
-                    scratch,
-                    cell,
-                )
-            });
+        let clustered = pipeline::run_clusters(model, kind, clusters, |ci, cluster| {
+            let cell = store.map(|st| &st[ci]);
+            self.run_strips(
+                kind,
+                lhs,
+                f,
+                cluster,
+                rhs_resident,
+                &mut scratch.checkout(),
+                spec,
+                plan_pool,
+                scratch,
+                cell,
+            )
+        });
         phase.absorb_sequential(clustered);
         phase
     }

@@ -39,15 +39,18 @@
 //!    between consecutive hits — so the replay is bit-identical to the
 //!    original per-probe loop while doing per-*event* rather than
 //!    per-nonzero work on the (dominant) hit traffic.
+//!
+//! The Section VIII LRU study runs the same replay steps without a plan:
+//! its demand-filled cache changes whenever a drain installs a row, so
+//! each non-zero probes the cache as the replay reaches it.
 
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::OnceLock;
 
 use grow_sim::{
-    CacheStats, Cycle, Dram, DramConfig, FaultPlan, IssueOutcome, LruRowCache, MacArray,
-    PinnedRowCache, RunaheadTables, ScratchArena, TrafficClass, Waiter, ELEMENT_BYTES,
-    HDN_ID_BYTES, INDEX_BYTES,
+    fault, CacheStats, DramConfig, FaultPlan, IssueOutcome, LruRowCache, PinnedRowCache,
+    RunaheadTables, ScratchArena, TrafficClass, Waiter, ELEMENT_BYTES, HDN_ID_BYTES, INDEX_BYTES,
 };
 use grow_sparse::{CsrPattern, RowMajorSparse};
 
@@ -155,16 +158,12 @@ struct RowPlan {
 struct PlanBuf {
     rows: Vec<RowPlan>,
     ops: Vec<PlanOp>,
-    hits: u64,
-    misses: u64,
 }
 
 impl PlanBuffer for PlanBuf {
     fn clear(&mut self) {
         self.rows.clear();
         self.ops.clear();
-        self.hits = 0;
-        self.misses = 0;
     }
 }
 
@@ -173,8 +172,6 @@ impl PlanBuf {
     fn absorb(&mut self, shard: &PlanBuf) {
         self.rows.extend_from_slice(&shard.rows);
         self.ops.extend_from_slice(&shard.ops);
-        self.hits += shard.hits;
-        self.misses += shard.misses;
     }
 }
 
@@ -190,7 +187,7 @@ struct CachedPlan {
 /// adjacency structure and the (immutable) pinned set, so any row-range
 /// partition of a cluster concatenates to the same plan as one pass.
 /// `pinned` is `None` when HDN caching is disabled — every non-zero is
-/// then an uncached fetch and no probe statistics accrue.
+/// then an uncached fetch.
 fn plan_rows(
     adjacency: &CsrPattern,
     rows: Range<usize>,
@@ -208,16 +205,13 @@ fn plan_rows(
                     } else {
                         if run > 0 {
                             out.ops.push(PlanOp::Hits(run));
-                            out.hits += run as u64;
                             run = 0;
                         }
                         out.ops.push(PlanOp::Miss(k));
-                        out.misses += 1;
                     }
                 }
                 if run > 0 {
                     out.ops.push(PlanOp::Hits(run));
-                    out.hits += run as u64;
                 }
             }
             None => out.ops.extend(slice.iter().map(|&k| PlanOp::Miss(k))),
@@ -236,12 +230,171 @@ fn plan_rows(
 struct GrowScratch {
     pinned: PinnedRowCache,
     tables: RunaheadTables,
-    /// Zero-capacity stand-in for [`GrowEngine::drain_one`]'s LRU slot in
-    /// the pinned/no-cache modes (never probed or filled there).
-    lru_dummy: LruRowCache,
     window: VecDeque<u32>,
     pending: Vec<u32>,
     plan: PlanBuf,
+}
+
+/// The cycle-accurate replay of one aggregation cluster: the context it
+/// simulates in, the runahead tables, the in-order retirement window
+/// with its per-row pending counters, and — for the Section VIII study
+/// only — the demand-filled LRU cache that installs each row a drain
+/// returns. Probe outcomes accumulate in `ctx.report.cache`.
+struct Replay<'a> {
+    cfg: &'a GrowConfig,
+    ctx: PhaseCtx,
+    f_out: usize,
+    /// First row of the cluster (`pending` is indexed from it).
+    start: usize,
+    tables: &'a mut RunaheadTables,
+    window: &'a mut VecDeque<u32>,
+    pending: &'a mut [u32],
+    demand: Option<&'a mut LruRowCache>,
+    /// Streamed LHS bytes, granularity-rounded once at cluster end.
+    burst: u64,
+}
+
+impl Replay<'_> {
+    /// Admits `row` into the window (draining fetches until the window
+    /// head can retire) and streams its `nnz`-entry CSR segment.
+    fn begin_row(&mut self, row: usize, nnz: u32) {
+        while self.window.len() >= self.cfg.runahead {
+            self.retire_ready();
+            if self.window.len() < self.cfg.runahead {
+                break;
+            }
+            self.drain_one();
+        }
+        let stream = nnz as u64 * (ELEMENT_BYTES + INDEX_BYTES) + INDEX_BYTES;
+        self.ctx
+            .dram
+            .read_stream(self.ctx.now, stream, TrafficClass::LhsSparse);
+        self.burst += stream;
+        self.ctx.report.sram_writes_8b += stream.div_ceil(8);
+        self.ctx.report.sram_reads_8b += stream.div_ceil(8);
+        // Enter the window with an issue-in-progress token: stalls while
+        // issuing this row's own non-zeros may drain some of *its*
+        // waiters, so the pending counter must be live before the first
+        // miss is registered (and the token keeps the row from retiring
+        // before all its non-zeros are issued).
+        self.window.push_back(row as u32);
+        self.pending[row - self.start] = 1;
+    }
+
+    /// Probes the demand cache for RHS row `k` (always a miss without one).
+    fn probe(&mut self, k: u32) -> bool {
+        self.demand.as_deref_mut().is_some_and(|lru| lru.probe(k))
+    }
+
+    /// Issues `count` consecutive cache hits as one bulk MAC operation.
+    fn hits(&mut self, count: u32) {
+        let count = count as u64;
+        let words = count * self.f_out as u64;
+        self.ctx.report.cache.hits += count;
+        self.ctx
+            .mac
+            .scalar_vector_bulk(self.ctx.now, self.f_out, count);
+        self.ctx.report.sram_reads_8b += words; // cached RHS rows
+        self.ctx.report.sram_writes_8b += words; // O-BUF accumulate
+    }
+
+    /// Issues a cache miss on RHS row `k` for output `row` through the
+    /// runahead tables, draining fetches while they are full.
+    fn miss(&mut self, row: usize, k: u32) {
+        self.ctx.report.cache.misses += 1;
+        let waiter = Waiter {
+            output_row: row as u32,
+            lhs_value: 1.0,
+        };
+        loop {
+            match self.tables.issue(k, waiter) {
+                IssueOutcome::Allocated => {
+                    let row_bytes = self.f_out as u64 * ELEMENT_BYTES;
+                    let done = self
+                        .ctx
+                        .dram
+                        .read(self.ctx.now, row_bytes, TrafficClass::RhsRows);
+                    self.tables.set_completion(k, done);
+                    break;
+                }
+                IssueOutcome::Coalesced => break,
+                IssueOutcome::LdnFull | IssueOutcome::LhsFull => self.drain_one(),
+            }
+        }
+        self.pending[row - self.start] += 1;
+    }
+
+    /// Releases `row`'s issue token and retires whatever is ready.
+    fn end_row(&mut self, row: usize) {
+        self.pending[row - self.start] -= 1;
+        self.retire_ready();
+    }
+
+    /// Replays the plan of the rows starting at `first`.
+    fn plan(&mut self, first: usize, buf: &PlanBuf) {
+        let mut ops = buf.ops.iter();
+        for (j, rp) in buf.rows.iter().enumerate() {
+            let row = first + j;
+            self.begin_row(row, rp.nnz);
+            for op in ops.by_ref().take(rp.ops as usize) {
+                match *op {
+                    PlanOp::Hits(count) => self.hits(count),
+                    PlanOp::Miss(k) => self.miss(row, k),
+                }
+            }
+            self.end_row(row);
+        }
+    }
+
+    /// Services the earliest outstanding RHS-row fetch: advances time,
+    /// fires the waiting MACs, and installs the row in the demand cache.
+    fn drain_one(&mut self) {
+        let Some((done, rhs, waiters)) = self.tables.pop_earliest_slice() else {
+            return;
+        };
+        self.ctx.now = self.ctx.now.max(done);
+        for w in waiters {
+            self.ctx.mac.scalar_vector(self.ctx.now, self.f_out);
+            self.ctx.report.sram_writes_8b += self.f_out as u64; // O-BUF accumulate
+            let slot = &mut self.pending[w.output_row as usize - self.start];
+            *slot = slot.saturating_sub(1);
+        }
+        if let Some(lru) = self.demand.as_deref_mut() {
+            lru.insert(rhs);
+            self.ctx.report.sram_writes_8b += self.f_out as u64;
+        }
+    }
+
+    /// Retires completed rows from the window head, writing their output
+    /// rows back to DRAM (in-order retirement per Figure 15).
+    fn retire_ready(&mut self) {
+        while let Some(&front) = self.window.front() {
+            if self.pending[front as usize - self.start] > 0 {
+                break;
+            }
+            self.window.pop_front();
+            self.ctx.dram.write(
+                self.ctx.now,
+                self.f_out as u64 * ELEMENT_BYTES,
+                TrafficClass::Output,
+            );
+            self.ctx.report.sram_reads_8b += self.f_out as u64; // O-BUF drain
+        }
+    }
+
+    /// Drains the cluster before the channel passes to the next one and
+    /// returns its context.
+    fn finish(mut self) -> PhaseCtx {
+        self.ctx
+            .dram
+            .round_burst(self.burst, TrafficClass::LhsSparse);
+        while !self.tables.is_empty() {
+            self.drain_one();
+        }
+        self.retire_ready();
+        debug_assert!(self.window.is_empty(), "all rows retire at cluster end");
+        self.ctx
+    }
 }
 
 /// The GROW accelerator timing model.
@@ -360,52 +513,66 @@ impl GrowEngine {
         plan_store: Option<&[OnceLock<CachedPlan>]>,
     ) -> PhaseReport {
         let cfg = &self.config;
+        // Resolve the sharding spec once per phase (`auto` scans the
+        // cluster-size statistics), not once per cluster.
+        let spec = cfg.shard_rows.spec(workload);
 
-        if matches!(cfg.replacement, ReplacementPolicy::Lru) {
+        if cfg.replacement == ReplacementPolicy::Lru {
             // The demand-filled LRU study (Section VIII): a demand cache
             // has no hardware reason to flush at cluster boundaries the
             // way the pinned set is swapped, so the cache is shared across
             // clusters — which also means the clusters are *not*
-            // independent and must run serially. Only the paper's default
-            // pinned mode gets the parallel/planned path. (The end-to-end
-            // model still composes the serially-simulated per-cluster
-            // timelines; cross-cluster cache state is an approximation
-            // this study accepts.)
+            // independent and must run serially, in cluster order. (The
+            // end-to-end model still composes the serially-simulated
+            // per-cluster timelines; cross-cluster cache state is an
+            // approximation this study accepts.)
             let n = workload.adjacency.rows();
-            let mut lru = LruRowCache::new(self.cache_rows(f_out), n);
+            let mut lru = cfg
+                .hdn_caching
+                .then(|| LruRowCache::new(self.cache_rows(f_out), n));
+            let mut s = scratch.checkout();
             let partials: Vec<PhaseReport> = workload
                 .clusters
                 .iter()
-                .map(|cluster| {
-                    self.aggregate_cluster_lru(workload, f_out, cluster.clone(), &mut lru)
+                .enumerate()
+                .map(|(ci, cluster)| {
+                    // Cooperative cancellation at the cluster boundary, as
+                    // in the parallel fan-out.
+                    fault::check_cancel();
+                    let (demand, cluster) = (lru.as_mut(), cluster.clone());
+                    self.aggregate_cluster(
+                        workload, f_out, ci, cluster, spec, &mut s, shard_pool, None, demand,
+                    )
                 })
                 .collect();
             return model.compose(PhaseKind::Aggregation, partials);
         }
 
-        // Resolve the sharding spec once per phase (`auto` scans the
-        // cluster-size statistics), not once per cluster.
-        let spec = cfg.shard_rows.spec(workload);
-        pipeline::run_clusters_scratched(
+        pipeline::run_clusters(
             model,
             PhaseKind::Aggregation,
             &workload.clusters,
-            scratch,
-            |s, ci, cluster| {
+            |ci, cluster| {
                 let cell = plan_store.map(|store| &store[ci]);
-                self.aggregate_cluster(workload, f_out, ci, cluster, spec, s, shard_pool, cell)
+                let mut s = scratch.checkout();
+                self.aggregate_cluster(
+                    workload, f_out, ci, cluster, spec, &mut s, shard_pool, cell, None,
+                )
             },
         )
     }
 
     /// Simulates one cluster of the aggregation phase in an isolated
-    /// context (pinned or no-cache modes): plan phase — sharded across
+    /// context. With a `demand` cache (the LRU study) every non-zero
+    /// probes it as the replay reaches it, since a drain may install a
+    /// row a later probe hits. Otherwise the cluster prologue pins the
+    /// HDN set (when caching is on) and the probe plan — sharded across
     /// (nnz-balanced) row ranges when the cluster exceeds the threshold,
     /// and produced *ahead* of the replay through a bounded-depth queue —
-    /// then sequential cycle-accurate replay in range order. All working
-    /// state comes from `scratch` and is recycled. When `cell` is given,
-    /// the merged plan is retained there so later layers with the same
-    /// pinned set replay it without re-planning.
+    /// is replayed in range order. All working state comes from `scratch`
+    /// and is recycled. When `cell` is given, the merged plan is retained
+    /// there so later layers with the same pinned set replay it without
+    /// re-planning.
     #[allow(clippy::too_many_arguments)]
     fn aggregate_cluster(
         &self,
@@ -417,18 +584,15 @@ impl GrowEngine {
         scratch: &mut GrowScratch,
         shard_pool: &ScratchArena<PlanBuf>,
         cell: Option<&OnceLock<CachedPlan>>,
+        mut demand: Option<&mut LruRowCache>,
     ) -> PhaseReport {
         let cfg = &self.config;
         let adjacency = &workload.adjacency;
-        let n = adjacency.rows();
-        let row_bytes = f_out as u64 * ELEMENT_BYTES;
-        let f_words = f_out as u64;
         let cache_rows = self.cache_rows(f_out);
 
         let GrowScratch {
             pinned,
             tables,
-            lru_dummy,
             window,
             pending,
             plan,
@@ -446,155 +610,69 @@ impl GrowEngine {
         // keys the cross-layer plan cache (`usize::MAX` = no caching, the
         // plan is then just the miss stream of the adjacency).
         let mut take_key = usize::MAX;
-        if cfg.hdn_caching {
-            pinned.reset(cache_rows, n);
+        let pinning = cfg.hdn_caching && demand.is_none();
+        if pinning {
+            pinned.reset(cache_rows, adjacency.rows());
             // Cluster prologue: fetch the HDN ID list, then pin the
             // corresponding RHS rows (Section V-C).
             let list = &workload.hdn_lists[ci];
             let take = list.len().min(cfg.hdn_id_entries).min(cache_rows);
             take_key = take;
-            let ids = &list[..take];
             let id_done = ctx
                 .dram
                 .read(0, take as u64 * HDN_ID_BYTES, TrafficClass::HdnIdList);
-            let fills = pinned.load(ids);
+            let fills = pinned.load(&list[..take]);
+            let row_bytes = f_out as u64 * ELEMENT_BYTES;
             let done =
                 ctx.dram
                     .read_many(id_done, fills as u64, row_bytes, TrafficClass::RhsPreload);
-            ctx.report.sram_writes_8b += fills as u64 * f_words;
+            ctx.report.sram_writes_8b += fills as u64 * f_out as u64;
             ctx.now = ctx.now.max(done);
         }
 
-        // Replay: the cycle-accurate machinery consumes one shard's plan
-        // at a time, strictly in range order — identical step for step to
-        // a per-probe walk (hit runs issue as bulk MAC operations, which
-        // is exact — see the module docs).
-        let start = cluster.start;
-        let mut burst = 0u64;
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut replay = |range: Range<usize>, buf: &PlanBuf, ctx: &mut PhaseCtx| {
-            let mut op_cursor = 0usize;
-            for (j, rp) in buf.rows.iter().enumerate() {
-                let row = range.start + j;
-                let i = row - start;
-                // Window admission (in-order retirement).
-                while window.len() >= cfg.runahead {
-                    self.retire_ready(
-                        window,
-                        pending,
-                        start,
-                        ctx.now,
-                        &mut ctx.dram,
-                        f_out,
-                        &mut ctx.report,
-                    );
-                    if window.len() < cfg.runahead {
-                        break;
-                    }
-                    ctx.now = self.drain_one(
-                        tables,
-                        &mut ctx.mac,
-                        pending,
-                        start,
-                        lru_dummy,
-                        false,
-                        ctx.now,
-                        f_out,
-                        &mut ctx.report,
-                    );
-                }
-
-                // Stream this A row's CSR segment.
-                let nnz = rp.nnz as u64;
-                let stream = nnz * (ELEMENT_BYTES + INDEX_BYTES) + INDEX_BYTES;
-                ctx.dram
-                    .read_stream(ctx.now, stream, TrafficClass::LhsSparse);
-                burst += stream;
-                ctx.report.sram_writes_8b += stream.div_ceil(8);
-                ctx.report.sram_reads_8b += stream.div_ceil(8);
-
-                // Enter the window with an issue-in-progress token: stalls
-                // while issuing this row's own non-zeros may drain some of
-                // *its* waiters, so the pending counter must be live before
-                // the first miss is registered (and the token keeps the row
-                // from retiring before all its non-zeros are issued).
-                window.push_back(row as u32);
-                pending[i] = 1;
-                for op in &buf.ops[op_cursor..op_cursor + rp.ops as usize] {
-                    match *op {
-                        PlanOp::Hits(count) => {
-                            ctx.mac.scalar_vector_bulk(ctx.now, f_out, count as u64);
-                            ctx.report.sram_reads_8b += count as u64 * f_words; // cached RHS rows
-                            ctx.report.sram_writes_8b += count as u64 * f_words;
-                            // O-BUF accumulate
-                        }
-                        PlanOp::Miss(k) => {
-                            let waiter = Waiter {
-                                output_row: row as u32,
-                                lhs_value: 1.0,
-                            };
-                            loop {
-                                match tables.issue(k, waiter) {
-                                    IssueOutcome::Allocated => {
-                                        let done = ctx.dram.read(
-                                            ctx.now,
-                                            row_bytes,
-                                            TrafficClass::RhsRows,
-                                        );
-                                        tables.set_completion(k, done);
-                                        pending[i] += 1;
-                                        break;
-                                    }
-                                    IssueOutcome::Coalesced => {
-                                        pending[i] += 1;
-                                        break;
-                                    }
-                                    IssueOutcome::LdnFull | IssueOutcome::LhsFull => {
-                                        ctx.now = self.drain_one(
-                                            tables,
-                                            &mut ctx.mac,
-                                            pending,
-                                            start,
-                                            lru_dummy,
-                                            false,
-                                            ctx.now,
-                                            f_out,
-                                            &mut ctx.report,
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                op_cursor += rp.ops as usize;
-                // Release the issue token; the row can now retire once all
-                // of its outstanding misses return.
-                pending[i] -= 1;
-                self.retire_ready(
-                    window,
-                    pending,
-                    start,
-                    ctx.now,
-                    &mut ctx.dram,
-                    f_out,
-                    &mut ctx.report,
-                );
-            }
+        let fills_before = demand.as_ref().map_or(0, |lru| lru.stats().fills);
+        let mut replay = Replay {
+            cfg,
+            ctx,
+            f_out,
+            start: cluster.start,
+            tables,
+            window,
+            pending,
+            demand: demand.as_deref_mut(),
+            burst: 0,
         };
-
-        // Plan: a pure probe plan, either replayed from the layer-1 cache
-        // (identical plan data, so identical replay) or produced fresh —
-        // sharded across nnz-balanced row ranges and pipelined *ahead* of
-        // the replay through the bounded-depth queue, whose ordered merge
-        // concatenates to exactly the single-pass plan.
-        let pinned_ref = cfg.hdn_caching.then_some(&*pinned);
-        if let Some(cached) = cell.and_then(|c| c.get()).filter(|c| c.take == take_key) {
-            replay(cluster.clone(), &cached.plan, &mut ctx);
-            hits = cached.plan.hits;
-            misses = cached.plan.misses;
+        if replay.demand.is_some() {
+            // Probes move no clock, so a run of hits issues as one bulk
+            // operation just before the miss (or row end) that ends it.
+            for (j, slice) in adjacency.row_slices(cluster.clone()).enumerate() {
+                let row = cluster.start + j;
+                replay.begin_row(row, slice.len() as u32);
+                let mut run = 0;
+                for &k in slice {
+                    if replay.probe(k) {
+                        run += 1;
+                        continue;
+                    }
+                    if run > 0 {
+                        replay.hits(std::mem::take(&mut run));
+                    }
+                    replay.miss(row, k);
+                }
+                if run > 0 {
+                    replay.hits(run);
+                }
+                replay.end_row(row);
+            }
+        } else if let Some(cached) = cell.and_then(|c| c.get()).filter(|c| c.take == take_key) {
+            // A retained plan is identical plan data, so identical replay.
+            replay.plan(cluster.start, &cached.plan);
         } else {
+            // A fresh plan, sharded across nnz-balanced row ranges and
+            // pipelined *ahead* of the replay through the bounded-depth
+            // queue, whose ordered merge concatenates to exactly the
+            // single-pass plan.
+            let pinned_ref = pinning.then_some(&*pinned);
             let retain = cell.is_some();
             let ranges = plan::shard_ranges(Some(adjacency), cluster.clone(), spec, 1);
             plan::plan_replay(
@@ -602,9 +680,7 @@ impl GrowEngine {
                 ranges,
                 |range, buf| plan_rows(adjacency, range, pinned_ref, buf),
                 |range, buf| {
-                    replay(range, buf, &mut ctx);
-                    hits += buf.hits;
-                    misses += buf.misses;
+                    replay.plan(range.start, buf);
                     if retain {
                         plan.absorb(buf);
                     }
@@ -618,251 +694,20 @@ impl GrowEngine {
                 .ok();
             }
         }
-        ctx.dram.round_burst(burst, TrafficClass::LhsSparse);
+        let mut ctx = replay.finish();
 
-        // Drain the cluster before handing the channel to the next one.
-        while !tables.is_empty() {
-            ctx.now = self.drain_one(
-                tables,
-                &mut ctx.mac,
-                pending,
-                start,
-                lru_dummy,
-                false,
-                ctx.now,
-                f_out,
-                &mut ctx.report,
-            );
-        }
-        self.retire_ready(
-            window,
-            pending,
-            start,
-            ctx.now,
-            &mut ctx.dram,
-            f_out,
-            &mut ctx.report,
-        );
-        debug_assert!(window.is_empty(), "all rows retire at cluster end");
-
-        ctx.report.cache = if cfg.hdn_caching {
-            CacheStats {
-                hits,
-                misses,
+        ctx.report.cache = match demand {
+            Some(lru) => CacheStats {
+                fills: lru.stats().fills - fills_before,
+                ..ctx.report.cache
+            },
+            None if pinning => CacheStats {
                 fills: pinned.stats().fills,
-            }
-        } else {
-            CacheStats::default()
+                ..ctx.report.cache
+            },
+            None => CacheStats::default(),
         };
         ctx.finish_cluster()
-    }
-
-    /// Simulates one cluster under the demand-filled LRU replacement study
-    /// (Section VIII). The caller passes the shared demand cache — probe
-    /// outcomes depend on its evolving state, so this path stays a direct
-    /// per-probe walk; the report's cache statistics are the cluster's
-    /// delta.
-    fn aggregate_cluster_lru(
-        &self,
-        workload: &PreparedWorkload,
-        f_out: usize,
-        cluster: Range<usize>,
-        lru: &mut LruRowCache,
-    ) -> PhaseReport {
-        let cfg = &self.config;
-        let adjacency = &workload.adjacency;
-        let row_bytes = f_out as u64 * ELEMENT_BYTES;
-        let f_words = f_out as u64;
-        let lru_stats_before = *lru.stats();
-
-        let mut ctx = PhaseCtx::new(PhaseKind::Aggregation, cfg.dram, cfg.mac_lanes);
-        let mut tables = RunaheadTables::new(cfg.ldn_entries, cfg.lhs_id_entries);
-
-        // Multi-row window: rows retire in order (Figure 15's
-        // head/tail). Pending counters are cluster-local, indexed from
-        // the cluster's first row.
-        let start = cluster.start;
-        let mut window: VecDeque<u32> = VecDeque::with_capacity(cfg.runahead);
-        let mut pending: Vec<u32> = vec![0; cluster.len()];
-
-        let mut burst = 0u64;
-        for (i, slice) in adjacency.row_slices(cluster.clone()).enumerate() {
-            let row = start + i;
-            while window.len() >= cfg.runahead {
-                self.retire_ready(
-                    &mut window,
-                    &mut pending,
-                    start,
-                    ctx.now,
-                    &mut ctx.dram,
-                    f_out,
-                    &mut ctx.report,
-                );
-                if window.len() < cfg.runahead {
-                    break;
-                }
-                ctx.now = self.drain_one(
-                    &mut tables,
-                    &mut ctx.mac,
-                    &mut pending,
-                    start,
-                    lru,
-                    true,
-                    ctx.now,
-                    f_out,
-                    &mut ctx.report,
-                );
-            }
-
-            let nnz = slice.len() as u64;
-            let stream = nnz * (ELEMENT_BYTES + INDEX_BYTES) + INDEX_BYTES;
-            ctx.dram
-                .read_stream(ctx.now, stream, TrafficClass::LhsSparse);
-            burst += stream;
-            ctx.report.sram_writes_8b += stream.div_ceil(8);
-            ctx.report.sram_reads_8b += stream.div_ceil(8);
-
-            window.push_back(row as u32);
-            pending[i] = 1;
-            for &k in slice {
-                let hit = cfg.hdn_caching && lru.probe(k);
-                if hit {
-                    ctx.mac.scalar_vector(ctx.now, f_out);
-                    ctx.report.sram_reads_8b += f_words; // cached RHS row
-                    ctx.report.sram_writes_8b += f_words; // O-BUF accumulate
-                } else {
-                    let waiter = Waiter {
-                        output_row: row as u32,
-                        lhs_value: 1.0,
-                    };
-                    loop {
-                        match tables.issue(k, waiter) {
-                            IssueOutcome::Allocated => {
-                                let done = ctx.dram.read(ctx.now, row_bytes, TrafficClass::RhsRows);
-                                tables.set_completion(k, done);
-                                pending[i] += 1;
-                                break;
-                            }
-                            IssueOutcome::Coalesced => {
-                                pending[i] += 1;
-                                break;
-                            }
-                            IssueOutcome::LdnFull | IssueOutcome::LhsFull => {
-                                ctx.now = self.drain_one(
-                                    &mut tables,
-                                    &mut ctx.mac,
-                                    &mut pending,
-                                    start,
-                                    lru,
-                                    true,
-                                    ctx.now,
-                                    f_out,
-                                    &mut ctx.report,
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-            pending[i] -= 1;
-            self.retire_ready(
-                &mut window,
-                &mut pending,
-                start,
-                ctx.now,
-                &mut ctx.dram,
-                f_out,
-                &mut ctx.report,
-            );
-        }
-        ctx.dram.round_burst(burst, TrafficClass::LhsSparse);
-
-        while !tables.is_empty() {
-            ctx.now = self.drain_one(
-                &mut tables,
-                &mut ctx.mac,
-                &mut pending,
-                start,
-                lru,
-                true,
-                ctx.now,
-                f_out,
-                &mut ctx.report,
-            );
-        }
-        self.retire_ready(
-            &mut window,
-            &mut pending,
-            start,
-            ctx.now,
-            &mut ctx.dram,
-            f_out,
-            &mut ctx.report,
-        );
-        debug_assert!(window.is_empty(), "all rows retire at cluster end");
-
-        let after = *lru.stats();
-        ctx.report.cache = CacheStats {
-            hits: after.hits - lru_stats_before.hits,
-            misses: after.misses - lru_stats_before.misses,
-            fills: after.fills - lru_stats_before.fills,
-        };
-        ctx.finish_cluster()
-    }
-
-    /// Services the earliest outstanding RHS-row fetch: advances time,
-    /// fires the waiting MACs, and (under LRU) installs the row.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_one(
-        &self,
-        tables: &mut RunaheadTables,
-        mac: &mut MacArray,
-        pending: &mut [u32],
-        cluster_start: usize,
-        lru: &mut LruRowCache,
-        use_lru: bool,
-        now: Cycle,
-        f_out: usize,
-        report: &mut PhaseReport,
-    ) -> Cycle {
-        let Some((done, rhs, waiters)) = tables.pop_earliest_slice() else {
-            return now;
-        };
-        let now = now.max(done);
-        for w in waiters {
-            mac.scalar_vector(now, f_out);
-            report.sram_writes_8b += f_out as u64; // O-BUF accumulate
-            let slot = &mut pending[w.output_row as usize - cluster_start];
-            *slot = slot.saturating_sub(1);
-        }
-        if use_lru && self.config.hdn_caching {
-            lru.insert(rhs);
-            report.sram_writes_8b += f_out as u64;
-        }
-        now
-    }
-
-    /// Retires completed rows from the window head, writing their output
-    /// rows back to DRAM (in-order retirement per Figure 15).
-    #[allow(clippy::too_many_arguments)]
-    fn retire_ready(
-        &self,
-        window: &mut VecDeque<u32>,
-        pending: &mut [u32],
-        cluster_start: usize,
-        now: Cycle,
-        dram: &mut Dram,
-        f_out: usize,
-        report: &mut PhaseReport,
-    ) {
-        while let Some(&front) = window.front() {
-            if pending[front as usize - cluster_start] > 0 {
-                break;
-            }
-            window.pop_front();
-            dram.write(now, f_out as u64 * ELEMENT_BYTES, TrafficClass::Output);
-            report.sram_reads_8b += f_out as u64; // O-BUF drain
-        }
     }
 }
 

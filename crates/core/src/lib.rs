@@ -61,8 +61,7 @@ pub use matraptor::{MatRaptorConfig, MatRaptorEngine};
 pub use plan::{PlanCache, PlanCacheScope, ShardRows, ShardSpec};
 pub use prepare::{partition, prepare, prepare_with, PartitionStrategy, PreparedWorkload};
 pub use report::{
-    ClusterProfile, LayerPeBusy, LayerReport, MultiPeBreakdown, MultiPeSummary, PhaseKind,
-    PhasePeBusy, PhaseReport, RunReport,
+    ClusterProfile, LayerReport, MultiPeSummary, PhaseKind, PhasePeBusy, PhaseReport, RunReport,
 };
 pub use schedule::{MultiPeConfig, SchedulerKind};
 

@@ -58,27 +58,19 @@ pub struct MultiPeRun {
     pub cluster_cycles: Vec<f64>,
 }
 
-impl MultiPeRun {
-    /// Total busy cycles across PEs.
-    pub fn busy_total(&self) -> f64 {
-        self.per_pe_busy.iter().sum()
+/// Load-imbalance ratio of per-PE busy times: busiest PE over mean PE
+/// busy time. 1.0 means perfectly balanced; `per_pe_busy.len()` means one
+/// PE did all the work. Defined as 1.0 for an empty fleet *and* for a
+/// degenerate one whose busy total is not a positive finite number, so it
+/// is never NaN: a fleet of zero-cycle clusters must not divide by 0.0,
+/// and a NaN or infinite entry must not propagate through the division.
+pub fn imbalance(per_pe_busy: &[f64]) -> f64 {
+    let total: f64 = per_pe_busy.iter().sum();
+    if !(total > 0.0 && total.is_finite()) {
+        return 1.0;
     }
-
-    /// Load-imbalance ratio: busiest PE over mean PE busy time. 1.0 means
-    /// perfectly balanced; `pes` means one PE did all the work. Defined as
-    /// 1.0 for an empty run *and* for a degenerate run whose busy total is
-    /// zero or non-finite (a non-empty fleet of zero-cycle clusters must
-    /// not divide by 0.0 into a NaN).
-    pub fn imbalance(&self) -> f64 {
-        let total = self.busy_total();
-        // The NaN check matters: a poisoned busy vector would otherwise
-        // sail through `<= 0.0` and propagate NaN out of the division.
-        if total.is_nan() || total <= 0.0 || self.per_pe_busy.is_empty() {
-            return 1.0;
-        }
-        let max = self.per_pe_busy.iter().cloned().fold(0.0f64, f64::max);
-        max * self.per_pe_busy.len() as f64 / total
-    }
+    let max = per_pe_busy.iter().cloned().fold(0.0f64, f64::max);
+    max * per_pe_busy.len() as f64 / total
 }
 
 /// Simulates `pes` PEs working through `profiles` with cluster-to-PE
@@ -435,28 +427,17 @@ mod tests {
             lpt.makespan,
             rr.makespan
         );
-        assert!(ws.imbalance() < rr.imbalance());
+        assert!(imbalance(&ws.per_pe_busy) < imbalance(&rr.per_pe_busy));
     }
 
     #[test]
     fn imbalance_is_one_for_zero_busy_totals_and_nan() {
         // Regression: a non-empty fleet of zero-cycle clusters has a 0.0
         // busy total; `max * len / total` must not produce NaN.
-        let zero = MultiPeRun {
-            scheduler: "rr",
-            pes: 4,
-            makespan: 0.0,
-            per_pe_busy: vec![0.0; 4],
-            cluster_cycles: vec![],
-        };
-        assert_eq!(zero.imbalance(), 1.0);
-        assert!(!zero.imbalance().is_nan());
+        assert_eq!(imbalance(&[0.0; 4]), 1.0);
         // A poisoned busy vector must not propagate NaN either.
-        let poisoned = MultiPeRun {
-            per_pe_busy: vec![f64::NAN, 1.0],
-            ..zero
-        };
-        assert_eq!(poisoned.imbalance(), 1.0);
+        assert_eq!(imbalance(&[f64::NAN, 1.0]), 1.0);
+        assert_eq!(imbalance(&[f64::INFINITY, 1.0]), 1.0);
     }
 
     fn calibrated(c: u64, m: u64, bw: f64) -> ClusterProfile {
@@ -578,7 +559,7 @@ mod tests {
             &DramConfig::default(),
             MemTopology::new(4, 8),
         );
-        let busy = run.busy_total();
+        let busy: f64 = run.per_pe_busy.iter().sum();
         let cluster: f64 = run.cluster_cycles.iter().sum();
         assert!((busy - cluster).abs() / busy.max(1.0) < 1e-9);
         for &b in &run.per_pe_busy {
@@ -590,14 +571,8 @@ mod tests {
     fn imbalance_is_one_when_balanced() {
         let profiles: Vec<ClusterProfile> = (0..8).map(|_| task(100, 0)).collect();
         let run = simulate(&profiles, 4, 4.0, SchedulerKind::RoundRobin);
-        assert!((run.imbalance() - 1.0).abs() < 1e-9, "{}", run.imbalance());
-        assert_eq!(
-            MultiPeRun {
-                per_pe_busy: vec![],
-                ..run
-            }
-            .imbalance(),
-            1.0
-        );
+        let ratio = imbalance(&run.per_pe_busy);
+        assert!((ratio - 1.0).abs() < 1e-9, "{ratio}");
+        assert_eq!(imbalance(&[]), 1.0);
     }
 }

@@ -111,6 +111,16 @@ impl PhaseCtx {
 /// fluid makespan under end-to-end). `sim` receives the cluster index and
 /// row range and returns that cluster's finished [`PhaseReport`] (usually
 /// via [`PhaseCtx::finish_cluster`]).
+///
+/// The zero-allocation engines check a reusable scratch value out of a
+/// per-run [`ScratchArena`] inside `sim`, so cache residency tables,
+/// runahead slots and plan buffers are built once per worker and recycled
+/// across every cluster of every layer. The scratch a cluster receives
+/// may have been used by *any* earlier cluster (on any thread), so `sim`
+/// must re-initialize every piece of scratch state it consults (the
+/// `reset` methods on the caches and tables exist for this); under that
+/// contract the merged report is bit-identical to per-cluster
+/// construction, in both serial and parallel execution.
 pub fn run_clusters<F>(
     model: &ExecModel,
     kind: PhaseKind,
@@ -125,37 +135,6 @@ where
         // boundary so a cancelled job never produces a partial report.
         fault::check_cancel();
         sim(ci, cluster)
-    });
-    model.compose(kind, partials)
-}
-
-/// Like [`run_clusters`], but hands each cluster simulation a reusable
-/// scratch value checked out of `arena` — the zero-allocation cluster
-/// path. The scratch a cluster receives may have been used by *any*
-/// earlier cluster (on any thread), so `sim` must re-initialize every
-/// piece of scratch state it consults (the `reset` methods on the caches
-/// and tables exist for this); under that contract the merged report is
-/// bit-identical to [`run_clusters`] with per-cluster construction, in
-/// both serial and parallel execution.
-///
-/// Engines create one arena per `run()` call, so scratch state — cache
-/// residency tables, runahead slots, plan buffers — is built once per
-/// worker and recycled across every cluster of every layer.
-pub fn run_clusters_scratched<S, F>(
-    model: &ExecModel,
-    kind: PhaseKind,
-    clusters: &[Range<usize>],
-    arena: &ScratchArena<S>,
-    sim: F,
-) -> PhaseReport
-where
-    S: Default + Send,
-    F: Fn(&mut S, usize, Range<usize>) -> PhaseReport + Sync,
-{
-    let partials = exec::parallel_map(clusters.to_vec(), |ci, cluster| {
-        fault::check_cancel();
-        let mut scratch = arena.checkout();
-        sim(&mut scratch, ci, cluster)
     });
     model.compose(kind, partials)
 }

@@ -398,7 +398,7 @@ pub fn run_named(name: &str, workload: &PreparedWorkload) -> Result<RunReport, R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{prepare, PartitionStrategy};
+    use crate::{prepare, LayerReport, PartitionStrategy};
     use grow_model::DatasetKey;
 
     fn prepared() -> PreparedWorkload {
@@ -606,7 +606,8 @@ mod tests {
             )
             .unwrap_or_else(|e| panic!("{name}: {e}"))
             .run(&p);
-            assert!(report.multi_pe_breakdown().is_some(), "{name}");
+            let per_pe = |l: &LayerReport| l.combination.pe.is_some() && l.aggregation.pe.is_some();
+            assert!(report.layers.iter().all(per_pe), "{name}");
         }
     }
 
@@ -658,8 +659,11 @@ mod tests {
                 .unwrap()
                 .run(&p);
             assert_eq!(e2e.exec, "e2e", "{name}");
-            assert!(e2e.multi_pe_breakdown().is_some(), "{name}");
-            assert!(post_hoc.multi_pe_breakdown().is_none(), "{name}");
+            let per_pe = |l: &LayerReport| l.combination.pe.is_some() && l.aggregation.pe.is_some();
+            assert!(e2e.layers.iter().all(per_pe), "{name}");
+            let post_hoc_pe =
+                |l: &LayerReport| l.combination.pe.is_none() && l.aggregation.pe.is_none();
+            assert!(post_hoc.layers.iter().all(post_hoc_pe), "{name}");
         }
         assert_eq!(
             engine_from_overrides("grow", &[("exec", "sideways")])

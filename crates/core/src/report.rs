@@ -38,12 +38,8 @@ pub struct ClusterProfile {
 /// only in scheduler have bit-identical [`RunReport::layers`] and differ
 /// at most in this summary (the scheduler-invariance suite asserts exactly
 /// that). Under the end-to-end model (`exec=e2e`) the summary is instead
-/// *derived from* the per-layer [`MultiPeBreakdown`], whose makespans are
+/// *derived from* each phase's [`PhaseReport::pe`], whose makespans are
 /// the report's actual cycle counts.
-///
-/// This whole-run summary is the deprecated legacy surface; new code
-/// should read [`RunReport::multi_pe_breakdown`] for the per-layer,
-/// per-phase truth.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiPeSummary {
     /// Canonical scheduler name (`rr`, `lpt`, `ws`, or `ca`).
@@ -95,42 +91,6 @@ impl PhasePeBusy {
         }
         self.cluster_time += fragment.cluster_time;
     }
-
-    /// Load-imbalance ratio of this phase: busiest PE over mean PE busy
-    /// time (1.0 for an empty or perfectly balanced phase, and for a
-    /// degenerate phase whose busy total is zero or non-finite — never
-    /// NaN).
-    pub fn imbalance(&self) -> f64 {
-        let total: f64 = self.per_pe_busy.iter().sum();
-        if total.is_nan() || total <= 0.0 || self.per_pe_busy.is_empty() {
-            return 1.0;
-        }
-        let max = self.per_pe_busy.iter().cloned().fold(0.0f64, f64::max);
-        max * self.per_pe_busy.len() as f64 / total
-    }
-}
-
-/// Per-layer multi-PE accounting of an end-to-end (`exec=e2e`) run: one
-/// [`PhasePeBusy`] per phase per layer. This replaces the single post-hoc
-/// [`MultiPeSummary`] as the canonical multi-PE surface — the summary is
-/// retained as a deprecated whole-run alias derived from this breakdown.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiPeBreakdown {
-    /// Canonical scheduler name.
-    pub scheduler: &'static str,
-    /// Number of PEs executed on.
-    pub pes: usize,
-    /// Per-layer phase breakdowns, in layer order.
-    pub layers: Vec<LayerPeBusy>,
-}
-
-/// The two phase breakdowns of one layer (see [`MultiPeBreakdown`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LayerPeBusy {
-    /// Combination (`X*W`) phase.
-    pub combination: PhasePeBusy,
-    /// Aggregation (`A*XW`) phase.
-    pub aggregation: PhasePeBusy,
 }
 
 /// Timing/traffic/cache statistics of one SpDeGEMM phase.
@@ -230,8 +190,7 @@ pub struct RunReport {
     /// Per-layer reports.
     pub layers: Vec<LayerReport>,
     /// Multi-PE summary of this run (`None` only for hand-built reports;
-    /// every engine attaches its configured summary). Deprecated legacy
-    /// surface — see [`RunReport::multi_pe_breakdown`].
+    /// every engine attaches its configured summary).
     pub multi_pe: Option<MultiPeSummary>,
     /// Canonical name of the execution model that produced the cycle
     /// counts: `"post_hoc"` (single-PE timelines, multi-PE as a
@@ -292,12 +251,12 @@ impl RunReport {
     /// Activity counts for the energy model (Figure 22), with the engine's
     /// total SRAM capacity supplied by the caller.
     ///
-    /// For a multi-PE end-to-end run (`exec=e2e`, `pes > 1`) the per-phase
-    /// [`PhasePeBusy`] breakdowns are folded into the fleet PE-cycle
-    /// counters, so leakage charges every PE — busy *or idle* — for the
-    /// full phase makespan rather than the single reference timeline.
-    /// Single-PE and post-hoc runs leave those counters zero and the
-    /// energy estimate is bit-identical to the pre-fleet behavior.
+    /// For a multi-PE end-to-end run (`exec=e2e`, `pes > 1`) each phase's
+    /// [`PhasePeBusy`] is folded into the fleet PE-cycle counters, so
+    /// leakage charges every PE — busy *or idle* — for the full phase
+    /// makespan rather than the single reference timeline. Single-PE and
+    /// post-hoc runs leave those counters zero and the energy estimate is
+    /// bit-identical to the pre-fleet behavior.
     pub fn activity(&self, sram_kb: f64) -> ActivityCounts {
         let mut a = ActivityCounts {
             sram_kb,
@@ -309,48 +268,19 @@ impl RunReport {
                 a.sram_reads_8b += p.sram_reads_8b;
                 a.sram_writes_8b += p.sram_writes_8b;
                 a.dram_bytes += p.traffic.total_fetched();
+                if let Some(pe) = p.pe.as_ref().filter(|pe| pe.per_pe_busy.len() > 1) {
+                    let busy: f64 = pe.per_pe_busy.iter().sum();
+                    let fleet = pe.makespan * pe.per_pe_busy.len() as f64;
+                    a.pe_busy_cycles += busy.round() as u64;
+                    a.pe_idle_cycles += (fleet - busy).max(0.0).round() as u64;
+                }
             }
         }
         // Three register-file touches per MAC (two operand reads, one
         // accumulator write), the usual vector-MAC bookkeeping.
         a.rf_accesses = 3 * a.mac_ops;
         a.cycles = self.total_cycles();
-        if let Some(breakdown) = self.multi_pe_breakdown() {
-            if breakdown.pes > 1 {
-                for layer in &breakdown.layers {
-                    for pe in [&layer.combination, &layer.aggregation] {
-                        let busy: f64 = pe.per_pe_busy.iter().sum();
-                        let fleet = pe.makespan * breakdown.pes as f64;
-                        a.pe_busy_cycles += busy.round() as u64;
-                        a.pe_idle_cycles += (fleet - busy).max(0.0).round() as u64;
-                    }
-                }
-            }
-        }
         a
-    }
-
-    /// The per-layer multi-PE breakdown of an end-to-end run: one
-    /// [`PhasePeBusy`] per phase per layer, assembled from the phase
-    /// reports. `None` when the run used the post-hoc execution model
-    /// (no phase carries per-PE accounting).
-    pub fn multi_pe_breakdown(&self) -> Option<MultiPeBreakdown> {
-        let summary = self.multi_pe.as_ref()?;
-        let layers: Option<Vec<LayerPeBusy>> = self
-            .layers
-            .iter()
-            .map(|l| {
-                Some(LayerPeBusy {
-                    combination: l.combination.pe.clone()?,
-                    aggregation: l.aggregation.pe.clone()?,
-                })
-            })
-            .collect();
-        Some(MultiPeBreakdown {
-            scheduler: summary.scheduler,
-            pes: summary.pes,
-            layers: layers?,
-        })
     }
 
     /// Per-cluster profiles concatenated across layers (multi-PE model).

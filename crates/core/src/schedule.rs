@@ -364,7 +364,7 @@ pub fn summarize(
         scheduler: run.scheduler,
         pes: run.pes,
         makespan: run.makespan,
-        imbalance: run.imbalance(),
+        imbalance: multi_pe::imbalance(&run.per_pe_busy),
         per_pe_busy: run.per_pe_busy,
     }
 }

@@ -168,9 +168,10 @@ fn run_phase(
     spec: ShardSpec,
     store: Option<&[OnceLock<CachedRows>]>,
 ) -> PhaseReport {
-    pipeline::run_clusters_scratched(model, kind, clusters, scratch, |s, ci, cluster| {
+    pipeline::run_clusters(model, kind, clusters, |ci, cluster| {
         let cell = store.map(|st| &st[ci]);
-        run_rows(params, kind, lhs, f, cluster, s, spec, plan_pool, cell)
+        let mut s = scratch.checkout();
+        run_rows(params, kind, lhs, f, cluster, &mut s, spec, plan_pool, cell)
     })
 }
 

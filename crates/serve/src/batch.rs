@@ -1406,7 +1406,7 @@ mod tests {
             e2e.total_cycles() < ph.total_cycles(),
             "4 concurrent PEs finish the run faster than one"
         );
-        assert!(e2e.multi_pe_breakdown().is_some());
+        assert!(e2e.layers.iter().all(|l| l.aggregation.pe.is_some()));
     }
 
     #[test]

@@ -110,9 +110,9 @@ fn busy_cycle_conservation_holds_under_banking() {
         let prepared = prepared(spec, seed);
         for engine in ENGINE_NAMES {
             let report = run_banked(engine, &prepared, "ca", 4, 4, 8);
-            let breakdown = report.multi_pe_breakdown().expect("e2e breakdown");
-            for layer in &breakdown.layers {
-                for pe in [&layer.combination, &layer.aggregation] {
+            for layer in &report.layers {
+                for phase in [&layer.combination, &layer.aggregation] {
+                    let pe = phase.pe.as_ref().expect("e2e per-PE busy times");
                     let busy: f64 = pe.per_pe_busy.iter().sum();
                     let rel = (busy - pe.cluster_time).abs() / pe.cluster_time.max(1.0);
                     assert!(

@@ -82,8 +82,8 @@ pub fn render(report: &RunReport, out: &mut String) {
 
 /// Renders the end-to-end grid of one prepared workload: every engine ×
 /// every scheduler at each of `pes_counts` under `exec=e2e` plus the
-/// `extra` overrides, with the per-layer multi-PE breakdowns rendered
-/// field by field and `label` appended to each header. f64 fields use
+/// `extra` overrides, with each phase's per-PE busy times rendered field
+/// by field and `label` appended to each header. f64 fields use
 /// `{}` — shortest-roundtrip formatting — so any last-ulp drift in the
 /// calibrated fluid model fails the snapshot.
 pub fn render_e2e_grid(
@@ -107,13 +107,9 @@ pub fn render_e2e_grid(
                     report.engine,
                     report.total_cycles()
                 );
-                let breakdown = report.multi_pe_breakdown().expect("e2e breakdown");
                 for (li, layer) in report.layers.iter().enumerate() {
-                    let pe_layer = &breakdown.layers[li];
-                    for (phase, pe) in [
-                        (&layer.combination, &pe_layer.combination),
-                        (&layer.aggregation, &pe_layer.aggregation),
-                    ] {
+                    for phase in [&layer.combination, &layer.aggregation] {
+                        let pe = phase.pe.as_ref().expect("e2e per-PE busy times");
                         let busy: Vec<String> =
                             pe.per_pe_busy.iter().map(|b| format!("{b}")).collect();
                         let _ = writeln!(

@@ -86,16 +86,14 @@ fn per_pe_busy_cycles_are_conserved_phase_by_phase() {
                     &[("exec", "e2e"), ("scheduler", "ws"), ("pes", pes)],
                     &prepared,
                 );
-                let breakdown = report
-                    .multi_pe_breakdown()
-                    .expect("e2e attaches the breakdown");
-                assert_eq!(breakdown.layers.len(), report.layers.len());
-                for (li, layer) in breakdown.layers.iter().enumerate() {
-                    for (phase, pe) in [
+                for (li, layer) in report.layers.iter().enumerate() {
+                    for (phase, phase_report) in [
                         ("combination", &layer.combination),
                         ("aggregation", &layer.aggregation),
                     ] {
-                        assert_eq!(pe.per_pe_busy.len(), breakdown.pes);
+                        let pe = phase_report.pe.as_ref().expect("e2e per-PE busy times");
+                        let summary = report.multi_pe.as_ref().expect("summary attached");
+                        assert_eq!(pe.per_pe_busy.len(), summary.pes);
                         let busy: f64 = pe.per_pe_busy.iter().sum();
                         let rel = (busy - pe.cluster_time).abs() / busy.max(1.0);
                         assert!(
@@ -228,5 +226,5 @@ fn e2e_composes_with_sharding_and_the_lru_study() {
         &prepared,
     );
     assert!(lru.total_cycles() > 0);
-    assert!(lru.multi_pe_breakdown().is_some());
+    assert!(lru.layers.iter().all(|l| l.aggregation.pe.is_some()));
 }
