@@ -38,6 +38,14 @@ use crate::{
 /// comparison order.
 pub const ENGINE_NAMES: [&str; 4] = ["grow", "gcnax", "matraptor", "gamma"];
 
+/// Largest value the `pes=` and `channels=` keys accept. The multi-PE
+/// fluid loop and the scheduler dispatchers allocate per-PE and
+/// per-channel state up front, so an unbounded count could abort the
+/// whole process on one allocation; a larger value is an
+/// [`RegistryError::InvalidValue`]. The largest count any test, golden
+/// snapshot or experiment uses is 16.
+pub const MAX_PES_OR_CHANNELS: usize = 1024;
+
 /// Errors from engine construction or dispatch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RegistryError {
@@ -131,15 +139,16 @@ fn apply_dram_key(dram: &mut DramConfig, key: &str, value: &str) -> Result<bool,
 /// Applies the multi-PE keys shared by every engine (`pes=N`,
 /// `scheduler=rr|lpt|ws|ca`, `exec=post_hoc|e2e`, and the banked-memory
 /// topology `channels=N` / `banks=N`); returns `true` if `key` was one of
-/// them.
+/// them. Counts must be positive, and `pes`/`channels` at most
+/// [`MAX_PES_OR_CHANNELS`].
 fn apply_schedule_key(
     cfg: &mut MultiPeConfig,
     key: &str,
     value: &str,
 ) -> Result<bool, RegistryError> {
-    let positive = |key: &str, value: &str| -> Result<usize, RegistryError> {
+    let count = |max: usize| -> Result<usize, RegistryError> {
         let n: usize = parse(key, value)?;
-        if n == 0 {
+        if n == 0 || n > max {
             return Err(RegistryError::InvalidValue {
                 key: key.to_string(),
                 value: value.to_string(),
@@ -148,9 +157,9 @@ fn apply_schedule_key(
         Ok(n)
     };
     match key {
-        "pes" => cfg.pes = positive(key, value)?,
-        "channels" => cfg.topology.channels = positive(key, value)?,
-        "banks" => cfg.topology.banks = positive(key, value)?,
+        "pes" => cfg.pes = count(MAX_PES_OR_CHANNELS)?,
+        "channels" => cfg.topology.channels = count(MAX_PES_OR_CHANNELS)?,
+        "banks" => cfg.topology.banks = count(usize::MAX)?,
         "scheduler" => {
             cfg.scheduler = SchedulerKind::parse(value)
                 .ok_or_else(|| RegistryError::UnknownScheduler(value.to_string()))?;

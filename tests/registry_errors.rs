@@ -326,6 +326,61 @@ fn zero_pes_is_an_invalid_value_not_a_panic() {
 }
 
 #[test]
+fn over_limit_pes_and_channels_are_invalid_values_on_every_engine() {
+    // Per-PE and per-channel state is allocated up front, so a huge count
+    // must be rejected before anything runs, not abort the process.
+    let over = (registry::MAX_PES_OR_CHANNELS + 1).to_string();
+    for key in ["pes", "channels"] {
+        for value in [over.as_str(), "1000000000"] {
+            for engine in registry::ENGINE_NAMES {
+                assert_eq!(
+                    registry::engine_from_overrides(engine, &[("exec", "e2e"), (key, value)]).err(),
+                    Some(RegistryError::InvalidValue {
+                        key: key.into(),
+                        value: value.into(),
+                    }),
+                    "{engine}: {key}={value}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn the_largest_pes_and_channels_run_on_every_engine() {
+    let max = registry::MAX_PES_OR_CHANNELS.to_string();
+    let workload = spec().instantiate(5);
+    let strategy = PartitionStrategy::Multilevel { cluster_nodes: 100 };
+    let prepared = grow::accel::prepare(&workload, strategy, 4096);
+    for engine in registry::ENGINE_NAMES {
+        let overrides = [("exec", "e2e"), ("pes", max.as_str()), ("channels", &max)];
+        let report = registry::engine_from_overrides(engine, &overrides)
+            .unwrap_or_else(|e| panic!("{engine}: {e}"))
+            .run(&prepared);
+        assert!(report.total_cycles() > 0, "{engine}");
+        let summary = report.multi_pe.expect("summary attached");
+        assert_eq!(summary.pes, registry::MAX_PES_OR_CHANNELS, "{engine}");
+    }
+}
+
+#[test]
+fn an_over_limit_job_fails_alone_in_a_served_batch() {
+    let ok = JobSpec::new(spec(), 5, "grow").with_pes(4);
+    let over = JobSpec::new(spec(), 5, "grow").with_pes(1_000_000_000);
+    let mut service = BatchService::new();
+    let results = service.run_batch(&[ok.clone(), over, ok.with_override("runahead", "8")]);
+    assert_eq!(
+        results[1].outcome.clone().err(),
+        Some(JobError::Invalid(RegistryError::InvalidValue {
+            key: "pes".into(),
+            value: "1000000000".into(),
+        }))
+    );
+    assert!(results[0].outcome.is_ok() && results[2].outcome.is_ok());
+    assert_eq!(service.stats().jobs_failed, 1);
+}
+
+#[test]
 fn every_error_displays_a_useful_message() {
     let errors: Vec<RegistryError> = vec![
         RegistryError::UnknownEngine("npu".into()),
