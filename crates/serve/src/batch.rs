@@ -308,7 +308,7 @@ impl JobResult {
 /// Why a job failed. Validation failures surface the underlying
 /// [`RegistryError`]; everything else is a supervised execution failure —
 /// the job's panic or injected fault was caught, classified, and (when
-/// transient) retried under the service's [`RetryPolicy`] before landing
+/// transient) retried up to [`MAX_ATTEMPTS`] attempts before landing
 /// here. A failed job never poisons the batch: every other job still runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobError {
@@ -383,31 +383,13 @@ impl From<RegistryError> for JobError {
     }
 }
 
-/// Deterministic retry budget for supervised job execution: a failed
-/// attempt whose error [`is_transient`](JobError::is_transient) re-runs
-/// immediately (backoff is counted in retry slots, not wall-clock time, so
-/// serial and parallel legs retry identically) up to `max_attempts` total
-/// attempts per job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per job, including the first (clamped to >= 1).
-    pub max_attempts: u64,
-}
-
-impl RetryPolicy {
-    /// No retries: one attempt, failures are final.
-    pub fn none() -> Self {
-        RetryPolicy { max_attempts: 1 }
-    }
-}
-
-impl Default for RetryPolicy {
-    /// Three total attempts — enough to outlast any single-spec injected
-    /// fault with `attempts <= 2`.
-    fn default() -> Self {
-        RetryPolicy { max_attempts: 3 }
-    }
-}
+/// Deterministic retry budget of supervised job execution: total attempts
+/// per job, including the first. A failed attempt whose error
+/// [`is_transient`](JobError::is_transient) re-runs immediately (backoff
+/// is counted in attempts, not wall-clock time, so serial and parallel
+/// legs retry identically). Three attempts outlast any single-spec
+/// injected fault with `attempts <= 2`.
+pub const MAX_ATTEMPTS: u64 = 3;
 
 /// Service counters, cumulative across batches.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -473,7 +455,6 @@ pub struct BatchService {
     session_capacity: Option<usize>,
     reports: HashMap<JobKey, RunReport>,
     store: Option<ResultStore>,
-    retry: RetryPolicy,
     stats: ServiceStats,
     /// Cross-job aggregation-plan cache, scoped to the session pool:
     /// every pooled session stamps its prepared workloads with a scope
@@ -555,23 +536,6 @@ impl BatchService {
     /// The session-pool bound (`None` = unbounded).
     pub fn session_capacity(&self) -> Option<usize> {
         self.session_capacity
-    }
-
-    /// Sets the supervised-execution retry budget (default: 3 total
-    /// attempts per job).
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Sets the retry budget in place.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
-    /// The supervised-execution retry budget.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// Replaces the cross-job plan cache with a fresh one bounded to
@@ -745,10 +709,7 @@ impl BatchService {
                 }
             }
         }
-        Staged::NeedsCompute {
-            engine,
-            max_attempts: self.retry.max_attempts.max(1),
-        }
+        Staged::NeedsCompute { engine }
     }
 
     /// Takes the pooled session for `session_key` out of the pool so a
@@ -904,10 +865,7 @@ pub(crate) enum Staged {
     /// Needs a simulation: prepare the session outside the service lock,
     /// assemble a [`ComputeTask`], run [`compute_supervised`], then
     /// [`BatchService::commit`] the result.
-    NeedsCompute {
-        engine: Box<dyn Accelerator>,
-        max_attempts: u64,
-    },
+    NeedsCompute { engine: Box<dyn Accelerator> },
 }
 
 /// A self-contained unit of supervised compute: the validated engine and
@@ -916,7 +874,6 @@ pub(crate) enum Staged {
 pub(crate) struct ComputeTask {
     pub(crate) engine: Box<dyn Accelerator>,
     pub(crate) prepared: Arc<PreparedWorkload>,
-    pub(crate) max_attempts: u64,
 }
 
 /// What one supervised compute produced, for [`BatchService::commit`].
@@ -932,7 +889,7 @@ pub(crate) struct ComputeOutcome {
 /// into a [`JobError`] — with the attempt number published through the
 /// fault context, so an injected fault with `attempts=N` stops firing on
 /// attempt N+1 and the retried run is bit-identical to a fault-free one.
-/// Transient failures retry up to the task's budget, and a cancelled
+/// Transient failures retry up to [`MAX_ATTEMPTS`], and a cancelled
 /// ticket stops consuming attempts at the loop head. The caller picks
 /// the execution mode (the governor's serial forcing or a lone job's
 /// full inner fan-out) by wrapping this call.
@@ -953,7 +910,7 @@ pub(crate) fn compute_supervised(task: &ComputeTask) -> ComputeOutcome {
             Err(payload) => {
                 caught += 1;
                 let err = classify_unwind(payload, attempt);
-                if err.is_transient() && attempt < task.max_attempts {
+                if err.is_transient() && attempt < MAX_ATTEMPTS {
                     attempt += 1;
                     retries += 1;
                     continue;
@@ -1496,15 +1453,6 @@ mod tests {
         assert!(again.outcome.is_err());
         assert!(!again.cache_hit);
         assert_eq!(service.stats().simulations_run, 2);
-        // A no-retry policy fails on the first attempt.
-        service.set_retry_policy(RetryPolicy::none());
-        assert_eq!(
-            service.run_one(&job).outcome,
-            Err(JobError::Injected {
-                site: FaultSite::DramIssue,
-                attempts: 1
-            })
-        );
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //!   a pure decision, so replays are deterministic.
 //!
 //! The layer is *supervised*: every job runs under `catch_unwind` with a
-//! bounded, deterministic retry budget ([`batch::RetryPolicy`]), so a
+//! bounded, deterministic retry budget ([`batch::MAX_ATTEMPTS`]), so a
 //! panicking or fault-injected job (the uniform `fault=` override, see
 //! [`grow_sim::fault`]) fails alone as a structured [`batch::JobError`] —
 //! never the batch, never the worker. Tickets expose cooperative
@@ -77,7 +77,7 @@ pub mod store;
 
 pub use batch::{
     grid_jobs, scheduler_grid_jobs, BatchService, JobError, JobKey, JobResult, JobSpec,
-    RetryPolicy, ServiceStats,
+    ServiceStats, MAX_ATTEMPTS,
 };
 pub use governor::{InnerBudget, QueueSnapshot};
 pub use service::{

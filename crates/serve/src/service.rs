@@ -783,10 +783,7 @@ fn worker_loop(
         };
         let (outcome, cache_hit, wall_ms) = match staged {
             Staged::Done { outcome, cache_hit } => (outcome, cache_hit, None),
-            Staged::NeedsCompute {
-                engine,
-                max_attempts,
-            } => {
+            Staged::NeedsCompute { engine } => {
                 let budget = governor::inner_budget(
                     snapshot,
                     std::thread::available_parallelism()
@@ -795,11 +792,7 @@ fn worker_loop(
                     exec::configured_workers(),
                 );
                 let prepared = prepare_for(&guard, shared, service, submission, budget);
-                let task = ComputeTask {
-                    engine,
-                    prepared,
-                    max_attempts,
-                };
+                let task = ComputeTask { engine, prepared };
                 let run = fault::with_cancel(Some(Arc::clone(&submission.cancel)), || {
                     budget.apply(|| compute_supervised(&task))
                 });
