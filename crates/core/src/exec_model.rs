@@ -123,16 +123,6 @@ impl ExecModel {
         }
     }
 
-    /// The model kind in effect.
-    pub fn kind(&self) -> ExecModelKind {
-        self.cfg.exec
-    }
-
-    /// The multi-PE configuration in effect.
-    pub fn config(&self) -> &MultiPeConfig {
-        &self.cfg
-    }
-
     /// Composes one phase's per-cluster fragments into a single
     /// [`PhaseReport`].
     ///

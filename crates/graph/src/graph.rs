@@ -98,18 +98,6 @@ impl Graph {
         Graph { adj }
     }
 
-    /// Wraps an existing symmetric adjacency pattern.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pattern is not square. Symmetry is the caller's
-    /// responsibility (checked in debug builds).
-    pub fn from_adjacency(adj: CsrPattern) -> Self {
-        assert_eq!(adj.rows(), adj.cols(), "adjacency must be square");
-        debug_assert_eq!(adj, adj.transpose(), "adjacency must be symmetric");
-        Graph { adj }
-    }
-
     /// Number of nodes.
     pub fn nodes(&self) -> usize {
         self.adj.rows()

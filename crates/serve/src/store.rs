@@ -146,12 +146,6 @@ impl ResultStore {
         })
     }
 
-    /// The conventional store location, `results/store/`, relative to the
-    /// working directory.
-    pub fn default_dir() -> PathBuf {
-        PathBuf::from("results").join("store")
-    }
-
     /// The store directory.
     pub fn dir(&self) -> &Path {
         &self.dir

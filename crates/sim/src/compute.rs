@@ -40,11 +40,6 @@ impl MacArray {
         }
     }
 
-    /// Number of MAC lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
     /// Cycles needed for one scalar x vector operation of `width` elements.
     pub fn cycles_for(&self, width: usize) -> Cycle {
         width.div_ceil(self.lanes) as Cycle
@@ -99,11 +94,6 @@ impl MacArray {
     /// Total cycles the array was occupied.
     pub fn busy_cycles(&self) -> u64 {
         self.busy_cycles
-    }
-
-    /// Resets time (not op counters), e.g. between independent phases.
-    pub fn rewind_clock(&mut self) {
-        self.busy_until = 0;
     }
 }
 

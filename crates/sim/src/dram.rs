@@ -230,11 +230,6 @@ impl TrafficStats {
         self.fetched.iter().sum()
     }
 
-    /// Total useful bytes across all classes.
-    pub fn total_useful(&self) -> u64 {
-        self.useful.iter().sum()
-    }
-
     /// `useful / fetched` for one class; `None` if nothing was fetched.
     pub fn utilization(&self, class: TrafficClass) -> Option<f64> {
         let f = self.fetched_bytes(class);
@@ -467,11 +462,6 @@ impl Dram {
     /// Accumulated traffic statistics.
     pub fn stats(&self) -> &TrafficStats {
         &self.stats
-    }
-
-    /// Resets time (not statistics), e.g. between independent phases.
-    pub fn rewind_clock(&mut self) {
-        self.channel_free = 0.0;
     }
 }
 

@@ -79,11 +79,6 @@ impl CooMatrix {
         self.cols
     }
 
-    /// Number of stored entries, including duplicates not yet merged.
-    pub fn stored_entries(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Iterates over the stored `(row, col, value)` triplets.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         self.entries

@@ -141,11 +141,6 @@ impl DenseMatrix {
         &self.data
     }
 
-    /// Consumes the matrix and returns the row-major data vector.
-    pub fn into_row_major(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Number of non-zero elements (exact zero is treated as empty).
     pub fn nnz(&self) -> usize {
         self.data.iter().filter(|v| **v != 0.0).count()
