@@ -539,7 +539,8 @@ impl GrowEngine {
                     // Cooperative cancellation at the cluster boundary, as
                     // in the parallel fan-out.
                     fault::check_cancel();
-                    let (demand, cluster) = (lru.as_mut(), cluster.clone());
+                    let cluster = cluster.clone();
+                    let demand = lru.as_mut();
                     self.aggregate_cluster(
                         workload, f_out, ci, cluster, spec, &mut s, shard_pool, None, demand,
                     )
