@@ -616,6 +616,7 @@ mod tests {
             .unwrap_or_else(|e| panic!("{name}: {e}"))
             .run(&p);
             let per_pe = |l: &LayerReport| l.combination.pe.is_some() && l.aggregation.pe.is_some();
+            assert!(report.multi_pe.is_some(), "{name}");
             assert!(report.layers.iter().all(per_pe), "{name}");
         }
     }
@@ -669,6 +670,7 @@ mod tests {
                 .run(&p);
             assert_eq!(e2e.exec, "e2e", "{name}");
             let per_pe = |l: &LayerReport| l.combination.pe.is_some() && l.aggregation.pe.is_some();
+            assert!(e2e.multi_pe.is_some(), "{name}");
             assert!(e2e.layers.iter().all(per_pe), "{name}");
             let post_hoc_pe =
                 |l: &LayerReport| l.combination.pe.is_none() && l.aggregation.pe.is_none();

@@ -1363,7 +1363,11 @@ mod tests {
             e2e.total_cycles() < ph.total_cycles(),
             "4 concurrent PEs finish the run faster than one"
         );
-        assert!(e2e.layers.iter().all(|l| l.aggregation.pe.is_some()));
+        assert!(e2e.multi_pe.is_some());
+        assert!(e2e
+            .layers
+            .iter()
+            .all(|l| l.combination.pe.is_some() && l.aggregation.pe.is_some()));
     }
 
     #[test]

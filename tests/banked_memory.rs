@@ -110,6 +110,7 @@ fn busy_cycle_conservation_holds_under_banking() {
         let prepared = prepared(spec, seed);
         for engine in ENGINE_NAMES {
             let report = run_banked(engine, &prepared, "ca", 4, 4, 8);
+            assert!(report.multi_pe.is_some(), "{case}/{engine}");
             for layer in &report.layers {
                 for phase in [&layer.combination, &layer.aggregation] {
                     let pe = phase.pe.as_ref().expect("e2e per-PE busy times");

@@ -101,6 +101,7 @@ pub fn render_e2e_grid(
                 let report = registry::engine_from_overrides(name, &overrides)
                     .expect("registered engine, scheduler and topology")
                     .run(prepared);
+                assert!(report.multi_pe.is_some(), "e2e attaches the summary");
                 let _ = writeln!(
                     out,
                     "== engine={} scheduler={scheduler} pes={pes}{label} total={} ==",

@@ -226,5 +226,9 @@ fn e2e_composes_with_sharding_and_the_lru_study() {
         &prepared,
     );
     assert!(lru.total_cycles() > 0);
-    assert!(lru.layers.iter().all(|l| l.aggregation.pe.is_some()));
+    assert!(lru.multi_pe.is_some());
+    assert!(lru
+        .layers
+        .iter()
+        .all(|l| l.combination.pe.is_some() && l.aggregation.pe.is_some()));
 }
