@@ -513,11 +513,7 @@ impl GrowEngine {
         plan_store: Option<&[OnceLock<CachedPlan>]>,
     ) -> PhaseReport {
         let cfg = &self.config;
-        // Resolve the sharding spec once per phase (`auto` scans the
-        // cluster-size statistics), not once per cluster.
-        let spec = cfg.shard_rows.spec(workload);
-
-        if cfg.replacement == ReplacementPolicy::Lru {
+        if cfg.replacement == ReplacementPolicy::Lru && cfg.hdn_caching {
             // The demand-filled LRU study (Section VIII): a demand cache
             // has no hardware reason to flush at cluster boundaries the
             // way the pinned set is swapped, so the cache is shared across
@@ -525,30 +521,32 @@ impl GrowEngine {
             // independent and must run serially, in cluster order. (The
             // end-to-end model still composes the serially-simulated
             // per-cluster timelines; cross-cluster cache state is an
-            // approximation this study accepts.)
-            let n = workload.adjacency.rows();
-            let mut lru = cfg
-                .hdn_caching
-                .then(|| LruRowCache::new(self.cache_rows(f_out), n));
+            // approximation this study accepts.) Without caching there is
+            // no shared cache, and the clusters take the path below.
+            let mut lru = LruRowCache::new(self.cache_rows(f_out), workload.adjacency.rows());
             let mut s = scratch.checkout();
             let partials: Vec<PhaseReport> = workload
                 .clusters
                 .iter()
-                .enumerate()
-                .map(|(ci, cluster)| {
+                .map(|cluster| {
                     // Cooperative cancellation at the cluster boundary, as
                     // in the parallel fan-out.
                     fault::check_cancel();
-                    let cluster = cluster.clone();
-                    let demand = lru.as_mut();
-                    self.aggregate_cluster(
-                        workload, f_out, ci, cluster, spec, &mut s, shard_pool, None, demand,
+                    self.aggregate_cluster_demand(
+                        &workload.adjacency,
+                        f_out,
+                        cluster.clone(),
+                        &mut s,
+                        &mut lru,
                     )
                 })
                 .collect();
             return model.compose(PhaseKind::Aggregation, partials);
         }
 
+        // Resolve the sharding spec once per phase (`auto` scans the
+        // cluster-size statistics), not once per cluster.
+        let spec = cfg.shard_rows.spec(workload);
         pipeline::run_clusters(
             model,
             PhaseKind::Aggregation,
@@ -556,24 +554,19 @@ impl GrowEngine {
             |ci, cluster| {
                 let cell = plan_store.map(|store| &store[ci]);
                 let mut s = scratch.checkout();
-                self.aggregate_cluster(
-                    workload, f_out, ci, cluster, spec, &mut s, shard_pool, cell, None,
-                )
+                self.aggregate_cluster(workload, f_out, ci, cluster, spec, &mut s, shard_pool, cell)
             },
         )
     }
 
     /// Simulates one cluster of the aggregation phase in an isolated
-    /// context. With a `demand` cache (the LRU study) every non-zero
-    /// probes it as the replay reaches it, since a drain may install a
-    /// row a later probe hits. Otherwise the cluster prologue pins the
-    /// HDN set (when caching is on) and the probe plan — sharded across
-    /// (nnz-balanced) row ranges when the cluster exceeds the threshold,
-    /// and produced *ahead* of the replay through a bounded-depth queue —
-    /// is replayed in range order. All working state comes from `scratch`
-    /// and is recycled. When `cell` is given, the merged plan is retained
-    /// there so later layers with the same pinned set replay it without
-    /// re-planning.
+    /// context. The cluster prologue pins the HDN set (when caching is
+    /// on) and the probe plan — sharded across (nnz-balanced) row ranges
+    /// when the cluster exceeds the threshold, and produced *ahead* of
+    /// the replay through a bounded-depth queue — is replayed in range
+    /// order. All working state comes from `scratch` and is recycled.
+    /// When `cell` is given, the merged plan is retained there so later
+    /// layers with the same pinned set replay it without re-planning.
     #[allow(clippy::too_many_arguments)]
     fn aggregate_cluster(
         &self,
@@ -585,7 +578,6 @@ impl GrowEngine {
         scratch: &mut GrowScratch,
         shard_pool: &ScratchArena<PlanBuf>,
         cell: Option<&OnceLock<CachedPlan>>,
-        mut demand: Option<&mut LruRowCache>,
     ) -> PhaseReport {
         let cfg = &self.config;
         let adjacency = &workload.adjacency;
@@ -611,8 +603,7 @@ impl GrowEngine {
         // keys the cross-layer plan cache (`usize::MAX` = no caching, the
         // plan is then just the miss stream of the adjacency).
         let mut take_key = usize::MAX;
-        let pinning = cfg.hdn_caching && demand.is_none();
-        if pinning {
+        if cfg.hdn_caching {
             pinned.reset(cache_rows, adjacency.rows());
             // Cluster prologue: fetch the HDN ID list, then pin the
             // corresponding RHS rows (Section V-C).
@@ -631,7 +622,6 @@ impl GrowEngine {
             ctx.now = ctx.now.max(done);
         }
 
-        let fills_before = demand.as_ref().map_or(0, |lru| lru.stats().fills);
         let mut replay = Replay {
             cfg,
             ctx,
@@ -640,32 +630,10 @@ impl GrowEngine {
             tables,
             window,
             pending,
-            demand: demand.as_deref_mut(),
+            demand: None,
             burst: 0,
         };
-        if replay.demand.is_some() {
-            // Probes move no clock, so a run of hits issues as one bulk
-            // operation just before the miss (or row end) that ends it.
-            for (j, slice) in adjacency.row_slices(cluster.clone()).enumerate() {
-                let row = cluster.start + j;
-                replay.begin_row(row, slice.len() as u32);
-                let mut run = 0;
-                for &k in slice {
-                    if replay.probe(k) {
-                        run += 1;
-                        continue;
-                    }
-                    if run > 0 {
-                        replay.hits(std::mem::take(&mut run));
-                    }
-                    replay.miss(row, k);
-                }
-                if run > 0 {
-                    replay.hits(run);
-                }
-                replay.end_row(row);
-            }
-        } else if let Some(cached) = cell.and_then(|c| c.get()).filter(|c| c.take == take_key) {
+        if let Some(cached) = cell.and_then(|c| c.get()).filter(|c| c.take == take_key) {
             // A retained plan is identical plan data, so identical replay.
             replay.plan(cluster.start, &cached.plan);
         } else {
@@ -673,7 +641,7 @@ impl GrowEngine {
             // pipelined *ahead* of the replay through the bounded-depth
             // queue, whose ordered merge concatenates to exactly the
             // single-pass plan.
-            let pinned_ref = pinning.then_some(&*pinned);
+            let pinned_ref = cfg.hdn_caching.then_some(&*pinned);
             let retain = cell.is_some();
             let ranges = plan::shard_ranges(Some(adjacency), cluster.clone(), spec, 1);
             plan::plan_replay(
@@ -697,17 +665,75 @@ impl GrowEngine {
         }
         let mut ctx = replay.finish();
 
-        ctx.report.cache = match demand {
-            Some(lru) => CacheStats {
-                fills: lru.stats().fills - fills_before,
-                ..ctx.report.cache
-            },
-            None if pinning => CacheStats {
+        ctx.report.cache = if cfg.hdn_caching {
+            CacheStats {
                 fills: pinned.stats().fills,
                 ..ctx.report.cache
-            },
-            None => CacheStats::default(),
+            }
+        } else {
+            CacheStats::default()
         };
+        ctx.finish_cluster()
+    }
+
+    /// Simulates one aggregation cluster of the LRU study on the shared
+    /// demand cache `lru`. Every non-zero probes it as the replay reaches
+    /// it, since a drain may install a row a later probe hits; probes
+    /// move no clock, so a run of hits issues as one bulk operation just
+    /// before the miss (or row end) that ends it.
+    fn aggregate_cluster_demand(
+        &self,
+        adjacency: &CsrPattern,
+        f_out: usize,
+        cluster: Range<usize>,
+        scratch: &mut GrowScratch,
+        lru: &mut LruRowCache,
+    ) -> PhaseReport {
+        let cfg = &self.config;
+        let GrowScratch {
+            tables,
+            window,
+            pending,
+            ..
+        } = scratch;
+        tables.reset(cfg.ldn_entries, cfg.lhs_id_entries);
+        window.clear();
+        pending.clear();
+        pending.resize(cluster.len(), 0);
+
+        let fills_before = lru.stats().fills;
+        let mut replay = Replay {
+            cfg,
+            ctx: PhaseCtx::new(PhaseKind::Aggregation, cfg.dram, cfg.mac_lanes),
+            f_out,
+            start: cluster.start,
+            tables,
+            window,
+            pending,
+            demand: Some(&mut *lru),
+            burst: 0,
+        };
+        for (j, slice) in adjacency.row_slices(cluster.clone()).enumerate() {
+            let row = cluster.start + j;
+            replay.begin_row(row, slice.len() as u32);
+            let mut run = 0;
+            for &k in slice {
+                if replay.probe(k) {
+                    run += 1;
+                    continue;
+                }
+                if run > 0 {
+                    replay.hits(std::mem::take(&mut run));
+                }
+                replay.miss(row, k);
+            }
+            if run > 0 {
+                replay.hits(run);
+            }
+            replay.end_row(row);
+        }
+        let mut ctx = replay.finish();
+        ctx.report.cache.fills = lru.stats().fills - fills_before;
         ctx.finish_cluster()
     }
 }
