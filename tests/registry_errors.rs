@@ -312,36 +312,26 @@ fn fault_is_uniform_across_engines() {
 
 #[test]
 fn zero_pes_is_an_invalid_value_not_a_panic() {
-    let expected = RegistryError::InvalidValue {
-        key: "pes".into(),
-        value: "0".into(),
-    };
-    assert_eq!(
-        registry::engine_from_overrides("grow", &[("pes", "0")]).err(),
-        Some(expected.clone())
-    );
-    let result =
-        BatchService::new().run_one(&JobSpec::new(spec(), 5, "grow").with_override("pes", "0"));
-    assert_eq!(result.outcome.err(), Some(JobError::Invalid(expected)));
-}
-
-#[test]
-fn over_limit_pes_and_channels_are_invalid_values_on_every_engine() {
-    // Per-PE and per-channel state is allocated up front, so a huge count
-    // must be rejected before anything runs, not abort the process.
+    // Counts outside 1..=MAX_PES_OR_CHANNELS fail before anything runs:
+    // per-PE and per-channel state is allocated up front, so a huge count
+    // must not abort the process.
     let over = (registry::MAX_PES_OR_CHANNELS + 1).to_string();
     for key in ["pes", "channels"] {
-        for value in [over.as_str(), "1000000000"] {
+        for value in ["0", over.as_str(), "1000000000"] {
+            let expected = RegistryError::InvalidValue {
+                key: key.into(),
+                value: value.into(),
+            };
             for engine in registry::ENGINE_NAMES {
                 assert_eq!(
                     registry::engine_from_overrides(engine, &[("exec", "e2e"), (key, value)]).err(),
-                    Some(RegistryError::InvalidValue {
-                        key: key.into(),
-                        value: value.into(),
-                    }),
+                    Some(expected.clone()),
                     "{engine}: {key}={value}"
                 );
             }
+            let result = BatchService::new()
+                .run_one(&JobSpec::new(spec(), 5, "grow").with_override(key, value));
+            assert_eq!(result.outcome.err(), Some(JobError::Invalid(expected)));
         }
     }
 }
