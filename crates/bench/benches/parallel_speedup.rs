@@ -145,7 +145,7 @@ fn main() {
         for &t in &threads {
             // The timing is only meaningful if this leg computes the same
             // thing: every thread count must reproduce the serial report
-            // bit for bit (plan/replay overlap and sharding included).
+            // bit for bit.
             let report = with_workers(t, || with_mode(ExecMode::Parallel, || engine.run(&p)));
             assert_eq!(
                 report, serial_report,

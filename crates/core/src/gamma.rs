@@ -11,7 +11,6 @@
 
 use grow_sim::{DramConfig, FaultPlan};
 
-use crate::plan::ShardRows;
 use crate::spsp::{run_spsp, spsp_engine, SpSpParams};
 use crate::{Accelerator, PreparedWorkload, RunReport};
 
@@ -28,9 +27,6 @@ pub struct GammaConfig {
     /// Merge occupancy relative to a MAC op (pipelined high-radix merge:
     /// 0.5).
     pub merge_factor: f64,
-    /// Intra-cluster sharding of the row-accounting plan pass (the
-    /// uniform `shard_rows=` override). Bit-identical at any setting.
-    pub shard_rows: ShardRows,
     /// Multi-PE projection (Figure 24): PE count and cluster scheduler.
     pub multi_pe: crate::schedule::MultiPeConfig,
     /// Deterministic fault-injection plan (the uniform `fault=` override;
@@ -45,7 +41,6 @@ impl Default for GammaConfig {
             dram: DramConfig::default(),
             fiber_cache_bytes: 512 * 1024,
             merge_factor: 0.5,
-            shard_rows: ShardRows::Off,
             multi_pe: crate::schedule::MultiPeConfig::default(),
             fault: FaultPlan::OFF,
         }
@@ -77,7 +72,6 @@ impl GammaEngine {
             fiber_cache_bytes: self.config.fiber_cache_bytes,
             merge_factor: self.config.merge_factor,
             sram_kb: self.config.fiber_cache_bytes as f64 / 1024.0 + 32.0,
-            shard_rows: self.config.shard_rows,
             multi_pe: self.config.multi_pe,
             fault: self.config.fault,
         }
@@ -141,36 +135,6 @@ mod tests {
         let p = prepared(300);
         let e = GammaEngine::default();
         assert_eq!(e.run(&p), e.run(&p));
-    }
-
-    #[test]
-    fn sharded_rows_are_bit_identical_to_unsharded() {
-        // The shard_rows contract on both fiber-cache regimes: the
-        // default cache never evicts on this workload (first-touch fast
-        // path); a 4 KB cache genuinely evicts (sequential LRU plan).
-        // Sharding and execution mode must not perturb either.
-        use crate::plan::ShardRows;
-        let p = prepared(2000);
-        for fiber_cache_bytes in [512 * 1024, 4 * 1024] {
-            let cfg = GammaConfig {
-                fiber_cache_bytes,
-                ..GammaConfig::default()
-            };
-            let base = GammaEngine::new(cfg).run(&p);
-            for shard in [ShardRows::Fixed(64), ShardRows::Fixed(257), ShardRows::Auto] {
-                let e = GammaEngine::new(GammaConfig {
-                    shard_rows: shard,
-                    ..cfg
-                });
-                let sharded = grow_sim::exec::with_workers(4, || e.run(&p));
-                assert_eq!(
-                    base, sharded,
-                    "cache={fiber_cache_bytes} {shard:?} parallel"
-                );
-                let serial = grow_sim::exec::with_mode(grow_sim::ExecMode::Serial, || e.run(&p));
-                assert_eq!(base, serial, "cache={fiber_cache_bytes} {shard:?} serial");
-            }
-        }
     }
 
     #[test]

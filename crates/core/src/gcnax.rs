@@ -27,13 +27,15 @@ use grow_sparse::RowMajorSparse;
 
 use crate::exec_model::ExecModel;
 use crate::pipeline::{self, PhaseCtx};
-use crate::plan::{self, PlanBuffer, ShardRows, ShardSpec};
+use crate::plan;
 use crate::{Accelerator, LayerReport, PhaseKind, PhaseReport, PreparedWorkload, RunReport};
 
 /// Per-worker scratch of the strip walk, recycled through a
 /// [`ScratchArena`] instead of reallocated per cluster.
 #[derive(Debug, Default)]
 struct GcnaxScratch {
+    /// The current cluster's strip plan (moved out when retained).
+    plan: GcnaxPlan,
     /// Non-zeros per `Tk`-wide tile of the current strip (zeroed as the
     /// fetch loop consumes it, so it is all-zero again at strip end).
     tile_nnz: Vec<u32>,
@@ -86,31 +88,15 @@ struct StripPlan {
     tiles: u32,
 }
 
-/// The plan-pass output of GCNAX's strip counting over a row range:
+/// The plan-pass output of GCNAX's strip counting over a cluster:
 /// per-strip totals plus the flat stream of non-empty tile payloads, in
 /// strip-then-tile order. A pure function of the LHS structure and tile
-/// geometry, so row ranges cut at strip boundaries concatenate to the
-/// single-pass plan — and the aggregation plan (over the layer-invariant
+/// geometry, so the aggregation plan (over the layer-invariant
 /// adjacency) is retained across layers.
 #[derive(Debug, Default)]
 struct GcnaxPlan {
     strips: Vec<StripPlan>,
     tiles: Vec<u32>,
-}
-
-impl PlanBuffer for GcnaxPlan {
-    fn clear(&mut self) {
-        self.strips.clear();
-        self.tiles.clear();
-    }
-}
-
-impl GcnaxPlan {
-    /// Ordered merge of a shard's plan onto this one.
-    fn absorb(&mut self, shard: &GcnaxPlan) {
-        self.strips.extend_from_slice(&shard.strips);
-        self.tiles.extend_from_slice(&shard.tiles);
-    }
 }
 
 /// GCNAX configuration.
@@ -135,10 +121,6 @@ pub struct GcnaxConfig {
     pub tile_fetch_depth: usize,
     /// Off-chip memory parameters.
     pub dram: DramConfig,
-    /// Intra-cluster sharding of the strip-counting plan pass (the
-    /// uniform `shard_rows=` override; boundaries snap to `tile_rows` so
-    /// strips never straddle shards). Bit-identical at any setting.
-    pub shard_rows: ShardRows,
     /// Multi-PE projection (Figure 24): PE count and cluster scheduler.
     pub multi_pe: crate::schedule::MultiPeConfig,
     /// Deterministic fault-injection plan (the uniform `fault=` override;
@@ -157,27 +139,26 @@ impl Default for GcnaxConfig {
             // next tile while computing the current one, nothing more.
             tile_fetch_depth: 2,
             dram: DramConfig::default(),
-            shard_rows: ShardRows::Off,
             multi_pe: crate::schedule::MultiPeConfig::default(),
             fault: FaultPlan::OFF,
         }
     }
 }
 
-/// Counts strip/tile occupancy for `rows` (the pure plan pass): per
-/// strip, the non-zero total, distinct columns, and each non-empty tile's
-/// payload. `rows` must start on a strip boundary of the enclosing
-/// cluster, which [`plan::shard_ranges`] guarantees via its `align`.
+/// Counts strip/tile occupancy for the cluster `rows` (the pure plan
+/// pass) into `scratch.plan`, replacing its contents: per strip, the
+/// non-zero total, distinct columns, and each non-empty tile's payload.
 fn plan_strips(
     cfg: &GcnaxConfig,
     lhs: &RowMajorSparse<'_>,
     rows: Range<usize>,
     scratch: &mut GcnaxScratch,
-    out: &mut GcnaxPlan,
 ) {
     let k_dim = lhs.cols();
     let n_tiles_k = k_dim.div_ceil(cfg.tile_cols);
     scratch.prepare(n_tiles_k, k_dim);
+    scratch.plan.strips.clear();
+    scratch.plan.tiles.clear();
     // Tile-index division strength-reduced to a shift for the (default)
     // power-of-two tile width.
     let tile_shift = cfg
@@ -189,8 +170,12 @@ fn plan_strips(
     while row < rows.end {
         let strip_end = (row + cfg.tile_rows).min(rows.end);
         let strip_stamp = scratch.strip_stamp();
-        let tile_nnz = &mut scratch.tile_nnz;
-        let stamp = &mut scratch.stamp;
+        let GcnaxScratch {
+            plan: out,
+            tile_nnz,
+            stamp,
+            ..
+        } = &mut *scratch;
         let mut strip_nnz = 0u64;
         let mut distinct = 0u64;
 
@@ -225,7 +210,7 @@ fn plan_strips(
         // Harvest the non-empty tiles in tile order (the order the fetch
         // chain walks them), re-zeroing the counters for the next strip.
         let before = out.tiles.len();
-        for slot in scratch.tile_nnz.iter_mut() {
+        for slot in tile_nnz.iter_mut() {
             if *slot > 0 {
                 out.tiles.push(*slot);
                 *slot = 0;
@@ -279,8 +264,6 @@ impl GcnaxEngine {
         f: usize,
         clusters: &[Range<usize>],
         scratch: &ScratchArena<GcnaxScratch>,
-        plan_pool: &ScratchArena<GcnaxPlan>,
-        spec: ShardSpec,
         store: Option<&[OnceLock<GcnaxPlan>]>,
     ) -> PhaseReport {
         let cfg = &self.config;
@@ -306,9 +289,6 @@ impl GcnaxEngine {
                 cluster,
                 rhs_resident,
                 &mut scratch.checkout(),
-                spec,
-                plan_pool,
-                scratch,
                 cell,
             )
         });
@@ -317,10 +297,11 @@ impl GcnaxEngine {
     }
 
     /// Walks one cluster's output strips in an isolated context: the pure
-    /// strip-counting plan (sharded per [`ShardSpec`], produced ahead of
-    /// the consumer) replays in row order through the cycle machinery.
-    /// When `cell` holds a plan retained from an earlier layer, the count
-    /// pass is skipped entirely and the cached plan replays.
+    /// strip-counting plan is built in `scratch`, handed off, and replayed
+    /// through the cycle machinery; when `cell` is given, the plan then
+    /// moves there. When `cell` holds a plan retained from an earlier
+    /// layer, the count pass is skipped entirely and the cached plan
+    /// replays.
     #[allow(clippy::too_many_arguments)]
     fn run_strips(
         &self,
@@ -330,77 +311,35 @@ impl GcnaxEngine {
         rows: Range<usize>,
         rhs_resident: bool,
         scratch: &mut GcnaxScratch,
-        spec: ShardSpec,
-        plan_pool: &ScratchArena<GcnaxPlan>,
-        scratch_pool: &ScratchArena<GcnaxScratch>,
         cell: Option<&OnceLock<GcnaxPlan>>,
     ) -> PhaseReport {
         let cfg = &self.config;
         let mut ctx = PhaseCtx::new(kind, cfg.dram, cfg.mac_lanes);
-
-        // Double buffering: strip s+1's fetches start once strip s's
-        // fetches have drained into the compute buffer; the FIFO channel
-        // serializes the transfers themselves. Carried across shards —
-        // replay is a single in-order walk regardless of sharding.
-        let mut issue_at: Cycle = 0;
-        let in_flight = &mut scratch.in_flight;
-
         if let Some(plan) = cell.and_then(|c| c.get()) {
+            let in_flight = &mut scratch.in_flight;
+            self.replay_strips(kind, f, rows, rhs_resident, plan, in_flight, &mut ctx);
+        } else {
+            plan_strips(cfg, lhs, rows.clone(), scratch);
+            plan::hand_off();
+            let in_flight = &mut scratch.in_flight;
             self.replay_strips(
                 kind,
                 f,
                 rows,
                 rhs_resident,
-                plan,
-                &mut issue_at,
+                &scratch.plan,
                 in_flight,
                 &mut ctx,
             );
-            return ctx.finish_cluster();
+            if let Some(cell) = cell {
+                cell.set(std::mem::take(&mut scratch.plan)).ok();
+            }
         }
-
-        // Shard boundaries snap to the strip grain so strips never
-        // straddle shards; concatenated shard plans then equal the
-        // unsharded plan exactly.
-        let pattern = match *lhs {
-            RowMajorSparse::Pattern(p) => Some(p),
-            RowMajorSparse::Dense { .. } => None,
-        };
-        let ranges = plan::shard_ranges(pattern, rows, spec, cfg.tile_rows);
-        let mut merged = cell.map(|_| GcnaxPlan::default());
-        plan::plan_replay(
-            plan_pool,
-            ranges,
-            |range, buf| {
-                let mut s = scratch_pool.checkout();
-                plan_strips(cfg, lhs, range, &mut s, buf);
-            },
-            |range, buf| {
-                self.replay_strips(
-                    kind,
-                    f,
-                    range,
-                    rhs_resident,
-                    buf,
-                    &mut issue_at,
-                    in_flight,
-                    &mut ctx,
-                );
-                if let Some(m) = merged.as_mut() {
-                    m.absorb(buf);
-                }
-            },
-        );
-        if let (Some(cell), Some(merged)) = (cell, merged) {
-            cell.set(merged).ok();
-        }
-
         ctx.finish_cluster()
     }
 
-    /// Replays a strip plan over `rows` through the cycle-accurate fetch
-    /// chain. Must be called in row order within a cluster: `issue_at`
-    /// carries the double-buffering gate across shards.
+    /// Replays a cluster's strip plan over `rows` through the
+    /// cycle-accurate fetch chain.
     #[allow(clippy::too_many_arguments)]
     fn replay_strips(
         &self,
@@ -409,7 +348,6 @@ impl GcnaxEngine {
         rows: Range<usize>,
         rhs_resident: bool,
         buf: &GcnaxPlan,
-        issue_at: &mut Cycle,
         in_flight: &mut VecDeque<Cycle>,
         ctx: &mut PhaseCtx,
     ) {
@@ -430,6 +368,10 @@ impl GcnaxEngine {
         };
         let depth = cfg.tile_fetch_depth.max(1);
 
+        // Double buffering: strip s+1's fetches start once strip s's
+        // fetches have drained into the compute buffer; the FIFO channel
+        // serializes the transfers themselves.
+        let mut issue_at: Cycle = 0;
         let mut tile_cursor = 0usize;
         let mut row = rows.start;
         for sp in &buf.strips {
@@ -438,7 +380,7 @@ impl GcnaxEngine {
             tile_cursor += sp.tiles as usize;
 
             in_flight.clear();
-            let mut fetch_done = *issue_at;
+            let mut fetch_done = issue_at;
             let avg_rows_per_tile = if sp.distinct > 0 {
                 sp.distinct as f64 / (sp.tiles as usize).max(1) as f64
             } else {
@@ -449,7 +391,7 @@ impl GcnaxEngine {
                 let gate = if in_flight.len() >= depth {
                     in_flight.pop_front().expect("non-empty at capacity")
                 } else {
-                    *issue_at
+                    issue_at
                 };
                 let payload = slot as u64 * (ELEMENT_BYTES + INDEX_BYTES);
                 let tile_done =
@@ -493,7 +435,7 @@ impl GcnaxEngine {
                 .write(compute_done, out_bytes, TrafficClass::Output);
             ctx.report.sram_reads_8b += out_bytes / 8;
 
-            *issue_at = fetch_done.max(*issue_at);
+            issue_at = fetch_done.max(issue_at);
             row = strip_end;
         }
     }
@@ -509,8 +451,6 @@ impl Accelerator for GcnaxEngine {
         // One scratch pool per run: strip counters and plan buffers are
         // recycled across clusters, phases, and layers.
         let scratch: ScratchArena<GcnaxScratch> = ScratchArena::new();
-        let plan_pool: ScratchArena<GcnaxPlan> = ScratchArena::new();
-        let spec = self.config.shard_rows.spec(workload);
         // The aggregation plan is a pure function of the layer-invariant
         // adjacency, so runs replay retained plans. The family carries
         // the tile grain (the plan depends on it). The combination LHS
@@ -532,8 +472,6 @@ impl Accelerator for GcnaxEngine {
                     layer.f_out,
                     &workload.clusters,
                     &scratch,
-                    &plan_pool,
-                    spec,
                     None,
                 ),
                 aggregation: self.run_phase(
@@ -543,8 +481,6 @@ impl Accelerator for GcnaxEngine {
                     layer.f_out,
                     &workload.clusters,
                     &scratch,
-                    &plan_pool,
-                    spec,
                     agg_store,
                 ),
             }
@@ -730,7 +666,6 @@ mod tests {
         let pattern = grow_sparse::CsrPattern::dense(300, 70);
         let pattern_view = RowMajorSparse::Pattern(&pattern);
         let arena = ScratchArena::new();
-        let plans = ScratchArena::new();
         let model = ExecModel::with_dram(cfg.multi_pe, cfg.dram);
         let a = engine.run_phase(
             &model,
@@ -739,8 +674,6 @@ mod tests {
             16,
             &[0..300],
             &arena,
-            &plans,
-            ShardSpec::OFF,
             None,
         );
         let b = engine.run_phase(
@@ -750,39 +683,10 @@ mod tests {
             16,
             &[0..300],
             &arena,
-            &plans,
-            ShardSpec::OFF,
             None,
         );
         assert_eq!(a.mac_ops, b.mac_ops);
         assert_eq!(a.traffic, b.traffic);
         assert_eq!(a.cycles, b.cycles);
-    }
-
-    #[test]
-    fn sharded_strips_are_bit_identical_to_unsharded() {
-        // The shard_rows contract ported to GCNAX: strip counting over row
-        // ranges cut at the tile_rows grain concatenates to the unsharded
-        // plan, so any threshold (aligned or not, fixed or auto) and any
-        // execution mode reproduce the baseline report exactly.
-        let p = prepared(2000);
-        let base = GcnaxEngine::default().run(&p);
-        for shard in [
-            ShardRows::Fixed(64),
-            ShardRows::Fixed(257),
-            ShardRows::Fixed(333),
-            ShardRows::Fixed(1999),
-            ShardRows::Fixed(4096),
-            ShardRows::Auto,
-        ] {
-            let e = GcnaxEngine::new(GcnaxConfig {
-                shard_rows: shard,
-                ..GcnaxConfig::default()
-            });
-            let sharded = grow_sim::exec::with_workers(4, || e.run(&p));
-            assert_eq!(base, sharded, "{shard:?} parallel");
-            let serial = grow_sim::exec::with_mode(grow_sim::ExecMode::Serial, || e.run(&p));
-            assert_eq!(base, serial, "{shard:?} serial");
-        }
     }
 }

@@ -23,14 +23,12 @@
 //! outcome is a pure per-row function of the adjacency and the pinned set.
 //! The cluster simulation therefore runs in two phases:
 //!
-//! 1. **Plan** (data-parallel): walk each row's column slice once and emit
-//!    a compact probe plan — runs of consecutive hits collapsed to one
-//!    entry, misses recorded individually in order. Pure per-row work,
-//!    which is what allows *intra-cluster row-range sharding*: clusters
-//!    larger than [`GrowConfig::shard_rows`] split into deterministic row
-//!    ranges fanned across threads, and the ordered concatenation of the
-//!    shard plans is — by construction — the plan an unsharded walk
-//!    produces.
+//! 1. **Plan**: walk each row's column slice once and emit a compact probe
+//!    plan — runs of consecutive hits collapsed to one entry, misses
+//!    recorded individually in order — into the worker's scratch. The plan
+//!    passes to the replay through the `exec` hand-off
+//!    ([`plan::hand_off`]); a plan the run retains then moves into its
+//!    cluster's slot, so later layers replay it without re-planning.
 //! 2. **Replay** (sequential): drive the cycle-accurate machinery (FIFO
 //!    channel, MAC array, runahead tables, in-order retirement window)
 //!    over the plan. A run of `h` hits issues as one
@@ -56,7 +54,7 @@ use grow_sparse::{CsrPattern, RowMajorSparse};
 
 use crate::exec_model::ExecModel;
 use crate::pipeline::{self, PhaseCtx};
-use crate::plan::{self, PlanBuffer, ShardRows, ShardSpec};
+use crate::plan;
 use crate::{Accelerator, LayerReport, PhaseKind, PhaseReport, PreparedWorkload, RunReport};
 
 /// HDN cache replacement policy (the Section VIII discussion).
@@ -99,13 +97,6 @@ pub struct GrowConfig {
     pub hdn_caching: bool,
     /// Replacement policy of the HDN cache.
     pub replacement: ReplacementPolicy,
-    /// Intra-cluster row-range sharding of the aggregation probe-plan
-    /// pass: clusters with more rows than the (fixed or auto-derived)
-    /// threshold split into threshold-row ranges fanned across worker
-    /// threads. The merged result is bit-identical to an unsharded run at
-    /// any setting — this is purely a simulator-throughput knob for huge
-    /// clusters (e.g. Reddit's 4096-node grain).
-    pub shard_rows: ShardRows,
     /// Multi-PE projection (Figure 24): PE count and cluster scheduler.
     pub multi_pe: crate::schedule::MultiPeConfig,
     /// Deterministic fault-injection plan (the uniform `fault=` override;
@@ -128,7 +119,6 @@ impl Default for GrowConfig {
             dram: DramConfig::default(),
             hdn_caching: true,
             replacement: ReplacementPolicy::Pinned,
-            shard_rows: ShardRows::Off,
             multi_pe: crate::schedule::MultiPeConfig::default(),
             fault: FaultPlan::OFF,
         }
@@ -153,26 +143,11 @@ struct RowPlan {
     ops: u32,
 }
 
-/// Reusable probe-plan buffers: the plan-phase output for one row range.
+/// Reusable probe-plan buffers: the plan-phase output for one cluster.
 #[derive(Debug, Default)]
 struct PlanBuf {
     rows: Vec<RowPlan>,
     ops: Vec<PlanOp>,
-}
-
-impl PlanBuffer for PlanBuf {
-    fn clear(&mut self) {
-        self.rows.clear();
-        self.ops.clear();
-    }
-}
-
-impl PlanBuf {
-    /// Ordered merge of a shard's plan onto this one.
-    fn absorb(&mut self, shard: &PlanBuf) {
-        self.rows.extend_from_slice(&shard.rows);
-        self.ops.extend_from_slice(&shard.ops);
-    }
 }
 
 /// A retained aggregation plan for one cluster, replayed by later layers
@@ -183,17 +158,18 @@ struct CachedPlan {
     plan: PlanBuf,
 }
 
-/// Builds the probe plan for `rows`: a pure per-row function of the
-/// adjacency structure and the (immutable) pinned set, so any row-range
-/// partition of a cluster concatenates to the same plan as one pass.
-/// `pinned` is `None` when HDN caching is disabled — every non-zero is
-/// then an uncached fetch.
+/// Builds the probe plan for `rows` into `out`, replacing its contents:
+/// a pure per-row function of the adjacency structure and the
+/// (immutable) pinned set. `pinned` is `None` when HDN caching is
+/// disabled — every non-zero is then an uncached fetch.
 fn plan_rows(
     adjacency: &CsrPattern,
     rows: Range<usize>,
     pinned: Option<&PinnedRowCache>,
     out: &mut PlanBuf,
 ) {
+    out.rows.clear();
+    out.ops.clear();
     for slice in adjacency.row_slices(rows) {
         let ops_before = out.ops.len();
         match pinned {
@@ -509,7 +485,6 @@ impl GrowEngine {
         workload: &PreparedWorkload,
         f_out: usize,
         scratch: &ScratchArena<GrowScratch>,
-        shard_pool: &ScratchArena<PlanBuf>,
         plan_store: Option<&[OnceLock<CachedPlan>]>,
     ) -> PhaseReport {
         let cfg = &self.config;
@@ -544,9 +519,6 @@ impl GrowEngine {
             return model.compose(PhaseKind::Aggregation, partials);
         }
 
-        // Resolve the sharding spec once per phase (`auto` scans the
-        // cluster-size statistics), not once per cluster.
-        let spec = cfg.shard_rows.spec(workload);
         pipeline::run_clusters(
             model,
             PhaseKind::Aggregation,
@@ -554,29 +526,25 @@ impl GrowEngine {
             |ci, cluster| {
                 let cell = plan_store.map(|store| &store[ci]);
                 let mut s = scratch.checkout();
-                self.aggregate_cluster(workload, f_out, ci, cluster, spec, &mut s, shard_pool, cell)
+                self.aggregate_cluster(workload, f_out, ci, cluster, &mut s, cell)
             },
         )
     }
 
     /// Simulates one cluster of the aggregation phase in an isolated
     /// context. The cluster prologue pins the HDN set (when caching is
-    /// on) and the probe plan — sharded across (nnz-balanced) row ranges
-    /// when the cluster exceeds the threshold, and produced *ahead* of
-    /// the replay through a bounded-depth queue — is replayed in range
-    /// order. All working state comes from `scratch` and is recycled.
-    /// When `cell` is given, the merged plan is retained there so later
-    /// layers with the same pinned set replay it without re-planning.
-    #[allow(clippy::too_many_arguments)]
+    /// on), then the cluster's probe plan is built in `scratch`, handed
+    /// off and replayed. All working state comes from `scratch` and is
+    /// recycled. When `cell` is given, the plan moves there after its
+    /// replay, so later layers with the same pinned set replay it without
+    /// re-planning.
     fn aggregate_cluster(
         &self,
         workload: &PreparedWorkload,
         f_out: usize,
         ci: usize,
         cluster: Range<usize>,
-        spec: ShardSpec,
         scratch: &mut GrowScratch,
-        shard_pool: &ScratchArena<PlanBuf>,
         cell: Option<&OnceLock<CachedPlan>>,
     ) -> PhaseReport {
         let cfg = &self.config;
@@ -594,7 +562,6 @@ impl GrowEngine {
         window.clear();
         pending.clear();
         pending.resize(cluster.len(), 0);
-        plan.clear();
 
         let mut ctx = PhaseCtx::new(PhaseKind::Aggregation, cfg.dram, cfg.mac_lanes);
 
@@ -637,24 +604,10 @@ impl GrowEngine {
             // A retained plan is identical plan data, so identical replay.
             replay.plan(cluster.start, &cached.plan);
         } else {
-            // A fresh plan, sharded across nnz-balanced row ranges and
-            // pipelined *ahead* of the replay through the bounded-depth
-            // queue, whose ordered merge concatenates to exactly the
-            // single-pass plan.
             let pinned_ref = cfg.hdn_caching.then_some(&*pinned);
-            let retain = cell.is_some();
-            let ranges = plan::shard_ranges(Some(adjacency), cluster.clone(), spec, 1);
-            plan::plan_replay(
-                shard_pool,
-                ranges,
-                |range, buf| plan_rows(adjacency, range, pinned_ref, buf),
-                |range, buf| {
-                    replay.plan(range.start, buf);
-                    if retain {
-                        plan.absorb(buf);
-                    }
-                },
-            );
+            plan_rows(adjacency, cluster.clone(), pinned_ref, plan);
+            plan::hand_off();
+            replay.plan(cluster.start, plan);
             if let Some(cell) = cell {
                 cell.set(CachedPlan {
                     take: take_key,
@@ -744,10 +697,9 @@ impl Accelerator for GrowEngine {
     }
 
     fn run(&self, workload: &PreparedWorkload) -> RunReport {
-        // One scratch pool (and one shard-plan pool) per run: per-cluster
-        // state is cleared between clusters and layers, not dropped.
+        // One scratch pool per run: per-cluster state is cleared between
+        // clusters and layers, not dropped.
         let scratch: ScratchArena<GrowScratch> = ScratchArena::new();
-        let shard_pool: ScratchArena<PlanBuf> = ScratchArena::new();
         // Cross-layer plan retention: the aggregation probe plan depends
         // only on the adjacency and the pinned HDN prefix, so runs replay
         // retained plans (keyed by the prefix length; a mismatch
@@ -773,7 +725,6 @@ impl Accelerator for GrowEngine {
                     workload,
                     layer.f_out,
                     &scratch,
-                    &shard_pool,
                     plan_store,
                 ),
             }
@@ -956,64 +907,6 @@ mod tests {
         let parallel = grow_sim::exec::with_workers(4, || e.run(&p));
         let serial = grow_sim::exec::with_mode(grow_sim::ExecMode::Serial, || e.run(&p));
         assert_eq!(parallel, serial);
-    }
-
-    #[test]
-    fn sharded_runs_are_bit_identical_to_unsharded() {
-        // The shard_rows contract: splitting the probe-plan pass into row
-        // ranges must not change a single counter, at any threshold, in
-        // serial or parallel execution, with caching on or off.
-        let p = prepared(2000, PartitionStrategy::None); // one 2000-row cluster
-        for caching in [true, false] {
-            let base = GrowEngine::new(GrowConfig {
-                hdn_caching: caching,
-                ..GrowConfig::default()
-            })
-            .run(&p);
-            for shard_rows in [64, 257, 1000, 1999, 2000, 5000] {
-                let cfg = GrowConfig {
-                    hdn_caching: caching,
-                    shard_rows: shard_rows.into(),
-                    ..GrowConfig::default()
-                };
-                let e = GrowEngine::new(cfg);
-                let sharded = grow_sim::exec::with_workers(4, || e.run(&p));
-                assert_eq!(base, sharded, "caching={caching} shard_rows={shard_rows}");
-                let serial = grow_sim::exec::with_mode(grow_sim::ExecMode::Serial, || e.run(&p));
-                assert_eq!(base, serial, "serial shard caching={caching}");
-            }
-        }
-    }
-
-    #[test]
-    fn sharding_composes_with_partitioned_clusters() {
-        // Sharding inside clusters while clusters fan across threads.
-        let p = prepared(2500, PartitionStrategy::Multilevel { cluster_nodes: 400 });
-        let base = GrowEngine::default().run(&p);
-        let sharded = GrowEngine::new(GrowConfig {
-            shard_rows: ShardRows::Fixed(128),
-            ..GrowConfig::default()
-        })
-        .run(&p);
-        assert_eq!(base, sharded);
-    }
-
-    #[test]
-    fn auto_sharding_is_bit_identical_and_derives_from_cluster_stats() {
-        // One coarse 2000-row cluster: auto must turn sharding on, and —
-        // like any threshold — must not change a single counter.
-        let coarse = prepared(2000, PartitionStrategy::None);
-        assert!(coarse.auto_shard_rows() > 0, "coarse grain shards");
-        let base = GrowEngine::default().run(&coarse);
-        let auto = GrowEngine::new(GrowConfig {
-            shard_rows: ShardRows::Auto,
-            ..GrowConfig::default()
-        });
-        assert_eq!(base, grow_sim::exec::with_workers(4, || auto.run(&coarse)));
-        // Fine clusters already saturate the fan-out: auto stays off.
-        let fine = prepared(1200, PartitionStrategy::Multilevel { cluster_nodes: 200 });
-        assert_eq!(fine.auto_shard_rows(), 0, "fine grain leaves sharding off");
-        assert_eq!(GrowEngine::default().run(&fine), auto.run(&fine));
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use gamma::{GammaConfig, GammaEngine};
 pub use gcnax::{GcnaxConfig, GcnaxEngine};
 pub use grow::{GrowConfig, GrowEngine, ReplacementPolicy};
 pub use matraptor::{MatRaptorConfig, MatRaptorEngine};
-pub use plan::{PlanCache, PlanCacheScope, ShardRows, ShardSpec};
+pub use plan::{PlanCache, PlanCacheScope};
 pub use prepare::{partition, prepare, prepare_with, PartitionStrategy, PreparedWorkload};
 pub use report::{
     ClusterProfile, LayerReport, MultiPeSummary, PhaseKind, PhasePeBusy, PhaseReport, RunReport,

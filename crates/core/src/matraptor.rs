@@ -10,7 +10,6 @@
 
 use grow_sim::{DramConfig, FaultPlan};
 
-use crate::plan::ShardRows;
 use crate::spsp::{run_spsp, spsp_engine, SpSpParams};
 use crate::{Accelerator, PreparedWorkload, RunReport};
 
@@ -23,9 +22,6 @@ pub struct MatRaptorConfig {
     pub dram: DramConfig,
     /// Merge occupancy relative to a MAC op (sorting queues: 1.0).
     pub merge_factor: f64,
-    /// Intra-cluster sharding of the row-accounting plan pass (the
-    /// uniform `shard_rows=` override). Bit-identical at any setting.
-    pub shard_rows: ShardRows,
     /// Multi-PE projection (Figure 24): PE count and cluster scheduler.
     pub multi_pe: crate::schedule::MultiPeConfig,
     /// Deterministic fault-injection plan (the uniform `fault=` override;
@@ -39,7 +35,6 @@ impl Default for MatRaptorConfig {
             mac_lanes: 16,
             dram: DramConfig::default(),
             merge_factor: 1.0,
-            shard_rows: ShardRows::Off,
             multi_pe: crate::schedule::MultiPeConfig::default(),
             fault: FaultPlan::OFF,
         }
@@ -73,7 +68,6 @@ impl MatRaptorEngine {
             // MatRaptor's on-chip storage is its sorting queue array
             // (~12 queues x a few KB) plus stream buffers.
             sram_kb: 64.0,
-            shard_rows: self.config.shard_rows,
             multi_pe: self.config.multi_pe,
             fault: self.config.fault,
         }
@@ -149,30 +143,5 @@ mod tests {
         let p = prepared(300);
         let e = MatRaptorEngine::default();
         assert_eq!(e.run(&p), e.run(&p));
-    }
-
-    #[test]
-    fn sharded_rows_are_bit_identical_to_unsharded() {
-        // The shard_rows contract ported to the cacheless row walk: the
-        // per-row plan over any range partition concatenates to the
-        // unsharded plan, in every execution mode.
-        use crate::plan::ShardRows;
-        let p = prepared(2000);
-        let base = MatRaptorEngine::default().run(&p);
-        for shard in [
-            ShardRows::Fixed(64),
-            ShardRows::Fixed(257),
-            ShardRows::Fixed(1999),
-            ShardRows::Auto,
-        ] {
-            let e = MatRaptorEngine::new(MatRaptorConfig {
-                shard_rows: shard,
-                ..MatRaptorConfig::default()
-            });
-            let sharded = grow_sim::exec::with_workers(4, || e.run(&p));
-            assert_eq!(base, sharded, "{shard:?} parallel");
-            let serial = grow_sim::exec::with_mode(grow_sim::ExecMode::Serial, || e.run(&p));
-            assert_eq!(base, serial, "{shard:?} serial");
-        }
     }
 }

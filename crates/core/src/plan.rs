@@ -2,262 +2,59 @@
 //!
 //! PR 4 split GROW's aggregation into a *plan* pass (a pure function of
 //! the workload: which probes hit, which rows fetch) and a *replay* pass
-//! (the cycle-accurate machinery consuming that plan in order). This
-//! module generalizes the split into a reusable driver every engine
-//! shares, in the spirit of NeuraChip's decoupled "what will the memory
-//! system do" / "when does it happen" stages:
+//! (the cycle-accurate machinery consuming that plan in order). Every
+//! engine now simulates a cluster the same way, in the spirit of
+//! NeuraChip's decoupled "what will the memory system do" / "when does it
+//! happen" stages: plan the whole cluster once into its worker's scratch,
+//! hand the plan off ([`hand_off`], the `exec` fault site), and replay it.
+//! Clusters are the unit of parallelism; within one, plan and replay run
+//! back to back on the worker that owns it.
 //!
-//! * [`PlanBuffer`] — the plan-pass output contract: a clearable,
-//!   poolable buffer whose ordered concatenation over row ranges equals
-//!   the single-pass plan.
-//! * [`shard_ranges`] — deterministic row-range shard boundaries, either
-//!   fixed-size or *nnz-balanced* (degree-aware, à la Accel-GCN's
-//!   warp-balanced row partitioning): cuts fall where the cumulative
-//!   non-zero count crosses equal shares, so skewed rows do not serialize
-//!   one shard. Boundaries optionally align to a strip grain (GCNAX's
-//!   `tile_rows`).
-//! * [`plan_replay`] / [`plan_replay_seq`] — the ordered-merge drivers:
-//!   plan shards are produced ahead (in parallel for pure passes, on one
-//!   dedicated thread for stateful scans) through a bounded-depth queue
-//!   while the calling thread replays them strictly in range order. Under
-//!   `GROW_SERIAL=1` (or one worker) this degrades to the exact serial
-//!   interleaving, so results are bit-identical by construction.
-//!
-//! Two plan-pass classes exist and the drivers mirror them: *pure
-//! per-row-range* passes (GROW's probe plan, GCNAX's strip counting,
-//! MatRaptor's cacheless row accounting) shard AND overlap; *sequential
-//! scans* (GAMMA's fiber-cache walk, whose per-probe outcome depends on
-//! all prior probes) cannot shard but still overlap with replay via
-//! [`plan_replay_seq`].
+//! A plan that is a pure function of the layer-invariant adjacency is
+//! retained across layers (and, inside a serving pool, across jobs)
+//! through [`plan_slots`] and [`PlanCache`], so later layers replay it
+//! without re-planning. [`StampSet`] is the plan-pass model of a demand
+//! cache that never evicts.
 
 use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use grow_sim::fault::FaultPlan;
-use grow_sim::{exec, ScratchArena};
-use grow_sparse::CsrPattern;
+use grow_sim::fault::{self, FaultPlan, FaultSite};
 
 use crate::PreparedWorkload;
 
-/// Intra-cluster row-range sharding threshold of the engines' plan
-/// passes (the uniform `shard_rows=` override). Sharding is purely a
-/// simulator-throughput knob: merged results are bit-identical to an
-/// unsharded run at any setting, for every engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ShardRows {
-    /// No intra-cluster sharding (the default).
-    #[default]
-    Off,
-    /// Shard clusters with more rows than this into ranges of this many
-    /// rows.
-    Fixed(usize),
-    /// Derive the threshold from the prepared workload's cluster-size
-    /// statistics ([`PreparedWorkload::auto_shard_rows`]): coarse-grained
-    /// preparations (few huge clusters, e.g. Reddit's 4096-node grain)
-    /// shard at roughly an eighth of the largest cluster; fine-grained
-    /// ones, where the cluster fan-out already saturates the workers,
-    /// leave sharding off. Auto shards are *nnz-balanced*: boundaries
-    /// follow the degree distribution instead of fixed row counts.
-    Auto,
-}
-
-impl ShardRows {
-    /// The effective row threshold for `workload` (0 = sharding off).
-    pub fn resolve(&self, workload: &PreparedWorkload) -> usize {
-        match self {
-            ShardRows::Off => 0,
-            ShardRows::Fixed(rows) => *rows,
-            ShardRows::Auto => workload.auto_shard_rows(),
-        }
-    }
-
-    /// The full sharding specification for `workload`: the resolved
-    /// threshold plus whether boundaries are nnz-balanced (`Auto`) or
-    /// fixed-size (`Fixed`, the legacy encoding).
-    pub fn spec(&self, workload: &PreparedWorkload) -> ShardSpec {
-        ShardSpec {
-            threshold: self.resolve(workload),
-            balanced: matches!(self, ShardRows::Auto),
-        }
-    }
-}
-
-impl From<usize> for ShardRows {
-    /// `0` disables sharding (the legacy encoding); any other value is a
-    /// fixed threshold.
-    fn from(rows: usize) -> Self {
-        if rows == 0 {
-            ShardRows::Off
-        } else {
-            ShardRows::Fixed(rows)
-        }
-    }
-}
-
-/// A resolved sharding policy: the row threshold (0 = off) and whether
-/// shard boundaries balance non-zeros rather than rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSpec {
-    /// Clusters with more rows than this split into shards.
-    pub threshold: usize,
-    /// Place boundaries where cumulative nnz crosses equal shares
-    /// (degree-aware) instead of at fixed row counts.
-    pub balanced: bool,
-}
-
-impl ShardSpec {
-    /// Sharding disabled.
-    pub const OFF: ShardSpec = ShardSpec {
-        threshold: 0,
-        balanced: false,
-    };
-}
-
-/// A reusable plan-pass output buffer, pooled through a [`ScratchArena`].
-/// The contract that makes sharding sound: planning row range `[a, b)`
-/// into a cleared buffer, for any partition of a cluster into consecutive
-/// ranges, concatenates (in range order) to exactly the plan a single
-/// unsharded pass produces.
-pub(crate) trait PlanBuffer: Default + Send {
-    /// Resets to the empty state, retaining allocations.
-    fn clear(&mut self);
-}
-
-/// Deterministic shard boundaries for `rows`: returns consecutive,
-/// non-empty ranges covering `rows` exactly. One range when sharding is
-/// off or the cluster is small enough.
-///
-/// With `spec.balanced` and a CSR `pattern`, cut points fall where the
-/// cumulative non-zero count over `rows` crosses `k/n_shards` of the
-/// range's total — a degree-aware partition that keeps shard *work*
-/// (not row count) even under skew. Without a pattern (dense operands)
-/// or with `balanced` off, cuts fall every `threshold` rows.
-///
-/// `align > 1` snaps every interior cut down to a multiple of `align`
-/// rows from `rows.start` (GCNAX strips must not straddle shards).
-pub(crate) fn shard_ranges(
-    pattern: Option<&CsrPattern>,
-    rows: Range<usize>,
-    spec: ShardSpec,
-    align: usize,
-) -> Vec<Range<usize>> {
-    let len = rows.len();
-    if spec.threshold == 0 || len <= spec.threshold {
-        return vec![rows];
-    }
-    let align = align.max(1);
-    let n_shards = len.div_ceil(spec.threshold);
-    let mut out = Vec::with_capacity(n_shards);
-    let mut lo = rows.start;
-    if let (true, Some(p)) = (spec.balanced, pattern) {
-        let indptr = p.indptr();
-        let base = indptr[rows.start];
-        let total = indptr[rows.end] - base;
-        for k in 1..n_shards {
-            let target = base + (total as u128 * k as u128 / n_shards as u128) as usize;
-            // First row boundary whose cumulative nnz reaches the target.
-            let cut = rows.start
-                + indptr[rows.start..=rows.end]
-                    .partition_point(|&cum| cum < target)
-                    .min(len);
-            // Snap to the strip grain, keep cuts strictly increasing.
-            let cut = rows.start + ((cut - rows.start) / align) * align;
-            if cut > lo && cut < rows.end {
-                out.push(lo..cut);
-                lo = cut;
-            }
-        }
-    } else {
-        let step = spec.threshold.div_ceil(align) * align;
-        while lo + step < rows.end {
-            out.push(lo..lo + step);
-            lo += step;
-        }
-    }
-    out.push(lo..rows.end);
-    out
-}
-
-/// Drives a *pure* plan pass over `ranges` overlapped with replay:
-/// `produce` plans each range into a pooled buffer (in parallel, ahead of
-/// the consumer through a bounded-depth queue) while `consume` replays
-/// the buffers strictly in range order on the calling thread. The ordered
-/// merge makes the result bit-identical to planning and replaying each
-/// range back to back serially, which is what `GROW_SERIAL=1` does.
-pub(crate) fn plan_replay<B, P, C>(
-    pool: &ScratchArena<B>,
-    ranges: Vec<Range<usize>>,
-    produce: P,
-    mut consume: C,
-) where
-    B: PlanBuffer,
-    P: Fn(Range<usize>, &mut B) + Sync,
-    C: FnMut(Range<usize>, &B),
-{
-    exec::bounded_pipeline(
-        ranges,
-        0,
-        |_, range: Range<usize>| {
-            let mut buf = pool.checkout();
-            buf.clear();
-            produce(range.clone(), &mut buf);
-            (range, buf)
-        },
-        |_, (range, buf)| consume(range, &buf),
-    );
-}
-
-/// Like [`plan_replay`] for *stateful* plan passes (e.g. a cache model
-/// walked sequentially): `produce` runs on one dedicated thread, strictly
-/// in range order, so it may carry mutable state across ranges; replay
-/// still overlaps on the calling thread.
-pub(crate) fn plan_replay_seq<B, P, C>(
-    pool: &ScratchArena<B>,
-    ranges: Vec<Range<usize>>,
-    mut produce: P,
-    mut consume: C,
-) where
-    B: PlanBuffer,
-    P: FnMut(Range<usize>, &mut B) + Send,
-    C: FnMut(Range<usize>, &B),
-{
-    exec::bounded_pipeline_seq(
-        ranges,
-        0,
-        move |_, range: Range<usize>| {
-            let mut buf = pool.checkout();
-            buf.clear();
-            produce(range.clone(), &mut buf);
-            (range, buf)
-        },
-        |_, (range, buf)| consume(range, &buf),
-    );
+/// The plan→replay hand-off of one freshly planned cluster: the `exec`
+/// fault site, always at ordinal 1. Engines call it after the plan pass
+/// and before the replay; replaying a retained plan skips it.
+pub(crate) fn hand_off() {
+    fault::trip_at(FaultSite::ExecHandoff, 1);
 }
 
 /// Cross-layer plan retention cap, in total plan entries per workload
 /// (adjacency non-zeros plus per-row records). The aggregation plan is a
 /// pure function of the adjacency, so engines cache it at the first layer
 /// and replay it at later ones — but only for workloads small enough that
-/// the retained plans stay cheap; bigger runs still get sharding and
-/// overlap, just not retention. Purely a memory/throughput knob: the
-/// replay consumes identical plan data either way.
+/// the retained plans stay cheap; bigger runs re-plan every layer. Purely
+/// a memory/throughput knob: the replay consumes identical plan data
+/// either way.
 const PLAN_REUSE_MAX_OPS: usize = 1 << 22;
 
 /// The per-cluster aggregation plan slots one engine run reads and fills,
-/// or `None` when the run plans every layer afresh. Runs on workloads
-/// over [`PLAN_REUSE_MAX_OPS`], or with `eligible` false (the engine's
-/// own condition, e.g. GROW's LRU study has no plans), get none. Inside
-/// a serving session pool the slots are the cross-job [`PlanCache`]'s
-/// entry for `family`, so a later job sharing the (dataset, partition)
-/// scope skips the plan pass even on its first layer. Fault-injected
-/// runs stay off the shared cache: replaying a neighbor job's plan would
-/// skip this run's plan-pass trip points, making injection counts depend
-/// on fleet warm state. Otherwise multi-layer runs get fresh local slots,
-/// so they plan each cluster once and replay at later layers.
+/// or `None` when the run plans every layer afresh. The first replay of a
+/// cluster's fresh plan moves that plan out of the worker's scratch into
+/// the cluster's slot. Runs on workloads over [`PLAN_REUSE_MAX_OPS`], or
+/// with `eligible` false (the engine's own condition, e.g. GROW's LRU
+/// study has no plans), get none. Inside a serving session pool the slots
+/// are the cross-job [`PlanCache`]'s entry for `family`, so a later job
+/// sharing the (dataset, partition) scope skips the plan pass even on its
+/// first layer. Fault-injected runs stay off the shared cache: replaying
+/// a neighbor job's plan would skip this run's [`hand_off`] trips, making
+/// injection counts depend on fleet warm state. Otherwise multi-layer
+/// runs get fresh local slots, so they plan each cluster once and replay
+/// at later layers.
 pub(crate) fn plan_slots<T: Send + Sync + 'static>(
     workload: &PreparedWorkload,
     family: &str,
@@ -516,121 +313,6 @@ impl StampSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{prepare, PartitionStrategy};
-    use grow_model::DatasetKey;
-
-    fn pattern(nodes: usize) -> CsrPattern {
-        let w = DatasetKey::Pubmed.spec().scaled_to(nodes).instantiate(7);
-        prepare(&w, PartitionStrategy::None, 4096).adjacency
-    }
-
-    fn check_cover(ranges: &[Range<usize>], rows: Range<usize>) {
-        assert!(!ranges.is_empty());
-        assert_eq!(ranges.first().unwrap().start, rows.start);
-        assert_eq!(ranges.last().unwrap().end, rows.end);
-        for w in ranges.windows(2) {
-            assert_eq!(w[0].end, w[1].start, "consecutive");
-        }
-        assert!(ranges.iter().all(|r| !r.is_empty()));
-    }
-
-    #[test]
-    fn off_and_small_clusters_stay_whole() {
-        let p = pattern(300);
-        for spec in [
-            ShardSpec::OFF,
-            ShardSpec {
-                threshold: 300,
-                balanced: true,
-            },
-        ] {
-            assert_eq!(shard_ranges(Some(&p), 0..300, spec, 1), vec![0..300]);
-        }
-    }
-
-    #[test]
-    fn fixed_ranges_cover_and_respect_alignment() {
-        let spec = ShardSpec {
-            threshold: 100,
-            balanced: false,
-        };
-        let ranges = shard_ranges(None, 10..523, spec, 1);
-        check_cover(&ranges, 10..523);
-        assert!(ranges[..ranges.len() - 1].iter().all(|r| r.len() == 100));
-
-        // Alignment rounds the step up to a strip multiple.
-        let aligned = shard_ranges(None, 0..1000, spec, 128);
-        check_cover(&aligned, 0..1000);
-        for r in &aligned[..aligned.len() - 1] {
-            assert_eq!(r.start % 128, 0);
-            assert_eq!(r.end % 128, 0);
-        }
-    }
-
-    #[test]
-    fn balanced_ranges_cover_and_balance_nnz() {
-        let p = pattern(1200);
-        let rows = 0..p.rows();
-        let spec = ShardSpec {
-            threshold: 150,
-            balanced: true,
-        };
-        let ranges = shard_ranges(Some(&p), rows.clone(), spec, 1);
-        check_cover(&ranges, rows);
-        // Each balanced shard's nnz stays within a sane factor of the
-        // ideal share (skew permitting) — the point versus fixed cuts.
-        let indptr = p.indptr();
-        let total = p.nnz();
-        let ideal = total as f64 / ranges.len() as f64;
-        for r in &ranges {
-            let nnz = indptr[r.end] - indptr[r.start];
-            assert!(
-                (nnz as f64) < 2.5 * ideal + 64.0,
-                "shard {r:?} holds {nnz} of {total} nnz across {} shards",
-                ranges.len()
-            );
-        }
-    }
-
-    #[test]
-    fn balanced_ranges_align_to_strips() {
-        let p = pattern(2000);
-        let spec = ShardSpec {
-            threshold: 256,
-            balanced: true,
-        };
-        let ranges = shard_ranges(Some(&p), 0..2000, spec, 128);
-        check_cover(&ranges, 0..2000);
-        for r in &ranges[..ranges.len() - 1] {
-            assert_eq!((r.end) % 128, 0, "interior cut off the strip grain");
-        }
-    }
-
-    #[test]
-    fn balanced_ranges_handle_empty_rows() {
-        // An all-empty range degenerates to one shard rather than
-        // emitting empty ranges.
-        let p = CsrPattern::empty(600, 600);
-        let spec = ShardSpec {
-            threshold: 100,
-            balanced: true,
-        };
-        let ranges = shard_ranges(Some(&p), 0..600, spec, 1);
-        check_cover(&ranges, 0..600);
-    }
-
-    #[test]
-    fn auto_spec_is_balanced_fixed_is_not() {
-        let w = DatasetKey::Pubmed.spec().scaled_to(2000).instantiate(3);
-        let prepared = prepare(&w, PartitionStrategy::None, 4096);
-        let auto = ShardRows::Auto.spec(&prepared);
-        assert!(auto.balanced);
-        assert_eq!(auto.threshold, prepared.auto_shard_rows());
-        let fixed = ShardRows::Fixed(64).spec(&prepared);
-        assert!(!fixed.balanced);
-        assert_eq!(fixed.threshold, 64);
-        assert_eq!(ShardRows::Off.spec(&prepared).threshold, 0);
-    }
 
     #[test]
     fn plan_cache_hits_misses_and_evicts_deterministically() {
@@ -684,34 +366,5 @@ mod tests {
         assert!(s.first_touch(3), "reset empties the set");
         s.reset(4);
         assert!(s.first_touch(3), "universe change re-zeroes");
-    }
-
-    #[test]
-    fn drivers_merge_in_order_and_match_serial() {
-        #[derive(Debug, Default)]
-        struct Buf(Vec<usize>);
-        impl PlanBuffer for Buf {
-            fn clear(&mut self) {
-                self.0.clear();
-            }
-        }
-        let pool: ScratchArena<Buf> = ScratchArena::new();
-        let ranges: Vec<Range<usize>> = (0..20).map(|i| i * 10..(i + 1) * 10).collect();
-        let run = |seq: bool| {
-            grow_sim::exec::with_workers(4, || {
-                let mut out = Vec::new();
-                let produce = |range: Range<usize>, buf: &mut Buf| buf.0.extend(range);
-                let consume = |_: Range<usize>, buf: &Buf| out.extend_from_slice(&buf.0);
-                if seq {
-                    plan_replay_seq(&pool, ranges.clone(), produce, consume);
-                } else {
-                    plan_replay(&pool, ranges.clone(), produce, consume);
-                }
-                out
-            })
-        };
-        let expect: Vec<usize> = (0..200).collect();
-        assert_eq!(run(false), expect);
-        assert_eq!(run(true), expect);
     }
 }

@@ -113,29 +113,6 @@ impl PreparedWorkload {
     pub fn adjacency_nnz(&self) -> usize {
         self.adjacency.nnz()
     }
-
-    /// The intra-cluster sharding threshold `shard_rows=auto` resolves to,
-    /// derived from this preparation's cluster-size statistics (0 =
-    /// sharding off):
-    ///
-    /// * fine-grained preparations (largest cluster ≤ 512 rows) leave
-    ///   sharding off — the cluster fan-out alone already saturates the
-    ///   worker threads, and per-shard overhead would only cost;
-    /// * coarse-grained ones shard at an eighth of the largest cluster,
-    ///   clamped to `[256, 4096]`, so even a single whole-graph cluster
-    ///   (`PartitionStrategy::None`) splits into enough ranges to keep
-    ///   every worker busy.
-    ///
-    /// Purely a simulator-throughput decision: any threshold produces
-    /// bit-identical reports (the `shard_rows` contract).
-    pub fn auto_shard_rows(&self) -> usize {
-        let largest = self.clusters.iter().map(|r| r.len()).max().unwrap_or(0);
-        if largest <= 512 {
-            0
-        } else {
-            (largest / 8).clamp(256, 4096)
-        }
-    }
 }
 
 /// Builds the adjacency pattern `A + I` (neighbors plus a self-loop per
@@ -306,28 +283,6 @@ mod tests {
     fn hdn_lists_bounded_by_entry_count() {
         let p = prepare(&small(), PartitionStrategy::None, 16);
         assert!(p.hdn_lists[0].len() <= 16);
-    }
-
-    #[test]
-    fn auto_shard_rows_follows_cluster_grain() {
-        let fine = prepare(
-            &small(),
-            PartitionStrategy::Multilevel { cluster_nodes: 100 },
-            4096,
-        );
-        assert_eq!(fine.auto_shard_rows(), 0, "fine clusters: sharding off");
-        let coarse = prepare(
-            &DatasetKey::Pubmed.spec().scaled_to(2000).instantiate(3),
-            PartitionStrategy::None,
-            4096,
-        );
-        assert_eq!(coarse.auto_shard_rows(), 256, "2000/8 clamps up to 256");
-        let huge = prepare(
-            &DatasetKey::Pubmed.spec().scaled_to(6000).instantiate(3),
-            PartitionStrategy::None,
-            4096,
-        );
-        assert_eq!(huge.auto_shard_rows(), 750, "6000/8 within the clamp");
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::exec_model::{ExecModelKind, EXEC_MODEL_NAMES};
 use crate::schedule::{MultiPeConfig, SchedulerKind, SCHEDULER_NAMES};
 use crate::{
     Accelerator, GammaConfig, GammaEngine, GcnaxConfig, GcnaxEngine, GrowConfig, GrowEngine,
-    MatRaptorConfig, MatRaptorEngine, PreparedWorkload, ReplacementPolicy, RunReport, ShardRows,
+    MatRaptorConfig, MatRaptorEngine, PreparedWorkload, ReplacementPolicy, RunReport,
 };
 
 /// Canonical lower-case names of the registered engines, in the paper's
@@ -45,6 +45,12 @@ pub const ENGINE_NAMES: [&str; 4] = ["grow", "gcnax", "matraptor", "gamma"];
 /// [`RegistryError::InvalidValue`]. The largest count any test, golden
 /// snapshot or experiment uses is 16.
 pub const MAX_PES_OR_CHANNELS: usize = 1024;
+
+/// Largest value the `*_kb` buffer keys accept: 2^40 KB (1 PiB). The
+/// byte count `kb * 1024` then stays far inside `u64`, so neither it nor
+/// a sum of an engine's buffer sizes can overflow; a larger value is an
+/// [`RegistryError::InvalidValue`]. Table III's largest buffer is 512 KB.
+pub const MAX_BUFFER_KB: u64 = 1 << 40;
 
 /// Errors from engine construction or dispatch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,18 +123,50 @@ impl fmt::Display for RegistryError {
 
 impl std::error::Error for RegistryError {}
 
-fn parse<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, RegistryError> {
-    value.parse().map_err(|_| RegistryError::InvalidValue {
+fn invalid_value(key: &str, value: &str) -> RegistryError {
+    RegistryError::InvalidValue {
         key: key.to_string(),
         value: value.to_string(),
-    })
+    }
+}
+
+fn parse<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, RegistryError> {
+    value.parse().map_err(|_| invalid_value(key, value))
+}
+
+/// Parses a count of hardware units (lanes, table entries, tile rows,
+/// PEs) that must lie in `1..=max`. The models divide by, allocate per,
+/// or wait on such a count, so 0 would panic, hang or abort mid-run.
+fn count(key: &str, value: &str, max: usize) -> Result<usize, RegistryError> {
+    let n: usize = parse(key, value)?;
+    if n == 0 || n > max {
+        return Err(invalid_value(key, value));
+    }
+    Ok(n)
+}
+
+/// Parses a `*_kb` buffer size in `min_kb..=`[`MAX_BUFFER_KB`] into
+/// bytes.
+fn kb_bytes(key: &str, value: &str, min_kb: u64) -> Result<u64, RegistryError> {
+    let kb: u64 = parse(key, value)?;
+    if !(min_kb..=MAX_BUFFER_KB).contains(&kb) {
+        return Err(invalid_value(key, value));
+    }
+    Ok(kb * 1024)
 }
 
 /// Applies the DRAM keys shared by every engine; returns `true` if `key`
-/// was one of them.
+/// was one of them. `dram_gbps` must be finite and positive: the channel
+/// divides by it.
 fn apply_dram_key(dram: &mut DramConfig, key: &str, value: &str) -> Result<bool, RegistryError> {
     match key {
-        "dram_gbps" => dram.bytes_per_cycle = parse(key, value)?,
+        "dram_gbps" => {
+            let gbps: f64 = parse(key, value)?;
+            if !(gbps.is_finite() && gbps > 0.0) {
+                return Err(invalid_value(key, value));
+            }
+            dram.bytes_per_cycle = gbps;
+        }
         "dram_latency_cycles" => dram.latency_cycles = parse(key, value)?,
         "dram_request_overhead_cycles" => dram.request_overhead_cycles = parse(key, value)?,
         _ => return Ok(false),
@@ -146,20 +184,10 @@ fn apply_schedule_key(
     key: &str,
     value: &str,
 ) -> Result<bool, RegistryError> {
-    let count = |max: usize| -> Result<usize, RegistryError> {
-        let n: usize = parse(key, value)?;
-        if n == 0 || n > max {
-            return Err(RegistryError::InvalidValue {
-                key: key.to_string(),
-                value: value.to_string(),
-            });
-        }
-        Ok(n)
-    };
     match key {
-        "pes" => cfg.pes = count(MAX_PES_OR_CHANNELS)?,
-        "channels" => cfg.topology.channels = count(MAX_PES_OR_CHANNELS)?,
-        "banks" => cfg.topology.banks = count(usize::MAX)?,
+        "pes" => cfg.pes = count(key, value, MAX_PES_OR_CHANNELS)?,
+        "channels" => cfg.topology.channels = count(key, value, MAX_PES_OR_CHANNELS)?,
+        "banks" => cfg.topology.banks = count(key, value, usize::MAX)?,
         "scheduler" => {
             cfg.scheduler = SchedulerKind::parse(value)
                 .ok_or_else(|| RegistryError::UnknownScheduler(value.to_string()))?;
@@ -173,23 +201,6 @@ fn apply_schedule_key(
     Ok(true)
 }
 
-/// Applies the `shard_rows=off|auto|N` key shared by every engine (the
-/// plan-pass sharding knob is engine-uniform since the [`crate::plan`]
-/// port); returns `true` if `key` was it.
-fn apply_shard_key(shard: &mut ShardRows, key: &str, value: &str) -> Result<bool, RegistryError> {
-    if key != "shard_rows" {
-        return Ok(false);
-    }
-    *shard = if value.eq_ignore_ascii_case("auto") {
-        ShardRows::Auto
-    } else if value.eq_ignore_ascii_case("off") {
-        ShardRows::Off
-    } else {
-        ShardRows::from(parse::<usize>(key, value)?)
-    };
-    Ok(true)
-}
-
 /// Applies the `fault=off|spec[+spec..]` deterministic fault-injection
 /// key shared by every engine (spec grammar:
 /// `site:action[:nth[:attempts]]`, see [`grow_sim::fault::FaultPlan`]);
@@ -198,10 +209,7 @@ fn apply_fault_key(fault: &mut FaultPlan, key: &str, value: &str) -> Result<bool
     if key != "fault" {
         return Ok(false);
     }
-    *fault = FaultPlan::parse(value).map_err(|_| RegistryError::InvalidValue {
-        key: key.to_string(),
-        value: value.to_string(),
-    })?;
+    *fault = FaultPlan::parse(value).map_err(|_| invalid_value(key, value))?;
     Ok(true)
 }
 
@@ -210,31 +218,25 @@ fn grow_from(overrides: &[(&str, &str)]) -> Result<GrowEngine, RegistryError> {
     for &(key, value) in overrides {
         if apply_dram_key(&mut cfg.dram, key, value)?
             || apply_schedule_key(&mut cfg.multi_pe, key, value)?
-            || apply_shard_key(&mut cfg.shard_rows, key, value)?
             || apply_fault_key(&mut cfg.fault, key, value)?
         {
             continue;
         }
         match key {
-            "mac_lanes" => cfg.mac_lanes = parse(key, value)?,
-            "hdn_cache_kb" => cfg.hdn_cache_bytes = parse::<u64>(key, value)? * 1024,
+            "mac_lanes" => cfg.mac_lanes = count(key, value, usize::MAX)?,
+            "hdn_cache_kb" => cfg.hdn_cache_bytes = kb_bytes(key, value, 1)?,
             "hdn_id_entries" => cfg.hdn_id_entries = parse(key, value)?,
-            "ibuf_sparse_kb" => cfg.ibuf_sparse_bytes = parse::<u64>(key, value)? * 1024,
-            "obuf_kb" => cfg.obuf_bytes = parse::<u64>(key, value)? * 1024,
-            "runahead" => cfg.runahead = parse(key, value)?,
-            "ldn_entries" => cfg.ldn_entries = parse(key, value)?,
-            "lhs_id_entries" => cfg.lhs_id_entries = parse(key, value)?,
+            "ibuf_sparse_kb" => cfg.ibuf_sparse_bytes = kb_bytes(key, value, 0)?,
+            "obuf_kb" => cfg.obuf_bytes = kb_bytes(key, value, 0)?,
+            "runahead" => cfg.runahead = count(key, value, usize::MAX)?,
+            "ldn_entries" => cfg.ldn_entries = count(key, value, usize::MAX)?,
+            "lhs_id_entries" => cfg.lhs_id_entries = count(key, value, usize::MAX)?,
             "hdn_caching" => cfg.hdn_caching = parse(key, value)?,
             "replacement" => {
                 cfg.replacement = match value.to_ascii_lowercase().as_str() {
                     "pinned" => ReplacementPolicy::Pinned,
                     "lru" => ReplacementPolicy::Lru,
-                    _ => {
-                        return Err(RegistryError::InvalidValue {
-                            key: key.to_string(),
-                            value: value.to_string(),
-                        })
-                    }
+                    _ => return Err(invalid_value(key, value)),
                 }
             }
             _ => {
@@ -253,16 +255,15 @@ fn gcnax_from(overrides: &[(&str, &str)]) -> Result<GcnaxEngine, RegistryError> 
     for &(key, value) in overrides {
         if apply_dram_key(&mut cfg.dram, key, value)?
             || apply_schedule_key(&mut cfg.multi_pe, key, value)?
-            || apply_shard_key(&mut cfg.shard_rows, key, value)?
             || apply_fault_key(&mut cfg.fault, key, value)?
         {
             continue;
         }
         match key {
-            "mac_lanes" => cfg.mac_lanes = parse(key, value)?,
-            "tile_rows" => cfg.tile_rows = parse(key, value)?,
-            "tile_cols" => cfg.tile_cols = parse(key, value)?,
-            "dense_buffer_kb" => cfg.dense_buffer_bytes = parse::<u64>(key, value)? * 1024,
+            "mac_lanes" => cfg.mac_lanes = count(key, value, usize::MAX)?,
+            "tile_rows" => cfg.tile_rows = count(key, value, usize::MAX)?,
+            "tile_cols" => cfg.tile_cols = count(key, value, usize::MAX)?,
+            "dense_buffer_kb" => cfg.dense_buffer_bytes = kb_bytes(key, value, 0)?,
             "tile_fetch_depth" => cfg.tile_fetch_depth = parse(key, value)?,
             _ => {
                 return Err(RegistryError::UnknownKey {
@@ -280,13 +281,12 @@ fn matraptor_from(overrides: &[(&str, &str)]) -> Result<MatRaptorEngine, Registr
     for &(key, value) in overrides {
         if apply_dram_key(&mut cfg.dram, key, value)?
             || apply_schedule_key(&mut cfg.multi_pe, key, value)?
-            || apply_shard_key(&mut cfg.shard_rows, key, value)?
             || apply_fault_key(&mut cfg.fault, key, value)?
         {
             continue;
         }
         match key {
-            "mac_lanes" => cfg.mac_lanes = parse(key, value)?,
+            "mac_lanes" => cfg.mac_lanes = count(key, value, usize::MAX)?,
             "merge_factor" => cfg.merge_factor = parse(key, value)?,
             _ => {
                 return Err(RegistryError::UnknownKey {
@@ -304,14 +304,13 @@ fn gamma_from(overrides: &[(&str, &str)]) -> Result<GammaEngine, RegistryError> 
     for &(key, value) in overrides {
         if apply_dram_key(&mut cfg.dram, key, value)?
             || apply_schedule_key(&mut cfg.multi_pe, key, value)?
-            || apply_shard_key(&mut cfg.shard_rows, key, value)?
             || apply_fault_key(&mut cfg.fault, key, value)?
         {
             continue;
         }
         match key {
-            "mac_lanes" => cfg.mac_lanes = parse(key, value)?,
-            "fiber_cache_kb" => cfg.fiber_cache_bytes = parse::<u64>(key, value)? * 1024,
+            "mac_lanes" => cfg.mac_lanes = count(key, value, usize::MAX)?,
+            "fiber_cache_kb" => cfg.fiber_cache_bytes = kb_bytes(key, value, 0)?,
             "merge_factor" => cfg.merge_factor = parse(key, value)?,
             _ => {
                 return Err(RegistryError::UnknownKey {
@@ -685,39 +684,6 @@ mod tests {
         let message = RegistryError::UnknownExecModel("sideways".into()).to_string();
         for name in crate::exec_model::EXEC_MODEL_NAMES {
             assert!(message.contains(name), "{message}");
-        }
-    }
-
-    #[test]
-    fn shard_rows_accepts_auto_and_integers() {
-        let p = prepared();
-        for name in ENGINE_NAMES {
-            let auto = engine_from_overrides(name, &[("shard_rows", "auto")])
-                .unwrap_or_else(|e| panic!("{name}: {e}"))
-                .run(&p);
-            let fixed = engine_from_overrides(name, &[("shard_rows", "64")])
-                .unwrap()
-                .run(&p);
-            let off = engine_from_overrides(name, &[("shard_rows", "0")])
-                .unwrap()
-                .run(&p);
-            let off_word = engine_from_overrides(name, &[("shard_rows", "off")])
-                .unwrap()
-                .run(&p);
-            // Sharding is a throughput knob: all four report identically.
-            assert_eq!(auto, fixed, "{name}");
-            assert_eq!(auto, off, "{name}");
-            assert_eq!(auto, off_word, "{name}");
-            assert_eq!(
-                engine_from_overrides(name, &[("shard_rows", "many")])
-                    .err()
-                    .expect("must fail"),
-                RegistryError::InvalidValue {
-                    key: "shard_rows".into(),
-                    value: "many".into()
-                },
-                "{name}"
-            );
         }
     }
 }

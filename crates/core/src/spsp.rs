@@ -17,13 +17,14 @@
 //! Like the other engines, the row walk runs cluster by cluster through
 //! the shared [`pipeline`](crate::pipeline) harness, in parallel across
 //! clusters — and, within a cluster, as a plan/replay pair through
-//! [`plan`]: the pure row-accounting pass (per-row non-zero and hit
-//! counts) is produced ahead of the cycle-accurate replay. Three plan
-//! flavors exist: the cacheless walk (every non-zero misses) is a pure
-//! per-range pass that shards and runs in parallel; a fiber cache big
-//! enough to never evict collapses LRU to first-touch (a [`plan::StampSet`]
-//! walk, still sequential but list-free); a genuinely evicting LRU walk
-//! stays sequential on one producer thread. All three overlap with replay.
+//! [`plan`]: the row-accounting pass (per-row non-zero and hit counts)
+//! is planned into the worker's scratch, handed off, and spent by the
+//! cycle-accurate replay. Three plan flavors exist: the cacheless walk
+//! (every non-zero misses) records per-row CSR lengths; a fiber cache big
+//! enough to never evict collapses LRU to first-touch (a
+//! [`plan::StampSet`] walk, list-free); a genuinely evicting LRU walk
+//! probes the real cache. The first two are pure functions of the
+//! adjacency, so their aggregation plans are retained across layers.
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -35,43 +36,33 @@ use grow_sparse::RowMajorSparse;
 
 use crate::exec_model::ExecModel;
 use crate::pipeline::{self, PhaseCtx};
-use crate::plan::{self, PlanBuffer, ShardRows, ShardSpec};
+use crate::plan;
 use crate::{LayerReport, PhaseKind, PhaseReport, PreparedWorkload, RunReport};
 
 /// Per-worker scratch of the sparse-sparse cluster path: the fiber cache
 /// (and its no-eviction first-touch shortcut), recycled through a
 /// [`ScratchArena`] and epoch-reset at every cluster boundary (the flush
-/// the module docs describe) instead of reallocated.
+/// the module docs describe) instead of reallocated, and the cluster's
+/// row plan.
 #[derive(Debug, Default)]
 struct SpSpScratch {
     cache: LruRowCache,
     stamp: plan::StampSet,
+    /// The current cluster's row plan (moved out when retained).
+    plan: RowCounts,
 }
 
 /// Bytes per element of a CSR-compressed row: value + column index.
 const CSR_ELEM_BYTES: u64 = 8 + INDEX_BYTES;
 
-/// The plan-pass output of the row walk over a row range: per LHS row its
+/// The plan-pass output of the row walk over a cluster: per LHS row its
 /// non-zero count and fiber-cache hit count. Everything the replay spends
 /// (DRAM fetches, MAC/merge occupancy, SRAM counters, cache statistics)
 /// is a function of these two numbers per row, in row order.
 #[derive(Debug, Default)]
 struct RowCounts {
-    /// `(nnz, hits)` per LHS row of the range.
+    /// `(nnz, hits)` per LHS row of the cluster.
     rows: Vec<(u32, u32)>,
-}
-
-impl PlanBuffer for RowCounts {
-    fn clear(&mut self) {
-        self.rows.clear();
-    }
-}
-
-impl RowCounts {
-    /// Ordered merge of a shard's plan onto this one.
-    fn absorb(&mut self, shard: &RowCounts) {
-        self.rows.extend_from_slice(&shard.rows);
-    }
 }
 
 /// A row plan retained across layers (the aggregation LHS — the adjacency
@@ -98,9 +89,6 @@ pub(crate) struct SpSpParams {
     pub merge_factor: f64,
     /// Total on-chip SRAM in KB (for energy accounting).
     pub sram_kb: f64,
-    /// Intra-cluster sharding of the row-accounting plan pass (the
-    /// uniform `shard_rows=` override). Bit-identical at any setting.
-    pub shard_rows: ShardRows,
     /// Multi-PE projection (Figure 24): PE count and cluster scheduler.
     pub multi_pe: crate::schedule::MultiPeConfig,
     /// Deterministic fault-injection plan (the uniform `fault=` override;
@@ -113,8 +101,6 @@ pub(crate) fn run_spsp(params: &SpSpParams, workload: &PreparedWorkload) -> RunR
     // One scratch pool per run: fiber caches are epoch-reset between
     // clusters and layers, never reallocated; row plans are recycled.
     let scratch: ScratchArena<SpSpScratch> = ScratchArena::new();
-    let plan_pool: ScratchArena<RowCounts> = ScratchArena::new();
-    let spec = params.shard_rows.spec(workload);
     // The aggregation row plan is a function of the layer-invariant
     // adjacency (when the cache mode carries over — see `CachedRows`), so
     // runs replay retained plans; the `CachedRows` mode tag guards
@@ -133,8 +119,6 @@ pub(crate) fn run_spsp(params: &SpSpParams, workload: &PreparedWorkload) -> RunR
                 layer.f_out,
                 &workload.clusters,
                 &scratch,
-                &plan_pool,
-                spec,
                 None,
             ),
             aggregation: run_phase(
@@ -145,8 +129,6 @@ pub(crate) fn run_spsp(params: &SpSpParams, workload: &PreparedWorkload) -> RunR
                 layer.f_out,
                 &workload.clusters,
                 &scratch,
-                &plan_pool,
-                spec,
                 agg_store,
             ),
         });
@@ -164,19 +146,18 @@ fn run_phase(
     f: usize,
     clusters: &[Range<usize>],
     scratch: &ScratchArena<SpSpScratch>,
-    plan_pool: &ScratchArena<RowCounts>,
-    spec: ShardSpec,
     store: Option<&[OnceLock<CachedRows>]>,
 ) -> PhaseReport {
     pipeline::run_clusters(model, kind, clusters, |ci, cluster| {
         let cell = store.map(|st| &st[ci]);
         let mut s = scratch.checkout();
-        run_rows(params, kind, lhs, f, cluster, &mut s, spec, plan_pool, cell)
+        run_rows(params, kind, lhs, f, cluster, &mut s, cell)
     })
 }
 
-/// Simulates one cluster's rows in an isolated context.
-#[allow(clippy::too_many_arguments)]
+/// Simulates one cluster's rows in an isolated context: a sparse LHS is
+/// planned into `scratch`, handed off and replayed, and a pure plan then
+/// moves into `cell` when one is given.
 fn run_rows(
     params: &SpSpParams,
     kind: PhaseKind,
@@ -184,8 +165,6 @@ fn run_rows(
     f: usize,
     rows: Range<usize>,
     scratch: &mut SpSpScratch,
-    spec: ShardSpec,
-    plan_pool: &ScratchArena<RowCounts>,
     cell: Option<&OnceLock<CachedRows>>,
 ) -> PhaseReport {
     let mut ctx = PhaseCtx::new(kind, params.dram, params.mac_lanes);
@@ -280,84 +259,52 @@ fn run_rows(
             if let Some(cached) = cached {
                 replay(&cached.plan, &mut ctx);
             } else {
-                let retain = pure && cell.is_some();
-                let mut merged = retain.then(RowCounts::default);
-                let ranges = plan::shard_ranges(Some(p), rows.clone(), spec, 1);
-                let consume = |_range: Range<usize>, buf: &RowCounts| {
-                    replay(buf, &mut ctx);
-                    if let Some(m) = merged.as_mut() {
-                        m.absorb(buf);
-                    }
-                };
+                let SpSpScratch { cache, stamp, plan } = scratch;
+                plan.rows.clear();
                 if !use_cache {
                     // No fiber cache (MatRaptor): every non-zero is a miss
                     // and nothing is probed, so the plan is the per-row
-                    // CSR lengths — a pure per-range pass that shards and
-                    // runs in parallel ahead of the replay.
-                    plan::plan_replay(
-                        plan_pool,
-                        ranges,
-                        |range, buf: &mut RowCounts| {
-                            for slice in p.row_slices(range) {
-                                buf.rows.push((slice.len() as u32, 0));
-                            }
-                        },
-                        consume,
-                    );
+                    // CSR lengths.
+                    for slice in p.row_slices(rows.clone()) {
+                        plan.rows.push((slice.len() as u32, 0));
+                    }
                 } else if no_evict {
                     // First-touch shortcut: same hit/miss outcome as the
                     // LRU walk, without maintaining the intrusive recency
-                    // list. First-touch state spans the cluster, so the
-                    // walk is sequential — one producer thread, overlapped
-                    // with replay.
-                    let stamp = &mut scratch.stamp;
+                    // list.
                     stamp.reset(lhs.cols());
-                    plan::plan_replay_seq(
-                        plan_pool,
-                        ranges,
-                        move |range, buf: &mut RowCounts| {
-                            for slice in p.row_slices(range) {
-                                let mut hits = 0u32;
-                                for &c in slice {
-                                    if !stamp.first_touch(c) {
-                                        hits += 1;
-                                    }
-                                }
-                                buf.rows.push((slice.len() as u32, hits));
+                    for slice in p.row_slices(rows.clone()) {
+                        let mut hits = 0u32;
+                        for &c in slice {
+                            if !stamp.first_touch(c) {
+                                hits += 1;
                             }
-                        },
-                        consume,
-                    );
+                        }
+                        plan.rows.push((slice.len() as u32, hits));
+                    }
                 } else {
                     // Genuinely evicting LRU: every probe outcome depends
-                    // on all prior probes, so the walk stays sequential on
-                    // one producer thread (cluster-boundary flush via
-                    // epoch reset), overlapped with replay.
-                    let cache = &mut scratch.cache;
+                    // on all prior probes (cluster-boundary flush via
+                    // epoch reset).
                     cache.reset(cache_rows, lhs.cols());
-                    plan::plan_replay_seq(
-                        plan_pool,
-                        ranges,
-                        move |range, buf: &mut RowCounts| {
-                            for slice in p.row_slices(range) {
-                                let mut hits = 0u32;
-                                for &c in slice {
-                                    if cache.probe(c) {
-                                        hits += 1;
-                                    } else {
-                                        cache.insert(c);
-                                    }
-                                }
-                                buf.rows.push((slice.len() as u32, hits));
+                    for slice in p.row_slices(rows.clone()) {
+                        let mut hits = 0u32;
+                        for &c in slice {
+                            if cache.probe(c) {
+                                hits += 1;
+                            } else {
+                                cache.insert(c);
                             }
-                        },
-                        consume,
-                    );
+                        }
+                        plan.rows.push((slice.len() as u32, hits));
+                    }
                 }
-                if let (Some(cell), Some(merged)) = (cell, merged) {
+                plan::hand_off();
+                replay(plan, &mut ctx);
+                if let Some(cell) = cell.filter(|_| pure) {
                     cell.set(CachedRows {
                         with_cache: use_cache,
-                        plan: merged,
+                        plan: std::mem::take(plan),
                     })
                     .ok();
                 }

@@ -34,7 +34,7 @@ use std::time::Instant;
 use grow_core::registry::{self, RegistryError};
 use grow_core::{
     Accelerator, ExecModelKind, PartitionStrategy, PlanCache, PreparedWorkload, RunReport,
-    SchedulerKind, ShardRows,
+    SchedulerKind,
 };
 use grow_model::DatasetSpec;
 use grow_sim::exec::{self, ExecMode};
@@ -143,23 +143,6 @@ impl JobSpec {
     /// memory-bound clusters. See [`JobSpec::with_channels`].
     pub fn with_banks(self, banks: usize) -> Self {
         self.with_override("banks", &banks.to_string())
-    }
-
-    /// Sets the intra-cluster row-range sharding threshold (the
-    /// `shard_rows=` override, GROW only): clusters larger than the
-    /// threshold split their probe-plan pass across worker threads.
-    /// Accepts a plain row count (`with_shard_rows(64)`, `0` = off) or a
-    /// [`ShardRows`] variant — `ShardRows::Auto` derives the threshold
-    /// from the prepared workload's cluster statistics. Purely a
-    /// simulator-throughput knob — reports are bit-identical to an
-    /// unsharded run.
-    pub fn with_shard_rows(self, rows: impl Into<ShardRows>) -> Self {
-        let value = match rows.into() {
-            ShardRows::Off => "0".to_string(),
-            ShardRows::Fixed(rows) => rows.to_string(),
-            ShardRows::Auto => "auto".to_string(),
-        };
-        self.with_override("shard_rows", &value)
     }
 
     /// Sets the per-cluster HDN ID list length for preparation.
@@ -1368,33 +1351,6 @@ mod tests {
             .layers
             .iter()
             .all(|l| l.combination.pe.is_some() && l.aggregation.pe.is_some()));
-    }
-
-    #[test]
-    fn auto_sharded_jobs_report_identically_to_unsharded() {
-        let mut service = BatchService::new();
-        let unsharded = JobSpec::new(spec(), 7, "grow");
-        let auto = unsharded.clone().with_shard_rows(ShardRows::Auto);
-        assert!(auto.overrides.contains(&"shard_rows=auto".to_string()));
-        assert_ne!(unsharded.key(), auto.key());
-        let results = service.run_batch(&[unsharded, auto]);
-        assert_eq!(results[0].report().unwrap(), results[1].report().unwrap());
-    }
-
-    #[test]
-    fn sharded_jobs_report_identically_to_unsharded() {
-        // shard_rows is a throughput knob, not a model knob: the sharded
-        // job has a distinct cache key (distinct effective config) yet its
-        // report — layers, multi-PE summary, everything — must be
-        // bit-identical to the unsharded run's.
-        let mut service = BatchService::new();
-        let unsharded =
-            JobSpec::new(spec(), 7, "grow").with_strategy(PartitionStrategy::multilevel_default());
-        let sharded = unsharded.clone().with_shard_rows(64);
-        assert_ne!(unsharded.key(), sharded.key());
-        let results = service.run_batch(&[unsharded, sharded]);
-        assert_eq!(service.stats().simulations_run, 2, "both really ran");
-        assert_eq!(results[0].report().unwrap(), results[1].report().unwrap());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! handling lives — but failure paths that can only be reached by real
 //! crashes are failure paths that are never tested. This module makes
 //! faults a *configuration input*: a [`FaultPlan`] names injection sites
-//! threaded through the hot layers (DRAM transfer issue, plan/replay
-//! chunk hand-off, store read/write, the serving worker itself, the
+//! threaded through the hot layers (DRAM transfer issue, a cluster's
+//! plan→replay hand-off, store read/write, the serving worker itself, the
 //! multi-PE scheduler dispatch) and
 //! describes, per site, the op ordinal at which to inject and whether the
 //! site reports an error ([`SimFault`]) or panics outright.
@@ -16,11 +16,11 @@
 //! trips when its local operation counter reaches the spec's `nth` value
 //! while the current retry attempt is within the spec's `attempts`
 //! budget. Counters are owned by deterministic units — a [`Dram`]
-//! instance counts its own transfers, a pipeline hand-off uses the chunk
-//! index, a store scope counts its own reads/writes — so the serial and
-//! parallel execution legs inject at exactly the same operation, and a
-//! retried run whose specs have exhausted their `attempts` budget is
-//! bit-identical to a fault-free run.
+//! instance counts its own transfers, each cluster's plan→replay
+//! hand-off is its own op 1, a store scope counts its own reads/writes —
+//! so the serial and parallel execution legs inject at exactly the same
+//! operation, and a retried run whose specs have exhausted their
+//! `attempts` budget is bit-identical to a fault-free run.
 //!
 //! The plan, the retry-attempt number, and the [`CancelToken`] are
 //! thread-local (armed with [`with_plan`] / [`with_attempt`] /
@@ -55,11 +55,11 @@ pub enum FaultSite {
     /// A DRAM transfer issue ([`Dram`](crate::Dram) counts its own
     /// transfers, so cluster-parallel legs inject identically).
     DramIssue,
-    /// A plan/replay chunk hand-off in
-    /// [`bounded_pipeline`](crate::exec::bounded_pipeline) /
-    /// [`bounded_pipeline_seq`](crate::exec::bounded_pipeline_seq): the
-    /// ordinal is the chunk index, identical in serial and overlapped
-    /// execution.
+    /// A cluster's plan→replay hand-off: tripped once per freshly
+    /// planned cluster, after its plan pass and before its replay, always
+    /// at ordinal 1 (each cluster is its own unit). A replay of a plan
+    /// retained from an earlier layer or job has no hand-off and never
+    /// trips it.
     ExecHandoff,
     /// A result-store entry read (ordinal counted per armed scope).
     StoreRead,
@@ -643,7 +643,7 @@ pub fn check_at(site: FaultSite, ordinal: u64) -> Result<(), SimFault> {
 }
 
 /// Site poke for hot paths whose signatures cannot return errors (DRAM
-/// issue, pipeline hand-off): like [`check_at`] but an injected *error*
+/// issue, plan→replay hand-off): like [`check_at`] but an injected *error*
 /// unwinds with the structured [`SimFault`] payload, which the
 /// supervisor downcasts back into an error. Near-free when disarmed (one
 /// thread-local flag read).

@@ -57,7 +57,7 @@ pub mod scratch;
 pub use cache::{CacheStats, LruRowCache, PinnedRowCache};
 pub use compute::MacArray;
 pub use dram::{Dram, DramConfig, MemTopology, TrafficClass, TrafficStats};
-pub use exec::{bounded_pipeline, bounded_pipeline_seq, parallel_map, ExecMode};
+pub use exec::{parallel_map, ExecMode};
 pub use fault::{
     CancelReason, CancelToken, FaultAction, FaultPlan, FaultSite, FaultSpec, SimFault,
 };

@@ -23,6 +23,7 @@
 
 mod common;
 
+use std::collections::HashSet;
 use std::path::Path;
 
 use grow::accel::registry::ENGINE_NAMES;
@@ -61,20 +62,23 @@ const ROUNDS: usize = 3;
 const VICTIM: usize = 2;
 
 /// The chaos fleet, 18 jobs on Cora@1000 with seed 42: three
-/// configurations per registry engine (unpartitioned, multilevel,
-/// row-sharded) plus six extras (an 8-PE work-stealing run, two GROW
-/// config overrides, two end-to-end jobs and a 4-PE GAMMA run) across
-/// all three priority classes.
+/// configurations per registry engine (unpartitioned, default multilevel,
+/// 256-node multilevel) plus six extras (an 8-PE work-stealing run, two
+/// GROW config overrides, two end-to-end jobs and a 4-PE GAMMA run)
+/// across all three priority classes. The default multilevel grain
+/// leaves Cora@1000 in one cluster, so the 256-node jobs are the fleet's
+/// multi-cluster partition.
 fn fleet() -> Vec<(JobSpec, Priority)> {
     let spec = DatasetKey::Cora.spec().scaled_to(1000);
     let multilevel = PartitionStrategy::multilevel_default();
+    let fine = PartitionStrategy::Multilevel { cluster_nodes: 256 };
     let job = |engine: &str| JobSpec::new(spec, 42, engine);
     let mut jobs = Vec::new();
     for name in ENGINE_NAMES {
         for strategy in [PartitionStrategy::None, multilevel] {
             jobs.push((job(name).with_strategy(strategy), Priority::Normal));
         }
-        jobs.push((job(name).with_override("shard_rows", "64"), Priority::Low));
+        jobs.push((job(name).with_strategy(fine), Priority::Low));
     }
     let grow = job("grow").with_strategy(multilevel);
     jobs.extend([
@@ -91,6 +95,8 @@ fn fleet() -> Vec<(JobSpec, Priority)> {
         (job("gamma").with_pes(4), Priority::Normal),
     ]);
     assert_eq!(jobs.len(), 18, "the chaos fleet is 18 jobs");
+    let keys: HashSet<_> = jobs.iter().map(|(job, _)| job.key()).collect();
+    assert_eq!(keys.len(), jobs.len(), "every fleet job has its own key");
     jobs
 }
 

@@ -17,13 +17,28 @@ use grow::accel::{prepare, PartitionStrategy, PreparedWorkload, RunReport};
 use grow::model::DatasetKey;
 use grow::sim::{TrafficClass, ELEMENT_BYTES, INDEX_BYTES};
 
+/// A Pubmed-scale graph unpartitioned and partitioned, then three
+/// degenerate inputs: the smallest graph a spec scales to (16 nodes), an
+/// edgeless graph (self-loops only) and one-row clusters.
 fn prepared_forms() -> Vec<PreparedWorkload> {
     let workload = DatasetKey::Pubmed.spec().scaled_to(900).instantiate(17);
+    let minimal = DatasetKey::Cora.spec().scaled_to(1).instantiate(17);
+    let mut edgeless = DatasetKey::Cora.spec().scaled_to(50);
+    edgeless.avg_degree = 0.0;
+    let edgeless = edgeless.instantiate(17);
+    let single_rows = DatasetKey::Cora.spec().scaled_to(40).instantiate(17);
     vec![
         prepare(&workload, PartitionStrategy::None, 4096),
         prepare(
             &workload,
             PartitionStrategy::Multilevel { cluster_nodes: 200 },
+            4096,
+        ),
+        prepare(&minimal, PartitionStrategy::None, 4096),
+        prepare(&edgeless, PartitionStrategy::None, 4096),
+        prepare(
+            &single_rows,
+            PartitionStrategy::Multilevel { cluster_nodes: 1 },
             4096,
         ),
     ]

@@ -1,128 +1,30 @@
-//! Hot-path regression battery for the zero-allocation/sharded simulator
-//! core: the optimized engines (dense epoch-tagged caches, pooled scratch,
-//! plan/replay overlap, intra-cluster row-range sharding) must reproduce
-//! the *committed* golden snapshots bit-identically — no re-bless — and
-//! stay invariant across the engine × scheduler × partition grid under
-//! every combination of sharding and execution mode.
-
-use std::fmt::Write as _;
+//! Hot-path regression battery for the zero-allocation simulator core:
+//! the optimized engines (dense epoch-tagged caches, pooled scratch,
+//! plan/replay with cross-layer plan retention) must stay invariant
+//! across the engine × scheduler × partition grid under every execution
+//! mode. The committed golden snapshots themselves are checked by
+//! `golden_reports.rs`.
 
 use grow::accel::registry::{self, ENGINE_NAMES};
 use grow::accel::{prepare, PartitionStrategy, RunReport};
-use grow::model::{DatasetKey, DatasetSpec};
+use grow::model::DatasetKey;
 use grow::sim::exec::{with_mode, with_workers, ExecMode};
-
-mod common;
-use common::{cases, golden_path, render};
-
-/// The `shard_rows=` override is engine-uniform since the plan-module
-/// port: every engine's plan pass shards on the same registry key.
-fn overrides_for(shard_rows: &str) -> Vec<(String, String)> {
-    vec![("shard_rows".to_string(), shard_rows.to_string())]
-}
 
 fn run_with(
     engine: &str,
-    overrides: &[(String, String)],
+    overrides: &[(&str, &str)],
     p: &grow::accel::PreparedWorkload,
 ) -> RunReport {
-    let borrowed: Vec<(&str, &str)> = overrides
-        .iter()
-        .map(|(k, v)| (k.as_str(), v.as_str()))
-        .collect();
-    registry::engine_from_overrides(engine, &borrowed)
+    registry::engine_from_overrides(engine, overrides)
         .expect("registered engine")
         .run(p)
 }
 
-/// Builds the golden-report snapshot text with intra-cluster sharding
-/// forced on for every engine.
-fn sharded_snapshot(spec: DatasetSpec, seed: u64, shard_rows: &str) -> String {
-    let workload = spec.instantiate(seed);
-    let strategies = [
-        PartitionStrategy::None,
-        PartitionStrategy::Multilevel { cluster_nodes: 100 },
-    ];
-    let mut out = String::new();
-    for strategy in strategies {
-        let prepared = prepare(&workload, strategy, 4096);
-        for name in ENGINE_NAMES {
-            let report = run_with(name, &overrides_for(shard_rows), &prepared);
-            let _ = writeln!(out, "== engine={} strategy={strategy:?} ==", report.engine);
-            render(&report, &mut out);
-        }
-    }
-    out
-}
-
 #[test]
-fn sharded_hot_path_reproduces_committed_goldens() {
-    // The committed snapshots were blessed long before sharding existed;
-    // the sharded/pooled/overlapped hot path must reproduce their exact
-    // bytes on every engine. There is deliberately NO bless path here.
-    for (case, spec, seed) in cases() {
-        let expected =
-            std::fs::read_to_string(golden_path(case)).expect("committed golden snapshot exists");
-        for shard_rows in ["64", "257", "auto"] {
-            let actual = sharded_snapshot(spec, seed, shard_rows);
-            assert_eq!(
-                actual, expected,
-                "{case}: shard_rows={shard_rows} shifted a counter off the \
-                 committed snapshot"
-            );
-        }
-    }
-}
-
-#[test]
-fn sharded_scheduler_grid_reproduces_committed_goldens() {
-    // Same contract for the scheduler-grid snapshots: the multi-PE
-    // summaries are derived from cluster profiles the sharded path
-    // produced, and must not move by an ulp.
-    for (case, spec, seed) in cases() {
-        let expected = std::fs::read_to_string(golden_path(&format!("{case}_sched")))
-            .expect("committed scheduler snapshot exists");
-        let workload = spec.instantiate(seed);
-        let prepared = prepare(
-            &workload,
-            PartitionStrategy::Multilevel { cluster_nodes: 100 },
-            4096,
-        );
-        let mut out = String::new();
-        for name in ENGINE_NAMES {
-            // Pinned to the schedulers the `_sched` snapshots were
-            // committed with (later policies are locked by the e2e grids).
-            for scheduler in ["rr", "lpt", "ws"] {
-                for pes in ["1", "4"] {
-                    let mut overrides = overrides_for("64");
-                    overrides.push(("scheduler".to_string(), scheduler.to_string()));
-                    overrides.push(("pes".to_string(), pes.to_string()));
-                    let report = run_with(name, &overrides, &prepared);
-                    let s = report.multi_pe.expect("summary attached");
-                    let busy: Vec<String> = s.per_pe_busy.iter().map(|b| format!("{b}")).collect();
-                    let _ = writeln!(
-                        out,
-                        "engine={} scheduler={} pes={} makespan={} imbalance={} busy=[{}]",
-                        report.engine,
-                        s.scheduler,
-                        s.pes,
-                        s.makespan,
-                        s.imbalance,
-                        busy.join(" ")
-                    );
-                }
-            }
-        }
-        assert_eq!(out, expected, "{case}: sharded scheduler grid diverged");
-    }
-}
-
-#[test]
-fn seeded_sweep_is_shard_and_mode_invariant() {
+fn seeded_sweep_is_mode_invariant() {
     // Engine × scheduler × partition sweep across seeds: for every cell,
     // the report must be identical between (a) serial and oversubscribed
-    // parallel execution, (b) sharded (fixed and auto) and unsharded, and
-    // (c) repeated runs of one engine instance (scratch pools must not
+    // parallel execution and (b) repeated runs (scratch pools must not
     // leak state between runs).
     let partitions = [
         PartitionStrategy::None,
@@ -134,31 +36,13 @@ fn seeded_sweep_is_shard_and_mode_invariant() {
             let prepared = prepare(&workload, strategy, 4096);
             for engine in ENGINE_NAMES {
                 for scheduler in ["rr", "ws"] {
-                    let mut overrides = overrides_for("off");
-                    overrides.push(("scheduler".to_string(), scheduler.to_string()));
-                    overrides.push(("pes".to_string(), "4".to_string()));
+                    let overrides = [("scheduler", scheduler), ("pes", "4")];
                     let base = run_with(engine, &overrides, &prepared);
                     let parallel = with_workers(4, || run_with(engine, &overrides, &prepared));
                     let serial =
                         with_mode(ExecMode::Serial, || run_with(engine, &overrides, &prepared));
                     assert_eq!(base, parallel, "{engine}/{scheduler}/{strategy:?}/{seed}");
                     assert_eq!(base, serial, "{engine}/{scheduler}/{strategy:?}/{seed}");
-                    for shard in ["50", "auto"] {
-                        let mut sharded_overrides = overrides.clone();
-                        sharded_overrides.push(("shard_rows".to_string(), shard.to_string()));
-                        let sharded = run_with(engine, &sharded_overrides, &prepared);
-                        assert_eq!(
-                            base, sharded,
-                            "sharded({shard}) {engine}/{scheduler}/{strategy:?}/{seed}"
-                        );
-                        let sharded_serial = with_mode(ExecMode::Serial, || {
-                            run_with(engine, &sharded_overrides, &prepared)
-                        });
-                        assert_eq!(
-                            base, sharded_serial,
-                            "sharded({shard}) serial {engine}/{scheduler}/{strategy:?}/{seed}"
-                        );
-                    }
                 }
             }
         }

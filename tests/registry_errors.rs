@@ -6,7 +6,7 @@
 use grow::accel::registry::{self, RegistryError};
 use grow::accel::PartitionStrategy;
 use grow::model::DatasetKey;
-use grow::serve::{BatchService, JobError, JobSpec};
+use grow::serve::{AsyncConfig, AsyncService, BatchService, JobError, JobSpec};
 use grow::session::SimSession;
 
 fn spec() -> grow::model::DatasetSpec {
@@ -22,6 +22,11 @@ fn unknown_engine_is_an_error_everywhere() {
     );
     assert_eq!(
         registry::canonical_name("npu").err(),
+        Some(expected.clone())
+    );
+    // The engine name is checked before any override value.
+    assert_eq!(
+        registry::engine_from_overrides("npu", &[("mac_lanes", "lots")]).err(),
         Some(expected.clone())
     );
 
@@ -78,6 +83,17 @@ fn unknown_key_and_invalid_value_are_reported_not_panicked() {
         via_batch.outcome.err(),
         Some(JobError::Invalid(unknown_key))
     );
+    // A key no engine has, such as `shard_rows`, is unknown everywhere.
+    for engine in registry::ENGINE_NAMES {
+        assert_eq!(
+            registry::engine_from_overrides(engine, &[("shard_rows", "64")]).err(),
+            Some(RegistryError::UnknownKey {
+                engine,
+                key: "shard_rows".into(),
+            }),
+            "{engine}"
+        );
+    }
 
     let invalid_value = RegistryError::InvalidValue {
         key: "mac_lanes".into(),
@@ -209,45 +225,8 @@ fn unknown_exec_model_is_an_error_everywhere() {
 }
 
 #[test]
-fn shard_rows_is_uniform_across_engines() {
-    // Since the plan-module port, `shard_rows=off|auto|N` is a shared key:
-    // every engine accepts it, every engine reports identically with it
-    // (it is a simulator-throughput knob, not a model parameter), and a
-    // bad value surfaces as InvalidValue — not UnknownKey — everywhere.
-    let workload = spec().instantiate(9);
-    let prepared = grow::accel::prepare(&workload, PartitionStrategy::None, 4096);
-    for engine in registry::ENGINE_NAMES {
-        let base = registry::run_named(engine, &prepared).unwrap();
-        for value in ["off", "auto", "64", "0"] {
-            let sharded = registry::engine_from_overrides(engine, &[("shard_rows", value)])
-                .unwrap_or_else(|e| panic!("{engine} shard_rows={value}: {e}"))
-                .run(&prepared);
-            assert_eq!(base, sharded, "{engine} shard_rows={value}");
-        }
-        assert_eq!(
-            registry::engine_from_overrides(engine, &[("shard_rows", "many")]).err(),
-            Some(RegistryError::InvalidValue {
-                key: "shard_rows".into(),
-                value: "many".into(),
-            }),
-            "{engine}"
-        );
-    }
-
-    // The shared key flows through the batch service like any other
-    // override, and an unknown engine still wins over a bad value.
-    let result = BatchService::new()
-        .run_one(&JobSpec::new(spec(), 9, "gamma").with_override("shard_rows", "auto"));
-    assert!(result.outcome.is_ok());
-    assert_eq!(
-        registry::engine_from_overrides("npu", &[("shard_rows", "many")]).err(),
-        Some(RegistryError::UnknownEngine("npu".into()))
-    );
-}
-
-#[test]
 fn fault_is_uniform_across_engines() {
-    // `fault=spec` is a shared key like `shard_rows`: every engine
+    // `fault=spec` is a shared key like `scheduler`: every engine
     // accepts it, a disarmed plan (`off`, or an ordinal that never
     // fires) leaves the report bit-identical to the baseline, and a
     // malformed spec surfaces as InvalidValue{key:"fault"} — not
@@ -329,11 +308,139 @@ fn zero_pes_is_an_invalid_value_not_a_panic() {
                     "{engine}: {key}={value}"
                 );
             }
-            let result = BatchService::new()
-                .run_one(&JobSpec::new(spec(), 5, "grow").with_override(key, value));
-            assert_eq!(result.outcome.err(), Some(JobError::Invalid(expected)));
         }
     }
+
+    // Zero-sized hardware and a non-positive bandwidth fail at the
+    // registry too. Mid-run they would panic, or worse: `runahead=0`
+    // spins a worker forever and `tile_rows=0` grows a plan until the
+    // allocator aborts the process, so those two are only checked here.
+    let every: &[&str] = &registry::ENGINE_NAMES;
+    let cases: [(&[&str], &str, &[&str]); 8] = [
+        (every, "mac_lanes", &["0"]),
+        (every, "dram_gbps", &["0", "-1", "NaN", "inf"]),
+        (&["grow"], "runahead", &["0"]),
+        (&["grow"], "ldn_entries", &["0"]),
+        (&["grow"], "lhs_id_entries", &["0"]),
+        (&["grow"], "hdn_cache_kb", &["0"]),
+        (&["gcnax"], "tile_rows", &["0"]),
+        (&["gcnax"], "tile_cols", &["0"]),
+    ];
+    for (engines, key, values) in cases {
+        for &engine in engines {
+            for &value in values {
+                assert_eq!(
+                    registry::engine_from_overrides(engine, &[(key, value)]).err(),
+                    Some(RegistryError::InvalidValue {
+                        key: key.into(),
+                        value: value.into(),
+                    }),
+                    "{engine}: {key}={value}"
+                );
+            }
+        }
+    }
+
+    // A served job whose value would panic mid-run (and be retried as a
+    // panic) fails validation as Invalid instead.
+    for (engine, key, value) in [
+        ("grow", "pes", "1000000000"),
+        ("gamma", "mac_lanes", "0"),
+        ("grow", "hdn_cache_kb", "0"),
+        ("matraptor", "dram_gbps", "0"),
+    ] {
+        let result =
+            BatchService::new().run_one(&JobSpec::new(spec(), 5, engine).with_override(key, value));
+        assert_eq!(
+            result.outcome.err(),
+            Some(JobError::Invalid(RegistryError::InvalidValue {
+                key: key.into(),
+                value: value.into(),
+            })),
+            "{engine}: {key}={value}"
+        );
+    }
+
+    // Zero stays valid where it means "no such buffer" or "no lookahead".
+    let workload = spec().instantiate(5);
+    let prepared = grow::accel::prepare(&workload, PartitionStrategy::None, 4096);
+    for (engine, key) in [
+        ("gamma", "fiber_cache_kb"),
+        ("gcnax", "dense_buffer_kb"),
+        ("grow", "hdn_id_entries"),
+        ("gcnax", "tile_fetch_depth"),
+    ] {
+        let report = registry::engine_from_overrides(engine, &[(key, "0")])
+            .unwrap_or_else(|e| panic!("{engine}: {key}=0: {e}"))
+            .run(&prepared);
+        assert!(report.total_cycles() > 0, "{engine}: {key}=0");
+    }
+}
+
+#[test]
+fn an_over_large_kb_value_is_an_invalid_value_not_a_dead_worker() {
+    // `*_kb` values become byte counts (`kb * 1024`), so every buffer key
+    // caps them at MAX_BUFFER_KB; the cap itself still runs.
+    let workload = spec().instantiate(5);
+    let prepared = grow::accel::prepare(&workload, PartitionStrategy::None, 4096);
+    let max = registry::MAX_BUFFER_KB.to_string();
+    let over = (registry::MAX_BUFFER_KB + 1).to_string();
+    for (engine, key) in [
+        ("grow", "hdn_cache_kb"),
+        ("grow", "ibuf_sparse_kb"),
+        ("grow", "obuf_kb"),
+        ("gcnax", "dense_buffer_kb"),
+        ("gamma", "fiber_cache_kb"),
+    ] {
+        assert_eq!(
+            registry::engine_from_overrides(engine, &[(key, &over)]).err(),
+            Some(RegistryError::InvalidValue {
+                key: key.into(),
+                value: over.clone(),
+            }),
+            "{engine}: {key}={over}"
+        );
+        let report = registry::engine_from_overrides(engine, &[(key, &max)])
+            .unwrap_or_else(|e| panic!("{engine}: {key}={max}: {e}"))
+            .run(&prepared);
+        assert!(report.total_cycles() > 0, "{engine}: {key}={max}");
+    }
+
+    // 2^54 KB overflows `kb * 1024`. Served beside valid jobs on a
+    // two-worker pool, it fails alone and both workers survive.
+    let service = AsyncService::start(
+        BatchService::new(),
+        AsyncConfig {
+            workers: 2,
+            ..AsyncConfig::default()
+        },
+    );
+    let ok = JobSpec::new(spec(), 5, "grow");
+    let jobs = [
+        ok.clone(),
+        ok.clone()
+            .with_override("hdn_cache_kb", "18014398509481984"),
+        ok.with_override("runahead", "8"),
+    ];
+    let tickets: Vec<_> = jobs
+        .iter()
+        .map(|job| service.submit(job.clone()).expect("admitted"))
+        .collect();
+    let outcomes: Vec<_> = tickets
+        .into_iter()
+        .map(|t| t.wait().expect("a worker delivers every result").outcome)
+        .collect();
+    assert!(outcomes[0].is_ok() && outcomes[2].is_ok());
+    assert_eq!(
+        outcomes[1].clone().err(),
+        Some(JobError::Invalid(RegistryError::InvalidValue {
+            key: "hdn_cache_kb".into(),
+            value: "18014398509481984".into(),
+        }))
+    );
+    assert_eq!(service.workers_alive(), 2);
+    let (_, shutdown) = service.finish_report();
+    assert!(!shutdown.worker_panicked && shutdown.casualties.is_empty());
 }
 
 #[test]
