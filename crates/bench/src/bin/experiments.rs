@@ -34,7 +34,7 @@
 use std::path::PathBuf;
 
 use grow_bench::{cell, Context, Table};
-use grow_core::experiments::{self, geomean, SpeedupRow, TrafficAblation};
+use grow_core::experiments::{self, geomean, TrafficAblation};
 use grow_core::{Accelerator, GcnaxEngine, GrowConfig, GrowEngine};
 use grow_energy::{ActivityCounts, AreaModel, EnergyModel, GCNAX_AREA_40NM, TECH_SCALE_65_TO_40};
 use grow_graph::stats;
@@ -353,36 +353,6 @@ fn sweep(ctx: &Context, service: &mut BatchService) -> Table {
     t
 }
 
-/// Runs the three-configuration comparison once per dataset, memoized
-/// across the figures that share it.
-struct SpeedupCache {
-    rows: Vec<Option<SpeedupRow>>,
-}
-
-impl SpeedupCache {
-    fn new(n: usize) -> Self {
-        SpeedupCache {
-            rows: vec![None; n],
-        }
-    }
-
-    fn row(&mut self, ctx: &mut Context, i: usize) -> &SpeedupRow {
-        if self.rows[i].is_none() {
-            let eval = ctx.eval(i);
-            eprintln!(
-                "[run] {}: GCNAX / GROW w-o G.P. / GROW with G.P.",
-                eval.key.name()
-            );
-            self.rows[i] = Some(experiments::speedup_row(
-                eval,
-                &GrowConfig::default(),
-                &GcnaxEngine::default(),
-            ));
-        }
-        self.rows[i].as_ref().expect("just computed")
-    }
-}
-
 fn table1(ctx: &mut Context) -> Table {
     let mut t = Table::new(
         "table1",
@@ -617,13 +587,12 @@ fn fig14(ctx: &mut Context) -> Table {
 }
 
 fn fig17(ctx: &mut Context) -> Table {
-    let mut cache = SpeedupCache::new(ctx.len());
     let mut t = Table::new(
         "fig17",
         &["dataset", "hit-rate w/o G.P.", "hit-rate with G.P."],
     );
     for i in 0..ctx.len() {
-        let row = cache.row(ctx, i);
+        let row = ctx.speedup_row(i);
         let (no_gp, gp) = row.hit_rates();
         t.row(&[row.dataset.into(), cell::percent(no_gp), cell::percent(gp)]);
     }
@@ -631,7 +600,6 @@ fn fig17(ctx: &mut Context) -> Table {
 }
 
 fn fig18(ctx: &mut Context) -> Table {
-    let mut cache = SpeedupCache::new(ctx.len());
     let mut t = Table::new(
         "fig18",
         &[
@@ -645,7 +613,7 @@ fn fig18(ctx: &mut Context) -> Table {
     );
     let mut ratios = Vec::new();
     for i in 0..ctx.len() {
-        let row = cache.row(ctx, i);
+        let row = ctx.speedup_row(i);
         ratios.push(1.0 / row.traffic_ratio_gp());
         t.row(&[
             row.dataset.into(),
@@ -698,7 +666,6 @@ fn fig19(ctx: &mut Context) -> Table {
 }
 
 fn fig20(ctx: &mut Context) -> Table {
-    let mut cache = SpeedupCache::new(ctx.len());
     let mut t = Table::new(
         "fig20",
         &[
@@ -711,7 +678,7 @@ fn fig20(ctx: &mut Context) -> Table {
     );
     let mut speedups = Vec::new();
     for i in 0..ctx.len() {
-        let row = cache.row(ctx, i);
+        let row = ctx.speedup_row(i);
         speedups.push(row.speedup_gp());
         let gcnax_agg = row.gcnax.aggregation_cycles() as f64 / row.gcnax.total_cycles() as f64;
         let grow_agg = row.grow_gp.aggregation_cycles() as f64 / row.grow_gp.total_cycles() as f64;
@@ -768,7 +735,6 @@ fn fig21(ctx: &mut Context) -> Table {
 }
 
 fn fig22(ctx: &mut Context) -> Table {
-    let mut cache = SpeedupCache::new(ctx.len());
     let model = EnergyModel::default();
     let mut t = Table::new(
         "fig22",
@@ -785,7 +751,7 @@ fn fig22(ctx: &mut Context) -> Table {
     );
     let mut effs = Vec::new();
     for i in 0..ctx.len() {
-        let row = cache.row(ctx, i).clone();
+        let row = ctx.speedup_row(i).clone();
         let gcnax_sram = GcnaxEngine::default().sram_kb();
         let grow_sram = GrowEngine::default().sram_kb();
         let base = model.estimate(&row.gcnax.activity(gcnax_sram)).total();

@@ -13,7 +13,8 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
-use grow_core::experiments::DatasetEval;
+use grow_core::experiments::{self, DatasetEval, SpeedupRow};
+use grow_core::{GcnaxEngine, GrowConfig};
 use grow_model::{DatasetKey, DatasetSpec};
 
 /// A simple aligned table with CSV export.
@@ -312,7 +313,8 @@ pub mod timing {
 
 /// The shared experiment context: dataset selection, seed, scaling, and
 /// lazily instantiated [`DatasetEval`]s (generation + partitioning are the
-/// expensive parts and are reused across experiments).
+/// expensive parts and are reused across experiments), plus the
+/// per-dataset [`SpeedupRow`]s that several figures share.
 pub struct Context {
     /// Selected datasets.
     pub keys: Vec<DatasetKey>,
@@ -329,6 +331,7 @@ pub struct Context {
     /// override).
     pub banks: usize,
     evals: Vec<Option<DatasetEval>>,
+    speedups: Vec<Option<SpeedupRow>>,
 }
 
 impl Context {
@@ -343,6 +346,7 @@ impl Context {
             channels: 1,
             banks: 1,
             evals: vec![None; n],
+            speedups: vec![None; n],
         }
     }
 
@@ -374,6 +378,24 @@ impl Context {
             self.evals[i] = Some(DatasetEval::from_spec(spec, self.seed));
         }
         self.evals[i].as_ref().expect("just instantiated")
+    }
+
+    /// The three-configuration comparison for dataset `i` (GCNAX, GROW
+    /// without and with graph partitioning, each at its default
+    /// configuration), run on first use and shared by every figure that
+    /// reads it.
+    pub fn speedup_row(&mut self, i: usize) -> &SpeedupRow {
+        if self.speedups[i].is_none() {
+            let eval = self.eval(i);
+            eprintln!(
+                "[run] {}: GCNAX / GROW w-o G.P. / GROW with G.P.",
+                eval.key.name()
+            );
+            let row =
+                experiments::speedup_row(eval, &GrowConfig::default(), &GcnaxEngine::default());
+            self.speedups[i] = Some(row);
+        }
+        self.speedups[i].as_ref().expect("just computed")
     }
 
     /// Number of datasets.

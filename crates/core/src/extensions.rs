@@ -91,6 +91,8 @@ pub fn run_with_aggregation(
         | AggregationKind::SagePool { sample: Some(s) } => {
             let mut w = workload.clone();
             w.adjacency = sample_adjacency(&workload.adjacency, s);
+            // The shared plan-cache scope names the original adjacency.
+            w.plan_cache = None;
             sampled = w;
             &sampled
         }

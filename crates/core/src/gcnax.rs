@@ -297,11 +297,10 @@ impl GcnaxEngine {
     }
 
     /// Walks one cluster's output strips in an isolated context: the pure
-    /// strip-counting plan is built in `scratch`, handed off, and replayed
-    /// through the cycle machinery; when `cell` is given, the plan then
-    /// moves there. When `cell` holds a plan retained from an earlier
-    /// layer, the count pass is skipped entirely and the cached plan
-    /// replays.
+    /// strip-counting plan is built in `scratch` and replayed through the
+    /// cycle machinery; when `cell` is given, the plan then moves there.
+    /// When `cell` holds a plan retained from an earlier layer, the count
+    /// pass is skipped entirely and the cached plan replays.
     #[allow(clippy::too_many_arguments)]
     fn run_strips(
         &self,
@@ -320,7 +319,6 @@ impl GcnaxEngine {
             self.replay_strips(kind, f, rows, rhs_resident, plan, in_flight, &mut ctx);
         } else {
             plan_strips(cfg, lhs, rows.clone(), scratch);
-            plan::hand_off();
             let in_flight = &mut scratch.in_flight;
             self.replay_strips(
                 kind,
@@ -459,7 +457,6 @@ impl Accelerator for GcnaxEngine {
             workload,
             &format!("gcnax:{}x{}", self.config.tile_rows, self.config.tile_cols),
             true,
-            self.config.fault,
         );
         let agg_store = agg_slots.as_deref().map(Vec::as_slice);
         let model = ExecModel::with_dram(self.config.multi_pe, self.config.dram);

@@ -25,10 +25,9 @@
 //!
 //! 1. **Plan**: walk each row's column slice once and emit a compact probe
 //!    plan — runs of consecutive hits collapsed to one entry, misses
-//!    recorded individually in order — into the worker's scratch. The plan
-//!    passes to the replay through the `exec` hand-off
-//!    ([`plan::hand_off`]); a plan the run retains then moves into its
-//!    cluster's slot, so later layers replay it without re-planning.
+//!    recorded individually in order — into the worker's scratch. A plan
+//!    the run retains moves into its cluster's slot after its first
+//!    replay, so later layers replay it without re-planning.
 //! 2. **Replay** (sequential): drive the cycle-accurate machinery (FIFO
 //!    channel, MAC array, runahead tables, in-order retirement window)
 //!    over the plan. A run of `h` hits issues as one
@@ -533,8 +532,8 @@ impl GrowEngine {
 
     /// Simulates one cluster of the aggregation phase in an isolated
     /// context. The cluster prologue pins the HDN set (when caching is
-    /// on), then the cluster's probe plan is built in `scratch`, handed
-    /// off and replayed. All working state comes from `scratch` and is
+    /// on), then the cluster's probe plan is built in `scratch` and
+    /// replayed. All working state comes from `scratch` and is
     /// recycled. When `cell` is given, the plan moves there after its
     /// replay, so later layers with the same pinned set replay it without
     /// re-planning.
@@ -606,7 +605,6 @@ impl GrowEngine {
         } else {
             let pinned_ref = cfg.hdn_caching.then_some(&*pinned);
             plan_rows(adjacency, cluster.clone(), pinned_ref, plan);
-            plan::hand_off();
             replay.plan(cluster.start, plan);
             if let Some(cell) = cell {
                 cell.set(CachedPlan {
@@ -708,7 +706,6 @@ impl Accelerator for GrowEngine {
             workload,
             "grow",
             !matches!(self.config.replacement, ReplacementPolicy::Lru),
-            self.config.fault,
         );
         let plan_store = plan_slots.as_deref().map(Vec::as_slice);
         let model = ExecModel::with_dram(self.config.multi_pe, self.config.dram);

@@ -6,9 +6,8 @@
 //! engine now simulates a cluster the same way, in the spirit of
 //! NeuraChip's decoupled "what will the memory system do" / "when does it
 //! happen" stages: plan the whole cluster once into its worker's scratch,
-//! hand the plan off ([`hand_off`], the `exec` fault site), and replay it.
-//! Clusters are the unit of parallelism; within one, plan and replay run
-//! back to back on the worker that owns it.
+//! then replay it. Clusters are the unit of parallelism; within one, plan
+//! and replay run back to back on the worker that owns it.
 //!
 //! A plan that is a pure function of the layer-invariant adjacency is
 //! retained across layers (and, inside a serving pool, across jobs)
@@ -22,16 +21,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use grow_sim::fault::{self, FaultPlan, FaultSite};
-
 use crate::PreparedWorkload;
-
-/// The plan→replay hand-off of one freshly planned cluster: the `exec`
-/// fault site, always at ordinal 1. Engines call it after the plan pass
-/// and before the replay; replaying a retained plan skips it.
-pub(crate) fn hand_off() {
-    fault::trip_at(FaultSite::ExecHandoff, 1);
-}
 
 /// Cross-layer plan retention cap, in total plan entries per workload
 /// (adjacency non-zeros plus per-row records). The aggregation plan is a
@@ -50,23 +40,19 @@ const PLAN_REUSE_MAX_OPS: usize = 1 << 22;
 /// study has no plans), get none. Inside a serving session pool the slots
 /// are the cross-job [`PlanCache`]'s entry for `family`, so a later job
 /// sharing the (dataset, partition) scope skips the plan pass even on its
-/// first layer. Fault-injected runs stay off the shared cache: replaying
-/// a neighbor job's plan would skip this run's [`hand_off`] trips, making
-/// injection counts depend on fleet warm state. Otherwise multi-layer
-/// runs get fresh local slots, so they plan each cluster once and replay
-/// at later layers.
+/// first layer. Otherwise multi-layer runs get fresh local slots, so they
+/// plan each cluster once and replay at later layers.
 pub(crate) fn plan_slots<T: Send + Sync + 'static>(
     workload: &PreparedWorkload,
     family: &str,
     eligible: bool,
-    fault: FaultPlan,
 ) -> Option<Arc<Vec<OnceLock<T>>>> {
     if !eligible || workload.adjacency.nnz() + 2 * workload.adjacency.rows() > PLAN_REUSE_MAX_OPS {
         return None;
     }
     match &workload.plan_cache {
-        Some(scope) if fault.is_off() => Some(scope.slots(family, workload.clusters.len())),
-        _ => (workload.layers.len() > 1).then(|| {
+        Some(scope) => Some(scope.slots(family, workload.clusters.len())),
+        None => (workload.layers.len() > 1).then(|| {
             Arc::new(
                 (0..workload.clusters.len())
                     .map(|_| OnceLock::new())

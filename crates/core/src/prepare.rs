@@ -104,7 +104,9 @@ pub struct PreparedWorkload {
     /// pool ([`prepare`] leaves it unset): engines then fall back to
     /// their per-run plan retention. The cache only shortcuts the plan
     /// pass — replay consumes identical plan data either way, so reports
-    /// are bit-identical with or without it.
+    /// are bit-identical with or without it. Plans are keyed by this
+    /// scope alone, so a copy whose adjacency, clusters or HDN lists
+    /// change must not keep the stamped scope: set it to `None`.
     pub plan_cache: Option<crate::PlanCacheScope>,
 }
 

@@ -24,6 +24,7 @@
 //! ```
 
 use std::fmt;
+use std::ops::RangeInclusive;
 
 use grow_sim::{DramConfig, FaultPlan};
 
@@ -51,6 +52,27 @@ pub const MAX_PES_OR_CHANNELS: usize = 1024;
 /// a sum of an engine's buffer sizes can overflow; a larger value is an
 /// [`RegistryError::InvalidValue`]. Table III's largest buffer is 512 KB.
 pub const MAX_BUFFER_KB: u64 = 1 << 40;
+
+/// Largest value the `dram_latency_cycles` and
+/// `dram_request_overhead_cycles` keys accept: 2^20 cycles per request.
+/// Every transfer adds them to `u64` cycle counts, so an unbounded value
+/// wraps the report; a larger value is an [`RegistryError::InvalidValue`].
+/// The defaults are 60 and 12 cycles.
+pub const MAX_DRAM_CYCLES: u64 = 1 << 20;
+
+/// Largest value the `tile_rows` and `tile_cols` keys (GCNAX) accept:
+/// 2^20. Strip bounds and tile metadata sizes are computed from them
+/// unchecked; a larger value is an [`RegistryError::InvalidValue`]. The
+/// default tile is 128 x 128 and no test, experiment or benchmark job
+/// uses more than 512.
+pub const MAX_TILE_DIM: usize = 1 << 20;
+
+/// Largest value the `merge_factor` key (MatRaptor, GAMMA) accepts. The
+/// factor scales merge cycles per output element, so it must also be
+/// finite and non-negative; anything else is an
+/// [`RegistryError::InvalidValue`]. The defaults are 1.0 and 0.5 and no
+/// test, experiment or benchmark job uses more than 2.
+pub const MAX_MERGE_FACTOR: f64 = 1024.0;
 
 /// Errors from engine construction or dispatch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,30 +156,31 @@ fn parse<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, RegistryErro
     value.parse().map_err(|_| invalid_value(key, value))
 }
 
-/// Parses a count of hardware units (lanes, table entries, tile rows,
-/// PEs) that must lie in `1..=max`. The models divide by, allocate per,
-/// or wait on such a count, so 0 would panic, hang or abort mid-run.
-fn count(key: &str, value: &str, max: usize) -> Result<usize, RegistryError> {
-    let n: usize = parse(key, value)?;
-    if n == 0 || n > max {
+/// Parses a value that must lie in `range` (NaN lies in none). The
+/// models divide by, allocate per, wait on or add up such values, so a
+/// count of 0 or an unbounded size would panic, hang, abort or wrap
+/// mid-run.
+fn bounded<T>(key: &str, value: &str, range: RangeInclusive<T>) -> Result<T, RegistryError>
+where
+    T: std::str::FromStr + PartialOrd,
+{
+    let parsed = parse(key, value)?;
+    if !range.contains(&parsed) {
         return Err(invalid_value(key, value));
     }
-    Ok(n)
+    Ok(parsed)
 }
 
 /// Parses a `*_kb` buffer size in `min_kb..=`[`MAX_BUFFER_KB`] into
 /// bytes.
 fn kb_bytes(key: &str, value: &str, min_kb: u64) -> Result<u64, RegistryError> {
-    let kb: u64 = parse(key, value)?;
-    if !(min_kb..=MAX_BUFFER_KB).contains(&kb) {
-        return Err(invalid_value(key, value));
-    }
-    Ok(kb * 1024)
+    Ok(bounded(key, value, min_kb..=MAX_BUFFER_KB)? * 1024)
 }
 
 /// Applies the DRAM keys shared by every engine; returns `true` if `key`
 /// was one of them. `dram_gbps` must be finite and positive: the channel
-/// divides by it.
+/// divides by it. The per-request cycle counts are bounded by
+/// [`MAX_DRAM_CYCLES`].
 fn apply_dram_key(dram: &mut DramConfig, key: &str, value: &str) -> Result<bool, RegistryError> {
     match key {
         "dram_gbps" => {
@@ -167,8 +190,10 @@ fn apply_dram_key(dram: &mut DramConfig, key: &str, value: &str) -> Result<bool,
             }
             dram.bytes_per_cycle = gbps;
         }
-        "dram_latency_cycles" => dram.latency_cycles = parse(key, value)?,
-        "dram_request_overhead_cycles" => dram.request_overhead_cycles = parse(key, value)?,
+        "dram_latency_cycles" => dram.latency_cycles = bounded(key, value, 0..=MAX_DRAM_CYCLES)?,
+        "dram_request_overhead_cycles" => {
+            dram.request_overhead_cycles = bounded(key, value, 0..=MAX_DRAM_CYCLES)?
+        }
         _ => return Ok(false),
     }
     Ok(true)
@@ -185,9 +210,9 @@ fn apply_schedule_key(
     value: &str,
 ) -> Result<bool, RegistryError> {
     match key {
-        "pes" => cfg.pes = count(key, value, MAX_PES_OR_CHANNELS)?,
-        "channels" => cfg.topology.channels = count(key, value, MAX_PES_OR_CHANNELS)?,
-        "banks" => cfg.topology.banks = count(key, value, usize::MAX)?,
+        "pes" => cfg.pes = bounded(key, value, 1..=MAX_PES_OR_CHANNELS)?,
+        "channels" => cfg.topology.channels = bounded(key, value, 1..=MAX_PES_OR_CHANNELS)?,
+        "banks" => cfg.topology.banks = bounded(key, value, 1..=usize::MAX)?,
         "scheduler" => {
             cfg.scheduler = SchedulerKind::parse(value)
                 .ok_or_else(|| RegistryError::UnknownScheduler(value.to_string()))?;
@@ -223,14 +248,14 @@ fn grow_from(overrides: &[(&str, &str)]) -> Result<GrowEngine, RegistryError> {
             continue;
         }
         match key {
-            "mac_lanes" => cfg.mac_lanes = count(key, value, usize::MAX)?,
+            "mac_lanes" => cfg.mac_lanes = bounded(key, value, 1..=usize::MAX)?,
             "hdn_cache_kb" => cfg.hdn_cache_bytes = kb_bytes(key, value, 1)?,
             "hdn_id_entries" => cfg.hdn_id_entries = parse(key, value)?,
             "ibuf_sparse_kb" => cfg.ibuf_sparse_bytes = kb_bytes(key, value, 0)?,
             "obuf_kb" => cfg.obuf_bytes = kb_bytes(key, value, 0)?,
-            "runahead" => cfg.runahead = count(key, value, usize::MAX)?,
-            "ldn_entries" => cfg.ldn_entries = count(key, value, usize::MAX)?,
-            "lhs_id_entries" => cfg.lhs_id_entries = count(key, value, usize::MAX)?,
+            "runahead" => cfg.runahead = bounded(key, value, 1..=usize::MAX)?,
+            "ldn_entries" => cfg.ldn_entries = bounded(key, value, 1..=usize::MAX)?,
+            "lhs_id_entries" => cfg.lhs_id_entries = bounded(key, value, 1..=usize::MAX)?,
             "hdn_caching" => cfg.hdn_caching = parse(key, value)?,
             "replacement" => {
                 cfg.replacement = match value.to_ascii_lowercase().as_str() {
@@ -260,9 +285,9 @@ fn gcnax_from(overrides: &[(&str, &str)]) -> Result<GcnaxEngine, RegistryError> 
             continue;
         }
         match key {
-            "mac_lanes" => cfg.mac_lanes = count(key, value, usize::MAX)?,
-            "tile_rows" => cfg.tile_rows = count(key, value, usize::MAX)?,
-            "tile_cols" => cfg.tile_cols = count(key, value, usize::MAX)?,
+            "mac_lanes" => cfg.mac_lanes = bounded(key, value, 1..=usize::MAX)?,
+            "tile_rows" => cfg.tile_rows = bounded(key, value, 1..=MAX_TILE_DIM)?,
+            "tile_cols" => cfg.tile_cols = bounded(key, value, 1..=MAX_TILE_DIM)?,
             "dense_buffer_kb" => cfg.dense_buffer_bytes = kb_bytes(key, value, 0)?,
             "tile_fetch_depth" => cfg.tile_fetch_depth = parse(key, value)?,
             _ => {
@@ -286,8 +311,8 @@ fn matraptor_from(overrides: &[(&str, &str)]) -> Result<MatRaptorEngine, Registr
             continue;
         }
         match key {
-            "mac_lanes" => cfg.mac_lanes = count(key, value, usize::MAX)?,
-            "merge_factor" => cfg.merge_factor = parse(key, value)?,
+            "mac_lanes" => cfg.mac_lanes = bounded(key, value, 1..=usize::MAX)?,
+            "merge_factor" => cfg.merge_factor = bounded(key, value, 0.0..=MAX_MERGE_FACTOR)?,
             _ => {
                 return Err(RegistryError::UnknownKey {
                     engine: "matraptor",
@@ -309,9 +334,9 @@ fn gamma_from(overrides: &[(&str, &str)]) -> Result<GammaEngine, RegistryError> 
             continue;
         }
         match key {
-            "mac_lanes" => cfg.mac_lanes = count(key, value, usize::MAX)?,
+            "mac_lanes" => cfg.mac_lanes = bounded(key, value, 1..=usize::MAX)?,
             "fiber_cache_kb" => cfg.fiber_cache_bytes = kb_bytes(key, value, 0)?,
-            "merge_factor" => cfg.merge_factor = parse(key, value)?,
+            "merge_factor" => cfg.merge_factor = bounded(key, value, 0.0..=MAX_MERGE_FACTOR)?,
             _ => {
                 return Err(RegistryError::UnknownKey {
                     engine: "gamma",

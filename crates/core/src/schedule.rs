@@ -28,7 +28,7 @@
 //! Schedulers are dispatched by name through [`SchedulerKind`] — the value
 //! set of the registry-wide `scheduler=rr|lpt|ws|ca` override — and every
 //! engine carries a [`MultiPeConfig`] whose summary lands on the final
-//! [`RunReport`](crate::RunReport). Under the default post-hoc execution
+//! [`RunReport`]. Under the default post-hoc execution
 //! model scheduling is strictly *post-hoc* over the per-cluster profiles:
 //! it can never change modeled work or traffic, only the multi-PE
 //! makespan and per-PE utilization (the scheduler-invariance test battery

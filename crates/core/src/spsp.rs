@@ -18,8 +18,8 @@
 //! the shared [`pipeline`](crate::pipeline) harness, in parallel across
 //! clusters — and, within a cluster, as a plan/replay pair through
 //! [`plan`]: the row-accounting pass (per-row non-zero and hit counts)
-//! is planned into the worker's scratch, handed off, and spent by the
-//! cycle-accurate replay. Three plan flavors exist: the cacheless walk
+//! is planned into the worker's scratch and spent by the cycle-accurate
+//! replay. Three plan flavors exist: the cacheless walk
 //! (every non-zero misses) records per-row CSR lengths; a fiber cache big
 //! enough to never evict collapses LRU to first-touch (a
 //! [`plan::StampSet`] walk, list-free); a genuinely evicting LRU walk
@@ -106,7 +106,7 @@ pub(crate) fn run_spsp(params: &SpSpParams, workload: &PreparedWorkload) -> RunR
     // runs replay retained plans; the `CachedRows` mode tag guards
     // cache-mode mismatches at replay time. The combination LHS changes
     // per layer, so no retention there.
-    let agg_slots = plan::plan_slots::<CachedRows>(workload, params.name, true, params.fault);
+    let agg_slots = plan::plan_slots::<CachedRows>(workload, params.name, true);
     let agg_store = agg_slots.as_deref().map(Vec::as_slice);
     let model = ExecModel::with_dram(params.multi_pe, params.dram);
     let mut report =
@@ -156,8 +156,8 @@ fn run_phase(
 }
 
 /// Simulates one cluster's rows in an isolated context: a sparse LHS is
-/// planned into `scratch`, handed off and replayed, and a pure plan then
-/// moves into `cell` when one is given.
+/// planned into `scratch` and replayed, and a pure plan then moves into
+/// `cell` when one is given.
 fn run_rows(
     params: &SpSpParams,
     kind: PhaseKind,
@@ -299,7 +299,6 @@ fn run_rows(
                         plan.rows.push((slice.len() as u32, hits));
                     }
                 }
-                plan::hand_off();
                 replay(plan, &mut ctx);
                 if let Some(cell) = cell.filter(|_| pure) {
                     cell.set(CachedRows {

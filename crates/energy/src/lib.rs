@@ -2,8 +2,8 @@
 //!
 //! The paper's methodology (Section VI):
 //!
-//! * **Energy** — "the energy model from [15]" (Horowitz, ISSCC 2014) for
-//!   arithmetic and DRAM accesses, and CACTI [16] at 45 nm for on-chip
+//! * **Energy** — "the energy model from \[15\]" (Horowitz, ISSCC 2014) for
+//!   arithmetic and DRAM accesses, and CACTI \[16\] at 45 nm for on-chip
 //!   SRAM dynamic energy and leakage. Synopsys/CACTI are not runnable
 //!   offline, so [`EnergyModel`] encodes the published per-operation
 //!   constants and a CACTI-style capacity fit (documented on each field);

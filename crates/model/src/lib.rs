@@ -14,7 +14,7 @@
 //! * [`GcnWorkload`] — a fully instantiated 2-layer inference workload
 //!   (graph + per-layer LHS patterns + shapes) consumed by the accelerator
 //!   models in `grow-core`;
-//! * [`reference`] — functional execution for correctness checks.
+//! * [`mod@reference`] — functional execution for correctness checks.
 //!
 //! # Example
 //!

@@ -2,7 +2,7 @@
 //! paper).
 //!
 //! GROW preprocesses the adjacency matrix with a graph partitioning
-//! algorithm (the paper uses METIS [20] / Graclus [6]) so that
+//! algorithm (the paper uses METIS \[20\] / Graclus \[6\]) so that
 //! "intra-cluster nodes have much larger number of edges than inter-cluster
 //! nodes", then relabels nodes cluster-by-cluster (Figure 13) and extracts a
 //! per-cluster top-N high-degree-node (HDN) ID list that the hardware

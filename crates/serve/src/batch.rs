@@ -874,8 +874,8 @@ pub(crate) struct ComputeOutcome {
 /// attempt N+1 and the retried run is bit-identical to a fault-free one.
 /// Transient failures retry up to [`MAX_ATTEMPTS`], and a cancelled
 /// ticket stops consuming attempts at the loop head. The caller picks
-/// the execution mode (the governor's serial forcing or a lone job's
-/// full inner fan-out) by wrapping this call.
+/// the execution mode (inner-serial for a job sharing the pool, the
+/// caller's own scope for a lone job) by wrapping this call.
 pub(crate) fn compute_supervised(task: &ComputeTask) -> ComputeOutcome {
     let started = Instant::now();
     let mut retries = 0u64;
@@ -1377,8 +1377,8 @@ mod tests {
         for fault_spec in [
             "dram:error:1:2",
             "dram:panic:1",
-            "exec:error:1",
-            "exec:panic:1:2",
+            "dram:error:2",
+            "dram:panic:3:2",
         ] {
             let result = service.run_one(&clean.clone().with_fault(fault_spec));
             let report = result

@@ -1,7 +1,7 @@
 //! The serving layer: batch and always-on simulation over the engine
 //! registry.
 //!
-//! Five pieces live here:
+//! Four pieces live here:
 //!
 //! * [`session::SimSession`] — one workload, memoized preprocessing, and
 //!   name-based engine dispatch (the single-workload front door);
@@ -25,11 +25,9 @@
 //!   with priority classes and admission control. Submissions arrive at
 //!   any time and get a [`service::Ticket`] back immediately, each
 //!   result streamed on completion; `run_batch` is submit-all + wait on
-//!   a fresh pool.
-//! * [`governor`] — the two-level parallelism governor the worker pool
-//!   consults per picked-up job: outer (cross-job) parallelism when the
-//!   queue is contended, full inner (intra-job) fan-out for a lone job —
-//!   a pure decision, so replays are deterministic.
+//!   a fresh pool. A job picked up while another is queued or running
+//!   runs its inner cluster fan-out serially, so each job gets one level
+//!   of parallelism.
 //!
 //! The layer is *supervised*: every job runs under `catch_unwind` with a
 //! bounded, deterministic retry budget ([`batch::MAX_ATTEMPTS`]), so a
@@ -70,7 +68,6 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod governor;
 pub mod service;
 pub mod session;
 pub mod store;
@@ -79,7 +76,6 @@ pub use batch::{
     grid_jobs, scheduler_grid_jobs, BatchService, JobError, JobKey, JobResult, JobSpec,
     ServiceStats, MAX_ATTEMPTS,
 };
-pub use governor::{InnerBudget, QueueSnapshot};
 pub use service::{
     AsyncConfig, AsyncService, FinishReport, Priority, SubmitError, Ticket, WaitError,
 };

@@ -29,9 +29,11 @@
 //!   holds the claim until the workload is prepared, so each (workload,
 //!   strategy) pair is prepared once. Peers prefer other workloads'
 //!   jobs meanwhile, so a sweep's workloads prepare in parallel.
-//! * **One parallelism level per job.** The [`governor`] decides at
-//!   each pickup: a contended queue forces the job's inner cluster
-//!   fan-out serial, a lone job keeps the machine to itself.
+//! * **One parallelism level per job.** A job picked up while another
+//!   job is queued or running has its inner cluster fan-out forced
+//!   serial, since the jobs themselves then occupy the cores; a lone job
+//!   runs unchanged in the caller's scope and keeps the machine to
+//!   itself.
 //! * **Worker death degrades the pool.** One killed worker (the injected
 //!   `worker` fault site, whose `nth` selects which pool worker dies)
 //!   records its casualty and the pool degrades to N−1; the service only
@@ -47,10 +49,10 @@
 //!   persisted partition assignment without running the partitioner.
 //!
 //! **Bit-identity contract.** Every engine is bit-identical between its
-//! serial and parallel paths, and the governor only narrows execution
-//! (it widens nothing past an enclosing override), so each job's report
-//! is independent of which worker ran it, what else was in flight, and
-//! the inner budget it was granted — at any worker count, under both
+//! serial and parallel paths, and the contention rule only narrows
+//! execution (it widens nothing past an enclosing override), so each
+//! job's report is independent of which worker ran it, what else was in
+//! flight, and whether it ran inner-serial — at any worker count, under both
 //! `GROW_SERIAL=1` and any thread count, and equal to a service-free run
 //! of the same job. Worker threads replay the spawning thread's
 //! `with_mode`/`with_workers` overrides via [`ExecContext`], so scoped
@@ -67,14 +69,13 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use grow_core::PreparedWorkload;
-use grow_sim::exec::{self, ExecContext};
+use grow_sim::exec::{with_mode, ExecContext, ExecMode};
 use grow_sim::fault::{self, CancelToken, FaultSite};
 
 use crate::batch::{
     compute_supervised, job_fault_plan, BatchService, ComputeTask, JobError, JobKey, JobResult,
     JobSpec, ServiceStats, Staged,
 };
-use crate::governor::{self, InnerBudget, QueueSnapshot};
 use crate::session::SimSession;
 
 /// Scheduling class of a submission: workers always serve the highest
@@ -338,6 +339,27 @@ impl QueueState {
     /// Submissions still parked in the queues.
     fn queued(&self) -> usize {
         self.queues.iter().map(VecDeque::len).sum()
+    }
+
+    /// True when a job just picked up (already counted in `running`)
+    /// shares the pool with another queued or running job.
+    fn contended(&self) -> bool {
+        self.queued() + self.running.len() > 1
+    }
+}
+
+/// Runs `f`, a picked-up job's preparation or simulation, under the
+/// one-level parallelism rule: a `contended` job's inner cluster fan-out
+/// is forced serial, because the pool's jobs already occupy the cores; a
+/// lone job runs `f` unchanged in the caller's replayed scope. Either
+/// way no enclosing serial override is widened, and since every engine is
+/// bit-identical between its serial and parallel paths, the rule changes
+/// only wall time, never a report.
+fn job_scope<R>(contended: bool, f: impl FnOnce() -> R) -> R {
+    if contended {
+        with_mode(ExecMode::Serial, f)
+    } else {
+        f()
     }
 }
 
@@ -710,7 +732,7 @@ impl WorkerGuard<'_> {
 
 /// One pool worker (1-based `index` of N): pop the highest-priority
 /// runnable submission, stage it under the service lock, prepare and
-/// simulate outside it under the governor's budget, commit, hand a
+/// simulate outside it under [`job_scope`], commit, hand a
 /// failure to the key's queued twins, deliver, repeat until stopped.
 /// Staging and compute are supervised, so a job panic — injected or
 /// genuine — becomes a [`JobError`], never a worker death; the only
@@ -730,7 +752,7 @@ fn worker_loop(
         armed: Cell::new(true),
     };
     loop {
-        let (submission, snapshot) = {
+        let (submission, running, contended) = {
             let mut st = shared.lock();
             loop {
                 if st.abort {
@@ -742,11 +764,7 @@ fn worker_loop(
                     if st.preparing.insert(submission.session.clone()) {
                         guard.preparing.replace(Some(submission.session.clone()));
                     }
-                    let snapshot = QueueSnapshot {
-                        queued: st.queued(),
-                        running: st.running.len(),
-                    };
-                    break (submission, snapshot);
+                    break (submission, st.running.len(), st.contended());
                 }
                 // Drain-to-empty before a clean stop: queued duplicates
                 // of a running key are not runnable *yet*, so the queue
@@ -776,7 +794,7 @@ fn worker_loop(
         }
         let staged = {
             let mut svc = service.lock().unwrap_or_else(PoisonError::into_inner);
-            svc.note_in_flight(snapshot.running as u64);
+            svc.note_in_flight(running as u64);
             fault::with_cancel(Some(Arc::clone(&submission.cancel)), || {
                 svc.stage(&submission.job, &submission.key)
             })
@@ -784,17 +802,10 @@ fn worker_loop(
         let (outcome, cache_hit, wall_ms) = match staged {
             Staged::Done { outcome, cache_hit } => (outcome, cache_hit, None),
             Staged::NeedsCompute { engine } => {
-                let budget = governor::inner_budget(
-                    snapshot,
-                    std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1),
-                    exec::configured_workers(),
-                );
-                let prepared = prepare_for(&guard, shared, service, submission, budget);
+                let prepared = prepare_for(&guard, shared, service, submission, contended);
                 let task = ComputeTask { engine, prepared };
                 let run = fault::with_cancel(Some(Arc::clone(&submission.cancel)), || {
-                    budget.apply(|| compute_supervised(&task))
+                    job_scope(contended, || compute_supervised(&task))
                 });
                 let mut svc = service.lock().unwrap_or_else(PoisonError::into_inner);
                 let (outcome, wall_ms) = svc.commit(&submission.job, &submission.key, run);
@@ -870,7 +881,7 @@ fn prepare_for(
     shared: &Shared,
     service: &Mutex<BatchService>,
     submission: &Submission,
-    budget: InnerBudget,
+    contended: bool,
 ) -> Arc<PreparedWorkload> {
     let (job, session_key) = (&submission.job, &submission.session);
     if guard.preparing.borrow().is_none() {
@@ -893,9 +904,9 @@ fn prepare_for(
     let partition_key = job.partition_key();
     // The expensive part — instantiating a new workload, partitioning
     // (or loading the stored assignment), relabeling, HDN lists — runs
-    // with no lock held, under the same inner budget as the compute
-    // (memoized strategies make this a no-op lookup).
-    let (session, preparation) = budget.apply(|| {
+    // with no lock held, in the same scope as the compute (memoized
+    // strategies make this a no-op lookup).
+    let (session, preparation) = job_scope(contended, || {
         let mut session = pooled.unwrap_or_else(|| {
             let mut session = SimSession::from_spec(job.dataset, job.seed);
             session.set_hdn_id_entries(job.hdn_id_entries);
@@ -1008,6 +1019,33 @@ mod tests {
             order,
             [1, 3, 2, 4],
             "classes first, then unclaimed, then FIFO"
+        );
+    }
+
+    #[test]
+    fn only_a_contended_pickup_runs_inner_serial() {
+        use grow_sim::exec::with_workers;
+        // The picked job is already counted in `running`.
+        let mut state = empty_state();
+        state.running.insert(submission(0).key);
+        assert!(!state.contended(), "a lone pickup");
+        state.queues[Priority::Low.index()].push_back(submission(1));
+        assert!(state.contended(), "another job queued");
+        state.pop();
+        state.running.insert(submission(2).key);
+        assert!(state.contended(), "another job running");
+
+        assert_eq!(job_scope(true, ExecMode::current), ExecMode::Serial);
+        let lone = || job_scope(false, ExecContext::capture);
+        assert_eq!(
+            with_mode(ExecMode::Parallel, lone),
+            with_mode(ExecMode::Parallel, ExecContext::capture),
+            "a lone pickup keeps the caller's mode"
+        );
+        assert_eq!(
+            with_workers(3, lone),
+            with_workers(3, ExecContext::capture),
+            "and the caller's worker count"
         );
     }
 

@@ -3,7 +3,7 @@
 //!
 //! Completed [`RunReport`]s are persisted under a store directory
 //! (`results/store/` by convention), one file per canonical
-//! [`JobKey`](crate::JobKey), so repeated fleet-wide queries are cache
+//! [`JobKey`], so repeated fleet-wide queries are cache
 //! hits *across service restarts*: a fresh
 //! [`BatchService`](crate::BatchService) or
 //! [`AsyncService`](crate::AsyncService) pointed at the same directory

@@ -133,11 +133,9 @@ impl ExecContext {
 
 /// The explicit worker-count override in effect on the calling thread,
 /// if any: a [`with_workers`] scope wins over `GROW_THREADS` in the
-/// environment; `None` means resolution would fall back to the hardware
-/// thread count. Exposed so schedulers above the fan-out (the serving
-/// layer's parallelism governor) can honor an enclosing override instead
-/// of silently widening past it.
-pub fn configured_workers() -> Option<usize> {
+/// environment; `None` means resolution falls back to the hardware
+/// thread count.
+fn configured_workers() -> Option<usize> {
     match WORKERS_OVERRIDE.get() {
         0 => std::env::var("GROW_THREADS")
             .ok()

@@ -4,11 +4,11 @@
 //! handling lives — but failure paths that can only be reached by real
 //! crashes are failure paths that are never tested. This module makes
 //! faults a *configuration input*: a [`FaultPlan`] names injection sites
-//! threaded through the hot layers (DRAM transfer issue, a cluster's
-//! plan→replay hand-off, store read/write, the serving worker itself, the
-//! multi-PE scheduler dispatch) and
-//! describes, per site, the op ordinal at which to inject and whether the
-//! site reports an error ([`SimFault`]) or panics outright.
+//! threaded through the hot layers (DRAM transfer issue, store
+//! read/write, the serving worker itself, the multi-PE scheduler
+//! dispatch) and describes, per site, the op ordinal at which to inject
+//! and whether the site reports an error ([`SimFault`]) or panics
+//! outright.
 //!
 //! # Determinism contract
 //!
@@ -16,11 +16,11 @@
 //! trips when its local operation counter reaches the spec's `nth` value
 //! while the current retry attempt is within the spec's `attempts`
 //! budget. Counters are owned by deterministic units — a [`Dram`]
-//! instance counts its own transfers, each cluster's plan→replay
-//! hand-off is its own op 1, a store scope counts its own reads/writes —
-//! so the serial and parallel execution legs inject at exactly the same
-//! operation, and a retried run whose specs have exhausted their
-//! `attempts` budget is bit-identical to a fault-free run.
+//! instance counts its own transfers, a phase's dispatch loop its own
+//! dispatches, a store scope its own reads/writes — so the serial and
+//! parallel execution legs inject at exactly the same operation, and a
+//! retried run whose specs have exhausted their `attempts` budget is
+//! bit-identical to a fault-free run.
 //!
 //! The plan, the retry-attempt number, and the [`CancelToken`] are
 //! thread-local (armed with [`with_plan`] / [`with_attempt`] /
@@ -55,12 +55,6 @@ pub enum FaultSite {
     /// A DRAM transfer issue ([`Dram`](crate::Dram) counts its own
     /// transfers, so cluster-parallel legs inject identically).
     DramIssue,
-    /// A cluster's plan→replay hand-off: tripped once per freshly
-    /// planned cluster, after its plan pass and before its replay, always
-    /// at ordinal 1 (each cluster is its own unit). A replay of a plan
-    /// retained from an earlier layer or job has no hand-off and never
-    /// trips it.
-    ExecHandoff,
     /// A result-store entry read (ordinal counted per armed scope).
     StoreRead,
     /// A result-store entry write, tripped *between* the temporary-file
@@ -74,16 +68,15 @@ pub enum FaultSite {
     Worker,
     /// A multi-PE scheduler dispatch: tripped each time the end-to-end
     /// model hands a cluster to a processing element. The ordinal is the
-    /// dispatch count within one simulation, identical in serial and
-    /// parallel legs (the whole dispatch loop runs on one thread).
+    /// dispatch count within one phase's dispatch loop, identical in
+    /// serial and parallel legs (the whole loop runs on one thread).
     Sched,
 }
 
 impl FaultSite {
     /// Every site, in spec-grammar order.
-    pub const ALL: [FaultSite; 6] = [
+    pub const ALL: [FaultSite; 5] = [
         FaultSite::DramIssue,
-        FaultSite::ExecHandoff,
         FaultSite::StoreRead,
         FaultSite::StoreWrite,
         FaultSite::Worker,
@@ -94,7 +87,6 @@ impl FaultSite {
     pub fn name(self) -> &'static str {
         match self {
             FaultSite::DramIssue => "dram",
-            FaultSite::ExecHandoff => "exec",
             FaultSite::StoreRead => "store_read",
             FaultSite::StoreWrite => "store_write",
             FaultSite::Worker => "worker",
@@ -110,11 +102,10 @@ impl FaultSite {
     fn index(self) -> usize {
         match self {
             FaultSite::DramIssue => 0,
-            FaultSite::ExecHandoff => 1,
-            FaultSite::StoreRead => 2,
-            FaultSite::StoreWrite => 3,
-            FaultSite::Worker => 4,
-            FaultSite::Sched => 5,
+            FaultSite::StoreRead => 1,
+            FaultSite::StoreWrite => 2,
+            FaultSite::Worker => 3,
+            FaultSite::Sched => 4,
         }
     }
 }
@@ -364,7 +355,7 @@ impl FaultPlan {
 fn bad_spec(spec: &str, reason: &str) -> FaultParseError {
     FaultParseError(format!(
         "bad fault spec '{spec}' ({reason}; expected site:action[:nth[:attempts]], \
-         sites: dram, exec, store_read, store_write, worker, sched; actions: error, panic)"
+         sites: dram, store_read, store_write, worker, sched; actions: error, panic)"
     ))
 }
 
@@ -490,7 +481,7 @@ thread_local! {
     static ATTEMPT: Cell<u64> = const { Cell::new(1) };
     /// Per-site op counters of the current scope, reset by [`with_plan`]
     /// (used by the single-threaded store sites via [`check_scoped`]).
-    static SCOPED_OPS: Cell<[u64; 6]> = const { Cell::new([0; 6]) };
+    static SCOPED_OPS: Cell<[u64; 5]> = const { Cell::new([0; 5]) };
     /// The cancel token of the current scope ([`with_cancel`]).
     static CANCEL: RefCell<Option<Arc<CancelToken>>> = const { RefCell::new(None) };
 }
@@ -530,7 +521,7 @@ impl Drop for RestoreCancel {
 pub fn with_plan<R>(plan: FaultPlan, f: impl FnOnce() -> R) -> R {
     let _armed = Restore(&ARMED, ARMED.replace(plan.is_armed()));
     let _plan = Restore(&PLAN, PLAN.replace(plan));
-    let _ops = Restore(&SCOPED_OPS, SCOPED_OPS.replace([0; 6]));
+    let _ops = Restore(&SCOPED_OPS, SCOPED_OPS.replace([0; 5]));
     f()
 }
 
@@ -589,7 +580,7 @@ pub struct FaultContext {
     plan: FaultPlan,
     armed: bool,
     attempt: u64,
-    scoped: [u64; 6],
+    scoped: [u64; 5],
     cancel: Option<Arc<CancelToken>>,
 }
 
@@ -643,7 +634,7 @@ pub fn check_at(site: FaultSite, ordinal: u64) -> Result<(), SimFault> {
 }
 
 /// Site poke for hot paths whose signatures cannot return errors (DRAM
-/// issue, plan→replay hand-off): like [`check_at`] but an injected *error*
+/// issue, scheduler dispatch): like [`check_at`] but an injected *error*
 /// unwinds with the structured [`SimFault`] payload, which the
 /// supervisor downcasts back into an error. Near-free when disarmed (one
 /// thread-local flag read).
@@ -690,11 +681,11 @@ mod tests {
             sched.action_at(FaultSite::Sched, 2, 1),
             Some(FaultAction::Error)
         );
-        let shorthand = FaultPlan::parse("exec:panic").unwrap();
+        let shorthand = FaultPlan::parse("sched:panic").unwrap();
         assert_eq!(
             shorthand.specs().next().unwrap(),
             FaultSpec {
-                site: FaultSite::ExecHandoff,
+                site: FaultSite::Sched,
                 action: FaultAction::Panic,
                 nth: 1,
                 attempts: 1
@@ -716,7 +707,8 @@ mod tests {
             "dram:error:1:0",
             "dram:error:1:1:1",
             "dram:error:many",
-            "dram:error+exec:panic+store_read:error+store_write:error+worker:panic",
+            "exec:error:1",
+            "dram:error+sched:panic+store_read:error+store_write:error+worker:panic",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "{bad:?}");
         }
@@ -735,7 +727,7 @@ mod tests {
             Some(FaultAction::Error)
         );
         assert_eq!(plan.action_at(FaultSite::DramIssue, 2, 3), None);
-        assert_eq!(plan.action_at(FaultSite::ExecHandoff, 2, 1), None);
+        assert_eq!(plan.action_at(FaultSite::Sched, 2, 1), None);
     }
 
     #[test]
@@ -791,9 +783,9 @@ mod tests {
 
     #[test]
     fn panic_action_unwinds_with_a_plain_message() {
-        let plan = FaultPlan::parse("exec:panic:1").unwrap();
+        let plan = FaultPlan::parse("sched:panic:1").unwrap();
         let payload = with_plan(plan, || {
-            std::panic::catch_unwind(|| trip_at(FaultSite::ExecHandoff, 1))
+            std::panic::catch_unwind(|| trip_at(FaultSite::Sched, 1))
         })
         .expect_err("must trip");
         let message = payload.downcast_ref::<String>().expect("string payload");
@@ -849,7 +841,7 @@ mod tests {
 
     #[test]
     fn seeded_plans_are_reproducible_and_bounded() {
-        let sites = [FaultSite::DramIssue, FaultSite::ExecHandoff];
+        let sites = [FaultSite::DramIssue, FaultSite::Sched];
         for seed in 0..64 {
             let a = FaultPlan::seeded(seed, &sites, 3, 2);
             assert_eq!(a, FaultPlan::seeded(seed, &sites, 3, 2));

@@ -21,9 +21,9 @@
 //! | [`accel`] | `grow-core` | the four accelerator models, preprocessing, multi-PE scheduling + execution models (`exec=post_hoc\|e2e`), experiments |
 //! | [`serve`] | `grow-serve` | `SimSession`, the batch simulation service, the async always-on front end, and the on-disk result store |
 //!
-//! plus [`session`], the single-workload entry point: a [`SimSession`]
-//! (`session::SimSession`) instantiates a workload once, memoizes its
-//! prepared forms, and dispatches any registered engine by name
+//! plus [`session`], the single-workload entry point: a
+//! [`SimSession`](session::SimSession) instantiates a workload once,
+//! memoizes its prepared forms, and dispatches any registered engine by name
 //! (`session.run("grow", ..)`) with optional key-value configuration
 //! overrides. Engines simulate graph clusters in parallel across threads
 //! (deterministically — set `GROW_SERIAL=1` to force the serial path),

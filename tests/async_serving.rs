@@ -30,7 +30,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use common::{mixed_jobs, WORKERS};
-use grow::accel::PartitionStrategy;
+use grow::accel::extensions::{run_with_aggregation, AggregationKind};
+use grow::accel::{GrowEngine, PartitionStrategy};
 use grow::model::DatasetKey;
 use grow::serve::{
     AsyncConfig, AsyncService, BatchService, JobError, JobResult, JobSpec, Priority, ResultStore,
@@ -682,6 +683,33 @@ fn plan_cache_shares_plans_across_jobs_and_stays_bit_identical() {
     warm.reset_stats();
     assert_eq!(warm.stats().plan_cache_hits, 0);
     assert_eq!(warm.plan_cache().misses(), 0);
+}
+
+#[test]
+fn a_sampled_aggregation_run_leaves_the_plan_cache_clean() {
+    // A sampled SAGE run swaps the adjacency of a pooled preparation's
+    // copy. Its plans must not land in the pool's plan cache, where a
+    // later GROW job on the same workload would replay them.
+    let spec = DatasetKey::Pubmed.spec().scaled_to(800);
+    let strategy = PartitionStrategy::Multilevel { cluster_nodes: 200 };
+    let gcnax = JobSpec::new(spec, 3, "gcnax").with_strategy(strategy);
+    let grow = JobSpec::new(spec, 3, "grow").with_strategy(strategy);
+    let mut service = BatchService::new();
+    assert!(service.run_one(&gcnax).outcome.is_ok());
+    let prepared = service
+        .session_for(&gcnax)
+        .and_then(|session| session.get_prepared(strategy))
+        .expect("the served job pooled its preparation");
+    run_with_aggregation(
+        &GrowEngine::default(),
+        prepared,
+        AggregationKind::SageMean { sample: Some(2) },
+    );
+    assert_eq!(
+        service.run_one(&grow).outcome,
+        common::run_unserved(&grow),
+        "the served GROW job replayed the sampled adjacency's plans"
+    );
 }
 
 #[test]

@@ -1,10 +1,12 @@
 //! The supervised-serving chaos soak. An 18-job mixed fleet on a
 //! store-backed `AsyncService` runs once fault-free, then three more
 //! rounds under a cycling grid of transient `fault=` injections (DRAM
-//! issue, plan/replay hand-off, scheduler dispatch, store read/write;
-//! `error` and `panic` actions). Checked at one worker and again at
-//! four, each on a fresh store:
+//! issue, scheduler dispatch, store read/write; `error` and `panic`
+//! actions). Checked at one worker and again at four, each on a fresh
+//! store:
 //!
+//! * every grid spec fires on a fleet job that reaches its site, so no
+//!   spec is a silent no-op;
 //! * the fault-free round reports exactly what a service-free run of
 //!   each job does;
 //! * in every faulted round each ticket resolves, no worker dies, every
@@ -32,6 +34,7 @@ use grow::model::DatasetKey;
 use grow::serve::{
     AsyncConfig, AsyncService, BatchService, JobResult, JobSpec, Priority, ResultStore, Ticket,
 };
+use grow::sim::exec::{with_mode, ExecMode};
 use grow::sim::fault;
 
 /// Transient specs only: every `attempts` bound sits below the default
@@ -44,12 +47,12 @@ use grow::sim::fault;
 const FAULT_GRID: [&str; 11] = [
     "dram:error:1:2",
     "dram:panic:1:2",
-    "exec:error:1:2",
-    "exec:panic:1:2",
+    "dram:error:3:2",
+    "dram:panic:3:2",
     "sched:error:1:2",
     "sched:panic:1:2",
     "dram:error:2:2",
-    "exec:error:2:2",
+    "dram:error:4:1",
     "dram:panic:2:2+store_write:error:1",
     "store_write:panic:1",
     "store_read:error:1+store_write:error:1",
@@ -122,6 +125,31 @@ fn submit_all(service: &AsyncService, jobs: &[(JobSpec, Priority)]) -> Vec<Ticke
                 .expect("fleet fits the admission bound")
         })
         .collect()
+}
+
+/// Runs each grid spec once, serially and on a fresh store, on the
+/// fleet's `exec=e2e` GROW job, which reaches every site the grid names,
+/// and checks that the spec fired: a site change that turns a spec into
+/// a no-op fails here instead of silently thinning the soak.
+fn every_grid_spec_fires(jobs: &[(JobSpec, Priority)]) {
+    let e2e_grow = jobs
+        .iter()
+        .map(|(job, _)| job)
+        .find(|job| job.engine == "grow" && job.overrides.iter().any(|o| o == "exec=e2e"))
+        .expect("the fleet has an e2e GROW job");
+    let dir = std::env::temp_dir().join(format!("grow-chaos-fires-{}", std::process::id()));
+    for spec in FAULT_GRID {
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ResultStore::open(&dir).expect("open store");
+        let mut service = BatchService::new().with_store(store);
+        let before = fault::injected_total();
+        let result = with_mode(ExecMode::Serial, || {
+            service.run_one(&e2e_grow.clone().with_fault(spec))
+        });
+        assert!(result.outcome.is_ok(), "{spec}: {:?}", result.outcome);
+        assert!(fault::injected_total() > before, "{spec} never fired");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// One soak on a `workers`-sized pool and a fresh store.
@@ -275,6 +303,7 @@ fn degrade(dir: &Path, workers: usize, jobs: &[(JobSpec, Priority)], baseline: &
 #[test]
 fn chaos_soak_reproduces_the_fault_free_fleet_at_one_and_four_workers() {
     common::quiet_injected_panics();
+    every_grid_spec_fires(&fleet());
     soak(1);
     soak(4);
 }

@@ -6,8 +6,8 @@
 //!
 //! * a *transient* fault (its `attempts` bound below the retry budget)
 //!   retries to a report **bit-identical** to the fault-free baseline,
-//!   on every engine, at both hot sites (`dram`, `exec`), with both
-//!   actions (`error`, `panic`);
+//!   on every engine, at both hot sites (`dram`, and `sched` on an
+//!   `exec=e2e` job), with both actions (`error`, `panic`);
 //! * a *permanent* fault fails alone with the structured error matching
 //!   its action ([`JobError::Injected`] / [`JobError::Panicked`]);
 //! * injection is deterministic: a faulted fleet is bit-identical
@@ -58,17 +58,19 @@ fn every_engine_and_site_retries_transient_faults_to_the_baseline() {
     quiet_injected_panics();
     let mut service = BatchService::new();
     for engine in registry::ENGINE_NAMES {
-        let baseline = service
-            .run_one(&JobSpec::new(spec(), 7, engine))
-            .outcome
-            .expect("fault-free baseline");
-        for site in ["dram", "exec"] {
+        // The `sched` site only trips in the e2e dispatch loop.
+        let job = JobSpec::new(spec(), 7, engine);
+        for (site, job) in [
+            ("dram", job.clone()),
+            ("sched", job.with_override("exec", "e2e")),
+        ] {
+            let baseline = service.run_one(&job).outcome.expect("fault-free baseline");
             for action in ["error", "panic"] {
                 // attempts=2 < the default retry budget of 3: the
                 // fault fires on attempts 1 and 2, attempt 3 runs
                 // fault-free and must reproduce the baseline.
                 let fault = format!("{site}:{action}:1:2");
-                let result = service.run_one(&JobSpec::new(spec(), 7, engine).with_fault(&fault));
+                let result = service.run_one(&job.clone().with_fault(&fault));
                 let report = result
                     .outcome
                     .unwrap_or_else(|e| panic!("{engine} {fault}: {e}"));
@@ -79,7 +81,10 @@ fn every_engine_and_site_retries_transient_faults_to_the_baseline() {
     }
     let stats = service.stats();
     assert_eq!(stats.jobs_failed, 0);
-    assert!(stats.retries >= 32, "2 retries x 16 faulted jobs");
+    assert_eq!(
+        stats.retries, 32,
+        "every one of 16 faulted jobs fired twice"
+    );
     assert!(stats.panics_caught >= 16, "panic actions were caught");
 }
 
@@ -101,7 +106,7 @@ fn permanent_faults_fail_alone_with_the_matching_error() {
             "{engine}"
         );
         let panicked =
-            service.run_one(&JobSpec::new(spec(), 7, engine).with_fault("exec:panic:1:99"));
+            service.run_one(&JobSpec::new(spec(), 7, engine).with_fault("dram:panic:1:99"));
         match panicked.outcome {
             Err(JobError::Panicked { attempts: 3, .. }) => {}
             other => panic!("{engine}: expected a caught panic, got {other:?}"),
@@ -126,17 +131,25 @@ fn faulted_fleets_are_bit_identical_serial_vs_parallel() {
         jobs.push(JobSpec::new(spec(), 7, engine).with_fault("dram:error:1:2"));
         jobs.push(
             JobSpec::new(spec(), 7, engine)
-                .with_fault(["exec:panic:1:2", "dram:panic:2:1", "exec:error:2:2"][i % 3]),
+                .with_fault(["dram:panic:3:2", "dram:panic:2:1", "dram:error:2:2"][i % 3]),
         );
     }
-    jobs.push(JobSpec::new(spec(), 7, "grow").with_fault("exec:error:1:99"));
+    jobs.push(JobSpec::new(spec(), 7, "grow").with_fault("dram:error:1:99"));
 
-    let serial = with_mode(ExecMode::Serial, || BatchService::new().run_batch(&jobs));
-    let parallel = with_workers(8, || BatchService::new().run_batch(&jobs));
+    let run = |jobs: &[JobSpec]| {
+        let mut service = BatchService::new();
+        let results = service.run_batch(jobs);
+        (results, service.stats().retries)
+    };
+    let (serial, serial_retries) = with_mode(ExecMode::Serial, || run(&jobs));
+    let (parallel, parallel_retries) = with_workers(8, || run(&jobs));
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.outcome, p.outcome, "job {} diverged", s.index);
     }
+    // Every fault fired: two retries for each of the seven `attempts=2`
+    // jobs and for the permanent failure, one for `dram:panic:2:1`.
+    assert_eq!((serial_retries, parallel_retries), (17, 17));
     // The faulted copies converged to their fault-free twins.
     for chunk in serial.chunks(3).take(4) {
         let base = chunk[0].outcome.as_ref().expect("fault-free job");
@@ -554,7 +567,7 @@ fn one_worker_death_degrades_the_pool_but_not_the_service() {
 fn seeded_plans_are_reproducible() {
     // The chaos generator is pure in its seed: the same seed yields the
     // same plan, different seeds explore different shapes.
-    let sites = [FaultSite::DramIssue, FaultSite::ExecHandoff];
+    let sites = [FaultSite::DramIssue, FaultSite::Sched];
     let a = fault::FaultPlan::seeded(9, &sites, 4, 2);
     let b = fault::FaultPlan::seeded(9, &sites, 4, 2);
     assert_eq!(a.render(), b.render());

@@ -245,7 +245,7 @@ fn fault_is_uniform_across_engines() {
         // A full multi-spec plan parses on every engine (validation is
         // engine-independent; firing behaviour is exercised elsewhere).
         assert!(
-            registry::engine_from_overrides(engine, &[("fault", "dram:error:1:2+exec:panic:3")])
+            registry::engine_from_overrides(engine, &[("fault", "dram:error:1:2+sched:panic:3")])
                 .is_ok(),
             "{engine}"
         );
@@ -255,6 +255,7 @@ fn fault_is_uniform_across_engines() {
             "dram",
             "dram:error:0",
             "dram:error:1:2:3",
+            "exec:error:1",
             "",
         ] {
             assert_eq!(
@@ -311,20 +312,37 @@ fn zero_pes_is_an_invalid_value_not_a_panic() {
         }
     }
 
-    // Zero-sized hardware and a non-positive bandwidth fail at the
-    // registry too. Mid-run they would panic, or worse: `runahead=0`
-    // spins a worker forever and `tile_rows=0` grows a plan until the
-    // allocator aborts the process, so those two are only checked here.
+    // Zero-sized hardware, a non-positive bandwidth and values above the
+    // documented bounds fail at the registry too. Mid-run they would
+    // panic, or worse: `runahead=0` spins a worker forever, `tile_rows=0`
+    // grows a plan until the allocator aborts the process, and a huge
+    // latency or tile wraps the report's `u64` cycles, so those are only
+    // checked here.
     let every: &[&str] = &registry::ENGINE_NAMES;
-    let cases: [(&[&str], &str, &[&str]); 8] = [
+    let u64_max = "18446744073709551615";
+    let over_cycles = (registry::MAX_DRAM_CYCLES + 1).to_string();
+    let over_tile = (registry::MAX_TILE_DIM + 1).to_string();
+    let over_merge = (registry::MAX_MERGE_FACTOR * 2.0).to_string();
+    let cases: [(&[&str], &str, &[&str]); 11] = [
         (every, "mac_lanes", &["0"]),
         (every, "dram_gbps", &["0", "-1", "NaN", "inf"]),
+        (every, "dram_latency_cycles", &[u64_max, &over_cycles, "-1"]),
+        (
+            every,
+            "dram_request_overhead_cycles",
+            &[u64_max, &over_cycles],
+        ),
         (&["grow"], "runahead", &["0"]),
         (&["grow"], "ldn_entries", &["0"]),
         (&["grow"], "lhs_id_entries", &["0"]),
         (&["grow"], "hdn_cache_kb", &["0"]),
-        (&["gcnax"], "tile_rows", &["0"]),
-        (&["gcnax"], "tile_cols", &["0"]),
+        (&["gcnax"], "tile_rows", &["0", u64_max, &over_tile]),
+        (&["gcnax"], "tile_cols", &["0", u64_max, &over_tile]),
+        (
+            &["matraptor", "gamma"],
+            "merge_factor",
+            &["NaN", "-1", "inf", &over_merge],
+        ),
     ];
     for (engines, key, values) in cases {
         for &engine in engines {
@@ -361,9 +379,26 @@ fn zero_pes_is_an_invalid_value_not_a_panic() {
         );
     }
 
-    // Zero stays valid where it means "no such buffer" or "no lookahead".
+    // Zero stays valid where it means "no such buffer" or "no lookahead",
+    // and each upper bound itself still runs.
     let workload = spec().instantiate(5);
     let prepared = grow::accel::prepare(&workload, PartitionStrategy::None, 4096);
+    let max_cycles = registry::MAX_DRAM_CYCLES.to_string();
+    let max_tile = registry::MAX_TILE_DIM.to_string();
+    let max_merge = registry::MAX_MERGE_FACTOR.to_string();
+    for (engine, key, value) in [
+        ("grow", "dram_latency_cycles", max_cycles.as_str()),
+        ("gamma", "dram_request_overhead_cycles", &max_cycles),
+        ("gcnax", "tile_rows", &max_tile),
+        ("gcnax", "tile_cols", &max_tile),
+        ("matraptor", "merge_factor", &max_merge),
+        ("gamma", "merge_factor", "0"),
+    ] {
+        let report = registry::engine_from_overrides(engine, &[(key, value)])
+            .unwrap_or_else(|e| panic!("{engine}: {key}={value}: {e}"))
+            .run(&prepared);
+        assert!(report.total_cycles() > 0, "{engine}: {key}={value}");
+    }
     for (engine, key) in [
         ("gamma", "fiber_cache_kb"),
         ("gcnax", "dense_buffer_kb"),
