@@ -10,8 +10,10 @@
 //!   prepared; a bad job fails alone, the rest of the batch proceeds.
 //! * **Deduplicated preparation.** Jobs sharing a workload recipe
 //!   (dataset spec + seed + HDN list length) share one pooled
-//!   [`SimSession`]; each distinct (workload, partition strategy) pair is
-//!   prepared exactly once.
+//!   [`SimSession`], instantiated once by the first job that needs it;
+//!   each distinct (workload, partition strategy) pair is prepared
+//!   exactly once, in the session's once-cell for that strategy, while
+//!   the workload's other strategies prepare concurrently.
 //! * **Keyed result cache.** Completed [`RunReport`]s are cached by
 //!   [`JobKey`] (and persisted to an attached [`ResultStore`]);
 //!   duplicate jobs — within a batch or across batches — are served from
@@ -23,12 +25,15 @@
 //! computes and commits a job, and batch results are bit-identical
 //! between `GROW_SERIAL=1` and any thread count for the same reasons an
 //! async drain is (see the [`service`](crate::service) module docs).
+//! Preparation runs inside the job's supervisor, so a workload that
+//! panics while it is built or partitioned fails its own jobs, never
+//! the worker.
 
 use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use grow_core::registry::{self, RegistryError};
@@ -431,7 +436,11 @@ pub struct ServiceStats {
 ///   otherwise unbounded session pool with least-recently-used eviction.
 #[derive(Debug, Default)]
 pub struct BatchService {
-    sessions: HashMap<String, SimSession>,
+    /// One once-cell per workload recipe: the first job that needs the
+    /// session instantiates it outside the service lock, and every job
+    /// of the recipe shares it until LRU eviction drops the pool's
+    /// handle.
+    sessions: HashMap<String, Arc<OnceLock<SimSession>>>,
     /// LRU bookkeeping: tick of each pooled session's last job.
     session_last_use: HashMap<String, u64>,
     session_clock: u64,
@@ -476,7 +485,7 @@ impl BatchService {
     /// its prepared forms (graph statistics, partition quality) without
     /// re-running the preprocessing.
     pub fn session_for(&self, job: &JobSpec) -> Option<&SimSession> {
-        self.sessions.get(&job.session_key())
+        self.sessions.get(&job.session_key())?.get()
     }
 
     /// Attaches a persistent on-disk result store: cache misses probe the
@@ -638,12 +647,10 @@ impl BatchService {
     /// restarted service serves a warm fleet without instantiating
     /// workloads). A store *panic* fails the job as
     /// [`JobError::StoreCorrupt`], permanently: a corrupt store will not
-    /// heal by re-reading it. Returns the job's resolved outcome or the
-    /// validated engine; the caller then prepares the session *outside*
-    /// the lock ([`take_session`] / [`adopt_session`]) and computes.
-    ///
-    /// [`take_session`]: Self::take_session
-    /// [`adopt_session`]: Self::adopt_session
+    /// heal by re-reading it. Returns the job's resolved outcome or a
+    /// [`ComputeTask`] holding the validated engine and the job's pooled
+    /// session cell, which the caller prepares and runs *outside* the
+    /// lock through [`compute_supervised`].
     pub(crate) fn stage(&mut self, job: &JobSpec, key: &JobKey) -> Staged {
         self.stats.jobs_submitted += 1;
         let engine = match build_engine(job) {
@@ -692,56 +699,22 @@ impl BatchService {
                 }
             }
         }
-        Staged::NeedsCompute { engine }
-    }
-
-    /// Takes the pooled session for `session_key` out of the pool so a
-    /// concurrent caller can prepare it outside the service lock (the
-    /// caller serializes same-session takers itself). Returns `None` if
-    /// the workload was never instantiated or was evicted.
-    pub(crate) fn take_session(&mut self, session_key: &str) -> Option<SimSession> {
-        self.sessions.remove(session_key)
-    }
-
-    /// Returns a prepared session to the pool, counting a fresh
-    /// instantiation and the preparation the caller ran while holding
-    /// it. The complement of [`take_session`](Self::take_session).
-    pub(crate) fn adopt_session(
-        &mut self,
-        session_key: String,
-        session: SimSession,
-        created: bool,
-        preparation: Preparation,
-    ) {
-        if created {
-            self.stats.sessions_created += 1;
-        }
-        if preparation != Preparation::Memoized {
-            self.stats.preparations_run += 1;
-        }
-        if preparation == Preparation::Loaded {
-            self.stats.partitions_loaded += 1;
-        }
-        self.sessions.insert(session_key, session);
-    }
-
-    /// A handle on the attached store's directory for partition entries,
-    /// which workers read and write outside the service lock.
-    pub(crate) fn partition_store(&self) -> Option<ResultStore> {
-        self.store.as_ref().map(ResultStore::reopen)
-    }
-
-    /// Shared handle to the cross-job plan cache, for stamping sessions
-    /// instantiated outside the service lock.
-    pub(crate) fn plan_cache_arc(&self) -> Arc<PlanCache> {
-        Arc::clone(&self.plan_cache)
+        Staged::NeedsCompute(ComputeTask {
+            engine,
+            session: Arc::clone(self.sessions.entry(job.session_key()).or_default()),
+            plan_cache: Arc::clone(&self.plan_cache),
+            partitions: job
+                .partition_key()
+                .and_then(|key| Some((self.store.as_ref()?.reopen(), key))),
+        })
     }
 
     /// Commits one computed job — the worker pool's back half: counter
-    /// merges, the supervised store persist (a write failure, error or
-    /// panic, costs persistence, never the job), and the report-cache
-    /// insert. Failed jobs are never cached or persisted, so a later
-    /// submission recomputes them. Returns the job's outcome and its wall
+    /// merges (including the instantiation and preparation the job ran),
+    /// the supervised store persist (a write failure, error or panic,
+    /// costs persistence, never the job), and the report-cache insert.
+    /// Failed jobs are never cached or persisted, so a later submission
+    /// recomputes them. Returns the job's outcome and its wall
     /// time (`None` for failures, like [`JobResult::wall_ms`]).
     pub(crate) fn commit(
         &mut self,
@@ -752,6 +725,9 @@ impl BatchService {
         self.stats.simulations_run += 1;
         self.stats.retries += run.retries;
         self.stats.panics_caught += run.caught;
+        self.stats.sessions_created += u64::from(run.created);
+        self.stats.preparations_run += u64::from(run.preparation != Preparation::Memoized);
+        self.stats.partitions_loaded += u64::from(run.preparation == Preparation::Loaded);
         match run.outcome {
             Ok(report) => {
                 if let Some(store) = self.store.as_mut() {
@@ -787,13 +763,19 @@ impl BatchService {
     }
 
     /// Marks the job's pooled session as just-used and enforces the LRU
-    /// capacity bound.
+    /// capacity bound. A session cell the job left empty (its
+    /// instantiation panicked, or the job stopped before it) leaves the
+    /// pool unless another job holds it.
     pub(crate) fn touch_session(&mut self, job: &JobSpec) {
         let session_key = job.session_key();
-        if self.sessions.contains_key(&session_key) {
-            self.session_clock += 1;
-            self.session_last_use
-                .insert(session_key, self.session_clock);
+        if let Some(cell) = self.sessions.get(&session_key) {
+            if cell.get().is_some() {
+                self.session_clock += 1;
+                self.session_last_use
+                    .insert(session_key, self.session_clock);
+            } else if Arc::strong_count(cell) == 1 {
+                self.sessions.remove(&session_key);
+            }
         }
         self.evict_sessions();
     }
@@ -845,18 +827,50 @@ pub(crate) enum Staged {
         outcome: Result<RunReport, JobError>,
         cache_hit: bool,
     },
-    /// Needs a simulation: prepare the session outside the service lock,
-    /// assemble a [`ComputeTask`], run [`compute_supervised`], then
-    /// [`BatchService::commit`] the result.
-    NeedsCompute { engine: Box<dyn Accelerator> },
+    /// Needs a simulation: run [`compute_supervised`] outside the
+    /// service lock, then [`BatchService::commit`] the result.
+    NeedsCompute(ComputeTask),
 }
 
-/// A self-contained unit of supervised compute: the validated engine and
-/// the shared prepared workload (alive across session eviction via its
-/// `Arc`). Never crosses threads — the worker that staged it runs it.
+/// A self-contained unit of supervised compute: the validated engine,
+/// the job's pooled session cell (alive across session eviction via its
+/// `Arc`) and what instantiating and preparing it needs. Never crosses
+/// threads — the worker that staged it runs it.
 pub(crate) struct ComputeTask {
-    pub(crate) engine: Box<dyn Accelerator>,
-    pub(crate) prepared: Arc<PreparedWorkload>,
+    engine: Box<dyn Accelerator>,
+    session: Arc<OnceLock<SimSession>>,
+    plan_cache: Arc<PlanCache>,
+    /// A handle on the attached store and the job's partition key, when
+    /// the job partitions and a store is attached.
+    partitions: Option<(ResultStore, String)>,
+}
+
+impl ComputeTask {
+    /// The job's prepared workload: instantiates the pooled session if
+    /// no job has yet, then prepares the job's strategy unless it is
+    /// memoized. Sets `created` when this call instantiated the session
+    /// and `preparation` when it prepared the strategy, each as soon as
+    /// that step completes, so a later panic does not lose it.
+    fn prepare(
+        &self,
+        job: &JobSpec,
+        created: &mut bool,
+        preparation: &mut Preparation,
+    ) -> Arc<PreparedWorkload> {
+        let session = self.session.get_or_init(|| {
+            let mut session = SimSession::from_spec(job.dataset, job.seed);
+            session.set_hdn_id_entries(job.hdn_id_entries);
+            session.set_plan_cache(Arc::clone(&self.plan_cache), job.session_key());
+            *created = true;
+            session
+        });
+        let stored = self.partitions.as_ref().map(|(s, k)| (s, k.as_str()));
+        let (prepared, how) = session.prepare(job.strategy, stored);
+        if how != Preparation::Memoized {
+            *preparation = how;
+        }
+        prepared
+    }
 }
 
 /// What one supervised compute produced, for [`BatchService::commit`].
@@ -865,19 +879,29 @@ pub(crate) struct ComputeOutcome {
     wall_ms: f64,
     retries: u64,
     caught: u64,
+    /// True when this job instantiated its pooled session.
+    created: bool,
+    /// How this job came by its prepared form (`Memoized` when another
+    /// job had prepared it).
+    preparation: Preparation,
 }
 
-/// Runs one staged simulation under supervision: every attempt runs
-/// under `catch_unwind` — a panic, injected or genuine, is classified
-/// into a [`JobError`] — with the attempt number published through the
-/// fault context, so an injected fault with `attempts=N` stops firing on
-/// attempt N+1 and the retried run is bit-identical to a fault-free one.
-/// Transient failures retry up to [`MAX_ATTEMPTS`], and a cancelled
-/// ticket stops consuming attempts at the loop head. The caller picks
-/// the execution mode (inner-serial for a job sharing the pool, the
-/// caller's own scope for a lone job) by wrapping this call.
-pub(crate) fn compute_supervised(task: &ComputeTask) -> ComputeOutcome {
-    let started = Instant::now();
+/// Prepares and runs one staged job under supervision: every attempt
+/// runs under `catch_unwind` — a panic, injected or genuine, in the
+/// workload's instantiation, its preparation or the simulation, is
+/// classified into a [`JobError`] — with the attempt number published
+/// through the fault context, so an injected fault with `attempts=N`
+/// stops firing on attempt N+1 and the retried run is bit-identical to a
+/// fault-free one. Transient failures retry up to [`MAX_ATTEMPTS`], and
+/// a cancelled ticket stops consuming attempts at the loop head. The
+/// wall time runs from the first engine start, so it never includes the
+/// preparation. The caller picks the execution mode (inner-serial for a
+/// job sharing the pool, the caller's own scope for a lone job) by
+/// wrapping this call.
+pub(crate) fn compute_supervised(job: &JobSpec, task: &ComputeTask) -> ComputeOutcome {
+    let mut started: Option<Instant> = None;
+    let mut created = false;
+    let mut preparation = Preparation::Memoized;
     let mut retries = 0u64;
     let mut caught = 0u64;
     let mut attempt = 1u64;
@@ -886,7 +910,11 @@ pub(crate) fn compute_supervised(task: &ComputeTask) -> ComputeOutcome {
             break Err(JobError::Cancelled { reason });
         }
         let run = fault::with_attempt(attempt, || {
-            catch_unwind(AssertUnwindSafe(|| task.engine.run(&task.prepared)))
+            catch_unwind(AssertUnwindSafe(|| {
+                let prepared = task.prepare(job, &mut created, &mut preparation);
+                started.get_or_insert_with(Instant::now);
+                task.engine.run(&prepared)
+            }))
         });
         match run {
             Ok(report) => break Ok(report),
@@ -904,9 +932,11 @@ pub(crate) fn compute_supervised(task: &ComputeTask) -> ComputeOutcome {
     };
     ComputeOutcome {
         outcome,
-        wall_ms: started.elapsed().as_secs_f64() * 1e3,
+        wall_ms: started.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e3),
         retries,
         caught,
+        created,
+        preparation,
     }
 }
 
@@ -1362,7 +1392,7 @@ mod tests {
                 .with_strategy(strategy)
                 .with_override("runahead", "4"),
         );
-        let mut session = SimSession::from_spec(spec(), 11);
+        let session = SimSession::from_spec(spec(), 11);
         let direct = session
             .run_with("grow", &[("runahead", "4")], strategy)
             .unwrap();

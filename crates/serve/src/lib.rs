@@ -3,13 +3,14 @@
 //!
 //! Four pieces live here:
 //!
-//! * [`session::SimSession`] — one workload, memoized preprocessing, and
-//!   name-based engine dispatch (the single-workload front door);
+//! * [`session::SimSession`] — one workload, its preprocessing memoized
+//!   in one once-cell per partition strategy, and name-based engine
+//!   dispatch (the single-workload front door);
 //! * [`batch::BatchService`] — the serving state on top of it: jobs are
 //!   pure data ([`batch::JobSpec`]: dataset spec + seed + engine name +
 //!   partition strategy + `key=value` overrides), shared preparation is
-//!   deduplicated through a keyed session pool (optionally LRU-bounded),
-//!   and completed reports are cached by job key.
+//!   deduplicated through a keyed pool of session once-cells (optionally
+//!   LRU-bounded), and completed reports are cached by job key.
 //!   [`BatchService::run_batch`](batch::BatchService::run_batch) runs a
 //!   whole job list and returns results in submission order with
 //!   per-job timing and error status; a bad engine name or an invalid
@@ -29,9 +30,10 @@
 //!   runs its inner cluster fan-out serially, so each job gets one level
 //!   of parallelism.
 //!
-//! The layer is *supervised*: every job runs under `catch_unwind` with a
-//! bounded, deterministic retry budget ([`batch::MAX_ATTEMPTS`]), so a
-//! panicking or fault-injected job (the uniform `fault=` override, see
+//! The layer is *supervised*: every job — its workload's instantiation
+//! and preparation included — runs under `catch_unwind` with a bounded,
+//! deterministic retry budget ([`batch::MAX_ATTEMPTS`]), so a panicking
+//! or fault-injected job (the uniform `fault=` override, see
 //! [`grow_sim::fault`]) fails alone as a structured [`batch::JobError`] —
 //! never the batch, never the worker. Tickets expose cooperative
 //! cancellation and per-job deadlines; a worker death (the injected

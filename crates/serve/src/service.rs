@@ -19,16 +19,19 @@
 //! * **A supervised worker pool.** [`AsyncConfig::workers`] threads
 //!   drain the queues concurrently. Each job is staged (validation,
 //!   cache and store probes) under the service lock, prepared and
-//!   simulated outside it, then committed, so distinct jobs overlap end
-//!   to end. Jobs sharing a cache key never run at once: a queued twin
-//!   of a running key waits, and becomes a cache hit when the run
-//!   commits, or takes its [`JobError`] when it fails (a cancellation
-//!   only to twins sharing its token). So a pool never duplicates work
-//!   a single worker would have deduplicated.
-//! * **Workload claims.** A worker claims a job's workload at pickup and
-//!   holds the claim until the workload is prepared, so each (workload,
-//!   strategy) pair is prepared once. Peers prefer other workloads'
-//!   jobs meanwhile, so a sweep's workloads prepare in parallel.
+//!   simulated outside it under one supervisor, then committed, so
+//!   distinct jobs overlap end to end. Jobs sharing a cache key never
+//!   run at once: a queued twin of a running key waits, and becomes a
+//!   cache hit when the run commits, or takes its [`JobError`] when it
+//!   fails (a cancellation only to twins sharing its token). So a pool
+//!   never duplicates work a single worker would have deduplicated.
+//! * **Once-cells.** A workload's pooled session and each of its
+//!   (workload, strategy) preparations live in once-cells, so each is
+//!   built exactly once however many workers ask: a worker needing a
+//!   form another is building waits for it, while the workload's other
+//!   strategies prepare at the same time. Workers prefer a job whose
+//!   workload no running job shares, so a sweep's workloads prepare in
+//!   parallel.
 //! * **One parallelism level per job.** A job picked up while another
 //!   job is queued or running has its inner cluster fan-out forced
 //!   serial, since the jobs themselves then occupy the cores; a lone job
@@ -60,7 +63,7 @@
 //! schedule-dependent; every per-ticket result is deterministic.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
@@ -68,20 +71,18 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use grow_core::PreparedWorkload;
 use grow_sim::exec::{with_mode, ExecContext, ExecMode};
 use grow_sim::fault::{self, CancelToken, FaultSite};
 
 use crate::batch::{
-    compute_supervised, job_fault_plan, BatchService, ComputeTask, JobError, JobKey, JobResult,
-    JobSpec, ServiceStats, Staged,
+    compute_supervised, job_fault_plan, BatchService, JobError, JobKey, JobResult, JobSpec,
+    ServiceStats, Staged,
 };
-use crate::session::SimSession;
 
 /// Scheduling class of a submission: workers always serve the highest
 /// non-empty class, FIFO within a class — except that a pool worker
 /// skips a job whose key is computing and prefers one whose workload no
-/// other worker holds.
+/// running job shares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum Priority {
     /// Served before everything else (interactive queries).
@@ -262,7 +263,8 @@ struct Submission {
     /// worker pool's same-key exclusion set and the delivered
     /// [`JobResult::key`] both use it.
     key: JobKey,
-    /// The job's workload recipe (its session key), also computed once.
+    /// The job's workload recipe (its session key), also computed once:
+    /// the running set records it, so workers can spread over workloads.
     session: String,
     tx: Sender<JobResult>,
     cancel: Arc<CancelToken>,
@@ -285,16 +287,11 @@ struct QueueState {
     /// Submission ids orphaned by worker deaths (each dead worker's
     /// in-flight job; plus the whole queue once the last worker dies).
     casualties: Vec<u64>,
-    /// Cache keys being computed right now. A queued duplicate of a
-    /// running key is not runnable — it waits and becomes a cache hit
-    /// when the computation commits, preserving exactly-one-computation
-    /// -per-key at any worker count.
-    running: HashSet<JobKey>,
-    /// Session keys claimed by a worker: taken when it picks a job up (if
-    /// no other worker holds the workload) and held until the job is
-    /// staged and its workload prepared. One worker prepares a workload
-    /// at a time, so each (workload, strategy) pair is prepared once.
-    preparing: HashSet<String>,
+    /// Cache keys being computed right now, each mapped to its job's
+    /// session key. A queued duplicate of a running key is not runnable —
+    /// it waits and becomes a cache hit when the computation commits,
+    /// preserving exactly-one-computation-per-key at any worker count.
+    running: HashMap<JobKey, String>,
 }
 
 impl QueueState {
@@ -306,16 +303,17 @@ impl QueueState {
     /// Pops the oldest *runnable* submission of the highest non-empty
     /// class: priority order, skipping submissions whose cache key is
     /// computing on another worker right now. Within a class it prefers a
-    /// job whose workload no worker has claimed, since a claimed one may
+    /// job whose workload no running job shares, since a shared one may
     /// leave this worker waiting on another's preparation: workers spread
     /// over a sweep's workloads instead of queueing behind one.
     fn pop_runnable(&mut self) -> Option<Submission> {
-        let (running, preparing) = (&self.running, &self.preparing);
-        let runnable = |s: &Submission| !running.contains(&s.key);
+        let running = &self.running;
+        let runnable = |s: &Submission| !running.contains_key(&s.key);
+        let unshared = |s: &Submission| !running.values().any(|session| *session == s.session);
         for queue in self.queues.iter_mut() {
             let at = queue
                 .iter()
-                .position(|s| runnable(s) && !preparing.contains(&s.session))
+                .position(|s| runnable(s) && unshared(s))
                 .or_else(|| queue.iter().position(runnable));
             if let Some(at) = at {
                 return queue.remove(at);
@@ -430,8 +428,7 @@ impl AsyncService {
                 abort: false,
                 workers_alive: worker_total,
                 casualties: Vec::new(),
-                running: HashSet::new(),
-                preparing: HashSet::new(),
+                running: HashMap::new(),
             }),
             cv: Condvar::new(),
         });
@@ -675,8 +672,7 @@ impl Drop for AsyncService {
 /// Arms a pool worker against its own death: dropped during an unwind,
 /// it decrements the live-worker count, records the in-flight job as a
 /// casualty (dropping its sender so the waiter observes a disconnect,
-/// never a hang), releases any preparation claim so same-session workers
-/// do not wait forever, and — when it was the *last* worker — drains the
+/// never a hang), and — when it was the *last* worker — drains the
 /// whole queue as casualties. Disarmed on the worker's clean exits.
 struct WorkerGuard<'a> {
     shared: &'a Shared,
@@ -685,8 +681,6 @@ struct WorkerGuard<'a> {
     /// the death is recorded below — a waiter woken by the disconnect
     /// must already observe the degraded pool state.
     current: RefCell<Option<Submission>>,
-    /// The session key this worker has claimed, if any.
-    preparing: RefCell<Option<String>>,
     armed: Cell<bool>,
 }
 
@@ -707,7 +701,6 @@ impl Drop for WorkerGuard<'_> {
             st.pending = st.pending.saturating_sub(1);
             dead.push(submission);
         }
-        self.release_claim(&mut st);
         if st.workers_alive == 0 {
             while let Some(submission) = st.pop() {
                 st.casualties.push(submission.id);
@@ -721,24 +714,15 @@ impl Drop for WorkerGuard<'_> {
     }
 }
 
-impl WorkerGuard<'_> {
-    /// Releases this worker's workload claim, if it holds one.
-    fn release_claim(&self, st: &mut QueueState) {
-        if let Some(session_key) = self.preparing.take() {
-            st.preparing.remove(&session_key);
-        }
-    }
-}
-
 /// One pool worker (1-based `index` of N): pop the highest-priority
 /// runnable submission, stage it under the service lock, prepare and
 /// simulate outside it under [`job_scope`], commit, hand a
 /// failure to the key's queued twins, deliver, repeat until stopped.
-/// Staging and compute are supervised, so a job panic — injected or
-/// genuine — becomes a [`JobError`], never a worker death; the only
-/// deliberate hole is the `worker` fault site below, which kills worker
-/// `index` itself (the spec's `nth` selects the victim) to exercise the
-/// death guard and the pool's N−1 degradation.
+/// Staging, preparation and simulation are supervised, so a job panic —
+/// injected or genuine — becomes a [`JobError`], never a worker death;
+/// the only deliberate hole is the `worker` fault site below, which
+/// kills worker `index` itself (the spec's `nth` selects the victim) to
+/// exercise the death guard and the pool's N−1 degradation.
 fn worker_loop(
     index: usize,
     shared: &Shared,
@@ -748,7 +732,6 @@ fn worker_loop(
     let guard = WorkerGuard {
         shared,
         current: RefCell::new(None),
-        preparing: RefCell::new(None),
         armed: Cell::new(true),
     };
     loop {
@@ -760,10 +743,8 @@ fn worker_loop(
                     return;
                 }
                 if let Some(submission) = st.pop_runnable() {
-                    st.running.insert(submission.key.clone());
-                    if st.preparing.insert(submission.session.clone()) {
-                        guard.preparing.replace(Some(submission.session.clone()));
-                    }
+                    st.running
+                        .insert(submission.key.clone(), submission.session.clone());
                     break (submission, st.running.len(), st.contended());
                 }
                 // Drain-to-empty before a clean stop: queued duplicates
@@ -801,11 +782,9 @@ fn worker_loop(
         };
         let (outcome, cache_hit, wall_ms) = match staged {
             Staged::Done { outcome, cache_hit } => (outcome, cache_hit, None),
-            Staged::NeedsCompute { engine } => {
-                let prepared = prepare_for(&guard, shared, service, submission, contended);
-                let task = ComputeTask { engine, prepared };
+            Staged::NeedsCompute(task) => {
                 let run = fault::with_cancel(Some(Arc::clone(&submission.cancel)), || {
-                    job_scope(contended, || compute_supervised(&task))
+                    job_scope(contended, || compute_supervised(&submission.job, &task))
                 });
                 let mut svc = service.lock().unwrap_or_else(PoisonError::into_inner);
                 let (outcome, wall_ms) = svc.commit(&submission.job, &submission.key, run);
@@ -848,7 +827,6 @@ fn worker_loop(
         {
             let mut st = shared.lock();
             st.running.remove(&submission.key);
-            guard.release_claim(&mut st);
             st.pending -= 1 + twins.len();
         }
         shared.cv.notify_all();
@@ -864,69 +842,6 @@ fn worker_loop(
         drop(current);
         guard.current.replace(None);
     }
-}
-
-/// Gets the job's prepared workload, running the expensive preparation
-/// *outside* the service lock so distinct workloads prepare while other
-/// workers simulate. The worker prepares under its claim on the workload
-/// (the shared `preparing` set): taken at pickup, or — when another
-/// worker held it then — awaited here. The session itself leaves the
-/// pool for the duration, so each (workload, strategy) pair is still
-/// prepared exactly once. With a store attached, the partition entry is
-/// read (or a computed assignment written) here too, under the claim and
-/// outside the lock. The claim is parked in the death guard: a worker
-/// dying mid-preparation releases it instead of wedging its peers.
-fn prepare_for(
-    guard: &WorkerGuard<'_>,
-    shared: &Shared,
-    service: &Mutex<BatchService>,
-    submission: &Submission,
-    contended: bool,
-) -> Arc<PreparedWorkload> {
-    let (job, session_key) = (&submission.job, &submission.session);
-    if guard.preparing.borrow().is_none() {
-        let mut st = shared.lock();
-        while st.preparing.contains(session_key) {
-            st = shared.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-        st.preparing.insert(session_key.clone());
-        guard.preparing.replace(Some(session_key.clone()));
-    }
-    let (pooled, plan_cache, store) = {
-        let mut svc = service.lock().unwrap_or_else(PoisonError::into_inner);
-        (
-            svc.take_session(session_key),
-            svc.plan_cache_arc(),
-            svc.partition_store(),
-        )
-    };
-    let created = pooled.is_none();
-    let partition_key = job.partition_key();
-    // The expensive part — instantiating a new workload, partitioning
-    // (or loading the stored assignment), relabeling, HDN lists — runs
-    // with no lock held, in the same scope as the compute (memoized
-    // strategies make this a no-op lookup).
-    let (session, preparation) = job_scope(contended, || {
-        let mut session = pooled.unwrap_or_else(|| {
-            let mut session = SimSession::from_spec(job.dataset, job.seed);
-            session.set_hdn_id_entries(job.hdn_id_entries);
-            session.set_plan_cache(plan_cache, session_key.clone());
-            session
-        });
-        let stored = store.as_ref().zip(partition_key.as_deref());
-        let preparation = session.prepare_stored(job.strategy, stored);
-        (session, preparation)
-    });
-    let prepared = session
-        .get_prepared_arc(job.strategy)
-        .expect("just prepared");
-    {
-        let mut svc = service.lock().unwrap_or_else(PoisonError::into_inner);
-        svc.adopt_session(session_key.clone(), session, created, preparation);
-    }
-    guard.release_claim(&mut shared.lock());
-    shared.cv.notify_all();
-    prepared
 }
 
 #[cfg(test)]
@@ -958,8 +873,7 @@ mod tests {
             abort: false,
             workers_alive: 1,
             casualties: Vec::new(),
-            running: HashSet::new(),
-            preparing: HashSet::new(),
+            running: HashMap::new(),
         }
     }
 
@@ -980,7 +894,9 @@ mod tests {
         let mut state = empty_state();
         let first = submission(0);
         let duplicate_key = first.key.clone();
-        state.running.insert(first.key.clone());
+        state
+            .running
+            .insert(first.key.clone(), first.session.clone());
         // A queued duplicate of the running key parks; a distinct key
         // behind it runs.
         let twin = Submission {
@@ -1002,23 +918,26 @@ mod tests {
     }
 
     #[test]
-    fn pop_runnable_prefers_unclaimed_workloads_within_a_class() {
+    fn pop_runnable_prefers_workloads_no_running_job_shares() {
         // Ids double as seeds, so submission(3) is the one other workload.
+        // The running job shares submission(0)'s workload under another
+        // key, so the queued jobs of that workload stay runnable.
         let mut state = empty_state();
-        state.preparing.insert(submission(0).session);
-        let claimed = |id| Submission {
+        let running = submission(0).job.with_override("runahead", "4");
+        state.running.insert(running.key(), running.session_key());
+        let shared = |id| Submission {
             id,
             ..submission(0)
         };
-        state.queues[Priority::High.index()].push_back(claimed(1));
-        state.queues[Priority::Normal.index()].extend([claimed(2), submission(3), claimed(4)]);
+        state.queues[Priority::High.index()].push_back(shared(1));
+        state.queues[Priority::Normal.index()].extend([shared(2), submission(3), shared(4)]);
         let order: Vec<u64> = std::iter::from_fn(|| state.pop_runnable())
             .map(|s| s.id)
             .collect();
         assert_eq!(
             order,
             [1, 3, 2, 4],
-            "classes first, then unclaimed, then FIFO"
+            "classes first, then unshared workloads, then FIFO"
         );
     }
 
@@ -1027,12 +946,14 @@ mod tests {
         use grow_sim::exec::with_workers;
         // The picked job is already counted in `running`.
         let mut state = empty_state();
-        state.running.insert(submission(0).key);
+        let lone = submission(0);
+        state.running.insert(lone.key, lone.session);
         assert!(!state.contended(), "a lone pickup");
         state.queues[Priority::Low.index()].push_back(submission(1));
         assert!(state.contended(), "another job queued");
         state.pop();
-        state.running.insert(submission(2).key);
+        let other = submission(2);
+        state.running.insert(other.key, other.session);
         assert!(state.contended(), "another job running");
 
         assert_eq!(job_scope(true, ExecMode::current), ExecMode::Serial);

@@ -5,22 +5,25 @@
 //! (partitioned/relabeled) forms, which are by far the most expensive part
 //! of an evaluation; engines are then dispatched by name through the
 //! [`grow_core::registry`], so callers — benches, examples, services —
-//! never touch engine types directly. The [`crate::batch`] service pools
-//! sessions by workload key and shares them across jobs.
+//! never touch engine types directly. Each strategy's prepared form lives
+//! in its own once-cell, so a session shared across threads prepares
+//! each strategy exactly once while distinct strategies prepare at the
+//! same time. The [`crate::batch`] service pools sessions by workload key
+//! and shares them across jobs and workers.
 //!
 //! ```
 //! use grow_core::PartitionStrategy;
 //! use grow_model::DatasetKey;
 //! use grow_serve::session::SimSession;
 //!
-//! let mut session = SimSession::from_spec(DatasetKey::Cora.spec().scaled_to(400), 42);
+//! let session = SimSession::from_spec(DatasetKey::Cora.spec().scaled_to(400), 42);
 //! let grow = session.run("grow", PartitionStrategy::multilevel_default()).unwrap();
 //! let gcnax = session.run("gcnax", PartitionStrategy::None).unwrap();
 //! assert_eq!(grow.mac_ops(), gcnax.mac_ops(), "same work, different movement");
 //! ```
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use grow_core::registry::{self, RegistryError};
 use grow_core::{
@@ -34,10 +37,10 @@ use crate::store::{GraphFingerprint, ResultStore};
 /// Default HDN ID list length (Table III: 12 KB at 3 B/entry).
 pub const DEFAULT_HDN_ID_ENTRIES: usize = 4096;
 
-/// How [`SimSession::prepare_stored`] came by a prepared form.
+/// How [`SimSession::prepare`] came by a prepared form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Preparation {
-    /// Already memoized: nothing ran.
+    /// Already memoized (or prepared by a concurrent caller): nothing ran.
     Memoized,
     /// Prepared here, running the strategy's partitioner (if any).
     Computed,
@@ -45,13 +48,19 @@ pub(crate) enum Preparation {
     Loaded,
 }
 
+/// One strategy's prepared form, filled exactly once.
+type PreparedCell = Arc<OnceLock<Arc<PreparedWorkload>>>;
+
 /// A simulation session: one workload, memoized preprocessing, and
 /// name-based engine dispatch.
 #[derive(Debug)]
 pub struct SimSession {
     workload: GcnWorkload,
     hdn_id_entries: usize,
-    prepared: HashMap<PartitionStrategy, Arc<PreparedWorkload>>,
+    /// One once-cell per strategy. The map lock is held only to find or
+    /// insert a cell, so distinct strategies prepare concurrently while
+    /// callers racing on one strategy wait for its single preparation.
+    prepared: Mutex<HashMap<PartitionStrategy, PreparedCell>>,
     plan_cache: Option<(Arc<PlanCache>, String)>,
 }
 
@@ -61,7 +70,7 @@ impl SimSession {
         SimSession {
             workload,
             hdn_id_entries: DEFAULT_HDN_ID_ENTRIES,
-            prepared: HashMap::new(),
+            prepared: Mutex::default(),
             plan_cache: None,
         }
     }
@@ -76,7 +85,7 @@ impl SimSession {
     pub fn set_hdn_id_entries(&mut self, entries: usize) {
         if entries != self.hdn_id_entries {
             self.hdn_id_entries = entries;
-            self.prepared.clear();
+            self.cells().clear();
         }
     }
 
@@ -91,21 +100,14 @@ impl SimSession {
     /// aggregation plans across jobs hitting the same prepared form.
     /// Clears any already-prepared workloads so stamps stay consistent.
     pub fn set_plan_cache(&mut self, cache: Arc<PlanCache>, scope_prefix: String) {
-        self.prepared.clear();
+        self.cells().clear();
         self.plan_cache = Some((cache, scope_prefix));
     }
 
-    /// Stamps the session's plan-cache scope (if any) onto a freshly
-    /// prepared workload and shares it behind an `Arc`, so in-flight
-    /// jobs keep their prepared form alive across session eviction.
-    fn stamp(&self, strategy: PartitionStrategy, mut p: PreparedWorkload) -> Arc<PreparedWorkload> {
-        if let Some((cache, prefix)) = &self.plan_cache {
-            p.plan_cache = Some(PlanCacheScope::new(
-                Arc::clone(cache),
-                format!("{prefix}|{strategy:?}"),
-            ));
-        }
-        Arc::new(p)
+    /// The per-strategy once-cells, locked. Every update under the lock
+    /// is one map operation, so a poisoned lock still guards a valid map.
+    fn cells(&self) -> MutexGuard<'_, HashMap<PartitionStrategy, PreparedCell>> {
+        self.prepared.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The underlying workload.
@@ -115,43 +117,55 @@ impl SimSession {
 
     /// Number of prepared forms currently memoized.
     pub fn prepared_count(&self) -> usize {
-        self.prepared.len()
+        self.cells().values().filter(|c| c.get().is_some()).count()
     }
 
     /// The prepared form of the workload under `strategy`, running the
     /// software preprocessing stack on first use and memoizing it.
-    pub fn prepared(&mut self, strategy: PartitionStrategy) -> &PreparedWorkload {
-        self.prepare_stored(strategy, None);
-        self.prepared.get(&strategy).expect("just prepared")
+    pub fn prepared(&self, strategy: PartitionStrategy) -> Arc<PreparedWorkload> {
+        self.prepare(strategy, None).0
     }
 
     /// The already-memoized prepared form for `strategy`, if any — the
-    /// read-only lookup after a preparation.
-    pub fn get_prepared(&self, strategy: PartitionStrategy) -> Option<&PreparedWorkload> {
-        self.prepared.get(&strategy).map(Arc::as_ref)
+    /// read-only lookup after a preparation. The handle is shared, so it
+    /// outlives the session.
+    pub fn get_prepared(&self, strategy: PartitionStrategy) -> Option<Arc<PreparedWorkload>> {
+        self.cells().get(&strategy)?.get().cloned()
     }
 
-    /// Like [`Self::get_prepared`] but returning the shared handle — the
-    /// serving layer clones it so a job can compute outside the session
-    /// lock (and survive eviction of the session mid-flight).
-    pub fn get_prepared_arc(&self, strategy: PartitionStrategy) -> Option<Arc<PreparedWorkload>> {
-        self.prepared.get(&strategy).map(Arc::clone)
-    }
-
-    /// Prepares `strategy` unless it is memoized. With `stored` — a
-    /// result store and the strategy's partition key — the assignment
-    /// comes from the store's validated entry for that key when there is
-    /// one, and a freshly computed assignment is persisted for the next
-    /// lifetime. Either way the preparation is derived by
-    /// [`prepare_with`], so it equals [`grow_core::prepare`]'s.
-    pub(crate) fn prepare_stored(
-        &mut self,
+    /// The prepared form for `strategy`, prepared exactly once however
+    /// many callers ask at the same time, and how this call came by it.
+    /// With `stored` — a result store and the strategy's partition key —
+    /// the assignment comes from the store's validated entry for that
+    /// key when there is one, and a freshly computed assignment is
+    /// persisted for the next lifetime. Either way the preparation is
+    /// derived by [`prepare_with`], so it equals [`grow_core::prepare`]'s.
+    /// A panicking preparation leaves the strategy unprepared, and the
+    /// next caller runs it again.
+    pub(crate) fn prepare(
+        &self,
         strategy: PartitionStrategy,
         stored: Option<(&ResultStore, &str)>,
-    ) -> Preparation {
-        if self.prepared.contains_key(&strategy) {
-            return Preparation::Memoized;
-        }
+    ) -> (Arc<PreparedWorkload>, Preparation) {
+        // Clone the cell out so the map lock is released before preparing.
+        let cell = Arc::clone(self.cells().entry(strategy).or_default());
+        let mut source = Preparation::Memoized;
+        let prepared = cell.get_or_init(|| {
+            let (prepared, how) = self.derive(strategy, stored);
+            source = how;
+            prepared
+        });
+        (Arc::clone(prepared), source)
+    }
+
+    /// Runs the software preprocessing stack for `strategy` (see
+    /// [`Self::prepare`]) and stamps the session's plan-cache scope, if
+    /// any, onto the result.
+    fn derive(
+        &self,
+        strategy: PartitionStrategy,
+        stored: Option<(&ResultStore, &str)>,
+    ) -> (Arc<PreparedWorkload>, Preparation) {
         let graph = &self.workload.graph;
         let mut source = Preparation::Computed;
         let partitioning = match stored {
@@ -178,9 +192,14 @@ impl SimSession {
                 }
             }
         };
-        let p = prepare_with(&self.workload, partitioning.as_ref(), self.hdn_id_entries);
-        self.prepared.insert(strategy, self.stamp(strategy, p));
-        source
+        let mut p = prepare_with(&self.workload, partitioning.as_ref(), self.hdn_id_entries);
+        if let Some((cache, prefix)) = &self.plan_cache {
+            p.plan_cache = Some(PlanCacheScope::new(
+                Arc::clone(cache),
+                format!("{prefix}|{strategy:?}"),
+            ));
+        }
+        (Arc::new(p), source)
     }
 
     /// Runs the named engine (default configuration) on the workload
@@ -190,14 +209,14 @@ impl SimSession {
     ///
     /// Returns [`RegistryError`] if the engine name is unknown.
     pub fn run(
-        &mut self,
+        &self,
         engine: &str,
         strategy: PartitionStrategy,
     ) -> Result<RunReport, RegistryError> {
         // Resolve the engine before preparing, so an unknown name fails
         // fast instead of after seconds of partitioning.
         let engine = registry::engine_by_name(engine)?;
-        Ok(engine.run(self.prepared(strategy)))
+        Ok(engine.run(&self.prepared(strategy)))
     }
 
     /// Runs the named engine with key-value configuration overrides (see
@@ -208,31 +227,13 @@ impl SimSession {
     /// Returns [`RegistryError`] for unknown names/keys or unparsable
     /// values.
     pub fn run_with(
-        &mut self,
+        &self,
         engine: &str,
         overrides: &[(&str, &str)],
         strategy: PartitionStrategy,
     ) -> Result<RunReport, RegistryError> {
         let engine = registry::engine_from_overrides(engine, overrides)?;
-        Ok(engine.run(self.prepared(strategy)))
-    }
-
-    /// Runs every registered engine in its paper-default configuration:
-    /// GROW on the partitioned workload, the baselines on the original
-    /// node order (Section VI's comparison setup). Reports come back in
-    /// [`registry::ENGINE_NAMES`] order.
-    pub fn compare_all(&mut self) -> Vec<RunReport> {
-        registry::ENGINE_NAMES
-            .iter()
-            .map(|&name| {
-                let strategy = if name == "grow" {
-                    PartitionStrategy::multilevel_default()
-                } else {
-                    PartitionStrategy::None
-                };
-                self.run(name, strategy).expect("registry names resolve")
-            })
-            .collect()
+        Ok(engine.run(&self.prepared(strategy)))
     }
 }
 
@@ -241,6 +242,7 @@ mod tests {
     use super::*;
     use grow_core::prepare;
     use grow_model::DatasetKey;
+    use std::sync::Barrier;
 
     fn session() -> SimSession {
         SimSession::from_spec(DatasetKey::Pubmed.spec().scaled_to(500), 7)
@@ -249,7 +251,7 @@ mod tests {
     #[test]
     fn run_matches_direct_engine_use() {
         use grow_core::{Accelerator, GrowEngine};
-        let mut s = session();
+        let s = session();
         let via_session = s.run("grow", PartitionStrategy::None).unwrap();
         let direct = GrowEngine::default().run(&prepare(
             s.workload(),
@@ -261,35 +263,56 @@ mod tests {
 
     #[test]
     fn preparation_is_memoized() {
-        let mut s = session();
+        let s = session();
         let strategy = PartitionStrategy::Multilevel { cluster_nodes: 100 };
-        let a = s.prepared(strategy).clusters.clone();
-        let b = s.prepared(strategy).clusters.clone();
-        assert_eq!(a, b);
-        assert_eq!(s.prepared.len(), 1);
+        let a = s.prepared(strategy);
+        let b = s.prepared(strategy);
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(s.prepared_count(), 1);
+    }
+
+    #[test]
+    fn racing_callers_prepare_each_strategy_once() {
+        let s = session();
+        let strategies = [
+            PartitionStrategy::None,
+            PartitionStrategy::Multilevel { cluster_nodes: 100 },
+            PartitionStrategy::LabelPropagation { cluster_nodes: 100 },
+        ];
+        let (shared, start) = (&s, &Barrier::new(2 * strategies.len()));
+        let runs: Vec<Preparation> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .flat_map(|_| strategies)
+                .map(|strategy| {
+                    scope.spawn(move || {
+                        start.wait();
+                        shared.prepare(strategy, None).1
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let computed = runs.iter().filter(|&&p| p == Preparation::Computed).count();
+        assert_eq!(computed, strategies.len(), "one preparation per strategy");
+        assert_eq!(s.prepared_count(), strategies.len());
+        for strategy in strategies {
+            let direct = prepare(s.workload(), strategy, DEFAULT_HDN_ID_ENTRIES);
+            let memoized = s.prepared(strategy);
+            assert_eq!(memoized.clusters, direct.clusters, "{strategy:?}");
+            assert_eq!(memoized.hdn_lists, direct.hdn_lists, "{strategy:?}");
+        }
     }
 
     #[test]
     fn unknown_engine_fails_fast() {
-        let mut s = session();
+        let s = session();
         assert!(s.run("npu", PartitionStrategy::None).is_err());
-        assert!(s.prepared.is_empty(), "no preparation for unknown engines");
-    }
-
-    #[test]
-    fn compare_all_covers_every_engine() {
-        let mut s = session();
-        let reports = s.compare_all();
-        assert_eq!(reports.len(), 4);
-        let names: Vec<&str> = reports.iter().map(|r| r.engine).collect();
-        assert_eq!(names, ["GROW", "GCNAX", "MatRaptor", "GAMMA"]);
-        // Iso-computation across the board.
-        assert!(reports.windows(2).all(|w| w[0].mac_ops() == w[1].mac_ops()));
+        assert_eq!(s.prepared_count(), 0, "no preparation for unknown engines");
     }
 
     #[test]
     fn overrides_flow_through() {
-        let mut s = session();
+        let s = session();
         let narrow = s
             .run_with("grow", &[("runahead", "1")], PartitionStrategy::None)
             .unwrap();
@@ -302,7 +325,7 @@ mod tests {
         let mut s = session();
         s.prepared(PartitionStrategy::None);
         s.set_hdn_id_entries(16);
-        assert!(s.prepared.is_empty());
+        assert_eq!(s.prepared_count(), 0);
         assert!(s.prepared(PartitionStrategy::None).hdn_lists[0].len() <= 16);
     }
 
@@ -311,19 +334,20 @@ mod tests {
         let mut s = session();
         assert!(s.prepared(PartitionStrategy::None).plan_cache.is_none());
         s.set_plan_cache(Arc::new(PlanCache::new(4)), "key".into());
-        assert!(s.prepared.is_empty(), "attachment clears memoized forms");
+        assert_eq!(s.prepared_count(), 0, "attachment clears memoized forms");
         assert!(s.prepared(PartitionStrategy::None).plan_cache.is_some());
-        let arc = s.get_prepared_arc(PartitionStrategy::None).unwrap();
+        let arc = s.get_prepared(PartitionStrategy::None).unwrap();
         assert!(Arc::ptr_eq(
             &arc,
-            &s.get_prepared_arc(PartitionStrategy::None).unwrap()
+            &s.get_prepared(PartitionStrategy::None).unwrap()
         ));
     }
 
     #[test]
     fn get_prepared_is_read_only() {
-        let mut s = session();
+        let s = session();
         assert!(s.get_prepared(PartitionStrategy::None).is_none());
+        assert_eq!(s.prepared_count(), 0, "a lookup prepares nothing");
         s.prepared(PartitionStrategy::None);
         assert!(s.get_prepared(PartitionStrategy::None).is_some());
         assert_eq!(s.prepared_count(), 1);

@@ -702,7 +702,7 @@ fn a_sampled_aggregation_run_leaves_the_plan_cache_clean() {
         .expect("the served job pooled its preparation");
     run_with_aggregation(
         &GrowEngine::default(),
-        prepared,
+        &prepared,
         AggregationKind::SageMean { sample: Some(2) },
     );
     assert_eq!(

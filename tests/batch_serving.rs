@@ -75,15 +75,19 @@ fn repeated_parallel_batches_are_stable() {
 fn duplicate_keys_compute_once_under_parallel_execution() {
     let spec = DatasetKey::Citeseer.spec().scaled_to(700);
     let strategy = PartitionStrategy::Multilevel { cluster_nodes: 150 };
+    let label_prop = PartitionStrategy::LabelPropagation { cluster_nodes: 150 };
     // 12 jobs, but only 3 distinct keys (engine case and override order
-    // do not affect the key).
+    // do not affect the key), on three strategies of one fresh workload,
+    // so the pool's workers race to prepare them.
     let a = JobSpec::new(spec, 4, "grow").with_strategy(strategy);
     let a_alias = JobSpec::new(spec, 4, "GROW").with_strategy(strategy);
     let b = JobSpec::new(spec, 4, "gcnax");
     let c = JobSpec::new(spec, 4, "grow")
+        .with_strategy(label_prop)
         .with_override("runahead", "4")
         .with_override("hdn_cache_kb", "128");
     let c_alias = JobSpec::new(spec, 4, "grow")
+        .with_strategy(label_prop)
         .with_override("hdn_cache_kb", "128")
         .with_override("runahead", "4");
     let batch = vec![
@@ -113,7 +117,7 @@ fn duplicate_keys_compute_once_under_parallel_execution() {
     assert_eq!(stats.cache_hits, batch.len() as u64 - 3);
     assert_eq!(stats.jobs_failed, 0);
     assert_eq!(stats.sessions_created, 1, "one workload recipe");
-    assert_eq!(stats.preparations_run, 2, "two distinct strategies");
+    assert_eq!(stats.preparations_run, 3, "three distinct strategies");
 
     // The non-computing duplicates are flagged as cache hits and carry
     // the exact report of their key's one computation.

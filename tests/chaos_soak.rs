@@ -2,11 +2,14 @@
 //! store-backed `AsyncService` runs once fault-free, then three more
 //! rounds under a cycling grid of transient `fault=` injections (DRAM
 //! issue, scheduler dispatch, store read/write; `error` and `panic`
-//! actions). Checked at one worker and again at four, each on a fresh
-//! store:
+//! actions), then the first faulted round once more. Each round is a
+//! new service lifetime on the same store, so the replayed round finds
+//! the keys its first run persisted, and its `store_read` spec fires on
+//! a real entry. Checked at one worker and again at four, each on a
+//! fresh store:
 //!
-//! * every grid spec fires on a fleet job that reaches its site, so no
-//!   spec is a silent no-op;
+//! * every part of every grid spec fires on a fleet job that reaches its
+//!   site, so no spec is a silent no-op;
 //! * the fault-free round reports exactly what a service-free run of
 //!   each job does;
 //! * in every faulted round each ticket resolves, no worker dies, every
@@ -42,8 +45,9 @@ use grow::sim::fault;
 /// `store_read` fault degrades to a cache miss, so each faulted job
 /// still retries to a fault-free final attempt. The `sched` site only
 /// has trip points in the e2e dispatch loop, so it fires on the two
-/// `exec=e2e` jobs and arms harmlessly elsewhere. The permanent shapes
-/// are covered by `fault_injection.rs`.
+/// `exec=e2e` jobs and arms harmlessly elsewhere. The `store_read` spec
+/// writes its entry intact, so the replayed round reads it back. The
+/// permanent shapes are covered by `fault_injection.rs`.
 const FAULT_GRID: [&str; 11] = [
     "dram:error:1:2",
     "dram:panic:1:2",
@@ -55,7 +59,7 @@ const FAULT_GRID: [&str; 11] = [
     "dram:error:4:1",
     "dram:panic:2:2+store_write:error:1",
     "store_write:panic:1",
-    "store_read:error:1+store_write:error:1",
+    "store_read:error:1+dram:error:1:2",
 ];
 
 /// Faulted rounds after the fault-free one.
@@ -127,10 +131,13 @@ fn submit_all(service: &AsyncService, jobs: &[(JobSpec, Priority)]) -> Vec<Ticke
         .collect()
 }
 
-/// Runs each grid spec once, serially and on a fresh store, on the
+/// Runs each part of each grid spec (the `+`-joined specs split) on the
 /// fleet's `exec=e2e` GROW job, which reaches every site the grid names,
-/// and checks that the spec fired: a site change that turns a spec into
-/// a no-op fails here instead of silently thinning the soak.
+/// and checks that the part fired. Each part is served serially, twice,
+/// by two service lifetimes on one fresh store, so a `store_read` part
+/// meets the entry the first lifetime persisted. A site change that
+/// turns a part into a no-op fails here instead of silently thinning
+/// the soak.
 fn every_grid_spec_fires(jobs: &[(JobSpec, Priority)]) {
     let e2e_grow = jobs
         .iter()
@@ -138,16 +145,17 @@ fn every_grid_spec_fires(jobs: &[(JobSpec, Priority)]) {
         .find(|job| job.engine == "grow" && job.overrides.iter().any(|o| o == "exec=e2e"))
         .expect("the fleet has an e2e GROW job");
     let dir = std::env::temp_dir().join(format!("grow-chaos-fires-{}", std::process::id()));
-    for spec in FAULT_GRID {
+    for part in FAULT_GRID.iter().flat_map(|spec| spec.split('+')) {
         let _ = std::fs::remove_dir_all(&dir);
-        let store = ResultStore::open(&dir).expect("open store");
-        let mut service = BatchService::new().with_store(store);
+        let job = e2e_grow.clone().with_fault(part);
         let before = fault::injected_total();
-        let result = with_mode(ExecMode::Serial, || {
-            service.run_one(&e2e_grow.clone().with_fault(spec))
-        });
-        assert!(result.outcome.is_ok(), "{spec}: {:?}", result.outcome);
-        assert!(fault::injected_total() > before, "{spec} never fired");
+        for _ in 0..2 {
+            let store = ResultStore::open(&dir).expect("open store");
+            let mut service = BatchService::new().with_store(store);
+            let result = with_mode(ExecMode::Serial, || service.run_one(&job));
+            assert!(result.outcome.is_ok(), "{part}: {:?}", result.outcome);
+        }
+        assert!(fault::injected_total() > before, "{part} never fired");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -161,8 +169,10 @@ fn soak(workers: usize) {
     let injected_before = fault::injected_total();
 
     let mut baseline: Vec<RunReport> = Vec::new();
-    for round in 0..=ROUNDS {
-        let context = format!("{workers} workers, round {round}");
+    // The last lifetime replays round 1 on the store its first run left.
+    for (lifetime, round) in (0..=ROUNDS).chain([1]).enumerate() {
+        let replay = lifetime > ROUNDS;
+        let context = format!("{workers} workers, lifetime {lifetime} (round {round})");
         // Round 0 is fault-free; later rounds cycle each job through the
         // grid, offset by round, so every job sees three fault shapes.
         let round_jobs: Vec<(JobSpec, Priority)> = jobs
@@ -184,12 +194,21 @@ fn soak(workers: usize) {
                     .unwrap_or_else(|e| panic!("{context}: wedged ticket ({e})"))
             })
             .collect();
-        let (_, shutdown) = service.finish_report();
+        let (batch, shutdown) = service.finish_report();
         assert!(
             !shutdown.worker_panicked && shutdown.casualties.is_empty(),
             "{context}: a worker died ({} casualties)",
             shutdown.casualties.len()
         );
+        if replay {
+            // Only the store_read fault quarantines an entry here: the
+            // soak corrupts nothing on disk.
+            let store = batch.store().expect("store attached").stats();
+            assert!(
+                batch.stats().store_hits > 0 && store.quarantined > 0,
+                "{context}: no store_read fault met a persisted key ({store:?})"
+            );
+        }
         let failed: Vec<String> = results
             .iter()
             .filter_map(|r| {

@@ -564,6 +564,55 @@ fn one_worker_death_degrades_the_pool_but_not_the_service() {
 }
 
 #[test]
+fn a_panic_while_preparing_fails_its_job_alone() {
+    // A zero-node recipe panics while its workload is generated, before
+    // any engine runs. Preparation runs under the job's supervisor, so
+    // that panic is retried and fails the job like a simulation panic.
+    let mut empty = spec();
+    empty.nodes = 0;
+    let bad = JobSpec::new(empty, 42, "grow");
+    let failed = Err(JobError::Panicked {
+        message: "graph must have nodes".into(),
+        attempts: grow::serve::MAX_ATTEMPTS,
+    });
+    let good = [
+        JobSpec::new(spec(), 42, "grow"),
+        JobSpec::new(spec(), 42, "gcnax"),
+    ];
+
+    // On a pool: no worker dies, and the pool serves the next job.
+    let service = AsyncService::start(
+        BatchService::new(),
+        AsyncConfig {
+            workers: 2,
+            ..AsyncConfig::default()
+        },
+    );
+    let lost = |e| panic!("the preparation panic killed a worker ({e})");
+    let result = service.submit(bad.clone()).expect("admitted");
+    assert_eq!(result.wait().unwrap_or_else(lost).outcome, failed);
+    let result = service.submit(good[0].clone()).expect("admitted");
+    assert_eq!(
+        result.wait().unwrap_or_else(lost).outcome,
+        common::run_unserved(&good[0])
+    );
+    assert_eq!(service.workers_alive(), 2);
+    let (batch, report) = service.finish_report();
+    assert!(!report.worker_panicked && report.casualties.is_empty());
+    assert_eq!(
+        batch.pooled_sessions(),
+        1,
+        "the failed recipe pools nothing"
+    );
+
+    // In a single-worker batch, the jobs after it still run.
+    let jobs = [bad, good[0].clone(), good[1].clone()];
+    let results = with_mode(ExecMode::Serial, || BatchService::new().run_batch(&jobs));
+    assert_eq!(results[0].outcome, failed);
+    common::assert_unserved_outcomes(&jobs[1..], &results[1..]);
+}
+
+#[test]
 fn seeded_plans_are_reproducible() {
     // The chaos generator is pure in its seed: the same seed yields the
     // same plan, different seeds explore different shapes.

@@ -37,7 +37,7 @@ fn unknown_engine_is_an_error_everywhere() {
         Some(expected.clone())
     );
 
-    let mut session = SimSession::from_spec(spec(), 1);
+    let session = SimSession::from_spec(spec(), 1);
     assert_eq!(
         session.run("npu", PartitionStrategy::None).err(),
         Some(expected.clone())
@@ -70,7 +70,7 @@ fn unknown_key_and_invalid_value_are_reported_not_panicked() {
         registry::engine_from_overrides("matraptor", &[("runahead", "4")]).err(),
         Some(unknown_key.clone())
     );
-    let mut session = SimSession::from_spec(spec(), 2);
+    let session = SimSession::from_spec(spec(), 2);
     assert_eq!(
         session
             .run_with("matraptor", &[("runahead", "4")], PartitionStrategy::None)
@@ -147,7 +147,7 @@ fn unknown_scheduler_is_an_error_everywhere() {
         );
     }
 
-    let mut session = SimSession::from_spec(spec(), 4);
+    let session = SimSession::from_spec(spec(), 4);
     assert_eq!(
         session
             .run_with("grow", &[("scheduler", "bogus")], PartitionStrategy::None)
@@ -192,7 +192,7 @@ fn unknown_exec_model_is_an_error_everywhere() {
         );
     }
 
-    let mut session = SimSession::from_spec(spec(), 4);
+    let session = SimSession::from_spec(spec(), 4);
     assert_eq!(
         session
             .run_with("grow", &[("exec", "sideways")], PartitionStrategy::None)
