@@ -11,82 +11,109 @@
 //!
 //! `--channels`/`--banks` select the banked memory topology for the
 //! end-to-end experiments (`figure24`); the default `1 1` is the uniform
-//! fluid pipe.
+//! fluid pipe. A malformed, missing or out-of-range flag value — a
+//! `--channels` or `--banks` count the engine registry would reject, a
+//! zero `--max-nodes` — prints a message and exits 2 before anything
+//! runs, as an unknown experiment id or dataset does.
 //!
 //! Experiment ids: `table1 fig2 fig3 fig5 fig6 fig7 fig11 fig14 fig17
 //! fig18 fig19 fig20 fig21 fig22 table4 fig24 figure24 fig25a fig25b
 //! fig26 replacement nonpowerlaw preprocessing extensions engines sweep`
 //! (`figure24` is the scheduler-axis extension of `fig24`, executed in
 //! the end-to-end multi-PE mode: all four engines × rr/lpt/ws/ca cluster
-//! scheduling × 1–16 PEs with `exec=e2e`, dispatched through the batch
-//! service and summarized — per-layer multi-PE breakdowns included —
-//! into `results/BENCH_figure24.json`). Each
+//! scheduling × 1–16 PEs with `exec=e2e`, summarized — per-layer multi-PE
+//! breakdowns included — into `results/BENCH_figure24.json`). Each
 //! prints an aligned table and writes `results/<id>.csv` plus a
 //! machine-readable `results/<id>.json`; a run summary with per-experiment
 //! wall-clock times lands in `results/BENCH_experiments.json` for
 //! cross-PR perf tracking.
 //!
-//! The registry-driven experiments (`engines`, `sweep`) are defined as
-//! *data* — lists of `grow_serve::JobSpec`s dispatched through one
-//! `BatchService` call, which deduplicates workload preparation and fans
-//! the simulations across worker threads.
+//! Every engine experiment is defined as *data*: a list of
+//! `grow_serve::JobSpec`s whose `key=value` overrides name the
+//! configuration under study (`hdn_caching=false`, `runahead=1`,
+//! `dram_gbps=64`, `replacement=lru`, ...), run in one call on the
+//! invocation's one `BatchService`. Its session pool generates and
+//! partitions each dataset once per invocation, its report cache
+//! simulates a configuration that several figures share once, and each
+//! call fans its jobs across worker threads. The characterization
+//! figures read each workload and its prepared forms from the same
+//! pooled sessions. Only the R-MAT `nonpowerlaw` study (its graph is not
+//! a dataset recipe), the `preprocessing` timer, `fig14`'s 8-way
+//! visualization partition and the `table4` area model stay off the job
+//! path.
 
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
 use grow_bench::{cell, Context, Table};
-use grow_core::experiments::{self, geomean, TrafficAblation};
-use grow_core::{Accelerator, GcnaxEngine, GrowConfig, GrowEngine};
+use grow_core::experiments::{self, geomean};
+use grow_core::registry::{self, ENGINE_NAMES};
+use grow_core::{
+    multi_pe, Accelerator, GcnaxEngine, GrowConfig, GrowEngine, PartitionStrategy, RunReport,
+    SchedulerKind,
+};
 use grow_energy::{ActivityCounts, AreaModel, EnergyModel, GCNAX_AREA_40NM, TECH_SCALE_65_TO_40};
 use grow_graph::stats;
 use grow_model::DatasetKey;
 use grow_partition::{multilevel_partition, ClusterLayout, MultilevelConfig};
-use grow_serve::BatchService;
+use grow_serve::{JobSpec, SimSession};
 use grow_sparse::analysis::{self, FIG5A_BOUNDS, FIG5B_BOUNDS};
 use grow_sparse::RowMajorSparse;
 
+/// Prints `message` and exits 2, the status of every usage error.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
+}
+
+/// The value following `flag`, parsed, or a usage error naming the
+/// `expected` form.
+fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<String>, expected: &str) -> T {
+    let value = value.unwrap_or_else(|| usage_error(&format!("{flag} needs a value ({expected})")));
+    value.parse().unwrap_or_else(|_| {
+        usage_error(&format!(
+            "invalid value '{value}' for {flag} (expected {expected})"
+        ))
+    })
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seed = 42u64;
-    let mut keys: Vec<DatasetKey> = DatasetKey::ALL.to_vec();
-    let mut max_nodes: Option<usize> = None;
-    let mut full = false;
-    let mut channels = 1usize;
-    let mut banks = 1usize;
+    let mut ctx = Context::new(DatasetKey::ALL.to_vec(), 42);
     let mut out_dir = PathBuf::from("results");
     let mut ids: Vec<String> = Vec::new();
 
-    let mut it = args.into_iter();
+    let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--seed" => seed = it.next().and_then(|v| v.parse().ok()).expect("--seed N"),
+            "--seed" => ctx.seed = flag_value(&arg, it.next(), "an unsigned integer"),
             "--datasets" => {
-                let list = it.next().expect("--datasets a,b,c");
-                keys = list
+                let list: String = flag_value(&arg, it.next(), "a,b,c");
+                ctx.keys = list
                     .split(',')
                     .map(|name| {
-                        DatasetKey::parse(name).unwrap_or_else(|| {
-                            eprintln!("unknown dataset '{name}'");
-                            std::process::exit(2);
-                        })
+                        DatasetKey::parse(name)
+                            .unwrap_or_else(|| usage_error(&format!("unknown dataset '{name}'")))
                     })
                     .collect();
             }
             "--max-nodes" => {
-                max_nodes = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--max-nodes N"),
-                )
+                let cap: NonZeroUsize = flag_value(&arg, it.next(), "a positive node count");
+                ctx.max_nodes = Some(cap.get());
             }
-            "--full" => full = true,
-            "--channels" => {
-                channels = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--channels N")
+            "--full" => ctx.full_scale = true,
+            "--channels" | "--banks" => {
+                let value: String = flag_value(&arg, it.next(), "a positive count");
+                // The registry's own bounds, which every job applies.
+                if let Err(e) = registry::engine_from_overrides("grow", &[(&arg[2..], &value)]) {
+                    usage_error(&format!("{arg}: {e}"));
+                }
+                let count = value.parse().expect("the registry parsed it");
+                match arg.as_str() {
+                    "--channels" => ctx.channels = count,
+                    _ => ctx.banks = count,
+                }
             }
-            "--banks" => banks = it.next().and_then(|v| v.parse().ok()).expect("--banks N"),
-            "--out" => out_dir = PathBuf::from(it.next().expect("--out DIR")),
+            "--out" => out_dir = PathBuf::from(flag_value::<String>(&arg, it.next(), "DIR")),
             "--help" | "-h" => {
                 eprintln!("see crate docs: experiments [flags] <ids...> | all");
                 return;
@@ -95,8 +122,7 @@ fn main() {
         }
     }
     if ids.is_empty() {
-        eprintln!("no experiment ids given; try `all`");
-        std::process::exit(2);
+        usage_error("no experiment ids given; try `all`");
     }
     let all_ids = [
         "table1",
@@ -129,16 +155,12 @@ fn main() {
     if ids.len() == 1 && ids[0] == "all" {
         ids = all_ids.iter().map(|s| s.to_string()).collect();
     }
-
-    let mut ctx = Context::new(keys, seed);
-    ctx.max_nodes = max_nodes;
-    ctx.full_scale = full;
-    ctx.channels = channels.max(1);
-    ctx.banks = banks.max(1);
-    // One batch service for the whole invocation: the registry-driven
-    // experiments share pooled sessions and cached reports (running
-    // `engines sweep` prepares each workload once, not twice).
-    let mut service = BatchService::new();
+    if let Some(other) = ids.iter().find(|id| !all_ids.contains(&id.as_str())) {
+        usage_error(&format!(
+            "unknown experiment '{other}' (known: {})",
+            all_ids.join(" ")
+        ));
+    }
 
     let mut timings: Vec<(String, f64)> = Vec::new();
     for id in &ids {
@@ -160,7 +182,7 @@ fn main() {
             "fig22" => fig22(&mut ctx),
             "table4" => table4(),
             "fig24" => fig24(&mut ctx),
-            "figure24" => figure24(&ctx, &mut service, &out_dir),
+            "figure24" => figure24(&mut ctx, &out_dir),
             "fig25a" => fig25a(&mut ctx),
             "fig25b" => fig25b(&mut ctx),
             "fig26" => fig26(&mut ctx),
@@ -168,15 +190,9 @@ fn main() {
             "nonpowerlaw" => nonpowerlaw(),
             "preprocessing" => preprocessing(&mut ctx),
             "extensions" => extensions(&mut ctx),
-            "engines" => engines(&ctx, &mut service),
-            "sweep" => sweep(&ctx, &mut service),
-            other => {
-                eprintln!(
-                    "unknown experiment '{other}' (known: {})",
-                    all_ids.join(" ")
-                );
-                std::process::exit(2);
-            }
+            "engines" => engines(&mut ctx),
+            "sweep" => sweep(&mut ctx),
+            _ => unreachable!("ids are checked against all_ids"),
         };
         timings.push((id.clone(), started.elapsed().as_secs_f64() * 1e3));
         println!("{}", table.render());
@@ -187,7 +203,7 @@ fn main() {
             eprintln!("warning: could not write {} json: {e}", table.name());
         }
     }
-    write_bench_summary(&out_dir, seed, &timings);
+    write_bench_summary(&out_dir, ctx.seed, &timings);
 }
 
 /// Writes `BENCH_experiments.json`: per-experiment wall-clock times of this
@@ -220,14 +236,69 @@ fn write_bench_summary(out_dir: &std::path::Path, seed: u64, timings: &[(String,
     }
 }
 
-/// All four registry engines on every selected dataset, dispatched as one
-/// `grow_serve` batch: the sweep definition is a job list, preparation is
-/// shared per dataset through the session pool, and the fleet fans across
-/// worker threads.
-fn engines(ctx: &Context, service: &mut BatchService) -> Table {
-    use grow_core::registry::ENGINE_NAMES;
-    use grow_core::PartitionStrategy;
-    use grow_serve::JobSpec;
+/// The original node order: the baselines and GROW without graph
+/// partitioning (G.P.).
+const NO_GP: PartitionStrategy = PartitionStrategy::None;
+
+/// Table III's multilevel graph partitioning: GROW with G.P.
+const GP: PartitionStrategy = PartitionStrategy::multilevel_default();
+
+/// Runs a figure's job list on the invocation's service in one batch:
+/// `dataset_jobs` builds each dataset's jobs from `job(engine, strategy)`,
+/// the engine's default job on the dataset, adding the overrides under
+/// study. Returns each dataset's reports in job order. Flags are validated
+/// before any experiment runs, so a failed job is a bug in the harness.
+fn run<const N: usize>(
+    ctx: &mut Context,
+    id: &str,
+    dataset_jobs: impl Fn(&dyn Fn(&str, PartitionStrategy) -> JobSpec) -> [JobSpec; N],
+) -> Vec<(DatasetKey, [RunReport; N])> {
+    let shared = &*ctx;
+    let jobs: Vec<JobSpec> = (0..ctx.len())
+        .flat_map(|i| {
+            dataset_jobs(&|engine, strategy| {
+                JobSpec::new(shared.spec(i), shared.seed, engine).with_strategy(strategy)
+            })
+        })
+        .collect();
+    eprintln!("[run] {id}: {} jobs", jobs.len());
+    let mut reports = ctx.service.run_batch(&jobs).into_iter().map(|result| {
+        result
+            .outcome
+            .unwrap_or_else(|e| panic!("{id}: {} on {}: {e}", result.engine, result.dataset))
+    });
+    let mut next = |_| reports.next().expect("N reports per dataset");
+    ctx.keys
+        .iter()
+        .map(|&key| (key, std::array::from_fn(&mut next)))
+        .collect()
+}
+
+/// Dataset `i`'s pooled session — its workload and prepared forms,
+/// shared with every job on the dataset, whatever its engine —
+/// instantiated on first use.
+fn session(ctx: &mut Context, i: usize) -> &SimSession {
+    let job = JobSpec::new(ctx.spec(i), ctx.seed, "grow");
+    ctx.service.session(&job)
+}
+
+/// The comparison of Figures 17, 18, 20 and 22: GCNAX, GROW without and
+/// GROW with graph partitioning, each at its default configuration.
+fn comparison(ctx: &mut Context, id: &str) -> Vec<(DatasetKey, [RunReport; 3])> {
+    run(ctx, id, |job| {
+        [job("gcnax", NO_GP), job("grow", NO_GP), job("grow", GP)]
+    })
+}
+
+/// The aggregation phases' HDN cache hit rate (0 when nothing probed).
+fn hit_rate(report: &RunReport) -> f64 {
+    report.aggregation_cache().hit_rate().unwrap_or(0.0)
+}
+
+/// All four registry engines on every selected dataset, GROW on its
+/// partitioned workload and the baselines on the original node order
+/// (Section VI's setup).
+fn engines(ctx: &mut Context) -> Table {
     let mut t = Table::new(
         "engines",
         &[
@@ -239,33 +310,20 @@ fn engines(ctx: &Context, service: &mut BatchService) -> Table {
             "agg hit rate",
         ],
     );
-    let mut jobs = Vec::new();
-    for i in 0..ctx.len() {
-        let spec = ctx.spec(i);
-        for name in ENGINE_NAMES {
-            // GROW runs on its partitioned workload, baselines on the
-            // original node order (Section VI's setup).
-            let strategy = if name == "grow" {
-                PartitionStrategy::multilevel_default()
-            } else {
-                PartitionStrategy::None
-            };
-            jobs.push(JobSpec::new(spec, ctx.seed, name).with_strategy(strategy));
+    let reports = run(ctx, "engines", |job| {
+        ENGINE_NAMES.map(|name| job(name, if name == "grow" { GP } else { NO_GP }))
+    });
+    for (key, reports) in reports {
+        for r in &reports {
+            t.row(&[
+                key.name().into(),
+                r.engine.into(),
+                cell::count(r.total_cycles()),
+                cell::mib(r.dram_bytes()),
+                cell::count(r.mac_ops()),
+                cell::percent(hit_rate(r)),
+            ]);
         }
-    }
-    eprintln!("[run] engines: one batch of {} jobs", jobs.len());
-    for result in service.run_batch(&jobs) {
-        let r = result
-            .outcome
-            .expect("registered engines with default configs");
-        t.row(&[
-            result.dataset.into(),
-            r.engine.into(),
-            cell::count(r.total_cycles()),
-            cell::mib(r.dram_bytes()),
-            cell::count(r.mac_ops()),
-            cell::percent(r.aggregation_cache().hit_rate().unwrap_or(0.0)),
-        ]);
     }
     t
 }
@@ -273,13 +331,11 @@ fn engines(ctx: &Context, service: &mut BatchService) -> Table {
 /// The full dataset × engine × partition grid through the batch service
 /// in one call: results come back in submission order with per-job
 /// status, simulation wall-clock, and cache provenance.
-fn sweep(ctx: &Context, service: &mut BatchService) -> Table {
-    use grow_core::registry::ENGINE_NAMES;
-    use grow_core::PartitionStrategy;
+fn sweep(ctx: &mut Context) -> Table {
     use grow_serve::grid_jobs;
     let strategies = [
-        PartitionStrategy::None,
-        PartitionStrategy::multilevel_default(),
+        NO_GP,
+        GP,
         PartitionStrategy::LabelPropagation {
             cluster_nodes: 4096,
         },
@@ -300,7 +356,7 @@ fn sweep(ctx: &Context, service: &mut BatchService) -> Table {
         strategies.len(),
         jobs.len()
     );
-    let results = service.run_batch(&jobs);
+    let results = ctx.service.run_batch(&jobs);
     let mut t = Table::new(
         "sweep",
         &[
@@ -343,12 +399,12 @@ fn sweep(ctx: &Context, service: &mut BatchService) -> Table {
             ]),
         }
     }
-    let stats = service.stats();
+    let stats = ctx.service.stats();
     eprintln!(
         "[run] sweep: {} simulations, {} preparations, {} pooled sessions",
         stats.simulations_run,
         stats.preparations_run,
-        service.pooled_sessions()
+        ctx.service.pooled_sessions()
     );
     t
 }
@@ -369,21 +425,21 @@ fn table1(ctx: &mut Context) -> Table {
         ],
     );
     for i in 0..ctx.len() {
-        let eval = ctx.eval(i);
-        let g = &eval.workload.graph;
-        let spec = &eval.workload.spec;
+        let workload = session(ctx, i).workload();
+        let g = &workload.graph;
+        let spec = &workload.spec;
         let alpha = stats::power_law_alpha(g, (g.avg_degree() as usize).max(2))
             .map(|a| format!("{a:.2}"))
             .unwrap_or_else(|| "-".into());
         t.row(&[
-            eval.key.name().into(),
+            spec.key.name().into(),
             g.nodes().to_string(),
             cell::count(g.directed_edges() as u64),
             format!("{:.1}", g.avg_degree()),
             format!("{:.1}", spec.avg_degree),
             format!("{:.2e}", g.adjacency_density()),
-            cell::percent(eval.workload.layers[0].x.density()),
-            cell::percent(eval.workload.layers[1].x.density()),
+            cell::percent(workload.layers[0].x.density()),
+            cell::percent(workload.layers[1].x.density()),
             alpha,
         ]);
     }
@@ -396,11 +452,13 @@ fn fig2(ctx: &mut Context) -> Table {
         &["dataset", "MACs A(XW)", "MACs (AX)W", "(AX)W / A(XW)"],
     );
     for i in 0..ctx.len() {
-        let eval = ctx.eval(i);
-        let l = &eval.workload.layers[0];
-        let counts = analysis::gcn_mac_counts(&eval.base.adjacency, &l.x.view(), l.f_out);
+        let name = ctx.keys[i].name();
+        let session = session(ctx, i);
+        let l = &session.workload().layers[0];
+        let base = session.prepared(NO_GP);
+        let counts = analysis::gcn_mac_counts(&base.adjacency, &l.x.view(), l.f_out);
         t.row(&[
-            eval.key.name().into(),
+            name.into(),
             cell::count(counts.a_xw),
             cell::count(counts.ax_w),
             cell::ratio(counts.ratio()),
@@ -422,12 +480,14 @@ fn fig3(ctx: &mut Context) -> Table {
         ],
     );
     for i in 0..ctx.len() {
-        let eval = ctx.eval(i);
+        let name = ctx.keys[i].name();
+        let session = session(ctx, i);
+        let layers = &session.workload().layers;
         t.row(&[
-            eval.key.name().into(),
-            format!("{:.2e}", eval.base.adjacency.density()),
-            cell::percent(eval.workload.layers[0].x.density()),
-            cell::percent(eval.workload.layers[1].x.density()),
+            name.into(),
+            format!("{:.2e}", session.prepared(NO_GP).adjacency.density()),
+            cell::percent(layers[0].x.density()),
+            cell::percent(layers[1].x.density()),
             cell::percent(1.0), // XW is dense (Figure 3(b))
             cell::percent(1.0), // W is dense (Table I)
         ]);
@@ -441,19 +501,20 @@ fn fig5(ctx: &mut Context) -> Table {
         &["dataset", "matrix", "1", "2", "3~8", "bucket4", ">last"],
     );
     for i in 0..ctx.len() {
-        let eval = ctx.eval(i);
+        let name = ctx.keys[i].name();
+        let session = session(ctx, i);
         let a_hist = analysis::tile_nnz_histogram(
-            &RowMajorSparse::Pattern(&eval.base.adjacency),
+            &RowMajorSparse::Pattern(&session.prepared(NO_GP).adjacency),
             128,
             128,
             FIG5A_BOUNDS,
         );
-        let x_hist =
-            analysis::tile_nnz_histogram(&eval.workload.layers[0].x.view(), 128, 128, FIG5B_BOUNDS);
+        let x = session.workload().layers[0].x.view();
+        let x_hist = analysis::tile_nnz_histogram(&x, 128, 128, FIG5B_BOUNDS);
         for (label, hist) in [("A", a_hist), ("X", x_hist)] {
             let f = hist.fractions();
             t.row(&[
-                eval.key.name().into(),
+                name.into(),
                 label.into(),
                 cell::percent(f[0]),
                 cell::percent(f[1]),
@@ -468,9 +529,7 @@ fn fig5(ctx: &mut Context) -> Table {
 
 fn fig6(ctx: &mut Context) -> Table {
     let mut t = Table::new("fig6", &["dataset", "util-A (agg)", "util-X (comb)"]);
-    for i in 0..ctx.len() {
-        let eval = ctx.eval(i);
-        let r = GcnaxEngine::default().run(&eval.base);
+    for (key, [r]) in run(ctx, "fig6", |job| [job("gcnax", NO_GP)]) {
         let agg_util: Vec<f64> = r
             .layers
             .iter()
@@ -491,7 +550,7 @@ fn fig6(ctx: &mut Context) -> Table {
             .collect();
         let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
         t.row(&[
-            eval.key.name().into(),
+            key.name().into(),
             cell::percent(avg(&agg_util)),
             cell::percent(avg(&comb_util)),
         ]);
@@ -501,13 +560,11 @@ fn fig6(ctx: &mut Context) -> Table {
 
 fn fig7(ctx: &mut Context) -> Table {
     let mut t = Table::new("fig7", &["dataset", "aggregation", "combination"]);
-    for i in 0..ctx.len() {
-        let eval = ctx.eval(i);
-        let r = GcnaxEngine::default().run(&eval.base);
+    for (key, [r]) in run(ctx, "fig7", |job| [job("gcnax", NO_GP)]) {
         let agg = r.aggregation_cycles() as f64;
         let total = r.total_cycles() as f64;
         t.row(&[
-            eval.key.name().into(),
+            key.name().into(),
             cell::percent(agg / total),
             cell::percent(1.0 - agg / total),
         ]);
@@ -524,11 +581,12 @@ fn fig11(ctx: &mut Context) -> Table {
         if ctx.keys[i] != DatasetKey::Reddit && ctx.len() > 1 {
             continue;
         }
-        let eval = ctx.eval(i);
-        let coverage = stats::top_k_edge_coverage(&eval.workload.graph, 4096);
-        for (bin, count) in stats::degree_histogram_log2(&eval.workload.graph) {
+        let name = ctx.keys[i].name();
+        let graph = &session(ctx, i).workload().graph;
+        let coverage = stats::top_k_edge_coverage(graph, 4096);
+        for (bin, count) in stats::degree_histogram_log2(graph) {
             t.row(&[
-                eval.key.name().into(),
+                name.into(),
                 bin.to_string(),
                 count.to_string(),
                 cell::percent(coverage),
@@ -553,8 +611,8 @@ fn fig14(ctx: &mut Context) -> Table {
         {
             continue;
         }
-        let eval = ctx.eval(i);
-        let g = &eval.workload.graph;
+        let name = ctx.keys[i].name();
+        let g = &session(ctx, i).workload().graph;
         let p = multilevel_partition(g, 8, &MultilevelConfig::default());
         let layout = ClusterLayout::from_partitioning(&p);
         let rg = layout.relabel(g);
@@ -580,7 +638,7 @@ fn fig14(ctx: &mut Context) -> Table {
                     format!("{:5.2}", 1e3 * nnz as f64 / area)
                 })
                 .collect();
-            t.row(&[eval.key.name().into(), bi.to_string(), cells.join(" ")]);
+            t.row(&[name.into(), bi.to_string(), cells.join(" ")]);
         }
     }
     t
@@ -591,10 +649,12 @@ fn fig17(ctx: &mut Context) -> Table {
         "fig17",
         &["dataset", "hit-rate w/o G.P.", "hit-rate with G.P."],
     );
-    for i in 0..ctx.len() {
-        let row = ctx.speedup_row(i);
-        let (no_gp, gp) = row.hit_rates();
-        t.row(&[row.dataset.into(), cell::percent(no_gp), cell::percent(gp)]);
+    for (key, [_, no_gp, gp]) in comparison(ctx, "fig17") {
+        t.row(&[
+            key.name().into(),
+            cell::percent(hit_rate(&no_gp)),
+            cell::percent(hit_rate(&gp)),
+        ]);
     }
     t
 }
@@ -612,16 +672,17 @@ fn fig18(ctx: &mut Context) -> Table {
         ],
     );
     let mut ratios = Vec::new();
-    for i in 0..ctx.len() {
-        let row = ctx.speedup_row(i);
-        ratios.push(1.0 / row.traffic_ratio_gp());
+    for (key, [gcnax, no_gp, gp]) in comparison(ctx, "fig18") {
+        // DRAM traffic normalized to GCNAX (lower is better).
+        let traffic = |r: &RunReport| r.dram_bytes() as f64 / gcnax.dram_bytes() as f64;
+        ratios.push(1.0 / traffic(&gp));
         t.row(&[
-            row.dataset.into(),
+            key.name().into(),
             "1.00".into(),
-            cell::ratio(row.traffic_ratio_no_gp()),
-            cell::ratio(row.traffic_ratio_gp()),
-            cell::mib(row.gcnax.dram_bytes()),
-            cell::mib(row.grow_gp.dram_bytes()),
+            cell::ratio(traffic(&no_gp)),
+            cell::ratio(traffic(&gp)),
+            cell::mib(gcnax.dram_bytes()),
+            cell::mib(gp.dram_bytes()),
         ]);
     }
     t.row(&[
@@ -645,21 +706,22 @@ fn fig19(ctx: &mut Context) -> Table {
             "w/ HDN caching + G.P.",
         ],
     );
-    for i in 0..ctx.len() {
-        let eval = ctx.eval(i);
-        eprintln!("[run] {}: traffic ablation", eval.key.name());
-        let TrafficAblation {
-            no_cache,
-            cache,
-            cache_gp,
-        } = experiments::traffic_ablation(eval, &GrowConfig::default());
+    let reports = run(ctx, "fig19", |job| {
+        [
+            job("grow", NO_GP).with_override("hdn_caching", "false"),
+            job("grow", NO_GP),
+            job("grow", GP),
+        ]
+    });
+    for (key, [no_cache, cache, cache_gp]) in reports {
         // Normalized to no-cache, reported as reduction factors (higher is
         // better, as in Figure 19).
+        let reduction = |r: &RunReport| no_cache.dram_bytes() as f64 / r.dram_bytes() as f64;
         t.row(&[
-            eval.key.name().into(),
+            key.name().into(),
             "1.00".into(),
-            cell::ratio(no_cache as f64 / cache as f64),
-            cell::ratio(no_cache as f64 / cache_gp as f64),
+            cell::ratio(reduction(&cache)),
+            cell::ratio(reduction(&cache_gp)),
         ]);
     }
     t
@@ -677,17 +739,16 @@ fn fig20(ctx: &mut Context) -> Table {
         ],
     );
     let mut speedups = Vec::new();
-    for i in 0..ctx.len() {
-        let row = ctx.speedup_row(i);
-        speedups.push(row.speedup_gp());
-        let gcnax_agg = row.gcnax.aggregation_cycles() as f64 / row.gcnax.total_cycles() as f64;
-        let grow_agg = row.grow_gp.aggregation_cycles() as f64 / row.grow_gp.total_cycles() as f64;
+    for (key, [gcnax, no_gp, gp]) in comparison(ctx, "fig20") {
+        let speedup = |r: &RunReport| gcnax.total_cycles() as f64 / r.total_cycles() as f64;
+        let agg_share = |r: &RunReport| r.aggregation_cycles() as f64 / r.total_cycles() as f64;
+        speedups.push(speedup(&gp));
         t.row(&[
-            row.dataset.into(),
-            cell::ratio(row.speedup_no_gp()),
-            cell::ratio(row.speedup_gp()),
-            cell::percent(gcnax_agg),
-            cell::percent(grow_agg),
+            key.name().into(),
+            cell::ratio(speedup(&no_gp)),
+            cell::ratio(speedup(&gp)),
+            cell::percent(agg_share(&gcnax)),
+            cell::percent(agg_share(&gp)),
         ]);
     }
     t.row(&[
@@ -711,18 +772,28 @@ fn fig21(ctx: &mut Context) -> Table {
         ],
     );
     let (mut a, mut b, mut c) = (Vec::new(), Vec::new(), Vec::new());
-    for i in 0..ctx.len() {
-        let eval = ctx.eval(i);
-        eprintln!("[run] {}: cumulative ablation", eval.key.name());
-        let abl = experiments::speedup_ablation(eval, &GrowConfig::default());
-        a.push(abl.hdn_only);
-        b.push(abl.plus_runahead);
-        c.push(abl.plus_partitioning);
+    // GROW's mechanisms applied one by one: the row-stationary dataflow
+    // with the HDN cache (runahead degree 1), plus runahead execution,
+    // plus graph partitioning.
+    let reports = run(ctx, "fig21", |job| {
+        [
+            job("gcnax", NO_GP),
+            job("grow", NO_GP).with_override("runahead", "1"),
+            job("grow", NO_GP),
+            job("grow", GP),
+        ]
+    });
+    for (key, [gcnax, hdn_only, runahead, full]) in reports {
+        let speedup = |r: &RunReport| gcnax.total_cycles() as f64 / r.total_cycles() as f64;
+        let steps = [speedup(&hdn_only), speedup(&runahead), speedup(&full)];
+        a.push(steps[0]);
+        b.push(steps[1]);
+        c.push(steps[2]);
         t.row(&[
-            eval.key.name().into(),
-            cell::ratio(abl.hdn_only),
-            cell::ratio(abl.plus_runahead),
-            cell::ratio(abl.plus_partitioning),
+            key.name().into(),
+            cell::ratio(steps[0]),
+            cell::ratio(steps[1]),
+            cell::ratio(steps[2]),
         ]);
     }
     t.row(&[
@@ -750,21 +821,20 @@ fn fig22(ctx: &mut Context) -> Table {
         ],
     );
     let mut effs = Vec::new();
-    for i in 0..ctx.len() {
-        let row = ctx.speedup_row(i).clone();
-        let gcnax_sram = GcnaxEngine::default().sram_kb();
-        let grow_sram = GrowEngine::default().sram_kb();
-        let base = model.estimate(&row.gcnax.activity(gcnax_sram)).total();
+    let gcnax_sram = GcnaxEngine::default().sram_kb();
+    let grow_sram = GrowEngine::default().sram_kb();
+    for (key, [gcnax, no_gp, gp]) in comparison(ctx, "fig22") {
+        let base = model.estimate(&gcnax.activity(gcnax_sram)).total();
         for (config, report, sram) in [
-            ("GCNAX", &row.gcnax, gcnax_sram),
-            ("GROW w/o G.P.", &row.grow_no_gp, grow_sram),
-            ("GROW with G.P.", &row.grow_gp, grow_sram),
+            ("GCNAX", &gcnax, gcnax_sram),
+            ("GROW w/o G.P.", &no_gp, grow_sram),
+            ("GROW with G.P.", &gp, grow_sram),
         ] {
             let counts: ActivityCounts = report.activity(sram);
             let e = model.estimate(&counts);
             let frac = e.fractions();
             t.row(&[
-                row.dataset.into(),
+                key.name().into(),
                 config.into(),
                 cell::percent(frac[0]),
                 cell::percent(frac[1]),
@@ -825,9 +895,8 @@ fn table4() -> Table {
 /// `<out>/BENCH_figure24.json` additionally carries every cell's
 /// per-layer, per-phase multi-PE record (makespan, cluster time and per-PE
 /// busy cycles).
-fn figure24(ctx: &Context, service: &mut BatchService, out_dir: &std::path::Path) -> Table {
-    use grow_core::registry::ENGINE_NAMES;
-    use grow_core::{ExecModelKind, PartitionStrategy};
+fn figure24(ctx: &mut Context, out_dir: &std::path::Path) -> Table {
+    use grow_core::ExecModelKind;
     use grow_serve::scheduler_grid_jobs;
     let pe_counts = [1usize, 2, 4, 8, 16];
     let specs: Vec<_> = (0..ctx.len()).map(|i| ctx.spec(i)).collect();
@@ -843,7 +912,7 @@ fn figure24(ctx: &Context, service: &mut BatchService, out_dir: &std::path::Path
                 ctx.seed,
                 engine,
                 strategy,
-                &grow_core::SchedulerKind::ALL,
+                &SchedulerKind::ALL,
                 &pe_counts,
             )
             .into_iter()
@@ -861,10 +930,10 @@ fn figure24(ctx: &Context, service: &mut BatchService, out_dir: &std::path::Path
         specs.len(),
         ENGINE_NAMES.len(),
         pe_counts.len(),
-        grow_core::SchedulerKind::ALL.len(),
+        SchedulerKind::ALL.len(),
         jobs.len()
     );
-    let results = service.run_batch(&jobs);
+    let results = ctx.service.run_batch(&jobs);
 
     // Round-robin baselines per (dataset, engine, pes) for the speedup
     // column — under e2e the makespan IS the end-to-end cycle count.
@@ -975,11 +1044,16 @@ fn fig24(ctx: &mut Context) -> Table {
         "fig24",
         &["dataset", "1 PE", "2 PE", "4 PE", "8 PE", "16 PE"],
     );
-    for i in 0..ctx.len() {
-        let eval = ctx.eval(i);
-        eprintln!("[run] {}: PE scaling", eval.key.name());
-        let curve = experiments::pe_scaling(eval, &pes);
-        let mut cells = vec![eval.key.name().to_string()];
+    // The partitioned GROW run's cluster profiles, with bandwidth
+    // proportional to the PE count.
+    for (key, [report]) in run(ctx, "fig24", |job| [job("grow", GP)]) {
+        let curve = multi_pe::scaling_curve(
+            &report.cluster_profiles(),
+            &pes,
+            GrowConfig::default().dram.bytes_per_cycle,
+            SchedulerKind::RoundRobin,
+        );
+        let mut cells = vec![key.name().to_string()];
         cells.extend(curve.iter().map(|p| cell::ratio(p.normalized_throughput)));
         t.row(&cells);
     }
@@ -994,13 +1068,23 @@ fn fig25a(ctx: &mut Context) -> Table {
             "dataset", "1-way", "2-way", "4-way", "8-way", "16-way", "32-way",
         ],
     );
-    for i in 0..ctx.len() {
-        let eval = ctx.eval(i);
-        eprintln!("[run] {}: runahead sweep", eval.key.name());
-        let sweep = experiments::runahead_sweep(eval, &degrees);
-        let base = sweep[0].1 as f64;
-        let mut cells = vec![eval.key.name().to_string()];
-        cells.extend(sweep.iter().map(|&(_, cyc)| cell::ratio(base / cyc as f64)));
+    // Cycles at each runahead degree (with as many LDN table entries), on
+    // the partitioned workload.
+    let reports = run(ctx, "fig25a", |job| {
+        degrees.map(|d| {
+            job("grow", GP)
+                .with_override("runahead", &d.to_string())
+                .with_override("ldn_entries", &d.to_string())
+        })
+    });
+    for (key, reports) in reports {
+        let base = reports[0].total_cycles() as f64;
+        let mut cells = vec![key.name().to_string()];
+        cells.extend(
+            reports
+                .iter()
+                .map(|r| cell::ratio(base / r.total_cycles() as f64)),
+        );
         t.row(&cells);
     }
     t
@@ -1014,26 +1098,27 @@ fn fig25b(ctx: &mut Context) -> Table {
             "dataset", "engine", "16GB/s", "32GB/s", "64GB/s", "128GB/s", "256GB/s",
         ],
     );
-    for i in 0..ctx.len() {
-        let eval = ctx.eval(i);
-        eprintln!("[run] {}: bandwidth sweep", eval.key.name());
-        let pts = experiments::bandwidth_sweep(eval, &bws);
-        // Normalized to each engine's own 64 GB/s point (the paper's
-        // presentation).
-        let grow_base = pts[2].grow_cycles as f64;
-        let gcnax_base = pts[2].gcnax_cycles as f64;
-        let mut grow_cells = vec![eval.key.name().to_string(), "GROW".into()];
-        grow_cells.extend(
-            pts.iter()
-                .map(|p| cell::ratio(grow_base / p.grow_cycles as f64)),
-        );
-        t.row(&grow_cells);
-        let mut gcnax_cells = vec![eval.key.name().to_string(), "GCNAX".into()];
-        gcnax_cells.extend(
-            pts.iter()
-                .map(|p| cell::ratio(gcnax_base / p.gcnax_cycles as f64)),
-        );
-        t.row(&gcnax_cells);
+    // GROW (with G.P.) at each bandwidth, then GCNAX.
+    let reports = run(ctx, "fig25b", |job| -> [JobSpec; 10] {
+        std::array::from_fn(|k| {
+            let (engine, strategy) = [("grow", GP), ("gcnax", NO_GP)][k / bws.len()];
+            job(engine, strategy).with_override("dram_gbps", &bws[k % bws.len()].to_string())
+        })
+    });
+    for (key, reports) in reports {
+        let (grow, gcnax) = reports.split_at(bws.len());
+        for (engine, points) in [("GROW", grow), ("GCNAX", gcnax)] {
+            // Normalized to each engine's own 64 GB/s point (the paper's
+            // presentation).
+            let base = points[2].total_cycles() as f64;
+            let mut cells = vec![key.name().to_string(), engine.into()];
+            cells.extend(
+                points
+                    .iter()
+                    .map(|r| cell::ratio(base / r.total_cycles() as f64)),
+            );
+            t.row(&cells);
+        }
     }
     t
 }
@@ -1053,25 +1138,29 @@ fn fig26(ctx: &mut Context) -> Table {
     );
     let (mut s_mat, mut s_gam, mut t_mat, mut t_gam) =
         (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    for i in 0..ctx.len() {
-        let eval = ctx.eval(i);
-        eprintln!("[run] {}: MatRaptor/GAMMA comparison", eval.key.name());
-        let c = experiments::spsp_comparison(eval);
-        let grow = c.grow.total_cycles() as f64;
-        let speedup = |r: &grow_core::RunReport| r.total_cycles() as f64 / grow;
-        let traffic = |r: &grow_core::RunReport| r.dram_bytes() as f64 / c.grow.dram_bytes() as f64;
-        s_mat.push(speedup(&c.matraptor));
-        s_gam.push(speedup(&c.gamma));
-        t_mat.push(traffic(&c.matraptor));
-        t_gam.push(traffic(&c.gamma));
+    let reports = run(ctx, "fig26", |job| {
+        [
+            job("gcnax", NO_GP),
+            job("matraptor", NO_GP),
+            job("gamma", NO_GP),
+            job("grow", GP),
+        ]
+    });
+    for (key, [gcnax, matraptor, gamma, grow]) in reports {
+        let speedup = |r: &RunReport| r.total_cycles() as f64 / grow.total_cycles() as f64;
+        let traffic = |r: &RunReport| r.dram_bytes() as f64 / grow.dram_bytes() as f64;
+        s_mat.push(speedup(&matraptor));
+        s_gam.push(speedup(&gamma));
+        t_mat.push(traffic(&matraptor));
+        t_gam.push(traffic(&gamma));
         t.row(&[
-            eval.key.name().into(),
-            cell::ratio(speedup(&c.gcnax)),
-            cell::ratio(speedup(&c.matraptor)),
-            cell::ratio(speedup(&c.gamma)),
+            key.name().into(),
+            cell::ratio(speedup(&gcnax)),
+            cell::ratio(speedup(&matraptor)),
+            cell::ratio(speedup(&gamma)),
             "1.00".into(),
-            cell::ratio(traffic(&c.matraptor)),
-            cell::ratio(traffic(&c.gamma)),
+            cell::ratio(traffic(&matraptor)),
+            cell::ratio(traffic(&gamma)),
         ]);
     }
     t.row(&[
@@ -1114,13 +1203,14 @@ fn extensions(ctx: &mut Context) -> Table {
         ],
     );
     for i in 0..ctx.len() {
-        let eval = ctx.eval(i);
-        eprintln!("[run] {}: aggregator variants", eval.key.name());
-        let base = run_with_aggregation(&engine, &eval.partitioned, AggregationKind::GcnSum);
+        let dataset = ctx.keys[i].name();
+        eprintln!("[run] {dataset}: aggregator variants");
+        let partitioned = session(ctx, i).prepared(GP);
+        let base = run_with_aggregation(&engine, &partitioned, AggregationKind::GcnSum);
         for (name, kind) in variants {
-            let r = run_with_aggregation(&engine, &eval.partitioned, kind);
+            let r = run_with_aggregation(&engine, &partitioned, kind);
             t.row(&[
-                eval.key.name().into(),
+                dataset.into(),
                 name.into(),
                 cell::count(r.total_cycles()),
                 cell::ratio(r.total_cycles() as f64 / base.total_cycles() as f64),
@@ -1158,12 +1248,12 @@ fn preprocessing(ctx: &mut Context) -> Table {
         &["dataset", "nodes", "edges", "partition-time"],
     );
     for i in 0..ctx.len() {
-        let eval = ctx.eval(i);
-        let d = experiments::preprocessing_cost(&eval.workload);
+        let workload = session(ctx, i).workload();
+        let d = experiments::preprocessing_cost(workload);
         t.row(&[
-            eval.key.name().into(),
-            eval.workload.graph.nodes().to_string(),
-            cell::count(eval.workload.graph.directed_edges() as u64),
+            workload.spec.key.name().into(),
+            workload.graph.nodes().to_string(),
+            cell::count(workload.graph.directed_edges() as u64),
             format!("{:.2?}", d),
         ]);
     }
@@ -1182,18 +1272,39 @@ fn replacement(ctx: &mut Context) -> Table {
             "pinned speedup",
         ],
     );
-    for i in 0..ctx.len() {
-        let eval = ctx.eval(i);
-        eprintln!("[run] {}: replacement policy study", eval.key.name());
-        let s = experiments::replacement_study(eval);
+    // The paper's pinned HDN policy against demand-filled LRU
+    // replacement, both on the partitioned workload.
+    let reports = run(ctx, "replacement", |job| {
+        [
+            job("grow", GP),
+            job("grow", GP).with_override("replacement", "lru"),
+        ]
+    });
+    for (key, [pinned, lru]) in reports {
         t.row(&[
-            eval.key.name().into(),
-            cell::count(s.pinned_cycles),
-            cell::count(s.lru_cycles),
-            cell::percent(s.pinned_hit_rate),
-            cell::percent(s.lru_hit_rate),
-            cell::ratio(s.lru_cycles as f64 / s.pinned_cycles as f64),
+            key.name().into(),
+            cell::count(pinned.total_cycles()),
+            cell::count(lru.total_cycles()),
+            cell::percent(hit_rate(&pinned)),
+            cell::percent(hit_rate(&lru)),
+            cell::ratio(lru.total_cycles() as f64 / pinned.total_cycles() as f64),
         ]);
     }
     t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn experiments_share_one_pooled_session_per_dataset() {
+        let mut ctx = Context::new(vec![DatasetKey::Cora, DatasetKey::Citeseer], 3);
+        ctx.max_nodes = Some(300);
+        assert_eq!(table1(&mut ctx).len(), 2);
+        assert_eq!(fig17(&mut ctx).len(), 2);
+        assert_eq!(engines(&mut ctx).len(), 8);
+        assert_eq!(ctx.service.pooled_sessions(), 2);
+        assert_eq!(ctx.service.stats().sessions_created, 2);
+    }
 }

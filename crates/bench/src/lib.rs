@@ -2,6 +2,12 @@
 //! the shared experiment context used by the `experiments` binary, and
 //! the timing helper of the `parallel_speedup` bench.
 //!
+//! The context holds the invocation's one [`BatchService`]: every engine
+//! experiment is a job list run on it, and the characterization figures
+//! read each workload and its prepared forms from its session pool, so a
+//! dataset is generated and partitioned once per invocation and a report
+//! that several figures share is simulated once.
+//!
 //! Results are written both to stdout (aligned tables mirroring the
 //! paper's figures) and to `results/<experiment>.csv` for archival; no
 //! external serialization crates are needed for either.
@@ -13,9 +19,8 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
-use grow_core::experiments::{self, DatasetEval, SpeedupRow};
-use grow_core::{GcnaxEngine, GrowConfig};
 use grow_model::{DatasetKey, DatasetSpec};
+use grow_serve::BatchService;
 
 /// A simple aligned table with CSV export.
 ///
@@ -311,10 +316,10 @@ pub mod timing {
     }
 }
 
-/// The shared experiment context: dataset selection, seed, scaling, and
-/// lazily instantiated [`DatasetEval`]s (generation + partitioning are the
-/// expensive parts and are reused across experiments), plus the
-/// per-dataset [`SpeedupRow`]s that several figures share.
+/// The shared experiment context: dataset selection, seed, scaling, the
+/// banked topology of the end-to-end experiments, and the invocation's
+/// one [`BatchService`], whose session pool and report cache every
+/// experiment shares.
 pub struct Context {
     /// Selected datasets.
     pub keys: Vec<DatasetKey>,
@@ -330,14 +335,14 @@ pub struct Context {
     /// Per-channel bank count for the e2e experiments (`banks=`
     /// override).
     pub banks: usize,
-    evals: Vec<Option<DatasetEval>>,
-    speedups: Vec<Option<SpeedupRow>>,
+    /// The service every engine experiment runs its job list on: one
+    /// pooled session per dataset, one cached report per job key.
+    pub service: BatchService,
 }
 
 impl Context {
     /// Creates a context over the given datasets.
     pub fn new(keys: Vec<DatasetKey>, seed: u64) -> Self {
-        let n = keys.len();
         Context {
             keys,
             seed,
@@ -345,14 +350,12 @@ impl Context {
             full_scale: false,
             channels: 1,
             banks: 1,
-            evals: vec![None; n],
-            speedups: vec![None; n],
+            service: BatchService::new(),
         }
     }
 
-    /// The scaled [`DatasetSpec`] for dataset `i` — the same scaling
-    /// [`Context::eval`] applies, without instantiating the workload.
-    /// Batch-service jobs are defined in terms of these specs.
+    /// The scaled [`DatasetSpec`] for dataset `i`: the recipe every job
+    /// on the dataset carries.
     pub fn spec(&self, i: usize) -> DatasetSpec {
         let mut spec = self.keys[i].spec();
         if self.full_scale {
@@ -364,38 +367,6 @@ impl Context {
             }
         }
         spec
-    }
-
-    /// The evaluation for dataset `i`, instantiating it on first use.
-    pub fn eval(&mut self, i: usize) -> &DatasetEval {
-        if self.evals[i].is_none() {
-            let spec = self.spec(i);
-            eprintln!(
-                "[setup] instantiating {} ({} nodes) ...",
-                spec.key.name(),
-                spec.nodes
-            );
-            self.evals[i] = Some(DatasetEval::from_spec(spec, self.seed));
-        }
-        self.evals[i].as_ref().expect("just instantiated")
-    }
-
-    /// The three-configuration comparison for dataset `i` (GCNAX, GROW
-    /// without and with graph partitioning, each at its default
-    /// configuration), run on first use and shared by every figure that
-    /// reads it.
-    pub fn speedup_row(&mut self, i: usize) -> &SpeedupRow {
-        if self.speedups[i].is_none() {
-            let eval = self.eval(i);
-            eprintln!(
-                "[run] {}: GCNAX / GROW w-o G.P. / GROW with G.P.",
-                eval.key.name()
-            );
-            let row =
-                experiments::speedup_row(eval, &GrowConfig::default(), &GcnaxEngine::default());
-            self.speedups[i] = Some(row);
-        }
-        self.speedups[i].as_ref().expect("just computed")
     }
 
     /// Number of datasets.
@@ -448,7 +419,9 @@ mod tests {
     fn context_lazily_instantiates() {
         let mut ctx = Context::new(vec![DatasetKey::Cora], 1);
         ctx.max_nodes = Some(200);
-        let eval = ctx.eval(0);
-        assert!(eval.workload.graph.nodes() <= 200);
+        assert_eq!(ctx.service.pooled_sessions(), 0);
+        let job = grow_serve::JobSpec::new(ctx.spec(0), ctx.seed, "grow");
+        assert!(ctx.service.session(&job).workload().graph.nodes() <= 200);
+        assert_eq!(ctx.service.stats().sessions_created, 1);
     }
 }

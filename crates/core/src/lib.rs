@@ -17,8 +17,10 @@
 //!   (round-robin / LPT / work-stealing / contention-aware), and the
 //!   execution-model layer that makes `pes=N` a real execution mode
 //!   (`exec=post_hoc|e2e`);
-//! * [`experiments`] — drivers that regenerate each figure/table of the
-//!   evaluation (Section VII).
+//! * [`experiments`] — the evaluation helpers that are not engine jobs:
+//!   the non-power-law study, the preprocessing-cost timer and the
+//!   geometric mean (every engine experiment is a job list on the
+//!   serving layer's batch service).
 //!
 //! # Example
 //!

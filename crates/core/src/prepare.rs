@@ -38,7 +38,7 @@ impl PartitionStrategy {
     /// The default clustering granularity used throughout the evaluation:
     /// clusters of ~4096 nodes, matching the 4096-entry HDN ID list of
     /// Table III.
-    pub fn multilevel_default() -> Self {
+    pub const fn multilevel_default() -> Self {
         PartitionStrategy::Multilevel {
             cluster_nodes: 4096,
         }

@@ -488,6 +488,29 @@ impl BatchService {
         self.sessions.get(&job.session_key())?.get()
     }
 
+    /// The pooled [`SimSession`] a job's workload recipe maps to,
+    /// instantiated here on first use and shared with every later job of
+    /// the recipe — how a caller reads a workload and its prepared forms
+    /// without generating it a second time. Counts as a use for the LRU
+    /// bound, which the next job enforces.
+    pub fn session(&mut self, job: &JobSpec) -> &SimSession {
+        let session_key = job.session_key();
+        self.session_clock += 1;
+        self.session_last_use
+            .insert(session_key.clone(), self.session_clock);
+        let mut created = false;
+        let session = self
+            .sessions
+            .entry(session_key)
+            .or_default()
+            .get_or_init(|| {
+                created = true;
+                instantiate(job, &self.plan_cache)
+            });
+        self.stats.sessions_created += u64::from(created);
+        session
+    }
+
     /// Attaches a persistent on-disk result store: cache misses probe the
     /// store before simulating, and every newly computed report is
     /// persisted, so repeated queries are hits across process restarts.
@@ -858,11 +881,8 @@ impl ComputeTask {
         preparation: &mut Preparation,
     ) -> Arc<PreparedWorkload> {
         let session = self.session.get_or_init(|| {
-            let mut session = SimSession::from_spec(job.dataset, job.seed);
-            session.set_hdn_id_entries(job.hdn_id_entries);
-            session.set_plan_cache(Arc::clone(&self.plan_cache), job.session_key());
             *created = true;
-            session
+            instantiate(job, &self.plan_cache)
         });
         let stored = self.partitions.as_ref().map(|(s, k)| (s, k.as_str()));
         let (prepared, how) = session.prepare(job.strategy, stored);
@@ -871,6 +891,15 @@ impl ComputeTask {
         }
         prepared
     }
+}
+
+/// Instantiates the pooled session of `job`'s workload recipe, its
+/// prepared forms stamped with a scope into the pool's plan cache.
+fn instantiate(job: &JobSpec, plan_cache: &Arc<PlanCache>) -> SimSession {
+    let mut session = SimSession::from_spec(job.dataset, job.seed);
+    session.set_hdn_id_entries(job.hdn_id_entries);
+    session.set_plan_cache(Arc::clone(plan_cache), job.session_key());
+    session
 }
 
 /// What one supervised compute produced, for [`BatchService::commit`].
@@ -1233,6 +1262,27 @@ mod tests {
         service.run_one(&b.clone().with_override("dram_gbps", "8"));
         assert_eq!(service.stats().sessions_created, 4);
         assert_eq!(service.stats().sessions_evicted, 2);
+    }
+
+    #[test]
+    fn session_instantiates_once_and_jobs_reuse_it() {
+        let mut service = BatchService::new();
+        let job = JobSpec::new(spec(), 5, "grow");
+        let first: *const SimSession = service.session(&job);
+        let again: *const SimSession = service.session(&job);
+        assert!(std::ptr::eq(first, again));
+        assert_eq!(service.stats().sessions_created, 1);
+        assert_eq!(service.pooled_sessions(), 1);
+        // A later job on the same recipe, with another engine and
+        // strategy, runs on that session instead of instantiating one.
+        let gcnax = JobSpec::new(spec(), 5, "gcnax")
+            .with_strategy(PartitionStrategy::Multilevel { cluster_nodes: 100 });
+        assert!(service.run_one(&gcnax).outcome.is_ok());
+        assert_eq!(service.stats().sessions_created, 1, "session reused");
+        assert_eq!(service.pooled_sessions(), 1);
+        let session = service.session_for(&job).expect("still pooled");
+        assert!(std::ptr::eq(first, session));
+        assert_eq!(session.prepared_count(), 1, "the job prepared its strategy");
     }
 
     #[test]

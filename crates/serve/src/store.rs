@@ -17,10 +17,13 @@
 //! temporary name and renamed into place, so concurrent processes never
 //! observe a half-written entry.
 //!
-//! Trust boundary: files that fail to parse — truncated writes, foreign
-//! bytes, stale formats — are *quarantined* (renamed to `*.corrupt`) and
-//! reported as misses, never served. Only successful reports are ever
-//! persisted; failed jobs have no representation here.
+//! Trust boundary: every entry (`grow-store v2`) ends with a `checksum`
+//! line, a 64-bit FNV-1a hash of every byte before it. Files that fail
+//! the checksum or fail to parse — truncated writes, edited counters,
+//! foreign bytes, stale formats such as `grow-store v1` — are
+//! *quarantined* (renamed to `*.corrupt`) and reported as misses, never
+//! served. Only successful reports are ever persisted; failed jobs have
+//! no representation here.
 //!
 //! **Partition entries.** Beside the reports, the store keeps the one
 //! preprocessing result worth persisting: each partitioned preparation's
@@ -31,11 +34,11 @@
 //! seed-derived feature patterns) is cheap to re-derive or too large to
 //! be worth the disk. An entry names its full partition key (dataset
 //! recipe, seed, strategy and partitioner configuration) and a
-//! fingerprint of the graph it was computed on, and a checksum
-//! seals every byte before it. An entry that does not parse, names
-//! another key, fails the fingerprint or the checksum, has the wrong
-//! length, or holds a part id out of range is quarantined like a report
-//! and the assignment recomputed. Partition entries never touch
+//! fingerprint of the graph it was computed on, and a checksum seals
+//! every byte before it, as in a report entry. An entry that does not
+//! parse, names another key, fails the fingerprint or the checksum, has
+//! the wrong length, or holds a part id out of range is quarantined like
+//! a report and the assignment recomputed. Partition entries never touch
 //! [`StoreStats`], [`ResultStore::len`] or the fault-injection sites:
 //! those describe reports only.
 
@@ -57,7 +60,7 @@ use crate::batch::JobKey;
 
 /// Format tag of the current store layout; bump on incompatible changes
 /// (old entries then quarantine on first touch and are recomputed).
-const FORMAT_HEADER: &str = "grow-store v1";
+const FORMAT_HEADER: &str = "grow-store v2";
 
 /// Extension of live entries.
 const ENTRY_EXT: &str = "report";
@@ -463,7 +466,7 @@ fn quarantine_seen(path: &Path, seen: &[u8]) {
 }
 
 /// The standard 64-bit FNV-1a offset basis: file names' first stream and
-/// partition entries' checksum.
+/// every entry's checksum.
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// 64-bit FNV-1a over `bytes` from the given basis (two bases give two
@@ -531,6 +534,13 @@ fn render_partition(key: &str, fingerprint: &GraphFingerprint, p: &Partitioning)
         let _ = write!(out, " {part}");
     }
     out.push('\n');
+    seal(out)
+}
+
+/// Appends the `checksum` line: a 64-bit FNV-1a hash of every byte
+/// before it, which [`unseal`] verifies.
+fn seal(mut out: String) -> String {
+    use std::fmt::Write as _;
     let checksum = fnv1a64(out.as_bytes(), FNV_BASIS);
     let _ = writeln!(out, "checksum {checksum:016x}");
     out
@@ -538,7 +548,7 @@ fn render_partition(key: &str, fingerprint: &GraphFingerprint, p: &Partitioning)
 
 /// Renders the full entry: header, key, and every report field, one
 /// counter per token (the golden-snapshot discipline — a diff points at
-/// the exact field that moved).
+/// the exact field that moved), then a checksum of every byte before it.
 fn render_entry(key: &JobKey, report: &RunReport) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -567,7 +577,7 @@ fn render_entry(key: &JobKey, report: &RunReport) -> String {
         render_phase(&mut out, &layer.combination);
         render_phase(&mut out, &layer.aggregation);
     }
-    out
+    seal(out)
 }
 
 fn render_phase(out: &mut String, phase: &PhaseReport) {
@@ -658,9 +668,11 @@ fn parse_entry(text: &str, expect_key: &JobKey) -> ParseResult<RunReport> {
 
 /// Parses an entry without an expected key — the scrubber's view, which
 /// discovers each entry's identity from the `key` line and re-verifies
-/// the filename against it.
+/// the filename against it. An entry whose checksum does not match its
+/// bytes is rejected before any field is read, so an edit that still
+/// parses is never served.
 fn parse_entry_any(text: &str) -> ParseResult<(JobKey, RunReport)> {
-    let mut lines = text.lines();
+    let mut lines = unseal(text)?.lines();
     if lines.next() != Some(FORMAT_HEADER) {
         return Err(Malformed);
     }
@@ -835,11 +847,9 @@ struct PartitionEntry<'a> {
     assignment: Vec<u32>,
 }
 
-/// Parses a partition entry, checking everything the entry can check on
-/// its own: the checksum over every byte before the `checksum` line, the
-/// header, an assignment of exactly `nodes` part ids, each below `parts`.
-/// Never panics and never allocates more than the text's size implies.
-fn parse_partition(text: &str) -> ParseResult<PartitionEntry<'_>> {
+/// The body of a [`seal`]ed entry: every byte before its final
+/// `checksum` line, if the checksum matches them.
+fn unseal(text: &str) -> ParseResult<&str> {
     let sealed = text.strip_suffix('\n').ok_or(Malformed)?;
     let body_end = sealed.rfind('\n').ok_or(Malformed)? + 1;
     let checksum = sealed[body_end..]
@@ -851,6 +861,15 @@ fn parse_partition(text: &str) -> ParseResult<PartitionEntry<'_>> {
     if fnv1a64(body.as_bytes(), FNV_BASIS) != checksum {
         return Err(Malformed);
     }
+    Ok(body)
+}
+
+/// Parses a partition entry, checking everything the entry can check on
+/// its own: the checksum over every byte before the `checksum` line, the
+/// header, an assignment of exactly `nodes` part ids, each below `parts`.
+/// Never panics and never allocates more than the text's size implies.
+fn parse_partition(text: &str) -> ParseResult<PartitionEntry<'_>> {
+    let body = unseal(text)?;
     let mut lines = body.lines();
     if lines.next() != Some(PARTITION_HEADER) {
         return Err(Malformed);

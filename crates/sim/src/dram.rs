@@ -28,22 +28,6 @@ pub struct DramConfig {
     pub request_overhead_cycles: Cycle,
 }
 
-impl DramConfig {
-    /// Config for a given bandwidth in GB/s at the 1 GHz clock of Table III.
-    ///
-    /// ```
-    /// use grow_sim::DramConfig;
-    /// let cfg = DramConfig::with_bandwidth_gbps(64.0);
-    /// assert_eq!(cfg.bytes_per_cycle, 64.0);
-    /// ```
-    pub fn with_bandwidth_gbps(gbps: f64) -> Self {
-        DramConfig {
-            bytes_per_cycle: gbps,
-            ..Self::default()
-        }
-    }
-}
-
 impl Default for DramConfig {
     /// Table III defaults: 128 GB/s, 64 B granularity; 60-cycle access
     /// latency (row-hit-dominated DDR4/LPDDR-class timing at 1 GHz, and the

@@ -246,7 +246,7 @@ fn corrupt_store_entries_are_quarantined_not_served() {
     assert!(store.is_empty(), "quarantined files are not live entries");
 
     // Foreign bytes under the right name are quarantined too.
-    std::fs::write(&path, "grow-store v1\nkey nonsense\n").expect("write");
+    std::fs::write(&path, "grow-store v2\nkey nonsense\n").expect("write");
     assert_eq!(store.load(&key), None);
     assert_eq!(store.stats().quarantined, 2);
 
@@ -265,6 +265,29 @@ fn corrupt_store_entries_are_quarantined_not_served() {
     assert!(served.cache_hit, "intact entry still serves");
     assert_eq!(served.outcome.expect("served"), report);
     assert_eq!(service.stats().simulations_run, 0);
+
+    // An edited counter that still parses fails the entry's checksum:
+    // one cycle added to the first phase is quarantined by a scrub and
+    // by a fresh service's load, which recomputes the true report.
+    let text = std::fs::read_to_string(&path).expect("entry exists");
+    let phase = text
+        .lines()
+        .find(|l| l.starts_with("phase "))
+        .expect("phase");
+    let mut tokens: Vec<String> = phase.split(' ').map(str::to_string).collect();
+    let cycles: u64 = tokens[2].parse().expect("cycle count");
+    tokens[2] = (cycles + 1).to_string();
+    let edited = text.replacen(phase, &tokens.join(" "), 1);
+    std::fs::write(&path, &edited).expect("edit");
+    let mut store = ResultStore::open(&dir).expect("reopen store");
+    assert_eq!(store.scrub().expect("scrub").quarantined, 1);
+    std::fs::write(&path, &edited).expect("edit again");
+    let mut service = BatchService::new().with_store(store);
+    let recomputed = service.run_one(&job);
+    assert!(!recomputed.cache_hit, "an edited entry is never served");
+    assert_eq!(recomputed.outcome.expect("recomputed"), report);
+    assert_eq!(service.stats().simulations_run, 1);
+    assert_eq!(service.store().expect("attached").stats().quarantined, 2);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -286,10 +309,10 @@ fn repeated_corruption_of_one_key_preserves_every_quarantine_file() {
 
     let path = store.entry_path(&key);
     store.persist(&key, &report).expect("persist");
-    std::fs::write(&path, "grow-store v1\nfirst corruption\n").expect("write");
+    std::fs::write(&path, "grow-store v2\nfirst corruption\n").expect("write");
     assert_eq!(store.load(&key), None);
     store.persist(&key, &report).expect("persist again");
-    std::fs::write(&path, "grow-store v1\nsecond corruption\n").expect("write");
+    std::fs::write(&path, "grow-store v2\nsecond corruption\n").expect("write");
     assert_eq!(store.load(&key), None);
     assert_eq!(store.stats().quarantined, 2);
 

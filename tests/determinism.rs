@@ -3,10 +3,10 @@
 //! experiment harness's published numbers regenerable.
 
 use grow::accel::{
-    experiments::DatasetEval, prepare, Accelerator, GammaEngine, GcnaxEngine, GrowEngine,
-    MatRaptorEngine, PartitionStrategy,
+    prepare, Accelerator, GammaEngine, GcnaxEngine, GrowEngine, MatRaptorEngine, PartitionStrategy,
 };
 use grow::model::DatasetKey;
+use grow::session::SimSession;
 
 #[test]
 fn dataset_generation_is_seed_deterministic() {
@@ -45,11 +45,14 @@ fn every_engine_is_deterministic() {
 }
 
 #[test]
-fn dataset_eval_is_reproducible_end_to_end() {
+fn session_runs_are_reproducible_end_to_end() {
+    // Two sessions each generate, partition and simulate the recipe from
+    // scratch.
     let spec = DatasetKey::Cora.spec().scaled_to(500);
-    let e1 = DatasetEval::from_spec(spec, 31);
-    let e2 = DatasetEval::from_spec(spec, 31);
-    let r1 = GrowEngine::default().run(&e1.partitioned);
-    let r2 = GrowEngine::default().run(&e2.partitioned);
-    assert_eq!(r1, r2);
+    let run = || {
+        SimSession::from_spec(spec, 31)
+            .run("grow", PartitionStrategy::multilevel_default())
+            .expect("registered engine")
+    };
+    assert_eq!(run(), run());
 }
