@@ -40,7 +40,9 @@
 //! pooled sessions. Only the R-MAT `nonpowerlaw` study (its graph is not
 //! a dataset recipe), the `preprocessing` timer, `fig14`'s 8-way
 //! visualization partition and the `table4` area model stay off the job
-//! path.
+//! path. `--max-nodes` caps the `nonpowerlaw` graphs too: each of its
+//! 2^13-, 2^15- and 2^16-node points shrinks to the largest power of two
+//! within the cap, and never below 2^4 nodes.
 
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
@@ -187,7 +189,7 @@ fn main() {
             "fig25b" => fig25b(&mut ctx),
             "fig26" => fig26(&mut ctx),
             "replacement" => replacement(&mut ctx),
-            "nonpowerlaw" => nonpowerlaw(),
+            "nonpowerlaw" => nonpowerlaw(&ctx),
             "preprocessing" => preprocessing(&mut ctx),
             "extensions" => extensions(&mut ctx),
             "engines" => engines(&mut ctx),
@@ -1202,15 +1204,18 @@ fn extensions(ctx: &mut Context) -> Table {
             "area overhead",
         ],
     );
-    for i in 0..ctx.len() {
-        let dataset = ctx.keys[i].name();
-        eprintln!("[run] {dataset}: aggregator variants");
+    // The plain GCN sum is the default GROW job on the partitioned form.
+    let bases = run(ctx, "extensions", |job| [job("grow", GP)]);
+    for (i, (key, [base])) in bases.into_iter().enumerate() {
+        eprintln!("[run] {}: aggregator variants", key.name());
         let partitioned = session(ctx, i).prepared(GP);
-        let base = run_with_aggregation(&engine, &partitioned, AggregationKind::GcnSum);
         for (name, kind) in variants {
-            let r = run_with_aggregation(&engine, &partitioned, kind);
+            let r = match kind {
+                AggregationKind::GcnSum => base.clone(),
+                _ => run_with_aggregation(&engine, &partitioned, kind),
+            };
             t.row(&[
-                dataset.into(),
+                key.name().into(),
                 name.into(),
                 cell::count(r.total_cycles()),
                 cell::ratio(r.total_cycles() as f64 / base.total_cycles() as f64),
@@ -1221,13 +1226,17 @@ fn extensions(ctx: &mut Context) -> Table {
     t
 }
 
-fn nonpowerlaw() -> Table {
-    // Section VIII discussion: uniform R-MAT graphs at a few scales.
+fn nonpowerlaw(ctx: &Context) -> Table {
+    // Section VIII discussion: uniform R-MAT graphs at a few scales, each
+    // capped at the largest power of two within `--max-nodes` and never
+    // below the 16 nodes every dataset spec keeps.
+    let max_scale = ctx.max_nodes.map_or(u32::MAX, |cap| cap.ilog2().max(4));
     let mut t = Table::new(
         "nonpowerlaw",
         &["nodes", "avg-deg", "hit-rate", "speedup vs GCNAX"],
     );
     for (scale, deg) in [(13u32, 8.0f64), (15, 12.0), (16, 20.0)] {
+        let scale = scale.min(max_scale);
         eprintln!("[run] non-power-law R-MAT scale {scale}");
         let s = experiments::non_power_law_study(scale, deg, 77);
         t.row(&[

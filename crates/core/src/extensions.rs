@@ -89,10 +89,10 @@ pub fn run_with_aggregation(
     let effective: &PreparedWorkload = match kind {
         AggregationKind::SageMean { sample: Some(s) }
         | AggregationKind::SagePool { sample: Some(s) } => {
+            // A clone carries no plans, so the sampled copy neither
+            // replays nor keeps the original adjacency's plans.
             let mut w = workload.clone();
             w.adjacency = sample_adjacency(&workload.adjacency, s);
-            // The shared plan-cache scope names the original adjacency.
-            w.plan_cache = None;
             sampled = w;
             &sampled
         }

@@ -134,7 +134,7 @@ mod tests {
     fn deterministic() {
         let p = prepared(300);
         let e = GammaEngine::default();
-        assert_eq!(e.run(&p), e.run(&p));
+        assert_eq!(e.run(&p.clone()), e.run(&p.clone()));
     }
 
     #[test]

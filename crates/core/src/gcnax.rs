@@ -604,7 +604,7 @@ mod tests {
     fn deterministic() {
         let p = prepared(400);
         let e = GcnaxEngine::default();
-        assert_eq!(e.run(&p), e.run(&p));
+        assert_eq!(e.run(&p.clone()), e.run(&p.clone()));
     }
 
     #[test]

@@ -566,8 +566,8 @@ impl GrowEngine {
 
         // The pinned set — and therefore the probe plan — is a pure
         // function of the HDN list prefix actually pinned; its length
-        // keys the cross-layer plan cache (`usize::MAX` = no caching, the
-        // plan is then just the miss stream of the adjacency).
+        // keys the retained plan (`usize::MAX` = no caching, the plan is
+        // then just the miss stream of the adjacency).
         let mut take_key = usize::MAX;
         if cfg.hdn_caching {
             pinned.reset(cache_rows, adjacency.rows());
@@ -887,7 +887,7 @@ mod tests {
     fn deterministic_runs() {
         let p = prepared(700, PartitionStrategy::None);
         let e = GrowEngine::default();
-        assert_eq!(e.run(&p), e.run(&p));
+        assert_eq!(e.run(&p.clone()), e.run(&p.clone()));
     }
 
     #[test]
@@ -901,8 +901,8 @@ mod tests {
         );
         let e = GrowEngine::default();
         // Oversubscribe so threads really interleave, even on one core.
-        let parallel = grow_sim::exec::with_workers(4, || e.run(&p));
-        let serial = grow_sim::exec::with_mode(grow_sim::ExecMode::Serial, || e.run(&p));
+        let parallel = grow_sim::exec::with_workers(4, || e.run(&p.clone()));
+        let serial = grow_sim::exec::with_mode(grow_sim::ExecMode::Serial, || e.run(&p.clone()));
         assert_eq!(parallel, serial);
     }
 
@@ -914,10 +914,10 @@ mod tests {
         let small = prepared(500, PartitionStrategy::None);
         let big = prepared(1200, PartitionStrategy::Multilevel { cluster_nodes: 200 });
         let e = GrowEngine::default();
-        let small_first = e.run(&small);
-        let big_first = e.run(&big);
-        assert_eq!(e.run(&small), small_first);
-        assert_eq!(e.run(&big), big_first);
+        let small_first = e.run(&small.clone());
+        let big_first = e.run(&big.clone());
+        assert_eq!(e.run(&small.clone()), small_first);
+        assert_eq!(e.run(&big.clone()), big_first);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   sparse-*sparse* accelerators compared in Section VII-H;
 //! * [`prepare`] / [`PreparedWorkload`] — the software preprocessing stack
 //!   (partitioning, relabeling, HDN list extraction), also callable as its
-//!   two steps [`partition`] and [`prepare_with`];
+//!   two steps [`partition`] and [`prepare_with`]; each prepared form keeps
+//!   the aggregation plans engines make on it in its [`PlanStore`];
 //! * [`multi_pe`] / [`schedule`] / [`exec_model`] — the multi-PE scaling
 //!   model of Figure 24, its pluggable cluster-to-PE schedulers
 //!   (round-robin / LPT / work-stealing / contention-aware), and the
@@ -60,7 +61,7 @@ pub use gamma::{GammaConfig, GammaEngine};
 pub use gcnax::{GcnaxConfig, GcnaxEngine};
 pub use grow::{GrowConfig, GrowEngine, ReplacementPolicy};
 pub use matraptor::{MatRaptorConfig, MatRaptorEngine};
-pub use plan::{PlanCache, PlanCacheScope};
+pub use plan::{PlanCache, PlanStore};
 pub use prepare::{partition, prepare, prepare_with, PartitionStrategy, PreparedWorkload};
 pub use report::{
     ClusterProfile, LayerReport, MultiPeSummary, PhaseKind, PhasePeBusy, PhaseReport, RunReport,

@@ -142,6 +142,6 @@ mod tests {
     fn deterministic() {
         let p = prepared(300);
         let e = MatRaptorEngine::default();
-        assert_eq!(e.run(&p), e.run(&p));
+        assert_eq!(e.run(&p.clone()), e.run(&p.clone()));
     }
 }

@@ -10,252 +10,132 @@
 //! and replay run back to back on the worker that owns it.
 //!
 //! A plan that is a pure function of the layer-invariant adjacency is
-//! retained across layers (and, inside a serving pool, across jobs)
-//! through [`plan_slots`] and [`PlanCache`], so later layers replay it
-//! without re-planning. [`StampSet`] is the plan-pass model of a demand
-//! cache that never evicts.
+//! kept on the prepared form it plans, in the form's [`PlanStore`]
+//! (see [`plan_slots`]): later layers, later runs and, through the
+//! serving pool's shared forms, later jobs replay it without
+//! re-planning. [`StampSet`] is the plan-pass model of a demand cache
+//! that never evicts.
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::PreparedWorkload;
 
-/// Cross-layer plan retention cap, in total plan entries per workload
+/// Plan retention cap, in total plan entries per prepared form
 /// (adjacency non-zeros plus per-row records). The aggregation plan is a
-/// pure function of the adjacency, so engines cache it at the first layer
-/// and replay it at later ones — but only for workloads small enough that
-/// the retained plans stay cheap; bigger runs re-plan every layer. Purely
-/// a memory/throughput knob: the replay consumes identical plan data
+/// pure function of the form, so engines keep it at the first layer and
+/// replay it at later ones, but only for forms small enough that the
+/// retained plans stay cheap; bigger forms re-plan every layer. Purely a
+/// memory/throughput knob: the replay consumes identical plan data
 /// either way.
 const PLAN_REUSE_MAX_OPS: usize = 1 << 22;
 
-/// The per-cluster aggregation plan slots one engine run reads and fills,
-/// or `None` when the run plans every layer afresh. The first replay of a
-/// cluster's fresh plan moves that plan out of the worker's scratch into
-/// the cluster's slot. Runs on workloads over [`PLAN_REUSE_MAX_OPS`], or
-/// with `eligible` false (the engine's own condition, e.g. GROW's LRU
-/// study has no plans), get none. Inside a serving session pool the slots
-/// are the cross-job [`PlanCache`]'s entry for `family`, so a later job
-/// sharing the (dataset, partition) scope skips the plan pass even on its
-/// first layer. Otherwise multi-layer runs get fresh local slots, so they
-/// plan each cluster once and replay at later layers.
+/// Engine `family`'s per-cluster aggregation plan slots on `workload`,
+/// or `None` when the run plans every layer afresh: on forms over
+/// [`PLAN_REUSE_MAX_OPS`], or with `eligible` false (the engine's own
+/// condition, e.g. GROW's LRU study has no plans). The slots are the
+/// form's [`PlanStore`] entry for `family`, so every later layer, run or
+/// served job on the same form skips the plan pass on each cluster whose
+/// slot is filled. The first replay of a cluster's fresh plan moves that
+/// plan out of the worker's scratch into the cluster's slot.
 pub(crate) fn plan_slots<T: Send + Sync + 'static>(
     workload: &PreparedWorkload,
     family: &str,
     eligible: bool,
 ) -> Option<Arc<Vec<OnceLock<T>>>> {
-    if !eligible || workload.adjacency.nnz() + 2 * workload.adjacency.rows() > PLAN_REUSE_MAX_OPS {
-        return None;
+    let ops = workload.adjacency.nnz() + 2 * workload.adjacency.rows();
+    (eligible && ops <= PLAN_REUSE_MAX_OPS)
+        .then(|| workload.plans.slots(family, workload.clusters.len()))
+}
+
+/// The aggregation plans kept on one [`PreparedWorkload`]: per engine
+/// family (the engine name plus any plan-shaping configuration, e.g.
+/// GCNAX's tile grain), one `OnceLock` plan slot per cluster. GROW pins
+/// one HDN set per cluster for the cluster's whole run (Section V-C), so
+/// a family's plans are a pure function of the form, and they live and
+/// die with it: a serving pool that shares one form across jobs shares
+/// its plans too, and evicting the form drops them.
+///
+/// A clone starts empty and counts nowhere, so a copy whose adjacency,
+/// clusters or HDN lists change (GraphSAGE's sampled adjacency) can
+/// neither replay the original's plans nor leave its own behind.
+#[derive(Debug, Default)]
+pub struct PlanStore {
+    families: Mutex<HashMap<String, Arc<dyn Any + Send + Sync>>>,
+    counters: Option<Arc<PlanCache>>,
+}
+
+impl PlanStore {
+    /// An empty store whose lookups count into `counters`.
+    pub fn counting_into(counters: Arc<PlanCache>) -> PlanStore {
+        PlanStore {
+            families: Mutex::default(),
+            counters: Some(counters),
+        }
     }
-    match &workload.plan_cache {
-        Some(scope) => Some(scope.slots(family, workload.clusters.len())),
-        None => (workload.layers.len() > 1).then(|| {
-            Arc::new(
-                (0..workload.clusters.len())
-                    .map(|_| OnceLock::new())
-                    .collect(),
-            )
-        }),
+
+    /// `family`'s slot array: get-or-insert of `len` empty `OnceLock`s
+    /// under one lock. A present family counts as a hit, an insert as a
+    /// miss.
+    fn slots<T: Send + Sync + 'static>(&self, family: &str, len: usize) -> Arc<Vec<OnceLock<T>>> {
+        // Every update under the lock is one map operation, so a
+        // poisoned lock still guards a valid map.
+        let mut families = self.families.lock().unwrap_or_else(PoisonError::into_inner);
+        let found = families
+            .get(family)
+            .and_then(|slots| Arc::clone(slots).downcast::<Vec<OnceLock<T>>>().ok());
+        if let Some(counters) = &self.counters {
+            let counter = if found.is_some() {
+                &counters.hits
+            } else {
+                &counters.misses
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+        found.unwrap_or_else(|| {
+            let slots = Arc::new((0..len).map(|_| OnceLock::new()).collect::<Vec<_>>());
+            families.insert(family.to_owned(), Arc::clone(&slots) as _);
+            slots
+        })
     }
 }
 
-/// A capacity-bounded, session-pool-scoped cache of layer-invariant
-/// aggregation plans — the cross-*job* generalization of the per-run
-/// retention above. Each entry is one engine family's per-cluster plan
-/// slot array (`Vec<OnceLock<T>>`), keyed like the result cache by the
-/// (dataset, partition, engine-alignment) prefix that makes two jobs'
-/// plans interchangeable. Jobs sharing a prefix skip the plan pass
-/// entirely on every cluster whose slot is already populated.
-///
-/// Thread-safe: lookups take one short mutex hold (the map), then all
-/// plan work happens lock-free through the returned `Arc`'d slots. Hit
-/// and miss counters are aggregate-deterministic — for a fixed job set,
-/// total hits equal total requests minus distinct keys, regardless of
-/// which concurrent worker populated a slot first.
-///
-/// Eviction is LRU over whole entries with a deterministic `(last_use,
-/// key)` tie-break; in-flight jobs keep their slot array alive through
-/// the `Arc`, so eviction is always safe.
+impl Clone for PlanStore {
+    /// An empty store that counts nowhere (see the type docs).
+    fn clone(&self) -> Self {
+        PlanStore::default()
+    }
+}
+
+/// Lookup counters shared by the [`PlanStore`]s of a serving pool's
+/// prepared forms: a lookup that finds its engine family counts a hit,
+/// one that inserts it a miss. The totals are aggregate-deterministic:
+/// for a fixed job set, misses equal the (form, family) pairs looked up
+/// and hits the remaining lookups, whichever concurrent worker asked
+/// first.
+#[derive(Debug, Default)]
 pub struct PlanCache {
-    inner: Mutex<PlanCacheInner>,
     hits: AtomicU64,
     misses: AtomicU64,
-    capacity: usize,
-}
-
-struct PlanCacheInner {
-    entries: HashMap<String, PlanCacheEntry>,
-    clock: u64,
-}
-
-struct PlanCacheEntry {
-    slots: Arc<dyn Any + Send + Sync>,
-    last_use: u64,
 }
 
 impl PlanCache {
-    /// Default entry bound: enough for every (dataset, partition,
-    /// engine-family) combination a realistic fleet mixes, small enough
-    /// that retained plans stay far below one workload's footprint.
-    pub const DEFAULT_CAPACITY: usize = 64;
-
-    /// A cache bounded to `capacity` entries (minimum 1).
-    pub fn new(capacity: usize) -> PlanCache {
-        PlanCache {
-            inner: Mutex::new(PlanCacheInner {
-                entries: HashMap::new(),
-                clock: 0,
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, PlanCacheInner> {
-        // A panicked holder only ever poisons between pure map
-        // operations; the map stays structurally sound.
-        match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// The slot array for `key`, shared across every job that asks for
-    /// the same key: get-or-insert of `len` empty `OnceLock`s. A
-    /// pre-existing entry counts as a hit, an allocation as a miss.
-    pub fn slots<T: Send + Sync + 'static>(
-        &self,
-        key: String,
-        len: usize,
-    ) -> Arc<Vec<OnceLock<T>>> {
-        let mut inner = self.lock();
-        inner.clock += 1;
-        let now = inner.clock;
-        if let Some(entry) = inner.entries.get_mut(&key) {
-            if let Ok(slots) = Arc::clone(&entry.slots).downcast::<Vec<OnceLock<T>>>() {
-                debug_assert_eq!(slots.len(), len, "len is part of the key");
-                entry.last_use = now;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return slots;
-            }
-        }
-        let slots: Arc<Vec<OnceLock<T>>> = Arc::new((0..len).map(|_| OnceLock::new()).collect());
-        inner.entries.insert(
-            key.clone(),
-            PlanCacheEntry {
-                slots: Arc::clone(&slots) as Arc<dyn Any + Send + Sync>,
-                last_use: now,
-            },
-        );
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        while inner.entries.len() > self.capacity {
-            let victim = inner
-                .entries
-                .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(k, e)| (e.last_use, (*k).clone()))
-                .map(|(k, _)| k.clone())
-                .expect("over-capacity cache has a victim besides the newest entry");
-            inner.entries.remove(&victim);
-        }
-        slots
-    }
-
-    /// Entries currently cached.
-    pub fn len(&self) -> usize {
-        self.lock().entries.len()
-    }
-
-    /// True when no entries are cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The entry bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Requests served by a pre-existing entry so far.
+    /// Lookups served by retained plans so far.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Requests that allocated a fresh entry so far.
+    /// Lookups that inserted a fresh family so far.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Zeroes the hit/miss counters (entries stay cached).
+    /// Zeroes both counters.
     pub fn reset_counters(&self) {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
-    }
-
-    /// Drops every cached entry (counters keep counting — they describe
-    /// the cache's lifetime, not its current contents). In-flight holders
-    /// of a slot array keep it alive through their `Arc`.
-    pub fn clear(&self) {
-        self.lock().entries.clear();
-    }
-}
-
-impl Default for PlanCache {
-    /// A cache bounded to [`PlanCache::DEFAULT_CAPACITY`] entries.
-    fn default() -> Self {
-        PlanCache::new(PlanCache::DEFAULT_CAPACITY)
-    }
-}
-
-impl fmt::Debug for PlanCache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PlanCache")
-            .field("len", &self.len())
-            .field("capacity", &self.capacity)
-            .field("hits", &self.hits())
-            .field("misses", &self.misses())
-            .finish()
-    }
-}
-
-/// A [`PlanCache`] handle pre-bound to one prepared workload's cache
-/// scope — the (dataset, partition) prefix. Engines append their family
-/// discriminator (engine name plus any plan-shaping config, e.g. GCNAX's
-/// tile grain) and the slot count, so two engines or two tilings never
-/// collide on a key.
-#[derive(Clone)]
-pub struct PlanCacheScope {
-    cache: Arc<PlanCache>,
-    scope: String,
-}
-
-impl PlanCacheScope {
-    /// Binds `cache` to a workload `scope` prefix.
-    pub fn new(cache: Arc<PlanCache>, scope: String) -> PlanCacheScope {
-        PlanCacheScope { cache, scope }
-    }
-
-    /// The slot array for this scope's `family` discriminator.
-    pub fn slots<T: Send + Sync + 'static>(
-        &self,
-        family: &str,
-        len: usize,
-    ) -> Arc<Vec<OnceLock<T>>> {
-        self.cache
-            .slots(format!("{}|{family}|{len}", self.scope), len)
-    }
-}
-
-impl fmt::Debug for PlanCacheScope {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PlanCacheScope")
-            .field("scope", &self.scope)
-            .field("cache", &self.cache)
-            .finish()
     }
 }
 
@@ -301,44 +181,73 @@ mod tests {
     use super::*;
 
     #[test]
-    fn plan_cache_hits_misses_and_evicts_deterministically() {
-        let cache = Arc::new(PlanCache::new(2));
-        let a = cache.slots::<u32>("a".into(), 4);
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        let a2 = cache.slots::<u32>("a".into(), 4);
-        assert!(Arc::ptr_eq(&a, &a2), "same key shares the slot array");
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        a.first().unwrap().set(7).unwrap();
-        assert_eq!(a2.first().unwrap().get(), Some(&7), "shared storage");
+    fn plan_store_shares_a_family_and_counts_lookups() {
+        let counters = Arc::new(PlanCache::default());
+        let store = PlanStore::counting_into(Arc::clone(&counters));
+        let grow = store.slots::<u32>("grow", 3);
+        assert_eq!((counters.hits(), counters.misses()), (0, 1));
+        let again = store.slots::<u32>("grow", 3);
+        assert!(Arc::ptr_eq(&grow, &again), "a family shares its slots");
+        assert_eq!((counters.hits(), counters.misses()), (1, 1));
+        grow[0].set(7).unwrap();
+        assert_eq!(again[0].get(), Some(&7), "shared storage");
+        let gcnax = store.slots::<u32>("gcnax:32x16", 3);
+        assert!(!Arc::ptr_eq(&grow, &gcnax), "families stay apart");
+        assert_eq!((counters.hits(), counters.misses()), (1, 2));
 
-        let _b = cache.slots::<u32>("b".into(), 4);
-        let _c = cache.slots::<u32>("c".into(), 4);
-        assert_eq!(cache.len(), 2, "capacity bound holds");
-        // "a" was the least recently used entry, so it was evicted; a
-        // fresh request misses and re-allocates.
-        let a3 = cache.slots::<u32>("a".into(), 4);
-        assert!(!Arc::ptr_eq(&a, &a3), "evicted entry re-allocates");
-        assert_eq!(a3.first().unwrap().get(), None);
-        // The in-flight Arc kept the evicted array alive and intact.
-        assert_eq!(a.first().unwrap().get(), Some(&7));
-
-        cache.reset_counters();
-        assert_eq!((cache.hits(), cache.misses()), (0, 0));
-        assert_eq!(cache.len(), 2, "reset keeps entries");
+        let clone = store.clone();
+        assert_eq!(
+            clone.slots::<u32>("grow", 3)[0].get(),
+            None,
+            "a clone is empty"
+        );
+        assert_eq!(
+            (counters.hits(), counters.misses()),
+            (1, 2),
+            "and counts nowhere"
+        );
+        counters.reset_counters();
+        assert_eq!((counters.hits(), counters.misses()), (0, 0));
+        assert_eq!(store.slots::<u32>("grow", 3)[0].get(), Some(&7));
     }
 
     #[test]
-    fn plan_cache_scope_separates_families_and_scopes() {
-        let cache = Arc::new(PlanCache::new(8));
-        let s1 = PlanCacheScope::new(Arc::clone(&cache), "w1".into());
-        let s2 = PlanCacheScope::new(Arc::clone(&cache), "w2".into());
-        let grow = s1.slots::<u32>("grow", 3);
-        let gcnax = s1.slots::<u32>("gcnax:32x16", 3);
-        let other = s2.slots::<u32>("grow", 3);
-        assert!(!Arc::ptr_eq(&grow, &gcnax), "families do not collide");
-        assert!(!Arc::ptr_eq(&grow, &other), "scopes do not collide");
-        assert!(Arc::ptr_eq(&grow, &s1.slots::<u32>("grow", 3)));
-        assert_eq!(cache.len(), 3);
+    fn a_second_run_on_one_form_replays_its_retained_plans() {
+        use crate::{
+            prepare, Accelerator, GammaEngine, GcnaxEngine, GrowConfig, GrowEngine,
+            MatRaptorEngine, PartitionStrategy,
+        };
+        let workload = grow_model::DatasetKey::Pubmed
+            .spec()
+            .scaled_to(1200)
+            .instantiate(5);
+        let strategy = PartitionStrategy::Multilevel { cluster_nodes: 200 };
+        let base = prepare(&workload, strategy, 4096);
+        assert!(base.clusters.len() > 1, "needs several clusters");
+        let engines: [(Box<dyn Accelerator>, &str); 5] = [
+            (Box::new(GrowEngine::default()), "grow"),
+            (
+                Box::new(GrowEngine::new(GrowConfig {
+                    hdn_caching: false,
+                    ..GrowConfig::default()
+                })),
+                "grow",
+            ),
+            (Box::new(GcnaxEngine::default()), "gcnax:128x128"),
+            (Box::new(MatRaptorEngine::default()), "MatRaptor"),
+            (Box::new(GammaEngine::default()), "GAMMA"),
+        ];
+        for (engine, family) in engines {
+            let counters = Arc::new(PlanCache::default());
+            let mut form = base.clone();
+            form.plans = PlanStore::counting_into(Arc::clone(&counters));
+            engine.run(&form);
+            let replayed = engine.run(&form);
+            assert_eq!(replayed, engine.run(&base.clone()), "{family}");
+            assert_eq!((counters.hits(), counters.misses()), (1, 1), "{family}");
+            let families = form.plans.families.lock().unwrap();
+            assert_eq!(families.keys().collect::<Vec<_>>(), [family]);
+        }
     }
 
     #[test]

@@ -9,6 +9,8 @@ use grow_partition::{
 };
 use grow_sparse::CsrPattern;
 
+use crate::PlanStore;
+
 /// How to preprocess the adjacency matrix before simulation.
 ///
 /// Partitioning is GROW's software preprocessing (Section V-C): a one-time
@@ -75,7 +77,8 @@ impl PartitionStrategy {
     }
 }
 
-/// A workload after software preprocessing, ready for any engine.
+/// A workload after software preprocessing, ready for any engine, and
+/// the aggregation plans engines have made on it.
 #[derive(Debug, Clone)]
 pub struct PreparedWorkload {
     /// Dataset name (for reports).
@@ -99,15 +102,12 @@ pub struct PreparedWorkload {
     /// Intra-cluster edge fraction achieved by the preprocessing (1.0 when
     /// unpartitioned).
     pub intra_edge_fraction: f64,
-    /// Cross-job plan-cache handle, scoped to this preparation's
-    /// (dataset, partition) identity. `None` outside a serving session
-    /// pool ([`prepare`] leaves it unset): engines then fall back to
-    /// their per-run plan retention. The cache only shortcuts the plan
-    /// pass — replay consumes identical plan data either way, so reports
-    /// are bit-identical with or without it. Plans are keyed by this
-    /// scope alone, so a copy whose adjacency, clusters or HDN lists
-    /// change must not keep the stamped scope: set it to `None`.
-    pub plan_cache: Option<crate::PlanCacheScope>,
+    /// The aggregation plans engines keep on this form, so later layers,
+    /// runs and jobs sharing the form replay them without re-planning.
+    /// Reports are bit-identical with or without them. A clone starts
+    /// with an empty store, so change the adjacency, clusters or HDN
+    /// lists of a clone, never of a form engines have already run on.
+    pub plans: PlanStore,
 }
 
 impl PreparedWorkload {
@@ -209,7 +209,7 @@ pub fn prepare_with(
         hdn_lists: lists,
         layers: Arc::clone(&workload.layers),
         intra_edge_fraction: intra,
-        plan_cache: None,
+        plans: PlanStore::default(),
     }
 }
 

@@ -13,7 +13,10 @@
 //!   [`SimSession`], instantiated once by the first job that needs it;
 //!   each distinct (workload, partition strategy) pair is prepared
 //!   exactly once, in the session's once-cell for that strategy, while
-//!   the workload's other strategies prepare concurrently.
+//!   the workload's other strategies prepare concurrently. The prepared
+//!   form keeps the aggregation plans its engines make, so a job whose
+//!   engine family already planned that form skips the plan pass; the
+//!   session pool's LRU bound is the one bound on retained plans.
 //! * **Keyed result cache.** Completed [`RunReport`]s are cached by
 //!   [`JobKey`] (and persisted to an attached [`ResultStore`]);
 //!   duplicate jobs — within a batch or across batches — are served from
@@ -413,8 +416,9 @@ pub struct ServiceStats {
     pub panics_caught: u64,
     /// Jobs whose final outcome was [`JobError::Cancelled`].
     pub jobs_cancelled: u64,
-    /// Aggregation plans served from the cross-job [`PlanCache`] instead
-    /// of a fresh plan pass (see [`BatchService::plan_cache`]).
+    /// Aggregation plan lookups that found their engine family already
+    /// kept on the job's pooled prepared form (see
+    /// [`BatchService::plan_cache`]).
     pub plan_cache_hits: u64,
     /// Peak number of jobs a worker pool was running at once, as counted
     /// at each pickup: the high-water mark of the [`AsyncService`] pool,
@@ -448,10 +452,8 @@ pub struct BatchService {
     reports: HashMap<JobKey, RunReport>,
     store: Option<ResultStore>,
     stats: ServiceStats,
-    /// Cross-job aggregation-plan cache, scoped to the session pool:
-    /// every pooled session stamps its prepared workloads with a scope
-    /// into this cache, so jobs sharing a (workload, strategy, engine
-    /// alignment) prefix skip the plan pass entirely.
+    /// Plan-lookup counters: every pooled session's prepared forms keep
+    /// their aggregation plans and count each lookup in here.
     plan_cache: Arc<PlanCache>,
 }
 
@@ -462,8 +464,8 @@ impl BatchService {
     }
 
     /// Cumulative service counters. `plan_cache_hits` reads live from the
-    /// shared [`PlanCache`], so hits scored by in-flight jobs are visible
-    /// the moment they land.
+    /// shared [`PlanCache`] counters, so hits scored by in-flight jobs are
+    /// visible the moment they land.
     pub fn stats(&self) -> ServiceStats {
         let mut stats = self.stats;
         stats.plan_cache_hits = self.plan_cache.hits();
@@ -553,26 +555,16 @@ impl BatchService {
         self.session_capacity
     }
 
-    /// Replaces the cross-job plan cache with a fresh one bounded to
-    /// `capacity` plan families (default:
-    /// [`PlanCache::DEFAULT_CAPACITY`]). Call before the first batch —
-    /// sessions stamp the cache handle into their prepared workloads, so
-    /// the pool is cleared to keep every stamp pointing at the new cache.
-    pub fn with_plan_cache_capacity(mut self, capacity: usize) -> Self {
-        self.plan_cache = Arc::new(PlanCache::new(capacity));
-        self.sessions.clear();
-        self.session_last_use.clear();
-        self
-    }
-
-    /// The shared cross-job aggregation-plan cache.
+    /// The plan-lookup counters of the pooled prepared forms: a job
+    /// whose engine family's plans its form already keeps scores a hit
+    /// and skips the plan pass.
     pub fn plan_cache(&self) -> &PlanCache {
         &self.plan_cache
     }
 
-    /// Drops the in-memory session pool, result cache, cross-job plan
-    /// cache, and LRU bookkeeping. Deliberately does **not** reset the
-    /// cumulative
+    /// Drops the in-memory session pool (with the plans its prepared
+    /// forms keep), result cache, and LRU bookkeeping. Deliberately does
+    /// **not** reset the cumulative
     /// [`ServiceStats`] — the counters describe the service's lifetime,
     /// not its current caches (use [`reset_stats`](Self::reset_stats) for
     /// that) — and does not touch the attached on-disk store: after a
@@ -583,7 +575,6 @@ impl BatchService {
         self.session_last_use.clear();
         self.session_clock = 0;
         self.reports.clear();
-        self.plan_cache.clear();
     }
 
     /// Zeroes the cumulative counters without touching the session pool,
@@ -894,11 +885,11 @@ impl ComputeTask {
 }
 
 /// Instantiates the pooled session of `job`'s workload recipe, its
-/// prepared forms stamped with a scope into the pool's plan cache.
+/// prepared forms counting plan lookups into the pool's counters.
 fn instantiate(job: &JobSpec, plan_cache: &Arc<PlanCache>) -> SimSession {
     let mut session = SimSession::from_spec(job.dataset, job.seed);
     session.set_hdn_id_entries(job.hdn_id_entries);
-    session.set_plan_cache(Arc::clone(plan_cache), job.session_key());
+    session.set_plan_cache(Arc::clone(plan_cache));
     session
 }
 

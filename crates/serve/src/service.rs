@@ -29,9 +29,11 @@
 //!   (workload, strategy) preparations live in once-cells, so each is
 //!   built exactly once however many workers ask: a worker needing a
 //!   form another is building waits for it, while the workload's other
-//!   strategies prepare at the same time. Workers prefer a job whose
-//!   workload no running job shares, so a sweep's workloads prepare in
-//!   parallel.
+//!   strategies prepare at the same time. A form keeps its engines'
+//!   aggregation plans, so the first job of an engine family plans it
+//!   and the family's later jobs on any worker replay those plans.
+//!   Workers prefer a job whose workload no running job shares, so a
+//!   sweep's workloads prepare in parallel.
 //! * **One parallelism level per job.** A job picked up while another
 //!   job is queued or running has its inner cluster fan-out forced
 //!   serial, since the jobs themselves then occupy the cores; a lone job

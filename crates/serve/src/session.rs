@@ -8,8 +8,11 @@
 //! never touch engine types directly. Each strategy's prepared form lives
 //! in its own once-cell, so a session shared across threads prepares
 //! each strategy exactly once while distinct strategies prepare at the
-//! same time. The [`crate::batch`] service pools sessions by workload key
-//! and shares them across jobs and workers.
+//! same time. A prepared form also keeps the aggregation plans engines
+//! make on it (its [`PlanStore`]), so every later run on the form skips
+//! the plan pass. The [`crate::batch`] service pools sessions by
+//! workload key and shares them, with their forms and plans, across
+//! jobs and workers.
 //!
 //! ```
 //! use grow_core::PartitionStrategy;
@@ -27,8 +30,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use grow_core::registry::{self, RegistryError};
 use grow_core::{
-    partition, prepare_with, PartitionStrategy, PlanCache, PlanCacheScope, PreparedWorkload,
-    RunReport,
+    partition, prepare_with, PartitionStrategy, PlanCache, PlanStore, PreparedWorkload, RunReport,
 };
 use grow_model::{DatasetSpec, GcnWorkload};
 
@@ -61,7 +63,7 @@ pub struct SimSession {
     /// insert a cell, so distinct strategies prepare concurrently while
     /// callers racing on one strategy wait for its single preparation.
     prepared: Mutex<HashMap<PartitionStrategy, PreparedCell>>,
-    plan_cache: Option<(Arc<PlanCache>, String)>,
+    plan_cache: Option<Arc<PlanCache>>,
 }
 
 impl SimSession {
@@ -94,14 +96,13 @@ impl SimSession {
         self.hdn_id_entries
     }
 
-    /// Attaches a shared cross-job [`PlanCache`]: every workload this
-    /// session prepares from now on carries a [`PlanCacheScope`] keyed
-    /// `"{scope_prefix}|{strategy:?}"`, so engines share layer-invariant
-    /// aggregation plans across jobs hitting the same prepared form.
-    /// Clears any already-prepared workloads so stamps stay consistent.
-    pub fn set_plan_cache(&mut self, cache: Arc<PlanCache>, scope_prefix: String) {
+    /// Attaches shared plan-lookup counters: every workload this session
+    /// prepares from now on carries a [`PlanStore`] whose lookups count
+    /// into `counters`. Clears any already-prepared workloads so every
+    /// memoized form counts.
+    pub fn set_plan_cache(&mut self, counters: Arc<PlanCache>) {
         self.cells().clear();
-        self.plan_cache = Some((cache, scope_prefix));
+        self.plan_cache = Some(counters);
     }
 
     /// The per-strategy once-cells, locked. Every update under the lock
@@ -159,8 +160,8 @@ impl SimSession {
     }
 
     /// Runs the software preprocessing stack for `strategy` (see
-    /// [`Self::prepare`]) and stamps the session's plan-cache scope, if
-    /// any, onto the result.
+    /// [`Self::prepare`]), its plan store counting into the session's
+    /// plan-lookup counters, if any.
     fn derive(
         &self,
         strategy: PartitionStrategy,
@@ -193,11 +194,8 @@ impl SimSession {
             }
         };
         let mut p = prepare_with(&self.workload, partitioning.as_ref(), self.hdn_id_entries);
-        if let Some((cache, prefix)) = &self.plan_cache {
-            p.plan_cache = Some(PlanCacheScope::new(
-                Arc::clone(cache),
-                format!("{prefix}|{strategy:?}"),
-            ));
+        if let Some(counters) = &self.plan_cache {
+            p.plans = PlanStore::counting_into(Arc::clone(counters));
         }
         (Arc::new(p), source)
     }
@@ -330,17 +328,21 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_scope_is_stamped_on_prepared_workloads() {
+    fn plan_lookups_count_into_the_attached_counters() {
         let mut s = session();
-        assert!(s.prepared(PartitionStrategy::None).plan_cache.is_none());
-        s.set_plan_cache(Arc::new(PlanCache::new(4)), "key".into());
+        s.prepared(PartitionStrategy::None);
+        let counters = Arc::new(PlanCache::default());
+        s.set_plan_cache(Arc::clone(&counters));
         assert_eq!(s.prepared_count(), 0, "attachment clears memoized forms");
-        assert!(s.prepared(PartitionStrategy::None).plan_cache.is_some());
-        let arc = s.get_prepared(PartitionStrategy::None).unwrap();
-        assert!(Arc::ptr_eq(
-            &arc,
-            &s.get_prepared(PartitionStrategy::None).unwrap()
-        ));
+        let first = s.run("grow", PartitionStrategy::None).unwrap();
+        assert_eq!((counters.hits(), counters.misses()), (0, 1));
+        assert_eq!(s.run("grow", PartitionStrategy::None).unwrap(), first);
+        s.run("gcnax", PartitionStrategy::None).unwrap();
+        assert_eq!(
+            (counters.hits(), counters.misses()),
+            (1, 2),
+            "a family's plans are found again; a new family is inserted"
+        );
     }
 
     #[test]

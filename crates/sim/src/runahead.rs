@@ -67,8 +67,6 @@ pub struct RunaheadTables {
     slots: Vec<Slot>,
     live: usize,
     lhs_used: usize,
-    peak_ldn: usize,
-    peak_lhs: usize,
 }
 
 impl Default for RunaheadTables {
@@ -97,8 +95,6 @@ impl RunaheadTables {
             slots: Vec::new(),
             live: 0,
             lhs_used: 0,
-            peak_ldn: 0,
-            peak_lhs: 0,
         }
     }
 
@@ -121,8 +117,6 @@ impl RunaheadTables {
         }
         self.live = 0;
         self.lhs_used = 0;
-        self.peak_ldn = 0;
-        self.peak_lhs = 0;
     }
 
     /// LDN-table entries currently allocated.
@@ -133,16 +127,6 @@ impl RunaheadTables {
     /// LHS-ID-table entries currently allocated.
     pub fn lhs_used(&self) -> usize {
         self.lhs_used
-    }
-
-    /// Largest simultaneous LDN occupancy observed.
-    pub fn peak_ldn(&self) -> usize {
-        self.peak_ldn
-    }
-
-    /// Largest simultaneous LHS occupancy observed.
-    pub fn peak_lhs(&self) -> usize {
-        self.peak_lhs
     }
 
     /// True if no fetches are in flight.
@@ -171,7 +155,6 @@ impl RunaheadTables {
         if let Some(i) = self.find(rhs_row) {
             self.slots[i].waiters.push(waiter);
             self.lhs_used += 1;
-            self.peak_lhs = self.peak_lhs.max(self.lhs_used);
             return IssueOutcome::Coalesced;
         }
         if self.live >= self.ldn_capacity {
@@ -192,8 +175,6 @@ impl RunaheadTables {
         slot.waiters.push(waiter);
         self.live += 1;
         self.lhs_used += 1;
-        self.peak_ldn = self.peak_ldn.max(self.live);
-        self.peak_lhs = self.peak_lhs.max(self.lhs_used);
         IssueOutcome::Allocated
     }
 
@@ -327,19 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn peak_occupancy_tracked() {
-        let mut t = RunaheadTables::new(4, 8);
-        t.issue(1, w(0));
-        t.issue(2, w(0));
-        t.issue(2, w(1));
-        t.set_completion(1, 10);
-        t.set_completion(2, 20);
-        while t.pop_earliest().is_some() {}
-        assert_eq!(t.peak_ldn(), 2);
-        assert_eq!(t.peak_lhs(), 3);
-    }
-
-    #[test]
     fn reset_recycles_slots_without_stale_state() {
         let mut t = RunaheadTables::new(2, 4);
         t.issue(1, w(0));
@@ -348,7 +316,6 @@ mod tests {
         t.reset(3, 6);
         assert!(t.is_empty());
         assert_eq!(t.lhs_used(), 0);
-        assert_eq!(t.peak_ldn(), 0);
         // Rows in flight before the reset are gone; re-issuing allocates.
         assert_eq!(t.issue(1, w(5)), IssueOutcome::Allocated);
         t.set_completion(1, 99);

@@ -668,7 +668,6 @@ fn plan_cache_shares_plans_across_jobs_and_stays_bit_identical() {
         "the runahead variant replays the shared grow plan"
     );
     assert_eq!(warm.plan_cache().misses(), 2, "one entry per plan family");
-    assert_eq!(warm.plan_cache().len(), 2);
 
     // Cold references: isolated services, nothing shared. The replayed
     // plan must be indistinguishable from a fresh plan pass.
@@ -685,27 +684,39 @@ fn plan_cache_shares_plans_across_jobs_and_stays_bit_identical() {
         );
     }
 
-    // Eviction: with room for one entry, the gcnax insert evicts the
-    // grow plans, so the runahead variant misses where it hit above —
-    // and still computes the identical report.
-    let mut tiny = BatchService::new().with_plan_cache_capacity(1);
-    let tiny_grow = tiny.run_batch(std::slice::from_ref(&grow));
-    tiny.run_batch(std::slice::from_ref(&gcnax));
-    let tiny_runahead = tiny.run_batch(std::slice::from_ref(&runahead));
-    assert_eq!(
-        tiny.stats().plan_cache_hits,
-        0,
-        "capacity 1 evicts before reuse"
-    );
-    assert_eq!(tiny.plan_cache().misses(), 3);
-    assert_eq!(tiny.plan_cache().len(), 1, "the bound holds");
-    assert_eq!(tiny_grow[0].outcome, warm_grow[0].outcome);
-    assert_eq!(tiny_runahead[0].outcome, warm_runahead[0].outcome);
-
     // reset_stats clears the live counters with the rest.
     warm.reset_stats();
     assert_eq!(warm.stats().plan_cache_hits, 0);
     assert_eq!(warm.plan_cache().misses(), 0);
+}
+
+#[test]
+fn jobs_sharing_a_pooled_form_plan_once_on_a_worker_pool() {
+    // Six new GROW keys on one (workload, strategy) share the "grow" plan
+    // family of the one pooled form. However the four workers race, one
+    // lookup inserts the family and every other lookup finds it.
+    let spec = DatasetKey::Cora.spec().scaled_to(600);
+    let strategy = PartitionStrategy::Multilevel { cluster_nodes: 150 };
+    let jobs: Vec<JobSpec> = (1..=6)
+        .map(|pes| {
+            JobSpec::new(spec, 33, "grow")
+                .with_strategy(strategy)
+                .with_override("pes", &pes.to_string())
+        })
+        .collect();
+    let (results, batch) = drain(
+        AsyncService::start(
+            BatchService::new(),
+            AsyncConfig {
+                workers: 4,
+                ..AsyncConfig::default()
+            },
+        ),
+        &jobs,
+    );
+    assert_eq!(batch.plan_cache().misses(), 1, "one family on one form");
+    assert_eq!(batch.plan_cache().hits(), jobs.len() as u64 - 1);
+    common::assert_unserved_outcomes(&jobs, &results);
 }
 
 #[test]

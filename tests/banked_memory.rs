@@ -139,7 +139,7 @@ fn banked_runs_are_execution_mode_invariant() {
     let (_, spec, seed) = cases()[0];
     let prepared = prepared(spec, seed);
     for engine in ENGINE_NAMES {
-        let run = || run_banked(engine, &prepared, "ca", 4, 4, 8);
+        let run = || run_banked(engine, &prepared.clone(), "ca", 4, 4, 8);
         let serial = with_mode(ExecMode::Serial, run);
         let parallel = with_workers(8, run);
         assert_eq!(

@@ -40,7 +40,8 @@ fn every_engine_is_deterministic() {
         Box::new(GammaEngine::default()),
     ];
     for engine in engines {
-        assert_eq!(engine.run(&p), engine.run(&p), "{}", engine.name());
+        let run = || engine.run(&p.clone());
+        assert_eq!(run(), run(), "{}", engine.name());
     }
 }
 

@@ -193,8 +193,9 @@ fn e2e_reports_are_execution_mode_invariant() {
         for engine in ENGINE_NAMES {
             for scheduler in SCHEDULER_NAMES {
                 let overrides = [("exec", "e2e"), ("scheduler", scheduler), ("pes", "4")];
-                let serial = with_mode(ExecMode::Serial, || run(engine, &overrides, &prepared));
-                let parallel = with_workers(8, || run(engine, &overrides, &prepared));
+                let fresh = || run(engine, &overrides, &prepared.clone());
+                let serial = with_mode(ExecMode::Serial, fresh);
+                let parallel = with_workers(8, fresh);
                 assert_eq!(serial, parallel, "{name}/{engine}/{scheduler}");
             }
         }

@@ -282,7 +282,7 @@ fn work_stealing_path_is_execution_mode_invariant() {
         let run = || {
             registry::engine_from_overrides(engine, &[("scheduler", "ws"), ("pes", "8")])
                 .expect("registered engine")
-                .run(&prepared)
+                .run(&prepared.clone())
         };
         let serial = with_mode(ExecMode::Serial, run);
         let parallel = with_workers(8, run);

@@ -37,10 +37,10 @@ fn seeded_sweep_is_mode_invariant() {
             for engine in ENGINE_NAMES {
                 for scheduler in ["rr", "ws"] {
                     let overrides = [("scheduler", scheduler), ("pes", "4")];
-                    let base = run_with(engine, &overrides, &prepared);
-                    let parallel = with_workers(4, || run_with(engine, &overrides, &prepared));
-                    let serial =
-                        with_mode(ExecMode::Serial, || run_with(engine, &overrides, &prepared));
+                    let run = || run_with(engine, &overrides, &prepared.clone());
+                    let base = run();
+                    let parallel = with_workers(4, run);
+                    let serial = with_mode(ExecMode::Serial, run);
                     assert_eq!(base, parallel, "{engine}/{scheduler}/{strategy:?}/{seed}");
                     assert_eq!(base, serial, "{engine}/{scheduler}/{strategy:?}/{seed}");
                 }

@@ -42,8 +42,8 @@ fn all_four_engines_parallel_equals_serial() {
         Box::new(GammaEngine::default()),
     ];
     for engine in engines {
-        let parallel = with_workers(WORKERS, || engine.run(&p));
-        let serial = with_mode(ExecMode::Serial, || engine.run(&p));
+        let parallel = with_workers(WORKERS, || engine.run(&p.clone()));
+        let serial = with_mode(ExecMode::Serial, || engine.run(&p.clone()));
         // RunReport derives PartialEq over every counter it carries —
         // cycles, per-class traffic, cache stats, SRAM accesses, cluster
         // profiles — so this single assert covers the whole report.
@@ -77,8 +77,8 @@ fn grow_variants_parallel_equals_serial() {
         },
     ] {
         let engine = GrowEngine::new(config);
-        let parallel = with_workers(WORKERS, || engine.run(&p));
-        let serial = with_mode(ExecMode::Serial, || engine.run(&p));
+        let parallel = with_workers(WORKERS, || engine.run(&p.clone()));
+        let serial = with_mode(ExecMode::Serial, || engine.run(&p.clone()));
         assert_eq!(parallel, serial, "config {config:?}");
     }
 }
@@ -89,9 +89,9 @@ fn repeated_parallel_runs_are_stable() {
     // worker count so this exercises real fan-out even on one core.
     let p = multi_cluster_workload();
     let engine = GrowEngine::default();
-    let first = with_workers(WORKERS, || engine.run(&p));
+    let first = with_workers(WORKERS, || engine.run(&p.clone()));
     for _ in 0..4 {
-        assert_eq!(with_workers(WORKERS, || engine.run(&p)), first);
+        assert_eq!(with_workers(WORKERS, || engine.run(&p.clone())), first);
     }
 }
 
@@ -99,8 +99,8 @@ fn repeated_parallel_runs_are_stable() {
 fn cluster_profiles_keep_cluster_order() {
     let p = multi_cluster_workload();
     let engine = GrowEngine::default();
-    let parallel = with_workers(WORKERS, || engine.run(&p));
-    let serial = with_mode(ExecMode::Serial, || engine.run(&p));
+    let parallel = with_workers(WORKERS, || engine.run(&p.clone()));
+    let serial = with_mode(ExecMode::Serial, || engine.run(&p.clone()));
     let pp = parallel.cluster_profiles();
     let sp = serial.cluster_profiles();
     assert_eq!(pp.len(), sp.len());
