@@ -15,6 +15,11 @@
 //! * on high-average-degree graphs (Reddit) the strip-level RHS reuse is
 //!   substantial, which is why GCNAX beats GROW on Reddit's traffic
 //!   (Section VII-A).
+//!
+//! A cluster's strip plan is a pure function of its LHS structure and
+//! the tile grain, so every aggregation phase files its plans under the
+//! family `gcnax:{tile_rows}x{tile_cols}` and replays them at later
+//! layers, runs and jobs (see [`plan::plan_slots`]).
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -39,40 +44,10 @@ struct GcnaxScratch {
     /// Non-zeros per `Tk`-wide tile of the current strip (zeroed as the
     /// fetch loop consumes it, so it is all-zero again at strip end).
     tile_nnz: Vec<u32>,
-    /// Distinct-column stamps: `stamp[col] == s` when `col` was first seen
-    /// in the strip stamped `s`. Stamps are drawn from `next_stamp` and
-    /// never reused (see [`GcnaxScratch::strip_stamp`]), so the array
-    /// survives cluster and layer boundaries without clearing.
-    stamp: Vec<u32>,
-    next_stamp: u32,
+    /// The current strip's distinct columns (reset once per strip).
+    columns: plan::StampSet,
     /// Outstanding tile fetches of the depth-limited dependent chain.
     in_flight: VecDeque<Cycle>,
-}
-
-impl GcnaxScratch {
-    /// Sizes the buffers for a phase over a `k_dim`-column LHS. Stamps
-    /// stay valid across calls with the same `k_dim`; a dimension change
-    /// (combination vs aggregation) re-zeroes the array.
-    fn prepare(&mut self, n_tiles_k: usize, k_dim: usize) {
-        self.tile_nnz.clear();
-        self.tile_nnz.resize(n_tiles_k, 0);
-        if self.stamp.len() != k_dim {
-            self.stamp.clear();
-            self.stamp.resize(k_dim, 0);
-            self.next_stamp = 0;
-        }
-    }
-
-    /// A fresh stamp for one strip, strictly greater than every stamp in
-    /// the array (re-zeroing on the — astronomically rare — wraparound).
-    fn strip_stamp(&mut self) -> u32 {
-        if self.next_stamp == u32::MAX {
-            self.stamp.fill(0);
-            self.next_stamp = 0;
-        }
-        self.next_stamp += 1;
-        self.next_stamp
-    }
 }
 
 /// One strip of a [`GcnaxPlan`]: the pure outcome of counting a
@@ -146,19 +121,22 @@ impl Default for GcnaxConfig {
 }
 
 /// Counts strip/tile occupancy for the cluster `rows` (the pure plan
-/// pass) into `scratch.plan`, replacing its contents: per strip, the
-/// non-zero total, distinct columns, and each non-empty tile's payload.
+/// pass) into `out`, replacing its contents: per strip, the non-zero
+/// total, distinct columns, and each non-empty tile's payload.
+/// `tile_nnz` and `columns` are the walk's scratch.
 fn plan_strips(
     cfg: &GcnaxConfig,
     lhs: &RowMajorSparse<'_>,
     rows: Range<usize>,
-    scratch: &mut GcnaxScratch,
+    tile_nnz: &mut Vec<u32>,
+    columns: &mut plan::StampSet,
+    out: &mut GcnaxPlan,
 ) {
     let k_dim = lhs.cols();
-    let n_tiles_k = k_dim.div_ceil(cfg.tile_cols);
-    scratch.prepare(n_tiles_k, k_dim);
-    scratch.plan.strips.clear();
-    scratch.plan.tiles.clear();
+    tile_nnz.clear();
+    tile_nnz.resize(k_dim.div_ceil(cfg.tile_cols), 0);
+    out.strips.clear();
+    out.tiles.clear();
     // Tile-index division strength-reduced to a shift for the (default)
     // power-of-two tile width.
     let tile_shift = cfg
@@ -169,13 +147,6 @@ fn plan_strips(
     let mut row = rows.start;
     while row < rows.end {
         let strip_end = (row + cfg.tile_rows).min(rows.end);
-        let strip_stamp = scratch.strip_stamp();
-        let GcnaxScratch {
-            plan: out,
-            tile_nnz,
-            stamp,
-            ..
-        } = &mut *scratch;
         let mut strip_nnz = 0u64;
         let mut distinct = 0u64;
 
@@ -190,6 +161,7 @@ fn plan_strips(
                 }
             }
             RowMajorSparse::Pattern(p) => {
+                columns.reset(k_dim);
                 for slice in p.row_slices(row..strip_end) {
                     for &c in slice {
                         let t = match tile_shift {
@@ -198,10 +170,7 @@ fn plan_strips(
                         };
                         tile_nnz[t] += 1;
                         strip_nnz += 1;
-                        if stamp[c as usize] != strip_stamp {
-                            stamp[c as usize] = strip_stamp;
-                            distinct += 1;
-                        }
+                        distinct += u64::from(columns.first_touch(c));
                     }
                 }
             }
@@ -264,7 +233,7 @@ impl GcnaxEngine {
         f: usize,
         clusters: &[Range<usize>],
         scratch: &ScratchArena<GcnaxScratch>,
-        store: Option<&[OnceLock<GcnaxPlan>]>,
+        slots: Option<&[OnceLock<GcnaxPlan>]>,
     ) -> PhaseReport {
         let cfg = &self.config;
         let mut phase = PhaseReport::new(kind);
@@ -281,7 +250,7 @@ impl GcnaxEngine {
         }
 
         let clustered = pipeline::run_clusters(model, kind, clusters, |ci, cluster| {
-            let cell = store.map(|st| &st[ci]);
+            let slot = slots.map(|slots| &slots[ci]);
             self.run_strips(
                 kind,
                 lhs,
@@ -289,7 +258,7 @@ impl GcnaxEngine {
                 cluster,
                 rhs_resident,
                 &mut scratch.checkout(),
-                cell,
+                slot,
             )
         });
         phase.absorb_sequential(clustered);
@@ -297,10 +266,9 @@ impl GcnaxEngine {
     }
 
     /// Walks one cluster's output strips in an isolated context: the pure
-    /// strip-counting plan is built in `scratch` and replayed through the
-    /// cycle machinery; when `cell` is given, the plan then moves there.
-    /// When `cell` holds a plan retained from an earlier layer, the count
-    /// pass is skipped entirely and the cached plan replays.
+    /// strip-counting plan is replayed from `slot` or built in `scratch`
+    /// and replayed (see [`plan::replay_or_plan`]) through the cycle
+    /// machinery.
     #[allow(clippy::too_many_arguments)]
     fn run_strips(
         &self,
@@ -310,29 +278,22 @@ impl GcnaxEngine {
         rows: Range<usize>,
         rhs_resident: bool,
         scratch: &mut GcnaxScratch,
-        cell: Option<&OnceLock<GcnaxPlan>>,
+        slot: Option<&OnceLock<GcnaxPlan>>,
     ) -> PhaseReport {
         let cfg = &self.config;
         let mut ctx = PhaseCtx::new(kind, cfg.dram, cfg.mac_lanes);
-        if let Some(plan) = cell.and_then(|c| c.get()) {
-            let in_flight = &mut scratch.in_flight;
-            self.replay_strips(kind, f, rows, rhs_resident, plan, in_flight, &mut ctx);
-        } else {
-            plan_strips(cfg, lhs, rows.clone(), scratch);
-            let in_flight = &mut scratch.in_flight;
-            self.replay_strips(
-                kind,
-                f,
-                rows,
-                rhs_resident,
-                &scratch.plan,
-                in_flight,
-                &mut ctx,
-            );
-            if let Some(cell) = cell {
-                cell.set(std::mem::take(&mut scratch.plan)).ok();
-            }
-        }
+        let GcnaxScratch {
+            plan: buf,
+            tile_nnz,
+            columns,
+            in_flight,
+        } = scratch;
+        plan::replay_or_plan(
+            slot,
+            buf,
+            |buf| plan_strips(cfg, lhs, rows.clone(), tile_nnz, columns, buf),
+            |plan| self.replay_strips(kind, f, &rows, rhs_resident, plan, in_flight, &mut ctx),
+        );
         ctx.finish_cluster()
     }
 
@@ -343,7 +304,7 @@ impl GcnaxEngine {
         &self,
         kind: PhaseKind,
         f: usize,
-        rows: Range<usize>,
+        rows: &Range<usize>,
         rhs_resident: bool,
         buf: &GcnaxPlan,
         in_flight: &mut VecDeque<Cycle>,
@@ -449,18 +410,12 @@ impl Accelerator for GcnaxEngine {
         // One scratch pool per run: strip counters and plan buffers are
         // recycled across clusters, phases, and layers.
         let scratch: ScratchArena<GcnaxScratch> = ScratchArena::new();
-        // The aggregation plan is a pure function of the layer-invariant
-        // adjacency, so runs replay retained plans. The family carries
-        // the tile grain (the plan depends on it). The combination LHS
-        // changes per layer, so no retention there.
-        let agg_slots = plan::plan_slots::<GcnaxPlan>(
-            workload,
-            &format!("gcnax:{}x{}", self.config.tile_rows, self.config.tile_cols),
-            true,
-        );
-        let agg_store = agg_slots.as_deref().map(Vec::as_slice);
+        // The combination LHS changes per layer, so only aggregation
+        // plans are kept.
+        let family = format!("gcnax:{}x{}", self.config.tile_rows, self.config.tile_cols);
         let model = ExecModel::with_dram(self.config.multi_pe, self.config.dram);
         let mut report = pipeline::run_layers(self.name(), workload, self.config.fault, |layer| {
+            let agg_slots = plan::plan_slots::<GcnaxPlan>(workload, Some(&family));
             LayerReport {
                 combination: self.run_phase(
                     &model,
@@ -478,7 +433,7 @@ impl Accelerator for GcnaxEngine {
                     layer.f_out,
                     &workload.clusters,
                     &scratch,
-                    agg_store,
+                    agg_slots.as_deref().map(Vec::as_slice),
                 ),
             }
         });

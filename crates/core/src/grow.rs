@@ -25,9 +25,14 @@
 //!
 //! 1. **Plan**: walk each row's column slice once and emit a compact probe
 //!    plan — runs of consecutive hits collapsed to one entry, misses
-//!    recorded individually in order — into the worker's scratch. A plan
-//!    the run retains moves into its cluster's slot after its first
-//!    replay, so later layers replay it without re-planning.
+//!    recorded individually in order — into the worker's scratch. The
+//!    plan is a pure function of the form and the pinned-prefix cap
+//!    `min(hdn_id_entries, cache_rows(f_out))`, which differs between
+//!    layers of different width, so each aggregation phase files its
+//!    plans under the family `grow:{cap}` (`grow:uncached` without HDN
+//!    caching): a plan moves into its cluster's slot after its first
+//!    replay, and every later phase naming the same family replays it
+//!    without re-planning.
 //! 2. **Replay** (sequential): drive the cycle-accurate machinery (FIFO
 //!    channel, MAC array, runahead tables, in-order retirement window)
 //!    over the plan. A run of `h` hits issues as one
@@ -37,9 +42,10 @@
 //!    original per-probe loop while doing per-*event* rather than
 //!    per-nonzero work on the (dominant) hit traffic.
 //!
-//! The Section VIII LRU study runs the same replay steps without a plan:
-//! its demand-filled cache changes whenever a drain installs a row, so
-//! each non-zero probes the cache as the replay reaches it.
+//! The Section VIII LRU study runs the same replay steps without a plan
+//! (and names no plan family): its demand-filled cache changes whenever
+//! a drain installs a row, so each non-zero probes the cache as the
+//! replay reaches it.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -144,17 +150,9 @@ struct RowPlan {
 
 /// Reusable probe-plan buffers: the plan-phase output for one cluster.
 #[derive(Debug, Default)]
-struct PlanBuf {
+pub(crate) struct PlanBuf {
     rows: Vec<RowPlan>,
     ops: Vec<PlanOp>,
-}
-
-/// A retained aggregation plan for one cluster, replayed by later layers
-/// when the pinned set (keyed by its `take` prefix length) matches.
-#[derive(Debug)]
-struct CachedPlan {
-    take: usize,
-    plan: PlanBuf,
 }
 
 /// Builds the probe plan for `rows` into `out`, replacing its contents:
@@ -484,7 +482,6 @@ impl GrowEngine {
         workload: &PreparedWorkload,
         f_out: usize,
         scratch: &ScratchArena<GrowScratch>,
-        plan_store: Option<&[OnceLock<CachedPlan>]>,
     ) -> PhaseReport {
         let cfg = &self.config;
         if cfg.replacement == ReplacementPolicy::Lru && cfg.hdn_caching {
@@ -518,25 +515,31 @@ impl GrowEngine {
             return model.compose(PhaseKind::Aggregation, partials);
         }
 
+        // The pinned prefix of every cluster, and so its probe plan, is
+        // fixed by the form and this cap.
+        let family = if cfg.hdn_caching {
+            format!("grow:{}", cfg.hdn_id_entries.min(self.cache_rows(f_out)))
+        } else {
+            "grow:uncached".to_owned()
+        };
+        let slots = plan::plan_slots::<PlanBuf>(workload, Some(&family));
         pipeline::run_clusters(
             model,
             PhaseKind::Aggregation,
             &workload.clusters,
             |ci, cluster| {
-                let cell = plan_store.map(|store| &store[ci]);
+                let slot = slots.as_deref().map(|slots| &slots[ci]);
                 let mut s = scratch.checkout();
-                self.aggregate_cluster(workload, f_out, ci, cluster, &mut s, cell)
+                self.aggregate_cluster(workload, f_out, ci, cluster, &mut s, slot)
             },
         )
     }
 
     /// Simulates one cluster of the aggregation phase in an isolated
     /// context. The cluster prologue pins the HDN set (when caching is
-    /// on), then the cluster's probe plan is built in `scratch` and
-    /// replayed. All working state comes from `scratch` and is
-    /// recycled. When `cell` is given, the plan moves there after its
-    /// replay, so later layers with the same pinned set replay it without
-    /// re-planning.
+    /// on), then the cluster's probe plan is replayed from `slot` or
+    /// built in `scratch` and replayed (see [`plan::replay_or_plan`]).
+    /// All working state comes from `scratch` and is recycled.
     fn aggregate_cluster(
         &self,
         workload: &PreparedWorkload,
@@ -544,7 +547,7 @@ impl GrowEngine {
         ci: usize,
         cluster: Range<usize>,
         scratch: &mut GrowScratch,
-        cell: Option<&OnceLock<CachedPlan>>,
+        slot: Option<&OnceLock<PlanBuf>>,
     ) -> PhaseReport {
         let cfg = &self.config;
         let adjacency = &workload.adjacency;
@@ -555,7 +558,7 @@ impl GrowEngine {
             tables,
             window,
             pending,
-            plan,
+            plan: buf,
         } = scratch;
         tables.reset(cfg.ldn_entries, cfg.lhs_id_entries);
         window.clear();
@@ -564,18 +567,12 @@ impl GrowEngine {
 
         let mut ctx = PhaseCtx::new(PhaseKind::Aggregation, cfg.dram, cfg.mac_lanes);
 
-        // The pinned set — and therefore the probe plan — is a pure
-        // function of the HDN list prefix actually pinned; its length
-        // keys the retained plan (`usize::MAX` = no caching, the plan is
-        // then just the miss stream of the adjacency).
-        let mut take_key = usize::MAX;
         if cfg.hdn_caching {
             pinned.reset(cache_rows, adjacency.rows());
             // Cluster prologue: fetch the HDN ID list, then pin the
             // corresponding RHS rows (Section V-C).
             let list = &workload.hdn_lists[ci];
             let take = list.len().min(cfg.hdn_id_entries).min(cache_rows);
-            take_key = take;
             let id_done = ctx
                 .dram
                 .read(0, take as u64 * HDN_ID_BYTES, TrafficClass::HdnIdList);
@@ -599,21 +596,13 @@ impl GrowEngine {
             demand: None,
             burst: 0,
         };
-        if let Some(cached) = cell.and_then(|c| c.get()).filter(|c| c.take == take_key) {
-            // A retained plan is identical plan data, so identical replay.
-            replay.plan(cluster.start, &cached.plan);
-        } else {
-            let pinned_ref = cfg.hdn_caching.then_some(&*pinned);
-            plan_rows(adjacency, cluster.clone(), pinned_ref, plan);
-            replay.plan(cluster.start, plan);
-            if let Some(cell) = cell {
-                cell.set(CachedPlan {
-                    take: take_key,
-                    plan: std::mem::take(plan),
-                })
-                .ok();
-            }
-        }
+        let pinned_ref = cfg.hdn_caching.then_some(&*pinned);
+        plan::replay_or_plan(
+            slot,
+            buf,
+            |buf| plan_rows(adjacency, cluster.clone(), pinned_ref, buf),
+            |plan| replay.plan(cluster.start, plan),
+        );
         let mut ctx = replay.finish();
 
         ctx.report.cache = if cfg.hdn_caching {
@@ -698,16 +687,6 @@ impl Accelerator for GrowEngine {
         // One scratch pool per run: per-cluster state is cleared between
         // clusters and layers, not dropped.
         let scratch: ScratchArena<GrowScratch> = ScratchArena::new();
-        // Cross-layer plan retention: the aggregation probe plan depends
-        // only on the adjacency and the pinned HDN prefix, so runs replay
-        // retained plans (keyed by the prefix length; a mismatch
-        // re-plans). The LRU study has no plans to retain.
-        let plan_slots = plan::plan_slots::<CachedPlan>(
-            workload,
-            "grow",
-            !matches!(self.config.replacement, ReplacementPolicy::Lru),
-        );
-        let plan_store = plan_slots.as_deref().map(Vec::as_slice);
         let model = ExecModel::with_dram(self.config.multi_pe, self.config.dram);
         let mut report = pipeline::run_layers(self.name(), workload, self.config.fault, |layer| {
             LayerReport {
@@ -717,13 +696,7 @@ impl Accelerator for GrowEngine {
                     layer.f_out,
                     &workload.clusters,
                 ),
-                aggregation: self.run_aggregation(
-                    &model,
-                    workload,
-                    layer.f_out,
-                    &scratch,
-                    plan_store,
-                ),
+                aggregation: self.run_aggregation(&model, workload, layer.f_out, &scratch),
             }
         });
         model.finalize(&mut report);

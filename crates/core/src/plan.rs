@@ -9,12 +9,14 @@
 //! then replay it. Clusters are the unit of parallelism; within one, plan
 //! and replay run back to back on the worker that owns it.
 //!
-//! A plan that is a pure function of the layer-invariant adjacency is
-//! kept on the prepared form it plans, in the form's [`PlanStore`]
-//! (see [`plan_slots`]): later layers, later runs and, through the
-//! serving pool's shared forms, later jobs replay it without
-//! re-planning. [`StampSet`] is the plan-pass model of a demand cache
-//! that never evicts.
+//! An aggregation plan is kept on the prepared form it plans, in the
+//! form's [`PlanStore`], under a *family* that names everything else the
+//! plan depends on (see [`plan_slots`]). One rule decides reuse: a phase
+//! that names a family replays the plans kept under it, so later layers,
+//! later runs and, through the serving pool's shared forms, later jobs
+//! skip the plan pass ([`replay_or_plan`]); a phase whose plan is not a
+//! pure function of the form names none and plans afresh. [`StampSet`]
+//! is the plan-pass model of a demand cache that never evicts.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -32,31 +34,52 @@ use crate::PreparedWorkload;
 /// either way.
 const PLAN_REUSE_MAX_OPS: usize = 1 << 22;
 
-/// Engine `family`'s per-cluster aggregation plan slots on `workload`,
-/// or `None` when the run plans every layer afresh: on forms over
-/// [`PLAN_REUSE_MAX_OPS`], or with `eligible` false (the engine's own
-/// condition, e.g. GROW's LRU study has no plans). The slots are the
-/// form's [`PlanStore`] entry for `family`, so every later layer, run or
-/// served job on the same form skips the plan pass on each cluster whose
-/// slot is filled. The first replay of a cluster's fresh plan moves that
-/// plan out of the worker's scratch into the cluster's slot.
+/// The form's per-cluster slots of plan `family`, or `None` when the
+/// aggregation phase plans afresh: with no family (a plan that depends
+/// on transient state, like an evicting LRU walk), or on forms over
+/// [`PLAN_REUSE_MAX_OPS`]. Each engine names the family once per
+/// aggregation phase from everything its plan depends on besides the
+/// form (e.g. `grow:1024`, GROW's pinned-prefix cap at that layer's
+/// width), so every later phase, run or served job naming it replays
+/// each filled slot.
 pub(crate) fn plan_slots<T: Send + Sync + 'static>(
     workload: &PreparedWorkload,
-    family: &str,
-    eligible: bool,
+    family: Option<&str>,
 ) -> Option<Arc<Vec<OnceLock<T>>>> {
     let ops = workload.adjacency.nnz() + 2 * workload.adjacency.rows();
-    (eligible && ops <= PLAN_REUSE_MAX_OPS)
-        .then(|| workload.plans.slots(family, workload.clusters.len()))
+    let family = family.filter(|_| ops <= PLAN_REUSE_MAX_OPS)?;
+    Some(workload.plans.slots(family, workload.clusters.len()))
 }
 
-/// The aggregation plans kept on one [`PreparedWorkload`]: per engine
-/// family (the engine name plus any plan-shaping configuration, e.g.
-/// GCNAX's tile grain), one `OnceLock` plan slot per cluster. GROW pins
-/// one HDN set per cluster for the cluster's whole run (Section V-C), so
-/// a family's plans are a pure function of the form, and they live and
-/// die with it: a serving pool that shares one form across jobs shares
-/// its plans too, and evicting the form drops them.
+/// One cluster's plan-then-replay step: replays the plan kept in `slot`
+/// when it holds one; otherwise runs `plan` into the worker's scratch
+/// `buf`, replays that and, given a slot, moves the plan into it for
+/// every later replay.
+pub(crate) fn replay_or_plan<P: Default>(
+    slot: Option<&OnceLock<P>>,
+    buf: &mut P,
+    plan: impl FnOnce(&mut P),
+    replay: impl FnOnce(&P),
+) {
+    if let Some(kept) = slot.and_then(OnceLock::get) {
+        return replay(kept);
+    }
+    plan(buf);
+    replay(buf);
+    if let Some(slot) = slot {
+        // A racing worker's plan for the slot is identical plan data.
+        slot.set(std::mem::take(buf)).ok();
+    }
+}
+
+/// The aggregation plans kept on one [`PreparedWorkload`]: per plan
+/// family (the engine plus everything its plan depends on besides the
+/// form, e.g. GROW's pinned-prefix cap or GCNAX's tile grain), one
+/// `OnceLock` plan slot per cluster. GROW pins one HDN prefix per cluster
+/// for the cluster's whole aggregation (Section V-C), so a family's plans
+/// are a pure function of the form, and they live and die with it: a
+/// serving pool that shares one form across jobs shares its plans too,
+/// and evicting the form drops them.
 ///
 /// A clone starts empty and counts nowhere, so a copy whose adjacency,
 /// clusters or HDN lists change (GraphSAGE's sampled adjacency) can
@@ -110,11 +133,11 @@ impl Clone for PlanStore {
 }
 
 /// Lookup counters shared by the [`PlanStore`]s of a serving pool's
-/// prepared forms: a lookup that finds its engine family counts a hit,
-/// one that inserts it a miss. The totals are aggregate-deterministic:
-/// for a fixed job set, misses equal the (form, family) pairs looked up
-/// and hits the remaining lookups, whichever concurrent worker asked
-/// first.
+/// prepared forms, one lookup per aggregation phase that names a plan
+/// family: a lookup that finds its family counts a hit, one that inserts
+/// it a miss. The totals are aggregate-deterministic: for a fixed job
+/// set, misses equal the (form, family) pairs looked up and hits the
+/// remaining lookups, whichever concurrent worker asked first.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     hits: AtomicU64,
@@ -224,18 +247,21 @@ mod tests {
         let strategy = PartitionStrategy::Multilevel { cluster_nodes: 200 };
         let base = prepare(&workload, strategy, 4096);
         assert!(base.clusters.len() > 1, "needs several clusters");
+        // Pubmed's layers (16 and 3 wide) pin the same 4,096-row cap and
+        // GAMMA's fiber cache holds the whole RHS at both widths, so each
+        // engine plans both layers under one family.
         let engines: [(Box<dyn Accelerator>, &str); 5] = [
-            (Box::new(GrowEngine::default()), "grow"),
+            (Box::new(GrowEngine::default()), "grow:4096"),
             (
                 Box::new(GrowEngine::new(GrowConfig {
                     hdn_caching: false,
                     ..GrowConfig::default()
                 })),
-                "grow",
+                "grow:uncached",
             ),
             (Box::new(GcnaxEngine::default()), "gcnax:128x128"),
-            (Box::new(MatRaptorEngine::default()), "MatRaptor"),
-            (Box::new(GammaEngine::default()), "GAMMA"),
+            (Box::new(MatRaptorEngine::default()), "MatRaptor:cacheless"),
+            (Box::new(GammaEngine::default()), "GAMMA:first-touch"),
         ];
         for (engine, family) in engines {
             let counters = Arc::new(PlanCache::default());
@@ -244,10 +270,44 @@ mod tests {
             engine.run(&form);
             let replayed = engine.run(&form);
             assert_eq!(replayed, engine.run(&base.clone()), "{family}");
-            assert_eq!((counters.hits(), counters.misses()), (1, 1), "{family}");
+            // One lookup per aggregation phase: two layers, two runs.
+            assert_eq!((counters.hits(), counters.misses()), (3, 1), "{family}");
             let families = form.plans.families.lock().unwrap();
             assert_eq!(families.keys().collect::<Vec<_>>(), [family]);
         }
+    }
+
+    #[test]
+    fn layers_of_different_width_keep_one_family_each() {
+        use crate::grow::PlanBuf;
+        use crate::{prepare, Accelerator, GrowEngine, PartitionStrategy};
+        // Flickr's layers are 64 and 7 wide: the 512 KB HDN cache pins
+        // at most 1,024 rows at f=64 and the whole 4,096-entry list at
+        // f=7, so the two aggregation phases plan under two families.
+        let workload = grow_model::DatasetKey::Flickr
+            .spec()
+            .scaled_to(3000)
+            .instantiate(5);
+        let strategy = PartitionStrategy::Multilevel {
+            cluster_nodes: 1000,
+        };
+        let base = prepare(&workload, strategy, 4096);
+        let clusters = base.clusters.len();
+        assert!(clusters > 1, "needs several clusters");
+        assert!(
+            base.hdn_lists.iter().all(|list| list.len() > 1024),
+            "every cluster pins a longer prefix at the narrow layer"
+        );
+        let engine = GrowEngine::default();
+        let form = base.clone();
+        engine.run(&form);
+        assert_eq!(form.plans.families.lock().unwrap().len(), 2);
+        for family in ["grow:1024", "grow:4096"] {
+            let slots = form.plans.slots::<PlanBuf>(family, clusters);
+            let filled = slots.iter().filter(|slot| slot.get().is_some()).count();
+            assert_eq!(filled, clusters, "{family}: every cluster's plan is kept");
+        }
+        assert_eq!(engine.run(&form), engine.run(&base.clone()));
     }
 
     #[test]

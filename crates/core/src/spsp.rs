@@ -24,7 +24,9 @@
 //! enough to never evict collapses LRU to first-touch (a
 //! [`plan::StampSet`] walk, list-free); a genuinely evicting LRU walk
 //! probes the real cache. The first two are pure functions of the
-//! adjacency, so their aggregation plans are retained across layers.
+//! adjacency, so an aggregation phase files their plans under the family
+//! `{name}:cacheless` or `{name}:first-touch` and later phases replay
+//! them; an evicting walk names no family (see [`plan_family`]).
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -65,14 +67,22 @@ struct RowCounts {
     rows: Vec<(u32, u32)>,
 }
 
-/// A row plan retained across layers (the aggregation LHS — the adjacency
-/// — is layer-invariant). Tagged with the cache mode it was planned
-/// under: hit counts are only reusable while the mode matches (a
-/// first-touch plan is wrong for a cacheless layer and vice versa).
-#[derive(Debug)]
-struct CachedRows {
-    with_cache: bool,
-    plan: RowCounts,
+/// Fiber-cache capacity in RHS rows for an `f`-wide RHS.
+fn cache_rows(params: &SpSpParams, f: usize) -> usize {
+    (params.fiber_cache_bytes / (f as u64 * CSR_ELEM_BYTES)) as usize
+}
+
+/// The plan family of an aggregation phase at width `f` over an
+/// `rhs_rows`-row RHS: which walk [`run_rows`] plans, when that walk is a
+/// pure function of the adjacency (cacheless, or a fiber cache that never
+/// evicts). An evicting LRU walk names none.
+fn plan_family(params: &SpSpParams, f: usize, rhs_rows: usize) -> Option<String> {
+    let walk = match cache_rows(params, f) {
+        0 => "cacheless",
+        rows if rows >= rhs_rows => "first-touch",
+        _ => return None,
+    };
+    Some(format!("{}:{walk}", params.name))
 }
 
 /// Parameters of a row-wise sparse-sparse engine.
@@ -101,16 +111,13 @@ pub(crate) fn run_spsp(params: &SpSpParams, workload: &PreparedWorkload) -> RunR
     // One scratch pool per run: fiber caches are epoch-reset between
     // clusters and layers, never reallocated; row plans are recycled.
     let scratch: ScratchArena<SpSpScratch> = ScratchArena::new();
-    // The aggregation row plan is a function of the layer-invariant
-    // adjacency (when the cache mode carries over — see `CachedRows`), so
-    // runs replay retained plans; the `CachedRows` mode tag guards
-    // cache-mode mismatches at replay time. The combination LHS changes
-    // per layer, so no retention there.
-    let agg_slots = plan::plan_slots::<CachedRows>(workload, params.name, true);
-    let agg_store = agg_slots.as_deref().map(Vec::as_slice);
     let model = ExecModel::with_dram(params.multi_pe, params.dram);
-    let mut report =
-        pipeline::run_layers(params.name, workload, params.fault, |layer| LayerReport {
+    let mut report = pipeline::run_layers(params.name, workload, params.fault, |layer| {
+        // The combination LHS changes per layer, so only aggregation
+        // plans are kept.
+        let family = plan_family(params, layer.f_out, workload.adjacency.cols());
+        let agg_slots = plan::plan_slots::<RowCounts>(workload, family.as_deref());
+        LayerReport {
             combination: run_phase(
                 params,
                 &model,
@@ -129,9 +136,10 @@ pub(crate) fn run_spsp(params: &SpSpParams, workload: &PreparedWorkload) -> RunR
                 layer.f_out,
                 &workload.clusters,
                 &scratch,
-                agg_store,
+                agg_slots.as_deref().map(Vec::as_slice),
             ),
-        });
+        }
+    });
     model.finalize(&mut report);
     report
 }
@@ -146,18 +154,18 @@ fn run_phase(
     f: usize,
     clusters: &[Range<usize>],
     scratch: &ScratchArena<SpSpScratch>,
-    store: Option<&[OnceLock<CachedRows>]>,
+    slots: Option<&[OnceLock<RowCounts>]>,
 ) -> PhaseReport {
     pipeline::run_clusters(model, kind, clusters, |ci, cluster| {
-        let cell = store.map(|st| &st[ci]);
+        let slot = slots.map(|slots| &slots[ci]);
         let mut s = scratch.checkout();
-        run_rows(params, kind, lhs, f, cluster, &mut s, cell)
+        run_rows(params, kind, lhs, f, cluster, &mut s, slot)
     })
 }
 
-/// Simulates one cluster's rows in an isolated context: a sparse LHS is
-/// planned into `scratch` and replayed, and a pure plan then moves into
-/// `cell` when one is given.
+/// Simulates one cluster's rows in an isolated context: a sparse LHS's
+/// row plan is replayed from `slot` or planned into `scratch` and
+/// replayed (see [`plan::replay_or_plan`]).
 fn run_rows(
     params: &SpSpParams,
     kind: PhaseKind,
@@ -165,14 +173,14 @@ fn run_rows(
     f: usize,
     rows: Range<usize>,
     scratch: &mut SpSpScratch,
-    cell: Option<&OnceLock<CachedRows>>,
+    slot: Option<&OnceLock<RowCounts>>,
 ) -> PhaseReport {
     let mut ctx = PhaseCtx::new(kind, params.dram, params.mac_lanes);
 
     // The RHS (dense in reality) is stored and fetched as CSR by these
     // engines: f elements of 12 bytes per row.
     let rhs_row_bytes = f as u64 * CSR_ELEM_BYTES;
-    let cache_rows = (params.fiber_cache_bytes / rhs_row_bytes) as usize;
+    let cache_rows = cache_rows(params, f);
     let merge_cycles =
         ((f as f64 * params.merge_factor).ceil() as u64).div_ceil(params.mac_lanes as u64);
 
@@ -222,9 +230,6 @@ fn run_rows(
             // recency becomes unobservable and hit/miss collapses to
             // first-touch per cluster.
             let no_evict = use_cache && cache_rows >= lhs.cols();
-            // Plans are layer-reusable only when they do not depend on
-            // transient LRU state (cacheless or first-touch).
-            let pure = !use_cache || no_evict;
 
             let mut total_contrib = 0u64;
             let mut stats = CacheStats::default();
@@ -233,7 +238,7 @@ fn run_rows(
             // and must keep its original one-call-per-row sequence; the
             // MAC/merge occupancy is pure u64 accumulation at gate 0, so
             // it is summed here and issued once after the walk.
-            let mut replay = |buf: &RowCounts, ctx: &mut PhaseCtx| {
+            let replay = |buf: &RowCounts| {
                 for &(nnz, hits) in &buf.rows {
                     let nnz = nnz as u64;
                     let hits = hits as u64;
@@ -253,13 +258,12 @@ fn run_rows(
                 }
             };
 
-            let cached = cell
-                .and_then(|c| c.get())
-                .filter(|c| pure && c.with_cache == use_cache);
-            if let Some(cached) = cached {
-                replay(&cached.plan, &mut ctx);
-            } else {
-                let SpSpScratch { cache, stamp, plan } = scratch;
+            let SpSpScratch {
+                cache,
+                stamp,
+                plan: buf,
+            } = scratch;
+            let walk = |plan: &mut RowCounts| {
                 plan.rows.clear();
                 if !use_cache {
                     // No fiber cache (MatRaptor): every non-zero is a miss
@@ -299,15 +303,8 @@ fn run_rows(
                         plan.rows.push((slice.len() as u32, hits));
                     }
                 }
-                replay(plan, &mut ctx);
-                if let Some(cell) = cell.filter(|_| pure) {
-                    cell.set(CachedRows {
-                        with_cache: use_cache,
-                        plan: std::mem::take(plan),
-                    })
-                    .ok();
-                }
-            }
+            };
+            plan::replay_or_plan(slot, buf, walk, replay);
 
             ctx.mac.scalar_vector_bulk(0, f, total_contrib);
             ctx.mac.occupy(0, merge_cycles * total_contrib);

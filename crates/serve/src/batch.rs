@@ -36,6 +36,7 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -49,7 +50,7 @@ use grow_sim::exec::{self, ExecMode};
 use grow_sim::fault::{self, CancelReason, FaultPlan, FaultSite, SimFault};
 
 use crate::service::{AsyncConfig, AsyncService, Priority, WaitError};
-use crate::session::{Preparation, SimSession, DEFAULT_HDN_ID_ENTRIES};
+use crate::session::{PoolCounters, SimSession, DEFAULT_HDN_ID_ENTRIES};
 use crate::store::ResultStore;
 
 /// One simulation job, as pure data: everything needed to reproduce a
@@ -416,9 +417,8 @@ pub struct ServiceStats {
     pub panics_caught: u64,
     /// Jobs whose final outcome was [`JobError::Cancelled`].
     pub jobs_cancelled: u64,
-    /// Aggregation plan lookups that found their engine family already
-    /// kept on the job's pooled prepared form (see
-    /// [`BatchService::plan_cache`]).
+    /// Aggregation phases that found their plan family already kept on
+    /// the job's pooled prepared form (see [`BatchService::plan_cache`]).
     pub plan_cache_hits: u64,
     /// Peak number of jobs a worker pool was running at once, as counted
     /// at each pickup: the high-water mark of the [`AsyncService`] pool,
@@ -452,9 +452,9 @@ pub struct BatchService {
     reports: HashMap<JobKey, RunReport>,
     store: Option<ResultStore>,
     stats: ServiceStats,
-    /// Plan-lookup counters: every pooled session's prepared forms keep
-    /// their aggregation plans and count each lookup in here.
-    plan_cache: Arc<PlanCache>,
+    /// Counters every pooled session counts its instantiation,
+    /// preparations and plan lookups into, as they run.
+    counters: Arc<PoolCounters>,
 }
 
 impl BatchService {
@@ -463,13 +463,20 @@ impl BatchService {
         Self::default()
     }
 
-    /// Cumulative service counters. `plan_cache_hits` reads live from the
-    /// shared [`PlanCache`] counters, so hits scored by in-flight jobs are
-    /// visible the moment they land.
+    /// Cumulative service counters. `sessions_created`,
+    /// `preparations_run`, `partitions_loaded` and `plan_cache_hits` read
+    /// live from the counters the pooled sessions count into, so work
+    /// done by in-flight jobs, or through [`session`](Self::session), is
+    /// visible the moment it lands.
     pub fn stats(&self) -> ServiceStats {
-        let mut stats = self.stats;
-        stats.plan_cache_hits = self.plan_cache.hits();
-        stats
+        let live = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        ServiceStats {
+            sessions_created: live(&self.counters.sessions_created),
+            preparations_run: live(&self.counters.preparations_run),
+            partitions_loaded: live(&self.counters.partitions_loaded),
+            plan_cache_hits: self.counters.plans.hits(),
+            ..self.stats
+        }
     }
 
     /// Number of pooled sessions (distinct workload recipes seen).
@@ -500,17 +507,10 @@ impl BatchService {
         self.session_clock += 1;
         self.session_last_use
             .insert(session_key.clone(), self.session_clock);
-        let mut created = false;
-        let session = self
-            .sessions
+        self.sessions
             .entry(session_key)
             .or_default()
-            .get_or_init(|| {
-                created = true;
-                instantiate(job, &self.plan_cache)
-            });
-        self.stats.sessions_created += u64::from(created);
-        session
+            .get_or_init(|| instantiate(job, &self.counters))
     }
 
     /// Attaches a persistent on-disk result store: cache misses probe the
@@ -555,11 +555,11 @@ impl BatchService {
         self.session_capacity
     }
 
-    /// The plan-lookup counters of the pooled prepared forms: a job
-    /// whose engine family's plans its form already keeps scores a hit
-    /// and skips the plan pass.
+    /// The plan-lookup counters of the pooled prepared forms, one lookup
+    /// per aggregation phase: a phase whose plan family its form already
+    /// keeps scores a hit and replays the kept plans.
     pub fn plan_cache(&self) -> &PlanCache {
-        &self.plan_cache
+        &self.counters.plans
     }
 
     /// Drops the in-memory session pool (with the plans its prepared
@@ -582,7 +582,11 @@ impl BatchService {
     /// [`clear`](Self::clear).
     pub fn reset_stats(&mut self) {
         self.stats = ServiceStats::default();
-        self.plan_cache.reset_counters();
+        let live = &self.counters;
+        live.plans.reset_counters();
+        live.sessions_created.store(0, Ordering::Relaxed);
+        live.preparations_run.store(0, Ordering::Relaxed);
+        live.partitions_loaded.store(0, Ordering::Relaxed);
     }
 
     /// Runs a single job (a batch of one).
@@ -716,7 +720,7 @@ impl BatchService {
         Staged::NeedsCompute(ComputeTask {
             engine,
             session: Arc::clone(self.sessions.entry(job.session_key()).or_default()),
-            plan_cache: Arc::clone(&self.plan_cache),
+            counters: Arc::clone(&self.counters),
             partitions: job
                 .partition_key()
                 .and_then(|key| Some((self.store.as_ref()?.reopen(), key))),
@@ -724,11 +728,10 @@ impl BatchService {
     }
 
     /// Commits one computed job — the worker pool's back half: counter
-    /// merges (including the instantiation and preparation the job ran),
-    /// the supervised store persist (a write failure, error or panic,
-    /// costs persistence, never the job), and the report-cache insert.
-    /// Failed jobs are never cached or persisted, so a later submission
-    /// recomputes them. Returns the job's outcome and its wall
+    /// merges, the supervised store persist (a write failure, error or
+    /// panic, costs persistence, never the job), and the report-cache
+    /// insert. Failed jobs are never cached or persisted, so a later
+    /// submission recomputes them. Returns the job's outcome and its wall
     /// time (`None` for failures, like [`JobResult::wall_ms`]).
     pub(crate) fn commit(
         &mut self,
@@ -739,9 +742,6 @@ impl BatchService {
         self.stats.simulations_run += 1;
         self.stats.retries += run.retries;
         self.stats.panics_caught += run.caught;
-        self.stats.sessions_created += u64::from(run.created);
-        self.stats.preparations_run += u64::from(run.preparation != Preparation::Memoized);
-        self.stats.partitions_loaded += u64::from(run.preparation == Preparation::Loaded);
         match run.outcome {
             Ok(report) => {
                 if let Some(store) = self.store.as_mut() {
@@ -853,7 +853,7 @@ pub(crate) enum Staged {
 pub(crate) struct ComputeTask {
     engine: Box<dyn Accelerator>,
     session: Arc<OnceLock<SimSession>>,
-    plan_cache: Arc<PlanCache>,
+    counters: Arc<PoolCounters>,
     /// A handle on the attached store and the job's partition key, when
     /// the job partitions and a store is attached.
     partitions: Option<(ResultStore, String)>,
@@ -862,34 +862,24 @@ pub(crate) struct ComputeTask {
 impl ComputeTask {
     /// The job's prepared workload: instantiates the pooled session if
     /// no job has yet, then prepares the job's strategy unless it is
-    /// memoized. Sets `created` when this call instantiated the session
-    /// and `preparation` when it prepared the strategy, each as soon as
-    /// that step completes, so a later panic does not lose it.
-    fn prepare(
-        &self,
-        job: &JobSpec,
-        created: &mut bool,
-        preparation: &mut Preparation,
-    ) -> Arc<PreparedWorkload> {
-        let session = self.session.get_or_init(|| {
-            *created = true;
-            instantiate(job, &self.plan_cache)
-        });
+    /// memoized.
+    fn prepare(&self, job: &JobSpec) -> Arc<PreparedWorkload> {
+        let session = self
+            .session
+            .get_or_init(|| instantiate(job, &self.counters));
         let stored = self.partitions.as_ref().map(|(s, k)| (s, k.as_str()));
-        let (prepared, how) = session.prepare(job.strategy, stored);
-        if how != Preparation::Memoized {
-            *preparation = how;
-        }
-        prepared
+        session.prepare(job.strategy, stored)
     }
 }
 
-/// Instantiates the pooled session of `job`'s workload recipe, its
-/// prepared forms counting plan lookups into the pool's counters.
-fn instantiate(job: &JobSpec, plan_cache: &Arc<PlanCache>) -> SimSession {
+/// Instantiates and counts the pooled session of `job`'s workload
+/// recipe, whose preparations and plan lookups count into the pool's
+/// counters.
+fn instantiate(job: &JobSpec, counters: &Arc<PoolCounters>) -> SimSession {
     let mut session = SimSession::from_spec(job.dataset, job.seed);
     session.set_hdn_id_entries(job.hdn_id_entries);
-    session.set_plan_cache(Arc::clone(plan_cache));
+    session.count_into(Arc::clone(counters));
+    counters.sessions_created.fetch_add(1, Ordering::Relaxed);
     session
 }
 
@@ -899,11 +889,6 @@ pub(crate) struct ComputeOutcome {
     wall_ms: f64,
     retries: u64,
     caught: u64,
-    /// True when this job instantiated its pooled session.
-    created: bool,
-    /// How this job came by its prepared form (`Memoized` when another
-    /// job had prepared it).
-    preparation: Preparation,
 }
 
 /// Prepares and runs one staged job under supervision: every attempt
@@ -920,8 +905,6 @@ pub(crate) struct ComputeOutcome {
 /// wrapping this call.
 pub(crate) fn compute_supervised(job: &JobSpec, task: &ComputeTask) -> ComputeOutcome {
     let mut started: Option<Instant> = None;
-    let mut created = false;
-    let mut preparation = Preparation::Memoized;
     let mut retries = 0u64;
     let mut caught = 0u64;
     let mut attempt = 1u64;
@@ -931,7 +914,7 @@ pub(crate) fn compute_supervised(job: &JobSpec, task: &ComputeTask) -> ComputeOu
         }
         let run = fault::with_attempt(attempt, || {
             catch_unwind(AssertUnwindSafe(|| {
-                let prepared = task.prepare(job, &mut created, &mut preparation);
+                let prepared = task.prepare(job);
                 started.get_or_insert_with(Instant::now);
                 task.engine.run(&prepared)
             }))
@@ -955,8 +938,6 @@ pub(crate) fn compute_supervised(job: &JobSpec, task: &ComputeTask) -> ComputeOu
         wall_ms: started.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e3),
         retries,
         caught,
-        created,
-        preparation,
     }
 }
 
@@ -1274,6 +1255,23 @@ mod tests {
         let session = service.session_for(&job).expect("still pooled");
         assert!(std::ptr::eq(first, session));
         assert_eq!(session.prepared_count(), 1, "the job prepared its strategy");
+    }
+
+    #[test]
+    fn preparations_through_a_pooled_session_count() {
+        let mut service = BatchService::new();
+        let job = JobSpec::new(spec(), 5, "grow");
+        service.session(&job).prepared(job.strategy);
+        assert_eq!(service.stats().sessions_created, 1);
+        assert_eq!(service.stats().preparations_run, 1, "counted where it ran");
+        assert!(service.run_one(&job).outcome.is_ok());
+        assert_eq!(service.stats().preparations_run, 1, "the job reused it");
+        service.reset_stats();
+        assert_eq!(
+            service.stats(),
+            ServiceStats::default(),
+            "live counters reset"
+        );
     }
 
     #[test]

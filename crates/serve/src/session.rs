@@ -26,6 +26,7 @@
 //! ```
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use grow_core::registry::{self, RegistryError};
@@ -39,15 +40,19 @@ use crate::store::{GraphFingerprint, ResultStore};
 /// Default HDN ID list length (Table III: 12 KB at 3 B/entry).
 pub const DEFAULT_HDN_ID_ENTRIES: usize = 4096;
 
-/// How [`SimSession::prepare`] came by a prepared form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Preparation {
-    /// Already memoized (or prepared by a concurrent caller): nothing ran.
-    Memoized,
-    /// Prepared here, running the strategy's partitioner (if any).
-    Computed,
-    /// Prepared here from an assignment loaded from the result store.
-    Loaded,
+/// The counters a serving pool attaches to each of its sessions. The
+/// work is counted where it runs, so the pool reads every count live,
+/// however a session was reached (a job or [`crate::BatchService::session`]).
+#[derive(Debug, Default)]
+pub(crate) struct PoolCounters {
+    /// Plan lookups of the sessions' prepared forms.
+    pub(crate) plans: Arc<PlanCache>,
+    /// Sessions instantiated.
+    pub(crate) sessions_created: AtomicU64,
+    /// (workload, strategy) preparations run.
+    pub(crate) preparations_run: AtomicU64,
+    /// Preparations whose partition assignment came from the store.
+    pub(crate) partitions_loaded: AtomicU64,
 }
 
 /// One strategy's prepared form, filled exactly once.
@@ -63,7 +68,7 @@ pub struct SimSession {
     /// insert a cell, so distinct strategies prepare concurrently while
     /// callers racing on one strategy wait for its single preparation.
     prepared: Mutex<HashMap<PartitionStrategy, PreparedCell>>,
-    plan_cache: Option<Arc<PlanCache>>,
+    counters: Option<Arc<PoolCounters>>,
 }
 
 impl SimSession {
@@ -73,7 +78,7 @@ impl SimSession {
             workload,
             hdn_id_entries: DEFAULT_HDN_ID_ENTRIES,
             prepared: Mutex::default(),
-            plan_cache: None,
+            counters: None,
         }
     }
 
@@ -96,13 +101,13 @@ impl SimSession {
         self.hdn_id_entries
     }
 
-    /// Attaches shared plan-lookup counters: every workload this session
-    /// prepares from now on carries a [`PlanStore`] whose lookups count
-    /// into `counters`. Clears any already-prepared workloads so every
-    /// memoized form counts.
-    pub fn set_plan_cache(&mut self, counters: Arc<PlanCache>) {
+    /// Attaches a serving pool's counters: every preparation this session
+    /// runs from now on counts into them, and its prepared form carries
+    /// a [`PlanStore`] whose lookups count into `counters.plans`. Clears
+    /// any already-prepared workloads so every memoized form counts.
+    pub(crate) fn count_into(&mut self, counters: Arc<PoolCounters>) {
         self.cells().clear();
-        self.plan_cache = Some(counters);
+        self.counters = Some(counters);
     }
 
     /// The per-strategy once-cells, locked. Every update under the lock
@@ -124,7 +129,7 @@ impl SimSession {
     /// The prepared form of the workload under `strategy`, running the
     /// software preprocessing stack on first use and memoizing it.
     pub fn prepared(&self, strategy: PartitionStrategy) -> Arc<PreparedWorkload> {
-        self.prepare(strategy, None).0
+        self.prepare(strategy, None)
     }
 
     /// The already-memoized prepared form for `strategy`, if any — the
@@ -135,49 +140,43 @@ impl SimSession {
     }
 
     /// The prepared form for `strategy`, prepared exactly once however
-    /// many callers ask at the same time, and how this call came by it.
-    /// With `stored` — a result store and the strategy's partition key —
-    /// the assignment comes from the store's validated entry for that
-    /// key when there is one, and a freshly computed assignment is
-    /// persisted for the next lifetime. Either way the preparation is
-    /// derived by [`prepare_with`], so it equals [`grow_core::prepare`]'s.
-    /// A panicking preparation leaves the strategy unprepared, and the
-    /// next caller runs it again.
+    /// many callers ask at the same time. With `stored` — a result store
+    /// and the strategy's partition key — the assignment comes from the
+    /// store's validated entry for that key when there is one, and a
+    /// freshly computed assignment is persisted for the next lifetime.
+    /// Either way the preparation is derived by [`prepare_with`], so it
+    /// equals [`grow_core::prepare`]'s. A panicking preparation leaves
+    /// the strategy unprepared, and the next caller runs it again.
     pub(crate) fn prepare(
         &self,
         strategy: PartitionStrategy,
         stored: Option<(&ResultStore, &str)>,
-    ) -> (Arc<PreparedWorkload>, Preparation) {
+    ) -> Arc<PreparedWorkload> {
         // Clone the cell out so the map lock is released before preparing.
         let cell = Arc::clone(self.cells().entry(strategy).or_default());
-        let mut source = Preparation::Memoized;
-        let prepared = cell.get_or_init(|| {
-            let (prepared, how) = self.derive(strategy, stored);
-            source = how;
-            prepared
-        });
-        (Arc::clone(prepared), source)
+        Arc::clone(cell.get_or_init(|| self.derive(strategy, stored)))
     }
 
     /// Runs the software preprocessing stack for `strategy` (see
-    /// [`Self::prepare`]), its plan store counting into the session's
-    /// plan-lookup counters, if any.
+    /// [`Self::prepare`]) and, once it completes, counts it into the
+    /// attached pool counters, if any, as its plan store will count its
+    /// plan lookups.
     fn derive(
         &self,
         strategy: PartitionStrategy,
         stored: Option<(&ResultStore, &str)>,
-    ) -> (Arc<PreparedWorkload>, Preparation) {
+    ) -> Arc<PreparedWorkload> {
         let graph = &self.workload.graph;
-        let mut source = Preparation::Computed;
+        let mut loaded = false;
         let partitioning = match stored {
             None => partition(graph, strategy),
             Some((store, key)) => {
                 let fingerprint = GraphFingerprint::of(&self.workload);
                 let parts = strategy.parts(graph.nodes());
                 match store.load_partition(key, &fingerprint, parts) {
-                    Some(loaded) => {
-                        source = Preparation::Loaded;
-                        Some(loaded)
+                    Some(partitioning) => {
+                        loaded = true;
+                        Some(partitioning)
                     }
                     None => {
                         let computed = partition(graph, strategy);
@@ -194,10 +193,14 @@ impl SimSession {
             }
         };
         let mut p = prepare_with(&self.workload, partitioning.as_ref(), self.hdn_id_entries);
-        if let Some(counters) = &self.plan_cache {
-            p.plans = PlanStore::counting_into(Arc::clone(counters));
+        if let Some(counters) = &self.counters {
+            p.plans = PlanStore::counting_into(Arc::clone(&counters.plans));
+            counters.preparations_run.fetch_add(1, Ordering::Relaxed);
+            counters
+                .partitions_loaded
+                .fetch_add(u64::from(loaded), Ordering::Relaxed);
         }
-        (Arc::new(p), source)
+        Arc::new(p)
     }
 
     /// Runs the named engine (default configuration) on the workload
@@ -271,27 +274,28 @@ mod tests {
 
     #[test]
     fn racing_callers_prepare_each_strategy_once() {
-        let s = session();
+        let mut s = session();
+        let counters = Arc::new(PoolCounters::default());
+        s.count_into(Arc::clone(&counters));
         let strategies = [
             PartitionStrategy::None,
             PartitionStrategy::Multilevel { cluster_nodes: 100 },
             PartitionStrategy::LabelPropagation { cluster_nodes: 100 },
         ];
         let (shared, start) = (&s, &Barrier::new(2 * strategies.len()));
-        let runs: Vec<Preparation> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..2)
-                .flat_map(|_| strategies)
-                .map(|strategy| {
-                    scope.spawn(move || {
-                        start.wait();
-                        shared.prepare(strategy, None).1
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        std::thread::scope(|scope| {
+            for strategy in (0..2).flat_map(|_| strategies) {
+                scope.spawn(move || {
+                    start.wait();
+                    shared.prepare(strategy, None)
+                });
+            }
         });
-        let computed = runs.iter().filter(|&&p| p == Preparation::Computed).count();
-        assert_eq!(computed, strategies.len(), "one preparation per strategy");
+        assert_eq!(
+            counters.preparations_run.load(Ordering::Relaxed),
+            strategies.len() as u64,
+            "one preparation per strategy"
+        );
         assert_eq!(s.prepared_count(), strategies.len());
         for strategy in strategies {
             let direct = prepare(s.workload(), strategy, DEFAULT_HDN_ID_ENTRIES);
@@ -331,16 +335,19 @@ mod tests {
     fn plan_lookups_count_into_the_attached_counters() {
         let mut s = session();
         s.prepared(PartitionStrategy::None);
-        let counters = Arc::new(PlanCache::default());
-        s.set_plan_cache(Arc::clone(&counters));
+        let counters = Arc::new(PoolCounters::default());
+        s.count_into(Arc::clone(&counters));
         assert_eq!(s.prepared_count(), 0, "attachment clears memoized forms");
+        let plans = &counters.plans;
+        // One lookup per aggregation phase: Pubmed's two layers pin the
+        // same cap, so layer 2 finds the family layer 1 inserted.
         let first = s.run("grow", PartitionStrategy::None).unwrap();
-        assert_eq!((counters.hits(), counters.misses()), (0, 1));
+        assert_eq!((plans.hits(), plans.misses()), (1, 1));
         assert_eq!(s.run("grow", PartitionStrategy::None).unwrap(), first);
         s.run("gcnax", PartitionStrategy::None).unwrap();
         assert_eq!(
-            (counters.hits(), counters.misses()),
-            (1, 2),
+            (plans.hits(), plans.misses()),
+            (4, 2),
             "a family's plans are found again; a new family is inserted"
         );
     }

@@ -649,9 +649,11 @@ fn priority_classes_reorder_completion_under_a_worker_pool() {
 #[test]
 fn plan_cache_shares_plans_across_jobs_and_stays_bit_identical() {
     // Three jobs on one session: two grow configurations share the
-    // "grow" plan family (the second must hit), gcnax lives in its own
-    // family. Single-job batches fix the request order, so the counters
-    // are exact in both CI legs.
+    // "grow:4096" plan family (Cora's two layers pin the same cap, and
+    // the second job must hit at both), gcnax lives in its own family.
+    // Each aggregation phase looks its family up once, and single-job
+    // batches fix the request order, so the counters are exact in both
+    // CI legs.
     let spec = DatasetKey::Cora.spec().scaled_to(600);
     let strategy = PartitionStrategy::Multilevel { cluster_nodes: 150 };
     let grow = JobSpec::new(spec, 33, "grow").with_strategy(strategy);
@@ -664,8 +666,8 @@ fn plan_cache_shares_plans_across_jobs_and_stays_bit_identical() {
     let warm_runahead = warm.run_batch(std::slice::from_ref(&runahead));
     assert_eq!(
         warm.stats().plan_cache_hits,
-        1,
-        "the runahead variant replays the shared grow plan"
+        4,
+        "layer 2 of each job and both layers of the runahead variant replay"
     );
     assert_eq!(warm.plan_cache().misses(), 2, "one entry per plan family");
 
@@ -692,9 +694,10 @@ fn plan_cache_shares_plans_across_jobs_and_stays_bit_identical() {
 
 #[test]
 fn jobs_sharing_a_pooled_form_plan_once_on_a_worker_pool() {
-    // Six new GROW keys on one (workload, strategy) share the "grow" plan
-    // family of the one pooled form. However the four workers race, one
-    // lookup inserts the family and every other lookup finds it.
+    // Six new GROW keys on one (workload, strategy) share the "grow:4096"
+    // plan family of the one pooled form at both layers. However the four
+    // workers race, one lookup inserts the family and every other lookup
+    // finds it.
     let spec = DatasetKey::Cora.spec().scaled_to(600);
     let strategy = PartitionStrategy::Multilevel { cluster_nodes: 150 };
     let jobs: Vec<JobSpec> = (1..=6)
@@ -715,7 +718,7 @@ fn jobs_sharing_a_pooled_form_plan_once_on_a_worker_pool() {
         &jobs,
     );
     assert_eq!(batch.plan_cache().misses(), 1, "one family on one form");
-    assert_eq!(batch.plan_cache().hits(), jobs.len() as u64 - 1);
+    assert_eq!(batch.plan_cache().hits(), 2 * jobs.len() as u64 - 1);
     common::assert_unserved_outcomes(&jobs, &results);
 }
 
