@@ -87,40 +87,18 @@ impl ExecModelKind {
 #[derive(Debug, Clone, Copy)]
 pub struct ExecModel {
     cfg: MultiPeConfig,
-    per_pe_bytes_per_cycle: f64,
     dram: grow_sim::DramConfig,
 }
 
 impl ExecModel {
     /// Builds the execution model for one run: `cfg` names the PE count,
-    /// scheduler, model kind, and channel/bank topology;
-    /// `per_pe_bytes_per_cycle` is each PE's average share of the channel
-    /// (total bandwidth scales with `pes`, per Section VII-F). Request
-    /// granularity and per-request overhead — the banked contention
-    /// parameters — take the Table III defaults; engines that carry a
-    /// full [`DramConfig`](grow_sim::DramConfig) should use
-    /// [`ExecModel::with_dram`] so registry overrides of those knobs
-    /// reach the contention model too.
-    pub fn new(cfg: MultiPeConfig, per_pe_bytes_per_cycle: f64) -> Self {
-        ExecModel::with_dram(
-            cfg,
-            grow_sim::DramConfig {
-                bytes_per_cycle: per_pe_bytes_per_cycle,
-                ..grow_sim::DramConfig::default()
-            },
-        )
-    }
-
-    /// Builds the execution model from an engine's full DRAM
-    /// configuration: the per-PE bandwidth share is
-    /// `dram.bytes_per_cycle`, and the banked contention model reuses the
-    /// engine's `access_granularity` and `request_overhead_cycles`.
+    /// scheduler, model kind, and channel/bank topology, and `dram` is the
+    /// engine's memory channel. Each PE's average share of the channel is
+    /// `dram.bytes_per_cycle` (total bandwidth scales with `pes`, per
+    /// Section VII-F), and the banked contention model charges the
+    /// channel's `access_granularity` and `request_overhead_cycles`.
     pub fn with_dram(cfg: MultiPeConfig, dram: grow_sim::DramConfig) -> Self {
-        ExecModel {
-            cfg,
-            per_pe_bytes_per_cycle: dram.bytes_per_cycle,
-            dram,
-        }
+        ExecModel { cfg, dram }
     }
 
     /// Composes one phase's per-cluster fragments into a single
@@ -152,7 +130,7 @@ impl ExecModel {
             let run = multi_pe::simulate_e2e(
                 &merged.cluster_profiles,
                 self.cfg.pes,
-                self.per_pe_bytes_per_cycle,
+                self.dram.bytes_per_cycle,
                 self.cfg.scheduler,
                 &self.dram,
                 self.cfg.topology,
@@ -190,7 +168,7 @@ impl ExecModel {
                 report.multi_pe = Some(schedule::summarize(
                     report,
                     &self.cfg,
-                    self.per_pe_bytes_per_cycle,
+                    self.dram.bytes_per_cycle,
                 ));
             }
             ExecModelKind::EndToEnd => {
@@ -224,16 +202,25 @@ mod tests {
     use super::*;
     use crate::schedule::SchedulerKind;
     use crate::ClusterProfile;
+    use grow_sim::DramConfig;
+
+    /// A 32-byte-per-cycle channel with the Table III timing.
+    fn dram() -> DramConfig {
+        DramConfig {
+            bytes_per_cycle: 32.0,
+            ..DramConfig::default()
+        }
+    }
 
     fn model(kind: ExecModelKind, pes: usize) -> ExecModel {
-        ExecModel::new(
+        ExecModel::with_dram(
             MultiPeConfig {
                 pes,
                 scheduler: SchedulerKind::RoundRobin,
                 exec: kind,
                 ..MultiPeConfig::default()
             },
-            32.0,
+            dram(),
         )
     }
 
@@ -324,7 +311,8 @@ mod tests {
             exec: ExecModelKind::EndToEnd,
             topology: MemTopology::new(1, 4),
         };
-        let banked = ExecModel::new(banked_cfg, 32.0).compose(PhaseKind::Aggregation, parts());
+        let banked =
+            ExecModel::with_dram(banked_cfg, dram()).compose(PhaseKind::Aggregation, parts());
         assert!(
             banked.cycles > uniform.cycles,
             "banked {} vs uniform {}",
@@ -336,7 +324,8 @@ mod tests {
             topology: MemTopology::default(),
             ..banked_cfg
         };
-        let defaulted = ExecModel::new(default_cfg, 32.0).compose(PhaseKind::Aggregation, parts());
+        let defaulted =
+            ExecModel::with_dram(default_cfg, dram()).compose(PhaseKind::Aggregation, parts());
         assert_eq!(defaulted, uniform);
     }
 
@@ -356,7 +345,7 @@ mod tests {
         let cfg = MultiPeConfig::default();
         let expected = schedule::summarize(&report, &cfg, 32.0);
         let mut finalized = report.clone();
-        ExecModel::new(cfg, 32.0).finalize(&mut finalized);
+        ExecModel::with_dram(cfg, dram()).finalize(&mut finalized);
         assert_eq!(finalized.multi_pe, Some(expected));
         assert_eq!(finalized.exec, "post_hoc");
     }

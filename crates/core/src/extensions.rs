@@ -16,6 +16,7 @@
 use grow_sim::{Dram, MacArray, TrafficClass, ELEMENT_BYTES, INDEX_BYTES};
 use grow_sparse::CsrPattern;
 
+use crate::pipeline::MAC_LANES;
 use crate::{
     Accelerator, GrowEngine, LayerReport, PhaseKind, PhaseReport, PreparedWorkload, RunReport,
 };
@@ -144,7 +145,7 @@ fn layer_f_out(layer: &LayerReport) -> usize {
 fn gin_mlp_phase(engine: &GrowEngine, nodes: usize, f_out: usize) -> PhaseReport {
     let mut phase = PhaseReport::new(PhaseKind::Combination);
     let mut dram = Dram::new(engine.config().dram);
-    let mut mac = MacArray::new(engine.config().mac_lanes);
+    let mut mac = MacArray::new(MAC_LANES);
     // Read the n x f_out intermediate back, multiply by the (on-chip)
     // f_out x f_out MLP weight, write the result.
     let bytes = nodes as u64 * f_out as u64 * ELEMENT_BYTES;
@@ -167,7 +168,7 @@ fn gin_mlp_phase(engine: &GrowEngine, nodes: usize, f_out: usize) -> PhaseReport
 fn gat_attention_phase(engine: &GrowEngine, adjacency: &CsrPattern, f_out: usize) -> PhaseReport {
     let mut phase = PhaseReport::new(PhaseKind::Aggregation);
     let mut dram = Dram::new(engine.config().dram);
-    let mut mac = MacArray::new(engine.config().mac_lanes);
+    let mut mac = MacArray::new(MAC_LANES);
     let nnz = adjacency.nnz() as u64;
     // Per edge: a^T [W h_i || W h_j] — two f_out-wide dot products. The
     // h vectors are the same rows the aggregation pass streams, so no

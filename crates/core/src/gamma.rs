@@ -17,8 +17,6 @@ use crate::{Accelerator, PreparedWorkload, RunReport};
 /// GAMMA configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GammaConfig {
-    /// MAC lanes (iso-throughput with GROW, Section VI).
-    pub mac_lanes: usize,
     /// Off-chip memory parameters.
     pub dram: DramConfig,
     /// Fiber cache capacity in bytes (sized like GROW's HDN cache for an
@@ -37,7 +35,6 @@ pub struct GammaConfig {
 impl Default for GammaConfig {
     fn default() -> Self {
         GammaConfig {
-            mac_lanes: 16,
             dram: DramConfig::default(),
             fiber_cache_bytes: 512 * 1024,
             merge_factor: 0.5,
@@ -67,7 +64,6 @@ impl GammaEngine {
     fn params(&self) -> SpSpParams {
         SpSpParams {
             name: "GAMMA",
-            mac_lanes: self.config.mac_lanes,
             dram: self.config.dram,
             fiber_cache_bytes: self.config.fiber_cache_bytes,
             merge_factor: self.config.merge_factor,

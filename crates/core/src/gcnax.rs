@@ -16,10 +16,10 @@
 //!   substantial, which is why GCNAX beats GROW on Reddit's traffic
 //!   (Section VII-A).
 //!
-//! A cluster's strip plan is a pure function of its LHS structure and
-//! the tile grain, so every aggregation phase files its plans under the
-//! family `gcnax:{tile_rows}x{tile_cols}` and replays them at later
-//! layers, runs and jobs (see [`plan::plan_slots`]).
+//! The tile width is a constant 128. A cluster's strip plan is a pure
+//! function of its LHS structure and the tile grain, so every aggregation
+//! phase files its plans under the family `gcnax:{tile_rows}x128` and
+//! replays them at later layers, runs and jobs (see [`plan::plan_slots`]).
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -74,16 +74,17 @@ struct GcnaxPlan {
     tiles: Vec<u32>,
 }
 
+/// Tile width `Tk` (inner-dimension span of one sparse tile).
+const TILE_COLS: usize = 128;
+/// Bytes of CSC metadata fetched with each sparse tile: one 16-bit
+/// within-tile column pointer per tile column (plus one terminator).
+const TILE_METADATA_BYTES: u64 = 2 * (TILE_COLS as u64 + 1);
+
 /// GCNAX configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GcnaxConfig {
     /// Tile height `Ti` (output strip rows).
     pub tile_rows: usize,
-    /// Tile width `Tk` (inner-dimension span of one sparse tile).
-    pub tile_cols: usize,
-    /// MAC lanes (matched to GROW for iso-throughput comparison,
-    /// Section VI).
-    pub mac_lanes: usize,
     /// Dense-operand buffer capacity in bytes; a weight matrix that fits is
     /// fetched once, otherwise dense rows are re-fetched per strip.
     pub dense_buffer_bytes: u64,
@@ -107,8 +108,6 @@ impl Default for GcnaxConfig {
     fn default() -> Self {
         GcnaxConfig {
             tile_rows: 128,
-            tile_cols: 128,
-            mac_lanes: 16,
             dense_buffer_bytes: 512 * 1024,
             // Two tile buffers (double buffering) — GCNAX prefetches the
             // next tile while computing the current one, nothing more.
@@ -134,15 +133,9 @@ fn plan_strips(
 ) {
     let k_dim = lhs.cols();
     tile_nnz.clear();
-    tile_nnz.resize(k_dim.div_ceil(cfg.tile_cols), 0);
+    tile_nnz.resize(k_dim.div_ceil(TILE_COLS), 0);
     out.strips.clear();
     out.tiles.clear();
-    // Tile-index division strength-reduced to a shift for the (default)
-    // power-of-two tile width.
-    let tile_shift = cfg
-        .tile_cols
-        .is_power_of_two()
-        .then(|| cfg.tile_cols.trailing_zeros());
 
     let mut row = rows.start;
     while row < rows.end {
@@ -156,7 +149,7 @@ fn plan_strips(
                 strip_nnz = ((strip_end - row) * cols) as u64;
                 distinct = cols as u64;
                 for (t, slot) in tile_nnz.iter_mut().enumerate() {
-                    let w = cfg.tile_cols.min(cols - t * cfg.tile_cols);
+                    let w = TILE_COLS.min(cols - t * TILE_COLS);
                     *slot = ((strip_end - row) * w) as u32;
                 }
             }
@@ -164,11 +157,7 @@ fn plan_strips(
                 columns.reset(k_dim);
                 for slice in p.row_slices(row..strip_end) {
                     for &c in slice {
-                        let t = match tile_shift {
-                            Some(s) => c as usize >> s,
-                            None => c as usize / cfg.tile_cols,
-                        };
-                        tile_nnz[t] += 1;
+                        tile_nnz[c as usize / TILE_COLS] += 1;
                         strip_nnz += 1;
                         distinct += u64::from(columns.first_touch(c));
                     }
@@ -198,12 +187,6 @@ fn plan_strips(
 #[derive(Debug, Clone, Default)]
 pub struct GcnaxEngine {
     config: GcnaxConfig,
-}
-
-/// Bytes of CSC metadata fetched with each sparse tile: one 16-bit
-/// within-tile column pointer per tile column (plus one terminator).
-fn tile_metadata_bytes(tile_cols: usize) -> u64 {
-    2 * (tile_cols as u64 + 1)
 }
 
 impl GcnaxEngine {
@@ -242,7 +225,7 @@ impl GcnaxEngine {
 
         if rhs_resident {
             // One-time weight preload (contiguous).
-            let mut pre = PhaseCtx::new(kind, cfg.dram, cfg.mac_lanes);
+            let mut pre = PhaseCtx::new(kind, cfg.dram);
             pre.now = pre.dram.read_stream(0, rhs_bytes, TrafficClass::Weights);
             pre.dram.round_burst(rhs_bytes, TrafficClass::Weights);
             pre.report.sram_writes_8b += rhs_bytes / 8;
@@ -281,7 +264,7 @@ impl GcnaxEngine {
         slot: Option<&OnceLock<GcnaxPlan>>,
     ) -> PhaseReport {
         let cfg = &self.config;
-        let mut ctx = PhaseCtx::new(kind, cfg.dram, cfg.mac_lanes);
+        let mut ctx = PhaseCtx::new(kind, cfg.dram);
         let GcnaxScratch {
             plan: buf,
             tile_nnz,
@@ -320,7 +303,6 @@ impl GcnaxEngine {
         // the walk), and a tile's RHS row fetches issue only once that
         // tile's metadata is on-chip. This bounded MLP is the structural
         // disadvantage against GROW's runahead.
-        let meta = tile_metadata_bytes(cfg.tile_cols);
         let class = match kind {
             PhaseKind::Combination => TrafficClass::Weights,
             PhaseKind::Aggregation => TrafficClass::RhsRows,
@@ -353,10 +335,13 @@ impl GcnaxEngine {
                     issue_at
                 };
                 let payload = slot as u64 * (ELEMENT_BYTES + INDEX_BYTES);
-                let tile_done =
-                    ctx.dram
-                        .read_with_overhead(gate, payload, meta, TrafficClass::LhsSparse);
-                ctx.report.sram_writes_8b += (payload + meta).div_ceil(8);
+                let tile_done = ctx.dram.read_with_overhead(
+                    gate,
+                    payload,
+                    TILE_METADATA_BYTES,
+                    TrafficClass::LhsSparse,
+                );
+                ctx.report.sram_writes_8b += (payload + TILE_METADATA_BYTES).div_ceil(8);
                 let mut done = tile_done;
                 if !rhs_resident && rows_remaining > 0 {
                     // This tile's share of the strip's distinct RHS rows,
@@ -412,7 +397,7 @@ impl Accelerator for GcnaxEngine {
         let scratch: ScratchArena<GcnaxScratch> = ScratchArena::new();
         // The combination LHS changes per layer, so only aggregation
         // plans are kept.
-        let family = format!("gcnax:{}x{}", self.config.tile_rows, self.config.tile_cols);
+        let family = format!("gcnax:{}x{TILE_COLS}", self.config.tile_rows);
         let model = ExecModel::with_dram(self.config.multi_pe, self.config.dram);
         let mut report = pipeline::run_layers(self.name(), workload, self.config.fault, |layer| {
             let agg_slots = plan::plan_slots::<GcnaxPlan>(workload, Some(&family));
@@ -446,7 +431,7 @@ impl Accelerator for GcnaxEngine {
         // output strip buffer) is provisioned comparably to GROW
         // (Section VI: "provisioned with similar on-chip SRAM capacity").
         (self.config.dense_buffer_bytes as f64
-            + (self.config.tile_rows * self.config.tile_cols) as f64 * 12.0
+            + (self.config.tile_rows * TILE_COLS) as f64 * 12.0
             + (self.config.tile_rows * 64) as f64 * ELEMENT_BYTES as f64)
             / 1024.0
     }

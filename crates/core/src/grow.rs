@@ -8,7 +8,8 @@
 //! Figure 9(b)); each non-zero's column is looked up in the HDN ID list —
 //! hits read the pinned RHS row from the HDN cache, misses allocate
 //! LDN/LHS-ID table entries and run ahead across up to `runahead` output
-//! rows (Figures 15/16).
+//! rows (Figures 15/16). Table III's fixed sizes (MAC lanes, HDN ID list,
+//! I-BUF, O-BUF, LHS-ID table) are constants; [`GrowConfig`] holds the rest.
 //!
 //! Clusters are simulated independently through the shared
 //! [`pipeline`](crate::pipeline) harness — in parallel across threads,
@@ -27,7 +28,7 @@
 //!    plan — runs of consecutive hits collapsed to one entry, misses
 //!    recorded individually in order — into the worker's scratch. The
 //!    plan is a pure function of the form and the pinned-prefix cap
-//!    `min(hdn_id_entries, cache_rows(f_out))`, which differs between
+//!    `min(HDN_ID_ENTRIES, cache_rows(f_out))`, which differs between
 //!    layers of different width, so each aggregation phase files its
 //!    plans under the family `grow:{cap}` (`grow:uncached` without HDN
 //!    caching): a plan moves into its cluster's slot after its first
@@ -75,26 +76,26 @@ pub enum ReplacementPolicy {
     Lru,
 }
 
+/// HDN ID list entries (Table III: 12 KB at 3 B/entry = 4096): the
+/// longest prefix of a cluster's HDN list the prologue pins.
+pub const HDN_ID_ENTRIES: usize = 4096;
+/// I-BUF_sparse capacity in bytes (Table III: 12 KB).
+const IBUF_SPARSE_BYTES: u64 = 12 * 1024;
+/// O-BUF_dense capacity in bytes (Table III: 2 KB).
+const OBUF_BYTES: u64 = 2 * 1024;
+/// LHS-ID table entries (Section V-D: N = 64).
+const LHS_ID_ENTRIES: usize = 64;
+
 /// GROW configuration (Table III defaults).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GrowConfig {
-    /// MAC lanes (Table III: 16 MACs, 64-bit).
-    pub mac_lanes: usize,
     /// HDN cache capacity in bytes (Table III: 512 KB).
     pub hdn_cache_bytes: u64,
-    /// HDN ID list entries (Table III: 12 KB at 3 B/entry = 4096).
-    pub hdn_id_entries: usize,
-    /// I-BUF_sparse capacity in bytes (Table III: 12 KB).
-    pub ibuf_sparse_bytes: u64,
-    /// O-BUF_dense capacity in bytes (Table III: 2 KB).
-    pub obuf_bytes: u64,
     /// Runahead execution degree: output rows concurrently in flight
     /// (Table III: 16).
     pub runahead: usize,
     /// LDN table entries (Section V-D: M = 16).
     pub ldn_entries: usize,
-    /// LHS-ID table entries (Section V-D: N = 64).
-    pub lhs_id_entries: usize,
     /// Off-chip memory parameters (Table III: 128 GB/s).
     pub dram: DramConfig,
     /// Enables HDN caching (disable to reproduce the "GROW w/o HDN
@@ -113,14 +114,9 @@ pub struct GrowConfig {
 impl Default for GrowConfig {
     fn default() -> Self {
         GrowConfig {
-            mac_lanes: 16,
             hdn_cache_bytes: 512 * 1024,
-            hdn_id_entries: 4096,
-            ibuf_sparse_bytes: 12 * 1024,
-            obuf_bytes: 2 * 1024,
             runahead: 16,
             ldn_entries: 16,
-            lhs_id_entries: 64,
             dram: DramConfig::default(),
             hdn_caching: true,
             replacement: ReplacementPolicy::Pinned,
@@ -419,7 +415,7 @@ impl GrowEngine {
             }
             // Prologue: preload the W chunk — contiguous when it is the
             // whole matrix, otherwise one strided read per W row.
-            let mut pre = PhaseCtx::new(PhaseKind::Combination, cfg.dram, cfg.mac_lanes);
+            let mut pre = PhaseCtx::new(PhaseKind::Combination, cfg.dram);
             pre.now = if passes == 1 {
                 let done = pre.dram.read_stream(0, w_bytes, TrafficClass::Weights);
                 pre.dram.round_burst(w_bytes, TrafficClass::Weights);
@@ -439,7 +435,7 @@ impl GrowEngine {
             // on-chip W.
             let clustered =
                 pipeline::run_clusters(model, PhaseKind::Combination, clusters, |_, cluster| {
-                    let mut ctx = PhaseCtx::new(PhaseKind::Combination, cfg.dram, cfg.mac_lanes);
+                    let mut ctx = PhaseCtx::new(PhaseKind::Combination, cfg.dram);
                     let mut burst = 0u64;
                     let mut total_nnz = 0u64;
                     for row in cluster {
@@ -518,7 +514,7 @@ impl GrowEngine {
         // The pinned prefix of every cluster, and so its probe plan, is
         // fixed by the form and this cap.
         let family = if cfg.hdn_caching {
-            format!("grow:{}", cfg.hdn_id_entries.min(self.cache_rows(f_out)))
+            format!("grow:{}", HDN_ID_ENTRIES.min(self.cache_rows(f_out)))
         } else {
             "grow:uncached".to_owned()
         };
@@ -560,19 +556,19 @@ impl GrowEngine {
             pending,
             plan: buf,
         } = scratch;
-        tables.reset(cfg.ldn_entries, cfg.lhs_id_entries);
+        tables.reset(cfg.ldn_entries, LHS_ID_ENTRIES);
         window.clear();
         pending.clear();
         pending.resize(cluster.len(), 0);
 
-        let mut ctx = PhaseCtx::new(PhaseKind::Aggregation, cfg.dram, cfg.mac_lanes);
+        let mut ctx = PhaseCtx::new(PhaseKind::Aggregation, cfg.dram);
 
         if cfg.hdn_caching {
             pinned.reset(cache_rows, adjacency.rows());
             // Cluster prologue: fetch the HDN ID list, then pin the
             // corresponding RHS rows (Section V-C).
             let list = &workload.hdn_lists[ci];
-            let take = list.len().min(cfg.hdn_id_entries).min(cache_rows);
+            let take = list.len().min(HDN_ID_ENTRIES).min(cache_rows);
             let id_done = ctx
                 .dram
                 .read(0, take as u64 * HDN_ID_BYTES, TrafficClass::HdnIdList);
@@ -636,7 +632,7 @@ impl GrowEngine {
             pending,
             ..
         } = scratch;
-        tables.reset(cfg.ldn_entries, cfg.lhs_id_entries);
+        tables.reset(cfg.ldn_entries, LHS_ID_ENTRIES);
         window.clear();
         pending.clear();
         pending.resize(cluster.len(), 0);
@@ -644,7 +640,7 @@ impl GrowEngine {
         let fills_before = lru.stats().fills;
         let mut replay = Replay {
             cfg,
-            ctx: PhaseCtx::new(PhaseKind::Aggregation, cfg.dram, cfg.mac_lanes),
+            ctx: PhaseCtx::new(PhaseKind::Aggregation, cfg.dram),
             f_out,
             start: cluster.start,
             tables,
@@ -705,9 +701,9 @@ impl Accelerator for GrowEngine {
 
     fn sram_kb(&self) -> f64 {
         (self.config.hdn_cache_bytes
-            + self.config.ibuf_sparse_bytes
-            + self.config.obuf_bytes
-            + self.config.hdn_id_entries as u64 * HDN_ID_BYTES) as f64
+            + IBUF_SPARSE_BYTES
+            + OBUF_BYTES
+            + HDN_ID_ENTRIES as u64 * HDN_ID_BYTES) as f64
             / 1024.0
     }
 }
@@ -794,14 +790,12 @@ mod tests {
         let narrow = GrowEngine::new(GrowConfig {
             runahead: 1,
             hdn_cache_bytes: 4 * 1024, // force misses
-            hdn_id_entries: 32,
             ..GrowConfig::default()
         })
         .run(&p);
         let wide = GrowEngine::new(GrowConfig {
             runahead: 16,
             hdn_cache_bytes: 4 * 1024,
-            hdn_id_entries: 32,
             ..GrowConfig::default()
         })
         .run(&p);

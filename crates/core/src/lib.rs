@@ -59,7 +59,7 @@ pub mod schedule;
 pub use exec_model::{ExecModel, ExecModelKind};
 pub use gamma::{GammaConfig, GammaEngine};
 pub use gcnax::{GcnaxConfig, GcnaxEngine};
-pub use grow::{GrowConfig, GrowEngine, ReplacementPolicy};
+pub use grow::{GrowConfig, GrowEngine, ReplacementPolicy, HDN_ID_ENTRIES};
 pub use matraptor::{MatRaptorConfig, MatRaptorEngine};
 pub use plan::{PlanCache, PlanStore};
 pub use prepare::{partition, prepare, prepare_with, PartitionStrategy, PreparedWorkload};

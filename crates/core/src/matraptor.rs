@@ -16,8 +16,6 @@ use crate::{Accelerator, PreparedWorkload, RunReport};
 /// MatRaptor configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MatRaptorConfig {
-    /// MAC lanes (iso-throughput with GROW, Section VI).
-    pub mac_lanes: usize,
     /// Off-chip memory parameters.
     pub dram: DramConfig,
     /// Merge occupancy relative to a MAC op (sorting queues: 1.0).
@@ -32,7 +30,6 @@ pub struct MatRaptorConfig {
 impl Default for MatRaptorConfig {
     fn default() -> Self {
         MatRaptorConfig {
-            mac_lanes: 16,
             dram: DramConfig::default(),
             merge_factor: 1.0,
             multi_pe: crate::schedule::MultiPeConfig::default(),
@@ -61,7 +58,6 @@ impl MatRaptorEngine {
     fn params(&self) -> SpSpParams {
         SpSpParams {
             name: "MatRaptor",
-            mac_lanes: self.config.mac_lanes,
             dram: self.config.dram,
             fiber_cache_bytes: 0,
             merge_factor: self.config.merge_factor,

@@ -39,6 +39,11 @@ pub use grow_sim::{ScratchArena, ScratchGuard};
 pub use crate::exec_model::{ExecModel, ExecModelKind};
 use crate::{ClusterProfile, LayerReport, PhaseKind, PhaseReport, PreparedWorkload, RunReport};
 
+/// MAC lanes of every engine's vector unit. Section VI compares GROW,
+/// GCNAX, MatRaptor and GAMMA at iso-throughput, 16 MACs each (Table III:
+/// 16 MACs, 64-bit).
+pub const MAC_LANES: usize = 16;
+
 /// One isolated simulation context: a DRAM channel, a MAC array, a local
 /// clock, and the report being accumulated.
 ///
@@ -63,10 +68,10 @@ pub struct PhaseCtx {
 
 impl PhaseCtx {
     /// Creates an idle context for one phase (or phase fragment).
-    pub fn new(kind: PhaseKind, dram: DramConfig, mac_lanes: usize) -> Self {
+    pub fn new(kind: PhaseKind, dram: DramConfig) -> Self {
         PhaseCtx {
             dram: Dram::new(dram),
-            mac: MacArray::new(mac_lanes),
+            mac: MacArray::new(MAC_LANES),
             now: 0,
             report: PhaseReport::new(kind),
         }
@@ -180,12 +185,15 @@ mod tests {
     use grow_sim::TrafficClass;
 
     fn post_hoc() -> ExecModel {
-        ExecModel::new(crate::schedule::MultiPeConfig::default(), 32.0)
+        ExecModel::with_dram(
+            crate::schedule::MultiPeConfig::default(),
+            DramConfig::default(),
+        )
     }
 
     #[test]
     fn finish_folds_clock_channel_and_array() {
-        let mut ctx = PhaseCtx::new(PhaseKind::Aggregation, DramConfig::default(), 16);
+        let mut ctx = PhaseCtx::new(PhaseKind::Aggregation, DramConfig::default());
         let done = ctx.dram.read(0, 64, TrafficClass::RhsRows);
         ctx.now = ctx.now.max(done);
         ctx.mac.scalar_vector(done, 64);
@@ -197,7 +205,7 @@ mod tests {
 
     #[test]
     fn finish_cluster_records_profile() {
-        let mut ctx = PhaseCtx::new(PhaseKind::Combination, DramConfig::default(), 16);
+        let mut ctx = PhaseCtx::new(PhaseKind::Combination, DramConfig::default());
         ctx.dram.read(0, 100, TrafficClass::Weights);
         ctx.mac.scalar_vector(0, 32);
         let report = ctx.finish_cluster();
@@ -215,7 +223,7 @@ mod tests {
             PhaseKind::Aggregation,
             &clusters,
             |ci, cluster| {
-                let mut ctx = PhaseCtx::new(PhaseKind::Aggregation, DramConfig::default(), 16);
+                let mut ctx = PhaseCtx::new(PhaseKind::Aggregation, DramConfig::default());
                 ctx.dram
                     .read(0, cluster.len() as u64 * 8, TrafficClass::RhsRows);
                 ctx.report.sram_reads_8b = ci as u64;
@@ -232,7 +240,7 @@ mod tests {
     fn parallel_and_serial_merges_are_identical() {
         let clusters: Vec<Range<usize>> = (0..32).map(|i| i * 10..(i + 1) * 10).collect();
         let sim = |_ci: usize, cluster: Range<usize>| {
-            let mut ctx = PhaseCtx::new(PhaseKind::Aggregation, DramConfig::default(), 16);
+            let mut ctx = PhaseCtx::new(PhaseKind::Aggregation, DramConfig::default());
             for row in cluster {
                 ctx.dram
                     .read(ctx.now, row as u64 % 200 + 1, TrafficClass::RhsRows);

@@ -22,6 +22,10 @@
 //! .unwrap();
 //! assert!(engine.run(&prepared).total_cycles() > 0);
 //! ```
+//!
+//! A key exists only where the evaluation varies a value (the README
+//! tables the 37 engine/key pairs); what Table III fixes, such as the 16
+//! MAC lanes ([`MAC_LANES`](crate::pipeline::MAC_LANES)), is a constant.
 
 use std::fmt;
 use std::ops::RangeInclusive;
@@ -47,24 +51,17 @@ pub const ENGINE_NAMES: [&str; 4] = ["grow", "gcnax", "matraptor", "gamma"];
 /// snapshot or experiment uses is 16.
 pub const MAX_PES_OR_CHANNELS: usize = 1024;
 
-/// Largest value the `*_kb` buffer keys accept: 2^40 KB (1 PiB). The
-/// byte count `kb * 1024` then stays far inside `u64`, so neither it nor
-/// a sum of an engine's buffer sizes can overflow; a larger value is an
+/// Largest value the `*_kb` buffer keys (`hdn_cache_kb`,
+/// `fiber_cache_kb`) accept: 2^40 KB (1 PiB). The byte count `kb * 1024`
+/// then stays far inside `u64`, so neither it nor a sum of an engine's
+/// buffer sizes can overflow; a larger value is an
 /// [`RegistryError::InvalidValue`]. Table III's largest buffer is 512 KB.
 pub const MAX_BUFFER_KB: u64 = 1 << 40;
 
-/// Largest value the `dram_latency_cycles` and
-/// `dram_request_overhead_cycles` keys accept: 2^20 cycles per request.
-/// Every transfer adds them to `u64` cycle counts, so an unbounded value
-/// wraps the report; a larger value is an [`RegistryError::InvalidValue`].
-/// The defaults are 60 and 12 cycles.
-pub const MAX_DRAM_CYCLES: u64 = 1 << 20;
-
-/// Largest value the `tile_rows` and `tile_cols` keys (GCNAX) accept:
-/// 2^20. Strip bounds and tile metadata sizes are computed from them
-/// unchecked; a larger value is an [`RegistryError::InvalidValue`]. The
-/// default tile is 128 x 128 and no test, experiment or benchmark job
-/// uses more than 512.
+/// Largest value the `tile_rows` key (GCNAX) accepts: 2^20. Strip bounds
+/// are computed from it unchecked; a larger value is an
+/// [`RegistryError::InvalidValue`]. The default tile is 128 x 128 and no
+/// test, experiment or benchmark job uses more than 512.
 pub const MAX_TILE_DIM: usize = 1 << 20;
 
 /// Largest value the `merge_factor` key (MatRaptor, GAMMA) accepts. The
@@ -177,25 +174,18 @@ fn kb_bytes(key: &str, value: &str, min_kb: u64) -> Result<u64, RegistryError> {
     Ok(bounded(key, value, min_kb..=MAX_BUFFER_KB)? * 1024)
 }
 
-/// Applies the DRAM keys shared by every engine; returns `true` if `key`
-/// was one of them. `dram_gbps` must be finite and positive: the channel
-/// divides by it. The per-request cycle counts are bounded by
-/// [`MAX_DRAM_CYCLES`].
+/// Applies the `dram_gbps` key shared by every engine; returns `true` if
+/// `key` was it. The bandwidth must be finite and positive: the channel
+/// divides by it.
 fn apply_dram_key(dram: &mut DramConfig, key: &str, value: &str) -> Result<bool, RegistryError> {
-    match key {
-        "dram_gbps" => {
-            let gbps: f64 = parse(key, value)?;
-            if !(gbps.is_finite() && gbps > 0.0) {
-                return Err(invalid_value(key, value));
-            }
-            dram.bytes_per_cycle = gbps;
-        }
-        "dram_latency_cycles" => dram.latency_cycles = bounded(key, value, 0..=MAX_DRAM_CYCLES)?,
-        "dram_request_overhead_cycles" => {
-            dram.request_overhead_cycles = bounded(key, value, 0..=MAX_DRAM_CYCLES)?
-        }
-        _ => return Ok(false),
+    if key != "dram_gbps" {
+        return Ok(false);
     }
+    let gbps: f64 = parse(key, value)?;
+    if !(gbps.is_finite() && gbps > 0.0) {
+        return Err(invalid_value(key, value));
+    }
+    dram.bytes_per_cycle = gbps;
     Ok(true)
 }
 
@@ -248,14 +238,9 @@ fn grow_from(overrides: &[(&str, &str)]) -> Result<GrowEngine, RegistryError> {
             continue;
         }
         match key {
-            "mac_lanes" => cfg.mac_lanes = bounded(key, value, 1..=usize::MAX)?,
             "hdn_cache_kb" => cfg.hdn_cache_bytes = kb_bytes(key, value, 1)?,
-            "hdn_id_entries" => cfg.hdn_id_entries = parse(key, value)?,
-            "ibuf_sparse_kb" => cfg.ibuf_sparse_bytes = kb_bytes(key, value, 0)?,
-            "obuf_kb" => cfg.obuf_bytes = kb_bytes(key, value, 0)?,
             "runahead" => cfg.runahead = bounded(key, value, 1..=usize::MAX)?,
             "ldn_entries" => cfg.ldn_entries = bounded(key, value, 1..=usize::MAX)?,
-            "lhs_id_entries" => cfg.lhs_id_entries = bounded(key, value, 1..=usize::MAX)?,
             "hdn_caching" => cfg.hdn_caching = parse(key, value)?,
             "replacement" => {
                 cfg.replacement = match value.to_ascii_lowercase().as_str() {
@@ -285,11 +270,7 @@ fn gcnax_from(overrides: &[(&str, &str)]) -> Result<GcnaxEngine, RegistryError> 
             continue;
         }
         match key {
-            "mac_lanes" => cfg.mac_lanes = bounded(key, value, 1..=usize::MAX)?,
             "tile_rows" => cfg.tile_rows = bounded(key, value, 1..=MAX_TILE_DIM)?,
-            "tile_cols" => cfg.tile_cols = bounded(key, value, 1..=MAX_TILE_DIM)?,
-            "dense_buffer_kb" => cfg.dense_buffer_bytes = kb_bytes(key, value, 0)?,
-            "tile_fetch_depth" => cfg.tile_fetch_depth = parse(key, value)?,
             _ => {
                 return Err(RegistryError::UnknownKey {
                     engine: "gcnax",
@@ -311,7 +292,6 @@ fn matraptor_from(overrides: &[(&str, &str)]) -> Result<MatRaptorEngine, Registr
             continue;
         }
         match key {
-            "mac_lanes" => cfg.mac_lanes = bounded(key, value, 1..=usize::MAX)?,
             "merge_factor" => cfg.merge_factor = bounded(key, value, 0.0..=MAX_MERGE_FACTOR)?,
             _ => {
                 return Err(RegistryError::UnknownKey {
@@ -334,7 +314,6 @@ fn gamma_from(overrides: &[(&str, &str)]) -> Result<GammaEngine, RegistryError> 
             continue;
         }
         match key {
-            "mac_lanes" => cfg.mac_lanes = bounded(key, value, 1..=usize::MAX)?,
             "fiber_cache_kb" => cfg.fiber_cache_bytes = kb_bytes(key, value, 0)?,
             "merge_factor" => cfg.merge_factor = bounded(key, value, 0.0..=MAX_MERGE_FACTOR)?,
             _ => {
@@ -561,7 +540,7 @@ mod tests {
 
     #[test]
     fn parse_overrides_reports_first_malformed() {
-        let specs = ["mac_lanes=32".to_string(), "oops".to_string()];
+        let specs = ["merge_factor=2".to_string(), "oops".to_string()];
         assert_eq!(
             parse_overrides(&specs),
             Err(RegistryError::MalformedOverride {
@@ -576,7 +555,7 @@ mod tests {
     fn every_engine_accepts_shared_dram_keys() {
         for name in ENGINE_NAMES {
             assert!(
-                engine_from_overrides(name, &[("dram_gbps", "64"), ("mac_lanes", "32")]).is_ok(),
+                engine_from_overrides(name, &[("dram_gbps", "64")]).is_ok(),
                 "{name}"
             );
         }

@@ -37,7 +37,7 @@ use grow_sim::{
 use grow_sparse::RowMajorSparse;
 
 use crate::exec_model::ExecModel;
-use crate::pipeline::{self, PhaseCtx};
+use crate::pipeline::{self, PhaseCtx, MAC_LANES};
 use crate::plan;
 use crate::{LayerReport, PhaseKind, PhaseReport, PreparedWorkload, RunReport};
 
@@ -89,7 +89,6 @@ fn plan_family(params: &SpSpParams, f: usize, rhs_rows: usize) -> Option<String>
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct SpSpParams {
     pub name: &'static str,
-    pub mac_lanes: usize,
     pub dram: DramConfig,
     /// Fiber-cache capacity in bytes (0 = no cache, i.e. MatRaptor).
     pub fiber_cache_bytes: u64,
@@ -175,14 +174,13 @@ fn run_rows(
     scratch: &mut SpSpScratch,
     slot: Option<&OnceLock<RowCounts>>,
 ) -> PhaseReport {
-    let mut ctx = PhaseCtx::new(kind, params.dram, params.mac_lanes);
+    let mut ctx = PhaseCtx::new(kind, params.dram);
 
     // The RHS (dense in reality) is stored and fetched as CSR by these
     // engines: f elements of 12 bytes per row.
     let rhs_row_bytes = f as u64 * CSR_ELEM_BYTES;
     let cache_rows = cache_rows(params, f);
-    let merge_cycles =
-        ((f as f64 * params.merge_factor).ceil() as u64).div_ceil(params.mac_lanes as u64);
+    let merge_cycles = ((f as f64 * params.merge_factor).ceil() as u64).div_ceil(MAC_LANES as u64);
 
     let rhs_class = match kind {
         PhaseKind::Combination => TrafficClass::Weights,

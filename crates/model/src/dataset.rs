@@ -266,6 +266,38 @@ impl DatasetSpec {
         }
     }
 
+    /// The first field graph generation or feature synthesis would reject,
+    /// with its value, or `None` for a recipe [`DatasetSpec::instantiate`]
+    /// accepts: `nodes` must be at least 1, `communities` in `1..=nodes`,
+    /// the fractions and densities in `[0, 1]`, `power_law_exponent` finite
+    /// and above 1, `avg_degree` finite and non-negative, and every feature
+    /// dimension at least 1. Sizes have no upper bound here.
+    pub fn invalid_field(&self) -> Option<(&'static str, String)> {
+        let unit = |x: f64| (0.0..=1.0).contains(&x);
+        let (field, value) = if self.nodes == 0 {
+            ("nodes", self.nodes.to_string())
+        } else if !(1..=self.nodes).contains(&self.communities) {
+            ("communities", self.communities.to_string())
+        } else if !unit(self.intra_fraction) {
+            ("intra_fraction", self.intra_fraction.to_string())
+        } else if !unit(self.shuffle_fraction) {
+            ("shuffle_fraction", self.shuffle_fraction.to_string())
+        } else if !(self.power_law_exponent.is_finite() && self.power_law_exponent > 1.0) {
+            ("power_law_exponent", self.power_law_exponent.to_string())
+        } else if !(self.avg_degree.is_finite() && self.avg_degree >= 0.0) {
+            ("avg_degree", self.avg_degree.to_string())
+        } else if !unit(self.x0_density) {
+            ("x0_density", self.x0_density.to_string())
+        } else if !unit(self.x1_density) {
+            ("x1_density", self.x1_density.to_string())
+        } else if self.feature_dims.contains(&0) {
+            ("feature_dims", format!("{:?}", self.feature_dims))
+        } else {
+            return None;
+        };
+        Some((field, value))
+    }
+
     /// Generates the full 2-layer GCN workload (graph + feature patterns).
     pub fn instantiate(&self, seed: u64) -> GcnWorkload {
         GcnWorkload::from_spec(self, seed)

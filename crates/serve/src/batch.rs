@@ -304,7 +304,8 @@ impl JobResult {
 /// here. A failed job never poisons the batch: every other job still runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobError {
-    /// The job never ran: unknown engine, malformed or unknown override.
+    /// The job never ran: a rejected dataset recipe, unknown engine,
+    /// malformed or unknown override.
     Invalid(RegistryError),
     /// The simulation panicked (a genuine bug or an injected `panic`
     /// action) on every permitted attempt.
@@ -598,8 +599,9 @@ impl BatchService {
 
     /// Runs a batch of jobs and returns one [`JobResult`] per job, in
     /// submission order ([`JobResult::index`] is the job's position in
-    /// `jobs`). Invalid jobs (unknown engine, malformed or unknown
-    /// overrides) fail individually; every other job still runs.
+    /// `jobs`). Invalid jobs (a rejected dataset recipe, unknown engine,
+    /// malformed or unknown overrides) fail individually; every other job
+    /// still runs.
     ///
     /// The batch is submit-all + wait on a fresh [`AsyncService`] that
     /// owns this service for the duration of the call: one worker under
@@ -941,8 +943,16 @@ pub(crate) fn compute_supervised(job: &JobSpec, task: &ComputeTask) -> ComputeOu
     }
 }
 
-/// Builds the job's engine, validating the name and every override.
+/// Builds the job's engine, validating its dataset recipe (a rejected
+/// field fails as the `dataset.<field>` key, see
+/// [`DatasetSpec::invalid_field`]), the engine name and every override.
 fn build_engine(job: &JobSpec) -> Result<Box<dyn Accelerator>, RegistryError> {
+    if let Some((field, value)) = job.dataset.invalid_field() {
+        return Err(RegistryError::InvalidValue {
+            key: format!("dataset.{field}"),
+            value,
+        });
+    }
     let parsed = registry::parse_overrides(&job.overrides)?;
     let borrowed: Vec<(&str, &str)> = parsed
         .iter()
@@ -1510,6 +1520,31 @@ mod tests {
             }))
         );
         assert_eq!(service.stats().simulations_run, 0);
+    }
+
+    #[test]
+    fn a_panic_while_preparing_is_supervised() {
+        // Staging rejects a zero-node recipe, so hand one straight to the
+        // supervisor: the generator's panic is caught and retried like a
+        // simulation panic, and the session cell stays empty.
+        let mut empty = spec();
+        empty.nodes = 0;
+        let task = ComputeTask {
+            engine: registry::engine_by_name("grow").unwrap(),
+            session: Arc::default(),
+            counters: Arc::default(),
+            partitions: None,
+        };
+        let run = compute_supervised(&JobSpec::new(empty, 42, "grow"), &task);
+        assert_eq!(
+            run.outcome,
+            Err(JobError::Panicked {
+                message: "graph must have nodes".into(),
+                attempts: MAX_ATTEMPTS,
+            })
+        );
+        assert_eq!((run.retries, run.caught), (MAX_ATTEMPTS - 1, MAX_ATTEMPTS));
+        assert!(task.session.get().is_none());
     }
 
     #[test]

@@ -37,8 +37,8 @@ use grow_model::{DatasetSpec, GcnWorkload};
 
 use crate::store::{GraphFingerprint, ResultStore};
 
-/// Default HDN ID list length (Table III: 12 KB at 3 B/entry).
-pub const DEFAULT_HDN_ID_ENTRIES: usize = 4096;
+/// Default HDN ID list length: the engine's [`grow_core::HDN_ID_ENTRIES`].
+pub const DEFAULT_HDN_ID_ENTRIES: usize = grow_core::HDN_ID_ENTRIES;
 
 /// The counters a serving pool attaches to each of its sessions. The
 /// work is counted where it runs, so the pool reads every count live,

@@ -57,7 +57,7 @@ struct Slot {
 /// t.set_completion(7, 120);
 /// // Same row again from another output row: coalesced, no new fetch.
 /// assert_eq!(t.issue(7, Waiter { output_row: 2, lhs_value: -0.5 }), IssueOutcome::Coalesced);
-/// let (done, row, waiters) = t.pop_earliest().unwrap();
+/// let (done, row, waiters) = t.pop_earliest_slice().unwrap();
 /// assert_eq!((done, row, waiters.len()), (120, 7, 2));
 /// ```
 #[derive(Debug, Clone)]
@@ -147,7 +147,7 @@ impl RunaheadTables {
     /// On [`IssueOutcome::Allocated`] the caller must perform the DRAM read
     /// and report its completion via [`RunaheadTables::set_completion`].
     /// On `LdnFull`/`LhsFull` nothing is recorded; the caller should drain
-    /// one completion ([`RunaheadTables::pop_earliest`]) and retry.
+    /// one completion ([`RunaheadTables::pop_earliest_slice`]) and retry.
     pub fn issue(&mut self, rhs_row: u32, waiter: Waiter) -> IssueOutcome {
         if self.lhs_used >= self.lhs_capacity {
             return IssueOutcome::LhsFull;
@@ -193,8 +193,8 @@ impl RunaheadTables {
 
     /// Removes the in-flight row with the earliest completion and returns
     /// `(completion cycle, rhs row, waiters)`, borrowing the waiter list
-    /// out of the recycled slot — the allocation-free form engines drain
-    /// with. Returns `None` when no completed fetch is in flight.
+    /// out of the recycled slot, so draining allocates nothing. Returns
+    /// `None` when no completed fetch is in flight.
     ///
     /// Ties on the completion cycle resolve to the smallest RHS row id
     /// (the same total order the paper's FIFO channel produces).
@@ -218,13 +218,6 @@ impl RunaheadTables {
         self.lhs_used -= slot.waiters.len();
         Some((done, row, &self.slots[i].waiters))
     }
-
-    /// Like [`RunaheadTables::pop_earliest_slice`], returning the waiters
-    /// by value.
-    pub fn pop_earliest(&mut self) -> Option<(Cycle, u32, Vec<Waiter>)> {
-        self.pop_earliest_slice()
-            .map(|(done, row, waiters)| (done, row, waiters.to_vec()))
-    }
 }
 
 #[cfg(test)]
@@ -244,7 +237,7 @@ mod tests {
         assert_eq!(t.issue(10, w(0)), IssueOutcome::Allocated);
         t.set_completion(10, 50);
         assert_eq!(t.ldn_used(), 1);
-        let (done, row, waiters) = t.pop_earliest().unwrap();
+        let (done, row, waiters) = t.pop_earliest_slice().unwrap();
         assert_eq!((done, row), (50, 10));
         assert_eq!(waiters.len(), 1);
         assert!(t.is_empty());
@@ -272,9 +265,9 @@ mod tests {
         t.set_completion(1, 200);
         t.issue(2, w(1));
         t.set_completion(2, 150);
-        assert_eq!(t.pop_earliest().unwrap().1, 2);
-        assert_eq!(t.pop_earliest().unwrap().1, 1);
-        assert!(t.pop_earliest().is_none());
+        assert_eq!(t.pop_earliest_slice().unwrap().1, 2);
+        assert_eq!(t.pop_earliest_slice().unwrap().1, 1);
+        assert!(t.pop_earliest_slice().is_none());
     }
 
     #[test]
@@ -284,8 +277,8 @@ mod tests {
         t.set_completion(9, 100);
         t.issue(4, w(1));
         t.set_completion(4, 100);
-        assert_eq!(t.pop_earliest().unwrap().1, 4, "smaller row id first");
-        assert_eq!(t.pop_earliest().unwrap().1, 9);
+        assert_eq!(t.pop_earliest_slice().unwrap().1, 4, "smaller row id first");
+        assert_eq!(t.pop_earliest_slice().unwrap().1, 9);
     }
 
     #[test]
@@ -319,25 +312,10 @@ mod tests {
         // Rows in flight before the reset are gone; re-issuing allocates.
         assert_eq!(t.issue(1, w(5)), IssueOutcome::Allocated);
         t.set_completion(1, 99);
-        let (done, row, waiters) = t.pop_earliest().unwrap();
+        let (done, row, waiters) = t.pop_earliest_slice().unwrap();
         assert_eq!((done, row), (99, 1));
         assert_eq!(waiters.len(), 1);
         assert_eq!(waiters[0].output_row, 5, "no waiters from a prior epoch");
-    }
-
-    #[test]
-    fn pop_slice_matches_owned_pop() {
-        let mut a = RunaheadTables::new(4, 8);
-        let mut b = RunaheadTables::new(4, 8);
-        for t in [&mut a, &mut b] {
-            t.issue(3, w(0));
-            t.issue(3, w(1));
-            t.set_completion(3, 40);
-        }
-        let owned = a.pop_earliest().unwrap();
-        let (done, row, slice) = b.pop_earliest_slice().unwrap();
-        assert_eq!((owned.0, owned.1), (done, row));
-        assert_eq!(owned.2.as_slice(), slice);
     }
 
     #[test]

@@ -124,7 +124,7 @@ fn runahead_tables_minimum_capacity() {
     // Both tables full now.
     assert_eq!(t.issue(9, w), IssueOutcome::LhsFull);
     assert_eq!(t.issue(8, w), IssueOutcome::LhsFull);
-    let (done, row, waiters) = t.pop_earliest().expect("one entry");
+    let (done, row, waiters) = t.pop_earliest_slice().expect("one entry");
     assert_eq!((done, row, waiters.len()), (5, 9, 1));
     assert_eq!(t.issue(8, w), IssueOutcome::Allocated);
 }

@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::quiet_injected_panics;
-use grow::accel::registry;
+use grow::accel::registry::{self, RegistryError};
 use grow::model::DatasetKey;
 use grow::serve::{
     AsyncConfig, AsyncService, BatchService, JobError, JobSpec, ResultStore, SubmitError, WaitError,
@@ -564,17 +564,18 @@ fn one_worker_death_degrades_the_pool_but_not_the_service() {
 }
 
 #[test]
-fn a_panic_while_preparing_fails_its_job_alone() {
-    // A zero-node recipe panics while its workload is generated, before
-    // any engine runs. Preparation runs under the job's supervisor, so
-    // that panic is retried and fails the job like a simulation panic.
+fn a_bad_dataset_recipe_fails_validation_alone() {
+    // A zero-node recipe would panic while its workload is generated.
+    // Staging rejects it first, so the job fails alone as Invalid without
+    // instantiating anything (`batch.rs`'s
+    // `a_panic_while_preparing_is_supervised` covers a preparation panic).
     let mut empty = spec();
     empty.nodes = 0;
     let bad = JobSpec::new(empty, 42, "grow");
-    let failed = Err(JobError::Panicked {
-        message: "graph must have nodes".into(),
-        attempts: grow::serve::MAX_ATTEMPTS,
-    });
+    let failed = Err(JobError::Invalid(RegistryError::InvalidValue {
+        key: "dataset.nodes".into(),
+        value: "0".into(),
+    }));
     let good = [
         JobSpec::new(spec(), 42, "grow"),
         JobSpec::new(spec(), 42, "gcnax"),
@@ -588,7 +589,7 @@ fn a_panic_while_preparing_fails_its_job_alone() {
             ..AsyncConfig::default()
         },
     );
-    let lost = |e| panic!("the preparation panic killed a worker ({e})");
+    let lost = |e| panic!("the bad recipe killed a worker ({e})");
     let result = service.submit(bad.clone()).expect("admitted");
     assert_eq!(result.wait().unwrap_or_else(lost).outcome, failed);
     let result = service.submit(good[0].clone()).expect("admitted");
@@ -604,6 +605,7 @@ fn a_panic_while_preparing_fails_its_job_alone() {
         1,
         "the failed recipe pools nothing"
     );
+    assert_eq!(batch.stats().sessions_created, 1, "nor instantiates");
 
     // In a single-worker batch, the jobs after it still run.
     let jobs = [bad, good[0].clone(), good[1].clone()];

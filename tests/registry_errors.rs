@@ -26,7 +26,7 @@ fn unknown_engine_is_an_error_everywhere() {
     );
     // The engine name is checked before any override value.
     assert_eq!(
-        registry::engine_from_overrides("npu", &[("mac_lanes", "lots")]).err(),
+        registry::engine_from_overrides("npu", &[("merge_factor", "lots")]).err(),
         Some(expected.clone())
     );
 
@@ -96,19 +96,169 @@ fn unknown_key_and_invalid_value_are_reported_not_panicked() {
     }
 
     let invalid_value = RegistryError::InvalidValue {
-        key: "mac_lanes".into(),
+        key: "merge_factor".into(),
         value: "lots".into(),
     };
     assert_eq!(
-        registry::engine_from_overrides("gamma", &[("mac_lanes", "lots")]).err(),
+        registry::engine_from_overrides("gamma", &[("merge_factor", "lots")]).err(),
         Some(invalid_value.clone())
     );
     let via_batch = BatchService::new()
-        .run_one(&JobSpec::new(spec(), 2, "gamma").with_override("mac_lanes", "lots"));
+        .run_one(&JobSpec::new(spec(), 2, "gamma").with_override("merge_factor", "lots"));
     assert_eq!(
         via_batch.outcome.err(),
         Some(JobError::Invalid(invalid_value))
     );
+}
+
+/// Keys no engine accepts, each with the engines that would carry its
+/// value: sizes Table III fixes (MAC lanes, GROW's HDN ID list, I-BUF,
+/// O-BUF and LHS-ID table, GCNAX's tile width), and typed fields only
+/// model tests vary (GCNAX's dense buffer and tile-fetch depth, the DRAM
+/// timing).
+const REMOVED_KEYS: [(&str, &[&str]); 10] = [
+    ("mac_lanes", &registry::ENGINE_NAMES),
+    ("dram_latency_cycles", &registry::ENGINE_NAMES),
+    ("dram_request_overhead_cycles", &registry::ENGINE_NAMES),
+    ("hdn_id_entries", &["grow"]),
+    ("ibuf_sparse_kb", &["grow"]),
+    ("obuf_kb", &["grow"]),
+    ("lhs_id_entries", &["grow"]),
+    ("tile_cols", &["gcnax"]),
+    ("dense_buffer_kb", &["gcnax"]),
+    ("tile_fetch_depth", &["gcnax"]),
+];
+
+#[test]
+fn only_the_keys_the_evaluation_varies_configure_an_engine() {
+    // Every key an experiment, example or perfbench job sets, and the
+    // fault suites' `fault`, with a valid value and the engines that
+    // accept it: 37 (engine, key) pairs. Every other engine rejects it.
+    let every: &[&str] = &registry::ENGINE_NAMES;
+    let kept: [(&str, &str, &[&str]); 15] = [
+        ("dram_gbps", "64", every),
+        ("pes", "4", every),
+        ("scheduler", "lpt", every),
+        ("exec", "e2e", every),
+        ("channels", "2", every),
+        ("banks", "4", every),
+        ("fault", "off", every),
+        ("hdn_cache_kb", "256", &["grow"]),
+        ("runahead", "4", &["grow"]),
+        ("ldn_entries", "8", &["grow"]),
+        ("hdn_caching", "false", &["grow"]),
+        ("replacement", "lru", &["grow"]),
+        ("tile_rows", "64", &["gcnax"]),
+        ("merge_factor", "2", &["matraptor", "gamma"]),
+        ("fiber_cache_kb", "256", &["gamma"]),
+    ];
+    let pairs: usize = kept.iter().map(|(_, _, engines)| engines.len()).sum();
+    assert_eq!(pairs, 37);
+    for engine in registry::ENGINE_NAMES {
+        for (key, value, engines) in kept {
+            let built = registry::engine_from_overrides(engine, &[(key, value)]);
+            if engines.contains(&engine) {
+                assert!(built.is_ok(), "{engine}: {key}={value}");
+            } else {
+                assert_eq!(
+                    built.err(),
+                    Some(RegistryError::UnknownKey {
+                        engine,
+                        key: key.into()
+                    }),
+                    "{engine}: {key}"
+                );
+            }
+        }
+    }
+
+    // The removed names are unknown on every engine that accepted them,
+    // at the registry and as served jobs, which build no session.
+    let removed: Vec<(&'static str, &str)> = REMOVED_KEYS
+        .iter()
+        .flat_map(|&(key, engines)| engines.iter().map(move |&engine| (engine, key)))
+        .collect();
+    assert_eq!(removed.len(), 19);
+    let jobs: Vec<JobSpec> = removed
+        .iter()
+        .map(|&(engine, key)| JobSpec::new(spec(), 7, engine).with_override(key, "16"))
+        .collect();
+    let mut service = BatchService::new();
+    let results = service.run_batch(&jobs);
+    for (&(engine, key), result) in removed.iter().zip(&results) {
+        let unknown = RegistryError::UnknownKey {
+            engine,
+            key: key.into(),
+        };
+        assert_eq!(
+            registry::engine_from_overrides(engine, &[(key, "16")]).err(),
+            Some(unknown.clone()),
+            "{engine}: {key}"
+        );
+        assert_eq!(
+            result.outcome.clone().err(),
+            Some(JobError::Invalid(unknown)),
+            "{engine}: {key}"
+        );
+    }
+    assert_eq!(service.stats().simulations_run, 0);
+    assert_eq!(service.pooled_sessions(), 0);
+}
+
+#[test]
+fn a_rejected_dataset_field_fails_validation_without_a_session() {
+    // A recipe field the graph generator or the feature synthesis would
+    // reject fails its job as `dataset.<field>` before any workload is
+    // built. The shipped recipes and an edgeless graph stay valid.
+    for key in DatasetKey::ALL {
+        assert_eq!(key.spec().invalid_field(), None, "{}", key.name());
+    }
+    let with = |change: fn(&mut grow::model::DatasetSpec)| {
+        let mut recipe = spec();
+        change(&mut recipe);
+        recipe
+    };
+    assert_eq!(with(|s| s.avg_degree = 0.0).invalid_field(), None);
+    let cases = [
+        (with(|s| s.nodes = 0), "nodes", "0"),
+        (with(|s| s.communities = 0), "communities", "0"),
+        (with(|s| s.communities = 301), "communities", "301"),
+        (with(|s| s.intra_fraction = -0.1), "intra_fraction", "-0.1"),
+        (with(|s| s.shuffle_fraction = 2.0), "shuffle_fraction", "2"),
+        (
+            with(|s| s.power_law_exponent = 1.0),
+            "power_law_exponent",
+            "1",
+        ),
+        (with(|s| s.avg_degree = f64::INFINITY), "avg_degree", "inf"),
+        (with(|s| s.avg_degree = f64::NAN), "avg_degree", "NaN"),
+        (with(|s| s.avg_degree = -3.0), "avg_degree", "-3"),
+        (with(|s| s.x0_density = 1.5), "x0_density", "1.5"),
+        (with(|s| s.x1_density = -3.0), "x1_density", "-3"),
+        (
+            with(|s| s.feature_dims[2] = 0),
+            "feature_dims",
+            "[1433, 16, 0]",
+        ),
+    ];
+    let jobs: Vec<JobSpec> = cases
+        .iter()
+        .map(|&(recipe, _, _)| JobSpec::new(recipe, 8, "grow"))
+        .collect();
+    let mut service = BatchService::new();
+    let results = service.run_batch(&jobs);
+    for ((_, field, value), result) in cases.iter().zip(&results) {
+        assert_eq!(
+            result.outcome.clone().err(),
+            Some(JobError::Invalid(RegistryError::InvalidValue {
+                key: format!("dataset.{field}"),
+                value: value.to_string(),
+            })),
+            "{field}"
+        );
+    }
+    assert_eq!(service.stats().sessions_created, 0);
+    assert_eq!(service.pooled_sessions(), 0);
 }
 
 #[test]
@@ -316,28 +466,18 @@ fn zero_pes_is_an_invalid_value_not_a_panic() {
     // documented bounds fail at the registry too. Mid-run they would
     // panic, or worse: `runahead=0` spins a worker forever, `tile_rows=0`
     // grows a plan until the allocator aborts the process, and a huge
-    // latency or tile wraps the report's `u64` cycles, so those are only
-    // checked here.
+    // tile wraps the report's `u64` cycles, so those are only checked
+    // here.
     let every: &[&str] = &registry::ENGINE_NAMES;
     let u64_max = "18446744073709551615";
-    let over_cycles = (registry::MAX_DRAM_CYCLES + 1).to_string();
     let over_tile = (registry::MAX_TILE_DIM + 1).to_string();
     let over_merge = (registry::MAX_MERGE_FACTOR * 2.0).to_string();
-    let cases: [(&[&str], &str, &[&str]); 11] = [
-        (every, "mac_lanes", &["0"]),
+    let cases: [(&[&str], &str, &[&str]); 6] = [
         (every, "dram_gbps", &["0", "-1", "NaN", "inf"]),
-        (every, "dram_latency_cycles", &[u64_max, &over_cycles, "-1"]),
-        (
-            every,
-            "dram_request_overhead_cycles",
-            &[u64_max, &over_cycles],
-        ),
         (&["grow"], "runahead", &["0"]),
         (&["grow"], "ldn_entries", &["0"]),
-        (&["grow"], "lhs_id_entries", &["0"]),
         (&["grow"], "hdn_cache_kb", &["0"]),
         (&["gcnax"], "tile_rows", &["0", u64_max, &over_tile]),
-        (&["gcnax"], "tile_cols", &["0", u64_max, &over_tile]),
         (
             &["matraptor", "gamma"],
             "merge_factor",
@@ -363,7 +503,7 @@ fn zero_pes_is_an_invalid_value_not_a_panic() {
     // panic) fails validation as Invalid instead.
     for (engine, key, value) in [
         ("grow", "pes", "1000000000"),
-        ("gamma", "mac_lanes", "0"),
+        ("gamma", "merge_factor", "-1"),
         ("grow", "hdn_cache_kb", "0"),
         ("matraptor", "dram_gbps", "0"),
     ] {
@@ -383,32 +523,18 @@ fn zero_pes_is_an_invalid_value_not_a_panic() {
     // and each upper bound itself still runs.
     let workload = spec().instantiate(5);
     let prepared = grow::accel::prepare(&workload, PartitionStrategy::None, 4096);
-    let max_cycles = registry::MAX_DRAM_CYCLES.to_string();
     let max_tile = registry::MAX_TILE_DIM.to_string();
     let max_merge = registry::MAX_MERGE_FACTOR.to_string();
     for (engine, key, value) in [
-        ("grow", "dram_latency_cycles", max_cycles.as_str()),
-        ("gamma", "dram_request_overhead_cycles", &max_cycles),
-        ("gcnax", "tile_rows", &max_tile),
-        ("gcnax", "tile_cols", &max_tile),
+        ("gcnax", "tile_rows", max_tile.as_str()),
         ("matraptor", "merge_factor", &max_merge),
         ("gamma", "merge_factor", "0"),
+        ("gamma", "fiber_cache_kb", "0"),
     ] {
         let report = registry::engine_from_overrides(engine, &[(key, value)])
             .unwrap_or_else(|e| panic!("{engine}: {key}={value}: {e}"))
             .run(&prepared);
         assert!(report.total_cycles() > 0, "{engine}: {key}={value}");
-    }
-    for (engine, key) in [
-        ("gamma", "fiber_cache_kb"),
-        ("gcnax", "dense_buffer_kb"),
-        ("grow", "hdn_id_entries"),
-        ("gcnax", "tile_fetch_depth"),
-    ] {
-        let report = registry::engine_from_overrides(engine, &[(key, "0")])
-            .unwrap_or_else(|e| panic!("{engine}: {key}=0: {e}"))
-            .run(&prepared);
-        assert!(report.total_cycles() > 0, "{engine}: {key}=0");
     }
 }
 
@@ -420,13 +546,7 @@ fn an_over_large_kb_value_is_an_invalid_value_not_a_dead_worker() {
     let prepared = grow::accel::prepare(&workload, PartitionStrategy::None, 4096);
     let max = registry::MAX_BUFFER_KB.to_string();
     let over = (registry::MAX_BUFFER_KB + 1).to_string();
-    for (engine, key) in [
-        ("grow", "hdn_cache_kb"),
-        ("grow", "ibuf_sparse_kb"),
-        ("grow", "obuf_kb"),
-        ("gcnax", "dense_buffer_kb"),
-        ("gamma", "fiber_cache_kb"),
-    ] {
+    for (engine, key) in [("grow", "hdn_cache_kb"), ("gamma", "fiber_cache_kb")] {
         assert_eq!(
             registry::engine_from_overrides(engine, &[(key, &over)]).err(),
             Some(RegistryError::InvalidValue {
