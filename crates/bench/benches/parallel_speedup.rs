@@ -24,7 +24,7 @@ use std::path::PathBuf;
 
 use grow_bench::{json, timing};
 use grow_core::registry::{engine_by_name, ENGINE_NAMES};
-use grow_core::{prepare, PartitionStrategy};
+use grow_core::{prepare, PartitionStrategy, HDN_ID_ENTRIES};
 use grow_model::DatasetKey;
 use grow_sim::exec::{with_mode, with_workers, ExecMode};
 
@@ -120,7 +120,7 @@ fn main() {
         PartitionStrategy::Multilevel {
             cluster_nodes: 1024,
         },
-        4096,
+        HDN_ID_ENTRIES,
     );
     println!(
         "workload: {} nodes, {} clusters; {} hardware thread(s); sweep {threads:?}\n",

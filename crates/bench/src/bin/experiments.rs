@@ -54,7 +54,7 @@ use grow_core::{
     multi_pe, Accelerator, GcnaxEngine, GrowConfig, GrowEngine, PartitionStrategy, RunReport,
     SchedulerKind,
 };
-use grow_energy::{ActivityCounts, AreaModel, EnergyModel, GCNAX_AREA_40NM, TECH_SCALE_65_TO_40};
+use grow_energy::{ActivityCounts, GCNAX_AREA_40NM, TECH_SCALE_65_TO_40};
 use grow_graph::stats;
 use grow_model::DatasetKey;
 use grow_partition::{multilevel_partition, ClusterLayout, MultilevelConfig};
@@ -808,7 +808,6 @@ fn fig21(ctx: &mut Context) -> Table {
 }
 
 fn fig22(ctx: &mut Context) -> Table {
-    let model = EnergyModel::default();
     let mut t = Table::new(
         "fig22",
         &[
@@ -826,14 +825,14 @@ fn fig22(ctx: &mut Context) -> Table {
     let gcnax_sram = GcnaxEngine::default().sram_kb();
     let grow_sram = GrowEngine::default().sram_kb();
     for (key, [gcnax, no_gp, gp]) in comparison(ctx, "fig22") {
-        let base = model.estimate(&gcnax.activity(gcnax_sram)).total();
+        let base = grow_energy::estimate(&gcnax.activity(gcnax_sram)).total();
         for (config, report, sram) in [
             ("GCNAX", &gcnax, gcnax_sram),
             ("GROW w/o G.P.", &no_gp, grow_sram),
             ("GROW with G.P.", &gp, grow_sram),
         ] {
             let counts: ActivityCounts = report.activity(sram);
-            let e = model.estimate(&counts);
+            let e = grow_energy::estimate(&counts);
             let frac = e.fractions();
             t.row(&[
                 key.name().into(),
@@ -864,8 +863,7 @@ fn fig22(ctx: &mut Context) -> Table {
 }
 
 fn table4() -> Table {
-    let model = AreaModel::default();
-    let grow65 = model.grow_default_65nm();
+    let grow65 = grow_energy::grow_default_65nm();
     let grow40 = grow65.scaled(TECH_SCALE_65_TO_40);
     let mut t = Table::new(
         "table4",

@@ -8,7 +8,7 @@
 
 use grow_model::{DatasetKey, GcnWorkload};
 
-use crate::{prepare, Accelerator, GcnaxEngine, GrowEngine, PartitionStrategy};
+use crate::{prepare, Accelerator, GcnaxEngine, GrowEngine, PartitionStrategy, HDN_ID_ENTRIES};
 
 /// The Section VIII non-power-law study: GROW vs GCNAX on a uniform
 /// (Erdős–Rényi-like) graph, where HDN caching has no skew to exploit.
@@ -37,13 +37,13 @@ pub fn non_power_law_study(scale: u32, avg_degree: f64, seed: u64) -> NonPowerLa
     let mut spec = DatasetKey::Pubmed.spec().scaled_to(graph.nodes());
     spec.avg_degree = avg_degree;
     let workload = GcnWorkload::with_graph(&spec, graph, seed);
-    let base = prepare(&workload, PartitionStrategy::None, 4096);
+    let base = prepare(&workload, PartitionStrategy::None, HDN_ID_ENTRIES);
     let partitioned = prepare(
         &workload,
         PartitionStrategy::Multilevel {
             cluster_nodes: (workload.graph.nodes() / 8).max(64),
         },
-        4096,
+        HDN_ID_ENTRIES,
     );
     let grow = GrowEngine::default().run(&partitioned);
     let gcnax = GcnaxEngine::default().run(&base);
@@ -60,7 +60,11 @@ pub fn non_power_law_study(scale: u32, avg_degree: f64, seed: u64) -> NonPowerLa
 /// number of graph nodes").
 pub fn preprocessing_cost(workload: &GcnWorkload) -> std::time::Duration {
     let start = std::time::Instant::now();
-    let _ = prepare(workload, PartitionStrategy::multilevel_default(), 4096);
+    let _ = prepare(
+        workload,
+        PartitionStrategy::multilevel_default(),
+        HDN_ID_ENTRIES,
+    );
     start.elapsed()
 }
 

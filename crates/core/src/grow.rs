@@ -9,7 +9,8 @@
 //! hits read the pinned RHS row from the HDN cache, misses allocate
 //! LDN/LHS-ID table entries and run ahead across up to `runahead` output
 //! rows (Figures 15/16). Table III's fixed sizes (MAC lanes, HDN ID list,
-//! I-BUF, O-BUF, LHS-ID table) are constants; [`GrowConfig`] holds the rest.
+//! I-BUF, O-BUF) are `grow-energy`'s constants, which its area model shares,
+//! and the LHS-ID table is a constant here; [`GrowConfig`] holds the rest.
 //!
 //! Clusters are simulated independently through the shared
 //! [`pipeline`](crate::pipeline) harness — in parallel across threads,
@@ -52,6 +53,7 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::OnceLock;
 
+pub use grow_energy::HDN_ID_ENTRIES;
 use grow_sim::{
     fault, CacheStats, DramConfig, FaultPlan, IssueOutcome, LruRowCache, PinnedRowCache,
     RunaheadTables, ScratchArena, TrafficClass, Waiter, ELEMENT_BYTES, HDN_ID_BYTES, INDEX_BYTES,
@@ -76,13 +78,10 @@ pub enum ReplacementPolicy {
     Lru,
 }
 
-/// HDN ID list entries (Table III: 12 KB at 3 B/entry = 4096): the
-/// longest prefix of a cluster's HDN list the prologue pins.
-pub const HDN_ID_ENTRIES: usize = 4096;
-/// I-BUF_sparse capacity in bytes (Table III: 12 KB).
-const IBUF_SPARSE_BYTES: u64 = 12 * 1024;
-/// O-BUF_dense capacity in bytes (Table III: 2 KB).
-const OBUF_BYTES: u64 = 2 * 1024;
+/// I-BUF_sparse capacity in bytes (Table III).
+const IBUF_SPARSE_BYTES: u64 = grow_energy::IBUF_SPARSE_KB * 1024;
+/// O-BUF_dense capacity in bytes (Table III).
+const OBUF_BYTES: u64 = grow_energy::OBUF_KB * 1024;
 /// LHS-ID table entries (Section V-D: N = 64).
 const LHS_ID_ENTRIES: usize = 64;
 
@@ -114,7 +113,7 @@ pub struct GrowConfig {
 impl Default for GrowConfig {
     fn default() -> Self {
         GrowConfig {
-            hdn_cache_bytes: 512 * 1024,
+            hdn_cache_bytes: grow_energy::HDN_CACHE_KB * 1024,
             runahead: 16,
             ldn_entries: 16,
             dram: DramConfig::default(),

@@ -26,11 +26,11 @@
 //! # Example
 //!
 //! ```
-//! use grow_core::{prepare, Accelerator, GrowEngine, PartitionStrategy};
+//! use grow_core::{prepare, Accelerator, GrowEngine, PartitionStrategy, HDN_ID_ENTRIES};
 //! use grow_model::DatasetKey;
 //!
 //! let workload = DatasetKey::Cora.spec().scaled_to(300).instantiate(7);
-//! let prepared = prepare(&workload, PartitionStrategy::None, 4096);
+//! let prepared = prepare(&workload, PartitionStrategy::None, HDN_ID_ENTRIES);
 //! let report = GrowEngine::default().run(&prepared);
 //! assert!(report.total_cycles() > 0);
 //! assert_eq!(report.layers.len(), 2);

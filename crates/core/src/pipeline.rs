@@ -33,16 +33,12 @@
 
 use std::ops::Range;
 
+pub use grow_energy::MAC_LANES;
 use grow_sim::{exec, fault, Cycle, Dram, DramConfig, FaultPlan, MacArray};
 pub use grow_sim::{ScratchArena, ScratchGuard};
 
 pub use crate::exec_model::{ExecModel, ExecModelKind};
 use crate::{ClusterProfile, LayerReport, PhaseKind, PhaseReport, PreparedWorkload, RunReport};
-
-/// MAC lanes of every engine's vector unit. Section VI compares GROW,
-/// GCNAX, MatRaptor and GAMMA at iso-throughput, 16 MACs each (Table III:
-/// 16 MACs, 64-bit).
-pub const MAC_LANES: usize = 16;
 
 /// One isolated simulation context: a DRAM channel, a MAC array, a local
 /// clock, and the report being accumulated.

@@ -6,11 +6,11 @@
 //!
 //! ```
 //! use grow_core::registry::{self, run_named};
-//! use grow_core::{prepare, PartitionStrategy};
+//! use grow_core::{prepare, PartitionStrategy, HDN_ID_ENTRIES};
 //! use grow_model::DatasetKey;
 //!
 //! let workload = DatasetKey::Cora.spec().scaled_to(300).instantiate(7);
-//! let prepared = prepare(&workload, PartitionStrategy::None, 4096);
+//! let prepared = prepare(&workload, PartitionStrategy::None, HDN_ID_ENTRIES);
 //! let report = run_named("grow", &prepared).unwrap();
 //! assert_eq!(report.engine, "GROW");
 //!
@@ -24,13 +24,15 @@
 //! ```
 //!
 //! A key exists only where the evaluation varies a value (the README
-//! tables the 37 engine/key pairs); what Table III fixes, such as the 16
+//! tables the 34 engine/key pairs); what Table III fixes, such as the 16
 //! MAC lanes ([`MAC_LANES`](crate::pipeline::MAC_LANES)), is a constant.
+//! The typed configs keep fields no key sets, such as GAMMA's
+//! `merge_factor`, because model tests vary them.
 
 use std::fmt;
 use std::ops::RangeInclusive;
 
-use grow_sim::{DramConfig, FaultPlan};
+use grow_sim::FaultPlan;
 
 use crate::exec_model::{ExecModelKind, EXEC_MODEL_NAMES};
 use crate::schedule::{MultiPeConfig, SchedulerKind, SCHEDULER_NAMES};
@@ -64,12 +66,21 @@ pub const MAX_BUFFER_KB: u64 = 1 << 40;
 /// test, experiment or benchmark job uses more than 512.
 pub const MAX_TILE_DIM: usize = 1 << 20;
 
-/// Largest value the `merge_factor` key (MatRaptor, GAMMA) accepts. The
+/// Largest value the `merge_factor` key (MatRaptor only) accepts. The
 /// factor scales merge cycles per output element, so it must also be
 /// finite and non-negative; anything else is an
-/// [`RegistryError::InvalidValue`]. The defaults are 1.0 and 0.5 and no
-/// test, experiment or benchmark job uses more than 2.
+/// [`RegistryError::InvalidValue`]. MatRaptor's default is 1.0 (GAMMA's
+/// typed default, 0.5, has no key) and no test, experiment or benchmark
+/// job uses more than 2.
 pub const MAX_MERGE_FACTOR: f64 = 1024.0;
+
+/// Smallest value the `dram_gbps` key (GROW, GCNAX) accepts: 1 GB/s, one
+/// byte per cycle at the 1 GHz clock. The channel divides every transfer
+/// by the bandwidth, so at a tiny one (`1e-300`) the report's `u64` cycle
+/// sums wrap; a smaller value, NaN or infinity is an
+/// [`RegistryError::InvalidValue`]. Figure 25b's lowest point is 16 and no
+/// test, experiment or benchmark job goes below 8.
+pub const MIN_DRAM_GBPS: f64 = 1.0;
 
 /// Errors from engine construction or dispatch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -174,21 +185,6 @@ fn kb_bytes(key: &str, value: &str, min_kb: u64) -> Result<u64, RegistryError> {
     Ok(bounded(key, value, min_kb..=MAX_BUFFER_KB)? * 1024)
 }
 
-/// Applies the `dram_gbps` key shared by every engine; returns `true` if
-/// `key` was it. The bandwidth must be finite and positive: the channel
-/// divides by it.
-fn apply_dram_key(dram: &mut DramConfig, key: &str, value: &str) -> Result<bool, RegistryError> {
-    if key != "dram_gbps" {
-        return Ok(false);
-    }
-    let gbps: f64 = parse(key, value)?;
-    if !(gbps.is_finite() && gbps > 0.0) {
-        return Err(invalid_value(key, value));
-    }
-    dram.bytes_per_cycle = gbps;
-    Ok(true)
-}
-
 /// Applies the multi-PE keys shared by every engine (`pes=N`,
 /// `scheduler=rr|lpt|ws|ca`, `exec=post_hoc|e2e`, and the banked-memory
 /// topology `channels=N` / `banks=N`); returns `true` if `key` was one of
@@ -231,13 +227,15 @@ fn apply_fault_key(fault: &mut FaultPlan, key: &str, value: &str) -> Result<bool
 fn grow_from(overrides: &[(&str, &str)]) -> Result<GrowEngine, RegistryError> {
     let mut cfg = GrowConfig::default();
     for &(key, value) in overrides {
-        if apply_dram_key(&mut cfg.dram, key, value)?
-            || apply_schedule_key(&mut cfg.multi_pe, key, value)?
+        if apply_schedule_key(&mut cfg.multi_pe, key, value)?
             || apply_fault_key(&mut cfg.fault, key, value)?
         {
             continue;
         }
         match key {
+            "dram_gbps" => {
+                cfg.dram.bytes_per_cycle = bounded(key, value, MIN_DRAM_GBPS..=f64::MAX)?
+            }
             "hdn_cache_kb" => cfg.hdn_cache_bytes = kb_bytes(key, value, 1)?,
             "runahead" => cfg.runahead = bounded(key, value, 1..=usize::MAX)?,
             "ldn_entries" => cfg.ldn_entries = bounded(key, value, 1..=usize::MAX)?,
@@ -263,13 +261,15 @@ fn grow_from(overrides: &[(&str, &str)]) -> Result<GrowEngine, RegistryError> {
 fn gcnax_from(overrides: &[(&str, &str)]) -> Result<GcnaxEngine, RegistryError> {
     let mut cfg = GcnaxConfig::default();
     for &(key, value) in overrides {
-        if apply_dram_key(&mut cfg.dram, key, value)?
-            || apply_schedule_key(&mut cfg.multi_pe, key, value)?
+        if apply_schedule_key(&mut cfg.multi_pe, key, value)?
             || apply_fault_key(&mut cfg.fault, key, value)?
         {
             continue;
         }
         match key {
+            "dram_gbps" => {
+                cfg.dram.bytes_per_cycle = bounded(key, value, MIN_DRAM_GBPS..=f64::MAX)?
+            }
             "tile_rows" => cfg.tile_rows = bounded(key, value, 1..=MAX_TILE_DIM)?,
             _ => {
                 return Err(RegistryError::UnknownKey {
@@ -285,8 +285,7 @@ fn gcnax_from(overrides: &[(&str, &str)]) -> Result<GcnaxEngine, RegistryError> 
 fn matraptor_from(overrides: &[(&str, &str)]) -> Result<MatRaptorEngine, RegistryError> {
     let mut cfg = MatRaptorConfig::default();
     for &(key, value) in overrides {
-        if apply_dram_key(&mut cfg.dram, key, value)?
-            || apply_schedule_key(&mut cfg.multi_pe, key, value)?
+        if apply_schedule_key(&mut cfg.multi_pe, key, value)?
             || apply_fault_key(&mut cfg.fault, key, value)?
         {
             continue;
@@ -307,15 +306,13 @@ fn matraptor_from(overrides: &[(&str, &str)]) -> Result<MatRaptorEngine, Registr
 fn gamma_from(overrides: &[(&str, &str)]) -> Result<GammaEngine, RegistryError> {
     let mut cfg = GammaConfig::default();
     for &(key, value) in overrides {
-        if apply_dram_key(&mut cfg.dram, key, value)?
-            || apply_schedule_key(&mut cfg.multi_pe, key, value)?
+        if apply_schedule_key(&mut cfg.multi_pe, key, value)?
             || apply_fault_key(&mut cfg.fault, key, value)?
         {
             continue;
         }
         match key {
             "fiber_cache_kb" => cfg.fiber_cache_bytes = kb_bytes(key, value, 0)?,
-            "merge_factor" => cfg.merge_factor = bounded(key, value, 0.0..=MAX_MERGE_FACTOR)?,
             _ => {
                 return Err(RegistryError::UnknownKey {
                     engine: "gamma",
@@ -552,12 +549,10 @@ mod tests {
     }
 
     #[test]
-    fn every_engine_accepts_shared_dram_keys() {
+    fn only_grow_and_gcnax_accept_dram_gbps() {
         for name in ENGINE_NAMES {
-            assert!(
-                engine_from_overrides(name, &[("dram_gbps", "64")]).is_ok(),
-                "{name}"
-            );
+            let built = engine_from_overrides(name, &[("dram_gbps", "64")]);
+            assert_eq!(built.is_ok(), ["grow", "gcnax"].contains(&name), "{name}");
         }
     }
 

@@ -1,5 +1,7 @@
 use std::fmt;
 
+use crate::HDN_CACHE_KB;
+
 /// Quadratic technology-scaling factor from 65 nm to 40 nm: `(40/65)^2`.
 ///
 /// The paper measures GROW at 65 nm and reports estimated 40 nm numbers
@@ -7,8 +9,12 @@ use std::fmt;
 /// from our 65 nm results".
 pub const TECH_SCALE_65_TO_40: f64 = (40.0 / 65.0) * (40.0 / 65.0);
 
-/// The measured 65 nm component areas of Table IV, in mm²:
-/// (MAC array, I-BUF_sparse, HDN ID list, HDN cache, O-BUF_dense, others).
+/// The measured 65 nm component areas of Table IV, in mm², at Table III's
+/// sizes: [`MAC_LANES`](crate::MAC_LANES) MACs, an
+/// [`IBUF_SPARSE_KB`](crate::IBUF_SPARSE_KB) KB I-BUF_sparse, an
+/// [`HDN_ID_ENTRIES`](crate::HDN_ID_ENTRIES)-entry HDN ID list, an
+/// [`HDN_CACHE_KB`] KB HDN cache, an [`OBUF_KB`](crate::OBUF_KB) KB
+/// O-BUF_dense, and other logic.
 pub const GROW_AREA_65NM: [(&str, f64); 6] = [
     ("MAC array", 0.613),
     ("I-BUF_sparse", 0.319),
@@ -63,75 +69,32 @@ impl fmt::Display for AreaBreakdown {
     }
 }
 
-/// The RTL-synthesis-derived area model of Table IV.
+/// Area of a GROW PE at 65 nm with an `hdn_cache_kb` HDN cache.
 ///
-/// Per-unit densities are back-derived from the measured 65 nm components
-/// (e.g. the 512 KB HDN cache measures 3.569 mm² => ~6.97 mm²/MB of
-/// banked single-ported SRAM; the 4096-entry CAM measures 1.112 mm²), so
-/// alternative configurations — different cache sizes, PE counts, or the
-/// extra comparator array discussed in Section VIII — can be sized
-/// consistently with the paper.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AreaModel {
-    /// mm² per MAC lane at 65 nm (0.613 / 16 lanes).
-    pub mac_lane_mm2: f64,
-    /// mm² per KB of dual-ported SRAM (I-BUF_sparse: 0.319 / 12 KB).
-    pub sram_dual_port_mm2_per_kb: f64,
-    /// mm² per KB of single-ported banked SRAM (HDN cache: 3.569 / 512 KB).
-    pub sram_single_port_mm2_per_kb: f64,
-    /// mm² per CAM entry (HDN ID list: 1.112 / 4096 entries).
-    pub cam_entry_mm2: f64,
-    /// mm² per KB of flip-flop storage (O-BUF_dense: 0.113 / 2 KB).
-    pub flipflop_mm2_per_kb: f64,
-    /// Fixed control/other logic, mm² (Table IV "Others").
-    pub others_mm2: f64,
+/// Every other component has its Table III size, so its area is Table IV's
+/// measurement. The HDN cache scales with its capacity at the density
+/// Table IV measures for the 512 KB cache (3.569 mm², ~6.97 mm²/MB of banked
+/// single-ported SRAM).
+///
+/// ```
+/// let half = grow_energy::grow_65nm(256.0);
+/// let full = grow_energy::grow_default_65nm();
+/// assert!(half.total() < full.total());
+/// ```
+pub fn grow_65nm(hdn_cache_kb: f64) -> AreaBreakdown {
+    let components = GROW_AREA_65NM
+        .iter()
+        .map(|&(name, mm2)| match name {
+            "HDN cache" => (name, mm2 / HDN_CACHE_KB as f64 * hdn_cache_kb),
+            _ => (name, mm2),
+        })
+        .collect();
+    AreaBreakdown { components }
 }
 
-impl Default for AreaModel {
-    fn default() -> Self {
-        AreaModel {
-            mac_lane_mm2: 0.613 / 16.0,
-            sram_dual_port_mm2_per_kb: 0.319 / 12.0,
-            sram_single_port_mm2_per_kb: 3.569 / 512.0,
-            cam_entry_mm2: 1.112 / 4096.0,
-            flipflop_mm2_per_kb: 0.113 / 2.0,
-            others_mm2: 0.059,
-        }
-    }
-}
-
-impl AreaModel {
-    /// Area of a GROW instance at 65 nm for the given configuration
-    /// (Table III defaults: 16 MACs, 12 KB I-BUF, 4096-entry HDN ID list,
-    /// 512 KB HDN cache, 2 KB O-BUF).
-    pub fn grow_65nm(
-        &self,
-        macs: usize,
-        ibuf_sparse_kb: f64,
-        hdn_id_entries: usize,
-        hdn_cache_kb: f64,
-        obuf_kb: f64,
-    ) -> AreaBreakdown {
-        AreaBreakdown {
-            components: vec![
-                ("MAC array", self.mac_lane_mm2 * macs as f64),
-                (
-                    "I-BUF_sparse",
-                    self.sram_dual_port_mm2_per_kb * ibuf_sparse_kb,
-                ),
-                ("HDN ID list", self.cam_entry_mm2 * hdn_id_entries as f64),
-                ("HDN cache", self.sram_single_port_mm2_per_kb * hdn_cache_kb),
-                ("O-BUF_dense", self.flipflop_mm2_per_kb * obuf_kb),
-                ("Others", self.others_mm2),
-            ],
-        }
-    }
-
-    /// The default Table III configuration at 65 nm — reproduces the
-    /// measured column of Table IV.
-    pub fn grow_default_65nm(&self) -> AreaBreakdown {
-        self.grow_65nm(16, 12.0, 4096, 512.0, 2.0)
-    }
+/// The Table III PE at 65 nm: reproduces the measured column of Table IV.
+pub fn grow_default_65nm() -> AreaBreakdown {
+    grow_65nm(HDN_CACHE_KB as f64)
 }
 
 #[cfg(test)]
@@ -140,8 +103,7 @@ mod tests {
 
     #[test]
     fn default_config_reproduces_table4_measured_column() {
-        let model = AreaModel::default();
-        let area = model.grow_default_65nm();
+        let area = grow_default_65nm();
         for (name, expected) in GROW_AREA_65NM {
             let got = area.component(name).expect("component present");
             assert!(
@@ -158,9 +120,7 @@ mod tests {
 
     #[test]
     fn scaling_reproduces_table4_estimated_column() {
-        let area = AreaModel::default()
-            .grow_default_65nm()
-            .scaled(TECH_SCALE_65_TO_40);
+        let area = grow_default_65nm().scaled(TECH_SCALE_65_TO_40);
         // Table IV estimated 40 nm numbers (rounded to 3 decimals in print).
         assert!((area.component("MAC array").unwrap() - 0.232).abs() < 2e-3);
         assert!((area.component("HDN cache").unwrap() - 1.352).abs() < 2e-3);
@@ -173,9 +133,7 @@ mod tests {
 
     #[test]
     fn grow_beats_gcnax_area_at_40nm() {
-        let grow = AreaModel::default()
-            .grow_default_65nm()
-            .scaled(TECH_SCALE_65_TO_40);
+        let grow = grow_default_65nm().scaled(TECH_SCALE_65_TO_40);
         assert!(grow.total() < GCNAX_AREA_40NM);
     }
 
@@ -183,7 +141,7 @@ mod tests {
     fn sram_dominates_area() {
         // Section VII-E: "the majority of area is used by the on-chip SRAM
         // buffers (88%)".
-        let area = AreaModel::default().grow_default_65nm();
+        let area = grow_default_65nm();
         let sram: f64 = ["I-BUF_sparse", "HDN ID list", "HDN cache", "O-BUF_dense"]
             .iter()
             .map(|n| area.component(n).unwrap())
@@ -198,8 +156,7 @@ mod tests {
         // ~1.4% area. A comparator lane is far smaller than a MAC lane;
         // sanity-check that a 16-lane comparator sized at ~13% of the MAC
         // array lands in that band.
-        let model = AreaModel::default();
-        let base = model.grow_default_65nm().total();
+        let base = grow_default_65nm().total();
         let comparator = 0.613 * 0.13;
         let overhead = comparator / base;
         assert!((0.010..0.020).contains(&overhead), "overhead {overhead}");
@@ -207,13 +164,10 @@ mod tests {
 
     #[test]
     fn custom_config_scales_linearly() {
-        let model = AreaModel::default();
-        let half = model.grow_65nm(8, 12.0, 4096, 256.0, 2.0);
-        let full = model.grow_default_65nm();
-        assert!(
-            half.component("MAC array").unwrap() * 2.0 - full.component("MAC array").unwrap()
-                < 1e-9
-        );
+        let half = grow_65nm(256.0);
+        let full = grow_default_65nm();
+        let cache = |a: &AreaBreakdown| a.component("HDN cache").unwrap();
+        assert!((cache(&half) * 2.0 - cache(&full)).abs() < 1e-9);
         assert!(half.total() < full.total());
     }
 }

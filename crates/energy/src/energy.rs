@@ -1,7 +1,7 @@
 use std::fmt;
 
 /// Activity counters produced by a simulator run, consumed by
-/// [`EnergyModel::estimate`].
+/// [`estimate`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ActivityCounts {
     /// Multiply-accumulate operations executed.
@@ -82,87 +82,67 @@ impl fmt::Display for EnergyBreakdown {
     }
 }
 
-/// Per-operation energy constants (Horowitz ISSCC'14-derived, 45 nm-class,
-/// matching the paper's methodology in Section VI).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnergyModel {
-    /// Energy per 64-bit multiply-accumulate, picojoules. Horowitz reports
-    /// ~20 pJ for a 64-bit FP multiply and ~5 pJ for the add at 45 nm.
-    pub mac_pj: f64,
-    /// Energy per register-file operand access, picojoules (small
-    /// flip-flop-based RF, ~1.5 pJ).
-    pub rf_access_pj: f64,
-    /// SRAM dynamic energy per 8-byte access: `sram_base_pj +
-    /// sram_sqrt_pj * sqrt(capacity_KB)` — a CACTI-style capacity fit
-    /// (e.g. ~2.5 pJ at 12 KB, ~35 pJ at 512 KB).
-    pub sram_base_pj: f64,
-    /// See [`EnergyModel::sram_base_pj`].
-    pub sram_sqrt_pj: f64,
-    /// Mean SRAM capacity (KB) used for the per-access fit; engines report
-    /// aggregate access counts, so the fit uses the weighted buffer size.
-    pub sram_fit_kb: f64,
-    /// DRAM energy per bit, picojoules (Horowitz: ~1.3–2.6 nJ per 64-bit
-    /// access => ~20–40 pJ/bit; we use the low end for modern LPDDR-class
-    /// parts).
-    pub dram_pj_per_bit: f64,
-    /// SRAM leakage power per KB, milliwatts (CACTI 45 nm leakage for the
-    /// multi-bank SRAM macros the paper synthesizes, ~0.05 mW/KB).
-    pub sram_leak_mw_per_kb: f64,
-    /// Fixed logic leakage (MAC array + control), milliwatts.
-    pub logic_leak_mw: f64,
-    /// Clock frequency in Hz (Table III: 1 GHz).
-    pub clock_hz: f64,
+// Per-operation energy constants (Horowitz ISSCC'14-derived, 45 nm-class,
+// matching the paper's methodology in Section VI).
+
+/// Energy per 64-bit multiply-accumulate, picojoules. Horowitz reports
+/// ~20 pJ for a 64-bit FP multiply and ~5 pJ for the add at 45 nm.
+const MAC_PJ: f64 = 25.0;
+/// Energy per register-file operand access, picojoules (small
+/// flip-flop-based RF, ~1.5 pJ).
+const RF_ACCESS_PJ: f64 = 1.5;
+/// SRAM dynamic energy per 8-byte access: `SRAM_BASE_PJ + SRAM_SQRT_PJ *
+/// sqrt(capacity_KB)`, a CACTI-style capacity fit (e.g. ~2.5 pJ at 12 KB,
+/// ~35 pJ at 512 KB).
+const SRAM_BASE_PJ: f64 = 2.0;
+/// See [`SRAM_BASE_PJ`].
+const SRAM_SQRT_PJ: f64 = 1.45;
+/// Mean SRAM capacity (KB) used for the per-access fit; engines report
+/// aggregate access counts, so the fit uses the weighted buffer size.
+const SRAM_FIT_KB: f64 = 256.0;
+/// DRAM energy per bit, picojoules (Horowitz: ~1.3–2.6 nJ per 64-bit
+/// access => ~20–40 pJ/bit; we use the low end for modern LPDDR-class
+/// parts).
+const DRAM_PJ_PER_BIT: f64 = 20.0;
+/// SRAM leakage power per KB, milliwatts (CACTI 45 nm leakage for the
+/// multi-bank SRAM macros the paper synthesizes, ~0.05 mW/KB).
+const SRAM_LEAK_MW_PER_KB: f64 = 0.05;
+/// Fixed logic leakage (MAC array + control), milliwatts.
+const LOGIC_LEAK_MW: f64 = 5.0;
+/// Clock frequency in Hz (Table III: 1 GHz).
+const CLOCK_HZ: f64 = 1.0e9;
+
+/// SRAM dynamic energy per 8-byte access for a buffer of `kb` KB.
+fn sram_access_pj(kb: f64) -> f64 {
+    SRAM_BASE_PJ + SRAM_SQRT_PJ * kb.max(0.0).sqrt()
 }
 
-impl Default for EnergyModel {
-    fn default() -> Self {
-        EnergyModel {
-            mac_pj: 25.0,
-            rf_access_pj: 1.5,
-            sram_base_pj: 2.0,
-            sram_sqrt_pj: 1.45,
-            sram_fit_kb: 256.0,
-            dram_pj_per_bit: 20.0,
-            sram_leak_mw_per_kb: 0.05,
-            logic_leak_mw: 5.0,
-            clock_hz: 1.0e9,
-        }
-    }
-}
-
-impl EnergyModel {
-    /// SRAM dynamic energy per 8-byte access for a buffer of `kb` KB.
-    pub fn sram_access_pj(&self, kb: f64) -> f64 {
-        self.sram_base_pj + self.sram_sqrt_pj * kb.max(0.0).sqrt()
-    }
-
-    /// Estimates the Figure 22 energy breakdown for an activity profile.
-    pub fn estimate(&self, counts: &ActivityCounts) -> EnergyBreakdown {
-        const PJ: f64 = 1e-12;
-        let mac = counts.mac_ops as f64 * self.mac_pj * PJ;
-        let rf = counts.rf_accesses as f64 * self.rf_access_pj * PJ;
-        let sram_pj = self.sram_access_pj(self.sram_fit_kb);
-        let sram = (counts.sram_reads_8b + counts.sram_writes_8b) as f64 * sram_pj * PJ;
-        let dram = counts.dram_bytes as f64 * 8.0 * self.dram_pj_per_bit * PJ;
-        // Leakage charges the fleet's full powered time when the run
-        // reports per-PE accounting (every PE leaks for the whole
-        // makespan, idle or not); otherwise the single reference timeline.
-        let fleet_cycles = counts.pe_busy_cycles + counts.pe_idle_cycles;
-        let leak_cycles = if fleet_cycles > 0 {
-            fleet_cycles
-        } else {
-            counts.cycles
-        };
-        let seconds = leak_cycles as f64 / self.clock_hz;
-        let leak_w = (counts.sram_kb * self.sram_leak_mw_per_kb + self.logic_leak_mw) * 1e-3;
-        let leakage = leak_w * seconds;
-        EnergyBreakdown {
-            mac,
-            rf,
-            sram,
-            dram,
-            leakage,
-        }
+/// Estimates the Figure 22 energy breakdown for an activity profile.
+pub fn estimate(counts: &ActivityCounts) -> EnergyBreakdown {
+    const PJ: f64 = 1e-12;
+    let mac = counts.mac_ops as f64 * MAC_PJ * PJ;
+    let rf = counts.rf_accesses as f64 * RF_ACCESS_PJ * PJ;
+    let sram_pj = sram_access_pj(SRAM_FIT_KB);
+    let sram = (counts.sram_reads_8b + counts.sram_writes_8b) as f64 * sram_pj * PJ;
+    let dram = counts.dram_bytes as f64 * 8.0 * DRAM_PJ_PER_BIT * PJ;
+    // Leakage charges the fleet's full powered time when the run reports
+    // per-PE accounting (every PE leaks for the whole makespan, idle or
+    // not); otherwise the single reference timeline.
+    let fleet_cycles = counts.pe_busy_cycles + counts.pe_idle_cycles;
+    let leak_cycles = if fleet_cycles > 0 {
+        fleet_cycles
+    } else {
+        counts.cycles
+    };
+    let seconds = leak_cycles as f64 / CLOCK_HZ;
+    let leak_w = (counts.sram_kb * SRAM_LEAK_MW_PER_KB + LOGIC_LEAK_MW) * 1e-3;
+    let leakage = leak_w * seconds;
+    EnergyBreakdown {
+        mac,
+        rf,
+        sram,
+        dram,
+        leakage,
     }
 }
 
@@ -185,41 +165,36 @@ mod tests {
 
     #[test]
     fn mac_energy_is_count_times_constant() {
-        let m = EnergyModel::default();
-        let e = m.estimate(&counts());
+        let e = estimate(&counts());
         assert!((e.mac - 1_000.0 * 25.0e-12).abs() < 1e-18);
     }
 
     #[test]
     fn dram_energy_per_bit() {
-        let m = EnergyModel::default();
-        let e = m.estimate(&counts());
+        let e = estimate(&counts());
         assert!((e.dram - 10_000.0 * 8.0 * 20.0e-12).abs() < 1e-15);
     }
 
     #[test]
     fn leakage_scales_with_time() {
-        let m = EnergyModel::default();
         let mut c = counts();
-        let e1 = m.estimate(&c);
+        let e1 = estimate(&c);
         c.cycles *= 2;
-        let e2 = m.estimate(&c);
+        let e2 = estimate(&c);
         assert!((e2.leakage / e1.leakage - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn sram_fit_grows_with_capacity() {
-        let m = EnergyModel::default();
-        assert!(m.sram_access_pj(512.0) > m.sram_access_pj(12.0));
+        assert!(sram_access_pj(512.0) > sram_access_pj(12.0));
         // Sanity band for the 512 KB HDN cache: tens of pJ.
-        let pj = m.sram_access_pj(512.0);
+        let pj = sram_access_pj(512.0);
         assert!((10.0..80.0).contains(&pj), "512 KB access energy {pj} pJ");
     }
 
     #[test]
     fn fractions_sum_to_one() {
-        let m = EnergyModel::default();
-        let e = m.estimate(&counts());
+        let e = estimate(&counts());
         let sum: f64 = e.fractions().iter().sum();
         assert!((sum - 1.0).abs() < 1e-12);
     }
@@ -228,7 +203,6 @@ mod tests {
     fn memory_dominates_compute_for_spdegemm_profiles() {
         // A profile shaped like aggregation: each MAC touches ~1 byte of
         // DRAM on average once caching fails.
-        let m = EnergyModel::default();
         let c = ActivityCounts {
             mac_ops: 1_000_000,
             rf_accesses: 3_000_000,
@@ -239,7 +213,7 @@ mod tests {
             sram_kb: 538.0,
             ..ActivityCounts::default()
         };
-        let e = m.estimate(&c);
+        let e = estimate(&c);
         assert!(e.dram > e.mac + e.rf, "{e}");
     }
 
@@ -248,12 +222,11 @@ mod tests {
         // A 4-PE fleet over a 1M-cycle makespan with 2.5M busy PE-cycles:
         // leakage must charge all 4M powered PE-cycles, not the 1M
         // reference timeline the legacy single-PE accounting saw.
-        let m = EnergyModel::default();
         let mut c = counts();
-        let single = m.estimate(&c);
+        let single = estimate(&c);
         c.pe_busy_cycles = 2_500_000;
         c.pe_idle_cycles = 1_500_000;
-        let fleet = m.estimate(&c);
+        let fleet = estimate(&c);
         assert!((fleet.leakage / single.leakage - 4.0).abs() < 1e-12);
         // Dynamic categories are activity-based and unchanged.
         assert_eq!(fleet.mac, single.mac);
@@ -262,13 +235,12 @@ mod tests {
 
     #[test]
     fn zero_fleet_counters_keep_the_legacy_leakage() {
-        let m = EnergyModel::default();
         let c = counts();
         assert_eq!(c.pe_busy_cycles, 0);
         assert_eq!(c.pe_idle_cycles, 0);
-        let e = m.estimate(&c);
-        let leak_w = (c.sram_kb * m.sram_leak_mw_per_kb + m.logic_leak_mw) * 1e-3;
-        let expected = leak_w * c.cycles as f64 / m.clock_hz;
+        let e = estimate(&c);
+        let leak_w = (c.sram_kb * SRAM_LEAK_MW_PER_KB + LOGIC_LEAK_MW) * 1e-3;
+        let expected = leak_w * c.cycles as f64 / CLOCK_HZ;
         assert!((e.leakage - expected).abs() < 1e-18);
     }
 }

@@ -50,7 +50,7 @@ use grow_sim::exec::{self, ExecMode};
 use grow_sim::fault::{self, CancelReason, FaultPlan, FaultSite, SimFault};
 
 use crate::service::{AsyncConfig, AsyncService, Priority, WaitError};
-use crate::session::{PoolCounters, SimSession, DEFAULT_HDN_ID_ENTRIES};
+use crate::session::{check_recipe, PoolCounters, SimSession};
 use crate::store::ResultStore;
 
 /// One simulation job, as pure data: everything needed to reproduce a
@@ -97,7 +97,7 @@ impl JobSpec {
             engine: engine.to_string(),
             strategy: PartitionStrategy::None,
             overrides: Vec::new(),
-            hdn_id_entries: DEFAULT_HDN_ID_ENTRIES,
+            hdn_id_entries: grow_core::HDN_ID_ENTRIES,
         }
     }
 
@@ -876,9 +876,9 @@ impl ComputeTask {
 
 /// Instantiates and counts the pooled session of `job`'s workload
 /// recipe, whose preparations and plan lookups count into the pool's
-/// counters.
+/// counters. Staging has checked the recipe.
 fn instantiate(job: &JobSpec, counters: &Arc<PoolCounters>) -> SimSession {
-    let mut session = SimSession::from_spec(job.dataset, job.seed);
+    let mut session = SimSession::new(job.dataset.instantiate(job.seed));
     session.set_hdn_id_entries(job.hdn_id_entries);
     session.count_into(Arc::clone(counters));
     counters.sessions_created.fetch_add(1, Ordering::Relaxed);
@@ -947,12 +947,7 @@ pub(crate) fn compute_supervised(job: &JobSpec, task: &ComputeTask) -> ComputeOu
 /// field fails as the `dataset.<field>` key, see
 /// [`DatasetSpec::invalid_field`]), the engine name and every override.
 fn build_engine(job: &JobSpec) -> Result<Box<dyn Accelerator>, RegistryError> {
-    if let Some((field, value)) = job.dataset.invalid_field() {
-        return Err(RegistryError::InvalidValue {
-            key: format!("dataset.{field}"),
-            value,
-        });
-    }
+    check_recipe(&job.dataset)?;
     let parsed = registry::parse_overrides(&job.overrides)?;
     let borrowed: Vec<(&str, &str)> = parsed
         .iter()
@@ -1441,7 +1436,7 @@ mod tests {
                 .with_strategy(strategy)
                 .with_override("runahead", "4"),
         );
-        let session = SimSession::from_spec(spec(), 11);
+        let session = SimSession::from_spec(spec(), 11).unwrap();
         let direct = session
             .run_with("grow", &[("runahead", "4")], strategy)
             .unwrap();

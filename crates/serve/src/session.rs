@@ -19,7 +19,7 @@
 //! use grow_model::DatasetKey;
 //! use grow_serve::session::SimSession;
 //!
-//! let session = SimSession::from_spec(DatasetKey::Cora.spec().scaled_to(400), 42);
+//! let session = SimSession::from_spec(DatasetKey::Cora.spec().scaled_to(400), 42).unwrap();
 //! let grow = session.run("grow", PartitionStrategy::multilevel_default()).unwrap();
 //! let gcnax = session.run("gcnax", PartitionStrategy::None).unwrap();
 //! assert_eq!(grow.mac_ops(), gcnax.mac_ops(), "same work, different movement");
@@ -32,13 +32,11 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use grow_core::registry::{self, RegistryError};
 use grow_core::{
     partition, prepare_with, PartitionStrategy, PlanCache, PlanStore, PreparedWorkload, RunReport,
+    HDN_ID_ENTRIES,
 };
 use grow_model::{DatasetSpec, GcnWorkload};
 
 use crate::store::{GraphFingerprint, ResultStore};
-
-/// Default HDN ID list length: the engine's [`grow_core::HDN_ID_ENTRIES`].
-pub const DEFAULT_HDN_ID_ENTRIES: usize = grow_core::HDN_ID_ENTRIES;
 
 /// The counters a serving pool attaches to each of its sessions. The
 /// work is counted where it runs, so the pool reads every count live,
@@ -53,6 +51,19 @@ pub(crate) struct PoolCounters {
     pub(crate) preparations_run: AtomicU64,
     /// Preparations whose partition assignment came from the store.
     pub(crate) partitions_loaded: AtomicU64,
+}
+
+/// Checks a dataset recipe before anything is built from it: the first
+/// field [`DatasetSpec::invalid_field`] rejects fails as the key
+/// `dataset.<field>`.
+pub(crate) fn check_recipe(spec: &DatasetSpec) -> Result<(), RegistryError> {
+    match spec.invalid_field() {
+        Some((field, value)) => Err(RegistryError::InvalidValue {
+            key: format!("dataset.{field}"),
+            value,
+        }),
+        None => Ok(()),
+    }
 }
 
 /// One strategy's prepared form, filled exactly once.
@@ -76,18 +87,26 @@ impl SimSession {
     pub fn new(workload: GcnWorkload) -> Self {
         SimSession {
             workload,
-            hdn_id_entries: DEFAULT_HDN_ID_ENTRIES,
+            hdn_id_entries: HDN_ID_ENTRIES,
             prepared: Mutex::default(),
             counters: None,
         }
     }
 
     /// Instantiates `spec` with `seed` and wraps it in a session.
-    pub fn from_spec(spec: DatasetSpec, seed: u64) -> Self {
-        Self::new(spec.instantiate(seed))
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RegistryError::InvalidValue`] with the key
+    /// `dataset.<field>` when [`DatasetSpec::invalid_field`] rejects the
+    /// recipe; nothing is built then.
+    pub fn from_spec(spec: DatasetSpec, seed: u64) -> Result<Self, RegistryError> {
+        check_recipe(&spec)?;
+        Ok(Self::new(spec.instantiate(seed)))
     }
 
-    /// Overrides the per-cluster HDN ID list length (Table III: 4096).
+    /// Overrides the per-cluster HDN ID list length (Table III:
+    /// [`HDN_ID_ENTRIES`]).
     /// Clears any workloads already prepared with the previous value.
     pub fn set_hdn_id_entries(&mut self, entries: usize) {
         if entries != self.hdn_id_entries {
@@ -246,7 +265,7 @@ mod tests {
     use std::sync::Barrier;
 
     fn session() -> SimSession {
-        SimSession::from_spec(DatasetKey::Pubmed.spec().scaled_to(500), 7)
+        SimSession::from_spec(DatasetKey::Pubmed.spec().scaled_to(500), 7).unwrap()
     }
 
     #[test]
@@ -257,7 +276,7 @@ mod tests {
         let direct = GrowEngine::default().run(&prepare(
             s.workload(),
             PartitionStrategy::None,
-            DEFAULT_HDN_ID_ENTRIES,
+            HDN_ID_ENTRIES,
         ));
         assert_eq!(via_session, direct);
     }
@@ -298,7 +317,7 @@ mod tests {
         );
         assert_eq!(s.prepared_count(), strategies.len());
         for strategy in strategies {
-            let direct = prepare(s.workload(), strategy, DEFAULT_HDN_ID_ENTRIES);
+            let direct = prepare(s.workload(), strategy, HDN_ID_ENTRIES);
             let memoized = s.prepared(strategy);
             assert_eq!(memoized.clusters, direct.clusters, "{strategy:?}");
             assert_eq!(memoized.hdn_lists, direct.hdn_lists, "{strategy:?}");

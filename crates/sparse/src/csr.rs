@@ -1,6 +1,6 @@
 use std::fmt;
 
-use crate::{CscMatrix, DenseMatrix, SparseError};
+use crate::{DenseMatrix, SparseError};
 
 /// The structure (row pointers + column indices) of a CSR matrix, without
 /// values.
@@ -193,7 +193,8 @@ impl CsrPattern {
         self.nnz() as f64 / (self.rows as f64 * self.cols as f64)
     }
 
-    /// The transposed pattern (a CSR view of the CSC of `self`).
+    /// The transposed pattern: the column-major structure of `self`,
+    /// stored as CSR.
     pub fn transpose(&self) -> CsrPattern {
         let mut counts = vec![0usize; self.cols + 1];
         for &c in &self.indices {
@@ -454,12 +455,6 @@ impl CsrMatrix {
     /// The concatenated value array.
     pub fn values(&self) -> &[f64] {
         &self.values
-    }
-
-    /// Converts to CSC format (column-major compression, used by GCNAX).
-    pub fn to_csc(&self) -> CscMatrix {
-        let t = self.transpose();
-        CscMatrix::from_transposed_csr(t)
     }
 
     /// The transposed matrix, still in CSR.

@@ -36,7 +36,7 @@ pub enum SparseError {
         /// The operation that was attempted, e.g. `"spmm"`.
         op: &'static str,
     },
-    /// Raw CSR/CSC arrays passed to a `from_raw` constructor are inconsistent
+    /// Raw CSR arrays passed to a `from_raw` constructor are inconsistent
     /// (wrong lengths, non-monotonic pointers, or unsorted indices).
     InvalidStructure(String),
 }

@@ -2,11 +2,12 @@
 //!
 //! The GROW accelerator (HPCA 2023) and all of its baselines operate on
 //! sparse-dense GEMM (`SpDeGEMM`) workloads where the left-hand side is a
-//! compressed sparse matrix (CSR for GROW/MatRaptor/GAMMA, CSC for GCNAX)
-//! and the right-hand side is dense. This crate provides:
+//! compressed sparse matrix and the right-hand side is dense. Every engine
+//! reads the left-hand side as a CSR pattern: GCNAX's CSC-compressed tiles
+//! are modelled from it, so no CSC type exists. This crate provides:
 //!
-//! * storage formats: [`CooMatrix`], [`CsrMatrix`] / [`CsrPattern`],
-//!   [`CscMatrix`], and row-major [`DenseMatrix`];
+//! * storage formats: [`CooMatrix`], [`CsrMatrix`] / [`CsrPattern`], and
+//!   row-major [`DenseMatrix`];
 //! * lossless conversions between all formats;
 //! * reference kernels in [`ops`] (row-wise/Gustavson SpMM, dense GEMM, and
 //!   the two GCN execution orders `(A*X)*W` and `A*(X*W)`), used as ground
@@ -35,7 +36,6 @@
 #![warn(missing_docs)]
 
 mod coo;
-mod csc;
 mod csr;
 mod dense;
 mod error;
@@ -45,7 +45,6 @@ pub mod analysis;
 pub mod ops;
 
 pub use coo::CooMatrix;
-pub use csc::CscMatrix;
 pub use csr::{CsrMatrix, CsrPattern, RowSlices, RowValueSlices};
 pub use dense::DenseMatrix;
 pub use error::SparseError;

@@ -81,38 +81,6 @@ pub fn spmm(a: &CsrMatrix, b: &DenseMatrix) -> Result<DenseMatrix, SparseError> 
     Ok(c)
 }
 
-/// Sparse-dense GEMM via outer product: `C = A * B` where `A` is consumed
-/// column-major (CSC), the dataflow of GCNAX (Figure 9(a)).
-///
-/// Produces the same result as [`spmm`] up to floating-point accumulation
-/// order; used by tests to check that the two dataflows are numerically
-/// interchangeable.
-///
-/// # Errors
-///
-/// Returns [`SparseError::ShapeMismatch`] if `a.cols() != b.rows()`.
-pub fn spmm_outer(a: &CsrMatrix, b: &DenseMatrix) -> Result<DenseMatrix, SparseError> {
-    if a.cols() != b.rows() {
-        return Err(SparseError::ShapeMismatch {
-            left: a.shape(),
-            right: b.shape(),
-            op: "spmm_outer",
-        });
-    }
-    let csc = a.to_csc();
-    let mut c = DenseMatrix::zeros(a.rows(), b.cols());
-    for k in 0..csc.cols() {
-        let b_row = b.row(k).to_vec();
-        for (i, aik) in csc.col_entries(k) {
-            let c_row = c.row_mut(i as usize);
-            for (j, &bkj) in b_row.iter().enumerate() {
-                c_row[j] += aik * bkj;
-            }
-        }
-    }
-    Ok(c)
-}
-
 /// The GCN layer computed in the `A * (X * W)` order (the order GROW,
 /// AWB-GCN, and GCNAX all adopt; Section II-B of the paper).
 ///
@@ -186,15 +154,6 @@ mod tests {
         let sparse = spmm(&a, &b).unwrap();
         let dense = gemm(&a.to_dense(), &b).unwrap();
         assert!(sparse.approx_eq(&dense, 1e-12));
-    }
-
-    #[test]
-    fn spmm_outer_matches_row_wise() {
-        let a = small_a();
-        let b = small_b();
-        let row_wise = spmm(&a, &b).unwrap();
-        let outer = spmm_outer(&a, &b).unwrap();
-        assert!(row_wise.approx_eq(&outer, 1e-12));
     }
 
     #[test]

@@ -34,16 +34,6 @@ fn dense_matrix(rng: &mut StdRng, rows: usize) -> DenseMatrix {
 const CASES: usize = 48;
 
 #[test]
-fn csr_csc_round_trip() {
-    let mut rng = StdRng::seed_from_u64(0x5a01);
-    for case in 0..CASES {
-        let m = sparse_matrix(&mut rng);
-        let back = m.to_csc().to_csr();
-        assert_eq!(m, back, "case {case}");
-    }
-}
-
-#[test]
 fn csr_dense_round_trip_preserves_values() {
     let mut rng = StdRng::seed_from_u64(0x5a02);
     for case in 0..CASES {
@@ -85,19 +75,6 @@ fn spmm_agrees_with_dense_gemm() {
         let sparse = ops::spmm(&a, &b).expect("shapes agree");
         let dense = ops::gemm(&a.to_dense(), &b).expect("shapes agree");
         assert!(sparse.approx_eq(&dense, 1e-9), "case {case}");
-    }
-}
-
-#[test]
-fn row_wise_and_outer_product_dataflows_agree() {
-    let mut rng = StdRng::seed_from_u64(0x5a06);
-    for case in 0..CASES {
-        // Figure 9 of the paper: both dataflows compute the same GEMM.
-        let a = sparse_matrix(&mut rng);
-        let b = dense_matrix(&mut rng, a.cols());
-        let row_wise = ops::spmm(&a, &b).expect("shapes agree");
-        let outer = ops::spmm_outer(&a, &b).expect("shapes agree");
-        assert!(row_wise.approx_eq(&outer, 1e-9), "case {case}");
     }
 }
 

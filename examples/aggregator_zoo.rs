@@ -7,18 +7,19 @@
 //! ```
 
 use grow::accel::extensions::{run_with_aggregation, AggregationKind};
-use grow::accel::{prepare, GrowEngine, PartitionStrategy};
-use grow::energy::{AreaModel, TECH_SCALE_65_TO_40};
+use grow::accel::{prepare, GrowEngine, PartitionStrategy, HDN_ID_ENTRIES};
+use grow::energy::{grow_default_65nm, TECH_SCALE_65_TO_40};
 use grow::model::DatasetKey;
 
 fn main() {
     let workload = DatasetKey::Flickr.spec().scaled_to(20_000).instantiate(11);
-    let prepared = prepare(&workload, PartitionStrategy::multilevel_default(), 4096);
+    let prepared = prepare(
+        &workload,
+        PartitionStrategy::multilevel_default(),
+        HDN_ID_ENTRIES,
+    );
     let engine = GrowEngine::default();
-    let base_area = AreaModel::default()
-        .grow_default_65nm()
-        .scaled(TECH_SCALE_65_TO_40)
-        .total();
+    let base_area = grow_default_65nm().scaled(TECH_SCALE_65_TO_40).total();
 
     println!("workload: {}", workload.graph);
     println!(

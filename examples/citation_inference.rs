@@ -10,8 +10,10 @@
 //! cargo run --release --example citation_inference
 //! ```
 
-use grow::accel::{prepare, Accelerator, GcnaxEngine, GrowEngine, PartitionStrategy};
-use grow::energy::EnergyModel;
+use grow::accel::{
+    prepare, Accelerator, GcnaxEngine, GrowEngine, PartitionStrategy, HDN_ID_ENTRIES,
+};
+use grow::energy;
 use grow::model::{reference, DatasetKey};
 
 fn main() {
@@ -41,8 +43,12 @@ fn main() {
     println!("predicted class distribution: {class_counts:?}");
 
     // ---- accelerator timing (the cycles, not the values) ---------------
-    let base = prepare(&workload, PartitionStrategy::None, 4096);
-    let partitioned = prepare(&workload, PartitionStrategy::multilevel_default(), 4096);
+    let base = prepare(&workload, PartitionStrategy::None, HDN_ID_ENTRIES);
+    let partitioned = prepare(
+        &workload,
+        PartitionStrategy::multilevel_default(),
+        HDN_ID_ENTRIES,
+    );
     let grow = GrowEngine::default().run(&partitioned);
     let gcnax = GcnaxEngine::default().run(&base);
 
@@ -55,9 +61,8 @@ fn main() {
     }
 
     // ---- energy (Figure 22 methodology) ---------------------------------
-    let model = EnergyModel::default();
-    let grow_energy = model.estimate(&grow.activity(GrowEngine::default().sram_kb()));
-    let gcnax_energy = model.estimate(&gcnax.activity(GcnaxEngine::default().sram_kb()));
+    let grow_energy = energy::estimate(&grow.activity(GrowEngine::default().sram_kb()));
+    let gcnax_energy = energy::estimate(&gcnax.activity(GcnaxEngine::default().sram_kb()));
     println!("\nGROW  {grow_energy}");
     println!("GCNAX {gcnax_energy}");
     println!(

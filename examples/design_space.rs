@@ -14,7 +14,7 @@
 //! ```
 
 use grow::accel::PartitionStrategy;
-use grow::energy::{AreaModel, TECH_SCALE_65_TO_40};
+use grow::energy::{grow_65nm, TECH_SCALE_65_TO_40};
 use grow::model::DatasetKey;
 use grow::serve::{BatchService, JobSpec};
 
@@ -50,12 +50,10 @@ fn main() {
         "cache", "runahead", "cycles", "DRAM MiB", "hit rate", "mm2@40nm"
     );
 
-    let area_model = AreaModel::default();
     let mut best: Option<(f64, String)> = None;
     for (&(cache_kb, runahead), result) in points.iter().zip(&results) {
         let report = result.report().expect("valid overrides");
-        let area = area_model
-            .grow_65nm(16, 12.0, 4096, cache_kb as f64, 2.0)
+        let area = grow_65nm(cache_kb as f64)
             .scaled(TECH_SCALE_65_TO_40)
             .total();
         let cycles = report.total_cycles();

@@ -13,7 +13,7 @@ fn main() {
     // 1. Instantiate a Cora-like dataset (Table I row 1) at full scale:
     //    2,708 nodes, power-law degrees, 1433-16-7 feature dimensions.
     //    The session owns the workload and memoizes its prepared forms.
-    let session = SimSession::from_spec(DatasetKey::Cora.spec(), 42);
+    let session = SimSession::from_spec(DatasetKey::Cora.spec(), 42).expect("valid recipe");
     println!("workload: {}", session.workload().graph);
 
     // 2. Software preprocessing (Section V-C): graph partitioning,

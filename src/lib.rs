@@ -12,11 +12,11 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`sparse`] | `grow-sparse` | CSR/CSC/COO/dense formats, reference kernels, workload analyses |
+//! | [`sparse`] | `grow-sparse` | CSR/COO/dense formats, reference kernels, workload analyses |
 //! | [`graph`] | `grow-graph` | graphs, power-law community generators, GCN normalization |
 //! | [`partition`] | `grow-partition` | multilevel + label-propagation partitioning, HDN lists |
 //! | [`sim`] | `grow-sim` | DRAM channel, MAC array, HDN/LRU caches, runahead tables |
-//! | [`energy`] | `grow-energy` | Horowitz/CACTI-style energy model, Table IV area model |
+//! | [`energy`] | `grow-energy` | Horowitz/CACTI-style energy model, Table IV area model, Table III's fixed PE sizes |
 //! | [`model`] | `grow-model` | Table I dataset registry, feature synthesis, functional GCN |
 //! | [`accel`] | `grow-core` | the four accelerator models, preprocessing, multi-PE scheduling + execution models (`exec=post_hoc\|e2e`), experiments |
 //! | [`serve`] | `grow-serve` | `SimSession`, the batch simulation service, the async always-on front end, and the on-disk result store |
@@ -47,15 +47,21 @@
 //! # Quickstart
 //!
 //! ```
-//! use grow::accel::{prepare, Accelerator, GcnaxEngine, GrowEngine, PartitionStrategy};
+//! use grow::accel::{
+//!     prepare, Accelerator, GcnaxEngine, GrowEngine, PartitionStrategy, HDN_ID_ENTRIES,
+//! };
 //! use grow::model::DatasetKey;
 //!
 //! // A small Cora-like workload.
 //! let workload = DatasetKey::Cora.spec().scaled_to(500).instantiate(42);
 //!
 //! // GROW's software preprocessing: partition + relabel + HDN lists.
-//! let base = prepare(&workload, PartitionStrategy::None, 4096);
-//! let partitioned = prepare(&workload, PartitionStrategy::multilevel_default(), 4096);
+//! let base = prepare(&workload, PartitionStrategy::None, HDN_ID_ENTRIES);
+//! let partitioned = prepare(
+//!     &workload,
+//!     PartitionStrategy::multilevel_default(),
+//!     HDN_ID_ENTRIES,
+//! );
 //!
 //! // Simulate both accelerators.
 //! let grow = GrowEngine::default().run(&partitioned);

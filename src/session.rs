@@ -12,7 +12,7 @@
 //! use grow::accel::PartitionStrategy;
 //! use grow::model::DatasetKey;
 //!
-//! let session = SimSession::from_spec(DatasetKey::Cora.spec().scaled_to(400), 42);
+//! let session = SimSession::from_spec(DatasetKey::Cora.spec().scaled_to(400), 42).unwrap();
 //! let grow = session.run("grow", PartitionStrategy::multilevel_default()).unwrap();
 //! let gcnax = session.run("gcnax", PartitionStrategy::None).unwrap();
 //! assert_eq!(grow.mac_ops(), gcnax.mac_ops(), "same work, different movement");

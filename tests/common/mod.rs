@@ -131,15 +131,16 @@ pub fn render_e2e_grid(
 
 /// Runs one job with no service at all — a fresh session, the job's HDN
 /// list length, the engine built from its parsed overrides — as the
-/// reference the serving executor is checked against. A bad engine name
-/// or override fails as [`JobError::Invalid`], like a served job.
+/// reference the serving executor is checked against. A bad recipe,
+/// engine name or override fails as [`JobError::Invalid`], like a served
+/// job.
 pub fn run_unserved(job: &JobSpec) -> Result<RunReport, JobError> {
     let parsed = registry::parse_overrides(&job.overrides)?;
     let overrides: Vec<(&str, &str)> = parsed
         .iter()
         .map(|(k, v)| (k.as_str(), v.as_str()))
         .collect();
-    let mut session = SimSession::from_spec(job.dataset, job.seed);
+    let mut session = SimSession::from_spec(job.dataset, job.seed)?;
     session.set_hdn_id_entries(job.hdn_id_entries);
     Ok(session.run_with(&job.engine, &overrides, job.strategy)?)
 }

@@ -52,6 +52,7 @@ fn session_runs_are_reproducible_end_to_end() {
     let spec = DatasetKey::Cora.spec().scaled_to(500);
     let run = || {
         SimSession::from_spec(spec, 31)
+            .expect("valid recipe")
             .run("grow", PartitionStrategy::multilevel_default())
             .expect("registered engine")
     };

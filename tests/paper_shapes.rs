@@ -17,7 +17,7 @@ fn gp() -> PartitionStrategy {
 
 /// Pubmed at 1,500 nodes, seed 7: the workload of most shape tests.
 fn small_session() -> SimSession {
-    SimSession::from_spec(DatasetKey::Pubmed.spec().scaled_to(1500), 7)
+    SimSession::from_spec(DatasetKey::Pubmed.spec().scaled_to(1500), 7).expect("valid recipe")
 }
 
 fn run(
@@ -43,7 +43,7 @@ fn speedup_row_shows_grow_winning() {
     // GCNAX.
     let mut spec = DatasetKey::Pubmed.spec().scaled_to(6000);
     spec.avg_degree = 4.0;
-    let session = SimSession::from_spec(spec, 7);
+    let session = SimSession::from_spec(spec, 7).expect("valid recipe");
     let gcnax = run(&session, "gcnax", &[], NONE);
     let no_gp = run(&session, "grow", &[], NONE);
     let with_gp = run(&session, "grow", &[], gp());
@@ -122,7 +122,8 @@ fn pe_scaling_improves_throughput() {
     // Figure 24. Use fine-grained clusters so the small test workload
     // actually has parallelism to distribute (the default 4096-node
     // clusters leave a 2500-node graph as a single cluster).
-    let session = SimSession::from_spec(DatasetKey::Pubmed.spec().scaled_to(2500), 7);
+    let session =
+        SimSession::from_spec(DatasetKey::Pubmed.spec().scaled_to(2500), 7).expect("valid recipe");
     let strategy = PartitionStrategy::Multilevel { cluster_nodes: 200 };
     let report = run(&session, "grow", &[], strategy);
     let curve = scaling_curve(

@@ -37,7 +37,7 @@ fn unknown_engine_is_an_error_everywhere() {
         Some(expected.clone())
     );
 
-    let session = SimSession::from_spec(spec(), 1);
+    let session = SimSession::from_spec(spec(), 1).expect("valid recipe");
     assert_eq!(
         session.run("npu", PartitionStrategy::None).err(),
         Some(expected.clone())
@@ -70,7 +70,7 @@ fn unknown_key_and_invalid_value_are_reported_not_panicked() {
         registry::engine_from_overrides("matraptor", &[("runahead", "4")]).err(),
         Some(unknown_key.clone())
     );
-    let session = SimSession::from_spec(spec(), 2);
+    let session = SimSession::from_spec(spec(), 2).expect("valid recipe");
     assert_eq!(
         session
             .run_with("matraptor", &[("runahead", "4")], PartitionStrategy::None)
@@ -100,23 +100,24 @@ fn unknown_key_and_invalid_value_are_reported_not_panicked() {
         value: "lots".into(),
     };
     assert_eq!(
-        registry::engine_from_overrides("gamma", &[("merge_factor", "lots")]).err(),
+        registry::engine_from_overrides("matraptor", &[("merge_factor", "lots")]).err(),
         Some(invalid_value.clone())
     );
     let via_batch = BatchService::new()
-        .run_one(&JobSpec::new(spec(), 2, "gamma").with_override("merge_factor", "lots"));
+        .run_one(&JobSpec::new(spec(), 2, "matraptor").with_override("merge_factor", "lots"));
     assert_eq!(
         via_batch.outcome.err(),
         Some(JobError::Invalid(invalid_value))
     );
 }
 
-/// Keys no engine accepts, each with the engines that would carry its
-/// value: sizes Table III fixes (MAC lanes, GROW's HDN ID list, I-BUF,
-/// O-BUF and LHS-ID table, GCNAX's tile width), and typed fields only
-/// model tests vary (GCNAX's dense buffer and tile-fetch depth, the DRAM
-/// timing).
-const REMOVED_KEYS: [(&str, &[&str]); 10] = [
+/// Keys the named engines reject, each with the engines that would carry
+/// its value: sizes Table III fixes (MAC lanes, GROW's HDN ID list, I-BUF,
+/// O-BUF and LHS-ID table, GCNAX's tile width), typed fields only model
+/// tests vary (GCNAX's dense buffer and tile-fetch depth, the DRAM
+/// timing), and values no experiment varies on that engine (Figure 25b
+/// sweeps bandwidth on GROW and GCNAX only; GAMMA's merge factor).
+const REMOVED_KEYS: [(&str, &[&str]); 12] = [
     ("mac_lanes", &registry::ENGINE_NAMES),
     ("dram_latency_cycles", &registry::ENGINE_NAMES),
     ("dram_request_overhead_cycles", &registry::ENGINE_NAMES),
@@ -127,16 +128,18 @@ const REMOVED_KEYS: [(&str, &[&str]); 10] = [
     ("tile_cols", &["gcnax"]),
     ("dense_buffer_kb", &["gcnax"]),
     ("tile_fetch_depth", &["gcnax"]),
+    ("dram_gbps", &["matraptor", "gamma"]),
+    ("merge_factor", &["gamma"]),
 ];
 
 #[test]
 fn only_the_keys_the_evaluation_varies_configure_an_engine() {
     // Every key an experiment, example or perfbench job sets, and the
     // fault suites' `fault`, with a valid value and the engines that
-    // accept it: 37 (engine, key) pairs. Every other engine rejects it.
+    // accept it: 34 (engine, key) pairs. Every other engine rejects it.
     let every: &[&str] = &registry::ENGINE_NAMES;
     let kept: [(&str, &str, &[&str]); 15] = [
-        ("dram_gbps", "64", every),
+        ("dram_gbps", "64", &["grow", "gcnax"]),
         ("pes", "4", every),
         ("scheduler", "lpt", every),
         ("exec", "e2e", every),
@@ -149,11 +152,11 @@ fn only_the_keys_the_evaluation_varies_configure_an_engine() {
         ("hdn_caching", "false", &["grow"]),
         ("replacement", "lru", &["grow"]),
         ("tile_rows", "64", &["gcnax"]),
-        ("merge_factor", "2", &["matraptor", "gamma"]),
+        ("merge_factor", "2", &["matraptor"]),
         ("fiber_cache_kb", "256", &["gamma"]),
     ];
     let pairs: usize = kept.iter().map(|(_, _, engines)| engines.len()).sum();
-    assert_eq!(pairs, 37);
+    assert_eq!(pairs, 34);
     for engine in registry::ENGINE_NAMES {
         for (key, value, engines) in kept {
             let built = registry::engine_from_overrides(engine, &[(key, value)]);
@@ -178,7 +181,7 @@ fn only_the_keys_the_evaluation_varies_configure_an_engine() {
         .iter()
         .flat_map(|&(key, engines)| engines.iter().map(move |&engine| (engine, key)))
         .collect();
-    assert_eq!(removed.len(), 19);
+    assert_eq!(removed.len(), 22);
     let jobs: Vec<JobSpec> = removed
         .iter()
         .map(|&(engine, key)| JobSpec::new(spec(), 7, engine).with_override(key, "16"))
@@ -208,8 +211,9 @@ fn only_the_keys_the_evaluation_varies_configure_an_engine() {
 #[test]
 fn a_rejected_dataset_field_fails_validation_without_a_session() {
     // A recipe field the graph generator or the feature synthesis would
-    // reject fails its job as `dataset.<field>` before any workload is
-    // built. The shipped recipes and an edgeless graph stay valid.
+    // reject fails its job, and an unserved session, as `dataset.<field>`
+    // before any workload is built. The shipped recipes and an edgeless
+    // graph stay valid.
     for key in DatasetKey::ALL {
         assert_eq!(key.spec().invalid_field(), None, "{}", key.name());
     }
@@ -247,13 +251,19 @@ fn a_rejected_dataset_field_fails_validation_without_a_session() {
         .collect();
     let mut service = BatchService::new();
     let results = service.run_batch(&jobs);
-    for ((_, field, value), result) in cases.iter().zip(&results) {
+    for ((recipe, field, value), result) in cases.iter().zip(&results) {
+        let invalid = RegistryError::InvalidValue {
+            key: format!("dataset.{field}"),
+            value: value.to_string(),
+        };
+        assert_eq!(
+            SimSession::from_spec(*recipe, 8).err(),
+            Some(invalid.clone()),
+            "{field}"
+        );
         assert_eq!(
             result.outcome.clone().err(),
-            Some(JobError::Invalid(RegistryError::InvalidValue {
-                key: format!("dataset.{field}"),
-                value: value.to_string(),
-            })),
+            Some(JobError::Invalid(invalid)),
             "{field}"
         );
     }
@@ -297,7 +307,7 @@ fn unknown_scheduler_is_an_error_everywhere() {
         );
     }
 
-    let session = SimSession::from_spec(spec(), 4);
+    let session = SimSession::from_spec(spec(), 4).expect("valid recipe");
     assert_eq!(
         session
             .run_with("grow", &[("scheduler", "bogus")], PartitionStrategy::None)
@@ -342,7 +352,7 @@ fn unknown_exec_model_is_an_error_everywhere() {
         );
     }
 
-    let session = SimSession::from_spec(spec(), 4);
+    let session = SimSession::from_spec(spec(), 4).expect("valid recipe");
     assert_eq!(
         session
             .run_with("grow", &[("exec", "sideways")], PartitionStrategy::None)
@@ -462,24 +472,27 @@ fn zero_pes_is_an_invalid_value_not_a_panic() {
         }
     }
 
-    // Zero-sized hardware, a non-positive bandwidth and values above the
-    // documented bounds fail at the registry too. Mid-run they would
-    // panic, or worse: `runahead=0` spins a worker forever, `tile_rows=0`
-    // grows a plan until the allocator aborts the process, and a huge
-    // tile wraps the report's `u64` cycles, so those are only checked
-    // here.
-    let every: &[&str] = &registry::ENGINE_NAMES;
+    // Zero-sized hardware, a bandwidth below MIN_DRAM_GBPS and values
+    // above the documented bounds fail at the registry too. Mid-run they
+    // would panic, or worse: `runahead=0` spins a worker forever,
+    // `tile_rows=0` grows a plan until the allocator aborts the process,
+    // and a huge tile or a `1e-300` bandwidth wraps the report's `u64`
+    // cycles, so those are only checked here.
     let u64_max = "18446744073709551615";
     let over_tile = (registry::MAX_TILE_DIM + 1).to_string();
     let over_merge = (registry::MAX_MERGE_FACTOR * 2.0).to_string();
     let cases: [(&[&str], &str, &[&str]); 6] = [
-        (every, "dram_gbps", &["0", "-1", "NaN", "inf"]),
+        (
+            &["grow", "gcnax"],
+            "dram_gbps",
+            &["0", "-1", "NaN", "inf", "1e-300", "0.5"],
+        ),
         (&["grow"], "runahead", &["0"]),
         (&["grow"], "ldn_entries", &["0"]),
         (&["grow"], "hdn_cache_kb", &["0"]),
         (&["gcnax"], "tile_rows", &["0", u64_max, &over_tile]),
         (
-            &["matraptor", "gamma"],
+            &["matraptor"],
             "merge_factor",
             &["NaN", "-1", "inf", &over_merge],
         ),
@@ -503,9 +516,10 @@ fn zero_pes_is_an_invalid_value_not_a_panic() {
     // panic) fails validation as Invalid instead.
     for (engine, key, value) in [
         ("grow", "pes", "1000000000"),
-        ("gamma", "merge_factor", "-1"),
+        ("matraptor", "merge_factor", "-1"),
         ("grow", "hdn_cache_kb", "0"),
-        ("matraptor", "dram_gbps", "0"),
+        ("grow", "dram_gbps", "1e-300"),
+        ("gcnax", "dram_gbps", "1e-300"),
     ] {
         let result =
             BatchService::new().run_one(&JobSpec::new(spec(), 5, engine).with_override(key, value));
@@ -519,17 +533,20 @@ fn zero_pes_is_an_invalid_value_not_a_panic() {
         );
     }
 
-    // Zero stays valid where it means "no such buffer" or "no lookahead",
-    // and each upper bound itself still runs.
+    // Zero stays valid where it means "no such buffer" or "no merge
+    // cost", and each bound itself still runs.
     let workload = spec().instantiate(5);
     let prepared = grow::accel::prepare(&workload, PartitionStrategy::None, 4096);
     let max_tile = registry::MAX_TILE_DIM.to_string();
     let max_merge = registry::MAX_MERGE_FACTOR.to_string();
+    let min_dram = registry::MIN_DRAM_GBPS.to_string();
     for (engine, key, value) in [
         ("gcnax", "tile_rows", max_tile.as_str()),
         ("matraptor", "merge_factor", &max_merge),
-        ("gamma", "merge_factor", "0"),
+        ("matraptor", "merge_factor", "0"),
         ("gamma", "fiber_cache_kb", "0"),
+        ("grow", "dram_gbps", &min_dram),
+        ("gcnax", "dram_gbps", &min_dram),
     ] {
         let report = registry::engine_from_overrides(engine, &[(key, value)])
             .unwrap_or_else(|e| panic!("{engine}: {key}={value}: {e}"))
@@ -662,7 +679,7 @@ fn every_error_displays_a_useful_message() {
 
 #[test]
 fn hdn_entry_changes_invalidate_without_panicking() {
-    let mut session = SimSession::from_spec(spec(), 5);
+    let mut session = SimSession::from_spec(spec(), 5).expect("valid recipe");
     let wide = session
         .run("grow", PartitionStrategy::None)
         .expect("registered engine");
