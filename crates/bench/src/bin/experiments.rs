@@ -335,19 +335,10 @@ fn engines(ctx: &mut Context) -> Table {
 /// status, simulation wall-clock, and cache provenance.
 fn sweep(ctx: &mut Context) -> Table {
     use grow_serve::grid_jobs;
-    let strategies = [
-        NO_GP,
-        GP,
-        PartitionStrategy::LabelPropagation {
-            cluster_nodes: 4096,
-        },
-    ];
+    let strategies = [NO_GP, GP];
     let partition_label = |s: PartitionStrategy| match s {
         PartitionStrategy::None => "none".to_string(),
         PartitionStrategy::Multilevel { cluster_nodes } => format!("multilevel/{cluster_nodes}"),
-        PartitionStrategy::LabelPropagation { cluster_nodes } => {
-            format!("label-prop/{cluster_nodes}")
-        }
     };
     let specs: Vec<_> = (0..ctx.len()).map(|i| ctx.spec(i)).collect();
     let jobs = grid_jobs(&specs, ctx.seed, &ENGINE_NAMES, &strategies);

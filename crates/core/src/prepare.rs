@@ -4,8 +4,7 @@ use std::sync::Arc;
 use grow_graph::Graph;
 use grow_model::{GcnWorkload, LayerWorkload};
 use grow_partition::{
-    hdn_lists, label_propagation_partition, multilevel_partition, ClusterLayout,
-    LabelPropagationConfig, MultilevelConfig, Partitioning,
+    hdn_lists, multilevel_partition, ClusterLayout, MultilevelConfig, Partitioning,
 };
 use grow_sparse::CsrPattern;
 
@@ -28,12 +27,6 @@ pub enum PartitionStrategy {
         /// Target nodes per cluster.
         cluster_nodes: usize,
     },
-    /// Label-propagation clustering (faster preprocessing, slightly lower
-    /// locality).
-    LabelPropagation {
-        /// Target nodes per cluster.
-        cluster_nodes: usize,
-    },
 }
 
 impl PartitionStrategy {
@@ -52,8 +45,7 @@ impl PartitionStrategy {
     pub fn parts(self, nodes: usize) -> usize {
         match self {
             PartitionStrategy::None => 1,
-            PartitionStrategy::Multilevel { cluster_nodes }
-            | PartitionStrategy::LabelPropagation { cluster_nodes } => {
+            PartitionStrategy::Multilevel { cluster_nodes } => {
                 nodes.div_ceil(cluster_nodes.max(1)).max(1)
             }
         }
@@ -69,9 +61,6 @@ impl PartitionStrategy {
             PartitionStrategy::None => None,
             PartitionStrategy::Multilevel { .. } => {
                 Some(format!("{self:?}|{:?}", MultilevelConfig::default()))
-            }
-            PartitionStrategy::LabelPropagation { .. } => {
-                Some(format!("{self:?}|{:?}", LabelPropagationConfig::default()))
             }
         }
     }
@@ -165,11 +154,6 @@ pub fn partition(graph: &Graph, strategy: PartitionStrategy) -> Option<Partition
             graph,
             parts,
             &MultilevelConfig::default(),
-        )),
-        PartitionStrategy::LabelPropagation { .. } => Some(label_propagation_partition(
-            graph,
-            parts,
-            &LabelPropagationConfig::default(),
         )),
     }
 }
@@ -293,7 +277,7 @@ mod tests {
         for strategy in [
             PartitionStrategy::None,
             PartitionStrategy::Multilevel { cluster_nodes: 100 },
-            PartitionStrategy::LabelPropagation { cluster_nodes: 100 },
+            PartitionStrategy::Multilevel { cluster_nodes: 150 },
         ] {
             let direct = prepare(&w, strategy, 64);
             // An assignment rebuilt from its raw parts, as a store loads it.
@@ -311,19 +295,15 @@ mod tests {
     #[test]
     fn strategies_name_their_parts_and_partitioner() {
         let ml = PartitionStrategy::Multilevel { cluster_nodes: 100 };
-        let lp = PartitionStrategy::LabelPropagation { cluster_nodes: 100 };
+        let coarse = PartitionStrategy::Multilevel { cluster_nodes: 150 };
         assert_eq!(ml.parts(400), 4);
-        assert_eq!(lp.parts(401), 5);
+        assert_eq!(coarse.parts(401), 3);
         assert_eq!(PartitionStrategy::None.parts(400), 1);
         assert_eq!(PartitionStrategy::multilevel_default().parts(0), 1);
         assert_eq!(PartitionStrategy::None.partitioner_key(), None);
-        let (ml_key, lp_key) = (ml.partitioner_key().unwrap(), lp.partitioner_key().unwrap());
-        assert_ne!(ml_key, lp_key);
+        let ml_key = ml.partitioner_key().unwrap();
         assert!(ml_key.contains("MultilevelConfig"), "{ml_key}");
-        assert_ne!(
-            Some(ml_key),
-            PartitionStrategy::Multilevel { cluster_nodes: 101 }.partitioner_key()
-        );
+        assert_ne!(Some(ml_key), coarse.partitioner_key());
     }
 
     #[test]

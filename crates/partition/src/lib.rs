@@ -13,8 +13,6 @@
 //! * [`multilevel_partition`] — a METIS-class multilevel recursive-bisection
 //!   partitioner (heavy-edge-matching coarsening, greedy-growing initial
 //!   bisection, FM boundary refinement);
-//! * [`label_propagation_partition`] — a faster community-detection-based
-//!   alternative for very large graphs;
 //! * [`ClusterLayout`] — the node relabeling + cluster ranges of Figure 13;
 //! * [`hdn_lists`] — per-cluster HDN ID list extraction.
 //!
@@ -39,13 +37,11 @@
 #![warn(missing_docs)]
 
 mod hdn;
-mod label_prop;
 mod layout;
 mod multilevel;
 mod partitioning;
 
 pub use hdn::hdn_lists;
-pub use label_prop::{label_propagation_partition, LabelPropagationConfig};
 pub use layout::ClusterLayout;
 pub use multilevel::{multilevel_partition, MultilevelConfig};
 pub use partitioning::Partitioning;

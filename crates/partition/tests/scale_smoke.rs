@@ -5,9 +5,7 @@
 use std::time::Instant;
 
 use grow_graph::CommunityGraphSpec;
-use grow_partition::{
-    label_propagation_partition, multilevel_partition, LabelPropagationConfig, MultilevelConfig,
-};
+use grow_partition::{multilevel_partition, MultilevelConfig};
 
 #[test]
 #[ignore = "release-mode scale check; run explicitly"]
@@ -30,16 +28,9 @@ fn yelp_scale_partitioning_quality_and_speed() {
     let ml_time = t1.elapsed();
     let ml_frac = ml.intra_edge_fraction(&graph);
 
-    let t2 = Instant::now();
-    let lp = label_propagation_partition(&graph, parts, &LabelPropagationConfig::default());
-    let lp_time = t2.elapsed();
-    let lp_frac = lp.intra_edge_fraction(&graph);
-
     eprintln!(
-        "gen: {gen_time:?}; multilevel: {ml_time:?} (intra {ml_frac:.3}, balance {:.3}); \
-         label-prop: {lp_time:?} (intra {lp_frac:.3}, balance {:.3})",
-        ml.balance(),
-        lp.balance()
+        "gen: {gen_time:?}; multilevel: {ml_time:?} (intra {ml_frac:.3}, balance {:.3})",
+        ml.balance()
     );
     assert!(ml_frac > 0.5, "multilevel intra fraction {ml_frac} too low");
     assert!(ml_time.as_secs() < 60, "multilevel too slow: {ml_time:?}");

@@ -299,7 +299,7 @@ mod tests {
         let strategies = [
             PartitionStrategy::None,
             PartitionStrategy::Multilevel { cluster_nodes: 100 },
-            PartitionStrategy::LabelPropagation { cluster_nodes: 100 },
+            PartitionStrategy::Multilevel { cluster_nodes: 150 },
         ];
         let (shared, start) = (&s, &Barrier::new(2 * strategies.len()));
         std::thread::scope(|scope| {

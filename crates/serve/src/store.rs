@@ -196,17 +196,19 @@ impl ResultStore {
     }
 
     /// Loads the report persisted for `key`, if a valid entry exists.
-    /// Entries that fail to parse or that belong to a different key are
+    /// A missing entry is a plain miss. Entries that cannot be read, are
+    /// not UTF-8, fail to parse or belong to a different key are
     /// quarantined (renamed to `*.corrupt`) and reported as a miss.
     pub fn load(&mut self, key: &JobKey) -> Option<RunReport> {
         let path = self.entry_path(key);
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(_) => {
-                self.stats.misses += 1;
-                return None;
-            }
-        };
+        let read = fs::read(&path);
+        if read
+            .as_ref()
+            .is_err_and(|e| e.kind() == io::ErrorKind::NotFound)
+        {
+            self.stats.misses += 1;
+            return None;
+        }
         // The 'store_read' fault injection site: an injected error makes
         // this entry read as corrupt (quarantine + miss, the job simply
         // recomputes); an injected panic unwinds into the caller's
@@ -216,12 +218,16 @@ impl ResultStore {
             self.stats.misses += 1;
             return None;
         }
-        match parse_entry(&text, key) {
-            Ok(report) => {
+        let report = read
+            .ok()
+            .and_then(|bytes| String::from_utf8(bytes).ok())
+            .and_then(|text| parse_entry(&text, key).ok());
+        match report {
+            Some(report) => {
                 self.stats.hits += 1;
                 Some(report)
             }
-            Err(_) => {
+            None => {
                 self.quarantine(&path);
                 self.stats.misses += 1;
                 None
@@ -852,9 +858,13 @@ struct PartitionEntry<'a> {
 fn unseal(text: &str) -> ParseResult<&str> {
     let sealed = text.strip_suffix('\n').ok_or(Malformed)?;
     let body_end = sealed.rfind('\n').ok_or(Malformed)? + 1;
+    // Only the rendered spelling (16 lower-case hex digits) is accepted,
+    // so a flipped case bit or a sign cannot pass a checksum.
     let checksum = sealed[body_end..]
         .strip_prefix("checksum ")
-        .filter(|hex| hex.len() == 16)
+        .filter(|hex| {
+            hex.len() == 16 && hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+        })
         .and_then(|hex| u64::from_str_radix(hex, 16).ok())
         .ok_or(Malformed)?;
     let body = &text[..body_end];

@@ -14,7 +14,7 @@
 //! |---|---|---|
 //! | [`sparse`] | `grow-sparse` | CSR/COO/dense formats, reference kernels, workload analyses |
 //! | [`graph`] | `grow-graph` | graphs, power-law community generators, GCN normalization |
-//! | [`partition`] | `grow-partition` | multilevel + label-propagation partitioning, HDN lists |
+//! | [`partition`] | `grow-partition` | multilevel partitioning, HDN lists |
 //! | [`sim`] | `grow-sim` | DRAM channel, MAC array, HDN/LRU caches, runahead tables |
 //! | [`energy`] | `grow-energy` | Horowitz/CACTI-style energy model, Table IV area model, Table III's fixed PE sizes |
 //! | [`model`] | `grow-model` | Table I dataset registry, feature synthesis, functional GCN |

@@ -75,7 +75,7 @@ fn repeated_parallel_batches_are_stable() {
 fn duplicate_keys_compute_once_under_parallel_execution() {
     let spec = DatasetKey::Citeseer.spec().scaled_to(700);
     let strategy = PartitionStrategy::Multilevel { cluster_nodes: 150 };
-    let label_prop = PartitionStrategy::LabelPropagation { cluster_nodes: 150 };
+    let coarse = PartitionStrategy::Multilevel { cluster_nodes: 350 };
     // 12 jobs, but only 3 distinct keys (engine case and override order
     // do not affect the key), on three strategies of one fresh workload,
     // so the pool's workers race to prepare them.
@@ -83,11 +83,11 @@ fn duplicate_keys_compute_once_under_parallel_execution() {
     let a_alias = JobSpec::new(spec, 4, "GROW").with_strategy(strategy);
     let b = JobSpec::new(spec, 4, "gcnax");
     let c = JobSpec::new(spec, 4, "grow")
-        .with_strategy(label_prop)
+        .with_strategy(coarse)
         .with_override("runahead", "4")
         .with_override("hdn_cache_kb", "128");
     let c_alias = JobSpec::new(spec, 4, "grow")
-        .with_strategy(label_prop)
+        .with_strategy(coarse)
         .with_override("hdn_cache_kb", "128")
         .with_override("runahead", "4");
     let batch = vec![

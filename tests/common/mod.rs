@@ -1,12 +1,14 @@
 //! Helpers shared by the golden-snapshot suites (`golden_reports.rs`,
 //! `hotpath_invariants.rs`, `banked_memory.rs`), the exec-model battery
 //! (`exec_model.rs`), the serving suites (`batch_serving.rs`,
-//! `async_serving.rs`) and the fault suites (`fault_injection.rs`,
-//! `chaos_soak.rs`): the fixed-seed workloads, the snapshot file layout,
-//! the field-by-field report and e2e-grid rendering, the mixed serving
-//! fleet, a service-free job runner, and the injected-panic filter. The
-//! snapshot suites compare against the same committed
-//! `tests/golden/*.snap` bytes, so the rendering lives here exactly once.
+//! `async_serving.rs`), the fault suites (`fault_injection.rs`,
+//! `chaos_soak.rs`) and the store suites (`partition_store.rs`,
+//! `report_store.rs`): the fixed-seed workloads, the snapshot file
+//! layout, the field-by-field report and e2e-grid rendering, the mixed
+//! serving fleet, a service-free job runner, the injected-panic filter,
+//! and the store's entry seal. The snapshot suites compare against the
+//! same committed `tests/golden/*.snap` bytes, so the rendering lives
+//! here exactly once.
 //!
 //! Not every test binary uses every helper; unused-item lints are
 //! silenced per item rather than forcing each binary to import all of
@@ -222,4 +224,23 @@ pub fn mixed_jobs() -> Vec<JobSpec> {
     jobs.push(JobSpec::new(pubmed, 21, "npu"));
     assert!(jobs.len() >= 16, "acceptance floor: {} jobs", jobs.len());
     jobs
+}
+
+/// The lines of a sealed store entry, without its final `checksum` line.
+pub fn body_lines(entry: &[u8]) -> Vec<String> {
+    let text = std::str::from_utf8(entry).expect("entries are text");
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    lines.pop();
+    lines
+}
+
+/// `lines` as a store entry, sealed with the store's checksum (FNV-1a
+/// over every byte before the `checksum` line), so an edited entry
+/// reaches the checks behind the checksum.
+pub fn seal(lines: &[String]) -> Vec<u8> {
+    let body: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    let checksum = body.bytes().fold(0xcbf2_9ce4_8422_2325, |h: u64, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    format!("{body}checksum {checksum:016x}\n").into_bytes()
 }

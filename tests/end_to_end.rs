@@ -147,19 +147,6 @@ fn partitioning_never_hurts_hit_rate_much_and_usually_helps() {
 }
 
 #[test]
-fn label_propagation_strategy_also_works() {
-    let w = workload(1500);
-    let lp = prepare(
-        &w,
-        PartitionStrategy::LabelPropagation { cluster_nodes: 300 },
-        4096,
-    );
-    assert!(lp.clusters.len() >= 2);
-    let r = GrowEngine::default().run(&lp);
-    assert!(r.total_cycles() > 0);
-}
-
-#[test]
 fn output_write_traffic_is_identical_for_dense_writers() {
     // GROW and GCNAX both write the dense output matrix once per phase.
     let w = workload(700);

@@ -19,7 +19,13 @@
 //! * partition entries stay out of the report-side accounting
 //!   (`len()`, `StoreStats`, the `store_write` fault site), `clear()`
 //!   removes them, and `scrub()` audits them and reclaims their orphaned
-//!   temporary files.
+//!   temporary files;
+//! * the file names a default GROW job persists under — its report on
+//!   `multilevel_default()` and on `None`, and its partition entry — are
+//!   pinned as literals, so no change to a job or partition key lands
+//!   unnoticed.
+
+mod common;
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -88,22 +94,11 @@ fn persisted_entry(seed: u64) -> (PathBuf, PathBuf, Vec<u8>) {
     (dir, entries[0].clone(), bytes)
 }
 
-/// FNV-1a over `bytes` — the entry checksum, so a mutation can re-seal
-/// the entry and reach the check behind the checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// Replaces line `index` of the entry and re-seals its checksum.
 fn reseal_with_line(entry: &[u8], index: usize, line: &str) -> Vec<u8> {
-    let text = std::str::from_utf8(entry).expect("entries are text");
-    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-    lines.pop(); // the checksum line
+    let mut lines = common::body_lines(entry);
     lines[index] = line.to_string();
-    let body: String = lines.iter().map(|l| format!("{l}\n")).collect();
-    format!("{body}checksum {:016x}\n", fnv1a(body.as_bytes())).into_bytes()
+    common::seal(&lines)
 }
 
 fn line(entry: &[u8], index: usize) -> String {
@@ -230,6 +225,32 @@ fn mutated_partition_entries_are_quarantined_and_recomputed() {
     }
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&other_dir);
+}
+
+#[test]
+fn persisted_entry_file_names_are_pinned() {
+    // Entry names hash the job key and the partition key, so a change to
+    // either orphans every entry an earlier build persisted. Such a
+    // change must update these literals on purpose.
+    let dir = temp_dir("names");
+    let spec = DatasetKey::Pubmed.spec().scaled_to(4200);
+    let multilevel =
+        JobSpec::new(spec, 42, "grow").with_strategy(PartitionStrategy::multilevel_default());
+    let (_, service) = serve(&dir, &multilevel);
+    assert_eq!(
+        files_ending(&dir, ".report"),
+        [dir.join("b61e5c58da778ba9148387dd867b68c8.report")]
+    );
+    assert_eq!(
+        files_ending(&dir, ".partition"),
+        [dir.join("f4d5636bde398fa027250da2a112bbc5.partition")]
+    );
+    let store = service.store().expect("store attached");
+    assert_eq!(
+        store.entry_path(&JobSpec::new(spec, 42, "grow").key()),
+        dir.join("c986b84ac87579b99f80d5450f5c8980.report")
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
