@@ -276,13 +276,13 @@ impl Replay<'_> {
         };
         loop {
             match self.tables.issue(k, waiter) {
-                IssueOutcome::Allocated => {
+                IssueOutcome::Allocated(slot) => {
                     let row_bytes = self.f_out as u64 * ELEMENT_BYTES;
                     let done = self
                         .ctx
                         .dram
                         .read(self.ctx.now, row_bytes, TrafficClass::RhsRows);
-                    self.tables.set_completion(k, done);
+                    self.tables.set_completion(slot, done);
                     break;
                 }
                 IssueOutcome::Coalesced => break,

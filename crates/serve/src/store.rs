@@ -675,9 +675,43 @@ fn parse_entry(text: &str, expect_key: &JobKey) -> ParseResult<RunReport> {
 /// Parses an entry without an expected key — the scrubber's view, which
 /// discovers each entry's identity from the `key` line and re-verifies
 /// the filename against it. An entry whose checksum does not match its
-/// bytes is rejected before any field is read, so an edit that still
-/// parses is never served.
+/// bytes is rejected before any field is read. A resealed edit that
+/// still parses is rejected too unless the report re-renders to exactly
+/// the entry's bytes and is self-consistent ([`self_consistent`]).
 fn parse_entry_any(text: &str) -> ParseResult<(JobKey, RunReport)> {
+    let (key, report) = parse_fields(text)?;
+    if !self_consistent(&report) || render_entry(&key, &report) != text {
+        return Err(Malformed);
+    }
+    Ok((key, report))
+}
+
+/// True if every `f64` field is finite and non-negative and every per-PE
+/// list has one entry per PE of the run's multi-PE summary.
+fn self_consistent(report: &RunReport) -> bool {
+    let valid = |v: &f64| v.is_finite() && *v >= 0.0;
+    let pes = report.multi_pe.as_ref().map(|s| s.pes);
+    let summary = report.multi_pe.iter().all(|s| {
+        [s.makespan, s.imbalance].iter().all(valid)
+            && s.per_pe_busy.len() == s.pes
+            && s.per_pe_busy.iter().all(valid)
+    });
+    let phases = report
+        .layers
+        .iter()
+        .flat_map(|l| [&l.combination, &l.aggregation])
+        .filter_map(|p| p.pe.as_ref())
+        .all(|pe| {
+            [pe.makespan, pe.cluster_time].iter().all(valid)
+                && Some(pe.per_pe_busy.len()) == pes
+                && pe.per_pe_busy.iter().all(valid)
+        });
+    summary && phases
+}
+
+/// Parses every field of a sealed entry, accepting any spelling the
+/// field parsers accept.
+fn parse_fields(text: &str) -> ParseResult<(JobKey, RunReport)> {
     let mut lines = unseal(text)?.lines();
     if lines.next() != Some(FORMAT_HEADER) {
         return Err(Malformed);

@@ -119,14 +119,18 @@ fn runahead_tables_minimum_capacity() {
         output_row: 0,
         lhs_value: 1.0,
     };
-    assert_eq!(t.issue(9, w), IssueOutcome::Allocated);
-    t.set_completion(9, 5);
+    assert_eq!(t.issue(9, w), IssueOutcome::Allocated(0));
+    t.set_completion(0, 5);
     // Both tables full now.
     assert_eq!(t.issue(9, w), IssueOutcome::LhsFull);
     assert_eq!(t.issue(8, w), IssueOutcome::LhsFull);
     let (done, row, waiters) = t.pop_earliest_slice().expect("one entry");
     assert_eq!((done, row, waiters.len()), (5, 9, 1));
-    assert_eq!(t.issue(8, w), IssueOutcome::Allocated);
+    assert_eq!(
+        t.issue(8, w),
+        IssueOutcome::Allocated(0),
+        "the slot is reused"
+    );
 }
 
 #[test]

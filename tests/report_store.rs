@@ -13,8 +13,8 @@
 //!   load misses and quarantines exactly the damaged bytes;
 //! * token edits re-sealed with a valid checksum (a garbage token, a
 //!   removed token, an oversized layer count, an unterminated `[` list)
-//!   never panic, and a report such an entry serves persists and
-//!   reloads unchanged.
+//!   never panic and are never served: an entry is served only if its
+//!   report re-renders to exactly its bytes and is self-consistent.
 
 mod common;
 
@@ -241,28 +241,19 @@ fn resealed_token_edits_never_panic_and_serve_only_what_round_trips() {
         edits.push((format!("layers {count}"), edit));
     }
 
-    let mut served = 0;
+    // Every edit that still parses is non-canonical (`+7` for `7`) or
+    // inconsistent (a NaN makespan, a per-PE list one entry short of
+    // `pes`), so none is served.
     for (what, edit) in &edits {
         let bytes = seal(edit);
         if bytes == pristine {
             continue;
         }
-        let Some(report) = load_written(&mut store, &key, &bytes, what) else {
-            continue;
-        };
-        served += 1;
-        store
-            .persist(&key, &report)
-            .expect("persist what was served");
-        let again = store.load(&key).expect("a persisted report reloads");
-        // Compared through Debug, under which a NaN field equals itself.
         assert_eq!(
-            format!("{again:?}"),
-            format!("{report:?}"),
-            "{what}: reloads unchanged"
+            load_written(&mut store, &key, &bytes, what),
+            None,
+            "{what}: never served"
         );
     }
-    assert!(served > 0, "some edits still parse");
-    assert!(served < edits.len(), "most edits are rejected");
     let _ = std::fs::remove_dir_all(&dir);
 }
