@@ -14,7 +14,12 @@
 //! line; `--quick` (the CI smoke mode) writes
 //! `BENCH_parallel_smoke.json` on a smaller graph instead, so a smoke run
 //! never clobbers the committed full-scale baseline. Passing `--baseline`
-//! reports the serial-total speedup against a previous run's JSON.
+//! reports the serial-total speedup against a previous run's JSON; the
+//! bench reads that file's `serial_total_min_ms` before the sweep and
+//! exits 2 if it cannot. A relative `--out` or `--baseline` path is taken
+//! from the workspace root, as `--out`'s default is, whatever directory
+//! `cargo bench` runs the bench in. A missing or malformed flag value
+//! exits 2 as well.
 //!
 //! Setting `GROW_THREADS` above the hardware thread count is rejected up
 //! front: an oversubscribed sweep measures scheduler thrash, not scaling,
@@ -36,14 +41,34 @@ struct Cell {
     serial_min_ms: f64,
 }
 
+/// Prints `message` and exits 2, the bench's usage-error status.
+fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2);
+}
+
+/// `path`, taken from the workspace root when it is relative: `cargo
+/// bench` runs the bench in its package directory, not where it was
+/// invoked.
+fn from_workspace_root(path: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(path)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let mut out_dir = from_workspace_root("results");
     let mut baseline: Option<PathBuf> = None;
     let mut iters = 10u32;
     let mut quick = false;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
+        let mut value = |usage: &str| {
+            it.next()
+                .filter(|v| !v.starts_with("--"))
+                .unwrap_or_else(|| usage_error(&format!("{arg} needs a value ({arg} {usage})")))
+        };
         match arg.as_str() {
             // Cargo appends `--bench` when invoking harness=false benches.
             "--bench" => {}
@@ -51,15 +76,30 @@ fn main() {
                 quick = true;
                 iters = 3;
             }
-            "--iters" => iters = it.next().and_then(|v| v.parse().ok()).expect("--iters N"),
-            "--out" => out_dir = PathBuf::from(it.next().expect("--out DIR")),
-            "--baseline" => baseline = Some(PathBuf::from(it.next().expect("--baseline FILE"))),
-            other => {
-                eprintln!("unknown flag '{other}'");
-                std::process::exit(2);
+            "--iters" => {
+                let v = value("N");
+                iters = v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
+                    usage_error(&format!("--iters '{v}' is not a positive integer"))
+                });
             }
+            "--out" => out_dir = from_workspace_root(&value("DIR")),
+            "--baseline" => baseline = Some(from_workspace_root(&value("FILE"))),
+            other => usage_error(&format!("unknown flag '{other}'")),
         }
     }
+    // Read the baseline before the sweep: a path that does not hold a
+    // previous run's total fails now, not after minutes of timing.
+    let baseline_total = baseline.map(|path| {
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            usage_error(&format!("cannot read baseline {}: {e}", path.display()))
+        });
+        extract_number(&text, "serial_total_min_ms").unwrap_or_else(|| {
+            usage_error(&format!(
+                "baseline {} has no numeric serial_total_min_ms",
+                path.display()
+            ))
+        })
+    });
 
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -194,12 +234,6 @@ fn main() {
         serial_total_min_ms / peak_total_min_ms
     );
 
-    let baseline_total = baseline.as_ref().and_then(|path| {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| eprintln!("warning: could not read baseline {}: {e}", path.display()))
-            .ok()?;
-        extract_number(&text, "serial_total_min_ms")
-    });
     if let Some(base_ms) = baseline_total {
         println!(
             "baseline serial total {base_ms:.3} ms -> speedup {:.2}x",

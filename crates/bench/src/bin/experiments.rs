@@ -1041,7 +1041,7 @@ fn fig24(ctx: &mut Context) -> Table {
         let curve = multi_pe::scaling_curve(
             &report.cluster_profiles(),
             &pes,
-            GrowConfig::default().dram.bytes_per_cycle,
+            GrowConfig::default().dram_bytes_per_cycle,
             SchedulerKind::RoundRobin,
         );
         let mut cells = vec![key.name().to_string()];

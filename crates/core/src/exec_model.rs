@@ -80,25 +80,28 @@ impl ExecModelKind {
 }
 
 /// One engine run's execution model: the configured multi-PE arrangement
-/// plus the memory-system parameters, built once per
+/// plus the engine's channel bandwidth, built once per
 /// [`Accelerator::run`](crate::Accelerator::run) and threaded through the
 /// [`pipeline`](crate::pipeline) so every phase composes its cluster
 /// fragments the same way.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecModel {
     cfg: MultiPeConfig,
-    dram: grow_sim::DramConfig,
+    bytes_per_cycle: f64,
 }
 
 impl ExecModel {
     /// Builds the execution model for one run: `cfg` names the PE count,
-    /// scheduler, model kind, and channel/bank topology, and `dram` is the
-    /// engine's memory channel. Each PE's average share of the channel is
-    /// `dram.bytes_per_cycle` (total bandwidth scales with `pes`, per
-    /// Section VII-F), and the banked contention model charges the
-    /// channel's `access_granularity` and `request_overhead_cycles`.
-    pub fn with_dram(cfg: MultiPeConfig, dram: grow_sim::DramConfig) -> Self {
-        ExecModel { cfg, dram }
+    /// scheduler, model kind, and channel/bank topology, and each PE's
+    /// average share of the channel is `bytes_per_cycle`, the engine's
+    /// bandwidth (total bandwidth scales with `pes`, per Section VII-F).
+    /// The banked contention model charges Table III's fixed request
+    /// overhead per access-granularity line.
+    pub fn new(cfg: MultiPeConfig, bytes_per_cycle: f64) -> Self {
+        ExecModel {
+            cfg,
+            bytes_per_cycle,
+        }
     }
 
     /// Composes one phase's per-cluster fragments into a single
@@ -130,9 +133,8 @@ impl ExecModel {
             let run = multi_pe::simulate_e2e(
                 &merged.cluster_profiles,
                 self.cfg.pes,
-                self.dram.bytes_per_cycle,
+                self.bytes_per_cycle,
                 self.cfg.scheduler,
-                &self.dram,
                 self.cfg.topology,
             );
             if self.cfg.pes > 1 {
@@ -165,11 +167,8 @@ impl ExecModel {
         report.exec = self.cfg.exec.name();
         match self.cfg.exec {
             ExecModelKind::PostHoc => {
-                report.multi_pe = Some(schedule::summarize(
-                    report,
-                    &self.cfg,
-                    self.dram.bytes_per_cycle,
-                ));
+                report.multi_pe =
+                    Some(schedule::summarize(report, &self.cfg, self.bytes_per_cycle));
             }
             ExecModelKind::EndToEnd => {
                 // Sum the phases' per-PE busy times in phase order (phases
@@ -202,25 +201,19 @@ mod tests {
     use super::*;
     use crate::schedule::SchedulerKind;
     use crate::ClusterProfile;
-    use grow_sim::DramConfig;
 
-    /// A 32-byte-per-cycle channel with the Table III timing.
-    fn dram() -> DramConfig {
-        DramConfig {
-            bytes_per_cycle: 32.0,
-            ..DramConfig::default()
-        }
-    }
+    /// A 32-byte-per-cycle channel.
+    const BYTES_PER_CYCLE: f64 = 32.0;
 
     fn model(kind: ExecModelKind, pes: usize) -> ExecModel {
-        ExecModel::with_dram(
+        ExecModel::new(
             MultiPeConfig {
                 pes,
                 scheduler: SchedulerKind::RoundRobin,
                 exec: kind,
                 ..MultiPeConfig::default()
             },
-            dram(),
+            BYTES_PER_CYCLE,
         )
     }
 
@@ -312,7 +305,7 @@ mod tests {
             topology: MemTopology::new(1, 4),
         };
         let banked =
-            ExecModel::with_dram(banked_cfg, dram()).compose(PhaseKind::Aggregation, parts());
+            ExecModel::new(banked_cfg, BYTES_PER_CYCLE).compose(PhaseKind::Aggregation, parts());
         assert!(
             banked.cycles > uniform.cycles,
             "banked {} vs uniform {}",
@@ -325,7 +318,7 @@ mod tests {
             ..banked_cfg
         };
         let defaulted =
-            ExecModel::with_dram(default_cfg, dram()).compose(PhaseKind::Aggregation, parts());
+            ExecModel::new(default_cfg, BYTES_PER_CYCLE).compose(PhaseKind::Aggregation, parts());
         assert_eq!(defaulted, uniform);
     }
 
@@ -343,9 +336,9 @@ mod tests {
         );
         let report = GrowEngine::default().run(&p);
         let cfg = MultiPeConfig::default();
-        let expected = schedule::summarize(&report, &cfg, 32.0);
+        let expected = schedule::summarize(&report, &cfg, BYTES_PER_CYCLE);
         let mut finalized = report.clone();
-        ExecModel::with_dram(cfg, dram()).finalize(&mut finalized);
+        ExecModel::new(cfg, BYTES_PER_CYCLE).finalize(&mut finalized);
         assert_eq!(finalized.multi_pe, Some(expected));
         assert_eq!(finalized.exec, "post_hoc");
     }

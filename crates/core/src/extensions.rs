@@ -125,7 +125,8 @@ pub fn run_with_aggregation(
     // GIN/GAT added phase work above; re-finalize through the engine's
     // execution model so the summary always describes the report it is
     // attached to (under either exec model).
-    crate::exec_model::ExecModel::with_dram(engine.config().multi_pe, engine.config().dram)
+    let config = engine.config();
+    crate::exec_model::ExecModel::new(config.multi_pe, config.dram_bytes_per_cycle)
         .finalize(&mut report);
     report
 }
@@ -144,7 +145,7 @@ fn layer_f_out(layer: &LayerReport) -> usize {
 
 fn gin_mlp_phase(engine: &GrowEngine, nodes: usize, f_out: usize) -> PhaseReport {
     let mut phase = PhaseReport::new(PhaseKind::Combination);
-    let mut dram = Dram::new(engine.config().dram);
+    let mut dram = Dram::new(engine.config().dram_bytes_per_cycle);
     let mut mac = MacArray::new(MAC_LANES);
     // Read the n x f_out intermediate back, multiply by the (on-chip)
     // f_out x f_out MLP weight, write the result.
@@ -167,7 +168,7 @@ fn gin_mlp_phase(engine: &GrowEngine, nodes: usize, f_out: usize) -> PhaseReport
 
 fn gat_attention_phase(engine: &GrowEngine, adjacency: &CsrPattern, f_out: usize) -> PhaseReport {
     let mut phase = PhaseReport::new(PhaseKind::Aggregation);
-    let mut dram = Dram::new(engine.config().dram);
+    let mut dram = Dram::new(engine.config().dram_bytes_per_cycle);
     let mut mac = MacArray::new(MAC_LANES);
     let nnz = adjacency.nnz() as u64;
     // Per edge: a^T [W h_i || W h_j] — two f_out-wide dot products. The

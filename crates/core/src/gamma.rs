@@ -9,37 +9,29 @@
 //! high-radix merger still occupies the pipeline (at half a MAC op per
 //! contribution — it is pipelined, unlike MatRaptor's sorting queues).
 
-use grow_sim::{DramConfig, FaultPlan};
-
 use crate::spsp::{run_spsp, spsp_engine, SpSpParams};
 use crate::{Accelerator, PreparedWorkload, RunReport};
 
-/// GAMMA configuration.
+/// Merge occupancy relative to a MAC op: GAMMA's pipelined high-radix
+/// merger costs half of MatRaptor's sorting queues.
+const MERGE_FACTOR: f64 = 0.5;
+
+/// GAMMA configuration. The channel is Table III's
+/// ([`grow_sim::DRAM_BYTES_PER_CYCLE`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GammaConfig {
-    /// Off-chip memory parameters.
-    pub dram: DramConfig,
     /// Fiber cache capacity in bytes (sized like GROW's HDN cache for an
     /// iso-SRAM comparison, per Section VI).
     pub fiber_cache_bytes: u64,
-    /// Merge occupancy relative to a MAC op (pipelined high-radix merge:
-    /// 0.5).
-    pub merge_factor: f64,
     /// Multi-PE projection (Figure 24): PE count and cluster scheduler.
     pub multi_pe: crate::schedule::MultiPeConfig,
-    /// Deterministic fault-injection plan (the uniform `fault=` override;
-    /// off by default).
-    pub fault: FaultPlan,
 }
 
 impl Default for GammaConfig {
     fn default() -> Self {
         GammaConfig {
-            dram: DramConfig::default(),
             fiber_cache_bytes: 512 * 1024,
-            merge_factor: 0.5,
             multi_pe: crate::schedule::MultiPeConfig::default(),
-            fault: FaultPlan::OFF,
         }
     }
 }
@@ -64,12 +56,10 @@ impl GammaEngine {
     fn params(&self) -> SpSpParams {
         SpSpParams {
             name: "GAMMA",
-            dram: self.config.dram,
             fiber_cache_bytes: self.config.fiber_cache_bytes,
-            merge_factor: self.config.merge_factor,
+            merge_factor: MERGE_FACTOR,
             sram_kb: self.config.fiber_cache_bytes as f64 / 1024.0 + 32.0,
             multi_pe: self.config.multi_pe,
-            fault: self.config.fault,
         }
     }
 }
@@ -114,14 +104,20 @@ mod tests {
 
     #[test]
     fn zero_capacity_degenerates_to_matraptor_traffic() {
+        // Without a fiber cache GAMMA walks MatRaptor's cacheless rows;
+        // at GAMMA's merge factor the two time out identically too.
         let p = prepared(500);
         let gamma = GammaEngine::new(GammaConfig {
             fiber_cache_bytes: 0,
-            merge_factor: 1.0,
             ..GammaConfig::default()
         })
         .run(&p);
-        let mat = MatRaptorEngine::default().run(&p);
+        let mat = crate::registry::engine_from_overrides(
+            "matraptor",
+            &[("merge_factor", &MERGE_FACTOR.to_string())],
+        )
+        .unwrap()
+        .run(&p);
         assert_eq!(gamma.dram_bytes(), mat.dram_bytes());
         assert_eq!(gamma.total_cycles(), mat.total_cycles());
     }

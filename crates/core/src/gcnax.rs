@@ -16,7 +16,9 @@
 //!   substantial, which is why GCNAX beats GROW on Reddit's traffic
 //!   (Section VII-A).
 //!
-//! The tile width is a constant 128. A cluster's strip plan is a pure
+//! The tile width (128), the dense buffer (512 KB, iso-SRAM with GROW's
+//! HDN cache) and the tile-fetch depth (2) are constants; [`GcnaxConfig`]
+//! holds what the evaluation varies. A cluster's strip plan is a pure
 //! function of its LHS structure and the tile grain, so every aggregation
 //! phase files its plans under the family `gcnax:{tile_rows}x128` and
 //! replays them at later layers, runs and jobs (see [`plan::plan_slots`]).
@@ -26,7 +28,7 @@ use std::ops::Range;
 use std::sync::OnceLock;
 
 use grow_sim::{
-    Cycle, DramConfig, FaultPlan, ScratchArena, TrafficClass, ELEMENT_BYTES, INDEX_BYTES,
+    Cycle, ScratchArena, TrafficClass, DRAM_BYTES_PER_CYCLE, ELEMENT_BYTES, INDEX_BYTES,
 };
 use grow_sparse::RowMajorSparse;
 
@@ -80,41 +82,37 @@ const TILE_COLS: usize = 128;
 /// within-tile column pointer per tile column (plus one terminator).
 const TILE_METADATA_BYTES: u64 = 2 * (TILE_COLS as u64 + 1);
 
+/// Dense-operand buffer capacity in bytes, iso-SRAM with GROW's HDN cache
+/// (Section VI: "provisioned with similar on-chip SRAM capacity"); an RHS
+/// that fits is fetched once, otherwise dense rows are re-fetched per
+/// strip.
+const DENSE_BUFFER_BYTES: u64 = grow_energy::HDN_CACHE_KB * 1024;
+/// Outstanding sparse-tile fetches: two tile buffers (double buffering).
+/// GCNAX's tile walk is address-dependent (the next tile's RHS row list is
+/// known only after its CSC metadata arrives) and double-buffered rather
+/// than runahead-scheduled, so its memory-level parallelism is bounded —
+/// the contrast GROW's multi-row runahead execution exploits (Sections
+/// V-D and VII-C).
+const TILE_FETCH_DEPTH: usize = 2;
+
 /// GCNAX configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GcnaxConfig {
     /// Tile height `Ti` (output strip rows).
     pub tile_rows: usize,
-    /// Dense-operand buffer capacity in bytes; a weight matrix that fits is
-    /// fetched once, otherwise dense rows are re-fetched per strip.
-    pub dense_buffer_bytes: u64,
-    /// Outstanding sparse-tile fetches. GCNAX's tile walk is
-    /// address-dependent (the next tile's RHS row list is known only after
-    /// its CSC metadata arrives) and double-buffered rather than
-    /// runahead-scheduled, so its memory-level parallelism is bounded —
-    /// the contrast GROW's multi-row runahead execution exploits
-    /// (Sections V-D and VII-C).
-    pub tile_fetch_depth: usize,
-    /// Off-chip memory parameters.
-    pub dram: DramConfig,
+    /// Off-chip bandwidth in bytes per cycle (Table III:
+    /// [`DRAM_BYTES_PER_CYCLE`]; Figure 25b sweeps it).
+    pub dram_bytes_per_cycle: f64,
     /// Multi-PE projection (Figure 24): PE count and cluster scheduler.
     pub multi_pe: crate::schedule::MultiPeConfig,
-    /// Deterministic fault-injection plan (the uniform `fault=` override;
-    /// off by default).
-    pub fault: FaultPlan,
 }
 
 impl Default for GcnaxConfig {
     fn default() -> Self {
         GcnaxConfig {
             tile_rows: 128,
-            dense_buffer_bytes: 512 * 1024,
-            // Two tile buffers (double buffering) — GCNAX prefetches the
-            // next tile while computing the current one, nothing more.
-            tile_fetch_depth: 2,
-            dram: DramConfig::default(),
+            dram_bytes_per_cycle: DRAM_BYTES_PER_CYCLE,
             multi_pe: crate::schedule::MultiPeConfig::default(),
-            fault: FaultPlan::OFF,
         }
     }
 }
@@ -221,11 +219,11 @@ impl GcnaxEngine {
         let cfg = &self.config;
         let mut phase = PhaseReport::new(kind);
         let rhs_bytes = lhs.cols() as u64 * f as u64 * ELEMENT_BYTES;
-        let rhs_resident = rhs_bytes <= cfg.dense_buffer_bytes;
+        let rhs_resident = rhs_bytes <= DENSE_BUFFER_BYTES;
 
         if rhs_resident {
             // One-time weight preload (contiguous).
-            let mut pre = PhaseCtx::new(kind, cfg.dram);
+            let mut pre = PhaseCtx::new(kind, cfg.dram_bytes_per_cycle);
             pre.now = pre.dram.read_stream(0, rhs_bytes, TrafficClass::Weights);
             pre.dram.round_burst(rhs_bytes, TrafficClass::Weights);
             pre.report.sram_writes_8b += rhs_bytes / 8;
@@ -264,7 +262,7 @@ impl GcnaxEngine {
         slot: Option<&OnceLock<GcnaxPlan>>,
     ) -> PhaseReport {
         let cfg = &self.config;
-        let mut ctx = PhaseCtx::new(kind, cfg.dram);
+        let mut ctx = PhaseCtx::new(kind, cfg.dram_bytes_per_cycle);
         let GcnaxScratch {
             plan: buf,
             tile_nnz,
@@ -307,8 +305,6 @@ impl GcnaxEngine {
             PhaseKind::Combination => TrafficClass::Weights,
             PhaseKind::Aggregation => TrafficClass::RhsRows,
         };
-        let depth = cfg.tile_fetch_depth.max(1);
-
         // Double buffering: strip s+1's fetches start once strip s's
         // fetches have drained into the compute buffer; the FIFO channel
         // serializes the transfers themselves.
@@ -329,7 +325,7 @@ impl GcnaxEngine {
             };
             let mut rows_remaining = sp.distinct;
             for &slot in tiles {
-                let gate = if in_flight.len() >= depth {
+                let gate = if in_flight.len() >= TILE_FETCH_DEPTH {
                     in_flight.pop_front().expect("non-empty at capacity")
                 } else {
                     issue_at
@@ -398,8 +394,8 @@ impl Accelerator for GcnaxEngine {
         // The combination LHS changes per layer, so only aggregation
         // plans are kept.
         let family = format!("gcnax:{}x{TILE_COLS}", self.config.tile_rows);
-        let model = ExecModel::with_dram(self.config.multi_pe, self.config.dram);
-        let mut report = pipeline::run_layers(self.name(), workload, self.config.fault, |layer| {
+        let model = ExecModel::new(self.config.multi_pe, self.config.dram_bytes_per_cycle);
+        let mut report = pipeline::run_layers(self.name(), workload, |layer| {
             let agg_slots = plan::plan_slots::<GcnaxPlan>(workload, Some(&family));
             LayerReport {
                 combination: self.run_phase(
@@ -430,7 +426,7 @@ impl Accelerator for GcnaxEngine {
         // GCNAX's on-chip storage (input tile buffers + dense buffer +
         // output strip buffer) is provisioned comparably to GROW
         // (Section VI: "provisioned with similar on-chip SRAM capacity").
-        (self.config.dense_buffer_bytes as f64
+        (DENSE_BUFFER_BYTES as f64
             + (self.config.tile_rows * TILE_COLS) as f64 * 12.0
             + (self.config.tile_rows * 64) as f64 * ELEMENT_BYTES as f64)
             / 1024.0
@@ -508,14 +504,11 @@ mod tests {
     #[test]
     fn strip_reuse_bounds_rhs_traffic() {
         // RHS fetches per strip are bounded by distinct columns, which is
-        // at most the strip's nnz and at most k_dim. Shrink the dense
-        // buffer so XW is not resident (at full scale it never is).
-        let p = prepared(1000);
-        let engine = GcnaxEngine::new(GcnaxConfig {
-            dense_buffer_bytes: 16 * 1024,
-            ..GcnaxConfig::default()
-        });
-        let r = engine.run(&p);
+        // at most the strip's nnz and at most k_dim. Pubmed layer 1 at
+        // 5,000 nodes: XW is 5000 x 16 x 8 B = 640 KB, over the 512 KB
+        // dense buffer, so it is not resident (at full scale it never is).
+        let p = prepared(5000);
+        let r = GcnaxEngine::default().run(&p);
         let agg = &r.layers[0].aggregation;
         let rhs_rows_fetched = agg.traffic.requests(TrafficClass::RhsRows);
         let nnz = p.adjacency.nnz() as u64;
@@ -548,48 +541,6 @@ mod tests {
     }
 
     #[test]
-    fn tile_fetch_depth_ablation() {
-        // DESIGN.md §2.6: bounded tile-fetch parallelism is GCNAX's
-        // structural disadvantage. More outstanding fetches must help
-        // monotonically (and not change traffic, which is depth-invariant).
-        let mut spec = DatasetKey::Pubmed.spec().scaled_to(6000);
-        spec.avg_degree = 4.0;
-        let w = spec.instantiate(3);
-        let p = prepare(&w, PartitionStrategy::None, 4096);
-        let run = |depth: usize| {
-            GcnaxEngine::new(GcnaxConfig {
-                tile_fetch_depth: depth,
-                ..GcnaxConfig::default()
-            })
-            .run(&p)
-        };
-        let d1 = run(1);
-        let d2 = run(2);
-        let d8 = run(8);
-        assert!(
-            d1.total_cycles() >= d2.total_cycles(),
-            "{} < {}",
-            d1.total_cycles(),
-            d2.total_cycles()
-        );
-        assert!(
-            d2.total_cycles() >= d8.total_cycles(),
-            "{} < {}",
-            d2.total_cycles(),
-            d8.total_cycles()
-        );
-        assert!(
-            d1.total_cycles() > d8.total_cycles(),
-            "depth must matter on sparse tiles"
-        );
-        assert_eq!(
-            d1.dram_bytes(),
-            d8.dram_bytes(),
-            "traffic is depth-invariant"
-        );
-    }
-
-    #[test]
     #[allow(clippy::single_range_in_vec_init)] // single-cluster range list is intentional
     fn dense_fast_path_matches_pattern_path() {
         // A fully dense X simulated via the Dense view must produce the
@@ -603,7 +554,7 @@ mod tests {
         let pattern = grow_sparse::CsrPattern::dense(300, 70);
         let pattern_view = RowMajorSparse::Pattern(&pattern);
         let arena = ScratchArena::new();
-        let model = ExecModel::with_dram(cfg.multi_pe, cfg.dram);
+        let model = ExecModel::new(cfg.multi_pe, cfg.dram_bytes_per_cycle);
         let a = engine.run_phase(
             &model,
             PhaseKind::Combination,

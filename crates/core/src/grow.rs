@@ -55,8 +55,8 @@ use std::sync::OnceLock;
 
 pub use grow_energy::HDN_ID_ENTRIES;
 use grow_sim::{
-    fault, CacheStats, DramConfig, FaultPlan, IssueOutcome, LruRowCache, PinnedRowCache,
-    RunaheadTables, ScratchArena, TrafficClass, Waiter, ELEMENT_BYTES, HDN_ID_BYTES, INDEX_BYTES,
+    fault, CacheStats, IssueOutcome, LruRowCache, PinnedRowCache, RunaheadTables, ScratchArena,
+    TrafficClass, Waiter, DRAM_BYTES_PER_CYCLE, ELEMENT_BYTES, HDN_ID_BYTES, INDEX_BYTES,
 };
 use grow_sparse::{CsrPattern, RowMajorSparse};
 
@@ -95,8 +95,9 @@ pub struct GrowConfig {
     pub runahead: usize,
     /// LDN table entries (Section V-D: M = 16).
     pub ldn_entries: usize,
-    /// Off-chip memory parameters (Table III: 128 GB/s).
-    pub dram: DramConfig,
+    /// Off-chip bandwidth in bytes per cycle (Table III: 128 GB/s, i.e.
+    /// [`DRAM_BYTES_PER_CYCLE`]; Figure 25b sweeps it).
+    pub dram_bytes_per_cycle: f64,
     /// Enables HDN caching (disable to reproduce the "GROW w/o HDN
     /// caching" bar of Figure 19).
     pub hdn_caching: bool,
@@ -104,10 +105,6 @@ pub struct GrowConfig {
     pub replacement: ReplacementPolicy,
     /// Multi-PE projection (Figure 24): PE count and cluster scheduler.
     pub multi_pe: crate::schedule::MultiPeConfig,
-    /// Deterministic fault-injection plan (the uniform `fault=` override;
-    /// [`FaultPlan::OFF`] — the default — leaves reports bit-identical to
-    /// a build without fault support).
-    pub fault: FaultPlan,
 }
 
 impl Default for GrowConfig {
@@ -116,11 +113,10 @@ impl Default for GrowConfig {
             hdn_cache_bytes: grow_energy::HDN_CACHE_KB * 1024,
             runahead: 16,
             ldn_entries: 16,
-            dram: DramConfig::default(),
+            dram_bytes_per_cycle: DRAM_BYTES_PER_CYCLE,
             hdn_caching: true,
             replacement: ReplacementPolicy::Pinned,
             multi_pe: crate::schedule::MultiPeConfig::default(),
-            fault: FaultPlan::OFF,
         }
     }
 }
@@ -414,7 +410,7 @@ impl GrowEngine {
             }
             // Prologue: preload the W chunk — contiguous when it is the
             // whole matrix, otherwise one strided read per W row.
-            let mut pre = PhaseCtx::new(PhaseKind::Combination, cfg.dram);
+            let mut pre = PhaseCtx::new(PhaseKind::Combination, cfg.dram_bytes_per_cycle);
             pre.now = if passes == 1 {
                 let done = pre.dram.read_stream(0, w_bytes, TrafficClass::Weights);
                 pre.dram.round_burst(w_bytes, TrafficClass::Weights);
@@ -434,7 +430,7 @@ impl GrowEngine {
             // on-chip W.
             let clustered =
                 pipeline::run_clusters(model, PhaseKind::Combination, clusters, |_, cluster| {
-                    let mut ctx = PhaseCtx::new(PhaseKind::Combination, cfg.dram);
+                    let mut ctx = PhaseCtx::new(PhaseKind::Combination, cfg.dram_bytes_per_cycle);
                     let mut burst = 0u64;
                     let mut total_nnz = 0u64;
                     for row in cluster {
@@ -560,7 +556,7 @@ impl GrowEngine {
         pending.clear();
         pending.resize(cluster.len(), 0);
 
-        let mut ctx = PhaseCtx::new(PhaseKind::Aggregation, cfg.dram);
+        let mut ctx = PhaseCtx::new(PhaseKind::Aggregation, cfg.dram_bytes_per_cycle);
 
         if cfg.hdn_caching {
             pinned.reset(cache_rows, adjacency.rows());
@@ -639,7 +635,7 @@ impl GrowEngine {
         let fills_before = lru.stats().fills;
         let mut replay = Replay {
             cfg,
-            ctx: PhaseCtx::new(PhaseKind::Aggregation, cfg.dram),
+            ctx: PhaseCtx::new(PhaseKind::Aggregation, cfg.dram_bytes_per_cycle),
             f_out,
             start: cluster.start,
             tables,
@@ -682,17 +678,15 @@ impl Accelerator for GrowEngine {
         // One scratch pool per run: per-cluster state is cleared between
         // clusters and layers, not dropped.
         let scratch: ScratchArena<GrowScratch> = ScratchArena::new();
-        let model = ExecModel::with_dram(self.config.multi_pe, self.config.dram);
-        let mut report = pipeline::run_layers(self.name(), workload, self.config.fault, |layer| {
-            LayerReport {
-                combination: self.run_combination(
-                    &model,
-                    &layer.x.view(),
-                    layer.f_out,
-                    &workload.clusters,
-                ),
-                aggregation: self.run_aggregation(&model, workload, layer.f_out, &scratch),
-            }
+        let model = ExecModel::new(self.config.multi_pe, self.config.dram_bytes_per_cycle);
+        let mut report = pipeline::run_layers(self.name(), workload, |layer| LayerReport {
+            combination: self.run_combination(
+                &model,
+                &layer.x.view(),
+                layer.f_out,
+                &workload.clusters,
+            ),
+            aggregation: self.run_aggregation(&model, workload, layer.f_out, &scratch),
         });
         model.finalize(&mut report);
         report
@@ -890,33 +884,5 @@ mod tests {
     fn sram_capacity_matches_table3() {
         let kb = GrowEngine::default().sram_kb();
         assert!((kb - 538.0) < 1.0, "SRAM {kb} KB vs Table III's 538 KB");
-    }
-
-    #[test]
-    fn request_overhead_ablation_favors_streaming() {
-        // DESIGN.md §2.6: the per-request activation overhead penalizes
-        // scattered fetches, not streams. Raising it must slow GROW less
-        // (high hit rate => few random requests) than a cacheless GROW
-        // (every non-zero is a random fetch).
-        let p = prepared(2000, PartitionStrategy::None);
-        let run = |overhead: u64, caching: bool| {
-            let dram = grow_sim::DramConfig {
-                request_overhead_cycles: overhead,
-                ..grow_sim::DramConfig::default()
-            };
-            GrowEngine::new(GrowConfig {
-                dram,
-                hdn_caching: caching,
-                ..GrowConfig::default()
-            })
-            .run(&p)
-            .total_cycles() as f64
-        };
-        let cached_slowdown = run(48, true) / run(0, true);
-        let uncached_slowdown = run(48, false) / run(0, false);
-        assert!(
-            uncached_slowdown > cached_slowdown,
-            "cacheless {uncached_slowdown} vs cached {cached_slowdown}"
-        );
     }
 }

@@ -8,32 +8,24 @@
 //! per `X` non-zero), CSR-compressed RHS adds 50% metadata bytes, and
 //! sorting-queue-based partial-sum merging occupies the pipeline.
 
-use grow_sim::{DramConfig, FaultPlan};
-
 use crate::spsp::{run_spsp, spsp_engine, SpSpParams};
 use crate::{Accelerator, PreparedWorkload, RunReport};
 
-/// MatRaptor configuration.
+/// MatRaptor configuration. The channel is Table III's
+/// ([`grow_sim::DRAM_BYTES_PER_CYCLE`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MatRaptorConfig {
-    /// Off-chip memory parameters.
-    pub dram: DramConfig,
     /// Merge occupancy relative to a MAC op (sorting queues: 1.0).
     pub merge_factor: f64,
     /// Multi-PE projection (Figure 24): PE count and cluster scheduler.
     pub multi_pe: crate::schedule::MultiPeConfig,
-    /// Deterministic fault-injection plan (the uniform `fault=` override;
-    /// off by default).
-    pub fault: FaultPlan,
 }
 
 impl Default for MatRaptorConfig {
     fn default() -> Self {
         MatRaptorConfig {
-            dram: DramConfig::default(),
             merge_factor: 1.0,
             multi_pe: crate::schedule::MultiPeConfig::default(),
-            fault: FaultPlan::OFF,
         }
     }
 }
@@ -58,14 +50,12 @@ impl MatRaptorEngine {
     fn params(&self) -> SpSpParams {
         SpSpParams {
             name: "MatRaptor",
-            dram: self.config.dram,
             fiber_cache_bytes: 0,
             merge_factor: self.config.merge_factor,
             // MatRaptor's on-chip storage is its sorting queue array
             // (~12 queues x a few KB) plus stream buffers.
             sram_kb: 64.0,
             multi_pe: self.config.multi_pe,
-            fault: self.config.fault,
         }
     }
 }

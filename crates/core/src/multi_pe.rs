@@ -23,7 +23,7 @@
 //! `1x1` topology charges no bank conflict, so it is the idealized shared
 //! pipe, bit for bit.
 
-use grow_sim::{fault, DramConfig, MemTopology};
+use grow_sim::{fault, MemTopology};
 
 use crate::schedule::SchedulerKind;
 use crate::ClusterProfile;
@@ -94,7 +94,6 @@ pub fn simulate(
         per_pe_bytes_per_cycle,
         scheduler,
         false,
-        &DramConfig::default(),
         MemTopology::default(),
     )
 }
@@ -118,7 +117,7 @@ pub fn simulate(
 /// memory-active task pays a per-request bank-conflict stall proportional
 /// to how many other memory-active tasks share its home channel (amortized
 /// over `topology.banks`; see [`MemTopology::conflict_penalty_per_byte`],
-/// which reuses [`DramConfig::request_overhead_cycles`]). With one PE no
+/// which reuses [`grow_sim::DRAM_REQUEST_OVERHEAD_CYCLES`]). With one PE no
 /// two tasks are ever co-resident and no stall accrues; on the uniform
 /// `1x1` topology the stall is zero by definition, which is the idealized
 /// shared pipe the committed e2e golden snapshots model. The dispatcher
@@ -132,7 +131,6 @@ pub fn simulate_e2e(
     pes: usize,
     per_pe_bytes_per_cycle: f64,
     scheduler: SchedulerKind,
-    dram: &DramConfig,
     topology: MemTopology,
 ) -> MultiPeRun {
     fluid(
@@ -141,7 +139,6 @@ pub fn simulate_e2e(
         per_pe_bytes_per_cycle,
         scheduler,
         true,
-        dram,
         topology,
     )
 }
@@ -149,13 +146,17 @@ pub fn simulate_e2e(
 /// The event loop behind both entry points. Between completion events the
 /// live set is fixed, so the water-filled allocations and the conflict
 /// stalls are constant and stepping to the earliest completion is exact.
+///
+/// Only the calibrated (end-to-end) loop is a `sched` fault site: the
+/// post-hoc projection also runs inside a served job's armed plan (when
+/// the run's report is finalized), and the `fault=` grammar documents
+/// the site as `exec=e2e` dispatch only.
 fn fluid(
     profiles: &[ClusterProfile],
     pes: usize,
     per_pe_bytes_per_cycle: f64,
     scheduler: SchedulerKind,
     calibrated: bool,
-    dram: &DramConfig,
     topology: MemTopology,
 ) -> MultiPeRun {
     assert!(pes > 0, "at least one PE");
@@ -179,7 +180,9 @@ fn fluid(
     let mut next_task = |p: usize| {
         let i = dispatch.next(p)?;
         dispatched += 1;
-        fault::trip_at(fault::FaultSite::Sched, dispatched);
+        if calibrated {
+            fault::trip_at(fault::FaultSite::Sched, dispatched);
+        }
         let c = profiles[i].compute_cycles as f64;
         let m = profiles[i].mem_bytes as f64;
         // Serial residue of the detailed timeline beyond the overlap
@@ -259,7 +262,7 @@ fn fluid(
                 // sharing the home channel with `load - 1` other
                 // memory-active tasks.
                 let co_residents = channel_load[task.channel] - 1;
-                task.m / alloc[p] + task.m * topology.conflict_penalty_per_byte(dram, co_residents)
+                task.m / alloc[p] + task.m * topology.conflict_penalty_per_byte(co_residents)
             };
             let duration = (task.c.max(mem_time) + task.s).max(1e-9);
             rates[p] = 1.0 / duration;
@@ -456,10 +459,9 @@ mod tests {
         // stalls, and the uniform pipe must charge none.
         let profiles: Vec<ClusterProfile> =
             (0..32).map(|i| task(50 + 13 * i, 40 * (i % 7))).collect();
-        let dram = DramConfig::default();
         for pes in [1usize, 3, 8] {
             for kind in SchedulerKind::ALL {
-                let e2e = simulate_e2e(&profiles, pes, 4.0, kind, &dram, MemTopology::default());
+                let e2e = simulate_e2e(&profiles, pes, 4.0, kind, MemTopology::default());
                 assert_eq!(
                     e2e,
                     simulate(&profiles, pes, 4.0, kind),
@@ -472,7 +474,7 @@ mod tests {
         // finishes at M / B, with no stall on top.
         let pair = [task(0, 400), task(0, 400)];
         let kind = SchedulerKind::RoundRobin;
-        let run = simulate_e2e(&pair, 2, 4.0, kind, &dram, MemTopology::default());
+        let run = simulate_e2e(&pair, 2, 4.0, kind, MemTopology::default());
         assert!((run.makespan - 100.0).abs() < 1e-9, "{}", run.makespan);
     }
 
@@ -481,15 +483,13 @@ mod tests {
         // Memory-bound tasks all homed on one channel: the banked model
         // must charge conflict stalls the idealized pipe does not.
         let profiles: Vec<ClusterProfile> = (0..16).map(|_| calibrated(10, 4000, 4.0)).collect();
-        let dram = DramConfig::default();
         let uniform = MemTopology::default();
-        let ideal = simulate_e2e(&profiles, 4, 4.0, SchedulerKind::RoundRobin, &dram, uniform);
+        let ideal = simulate_e2e(&profiles, 4, 4.0, SchedulerKind::RoundRobin, uniform);
         let banked = simulate_e2e(
             &profiles,
             4,
             4.0,
             SchedulerKind::RoundRobin,
-            &dram,
             MemTopology::new(1, 8),
         );
         assert!(
@@ -499,13 +499,12 @@ mod tests {
             ideal.makespan
         );
         // With one PE nothing is ever co-resident: no stall, identical run.
-        let solo_ideal = simulate_e2e(&profiles, 1, 4.0, SchedulerKind::RoundRobin, &dram, uniform);
+        let solo_ideal = simulate_e2e(&profiles, 1, 4.0, SchedulerKind::RoundRobin, uniform);
         let solo_banked = simulate_e2e(
             &profiles,
             1,
             4.0,
             SchedulerKind::RoundRobin,
-            &dram,
             MemTopology::new(1, 8),
         );
         assert_eq!(solo_ideal, solo_banked);
@@ -514,18 +513,10 @@ mod tests {
     #[test]
     fn more_channels_and_more_banks_never_slower() {
         let profiles = crate::schedule::power_law_profiles(96, 11);
-        let dram = DramConfig::default();
         for kind in [SchedulerKind::RoundRobin, SchedulerKind::ContentionAware] {
             let mut prev = f64::INFINITY;
             for channels in [1usize, 2, 4, 8, 16] {
-                let run = simulate_e2e(
-                    &profiles,
-                    8,
-                    4.0,
-                    kind,
-                    &dram,
-                    MemTopology::new(channels, 8),
-                );
+                let run = simulate_e2e(&profiles, 8, 4.0, kind, MemTopology::new(channels, 8));
                 assert!(
                     run.makespan <= prev * (1.0 + 1e-9),
                     "{}: channels={channels} slower ({} > {prev})",
@@ -536,7 +527,7 @@ mod tests {
             }
             let mut prev = f64::INFINITY;
             for banks in [1usize, 2, 4, 8] {
-                let run = simulate_e2e(&profiles, 8, 4.0, kind, &dram, MemTopology::new(4, banks));
+                let run = simulate_e2e(&profiles, 8, 4.0, kind, MemTopology::new(4, banks));
                 assert!(
                     run.makespan <= prev * (1.0 + 1e-9),
                     "{}: banks={banks} slower ({} > {prev})",
@@ -556,7 +547,6 @@ mod tests {
             4,
             4.0,
             SchedulerKind::ContentionAware,
-            &DramConfig::default(),
             MemTopology::new(4, 8),
         );
         let busy: f64 = run.per_pe_busy.iter().sum();

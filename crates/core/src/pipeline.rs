@@ -34,7 +34,7 @@
 use std::ops::Range;
 
 pub use grow_energy::MAC_LANES;
-use grow_sim::{exec, fault, Cycle, Dram, DramConfig, FaultPlan, MacArray};
+use grow_sim::{exec, fault, Cycle, Dram, MacArray};
 pub use grow_sim::{ScratchArena, ScratchGuard};
 
 pub use crate::exec_model::{ExecModel, ExecModelKind};
@@ -63,10 +63,11 @@ pub struct PhaseCtx {
 }
 
 impl PhaseCtx {
-    /// Creates an idle context for one phase (or phase fragment).
-    pub fn new(kind: PhaseKind, dram: DramConfig) -> Self {
+    /// Creates an idle context for one phase (or phase fragment) on a
+    /// channel of `bytes_per_cycle` bandwidth.
+    pub fn new(kind: PhaseKind, bytes_per_cycle: f64) -> Self {
         PhaseCtx {
-            dram: Dram::new(dram),
+            dram: Dram::new(bytes_per_cycle),
             mac: MacArray::new(MAC_LANES),
             now: 0,
             report: PhaseReport::new(kind),
@@ -141,23 +142,17 @@ where
 }
 
 /// The per-layer loop shared by every engine: maps each GCN layer to its
-/// combination + aggregation reports and assembles the [`RunReport`].
-///
-/// Arms `fault_plan` (the engine config's `fault=` plan) on the calling
-/// thread for the duration of the run — [`grow_sim::fault`] sites inside
-/// the simulation consult it — and checks for cooperative cancellation at
-/// every layer boundary. The default [`FaultPlan::OFF`] makes both a
-/// no-op, leaving reports bit-identical to a build without fault support.
+/// combination + aggregation reports and assembles the [`RunReport`],
+/// checking for cooperative cancellation at every layer boundary.
 pub fn run_layers<F>(
     engine: &'static str,
     workload: &PreparedWorkload,
-    fault_plan: FaultPlan,
     mut layer_fn: F,
 ) -> RunReport
 where
     F: FnMut(&grow_model::LayerWorkload) -> LayerReport,
 {
-    fault::with_plan(fault_plan, || RunReport {
+    RunReport {
         engine,
         layers: workload
             .layers
@@ -172,24 +167,24 @@ where
         // the multi-PE summary and records the model that ran.
         multi_pe: None,
         exec: ExecModelKind::PostHoc.name(),
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grow_sim::TrafficClass;
+    use grow_sim::{TrafficClass, DRAM_BYTES_PER_CYCLE};
 
     fn post_hoc() -> ExecModel {
-        ExecModel::with_dram(
+        ExecModel::new(
             crate::schedule::MultiPeConfig::default(),
-            DramConfig::default(),
+            DRAM_BYTES_PER_CYCLE,
         )
     }
 
     #[test]
     fn finish_folds_clock_channel_and_array() {
-        let mut ctx = PhaseCtx::new(PhaseKind::Aggregation, DramConfig::default());
+        let mut ctx = PhaseCtx::new(PhaseKind::Aggregation, DRAM_BYTES_PER_CYCLE);
         let done = ctx.dram.read(0, 64, TrafficClass::RhsRows);
         ctx.now = ctx.now.max(done);
         ctx.mac.scalar_vector(done, 64);
@@ -201,7 +196,7 @@ mod tests {
 
     #[test]
     fn finish_cluster_records_profile() {
-        let mut ctx = PhaseCtx::new(PhaseKind::Combination, DramConfig::default());
+        let mut ctx = PhaseCtx::new(PhaseKind::Combination, DRAM_BYTES_PER_CYCLE);
         ctx.dram.read(0, 100, TrafficClass::Weights);
         ctx.mac.scalar_vector(0, 32);
         let report = ctx.finish_cluster();
@@ -219,7 +214,7 @@ mod tests {
             PhaseKind::Aggregation,
             &clusters,
             |ci, cluster| {
-                let mut ctx = PhaseCtx::new(PhaseKind::Aggregation, DramConfig::default());
+                let mut ctx = PhaseCtx::new(PhaseKind::Aggregation, DRAM_BYTES_PER_CYCLE);
                 ctx.dram
                     .read(0, cluster.len() as u64 * 8, TrafficClass::RhsRows);
                 ctx.report.sram_reads_8b = ci as u64;
@@ -236,7 +231,7 @@ mod tests {
     fn parallel_and_serial_merges_are_identical() {
         let clusters: Vec<Range<usize>> = (0..32).map(|i| i * 10..(i + 1) * 10).collect();
         let sim = |_ci: usize, cluster: Range<usize>| {
-            let mut ctx = PhaseCtx::new(PhaseKind::Aggregation, DramConfig::default());
+            let mut ctx = PhaseCtx::new(PhaseKind::Aggregation, DRAM_BYTES_PER_CYCLE);
             for row in cluster {
                 ctx.dram
                     .read(ctx.now, row as u64 % 200 + 1, TrafficClass::RhsRows);

@@ -24,15 +24,15 @@
 //! ```
 //!
 //! A key exists only where the evaluation varies a value (the README
-//! tables the 34 engine/key pairs); what Table III fixes, such as the 16
-//! MAC lanes ([`MAC_LANES`](crate::pipeline::MAC_LANES)), is a constant.
-//! The typed configs keep fields no key sets, such as GAMMA's
-//! `merge_factor`, because model tests vary them.
+//! tables the 30 engine/key pairs), and every typed config field has one;
+//! what Table III fixes, such as the 16 MAC lanes
+//! ([`MAC_LANES`](crate::pipeline::MAC_LANES)) or the DRAM timing
+//! ([`grow_sim::DRAM_LATENCY_CYCLES`]), is a constant. A served job's
+//! `fault=` plan is not an engine key: the job supervisor in `grow-serve`
+//! parses it and arms it around the run.
 
 use std::fmt;
 use std::ops::RangeInclusive;
-
-use grow_sim::FaultPlan;
 
 use crate::exec_model::{ExecModelKind, EXEC_MODEL_NAMES};
 use crate::schedule::{MultiPeConfig, SchedulerKind, SCHEDULER_NAMES};
@@ -70,7 +70,7 @@ pub const MAX_TILE_DIM: usize = 1 << 20;
 /// factor scales merge cycles per output element, so it must also be
 /// finite and non-negative; anything else is an
 /// [`RegistryError::InvalidValue`]. MatRaptor's default is 1.0 (GAMMA's
-/// typed default, 0.5, has no key) and no test, experiment or benchmark
+/// merge factor is the constant 0.5) and no test, experiment or benchmark
 /// job uses more than 2.
 pub const MAX_MERGE_FACTOR: f64 = 1024.0;
 
@@ -212,29 +212,15 @@ fn apply_schedule_key(
     Ok(true)
 }
 
-/// Applies the `fault=off|spec[+spec..]` deterministic fault-injection
-/// key shared by every engine (spec grammar:
-/// `site:action[:nth[:attempts]]`, see [`grow_sim::fault::FaultPlan`]);
-/// returns `true` if `key` was it.
-fn apply_fault_key(fault: &mut FaultPlan, key: &str, value: &str) -> Result<bool, RegistryError> {
-    if key != "fault" {
-        return Ok(false);
-    }
-    *fault = FaultPlan::parse(value).map_err(|_| invalid_value(key, value))?;
-    Ok(true)
-}
-
 fn grow_from(overrides: &[(&str, &str)]) -> Result<GrowEngine, RegistryError> {
     let mut cfg = GrowConfig::default();
     for &(key, value) in overrides {
-        if apply_schedule_key(&mut cfg.multi_pe, key, value)?
-            || apply_fault_key(&mut cfg.fault, key, value)?
-        {
+        if apply_schedule_key(&mut cfg.multi_pe, key, value)? {
             continue;
         }
         match key {
             "dram_gbps" => {
-                cfg.dram.bytes_per_cycle = bounded(key, value, MIN_DRAM_GBPS..=f64::MAX)?
+                cfg.dram_bytes_per_cycle = bounded(key, value, MIN_DRAM_GBPS..=f64::MAX)?
             }
             "hdn_cache_kb" => cfg.hdn_cache_bytes = kb_bytes(key, value, 1)?,
             "runahead" => cfg.runahead = bounded(key, value, 1..=usize::MAX)?,
@@ -261,14 +247,12 @@ fn grow_from(overrides: &[(&str, &str)]) -> Result<GrowEngine, RegistryError> {
 fn gcnax_from(overrides: &[(&str, &str)]) -> Result<GcnaxEngine, RegistryError> {
     let mut cfg = GcnaxConfig::default();
     for &(key, value) in overrides {
-        if apply_schedule_key(&mut cfg.multi_pe, key, value)?
-            || apply_fault_key(&mut cfg.fault, key, value)?
-        {
+        if apply_schedule_key(&mut cfg.multi_pe, key, value)? {
             continue;
         }
         match key {
             "dram_gbps" => {
-                cfg.dram.bytes_per_cycle = bounded(key, value, MIN_DRAM_GBPS..=f64::MAX)?
+                cfg.dram_bytes_per_cycle = bounded(key, value, MIN_DRAM_GBPS..=f64::MAX)?
             }
             "tile_rows" => cfg.tile_rows = bounded(key, value, 1..=MAX_TILE_DIM)?,
             _ => {
@@ -285,9 +269,7 @@ fn gcnax_from(overrides: &[(&str, &str)]) -> Result<GcnaxEngine, RegistryError> 
 fn matraptor_from(overrides: &[(&str, &str)]) -> Result<MatRaptorEngine, RegistryError> {
     let mut cfg = MatRaptorConfig::default();
     for &(key, value) in overrides {
-        if apply_schedule_key(&mut cfg.multi_pe, key, value)?
-            || apply_fault_key(&mut cfg.fault, key, value)?
-        {
+        if apply_schedule_key(&mut cfg.multi_pe, key, value)? {
             continue;
         }
         match key {
@@ -306,9 +288,7 @@ fn matraptor_from(overrides: &[(&str, &str)]) -> Result<MatRaptorEngine, Registr
 fn gamma_from(overrides: &[(&str, &str)]) -> Result<GammaEngine, RegistryError> {
     let mut cfg = GammaConfig::default();
     for &(key, value) in overrides {
-        if apply_schedule_key(&mut cfg.multi_pe, key, value)?
-            || apply_fault_key(&mut cfg.fault, key, value)?
-        {
+        if apply_schedule_key(&mut cfg.multi_pe, key, value)? {
             continue;
         }
         match key {

@@ -32,7 +32,8 @@ use std::ops::Range;
 use std::sync::OnceLock;
 
 use grow_sim::{
-    CacheStats, DramConfig, FaultPlan, LruRowCache, ScratchArena, TrafficClass, INDEX_BYTES,
+    CacheStats, LruRowCache, ScratchArena, TrafficClass, DRAM_BYTES_PER_CYCLE, DRAM_LATENCY_CYCLES,
+    INDEX_BYTES,
 };
 use grow_sparse::RowMajorSparse;
 
@@ -85,11 +86,11 @@ fn plan_family(params: &SpSpParams, f: usize, rhs_rows: usize) -> Option<String>
     Some(format!("{}:{walk}", params.name))
 }
 
-/// Parameters of a row-wise sparse-sparse engine.
+/// Parameters of a row-wise sparse-sparse engine. Both engines run on
+/// Table III's channel ([`DRAM_BYTES_PER_CYCLE`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct SpSpParams {
     pub name: &'static str,
-    pub dram: DramConfig,
     /// Fiber-cache capacity in bytes (0 = no cache, i.e. MatRaptor).
     pub fiber_cache_bytes: u64,
     /// Merge occupancy per scalar x vector contribution, as a multiple of
@@ -100,9 +101,6 @@ pub(crate) struct SpSpParams {
     pub sram_kb: f64,
     /// Multi-PE projection (Figure 24): PE count and cluster scheduler.
     pub multi_pe: crate::schedule::MultiPeConfig,
-    /// Deterministic fault-injection plan (the uniform `fault=` override;
-    /// off by default).
-    pub fault: FaultPlan,
 }
 
 pub(crate) fn run_spsp(params: &SpSpParams, workload: &PreparedWorkload) -> RunReport {
@@ -110,8 +108,8 @@ pub(crate) fn run_spsp(params: &SpSpParams, workload: &PreparedWorkload) -> RunR
     // One scratch pool per run: fiber caches are epoch-reset between
     // clusters and layers, never reallocated; row plans are recycled.
     let scratch: ScratchArena<SpSpScratch> = ScratchArena::new();
-    let model = ExecModel::with_dram(params.multi_pe, params.dram);
-    let mut report = pipeline::run_layers(params.name, workload, params.fault, |layer| {
+    let model = ExecModel::new(params.multi_pe, DRAM_BYTES_PER_CYCLE);
+    let mut report = pipeline::run_layers(params.name, workload, |layer| {
         // The combination LHS changes per layer, so only aggregation
         // plans are kept.
         let family = plan_family(params, layer.f_out, workload.adjacency.cols());
@@ -174,7 +172,7 @@ fn run_rows(
     scratch: &mut SpSpScratch,
     slot: Option<&OnceLock<RowCounts>>,
 ) -> PhaseReport {
-    let mut ctx = PhaseCtx::new(kind, params.dram);
+    let mut ctx = PhaseCtx::new(kind, DRAM_BYTES_PER_CYCLE);
 
     // The RHS (dense in reality) is stored and fetched as CSR by these
     // engines: f elements of 12 bytes per row.
@@ -329,7 +327,7 @@ fn run_rows(
     ctx.report.sram_reads_8b += out_bytes.div_ceil(8);
 
     let mut report = ctx.finish_cluster();
-    report.cycles += params.dram.latency_cycles;
+    report.cycles += DRAM_LATENCY_CYCLES;
     report
 }
 

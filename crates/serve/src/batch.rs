@@ -160,12 +160,14 @@ impl JobSpec {
         self
     }
 
-    /// Sets the deterministic fault-injection plan (the uniform `fault=`
-    /// override; see [`grow_sim::fault::FaultPlan::parse`] for the
-    /// `site:action[:nth[:attempts]]` grammar). A malformed spec fails the
-    /// job at validation time like any other bad override. The plan
-    /// participates in the job key — a faulted job never shares a cached
-    /// report with its fault-free twin.
+    /// Sets the deterministic fault-injection plan (the `fault=` override;
+    /// see [`grow_sim::fault::FaultPlan::parse`] for the
+    /// `site:action[:nth[:attempts]]` grammar). It is a job key, not an
+    /// engine key: the supervisor arms it around the job's store probe,
+    /// engine run and persist. A malformed spec fails the job at
+    /// validation time like any other bad override. The plan participates
+    /// in the job key — a faulted job never shares a cached report with
+    /// its fault-free twin.
     pub fn with_fault(self, spec: &str) -> Self {
         self.with_override("fault", spec)
     }
@@ -673,8 +675,8 @@ impl BatchService {
     /// lock through [`compute_supervised`].
     pub(crate) fn stage(&mut self, job: &JobSpec, key: &JobKey) -> Staged {
         self.stats.jobs_submitted += 1;
-        let engine = match build_engine(job) {
-            Ok(engine) => engine,
+        let (engine, fault) = match build_engine(job) {
+            Ok(built) => built,
             Err(e) => {
                 self.stats.jobs_failed += 1;
                 return Staged::Done {
@@ -691,9 +693,8 @@ impl BatchService {
             };
         }
         if let Some(mut store) = self.store.take() {
-            let plan = job_fault_plan(job);
             let loaded = catch_unwind(AssertUnwindSafe(|| {
-                fault::with_plan(plan, || store.load(key))
+                fault::with_plan(fault, || store.load(key))
             }));
             self.store = Some(store);
             match loaded {
@@ -721,6 +722,7 @@ impl BatchService {
         }
         Staged::NeedsCompute(ComputeTask {
             engine,
+            fault,
             session: Arc::clone(self.sessions.entry(job.session_key()).or_default()),
             counters: Arc::clone(&self.counters),
             partitions: job
@@ -747,7 +749,8 @@ impl BatchService {
         match run.outcome {
             Ok(report) => {
                 if let Some(store) = self.store.as_mut() {
-                    let plan = job_fault_plan(job);
+                    // Staging validated the plan.
+                    let plan = job_fault_plan(job).unwrap_or_default();
                     let persisted = catch_unwind(AssertUnwindSafe(|| {
                         fault::with_plan(plan, || store.persist(key, &report))
                     }));
@@ -848,12 +851,13 @@ pub(crate) enum Staged {
     NeedsCompute(ComputeTask),
 }
 
-/// A self-contained unit of supervised compute: the validated engine,
-/// the job's pooled session cell (alive across session eviction via its
-/// `Arc`) and what instantiating and preparing it needs. Never crosses
-/// threads — the worker that staged it runs it.
+/// A self-contained unit of supervised compute: the validated engine and
+/// fault plan, the job's pooled session cell (alive across session
+/// eviction via its `Arc`) and what instantiating and preparing it needs.
+/// Never crosses threads — the worker that staged it runs it.
 pub(crate) struct ComputeTask {
     engine: Box<dyn Accelerator>,
+    fault: FaultPlan,
     session: Arc<OnceLock<SimSession>>,
     counters: Arc<PoolCounters>,
     /// A handle on the attached store and the job's partition key, when
@@ -896,15 +900,16 @@ pub(crate) struct ComputeOutcome {
 /// Prepares and runs one staged job under supervision: every attempt
 /// runs under `catch_unwind` — a panic, injected or genuine, in the
 /// workload's instantiation, its preparation or the simulation, is
-/// classified into a [`JobError`] — with the attempt number published
-/// through the fault context, so an injected fault with `attempts=N`
-/// stops firing on attempt N+1 and the retried run is bit-identical to a
-/// fault-free one. Transient failures retry up to [`MAX_ATTEMPTS`], and
-/// a cancelled ticket stops consuming attempts at the loop head. The
-/// wall time runs from the first engine start, so it never includes the
-/// preparation. The caller picks the execution mode (inner-serial for a
-/// job sharing the pool, the caller's own scope for a lone job) by
-/// wrapping this call.
+/// classified into a [`JobError`] — with the job's fault plan armed
+/// around the engine run and the attempt number published through the
+/// fault context, so an injected fault with `attempts=N` stops firing on
+/// attempt N+1 and the retried run is bit-identical to a fault-free one.
+/// Transient failures retry up to [`MAX_ATTEMPTS`], and a cancelled
+/// ticket stops consuming attempts at the loop head. The wall time runs
+/// from the first engine start, so it never includes the preparation.
+/// The caller picks the execution mode (inner-serial for a job sharing
+/// the pool, the caller's own scope for a lone job) by wrapping this
+/// call.
 pub(crate) fn compute_supervised(job: &JobSpec, task: &ComputeTask) -> ComputeOutcome {
     let mut started: Option<Instant> = None;
     let mut retries = 0u64;
@@ -918,7 +923,7 @@ pub(crate) fn compute_supervised(job: &JobSpec, task: &ComputeTask) -> ComputeOu
             catch_unwind(AssertUnwindSafe(|| {
                 let prepared = task.prepare(job);
                 started.get_or_insert_with(Instant::now);
-                task.engine.run(&prepared)
+                fault::with_plan(task.fault, || task.engine.run(&prepared))
             }))
         });
         match run {
@@ -943,34 +948,47 @@ pub(crate) fn compute_supervised(job: &JobSpec, task: &ComputeTask) -> ComputeOu
     }
 }
 
-/// Builds the job's engine, validating its dataset recipe (a rejected
-/// field fails as the `dataset.<field>` key, see
+/// Builds the job's engine and fault plan, validating its dataset recipe
+/// (a rejected field fails as the `dataset.<field>` key, see
 /// [`DatasetSpec::invalid_field`]), the engine name and every override.
-fn build_engine(job: &JobSpec) -> Result<Box<dyn Accelerator>, RegistryError> {
+fn build_engine(job: &JobSpec) -> Result<(Box<dyn Accelerator>, FaultPlan), RegistryError> {
     check_recipe(&job.dataset)?;
     let parsed = registry::parse_overrides(&job.overrides)?;
-    let borrowed: Vec<(&str, &str)> = parsed
+    // `fault=` is the job's key, not an engine's. The registry checks the
+    // overrides before a malformed plan first, so a job fails on its
+    // first bad override in order, whichever key that is.
+    let plan = job_fault_plan(job);
+    let checked = plan.as_ref().map_or_else(|&(at, _)| at, |_| parsed.len());
+    let engine_keys: Vec<(&str, &str)> = parsed[..checked]
         .iter()
-        .map(|(k, v)| (k.as_str(), v.as_str()))
+        .filter(|(key, _)| key != "fault")
+        .map(|(key, value)| (key.as_str(), value.as_str()))
         .collect();
-    registry::engine_from_overrides(&job.engine, &borrowed)
+    let engine = registry::engine_from_overrides(&job.engine, &engine_keys)?;
+    Ok((engine, plan.map_err(|(_, e)| e)?))
 }
 
-/// The job's effective fault plan, parsed from its `fault=` override with
-/// the registry's last-wins semantics. `OFF` for jobs without one — and
-/// for unparseable ones, which never get this far (they fail validation).
-pub(crate) fn job_fault_plan(job: &JobSpec) -> FaultPlan {
+/// The job's fault plan: its `fault=` overrides parsed in order, the last
+/// winning (the registry's rule for every key), and [`FaultPlan::OFF`]
+/// without one. No engine config carries the plan, so this is the key's
+/// one parser: staging validates it, and the worker, the store probe and
+/// persist and [`compute_supervised`]'s engine run arm it.
+///
+/// # Errors
+///
+/// The first malformed plan, as [`RegistryError::InvalidValue`] with key
+/// `fault`, beside the index of its override.
+pub(crate) fn job_fault_plan(job: &JobSpec) -> Result<FaultPlan, (usize, RegistryError)> {
     let mut plan = FaultPlan::OFF;
-    for spec in &job.overrides {
+    for (at, spec) in job.overrides.iter().enumerate() {
         if let Ok((key, value)) = registry::parse_override(spec) {
             if key == "fault" {
-                if let Ok(parsed) = FaultPlan::parse(&value) {
-                    plan = parsed;
-                }
+                plan = FaultPlan::parse(&value)
+                    .map_err(|_| (at, RegistryError::InvalidValue { key, value }))?;
             }
         }
     }
-    plan
+    Ok(plan)
 }
 
 /// Classifies a caught unwind payload into a [`JobError`]: injected
@@ -1526,6 +1544,7 @@ mod tests {
         empty.nodes = 0;
         let task = ComputeTask {
             engine: registry::engine_by_name("grow").unwrap(),
+            fault: FaultPlan::OFF,
             session: Arc::default(),
             counters: Arc::default(),
             partitions: None,
@@ -1547,10 +1566,15 @@ mod tests {
         let clean = JobSpec::new(spec(), 3, "grow");
         let faulted = clean.clone().with_fault("dram:error:1");
         assert_ne!(clean.key(), faulted.key());
-        assert_eq!(job_fault_plan(&clean), FaultPlan::OFF);
+        assert_eq!(job_fault_plan(&clean), Ok(FaultPlan::OFF));
         assert_eq!(
             job_fault_plan(&faulted),
-            FaultPlan::parse("dram:error:1").unwrap()
+            Ok(FaultPlan::parse("dram:error:1").unwrap())
+        );
+        // The last plan wins, as for every key.
+        assert_eq!(
+            job_fault_plan(&faulted.with_fault("off")),
+            Ok(FaultPlan::OFF)
         );
     }
 }

@@ -33,8 +33,8 @@
 //! The layer is *supervised*: every job — its workload's instantiation
 //! and preparation included — runs under `catch_unwind` with a bounded,
 //! deterministic retry budget ([`batch::MAX_ATTEMPTS`]), so a panicking
-//! or fault-injected job (the uniform `fault=` override, see
-//! [`grow_sim::fault`]) fails alone as a structured [`batch::JobError`] —
+//! or fault-injected job (the `fault=` job override, which the
+//! supervisor parses and arms, see [`grow_sim::fault`]) fails alone as a structured [`batch::JobError`] —
 //! never the batch, never the worker. Tickets expose cooperative
 //! cancellation and per-job deadlines; a worker death (the injected
 //! `worker` fault site) surfaces to waiters as

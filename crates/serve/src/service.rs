@@ -770,8 +770,7 @@ fn worker_loop(
         // victim — worker `index` dies when *it* picks the job up; every
         // other worker serves the same job unharmed.
         if job_fault_plan(&submission.job)
-            .action_at(FaultSite::Worker, index as u64, 1)
-            .is_some()
+            .is_ok_and(|plan| plan.action_at(FaultSite::Worker, index as u64, 1).is_some())
         {
             panic!("injected worker kill (fault site 'worker', worker {index})");
         }

@@ -385,7 +385,124 @@ impl LruRowCache {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{HashSet, VecDeque};
+
     use super::*;
+    use crate::Mix;
+
+    /// The textbook LRU the slot table must agree with: a hash set of
+    /// resident rows plus a recency list, least recent at the front.
+    struct ListLru {
+        capacity: usize,
+        resident: HashSet<u32>,
+        recency: VecDeque<u32>,
+        stats: CacheStats,
+    }
+
+    impl ListLru {
+        fn new(capacity: usize) -> Self {
+            ListLru {
+                capacity,
+                resident: HashSet::new(),
+                recency: VecDeque::new(),
+                stats: CacheStats::default(),
+            }
+        }
+
+        /// Moves `id` to the most recent end if it is resident.
+        fn touch(&mut self, id: u32) -> bool {
+            let at = self.recency.iter().position(|&r| r == id);
+            if let Some(at) = at {
+                self.recency.remove(at);
+                self.recency.push_back(id);
+            }
+            at.is_some()
+        }
+
+        fn probe(&mut self, id: u32) -> bool {
+            let hit = self.touch(id);
+            *if hit {
+                &mut self.stats.hits
+            } else {
+                &mut self.stats.misses
+            } += 1;
+            hit
+        }
+
+        fn insert(&mut self, id: u32) {
+            if self.capacity == 0 || self.touch(id) {
+                return;
+            }
+            self.stats.fills += 1;
+            if self.recency.len() == self.capacity {
+                let victim = self.recency.pop_front().expect("full");
+                self.resident.remove(&victim);
+            }
+            self.resident.insert(id);
+            self.recency.push_back(id);
+        }
+    }
+
+    #[test]
+    fn lru_cache_matches_the_list_oracle() {
+        let mut evictions = 0;
+        for seed in 0..200 {
+            let mut rng = Mix(seed);
+            // Capacity 0, 1, small, or at least the whole universe.
+            let sizes = |rng: &mut Mix| {
+                let universe = 1 + rng.below(40) as usize;
+                let capacity = match rng.below(4) {
+                    0 => 0,
+                    1 => 1,
+                    2 => 2 + rng.below(6) as usize,
+                    _ => universe + rng.below(3) as usize,
+                };
+                (capacity, universe)
+            };
+            let (capacity, mut universe) = sizes(&mut rng);
+            let mut fast = LruRowCache::new(capacity, universe);
+            let mut oracle = ListLru::new(capacity);
+            for step in 0..300 {
+                let id = rng.below(universe as u64) as u32;
+                match rng.below(20) {
+                    0 => {
+                        // A new cluster, on the same universe or another.
+                        let (capacity, next) = sizes(&mut rng);
+                        universe = if rng.below(2) == 0 { universe } else { next };
+                        fast.reset(capacity, universe);
+                        oracle = ListLru::new(capacity);
+                    }
+                    1..=6 => {
+                        fast.insert(id);
+                        oracle.insert(id);
+                    }
+                    op => {
+                        let hit = fast.probe(id);
+                        assert_eq!(hit, oracle.probe(id), "seed {seed} step {step}");
+                        // Half the misses fill on demand, as GAMMA's walk does.
+                        if !hit && op % 2 == 0 {
+                            let full =
+                                oracle.capacity > 0 && oracle.recency.len() == oracle.capacity;
+                            evictions += usize::from(full);
+                            fast.insert(id);
+                            oracle.insert(id);
+                        }
+                    }
+                }
+                let at = format!("seed {seed} step {step}");
+                assert_eq!(fast.stats(), &oracle.stats, "{at}");
+                assert_eq!(fast.resident_rows(), oracle.recency.len(), "{at}");
+                for row in 0..universe as u32 {
+                    assert_eq!(
+                        fast.peek(row),
+                        oracle.resident.contains(&row),
+                        "{at} row {row}"
+                    );
+                }
+            }
+        }
+        assert!(evictions > 1000, "only {evictions} evictions");
+    }
 
     #[test]
     fn pinned_cache_respects_capacity() {
@@ -597,36 +714,6 @@ mod tests {
         assert!(!c.peek(3));
         c.insert(31);
         assert!(c.probe(31));
-    }
-
-    #[test]
-    fn lru_matches_reference_model_under_churn() {
-        // The dense-table implementation must agree probe-for-probe with a
-        // straightforward vector-based LRU reference.
-        let mut c = LruRowCache::new(5, 64);
-        let mut reference: Vec<u32> = Vec::new(); // front = MRU
-        let mut state = 0x2545f4914f6cdd1du64;
-        for _ in 0..4000 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let id = (state % 64) as u32;
-            let expect_hit = reference.contains(&id);
-            assert_eq!(c.probe(id), expect_hit, "probe {id}");
-            if expect_hit {
-                reference.retain(|&x| x != id);
-                reference.insert(0, id);
-            } else {
-                c.insert(id);
-                if reference.len() == 5 {
-                    reference.pop();
-                }
-                reference.insert(0, id);
-            }
-        }
-        for id in 0..64 {
-            assert_eq!(c.peek(id), reference.contains(&id), "peek {id}");
-        }
     }
 
     #[test]

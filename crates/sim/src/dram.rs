@@ -3,45 +3,35 @@ use std::fmt;
 use crate::fault::{self, FaultSite};
 use crate::Cycle;
 
-/// Off-chip memory channel parameters.
-///
-/// The paper's baseline configuration (Table III) provides 128 GB/s at a
-/// 1 GHz accelerator clock, i.e. 128 bytes per cycle, with a 64-byte
-/// minimum access granularity ("assuming a 64 byte minimum access
-/// granularity memory system", Figure 6).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DramConfig {
-    /// Sustained channel bandwidth in bytes per accelerator cycle.
-    pub bytes_per_cycle: f64,
-    /// Fixed access latency added after channel transfer, in cycles.
-    pub latency_cycles: Cycle,
-    /// Minimum access granularity in bytes; random-access requests are
-    /// rounded up to a multiple of this.
-    pub access_granularity: u64,
-    /// Channel-occupancy overhead per *random* request, in cycles: the
-    /// row-activation/bus-turnaround cost of scattered accesses, which is
-    /// why random 64-byte reads sustain only ~25-40% of peak DDR bandwidth.
-    /// Streaming bursts do not pay it. This is the second half of the
-    /// paper's "effective memory bandwidth utilization" story (Figure 6):
-    /// sparse-tile fetches waste bandwidth both by over-fetching and by
-    /// breaking row locality.
-    pub request_overhead_cycles: Cycle,
-}
+/// Table III's off-chip bandwidth: 128 GB/s at the 1 GHz accelerator
+/// clock, i.e. 128 bytes per cycle. GROW and GCNAX start from it and the
+/// `dram_gbps=` key varies it (Figure 25b); MatRaptor and GAMMA always
+/// run at it.
+pub const DRAM_BYTES_PER_CYCLE: f64 = 128.0;
 
-impl Default for DramConfig {
-    /// Table III defaults: 128 GB/s, 64 B granularity; 60-cycle access
-    /// latency (row-hit-dominated DDR4/LPDDR-class timing at 1 GHz, and the
-    /// point at which a 16-entry LDN table saturates the channel — the
-    /// Figure 25(a) knee the paper reports at 8/16-way runahead); 12-cycle
-    /// per-request activation overhead for scattered accesses.
-    fn default() -> Self {
-        DramConfig {
-            bytes_per_cycle: 128.0,
-            latency_cycles: 60,
-            access_granularity: 64,
-            request_overhead_cycles: 12,
-        }
-    }
+/// Minimum access granularity in bytes ("assuming a 64 byte minimum
+/// access granularity memory system", Figure 6): random-access requests
+/// are rounded up to a multiple of it.
+pub const DRAM_ACCESS_GRANULARITY: u64 = 64;
+
+/// Fixed access latency added after a read's channel transfer, in cycles:
+/// row-hit-dominated DDR4/LPDDR-class timing at 1 GHz, and the point at
+/// which a 16-entry LDN table saturates the channel (the Figure 25(a)
+/// knee the paper reports at 8/16-way runahead).
+pub const DRAM_LATENCY_CYCLES: Cycle = 60;
+
+/// Channel-occupancy overhead per *random* request, in cycles: the
+/// row-activation/bus-turnaround cost of scattered accesses, which is why
+/// random 64-byte reads sustain only ~25-40% of peak DDR bandwidth.
+/// Streaming bursts do not pay it. This is the second half of the paper's
+/// "effective memory bandwidth utilization" story (Figure 6): sparse-tile
+/// fetches waste bandwidth both by over-fetching and by breaking row
+/// locality.
+pub const DRAM_REQUEST_OVERHEAD_CYCLES: Cycle = 12;
+
+/// Rounds `bytes` up to whole [`DRAM_ACCESS_GRANULARITY`] lines.
+fn round_to_lines(bytes: u64) -> u64 {
+    bytes.div_ceil(DRAM_ACCESS_GRANULARITY) * DRAM_ACCESS_GRANULARITY
 }
 
 /// Channel/bank organization of the off-chip memory system, used by the
@@ -52,9 +42,9 @@ impl Default for DramConfig {
 /// `i`'s dominant traffic lands on channel `i % channels`), and within a
 /// channel concurrent request streams conflict on its `banks` banks: each
 /// co-resident memory-active stream adds an expected
-/// `request_overhead_cycles * (k - 1) / banks` stall per request (the
+/// `DRAM_REQUEST_OVERHEAD_CYCLES * (k - 1) / banks` stall per request (the
 /// row-activation cost of ping-ponging rows between `k` streams, amortized
-/// over the bank count — the same `request_overhead_cycles` machinery the
+/// over the bank count — the same [`DRAM_REQUEST_OVERHEAD_CYCLES`] the
 /// detailed single-channel FIFO charges for scattered accesses).
 ///
 /// The default `1x1` topology is the idealized shared pipe: it charges no
@@ -102,18 +92,19 @@ impl MemTopology {
 
     /// Expected extra channel-occupancy cycles *per byte* for a stream
     /// sharing its home channel with `co_residents` other memory-active
-    /// streams: one request per `access_granularity` bytes, each paying
-    /// `request_overhead_cycles * co_residents / banks` of expected
-    /// bank-conflict serialization. Zero when the stream has the channel
-    /// to itself, and always zero on the uniform `1x1` topology, so adding
-    /// the stall leaves the idealized pipe's transfer times bit-identical.
-    pub fn conflict_penalty_per_byte(&self, dram: &DramConfig, co_residents: usize) -> f64 {
+    /// streams: one request per [`DRAM_ACCESS_GRANULARITY`] bytes, each
+    /// paying `DRAM_REQUEST_OVERHEAD_CYCLES * co_residents / banks` of
+    /// expected bank-conflict serialization. Zero when the stream has the
+    /// channel to itself, and always zero on the uniform `1x1` topology,
+    /// so adding the stall leaves the idealized pipe's transfer times
+    /// bit-identical.
+    pub fn conflict_penalty_per_byte(&self, co_residents: usize) -> f64 {
         if co_residents == 0 || self.is_uniform() {
             return 0.0;
         }
         let per_request =
-            dram.request_overhead_cycles as f64 * co_residents as f64 / self.banks as f64;
-        per_request / dram.access_granularity.max(1) as f64
+            DRAM_REQUEST_OVERHEAD_CYCLES as f64 * co_residents as f64 / self.banks as f64;
+        per_request / DRAM_ACCESS_GRANULARITY as f64
     }
 }
 
@@ -276,13 +267,15 @@ impl fmt::Display for TrafficStats {
 /// A FIFO off-chip memory channel.
 ///
 /// Requests occupy the channel back-to-back in issue order (bandwidth
-/// model) and complete `latency_cycles` after their transfer finishes.
+/// model) and reads complete [`DRAM_LATENCY_CYCLES`] after their transfer
+/// finishes.
 /// This transaction-level model is what makes multi-million-edge graphs
 /// simulable in seconds while preserving the bandwidth/latency behavior
 /// the paper's figures measure.
 #[derive(Debug, Clone)]
 pub struct Dram {
-    config: DramConfig,
+    /// Sustained channel bandwidth in bytes per accelerator cycle.
+    bytes_per_cycle: f64,
     /// Time at which the channel finishes its last accepted transfer.
     channel_free: f64,
     stats: TrafficStats,
@@ -293,36 +286,25 @@ pub struct Dram {
 }
 
 impl Dram {
-    /// Creates an idle channel.
+    /// Creates an idle channel of `bytes_per_cycle` bandwidth.
     ///
     /// # Panics
     ///
-    /// Panics if the config has non-positive bandwidth or zero granularity.
-    pub fn new(config: DramConfig) -> Self {
-        assert!(config.bytes_per_cycle > 0.0, "bandwidth must be positive");
-        assert!(
-            config.access_granularity > 0,
-            "granularity must be positive"
-        );
+    /// Panics if the bandwidth is not positive.
+    pub fn new(bytes_per_cycle: f64) -> Self {
+        assert!(bytes_per_cycle > 0.0, "bandwidth must be positive");
         Dram {
-            config,
+            bytes_per_cycle,
             channel_free: 0.0,
             stats: TrafficStats::new(),
             fault_ops: 0,
         }
     }
 
-    /// The channel configuration.
-    pub fn config(&self) -> &DramConfig {
-        &self.config
-    }
-
     /// Issues a random-access read of `useful_bytes`; the transfer is
     /// rounded up to the access granularity. Returns the completion cycle.
     pub fn read(&mut self, now: Cycle, useful_bytes: u64, class: TrafficClass) -> Cycle {
-        let fetched =
-            useful_bytes.div_ceil(self.config.access_granularity) * self.config.access_granularity;
-        self.transfer_random(now, useful_bytes, fetched, class, true)
+        self.transfer_random(now, useful_bytes, round_to_lines(useful_bytes), class, true)
     }
 
     /// Issues a streaming read of `useful_bytes` that continues a
@@ -344,9 +326,7 @@ impl Dram {
         overhead_bytes: u64,
         class: TrafficClass,
     ) -> Cycle {
-        let total = useful_bytes + overhead_bytes;
-        let fetched =
-            total.div_ceil(self.config.access_granularity) * self.config.access_granularity;
+        let fetched = round_to_lines(useful_bytes + overhead_bytes);
         self.transfer_random(now, useful_bytes, fetched, class, true)
     }
 
@@ -365,36 +345,38 @@ impl Dram {
         }
         self.fault_ops += 1;
         fault::trip_at(FaultSite::DramIssue, self.fault_ops);
-        let fetched_each =
-            useful_each.div_ceil(self.config.access_granularity) * self.config.access_granularity;
+        let fetched_each = round_to_lines(useful_each);
         self.stats
             .record_n(class, useful_each * count, fetched_each * count, count);
         let start = self.channel_free.max(now as f64);
         let end = start
-            + (fetched_each * count) as f64 / self.config.bytes_per_cycle
-            + (self.config.request_overhead_cycles * count) as f64;
+            + (fetched_each * count) as f64 / self.bytes_per_cycle
+            + (DRAM_REQUEST_OVERHEAD_CYCLES * count) as f64;
         self.channel_free = end;
-        (end + self.config.latency_cycles as f64).ceil() as Cycle
+        (end + DRAM_LATENCY_CYCLES as f64).ceil() as Cycle
     }
 
     /// Charges the granularity rounding at the end of a streaming burst of
     /// `burst_useful_bytes` total (at most one extra line).
     pub fn round_burst(&mut self, burst_useful_bytes: u64, class: TrafficClass) {
-        let gran = self.config.access_granularity;
-        let rounded = burst_useful_bytes.div_ceil(gran) * gran;
-        let slack = rounded - burst_useful_bytes;
+        let slack = round_to_lines(burst_useful_bytes) - burst_useful_bytes;
         if slack > 0 {
             self.stats.record(class, 0, slack);
-            self.channel_free += slack as f64 / self.config.bytes_per_cycle;
+            self.channel_free += slack as f64 / self.bytes_per_cycle;
         }
     }
 
     /// Issues a (posted) write; returns the cycle at which the channel has
     /// accepted the data. Writes are granularity-rounded like reads.
     pub fn write(&mut self, now: Cycle, useful_bytes: u64, class: TrafficClass) -> Cycle {
-        let fetched =
-            useful_bytes.div_ceil(self.config.access_granularity) * self.config.access_granularity;
-        self.transfer(now, useful_bytes, fetched, class, false, 0)
+        self.transfer(
+            now,
+            useful_bytes,
+            round_to_lines(useful_bytes),
+            class,
+            false,
+            0,
+        )
     }
 
     fn transfer_random(
@@ -411,7 +393,7 @@ impl Dram {
             fetched,
             class,
             is_read,
-            self.config.request_overhead_cycles,
+            DRAM_REQUEST_OVERHEAD_CYCLES,
         )
     }
 
@@ -428,10 +410,10 @@ impl Dram {
         fault::trip_at(FaultSite::DramIssue, self.fault_ops);
         self.stats.record(class, useful, fetched);
         let start = self.channel_free.max(now as f64);
-        let end = start + fetched as f64 / self.config.bytes_per_cycle + overhead as f64;
+        let end = start + fetched as f64 / self.bytes_per_cycle + overhead as f64;
         self.channel_free = end;
         let completion = if is_read {
-            end + self.config.latency_cycles as f64
+            end + DRAM_LATENCY_CYCLES as f64
         } else {
             end
         };
@@ -472,20 +454,20 @@ mod tests {
 
     #[test]
     fn conflict_penalty_amortizes_over_banks() {
-        let dram = DramConfig::default(); // 12-cycle overhead, 64 B grain
         let t8 = MemTopology::new(4, 8);
         let t16 = MemTopology::new(4, 16);
-        assert_eq!(t8.conflict_penalty_per_byte(&dram, 0), 0.0, "alone: free");
-        let p8 = t8.conflict_penalty_per_byte(&dram, 3);
-        let p16 = t16.conflict_penalty_per_byte(&dram, 3);
+        assert_eq!(t8.conflict_penalty_per_byte(0), 0.0, "alone: free");
+        let p8 = t8.conflict_penalty_per_byte(3);
+        let p16 = t16.conflict_penalty_per_byte(3);
+        // 12-cycle request overhead per 64-byte line.
         assert!((p8 - 12.0 * 3.0 / 8.0 / 64.0).abs() < 1e-12, "{p8}");
         assert!((p8 / p16 - 2.0).abs() < 1e-12, "doubling banks halves it");
         // More co-residents, more stall.
-        assert!(t8.conflict_penalty_per_byte(&dram, 5) > p8);
+        assert!(t8.conflict_penalty_per_byte(5) > p8);
         // The uniform pipe charges nothing, however crowded.
         let uniform = MemTopology::default();
         for co_residents in [0, 1, 3, 15] {
-            assert_eq!(uniform.conflict_penalty_per_byte(&dram, co_residents), 0.0);
+            assert_eq!(uniform.conflict_penalty_per_byte(co_residents), 0.0);
         }
     }
 
@@ -497,7 +479,7 @@ mod tests {
 
     #[test]
     fn read_rounds_to_granularity() {
-        let mut d = Dram::new(DramConfig::default());
+        let mut d = Dram::new(DRAM_BYTES_PER_CYCLE);
         d.read(0, 1, TrafficClass::RhsRows);
         assert_eq!(d.stats().fetched_bytes(TrafficClass::RhsRows), 64);
         assert_eq!(d.stats().useful_bytes(TrafficClass::RhsRows), 1);
@@ -507,36 +489,29 @@ mod tests {
 
     #[test]
     fn fifo_serializes_transfers() {
-        // 128 B/cycle: two 128-byte reads take 1 cycle each on the channel.
-        let cfg = DramConfig {
-            bytes_per_cycle: 128.0,
-            latency_cycles: 10,
-            access_granularity: 64,
-            request_overhead_cycles: 0,
-        };
-        let mut d = Dram::new(cfg);
+        // 128 B/cycle: a 128-byte read occupies the channel for 1 cycle
+        // plus the request overhead, and completes a latency later.
+        let mut d = Dram::new(128.0);
         let c1 = d.read(0, 128, TrafficClass::RhsRows);
         let c2 = d.read(0, 128, TrafficClass::RhsRows);
-        assert_eq!(c1, 11);
-        assert_eq!(c2, 12, "second read queues behind the first");
+        let occupancy = 1 + DRAM_REQUEST_OVERHEAD_CYCLES;
+        assert_eq!(c1, occupancy + DRAM_LATENCY_CYCLES);
+        assert_eq!(c2, c1 + occupancy, "second read queues behind the first");
     }
 
     #[test]
     fn idle_channel_starts_at_now() {
-        let cfg = DramConfig {
-            bytes_per_cycle: 64.0,
-            latency_cycles: 5,
-            access_granularity: 64,
-            request_overhead_cycles: 0,
-        };
-        let mut d = Dram::new(cfg);
+        let mut d = Dram::new(64.0);
         let c = d.read(100, 64, TrafficClass::LhsSparse);
-        assert_eq!(c, 106);
+        assert_eq!(
+            c,
+            100 + 1 + DRAM_REQUEST_OVERHEAD_CYCLES + DRAM_LATENCY_CYCLES
+        );
     }
 
     #[test]
     fn stream_reads_do_not_round() {
-        let mut d = Dram::new(DramConfig::default());
+        let mut d = Dram::new(DRAM_BYTES_PER_CYCLE);
         d.read_stream(0, 12, TrafficClass::LhsSparse);
         d.read_stream(0, 12, TrafficClass::LhsSparse);
         assert_eq!(d.stats().fetched_bytes(TrafficClass::LhsSparse), 24);
@@ -548,28 +523,19 @@ mod tests {
 
     #[test]
     fn writes_do_not_pay_latency() {
-        let cfg = DramConfig {
-            bytes_per_cycle: 64.0,
-            latency_cycles: 100,
-            access_granularity: 64,
-            request_overhead_cycles: 0,
-        };
-        let mut d = Dram::new(cfg);
+        // Nor the request overhead: a posted write is accepted once its
+        // line has crossed the channel.
+        let mut d = Dram::new(64.0);
         let c = d.write(0, 64, TrafficClass::Output);
         assert_eq!(c, 1);
     }
 
     #[test]
     fn bandwidth_sweep_scales_transfer_time() {
-        for (bw, expect) in [(16.0, 4), (64.0, 1)] {
-            let cfg = DramConfig {
-                bytes_per_cycle: bw,
-                latency_cycles: 0,
-                access_granularity: 64,
-                request_overhead_cycles: 0,
-            };
-            let mut d = Dram::new(cfg);
+        for (bw, transfer) in [(16.0, 4), (64.0, 1)] {
+            let mut d = Dram::new(bw);
             let c = d.read(0, 64, TrafficClass::RhsRows);
+            let expect = transfer + DRAM_REQUEST_OVERHEAD_CYCLES + DRAM_LATENCY_CYCLES;
             assert_eq!(c, expect, "bw {bw}");
         }
     }
@@ -579,7 +545,7 @@ mod tests {
         // A 12-byte payload + 258 bytes of CSC colptr metadata: the whole
         // 270 bytes round to 320 fetched, but only 12 are useful — the
         // Figure 6 accounting for near-empty GCNAX tiles.
-        let mut d = Dram::new(DramConfig::default());
+        let mut d = Dram::new(DRAM_BYTES_PER_CYCLE);
         d.read_with_overhead(0, 12, 258, TrafficClass::LhsSparse);
         assert_eq!(d.stats().fetched_bytes(TrafficClass::LhsSparse), 320);
         assert_eq!(d.stats().useful_bytes(TrafficClass::LhsSparse), 12);
@@ -589,15 +555,9 @@ mod tests {
 
     #[test]
     fn read_many_matches_loop_of_reads() {
-        let cfg = DramConfig {
-            bytes_per_cycle: 64.0,
-            latency_cycles: 10,
-            access_granularity: 64,
-            request_overhead_cycles: 0,
-        };
-        let mut bulk = Dram::new(cfg);
+        let mut bulk = Dram::new(64.0);
         let done_bulk = bulk.read_many(0, 5, 100, TrafficClass::RhsPreload);
-        let mut looped = Dram::new(cfg);
+        let mut looped = Dram::new(64.0);
         let mut done_loop = 0;
         for _ in 0..5 {
             done_loop = looped.read(0, 100, TrafficClass::RhsPreload);
@@ -608,7 +568,7 @@ mod tests {
 
     #[test]
     fn read_many_zero_count_is_noop() {
-        let mut d = Dram::new(DramConfig::default());
+        let mut d = Dram::new(DRAM_BYTES_PER_CYCLE);
         assert_eq!(d.read_many(42, 0, 100, TrafficClass::Weights), 42);
         assert_eq!(d.stats().total_fetched(), 0);
     }
@@ -627,7 +587,7 @@ mod tests {
 
     #[test]
     fn display_lists_active_classes() {
-        let mut d = Dram::new(DramConfig::default());
+        let mut d = Dram::new(DRAM_BYTES_PER_CYCLE);
         d.read(0, 64, TrafficClass::Weights);
         let text = format!("{}", d.stats());
         assert!(text.contains("weights"));

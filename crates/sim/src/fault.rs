@@ -44,7 +44,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Maximum number of [`FaultSpec`]s one [`FaultPlan`] can carry. A fixed
-/// bound keeps the plan `Copy` (it travels inside engine configs and
+/// bound keeps the plan `Copy` (it travels inside staged jobs and
 /// thread-local cells); four independent sites per job is far more chaos
 /// than any scenario needs.
 pub const MAX_FAULT_SPECS: usize = 4;
@@ -194,7 +194,7 @@ impl std::error::Error for FaultParseError {}
 
 /// A deterministic injection plan: up to [`MAX_FAULT_SPECS`] rules.
 ///
-/// The textual grammar (the `fault=` registry value) is
+/// The textual grammar (the `fault=` job override's value) is
 /// `site:action:nth[:attempts]` specs joined by `+`, or `off`/`none` for
 /// the empty plan:
 ///
@@ -516,8 +516,8 @@ impl Drop for RestoreCancel {
 
 /// Runs `f` with `plan` armed on this thread (scope-local op counters
 /// reset), restoring the previous plan and counters afterwards (also on
-/// panic). Engines arm their configured plan around the layer loop;
-/// the serving layer arms a job's plan around its store operations.
+/// panic). The serving layer arms a job's plan around its store
+/// operations and its engine run.
 pub fn with_plan<R>(plan: FaultPlan, f: impl FnOnce() -> R) -> R {
     let _armed = Restore(&ARMED, ARMED.replace(plan.is_armed()));
     let _plan = Restore(&PLAN, PLAN.replace(plan));

@@ -5,8 +5,9 @@
 //! (Section VI). This crate is the Rust equivalent of that simulator's
 //! common infrastructure:
 //!
-//! * [`Dram`] — a FIFO off-chip memory channel with configurable bandwidth,
-//!   fixed access latency, and a 64-byte minimum access granularity; it
+//! * [`Dram`] — a FIFO off-chip memory channel with configurable bandwidth
+//!   and Table III's fixed timing ([`DRAM_LATENCY_CYCLES`],
+//!   [`DRAM_ACCESS_GRANULARITY`], [`DRAM_REQUEST_OVERHEAD_CYCLES`]); it
 //!   accounts *useful* vs *fetched* bytes per [`TrafficClass`], which is
 //!   exactly the "effective memory bandwidth utilization" metric of
 //!   Figure 6 and the traffic totals of Figures 18/19;
@@ -31,12 +32,12 @@
 //! # Example
 //!
 //! ```
-//! use grow_sim::{Dram, DramConfig, TrafficClass};
+//! use grow_sim::{Dram, TrafficClass, DRAM_BYTES_PER_CYCLE, DRAM_LATENCY_CYCLES};
 //!
-//! let mut dram = Dram::new(DramConfig::default());
+//! let mut dram = Dram::new(DRAM_BYTES_PER_CYCLE);
 //! // A 12-byte useful read still transfers one 64-byte line.
 //! let done = dram.read(0, 12, TrafficClass::LhsSparse);
-//! assert!(done >= DramConfig::default().latency_cycles);
+//! assert!(done >= DRAM_LATENCY_CYCLES);
 //! let stats = dram.stats();
 //! assert_eq!(stats.fetched_bytes(TrafficClass::LhsSparse), 64);
 //! assert_eq!(stats.useful_bytes(TrafficClass::LhsSparse), 12);
@@ -54,9 +55,28 @@ pub mod exec;
 pub mod fault;
 pub mod scratch;
 
+/// SplitMix64: the seeded stream of the crate's differential tests.
+#[cfg(test)]
+struct Mix(u64);
+
+#[cfg(test)]
+impl Mix {
+    /// The next draw, reduced to `0..n`.
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % n
+    }
+}
+
 pub use cache::{CacheStats, LruRowCache, PinnedRowCache};
 pub use compute::MacArray;
-pub use dram::{Dram, DramConfig, MemTopology, TrafficClass, TrafficStats};
+pub use dram::{
+    Dram, MemTopology, TrafficClass, TrafficStats, DRAM_ACCESS_GRANULARITY, DRAM_BYTES_PER_CYCLE,
+    DRAM_LATENCY_CYCLES, DRAM_REQUEST_OVERHEAD_CYCLES,
+};
 pub use exec::{parallel_map, ExecMode};
 pub use fault::{
     CancelReason, CancelToken, FaultAction, FaultPlan, FaultSite, FaultSpec, SimFault,

@@ -266,6 +266,7 @@ impl RunaheadTables {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Mix;
 
     fn w(row: u32) -> Waiter {
         Waiter {
@@ -458,19 +459,6 @@ mod tests {
             let entry = self.entries.remove(i);
             self.lhs_used -= entry.waiters.len();
             Some((done, row, entry.waiters))
-        }
-    }
-
-    /// SplitMix64: a seeded stream for the property test below.
-    struct Mix(u64);
-
-    impl Mix {
-        fn below(&mut self, n: u64) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            (z ^ (z >> 31)) % n
         }
     }
 

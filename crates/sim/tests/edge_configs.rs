@@ -3,87 +3,61 @@
 //! design space that sweeps and ablations can reach.
 
 use grow_sim::{
-    Dram, DramConfig, IssueOutcome, LruRowCache, MacArray, PinnedRowCache, RunaheadTables,
-    TrafficClass, Waiter,
+    Dram, IssueOutcome, LruRowCache, MacArray, PinnedRowCache, RunaheadTables, TrafficClass,
+    Waiter, DRAM_BYTES_PER_CYCLE, DRAM_LATENCY_CYCLES, DRAM_REQUEST_OVERHEAD_CYCLES,
 };
+
+/// Fixed cycles every random read adds to its transfer: the channel
+/// occupancy of the request, then the access latency.
+const RANDOM_READ_TAX: u64 = DRAM_REQUEST_OVERHEAD_CYCLES + DRAM_LATENCY_CYCLES;
 
 #[test]
 fn one_byte_per_cycle_channel_works() {
-    let cfg = DramConfig {
-        bytes_per_cycle: 1.0,
-        latency_cycles: 0,
-        access_granularity: 64,
-        request_overhead_cycles: 0,
-    };
-    let mut d = Dram::new(cfg);
+    let mut d = Dram::new(1.0);
     let done = d.read(0, 64, TrafficClass::RhsRows);
-    assert_eq!(done, 64);
+    assert_eq!(done, 64 + RANDOM_READ_TAX);
 }
 
 #[test]
 fn fractional_bandwidth_accumulates_exactly() {
-    // 3 bytes/cycle with 64-byte lines: 10 lines = 640 bytes = 213.3 cycles.
-    let cfg = DramConfig {
-        bytes_per_cycle: 3.0,
-        latency_cycles: 0,
-        access_granularity: 64,
-        request_overhead_cycles: 0,
-    };
-    let mut d = Dram::new(cfg);
+    // 3 bytes/cycle with 64-byte lines: 10 lines = 640 bytes = 213.3
+    // cycles of transfer on top of ten request overheads.
+    let mut d = Dram::new(3.0);
     let mut last = 0;
     for _ in 0..10 {
         last = d.read(0, 64, TrafficClass::RhsRows);
     }
-    assert_eq!(last, (640.0f64 / 3.0).ceil() as u64);
-}
-
-#[test]
-fn request_overhead_dominates_tiny_requests() {
-    let base = DramConfig {
-        bytes_per_cycle: 128.0,
-        latency_cycles: 0,
-        access_granularity: 64,
-        request_overhead_cycles: 0,
-    };
-    let with_overhead = DramConfig {
-        request_overhead_cycles: 20,
-        ..base
-    };
-    let mut fast = Dram::new(base);
-    let mut slow = Dram::new(with_overhead);
-    for _ in 0..100 {
-        fast.read(0, 64, TrafficClass::RhsRows);
-        slow.read(0, 64, TrafficClass::RhsRows);
-    }
-    // Same bytes, very different channel occupancy.
-    assert_eq!(fast.stats().total_fetched(), slow.stats().total_fetched());
-    assert!(slow.busy_until() >= fast.busy_until() + 100 * 20);
+    let overheads = 10 * DRAM_REQUEST_OVERHEAD_CYCLES;
+    let transfer = (640.0f64 / 3.0).ceil() as u64;
+    assert_eq!(last, transfer + overheads + DRAM_LATENCY_CYCLES);
 }
 
 #[test]
 fn streams_are_exempt_from_request_overhead() {
-    let cfg = DramConfig {
-        bytes_per_cycle: 64.0,
-        latency_cycles: 0,
-        access_granularity: 64,
-        request_overhead_cycles: 50,
-    };
-    let mut d = Dram::new(cfg);
+    // Same lines, same bytes: the random reads each hold the channel for
+    // the request overhead on top of the transfer, the stream does not.
+    let mut stream = Dram::new(64.0);
+    let mut random = Dram::new(64.0);
     for _ in 0..10 {
-        d.read_stream(0, 64, TrafficClass::LhsSparse);
+        stream.read_stream(0, 64, TrafficClass::LhsSparse);
+        random.read(0, 64, TrafficClass::LhsSparse);
     }
-    assert_eq!(d.busy_until(), 10, "streaming pays pure bandwidth only");
+    assert_eq!(
+        stream.busy_until(),
+        10,
+        "streaming pays pure bandwidth only"
+    );
+    assert_eq!(random.busy_until(), 10 * (1 + DRAM_REQUEST_OVERHEAD_CYCLES));
+    assert_eq!(
+        stream.stats().total_fetched(),
+        random.stats().total_fetched()
+    );
 }
 
 #[test]
 #[should_panic(expected = "bandwidth must be positive")]
 fn zero_bandwidth_rejected() {
-    Dram::new(DramConfig {
-        bytes_per_cycle: 0.0,
-        latency_cycles: 0,
-        access_granularity: 64,
-        request_overhead_cycles: 0,
-    });
+    Dram::new(0.0);
 }
 
 #[test]
@@ -135,7 +109,7 @@ fn runahead_tables_minimum_capacity() {
 
 #[test]
 fn huge_request_counts_do_not_overflow_cycle_math() {
-    let mut d = Dram::new(DramConfig::default());
+    let mut d = Dram::new(DRAM_BYTES_PER_CYCLE);
     let done = d.read_many(0, 50_000_000, 512, TrafficClass::RhsRows);
     assert!(done > 0);
     assert_eq!(d.stats().requests(TrafficClass::RhsRows), 50_000_000);
@@ -146,13 +120,13 @@ fn huge_request_counts_do_not_overflow_cycle_math() {
 }
 
 #[test]
-fn zero_latency_reads_complete_at_transfer_end() {
-    let cfg = DramConfig {
-        bytes_per_cycle: 64.0,
-        latency_cycles: 0,
-        access_granularity: 64,
-        request_overhead_cycles: 0,
-    };
-    let mut d = Dram::new(cfg);
-    assert_eq!(d.read(0, 64, TrafficClass::Weights), 1);
+fn reads_complete_a_latency_after_their_transfer() {
+    let mut d = Dram::new(64.0);
+    assert_eq!(d.read(0, 64, TrafficClass::Weights), 1 + RANDOM_READ_TAX);
+    // A stream read pays the latency but not the request overhead.
+    let mut d = Dram::new(64.0);
+    assert_eq!(
+        d.read_stream(0, 64, TrafficClass::Weights),
+        1 + DRAM_LATENCY_CYCLES
+    );
 }

@@ -504,13 +504,22 @@ fn sched_faults_on_e2e_jobs_retry_to_the_baseline() {
     );
     // Off the e2e path the sched site has no trip points: the fault
     // arms but never fires, and the report matches the fault-free run.
-    let analytic = JobSpec::new(spec(), 13, "grow");
+    // The post-hoc projection runs the same fluid loop inside the armed
+    // run (when the report is finalized), so a firing would show only as
+    // a retry or a caught panic, never in the retried report: neither
+    // counter may move.
+    let analytic = JobSpec::new(spec(), 13, "grow").with_pes(4);
     let clean = service.run_one(&analytic).outcome.expect("clean");
-    let armed = service
-        .run_one(&analytic.clone().with_fault("sched:panic:1"))
-        .outcome
-        .expect("site never reached in analytic mode");
-    assert_eq!(clean, armed);
+    let before = service.stats();
+    let armed = service.run_one(&analytic.clone().with_fault("sched:panic:1"));
+    assert!(!armed.cache_hit, "the armed job ran");
+    assert_eq!(
+        armed.outcome.expect("site never reached in analytic mode"),
+        clean
+    );
+    let after = service.stats();
+    assert_eq!(after.retries, before.retries, "the sched site fired");
+    assert_eq!(after.panics_caught, before.panics_caught);
 }
 
 #[test]

@@ -129,7 +129,7 @@ fn pe_scaling_improves_throughput() {
     let curve = scaling_curve(
         &report.cluster_profiles(),
         &[1, 4, 16],
-        GrowConfig::default().dram.bytes_per_cycle,
+        GrowConfig::default().dram_bytes_per_cycle,
         SchedulerKind::RoundRobin,
     );
     assert!((curve[0].normalized_throughput - 1.0).abs() < 1e-9);

@@ -113,11 +113,11 @@ fn unknown_key_and_invalid_value_are_reported_not_panicked() {
 
 /// Keys the named engines reject, each with the engines that would carry
 /// its value: sizes Table III fixes (MAC lanes, GROW's HDN ID list, I-BUF,
-/// O-BUF and LHS-ID table, GCNAX's tile width), typed fields only model
-/// tests vary (GCNAX's dense buffer and tile-fetch depth, the DRAM
-/// timing), and values no experiment varies on that engine (Figure 25b
-/// sweeps bandwidth on GROW and GCNAX only; GAMMA's merge factor).
-const REMOVED_KEYS: [(&str, &[&str]); 12] = [
+/// O-BUF and LHS-ID table, GCNAX's tile width, dense buffer and
+/// tile-fetch depth, the DRAM timing), values no experiment varies on that
+/// engine (Figure 25b sweeps bandwidth on GROW and GCNAX only; GAMMA's
+/// merge factor), and `fault`, which is a job key, not an engine key.
+const REMOVED_KEYS: [(&str, &[&str]); 13] = [
     ("mac_lanes", &registry::ENGINE_NAMES),
     ("dram_latency_cycles", &registry::ENGINE_NAMES),
     ("dram_request_overhead_cycles", &registry::ENGINE_NAMES),
@@ -130,22 +130,22 @@ const REMOVED_KEYS: [(&str, &[&str]); 12] = [
     ("tile_fetch_depth", &["gcnax"]),
     ("dram_gbps", &["matraptor", "gamma"]),
     ("merge_factor", &["gamma"]),
+    ("fault", &registry::ENGINE_NAMES),
 ];
 
 #[test]
 fn only_the_keys_the_evaluation_varies_configure_an_engine() {
-    // Every key an experiment, example or perfbench job sets, and the
-    // fault suites' `fault`, with a valid value and the engines that
-    // accept it: 34 (engine, key) pairs. Every other engine rejects it.
+    // Every key an experiment, example or perfbench job sets, with a
+    // valid value and the engines that accept it: 30 (engine, key) pairs.
+    // Every other engine rejects it.
     let every: &[&str] = &registry::ENGINE_NAMES;
-    let kept: [(&str, &str, &[&str]); 15] = [
+    let kept: [(&str, &str, &[&str]); 14] = [
         ("dram_gbps", "64", &["grow", "gcnax"]),
         ("pes", "4", every),
         ("scheduler", "lpt", every),
         ("exec", "e2e", every),
         ("channels", "2", every),
         ("banks", "4", every),
-        ("fault", "off", every),
         ("hdn_cache_kb", "256", &["grow"]),
         ("runahead", "4", &["grow"]),
         ("ldn_entries", "8", &["grow"]),
@@ -156,7 +156,7 @@ fn only_the_keys_the_evaluation_varies_configure_an_engine() {
         ("fiber_cache_kb", "256", &["gamma"]),
     ];
     let pairs: usize = kept.iter().map(|(_, _, engines)| engines.len()).sum();
-    assert_eq!(pairs, 34);
+    assert_eq!(pairs, 30);
     for engine in registry::ENGINE_NAMES {
         for (key, value, engines) in kept {
             let built = registry::engine_from_overrides(engine, &[(key, value)]);
@@ -176,12 +176,14 @@ fn only_the_keys_the_evaluation_varies_configure_an_engine() {
     }
 
     // The removed names are unknown on every engine that accepted them,
-    // at the registry and as served jobs, which build no session.
+    // at the registry and as served jobs, which build no session. A
+    // served job validates `fault` itself, so `fault=16` fails there as
+    // a malformed plan.
     let removed: Vec<(&'static str, &str)> = REMOVED_KEYS
         .iter()
         .flat_map(|&(key, engines)| engines.iter().map(move |&engine| (engine, key)))
         .collect();
-    assert_eq!(removed.len(), 22);
+    assert_eq!(removed.len(), 26);
     let jobs: Vec<JobSpec> = removed
         .iter()
         .map(|&(engine, key)| JobSpec::new(spec(), 7, engine).with_override(key, "16"))
@@ -198,9 +200,16 @@ fn only_the_keys_the_evaluation_varies_configure_an_engine() {
             Some(unknown.clone()),
             "{engine}: {key}"
         );
+        let served = match key {
+            "fault" => RegistryError::InvalidValue {
+                key: key.into(),
+                value: "16".into(),
+            },
+            _ => unknown,
+        };
         assert_eq!(
             result.outcome.clone().err(),
-            Some(JobError::Invalid(unknown)),
+            Some(JobError::Invalid(served)),
             "{engine}: {key}"
         );
     }
@@ -386,68 +395,92 @@ fn unknown_exec_model_is_an_error_everywhere() {
 
 #[test]
 fn fault_is_uniform_across_engines() {
-    // `fault=spec` is a shared key like `scheduler`: every engine
-    // accepts it, a disarmed plan (`off`, or an ordinal that never
-    // fires) leaves the report bit-identical to the baseline, and a
-    // malformed spec surfaces as InvalidValue{key:"fault"} — not
-    // UnknownKey — everywhere.
-    let workload = spec().instantiate(11);
-    let prepared = grow::accel::prepare(&workload, PartitionStrategy::None, 4096);
+    // `fault=spec` is a job key on every engine, parsed by the job
+    // supervisor alone: a report-neutral plan (`off`, `none`, an ordinal
+    // that never fires, or a transient fault that retries away) serves a
+    // report bit-identical to the baseline, and a malformed spec fails
+    // validation as InvalidValue{key:"fault"} — not UnknownKey — before
+    // anything runs. The registry itself knows no `fault` key.
+    let mut service = BatchService::new();
     for engine in registry::ENGINE_NAMES {
-        let base = registry::run_named(engine, &prepared).unwrap();
-        // `off`/`none` and a never-firing ordinal are all report-neutral.
-        for value in ["off", "none", "dram:error:9999999"] {
-            let faulted = registry::engine_from_overrides(engine, &[("fault", value)])
-                .unwrap_or_else(|e| panic!("{engine} fault={value}: {e}"))
-                .run(&prepared);
-            assert_eq!(base, faulted, "{engine} fault={value}");
-        }
-        // A full multi-spec plan parses on every engine (validation is
-        // engine-independent; firing behaviour is exercised elsewhere).
-        assert!(
-            registry::engine_from_overrides(engine, &[("fault", "dram:error:1:2+sched:panic:3")])
-                .is_ok(),
-            "{engine}"
-        );
-        for bad in [
-            "dram:boom",
-            "bogus:error",
-            "dram",
-            "dram:error:0",
-            "dram:error:1:2:3",
-            "exec:error:1",
-            "",
+        let job = JobSpec::new(spec(), 11, engine);
+        let base = service.run_one(&job).outcome.expect("fault-free baseline");
+        for value in [
+            "off",
+            "none",
+            "dram:error:9999999",
+            "dram:error:1:2+sched:panic:3",
         ] {
-            assert_eq!(
-                registry::engine_from_overrides(engine, &[("fault", bad)]).err(),
-                Some(RegistryError::InvalidValue {
-                    key: "fault".into(),
-                    value: bad.into(),
-                }),
-                "{engine} fault={bad:?}"
-            );
+            let result = service.run_one(&job.clone().with_fault(value));
+            assert_eq!(result.outcome.as_ref(), Ok(&base), "{engine} fault={value}");
+            assert!(!result.cache_hit, "{engine} fault={value} has its own key");
         }
+        assert_eq!(
+            registry::engine_from_overrides(engine, &[("fault", "off")]).err(),
+            Some(RegistryError::UnknownKey {
+                engine,
+                key: "fault".into(),
+            })
+        );
     }
 
-    // Through the batch service: a malformed fault spec fails validation
-    // before any simulation runs, on every engine.
-    let mut service = BatchService::new();
+    let simulated = service.stats().simulations_run;
+    let bad = [
+        "dram:boom",
+        "bogus:error",
+        "dram",
+        "dram:error:0",
+        "dram:error:1:2:3",
+        "exec:error:1",
+        "dram:sideways",
+    ];
     let jobs: Vec<JobSpec> = registry::ENGINE_NAMES
         .iter()
-        .map(|engine| JobSpec::new(spec(), 11, engine).with_fault("dram:sideways"))
+        .flat_map(|engine| bad.map(|value| JobSpec::new(spec(), 11, engine).with_fault(value)))
         .collect();
     let results = service.run_batch(&jobs);
-    for (result, engine) in results.iter().zip(registry::ENGINE_NAMES) {
+    let expected = registry::ENGINE_NAMES
+        .iter()
+        .flat_map(|&engine| bad.map(|value| (engine, value)));
+    for (result, (engine, value)) in results.iter().zip(expected) {
         assert_eq!(
             result.outcome.clone().err(),
             Some(JobError::Invalid(RegistryError::InvalidValue {
                 key: "fault".into(),
-                value: "dram:sideways".into(),
+                value: value.into(),
             })),
-            "{engine}"
+            "{engine} fault={value}"
         );
     }
-    assert_eq!(service.stats().simulations_run, 0, "validation runs first");
+
+    // A job fails on its first bad override in order, whichever of the
+    // registry and its fault plan rejects it.
+    let bad_plan = ("fault", "dram:boom");
+    let order: [(&[(&str, &str)], &str); 5] = [
+        (&[bad_plan, ("runahead", "many")], "fault"),
+        (&[("runahead", "many"), bad_plan], "runahead"),
+        (&[bad_plan, ("tile_rows", "8")], "fault"),
+        (&[("tile_rows", "8"), bad_plan], "tile_rows"),
+        (&[("fault", "off"), bad_plan, ("fault", "off")], "fault"),
+    ];
+    for (overrides, first) in order {
+        let job = overrides
+            .iter()
+            .fold(JobSpec::new(spec(), 11, "grow"), |job, (k, v)| {
+                job.with_override(k, v)
+            });
+        match service.run_one(&job).outcome {
+            Err(JobError::Invalid(
+                RegistryError::InvalidValue { key, .. } | RegistryError::UnknownKey { key, .. },
+            )) => assert_eq!(key, first, "{overrides:?}"),
+            other => panic!("{overrides:?}: {other:?}"),
+        }
+    }
+    assert_eq!(
+        service.stats().simulations_run,
+        simulated,
+        "validation runs first"
+    );
 }
 
 #[test]
